@@ -9,10 +9,14 @@
 #      and the worker pool, the observability stress tests, the
 #      differential suites, and the pooled EvalContext workspaces, with
 #      NEURSC_THREADS=8 to force real contention.
-#   3. Inference-path differential: the Tape-vs-EvalContext suite
-#      (eval_context_test) and the checkpoint round-trip suite
-#      (serialize_test) re-run explicitly under both the Release and TSan
-#      builds — the bit-identity contract of docs/execution.md.
+#   3. Bit-identity suites: the Tape-vs-EvalContext suite
+#      (eval_context_test), the checkpoint round-trip suite
+#      (serialize_test), the scalar-vs-AVX2 kernel equivalence suite
+#      (simd_kernels_test) and the golden-output pin of WEst forward and
+#      training results (golden_output_test) re-run explicitly under both
+#      the Release and TSan builds — the bit-identity contract of
+#      docs/execution.md. Stage 7 runs them again under ASan+UBSan, which
+#      covers the AVX2 kernels' vector bodies and scalar tails.
 #   4. Training-throughput smoke: bench_table4_training_time on a tiny
 #      dataset sweeps NEURSC_THREADS {1,2,8} over full training runs and
 #      exits non-zero unless every parallel run reproduces the serial
@@ -55,12 +59,13 @@ NEURSC_THREADS=8 ctest --test-dir build-tsan -L concurrency \
   --output-on-failure
 
 echo
-echo "=== [3/7] Inference-path differential (Release + TSan) ==="
-cmake --build build-tsan -j "$JOBS" --target serialize_test
-ctest --test-dir build -R 'eval_context_test|serialize_test' \
+echo "=== [3/7] Bit-identity suites (Release + TSan) ==="
+cmake --build build-tsan -j "$JOBS" --target serialize_test \
+  simd_kernels_test golden_output_test
+BIT_IDENTITY='eval_context_test|serialize_test|simd_kernels_test|golden_output_test'
+ctest --test-dir build -R "$BIT_IDENTITY" --output-on-failure
+NEURSC_THREADS=8 ctest --test-dir build-tsan -R "$BIT_IDENTITY" \
   --output-on-failure
-NEURSC_THREADS=8 ctest --test-dir build-tsan \
-  -R 'eval_context_test|serialize_test' --output-on-failure
 
 echo
 echo "=== [4/7] Training-throughput smoke (NEURSC_THREADS sweep) ==="

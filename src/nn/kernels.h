@@ -8,6 +8,7 @@
 
 #include "common/logging.h"
 #include "nn/matrix.h"
+#include "nn/simd.h"
 
 namespace neursc {
 namespace fwd {
@@ -23,6 +24,10 @@ namespace fwd {
 /// Convention: `out` is pre-shaped by the caller. Kernels that accumulate
 /// (MatMul via Matrix::MatMulInto, ScatterAddRows, SumRows) additionally
 /// require `out` zero-filled; the others overwrite every entry.
+///
+/// Add, AddRowBroadcast, Relu, ScatterAddRows and ColBroadcastMul run on
+/// the dispatched nn/simd.h kernels, whose scalar and AVX2 variants give
+/// bit-identical results (docs/execution.md, "Vectorized kernels").
 
 inline void Copy(const Matrix& a, Matrix* out) {
   NEURSC_CHECK(out->rows() == a.rows() && out->cols() == a.cols());
@@ -31,20 +36,15 @@ inline void Copy(const Matrix& a, Matrix* out) {
 
 inline void Add(const Matrix& a, const Matrix& b, Matrix* out) {
   NEURSC_CHECK(a.rows() == b.rows() && a.cols() == b.cols());
-  for (size_t i = 0; i < a.size(); ++i) {
-    out->data()[i] = a.data()[i] + b.data()[i];
-  }
+  simd::Add(a.data(), b.data(), out->data(), a.size());
 }
 
 /// x (n x d) plus bias (1 x d) broadcast over rows.
 inline void AddRowBroadcast(const Matrix& x, const Matrix& bias,
                             Matrix* out) {
   NEURSC_CHECK(bias.rows() == 1 && bias.cols() == x.cols());
-  for (size_t r = 0; r < x.rows(); ++r) {
-    for (size_t c = 0; c < x.cols(); ++c) {
-      out->at(r, c) = x.at(r, c) + bias.at(0, c);
-    }
-  }
+  simd::AddRowBroadcast(x.data(), bias.data(), out->data(), x.rows(),
+                        x.cols());
 }
 
 inline void Sub(const Matrix& a, const Matrix& b, Matrix* out) {
@@ -66,10 +66,7 @@ inline void Scale(const Matrix& a, float s, Matrix* out) {
 }
 
 inline void Relu(const Matrix& a, Matrix* out) {
-  for (size_t i = 0; i < a.size(); ++i) {
-    float x = a.data()[i];
-    out->data()[i] = x < 0.0f ? 0.0f : x;
-  }
+  simd::Relu(a.data(), out->data(), a.size());
 }
 
 inline void LeakyRelu(const Matrix& a, float negative_slope, Matrix* out) {
@@ -155,12 +152,9 @@ inline void ScatterAddRows(const Matrix& x,
                            const std::vector<uint32_t>& targets,
                            Matrix* out) {
   NEURSC_CHECK(targets.size() == x.rows());
-  for (size_t i = 0; i < targets.size(); ++i) {
-    NEURSC_CHECK(targets[i] < out->rows());
-    for (size_t c = 0; c < x.cols(); ++c) {
-      out->at(targets[i], c) += x.at(i, c);
-    }
-  }
+  for (uint32_t t : targets) NEURSC_CHECK(t < out->rows());
+  simd::ScatterAddRows(x.data(), targets.data(), x.rows(), x.cols(),
+                       out->data());
 }
 
 /// Per-segment softmax of a column vector, max-subtracted, exp sums in
@@ -193,10 +187,7 @@ inline void SegmentSoftmax(const Matrix& x,
 /// Multiplies row i of x (m x d) by scalar w[i] (w is m x 1).
 inline void ColBroadcastMul(const Matrix& x, const Matrix& w, Matrix* out) {
   NEURSC_CHECK(w.cols() == 1 && w.rows() == x.rows());
-  for (size_t r = 0; r < x.rows(); ++r) {
-    float wr = w.at(r, 0);
-    for (size_t c = 0; c < x.cols(); ++c) out->at(r, c) = x.at(r, c) * wr;
-  }
+  simd::ColBroadcastMul(x.data(), w.data(), out->data(), x.rows(), x.cols());
 }
 
 /// Column-wise sum, accumulating in row order; `out` (1 x d) must be

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/logging.h"
+#include "nn/simd.h"
 
 namespace neursc {
 
@@ -40,7 +41,7 @@ float Matrix::scalar() const {
 
 void Matrix::AddInPlace(const Matrix& other) {
   NEURSC_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
+  simd::Add(data(), other.data(), data(), data_.size());
 }
 
 void Matrix::AxpyInPlace(float alpha, const Matrix& other) {
@@ -58,97 +59,49 @@ void Matrix::ClampInPlace(float limit) {
   for (float& v : data_) v = std::clamp(v, -limit, limit);
 }
 
-namespace {
-
-/// crow[j] += aik * brow[j] for j in [0, cols), unrolled 4-wide. Per-entry
-/// float association is unchanged by the unroll (each crow[j] still
-/// receives one addition per k), so results are identical to the rolled
-/// loop; the unroll just exposes independent FMA chains to the compiler.
-/// The training matrices (features, hidden layers, gradients) are dense,
-/// so there is no zero-skip branch here — a data-dependent branch per
-/// (i, k) pessimizes the dense path that dominates training and defeats
-/// vectorization.
-inline void AxpyRow(float aik, const float* brow, float* crow, size_t cols) {
-  size_t j = 0;
-  for (; j + 4 <= cols; j += 4) {
-    crow[j] += aik * brow[j];
-    crow[j + 1] += aik * brow[j + 1];
-    crow[j + 2] += aik * brow[j + 2];
-    crow[j + 3] += aik * brow[j + 3];
-  }
-  for (; j < cols; ++j) crow[j] += aik * brow[j];
-}
-
-}  // namespace
-
 Matrix Matrix::MatMul(const Matrix& a, const Matrix& b) {
   Matrix c(a.rows_, b.cols_);
   MatMulInto(a, b, &c);
   return c;
 }
 
+// The three products share simd::Gemm, which accumulates every C entry in
+// reduction order with one multiply and one add per term (no FMA; the
+// library builds with -ffp-contract=off). The association is therefore
+// the textbook one whichever kernel variant runs.
+
 void Matrix::MatMulInto(const Matrix& a, const Matrix& b, Matrix* c) {
   NEURSC_CHECK(a.cols_ == b.rows_) << "matmul shape mismatch";
   NEURSC_CHECK(c->rows_ == a.rows_ && c->cols_ == b.cols_);
-  // i-k-j loop order: streams over b and c rows, cache friendly.
-  for (size_t i = 0; i < a.rows_; ++i) {
-    const float* arow = a.row(i);
-    float* crow = c->row(i);
-    for (size_t k = 0; k < a.cols_; ++k) {
-      AxpyRow(arow[k], b.row(k), crow, b.cols_);
-    }
-  }
+  simd::Gemm(a.rows_, a.cols_, b.cols_, a.data(), a.cols_, 1, b.data(),
+             b.cols_, c->data(), c->cols_);
 }
 
 Matrix Matrix::MatMulTransposeA(const Matrix& a, const Matrix& b) {
   NEURSC_CHECK(a.rows_ == b.rows_) << "matmul^T shape mismatch";
   Matrix c(a.cols_, b.cols_);
-  for (size_t k = 0; k < a.rows_; ++k) {
-    const float* arow = a.row(k);
-    const float* brow = b.row(k);
-    for (size_t i = 0; i < a.cols_; ++i) {
-      AxpyRow(arow[i], brow, c.row(i), b.cols_);
-    }
-  }
+  // A^T(i, p) = a(p, i): row stride 1, column stride a.cols_.
+  simd::Gemm(a.cols_, a.rows_, b.cols_, a.data(), 1, a.cols_, b.data(),
+             b.cols_, c.data(), c.cols_);
   return c;
 }
 
 Matrix Matrix::MatMulTransposeB(const Matrix& a, const Matrix& b) {
   NEURSC_CHECK(a.cols_ == b.cols_) << "matmul B^T shape mismatch";
   Matrix c(a.rows_, b.rows_);
-  const size_t cols = a.cols_;
-  for (size_t i = 0; i < a.rows_; ++i) {
-    const float* arow = a.row(i);
-    float* crow = c.row(i);
-    // Four output dots at a time: arow stays in registers across the four
-    // b rows. Each dot keeps its own serial accumulation over k, so
-    // per-entry results match the rolled loop bit for bit.
-    size_t j = 0;
-    for (; j + 4 <= b.rows_; j += 4) {
-      const float* b0 = b.row(j);
-      const float* b1 = b.row(j + 1);
-      const float* b2 = b.row(j + 2);
-      const float* b3 = b.row(j + 3);
-      float d0 = 0.0f, d1 = 0.0f, d2 = 0.0f, d3 = 0.0f;
-      for (size_t k = 0; k < cols; ++k) {
-        float av = arow[k];
-        d0 += av * b0[k];
-        d1 += av * b1[k];
-        d2 += av * b2[k];
-        d3 += av * b3[k];
-      }
-      crow[j] = d0;
-      crow[j + 1] = d1;
-      crow[j + 2] = d2;
-      crow[j + 3] = d3;
-    }
-    for (; j < b.rows_; ++j) {
-      const float* brow = b.row(j);
-      float dot = 0.0f;
-      for (size_t k = 0; k < cols; ++k) dot += arow[k] * brow[k];
-      crow[j] = dot;
-    }
+  // Pack B^T row-major so the core streams contiguous rows of it. The
+  // buffer is per thread and only grows, so the Tape's backward pass
+  // allocates nothing here once warm.
+  thread_local std::vector<float> packed;
+  const size_t k = b.cols_;
+  const size_t n = b.rows_;
+  if (packed.size() < k * n) packed.resize(k * n);
+  for (size_t j = 0; j < n; ++j) {
+    const float* brow = b.row(j);
+    for (size_t p = 0; p < k; ++p) packed[p * n + j] = brow[p];
   }
+  simd::Gemm(a.rows_, k, n, a.data(), a.cols_, 1, packed.data(), n, c.data(),
+             c.cols_);
   return c;
 }
 

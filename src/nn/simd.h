@@ -1,0 +1,79 @@
+#ifndef NEURSC_NN_SIMD_H_
+#define NEURSC_NN_SIMD_H_
+
+// Vectorised dense kernels behind Matrix's GEMMs and the hot fwd:: row ops
+// (docs/execution.md, "Vectorized kernels"). Internal to the nn library:
+// model code calls Matrix / fwd::, never this header; the kernel
+// equivalence test includes it to compare the variants directly.
+//
+// Every kernel exists twice, in `scalar::` and `avx2::`, with the same
+// per-entry float association: the AVX2 variant vectorises only across
+// output columns, never across a reduction index, and uses a multiply
+// followed by an add (never FMA). Both therefore produce bit-identical
+// results, and the unqualified `simd::` entry points may pick either at
+// run time. They pick AVX2 whenever the CPU supports it; there is no
+// other switch.
+//
+// The AVX2 variants are compiled with __attribute__((target("avx2"))), so
+// the build flags stay the same. They exist only on x86-64 GCC/Clang
+// builds (NEURSC_SIMD_AVX2); everywhere else the dispatched entry points
+// call the scalar variants.
+
+#include <cstddef>
+#include <cstdint>
+
+#if (defined(__GNUC__) || defined(__clang__)) && defined(__x86_64__)
+#define NEURSC_SIMD_AVX2 1
+#endif
+
+namespace neursc {
+namespace simd {
+
+/// Kernel signatures, shared by all three namespaces below.
+///
+/// Gemm: C[i, :] += sum_p A(i, p) * B[p, :] for i < m, p < k, over n
+///   columns, accumulating in p order. A(i, p) = a[i * a_row_stride +
+///   p * a_col_stride], so one core serves A and A^T; B and C are
+///   row-major with leading dimensions ldb and ldc.
+/// Add: out[j] = a[j] + b[j]; `out` may alias `a` or `b`.
+/// AddRowBroadcast: out[r, :] = x[r, :] + bias[:] over a rows x cols block.
+/// ColBroadcastMul: out[r, :] = x[r, :] * w[r].
+/// ScatterAddRows: out[targets[r], :] = out[targets[r], :] + x[r, :], in
+///   row order; every target must be in range (the caller checks).
+/// Relu: out[j] = x[j] < 0 ? 0 : x[j] (keeps -0.0 and NaN as they are).
+#define NEURSC_SIMD_KERNELS_                                                 \
+  void Gemm(size_t m, size_t k, size_t n, const float* a,                   \
+            size_t a_row_stride, size_t a_col_stride, const float* b,       \
+            size_t ldb, float* c, size_t ldc);                              \
+  void Add(const float* a, const float* b, float* out, size_t n);           \
+  void AddRowBroadcast(const float* x, const float* bias, float* out,       \
+                       size_t rows, size_t cols);                           \
+  void ColBroadcastMul(const float* x, const float* w, float* out,          \
+                       size_t rows, size_t cols);                           \
+  void ScatterAddRows(const float* x, const uint32_t* targets, size_t rows, \
+                      size_t cols, float* out);                             \
+  void Relu(const float* x, float* out, size_t n);
+
+namespace scalar {
+NEURSC_SIMD_KERNELS_
+}  // namespace scalar
+
+#if defined(NEURSC_SIMD_AVX2)
+namespace avx2 {
+NEURSC_SIMD_KERNELS_
+}  // namespace avx2
+#endif
+
+/// Dispatched entry points: the AVX2 variant when the CPU has AVX2.
+NEURSC_SIMD_KERNELS_
+
+#undef NEURSC_SIMD_KERNELS_
+
+/// True iff the dispatched entry points run the AVX2 variants. Decided once
+/// per process, on first use.
+bool UsesAvx2();
+
+}  // namespace simd
+}  // namespace neursc
+
+#endif  // NEURSC_NN_SIMD_H_
