@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
     config.seed = 1234;
     WEstModel model(features.FeatureDim(), config);
 
-    // --- Tape: a fresh tape per pass, as Estimate's Tape backend runs. ---
+    // --- Tape: a fresh tape per pass, as each training example gets. ---
     BackendRun tape_run;
     {
       Timer timer;

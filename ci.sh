@@ -10,11 +10,14 @@
 #      differential suites, and the pooled EvalContext workspaces, with
 #      NEURSC_THREADS=8 to force real contention.
 #   3. Bit-identity suites: the Tape-vs-EvalContext suite
-#      (eval_context_test), the checkpoint round-trip suite
-#      (serialize_test), the scalar-vs-AVX2 kernel equivalence suite
-#      (simd_kernels_test) and the golden-output pin of WEst forward and
-#      training results (golden_output_test) re-run explicitly under both
-#      the Release and TSan builds — the bit-identity contract of
+#      (eval_context_test: op by op, one whole WEst forward on fresh
+#      weights, and the forwards of a trained estimator over every
+#      substructure its queries extract; there is no end-to-end Tape
+#      build, since inference runs only on EvalContext), the checkpoint
+#      round-trip suite (serialize_test), the scalar-vs-AVX2 kernel
+#      equivalence suite (simd_kernels_test) and the golden-output pin of
+#      WEst forward and training results (golden_output_test) re-run
+#      explicitly under both the Release and TSan builds — the bit-identity contract of
 #      docs/execution.md. Stage 7 runs them again under ASan+UBSan, which
 #      covers the AVX2 kernels' vector bodies and scalar tails.
 #   4. Training-throughput smoke: bench_table4_training_time on a tiny

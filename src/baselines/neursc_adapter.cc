@@ -62,17 +62,6 @@ std::unique_ptr<NeurSCAdapter> NeurSCAdapter::WithMetric(
   return std::make_unique<NeurSCAdapter>(data, std::move(config), name);
 }
 
-std::unique_ptr<NeurSCAdapter> NeurSCAdapter::TapeForced(
-    const Graph& data, NeurSCConfig config) {
-  config.west.use_inter = true;
-  config.use_discriminator = true;
-  config.use_substructure_extraction = true;
-  config.metric = DistanceMetric::kWasserstein;
-  config.inference_backend = ExecutionBackend::kTape;
-  return std::make_unique<NeurSCAdapter>(data, std::move(config),
-                                         "NeurSC (tape)");
-}
-
 Status NeurSCAdapter::Train(const std::vector<TrainingExample>& examples) {
   auto stats = estimator_.Train(examples);
   if (!stats.ok()) return stats.status();

@@ -32,11 +32,6 @@ class NeurSCAdapter : public CardinalityEstimator {
   static std::unique_ptr<NeurSCAdapter> WithMetric(const Graph& data,
                                                    NeurSCConfig config,
                                                    DistanceMetric metric);
-  /// Full NeurSC forced onto the Tape inference backend. Differential
-  /// reference for the default tape-free EvalContext path: estimates from
-  /// the two builds must agree bit for bit (docs/execution.md).
-  static std::unique_ptr<NeurSCAdapter> TapeForced(const Graph& data,
-                                                   NeurSCConfig config);
 
   std::string Name() const override { return name_; }
   Status Train(const std::vector<TrainingExample>& examples) override;

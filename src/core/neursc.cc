@@ -59,16 +59,26 @@ NeurSCEstimator::NeurSCEstimator(const Graph& data, NeurSCConfig config)
 
 Result<NeurSCEstimator::Prepared> NeurSCEstimator::Prepare(
     const Graph& query) {
-  Prepared prep;
+  auto extraction = Extract(query);
+  if (!extraction.ok()) return extraction.status();
+  return InitializeFeatures(query, std::move(extraction).value());
+}
+
+Result<ExtractionResult> NeurSCEstimator::Extract(const Graph& query) {
   if (config_.use_substructure_extraction) {
-    auto extraction = ExtractSubstructures(query, data_, config_.filter);
-    if (!extraction.ok()) return extraction.status();
-    prep.extraction = std::move(extraction).value();
-  } else {
-    prep.extraction.early_terminate = false;
-    prep.extraction.substructures.push_back(
-        WholeGraphSubstructure(data_, query.NumVertices()));
+    return ExtractSubstructures(query, data_, config_.filter);
   }
+  ExtractionResult extraction;
+  extraction.early_terminate = false;
+  extraction.substructures.push_back(
+      WholeGraphSubstructure(data_, query.NumVertices()));
+  return extraction;
+}
+
+NeurSCEstimator::Prepared NeurSCEstimator::InitializeFeatures(
+    const Graph& query, ExtractionResult extraction) {
+  Prepared prep;
+  prep.extraction = std::move(extraction);
   prep.query_features = features_.Compute(query);
   prep.sub_features.reserve(prep.extraction.substructures.size());
   for (const auto& sub : prep.extraction.substructures) {
@@ -249,27 +259,14 @@ Result<TrainStats> NeurSCEstimator::Train(
     // Forward-only, parameters frozen: the held-out losses are
     // independent. Seeds are drawn serially in validation order and the
     // reduction sums in that same order, so the q-error is bit-identical
-    // at every thread count. Runs on the configured inference backend —
-    // pooled EvalContexts by default (no backward closures, reused
-    // arenas), or per-task Tapes when the Tape backend is forced.
+    // at every thread count. Runs on pooled EvalContexts (no backward
+    // closures, reused arenas).
     std::vector<uint64_t> seeds = DrawTaskSeeds(validation.size());
     std::vector<double> losses(validation.size(), 0.0);
     std::vector<uint8_t> valid(validation.size(), 0);
     ParallelFor(validation.size(), [&](size_t k) {
       size_t idx = validation[k];
       Rng rng(seeds[k]);
-      if (config_.inference_backend == ExecutionBackend::kTape) {
-        Tape tape;
-        tape.ReserveNodes(tape_node_hint[idx]);
-        Var loss = BuildQueryLoss(&tape, usable[idx]->query, *prepared[idx],
-                                  usable[idx]->count, /*adversarial=*/false,
-                                  &rng, nullptr);
-        if (!loss.valid()) return;
-        losses[k] = tape.Value(loss).scalar();
-        valid[k] = 1;
-        tape_node_hint[idx] = tape.NumNodes();
-        return;
-      }
       auto ctx = eval_pool_.Acquire();
       Var loss = BuildQueryLoss(ctx.get(), usable[idx]->query,
                                 *prepared[idx], usable[idx]->count,
@@ -470,25 +467,15 @@ void NeurSCEstimator::RunInferenceTasks(
     InferenceTask& task = (*tasks)[i];
     NEURSC_SPAN(substructure_span, "estimate/substructure");
     auto start = std::chrono::steady_clock::now();
-    // One execution context and one RNG per task: nothing the forward pass
-    // mutates is shared across workers (see docs/threading.md). The
-    // default backend leases a pooled EvalContext, whose warmed-up arena
-    // makes the pass allocation-free in steady state; the Tape backend
-    // stays available for differential testing.
+    // One EvalContext and one RNG per task: nothing the forward pass
+    // mutates is shared across workers (see docs/threading.md). The leased
+    // context's warmed-up arena makes the pass allocation-free in steady
+    // state.
     Rng rng(task.seed);
-    if (config_.inference_backend == ExecutionBackend::kTape) {
-      Tape tape;
-      auto fw =
-          model_->Forward(&tape, *task.query, *task.sub, *task.query_features,
-                          *task.sub_features, &rng);
-      task.prediction = tape.Value(fw.prediction).scalar();
-    } else {
-      auto ctx = eval_pool_.Acquire();
-      auto fw = model_->Forward(ctx.get(), *task.query, *task.sub,
-                                *task.query_features, *task.sub_features,
-                                &rng);
-      task.prediction = ctx->Value(fw.prediction).scalar();
-    }
+    auto ctx = eval_pool_.Acquire();
+    auto fw = model_->Forward(ctx.get(), *task.query, *task.sub,
+                              *task.query_features, *task.sub_features, &rng);
+    task.prediction = ctx->Value(fw.prediction).scalar();
     auto end = std::chrono::steady_clock::now();
     task.start_seconds = std::chrono::duration<double>(start - epoch).count();
     task.end_seconds = std::chrono::duration<double>(end - epoch).count();
@@ -497,160 +484,98 @@ void NeurSCEstimator::RunInferenceTasks(
 
 Result<EstimateInfo> NeurSCEstimator::Estimate(const Graph& query) {
   NEURSC_SPAN(estimate_span, "estimate/total");
-  NEURSC_COUNTER_INC("estimate.queries");
-
-  NEURSC_SPAN(prepare_span, "estimate/prepare");
-  auto prep = Prepare(query);
-  prepare_span.End();
-  if (!prep.ok()) return prep.status();
-  EstimateInfo info;
-  info.extraction_seconds = prepare_span.ElapsedSeconds();
-  info.num_substructures = prep->extraction.substructures.size();
-  if (prep->extraction.early_terminate ||
-      prep->extraction.substructures.empty()) {
-    NEURSC_COUNTER_INC("estimate.early_terminated");
-    info.early_terminated = true;
-    info.count = 0.0;
-    estimate_span.End();
-    info.total_seconds = estimate_span.ElapsedSeconds();
-    return info;
-  }
-
-  const size_t total = prep->extraction.substructures.size();
-  std::vector<size_t> selected = SelectSubstructures(total);
-  std::vector<uint64_t> seeds = DrawTaskSeeds(selected.size());
-  const size_t used = selected.size();
-  info.num_used = used;
-
-  NEURSC_SPAN(infer_span, "estimate/infer");
-  std::vector<InferenceTask> tasks(used);
-  for (size_t k = 0; k < used; ++k) {
-    tasks[k].query = &query;
-    tasks[k].sub = &prep->extraction.substructures[selected[k]];
-    tasks[k].query_features = &prep->query_features;
-    tasks[k].sub_features = &prep->sub_features[selected[k]];
-    tasks[k].seed = seeds[k];
-  }
-  RunInferenceTasks(&tasks, std::chrono::steady_clock::now());
-  // Ordered reduction: summing in selection order keeps the result
-  // bit-identical to a serial evaluation.
-  double sum = 0.0;
-  for (const InferenceTask& task : tasks) sum += task.prediction;
-  infer_span.End();
-  info.count = sum * static_cast<double>(total) / static_cast<double>(used);
-  info.inference_seconds = infer_span.ElapsedSeconds();
-  estimate_span.End();
-  info.total_seconds = estimate_span.ElapsedSeconds();
-  return info;
+  auto infos = EstimateQueries(
+      {&query, 1}, [this](const Graph& q) { return Prepare(q); });
+  if (!infos.ok()) return infos.status();
+  return infos->front();
 }
 
 Result<EstimateInfo> NeurSCEstimator::EstimateOnSubstructures(
     const Graph& query, const ExtractionResult& ext) {
   NEURSC_SPAN(estimate_span, "estimate/total");
-  EstimateInfo info;
-  info.num_substructures = ext.substructures.size();
-  if (ext.early_terminate || ext.substructures.empty()) {
-    info.early_terminated = true;
-    estimate_span.End();
-    info.total_seconds = estimate_span.ElapsedSeconds();
-    return info;
-  }
-  NEURSC_SPAN(infer_span, "estimate/infer");
-  const size_t n = ext.substructures.size();
-  Matrix query_features = features_.Compute(query);
-  std::vector<Matrix> sub_features(n);
-  ParallelFor(n, [&](size_t i) {
-    sub_features[i] = features_.Compute(ext.substructures[i].graph);
+  auto infos = EstimateQueries({&query, 1}, [&](const Graph& q) {
+    return Result<Prepared>(InitializeFeatures(q, ext));
   });
-  std::vector<uint64_t> seeds = DrawTaskSeeds(n);
-  std::vector<InferenceTask> tasks(n);
-  for (size_t i = 0; i < n; ++i) {
-    tasks[i].query = &query;
-    tasks[i].sub = &ext.substructures[i];
-    tasks[i].query_features = &query_features;
-    tasks[i].sub_features = &sub_features[i];
-    tasks[i].seed = seeds[i];
-  }
-  RunInferenceTasks(&tasks, std::chrono::steady_clock::now());
-  double sum = 0.0;
-  for (const InferenceTask& task : tasks) sum += task.prediction;
-  infer_span.End();
-  info.num_used = n;
-  info.count = sum;
-  info.inference_seconds = infer_span.ElapsedSeconds();
-  estimate_span.End();
-  info.total_seconds = estimate_span.ElapsedSeconds();
-  return info;
+  if (!infos.ok()) return infos.status();
+  return infos->front();
 }
 
 Result<std::vector<EstimateInfo>> NeurSCEstimator::EstimateBatch(
     const std::vector<Graph>& queries) {
   NEURSC_SPAN(batch_span, "estimate/batch");
   NEURSC_COUNTER_INC("estimate.batches");
+  return EstimateQueries(queries,
+                         [this](const Graph& q) { return Prepare(q); });
+}
+
+Result<std::vector<EstimateInfo>> NeurSCEstimator::EstimateQueries(
+    std::span<const Graph> queries,
+    const std::function<Result<Prepared>(const Graph&)>& prepare) {
   NEURSC_COUNTER_ADD("estimate.queries",
                      static_cast<int64_t>(queries.size()));
-  std::vector<EstimateInfo> infos(queries.size());
+  std::vector<EstimateInfo> infos;
   if (queries.empty()) return infos;
   const auto epoch = std::chrono::steady_clock::now();
+  auto seconds_since_epoch = [epoch] {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         epoch)
+        .count();
+  };
 
-  // Phase 1: extraction + feature preparation, parallel across queries.
-  // Prepare never touches rng_, so running it out of order is safe.
+  // What each query's EstimateInfo is derived from.
+  struct QueryRecord {
+    std::optional<Prepared> prep;
+    Status status;
+    double prepare_start = 0.0;
+    double prepare_end = 0.0;
+    // The query's forward passes: tasks[task_begin, task_end).
+    size_t task_begin = 0;
+    size_t task_end = 0;
+  };
+  std::vector<QueryRecord> records(queries.size());
+
+  // Phase 1: the prepare step, parallel across queries. It never touches
+  // rng_, so running it out of order is safe.
   NEURSC_SPAN(prepare_span, "estimate/prepare");
-  std::vector<std::optional<Prepared>> prepared(queries.size());
-  std::vector<Status> prepare_status(queries.size());
-  std::vector<double> prepare_start(queries.size(), 0.0);
-  std::vector<double> prepare_end(queries.size(), 0.0);
   ParallelFor(queries.size(), [&](size_t q) {
-    auto start = std::chrono::steady_clock::now();
-    auto prep = Prepare(queries[q]);
+    QueryRecord& record = records[q];
+    record.prepare_start = seconds_since_epoch();
+    auto prep = prepare(queries[q]);
     if (prep.ok()) {
-      prepared[q] = std::move(prep).value();
+      record.prep = std::move(prep).value();
     } else {
-      prepare_status[q] = prep.status();
+      record.status = prep.status();
     }
-    auto end = std::chrono::steady_clock::now();
-    prepare_start[q] = std::chrono::duration<double>(start - epoch).count();
-    prepare_end[q] = std::chrono::duration<double>(end - epoch).count();
+    record.prepare_end = seconds_since_epoch();
   });
   prepare_span.End();
-  for (const Status& st : prepare_status) {
-    if (!st.ok()) return st;
+  for (const QueryRecord& record : records) {
+    if (!record.status.ok()) return record.status;
   }
 
   // Phase 2 (serial, query order): sampling decisions and forward-pass
   // seeds. This consumes rng_ exactly as sequential Estimate calls would,
   // which is what makes EstimateBatch match them bit-for-bit.
   std::vector<InferenceTask> tasks;
-  std::vector<std::pair<size_t, size_t>> task_range(queries.size(), {0, 0});
   for (size_t q = 0; q < queries.size(); ++q) {
-    EstimateInfo& info = infos[q];
-    const Prepared& prep = *prepared[q];
-    info.extraction_seconds = prepare_end[q] - prepare_start[q];
-    info.num_substructures = prep.extraction.substructures.size();
-    if (prep.extraction.early_terminate ||
-        prep.extraction.substructures.empty()) {
+    QueryRecord& record = records[q];
+    const Prepared& prep = *record.prep;
+    const auto& subs = prep.extraction.substructures;
+    record.task_begin = tasks.size();
+    record.task_end = tasks.size();
+    if (prep.extraction.early_terminate || subs.empty()) {
       NEURSC_COUNTER_INC("estimate.early_terminated");
-      info.early_terminated = true;
-      info.count = 0.0;
-      info.total_seconds = info.extraction_seconds;
       continue;
     }
-    std::vector<size_t> selected =
-        SelectSubstructures(prep.extraction.substructures.size());
+    std::vector<size_t> selected = SelectSubstructures(subs.size());
     std::vector<uint64_t> seeds = DrawTaskSeeds(selected.size());
-    info.num_used = selected.size();
-    task_range[q].first = tasks.size();
     for (size_t k = 0; k < selected.size(); ++k) {
-      InferenceTask task;
-      task.query = &queries[q];
-      task.sub = &prep.extraction.substructures[selected[k]];
-      task.query_features = &prep.query_features;
-      task.sub_features = &prep.sub_features[selected[k]];
-      task.seed = seeds[k];
-      task.query_index = q;
-      tasks.push_back(task);
+      tasks.push_back(InferenceTask{&queries[q], &subs[selected[k]],
+                                    &prep.query_features,
+                                    &prep.sub_features[selected[k]],
+                                    seeds[k]});
     }
-    task_range[q].second = tasks.size();
+    record.task_end = tasks.size();
   }
 
   // Phase 3: one work pool over all (query, substructure) pairs.
@@ -658,26 +583,39 @@ Result<std::vector<EstimateInfo>> NeurSCEstimator::EstimateBatch(
   RunInferenceTasks(&tasks, epoch);
   infer_span.End();
 
-  // Phase 4: ordered per-query reduction and span-derived timings. The
-  // per-query inference interval is [first task start, last task end];
-  // since every task starts after every Prepare finished, the invariant
-  // total >= extraction + inference holds per query.
-  for (size_t q = 0; q < queries.size(); ++q) {
-    auto [begin, end] = task_range[q];
-    if (begin == end) continue;  // early-terminated
-    EstimateInfo& info = infos[q];
+  // Phase 4: per query, the reduction in selection order and the timings.
+  // The inference interval is [first task start, last task end]; every
+  // task starts after every prepare step finished, so
+  // total >= extraction + inference. A query runs no task iff it
+  // early-terminated: r_s sampling keeps at least one substructure.
+  infos.reserve(queries.size());
+  for (const QueryRecord& record : records) {
+    const size_t total = record.prep->extraction.substructures.size();
+    const size_t used = record.task_end - record.task_begin;
     double sum = 0.0;
-    double first_start = tasks[begin].start_seconds;
-    double last_end = tasks[begin].end_seconds;
-    for (size_t t = begin; t < end; ++t) {
-      sum += tasks[t].prediction;
-      first_start = std::min(first_start, tasks[t].start_seconds);
-      last_end = std::max(last_end, tasks[t].end_seconds);
+    double infer_start = record.prepare_end;
+    double infer_end = record.prepare_end;
+    if (used > 0) {
+      infer_start = tasks[record.task_begin].start_seconds;
+      infer_end = tasks[record.task_begin].end_seconds;
     }
-    info.count = sum * static_cast<double>(info.num_substructures) /
-                 static_cast<double>(info.num_used);
-    info.inference_seconds = last_end - first_start;
-    info.total_seconds = last_end - prepare_start[q];
+    for (size_t t = record.task_begin; t < record.task_end; ++t) {
+      sum += tasks[t].prediction;
+      infer_start = std::min(infer_start, tasks[t].start_seconds);
+      infer_end = std::max(infer_end, tasks[t].end_seconds);
+    }
+    // Sec. 5.8: scale the sampled sum by the inverse sampled fraction.
+    infos.push_back(EstimateInfo{
+        .count = used == 0 ? 0.0
+                           : sum * static_cast<double>(total) /
+                                 static_cast<double>(used),
+        .early_terminated = used == 0,
+        .num_substructures = total,
+        .num_used = used,
+        .extraction_seconds = record.prepare_end - record.prepare_start,
+        .inference_seconds = infer_end - infer_start,
+        .total_seconds = infer_end - record.prepare_start,
+    });
   }
   return infos;
 }

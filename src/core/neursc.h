@@ -4,7 +4,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -64,15 +66,6 @@ struct NeurSCConfig {
   /// Substructure sample rate r_s at inference time (Sec. 5.8).
   double sample_rate = 1.0;
 
-  /// Execution engine for forward-only call sites (Estimate,
-  /// EstimateOnSubstructures, EstimateBatch, the validation loop). The
-  /// default tape-free EvalContext records no backward closures and reuses
-  /// a per-context arena, so steady-state inference allocates nothing; the
-  /// Tape backend remains selectable for differential testing (see
-  /// NeurSCAdapter::TapeForced and docs/execution.md). Both produce
-  /// bit-identical estimates. Training always uses the Tape.
-  ExecutionBackend inference_backend = ExecutionBackend::kEvalContext;
-
   uint64_t seed = 99;
 };
 
@@ -83,10 +76,9 @@ struct TrainingExample {
   double count = 0.0;
 };
 
-/// Per-query estimation output with a timing breakdown. The timing fields
-/// are derived from the observability spans ("estimate/prepare",
-/// "estimate/infer", "estimate/total"; see docs/observability.md), so they
-/// stay consistent with the trace/metrics output as stages are added.
+/// Per-query estimation output with a timing breakdown, filled in from the
+/// query's own record in the estimation pipeline that every Estimate* entry
+/// point runs: its prepare interval and its forward passes' intervals.
 struct EstimateInfo {
   double count = 0.0;
   /// True iff estimation short-circuited to 0 (empty candidate set or
@@ -95,11 +87,12 @@ struct EstimateInfo {
   size_t num_substructures = 0;
   /// Substructures actually evaluated (< num_substructures when r_s < 1).
   size_t num_used = 0;
-  /// Candidate filtering + substructure split + feature initialization.
+  /// Candidate filtering + substructure split + feature initialization
+  /// (features only for EstimateOnSubstructures).
   double extraction_seconds = 0.0;
-  /// GNN forward passes over the evaluated substructures.
+  /// First forward pass start to last one end; 0 if early-terminated.
   double inference_seconds = 0.0;
-  /// Whole Estimate call (>= extraction + inference).
+  /// Prepare start to last forward pass end (>= extraction + inference).
   double total_seconds = 0.0;
 };
 
@@ -121,16 +114,22 @@ class PreparedQueryCache;
 /// The NeurSC estimator bound to one data graph: substructure extraction
 /// (Sec. 4) plus the WEst network (Sec. 5) and its adversarial trainer.
 ///
+/// Estimation (Alg. 1) is one pipeline: prepare each query (extraction and
+/// feature initialization), select its substructures at r_s, draw one seed
+/// per forward pass, run every (query, substructure) forward pass in one
+/// work pool, and reduce. Estimate is a batch of one; EstimateOnSubstructures
+/// is a batch of one whose prepare step skips extraction.
+///
 /// Threading (see docs/threading.md): the estimator parallelizes *inside*
 /// Estimate/EstimateOnSubstructures/EstimateBatch and Train.
 ///
 /// Inference: per-substructure WEst forward passes each run on their own
-/// execution context with a private Rng, and the per-substructure counts
-/// are reduced in index order. On the default EvalContext backend the
-/// contexts come from a per-estimator pool (eval_pool_), so their warmed-up
-/// arenas are reused across queries and steady-state inference performs no
-/// heap allocation; each task holds an exclusive lease for the duration of
-/// its forward pass.
+/// EvalContext with a private Rng, and the per-substructure counts are
+/// reduced in index order. The contexts come from a per-estimator pool
+/// (eval_pool_), so their warmed-up arenas are reused across queries and
+/// steady-state inference performs no heap allocation; each task holds an
+/// exclusive lease for the duration of its forward pass. Only training
+/// runs on the autograd Tape.
 ///
 /// Training: within a batch the parameters are frozen, so the per-example
 /// forward+backward passes run over ParallelFor, each on its own Tape with
@@ -176,7 +175,13 @@ class NeurSCEstimator {
   Result<EstimateInfo> Estimate(const Graph& query);
 
   /// Estimate using externally supplied substructures (the "perfect
-  /// substructure" ablation feeds ground-truth-derived ones).
+  /// substructure" ablation feeds ground-truth-derived ones): the same
+  /// pipeline as Estimate, with `ext` in place of ExtractSubstructures, so
+  /// it samples at r_s and scales the sum by |ext| / used like Estimate
+  /// does (at r_s = 1 that is sum * n / n, which can differ from the plain
+  /// sum in the last bit). EstimateOnSubstructures(q,
+  /// ExtractSubstructures(q, data, filter)) therefore equals Estimate(q)
+  /// exactly.
   Result<EstimateInfo> EstimateOnSubstructures(const Graph& query,
                                                const ExtractionResult& ext);
 
@@ -221,8 +226,6 @@ class NeurSCEstimator {
     /// Seed for the task-private Rng (bipartite linking edges, Sec. 5.3);
     /// drawn from rng_ serially so it is thread-count independent.
     uint64_t seed = 0;
-    /// Index of the owning query within an EstimateBatch call.
-    size_t query_index = 0;
     // --- Outputs (written by the evaluating worker) ---
     double prediction = 0.0;
     /// Wall-clock interval of the forward pass, seconds relative to the
@@ -241,8 +244,23 @@ class NeurSCEstimator {
     Matrix sub_repr;
   };
 
+  /// Prepare step of a query: Extract, then InitializeFeatures.
   Result<Prepared> Prepare(const Graph& query);
-  /// Evaluates every task over ParallelFor, one Tape + Rng per task.
+  /// Substructure extraction (Sec. 4), or the whole data graph as the one
+  /// substructure when extraction is disabled.
+  Result<ExtractionResult> Extract(const Graph& query);
+  /// Feature initialization of the query and of every substructure.
+  Prepared InitializeFeatures(const Graph& query, ExtractionResult extraction);
+  /// The estimation pipeline behind every Estimate* entry point: runs
+  /// `prepare` on every query in parallel, then selects substructures and
+  /// draws seeds serially in query order, evaluates all forward passes in
+  /// one work pool and reduces each query in selection order. Fails with
+  /// the status of the lowest-index query whose prepare step fails.
+  Result<std::vector<EstimateInfo>> EstimateQueries(
+      std::span<const Graph> queries,
+      const std::function<Result<Prepared>(const Graph&)>& prepare);
+  /// Evaluates every task over ParallelFor, one pooled EvalContext + Rng
+  /// per task.
   void RunInferenceTasks(std::vector<InferenceTask>* tasks,
                          std::chrono::steady_clock::time_point epoch);
   /// r_s sampling (Sec. 5.8): the substructure indices to evaluate, in
@@ -274,8 +292,8 @@ class NeurSCEstimator {
   std::unique_ptr<Discriminator> critic_;
   std::unique_ptr<AdamOptimizer> opt_theta_;
   std::unique_ptr<AdamOptimizer> opt_omega_;
-  /// Reusable forward-only workspaces for the EvalContext backend; grows to
-  /// peak inference concurrency and keeps the warmed-up arenas thereafter.
+  /// Reusable forward-only workspaces for inference; grows to peak
+  /// inference concurrency and keeps the warmed-up arenas thereafter.
   EvalContextPool eval_pool_;
   Rng rng_;
 };

@@ -12,14 +12,6 @@
 
 namespace neursc {
 
-/// Which execution engine a forward-only call site runs on. Modules are
-/// written once against the execution-context concept (template over Tape
-/// or EvalContext); this enum selects the backend where a runtime choice
-/// is needed (NeurSCConfig::inference_backend). The two backends share
-/// their forward kernels (nn/kernels.h) and therefore produce bit-identical
-/// values; see docs/execution.md.
-enum class ExecutionBackend { kEvalContext, kTape };
-
 /// Forward-only execution context: the serving-path sibling of the
 /// autograd Tape. It implements the same op vocabulary (dense algebra,
 /// pointwise nonlinearities, scatter/gather/segment ops, reductions,

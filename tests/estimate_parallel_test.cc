@@ -4,10 +4,13 @@
 // EstimateOnSubstructures, and EstimateBatch return bit-identical results
 // at every NEURSC_THREADS value: all random decisions are drawn from the
 // estimator RNG serially before the parallel region, every forward pass
-// runs on its own tape with a private RNG, and per-substructure counts are
-// reduced in index order. These tests enforce the contract by comparing
-// each parallel configuration against the single-threaded reference across
-// RNG seeds, including the r_s < 1 sampling path.
+// runs on its own EvalContext with a private RNG, and per-substructure
+// counts are reduced in index order. These tests enforce the contract by
+// comparing each parallel configuration against the single-threaded
+// reference across RNG seeds, including the r_s < 1 sampling path, with
+// exact equality. They also pin that the three entry points are one
+// pipeline: EstimateBatch equals sequential Estimate, and
+// EstimateOnSubstructures fed Estimate's own extraction equals Estimate.
 
 #include <cmath>
 #include <cstdlib>
@@ -33,7 +36,6 @@ using testing_util::ReadFileToString;
 
 constexpr uint64_t kSeeds[] = {31, 77, 123, 4242, 99991};
 constexpr size_t kThreadCounts[] = {1, 2, 8};
-constexpr double kTol = 1e-10;
 
 /// Scoped NEURSC_THREADS override; restores the previous value on exit so
 /// tests do not leak thread settings into each other.
@@ -114,7 +116,7 @@ std::vector<Graph> TestQueries() {
 }
 
 /// Runs `fn` under every thread count and checks the outputs against the
-/// single-threaded run, field by field, within kTol.
+/// single-threaded run, field by field, exactly.
 void ExpectSameAcrossThreadCounts(
     const std::function<std::vector<EstimateInfo>(size_t threads)>& run) {
   std::vector<EstimateInfo> reference;
@@ -127,7 +129,7 @@ void ExpectSameAcrossThreadCounts(
     std::vector<EstimateInfo> got = run(threads);
     ASSERT_EQ(got.size(), reference.size()) << "threads=" << threads;
     for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_NEAR(got[i].count, reference[i].count, kTol)
+      EXPECT_EQ(got[i].count, reference[i].count)
           << "threads=" << threads << " query=" << i;
       EXPECT_EQ(got[i].early_terminated, reference[i].early_terminated)
           << "threads=" << threads << " query=" << i;
@@ -192,6 +194,76 @@ TEST(EstimateParallelTest, EstimateOnSubstructuresMatchesSerial) {
   }
 }
 
+TEST(EstimateParallelTest, EstimateOnSubstructuresOfOwnExtractionIsEstimate) {
+  // One pipeline: fed exactly what Estimate extracts, EstimateOnSubstructures
+  // must sample at r_s, draw seeds and scale the sum as Estimate does.
+  Graph data = MixedCycles(12);
+  for (double rate : {1.0, 0.5}) {
+    for (uint64_t seed : kSeeds) {
+      NeurSCConfig config = TinyConfig(seed);
+      config.sample_rate = rate;
+      NeurSCEstimator direct(data, config);
+      NeurSCEstimator given(data, config);
+      for (const Graph& q : TestQueries()) {
+        auto ext = ExtractSubstructures(q, data, config.filter);
+        ASSERT_TRUE(ext.ok()) << ext.status().ToString();
+        auto want = direct.Estimate(q);
+        auto got = given.EstimateOnSubstructures(q, *ext);
+        ASSERT_TRUE(want.ok()) << want.status().ToString();
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_EQ(got->count, want->count) << "r_s=" << rate
+                                           << " seed=" << seed;
+        EXPECT_EQ(got->num_used, want->num_used) << "r_s=" << rate;
+        EXPECT_EQ(got->num_substructures, want->num_substructures);
+        if (rate < 1.0 && want->num_substructures > 1) {
+          EXPECT_LT(got->num_used, got->num_substructures);
+        }
+      }
+    }
+  }
+}
+
+TEST(EstimateParallelTest, TrainedEstimateBatchMatchesSequentialEstimate) {
+  // Trained weights, reloaded into fresh estimators: both start from the
+  // same state, so the batch must reproduce sequential Estimate exactly.
+  Graph data = MixedCycles(12);
+  std::vector<Graph> queries = TestQueries();
+  queries.push_back(MakeGraph({0, 0, 0, 0}, {{0, 1}, {1, 2}, {2, 3}}));
+  queries.insert(queries.begin() + 1, MakeGraph({9, 9}, {{0, 1}}));
+  NeurSCConfig config = TinyConfig(4242);
+  config.epochs = 3;
+  config.pretrain_epochs = 1;
+  const std::string model_path =
+      ::testing::TempDir() + "/estimate_parallel_trained.model";
+  {
+    NeurSCEstimator trainer(data, config);
+    std::vector<TrainingExample> examples;
+    for (const Graph& q : TestQueries()) {
+      examples.push_back(TrainingExample{q, 12.0});
+    }
+    ASSERT_TRUE(trainer.Train(examples).ok());
+    ASSERT_TRUE(trainer.SaveModel(model_path).ok());
+  }
+  for (size_t threads : kThreadCounts) {
+    ThreadsGuard guard(threads);
+    NeurSCEstimator sequential(data, config);
+    NeurSCEstimator batched(data, config);
+    ASSERT_TRUE(sequential.LoadModel(model_path).ok());
+    ASSERT_TRUE(batched.LoadModel(model_path).ok());
+    auto infos = batched.EstimateBatch(queries);
+    ASSERT_TRUE(infos.ok()) << infos.status().ToString();
+    ASSERT_EQ(infos->size(), queries.size());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      auto want = sequential.Estimate(queries[i]);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      EXPECT_EQ((*infos)[i].count, want->count)
+          << "threads=" << threads << " query=" << i;
+      EXPECT_EQ((*infos)[i].early_terminated, want->early_terminated);
+      EXPECT_EQ((*infos)[i].num_used, want->num_used);
+    }
+  }
+}
+
 TEST(EstimateParallelTest, EstimateBatchMatchesSequentialEstimate) {
   Graph data = DisjointTriangles(8);
   std::vector<Graph> queries = TestQueries();
@@ -213,7 +285,7 @@ TEST(EstimateParallelTest, EstimateBatchMatchesSequentialEstimate) {
       ASSERT_TRUE(infos.ok()) << infos.status().ToString();
       ASSERT_EQ(infos->size(), queries.size());
       for (size_t i = 0; i < queries.size(); ++i) {
-        EXPECT_NEAR((*infos)[i].count, expected[i].count, kTol)
+        EXPECT_EQ((*infos)[i].count, expected[i].count)
             << "seed=" << seed << " threads=" << threads << " query=" << i;
         EXPECT_EQ((*infos)[i].early_terminated, expected[i].early_terminated);
         EXPECT_EQ((*infos)[i].num_used, expected[i].num_used);
@@ -244,7 +316,7 @@ TEST(EstimateParallelTest, EstimateBatchOnGeneratedWorkload) {
     ASSERT_EQ(evaluation->infos.size(), expected.size());
     ASSERT_EQ(evaluation->signed_qerrors.size(), expected.size());
     for (size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_NEAR(evaluation->infos[i].count, expected[i], kTol)
+      EXPECT_EQ(evaluation->infos[i].count, expected[i])
           << "threads=" << threads << " query=" << i;
     }
   }

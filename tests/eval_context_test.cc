@@ -5,10 +5,10 @@
 // values: both backends call the shared kernels in nn/kernels.h, so their
 // floats agree by construction, not within a tolerance. These tests
 // enforce that contract at three levels — op by op, one WEst forward
-// pass, and end-to-end Estimate/EstimateBatch against a Tape-forced
-// build — and pin the EvalContext's workspace-reuse guarantee: after a
-// warm-up pass, repeated forwards on same-shaped inputs perform zero
-// arena growth.
+// pass on fresh weights, and WEst forward passes of a trained estimator
+// over every substructure its queries extract — and pin the EvalContext's
+// workspace-reuse guarantee: after a warm-up pass, repeated forwards on
+// same-shaped inputs perform zero arena growth.
 //
 // The pooled-workspace cases carry the "concurrency" label so the ci.sh
 // TSan lane exercises EvalContextPool under real thread contention.
@@ -22,7 +22,6 @@
 
 #include <gtest/gtest.h>
 
-#include "baselines/neursc_adapter.h"
 #include "common/metrics_registry.h"
 #include "common/rng.h"
 #include "core/feature_init.h"
@@ -295,88 +294,60 @@ TEST(EvalContextWEstTest, ForwardBitIdenticalAcrossBackends) {
   }
 }
 
-// --- Level 3: end to end against a Tape-forced build ------------------
+// --- Level 3: trained weights on real extracted substructures ----------
 
-TEST(EvalContextEndToEndTest, EstimateMatchesTapeForcedBuild) {
+TEST(EvalContextWEstTest, TrainedForwardBitIdenticalAcrossBackends) {
+  // Training moves the weights away from their initialization, and
+  // extraction yields the substructures Estimate actually evaluates, so
+  // this covers what the fresh-weight single-fixture case above cannot.
   Graph data = DisjointTriangles(8);
-  std::vector<TrainingExample> examples = TinyExamples();
-  auto fast = NeurSCAdapter::Full(data, TinyConfig(77));
-  auto reference = NeurSCAdapter::TapeForced(data, TinyConfig(77));
-  ASSERT_TRUE(fast->Train(examples).ok());
-  ASSERT_TRUE(reference->Train(examples).ok());
-  for (const Graph& q : TestQueries()) {
-    auto got = fast->EstimateCount(q);
-    auto want = reference->EstimateCount(q);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    ASSERT_TRUE(want.ok()) << want.status().ToString();
-    // Exact double equality: the backends share forward kernels, so the
-    // per-substructure predictions (and their ordered reduction) must
-    // agree bit for bit, not within a tolerance.
-    EXPECT_EQ(*got, *want);
-  }
-}
+  for (IntraGnnKind kind : {IntraGnnKind::kGin, IntraGnnKind::kMeanAggregator}) {
+    for (bool use_inter : {true, false}) {
+      for (uint64_t seed : {77u, 123u, 55u}) {
+        NeurSCConfig config = TinyConfig(seed);
+        config.west.intra_kind = kind;
+        config.west.use_inter = use_inter;
+        NeurSCEstimator estimator(data, config);
+        ASSERT_TRUE(estimator.Train(TinyExamples()).ok());
+        FeatureInitializer features(data, config.west.feature_hops);
+        const std::string variant =
+            std::string(kind == IntraGnnKind::kGin ? "gin" : "mean") +
+            (use_inter ? "+inter" : "") + " seed=" + std::to_string(seed);
 
-TEST(EvalContextEndToEndTest, EstimateBatchMatchesTapeForcedBuild) {
-  Graph data = DisjointTriangles(8);
-  std::vector<Graph> queries = TestQueries();
-  queries.insert(queries.begin() + 1, MakeGraph({9, 9}, {{0, 1}}));
-  NeurSCConfig fast_config = TinyConfig(123);
-  NeurSCConfig tape_config = TinyConfig(123);
-  tape_config.inference_backend = ExecutionBackend::kTape;
-  NeurSCEstimator fast(data, fast_config);
-  NeurSCEstimator reference(data, tape_config);
-  auto got = fast.EstimateBatch(queries);
-  auto want = reference.EstimateBatch(queries);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  ASSERT_TRUE(want.ok()) << want.status().ToString();
-  ASSERT_EQ(got->size(), want->size());
-  for (size_t i = 0; i < got->size(); ++i) {
-    EXPECT_EQ((*got)[i].count, (*want)[i].count) << "query=" << i;
-    EXPECT_EQ((*got)[i].early_terminated, (*want)[i].early_terminated);
-    EXPECT_EQ((*got)[i].num_used, (*want)[i].num_used);
-  }
-}
+        std::vector<Graph> queries = TestQueries();
+        for (size_t q = 0; q < queries.size(); ++q) {
+          auto ext = ExtractSubstructures(queries[q], data, config.filter);
+          ASSERT_TRUE(ext.ok()) << ext.status().ToString();
+          ASSERT_FALSE(ext->substructures.empty()) << variant;
+          Matrix qf = features.Compute(queries[q]);
+          for (size_t j = 0; j < ext->substructures.size(); ++j) {
+            const Substructure& sub = ext->substructures[j];
+            Matrix sf = features.Compute(sub.graph);
+            const std::string what = variant + " query=" + std::to_string(q) +
+                                     " sub=" + std::to_string(j);
 
-TEST(EvalContextEndToEndTest, TrainValidationIdenticalAcrossBackends) {
-  // The validation loop is forward-only, so it runs on the configured
-  // backend — but early stopping decisions feed back into the final
-  // weights, so the backends must agree exactly or training itself
-  // diverges. Train twice, flipping only inference_backend.
-  Graph data = DisjointTriangles(6);
-  NeurSCConfig eval_config = TinyConfig(55);
-  eval_config.validation_fraction = 0.34;
-  eval_config.epochs = 4;
-  NeurSCConfig tape_config = eval_config;
-  tape_config.inference_backend = ExecutionBackend::kTape;
+            Rng tape_rng(seed + j);
+            Tape tape;
+            auto on_tape = estimator.model().Forward(&tape, queries[q], sub,
+                                                     qf, sf, &tape_rng);
 
-  std::vector<TrainingExample> examples = TinyExamples();
-  examples.push_back(TrainingExample{DisjointTriangles(1), 8.0});
-  examples.push_back(
-      TrainingExample{MakeGraph({0, 0, 0, 0}, {{0, 1}, {1, 2}, {2, 3}}), 4.0});
+            Rng eval_rng(seed + j);
+            EvalContext eval;
+            auto on_eval = estimator.model().Forward(&eval, queries[q], sub,
+                                                     qf, sf, &eval_rng);
 
-  NeurSCEstimator on_eval(data, eval_config);
-  NeurSCEstimator on_tape(data, tape_config);
-  auto eval_stats = on_eval.Train(examples);
-  auto tape_stats = on_tape.Train(examples);
-  ASSERT_TRUE(eval_stats.ok()) << eval_stats.status().ToString();
-  ASSERT_TRUE(tape_stats.ok()) << tape_stats.status().ToString();
-
-  ASSERT_EQ(eval_stats->epoch_validation_qerror.size(),
-            tape_stats->epoch_validation_qerror.size());
-  ASSERT_FALSE(eval_stats->epoch_validation_qerror.empty());
-  for (size_t e = 0; e < eval_stats->epoch_validation_qerror.size(); ++e) {
-    EXPECT_EQ(eval_stats->epoch_validation_qerror[e],
-              tape_stats->epoch_validation_qerror[e])
-        << "epoch=" << e;
-  }
-  EXPECT_EQ(eval_stats->early_stopped, tape_stats->early_stopped);
-
-  std::vector<Parameter*> eval_params = on_eval.model().Parameters();
-  std::vector<Parameter*> tape_params = on_tape.model().Parameters();
-  ASSERT_EQ(eval_params.size(), tape_params.size());
-  for (size_t i = 0; i < eval_params.size(); ++i) {
-    ExpectBitEqual(eval_params[i]->value, tape_params[i]->value,
-                   "parameter " + std::to_string(i));
+            ExpectBitEqual(tape.Value(on_tape.prediction),
+                           eval.Value(on_eval.prediction),
+                           what + " prediction");
+            ExpectBitEqual(tape.Value(on_tape.query_repr),
+                           eval.Value(on_eval.query_repr),
+                           what + " query_repr");
+            ExpectBitEqual(tape.Value(on_tape.sub_repr),
+                           eval.Value(on_eval.sub_repr), what + " sub_repr");
+          }
+        }
+      }
+    }
   }
 }
 
