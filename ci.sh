@@ -37,6 +37,11 @@
 #      -DNEURSC_SANITIZE=address,undefined; UBSan failures are fatal
 #      (-fno-sanitize-recover), so any signed-overflow/bad-shift/bad-cast
 #      or memory bug fails the run.
+#   8. Benchmark code: `python3 -m unittest discover -s perfbench`. Its
+#      setup builds perfbench.cc against src/ exactly as perfbench/run.py
+#      does (into .bench_build/perfbench), so a library API change that
+#      breaks the benchmark's program fails here; then it runs the report,
+#      comparison, generator and output-check tests.
 #
 # Usage: ./ci.sh [jobs]   (jobs defaults to nproc)
 
@@ -45,13 +50,13 @@ cd "$(dirname "$0")"
 
 JOBS="${1:-$(nproc)}"
 
-echo "=== [1/7] Release build + tests ==="
+echo "=== [1/8] Release build + tests ==="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure
 
 echo
-echo "=== [2/7] TSan build + concurrency tests (ctest -L concurrency) ==="
+echo "=== [2/8] TSan build + concurrency tests (ctest -L concurrency) ==="
 cmake -B build-tsan -S . -DNEURSC_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" --target \
   parallel_test metrics_stress_test metrics_registry_test trace_test \
@@ -62,7 +67,7 @@ NEURSC_THREADS=8 ctest --test-dir build-tsan -L concurrency \
   --output-on-failure
 
 echo
-echo "=== [3/7] Bit-identity suites (Release + TSan) ==="
+echo "=== [3/8] Bit-identity suites (Release + TSan) ==="
 cmake --build build-tsan -j "$JOBS" --target serialize_test \
   simd_kernels_test golden_output_test
 BIT_IDENTITY='eval_context_test|serialize_test|simd_kernels_test|golden_output_test'
@@ -71,18 +76,18 @@ NEURSC_THREADS=8 ctest --test-dir build-tsan -R "$BIT_IDENTITY" \
   --output-on-failure
 
 echo
-echo "=== [4/7] Training-throughput smoke (NEURSC_THREADS sweep) ==="
+echo "=== [4/8] Training-throughput smoke (NEURSC_THREADS sweep) ==="
 cmake --build build -j "$JOBS" --target bench_table4_training_time
 NEURSC_SCALE=0.25 NEURSC_EPOCHS=4 NEURSC_QUERIES=8 \
   ./build/bench/bench_table4_training_time
 
 echo
-echo "=== [5/7] Forward-engine smoke (agreement + allocation gates) ==="
+echo "=== [5/8] Forward-engine smoke (agreement + allocation gates) ==="
 cmake --build build -j "$JOBS" --target bench_micro_forward
 NEURSC_PASSES=10 ./build/bench/bench_micro_forward
 
 echo
-echo "=== [6/7] Static analysis: Clang -Werror=thread-safety + clang-tidy ==="
+echo "=== [6/8] Static analysis: Clang -Werror=thread-safety + clang-tidy ==="
 if command -v clang++ >/dev/null 2>&1; then
   cmake -B build-analyze -S . -DNEURSC_ANALYZE=ON \
     -DCMAKE_CXX_COMPILER=clang++ >/dev/null
@@ -95,11 +100,15 @@ else
 fi
 
 echo
-echo "=== [7/7] ASan+UBSan build + full test suite ==="
+echo "=== [7/8] ASan+UBSan build + full test suite ==="
 cmake -B build-asan -S . -DNEURSC_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j "$JOBS"
 ASAN_OPTIONS=halt_on_error=1 UBSAN_OPTIONS=print_stacktrace=1 \
   ctest --test-dir build-asan --output-on-failure
+
+echo
+echo "=== [8/8] Benchmark build + tests (perfbench) ==="
+python3 -m unittest discover -s perfbench
 
 echo
 echo "ci.sh: all green"

@@ -99,6 +99,14 @@ Result<Graph> GraphBuilder::Build() {
   const size_t n = labels_.size();
   g.labels_ = std::move(labels_);
   labels_.clear();
+  Label max_label = 0;
+  for (Label l : g.labels_) max_label = std::max(max_label, l);
+  if (max_label >= kMaxLabels) {
+    edges_.clear();
+    return Status::InvalidArgument("label " + std::to_string(max_label) +
+                                   " exceeds the label cap " +
+                                   std::to_string(kMaxLabels));
+  }
 
   // Degree counting pass.
   g.offsets_.assign(n + 1, 0);
@@ -117,6 +125,7 @@ Result<Graph> GraphBuilder::Build() {
   edges_.clear();
 
   g.max_degree_ = 0;
+  g.neighbor_labels_.resize(g.adjacency_.size());
   for (size_t v = 0; v < n; ++v) {
     auto begin = g.adjacency_.begin() + static_cast<ptrdiff_t>(g.offsets_[v]);
     auto end = g.adjacency_.begin() + static_cast<ptrdiff_t>(g.offsets_[v + 1]);
@@ -127,11 +136,14 @@ Result<Graph> GraphBuilder::Build() {
     }
     g.max_degree_ = std::max(
         g.max_degree_, static_cast<uint32_t>(std::distance(begin, end)));
+    auto labels_begin =
+        g.neighbor_labels_.begin() + static_cast<ptrdiff_t>(g.offsets_[v]);
+    auto labels_end = std::transform(
+        begin, end, labels_begin, [&g](VertexId w) { return g.labels_[w]; });
+    std::sort(labels_begin, labels_end);
   }
 
   // Label grouping.
-  Label max_label = 0;
-  for (Label l : g.labels_) max_label = std::max(max_label, l);
   g.num_labels_ = n == 0 ? 0 : static_cast<size_t>(max_label) + 1;
   g.label_offsets_.assign(g.num_labels_ + 1, 0);
   for (Label l : g.labels_) ++g.label_offsets_[l + 1];

@@ -18,6 +18,12 @@ using Label = uint32_t;
 
 constexpr VertexId kInvalidVertex = static_cast<VertexId>(-1);
 
+/// Labels must lie in [0, kMaxLabels). Graph groups vertices by label in a
+/// table with one slot per label up to the largest one, so an unbounded
+/// label from a corrupt file would size that table; the paper's datasets
+/// use at most 71 labels.
+constexpr Label kMaxLabels = Label{1} << 20;
+
 /// An immutable undirected vertex-labeled graph stored in CSR form.
 ///
 /// Neighbor lists are sorted, enabling O(log d) edge tests and O(d1+d2)
@@ -52,6 +58,14 @@ class Graph {
     return {adjacency_.data() + offsets_[v], offsets_[v + 1] - offsets_[v]};
   }
 
+  /// Labels of v's neighbors in ascending order: the radius-1 label
+  /// profile that candidate filtering compares (same length as
+  /// Neighbors(v), but not position-aligned with it).
+  std::span<const Label> NeighborLabels(VertexId v) const {
+    return {neighbor_labels_.data() + offsets_[v],
+            offsets_[v + 1] - offsets_[v]};
+  }
+
   /// True iff the undirected edge (u, v) exists. O(log deg(u)).
   bool HasEdge(VertexId u, VertexId v) const;
 
@@ -82,7 +96,8 @@ class Graph {
   /// 64-bit FNV-1a structural fingerprint over labels and adjacency.
   /// Graphs that are equal vertex-for-vertex (same ids, labels, and edges)
   /// hash equal; used as a cache key for per-query derived data (e.g.
-  /// PreparedQueryCache). Not isomorphism-invariant.
+  /// PreparedQueryCache). Not isomorphism-invariant. Derived arrays
+  /// (neighbor labels, label groups) are not hashed.
   uint64_t Fingerprint() const;
 
  private:
@@ -90,6 +105,9 @@ class Graph {
 
   std::vector<size_t> offsets_;     // size NumVertices()+1
   std::vector<VertexId> adjacency_; // size 2*NumEdges(), sorted per vertex
+  // Derived from adjacency_ and labels_: per-vertex neighbor labels,
+  // indexed by offsets_, sorted per vertex.
+  std::vector<Label> neighbor_labels_;
   std::vector<Label> labels_;
   // Vertices grouped by label: label_offsets_[l]..label_offsets_[l+1] indexes
   // into vertices_by_label_.
@@ -118,7 +136,8 @@ class GraphBuilder {
   size_t NumEdges() const { return edges_.size(); }
 
   /// Validates and finalizes into an immutable Graph. Fails on duplicate
-  /// edges or self loops. The builder is left empty afterwards.
+  /// edges, self loops or a label >= kMaxLabels. The builder is left empty
+  /// afterwards.
   Result<Graph> Build();
 
  private:

@@ -14,10 +14,10 @@ Result<Graph> ReadGraphFromStream(std::istream& in) {
   if (!(in >> tag) || tag != "t" || !(in >> num_vertices >> num_edges)) {
     return Status::IOError("missing or malformed 't' header line");
   }
+  // The header counts are unchecked until the lines they announce have
+  // been read, so nothing is sized from them.
   GraphBuilder builder;
-  builder.Reserve(num_vertices, num_edges);
-  std::vector<uint32_t> declared_degree(num_vertices, 0);
-  size_t vertices_seen = 0;
+  std::vector<uint64_t> declared_degree;
   size_t edges_seen = 0;
   while (in >> tag) {
     if (tag == "v") {
@@ -27,17 +27,29 @@ Result<Graph> ReadGraphFromStream(std::istream& in) {
       if (!(in >> id >> label >> degree)) {
         return Status::IOError("malformed 'v' line");
       }
-      if (id != vertices_seen) {
+      if (id != declared_degree.size()) {
         return Status::IOError("vertex ids must be dense and in order");
       }
+      if (id >= num_vertices) {
+        return Status::IOError("header declared " +
+                               std::to_string(num_vertices) +
+                               " vertices, found more");
+      }
+      if (label >= kMaxLabels) {
+        return Status::InvalidArgument("label " + std::to_string(label) +
+                                       " exceeds the label cap " +
+                                       std::to_string(kMaxLabels));
+      }
       builder.AddVertex(static_cast<Label>(label));
-      declared_degree[id] = static_cast<uint32_t>(degree);
-      ++vertices_seen;
+      declared_degree.push_back(degree);
     } else if (tag == "e") {
       uint64_t u = 0;
       uint64_t v = 0;
       if (!(in >> u >> v)) {
         return Status::IOError("malformed 'e' line");
+      }
+      if (u >= builder.NumVertices() || v >= builder.NumVertices()) {
+        return Status::InvalidArgument("edge endpoint out of range");
       }
       Status st = builder.AddEdge(static_cast<VertexId>(u),
                                   static_cast<VertexId>(v));
@@ -47,9 +59,10 @@ Result<Graph> ReadGraphFromStream(std::istream& in) {
       return Status::IOError("unexpected line tag '" + tag + "'");
     }
   }
-  if (vertices_seen != num_vertices) {
+  if (declared_degree.size() != num_vertices) {
     return Status::IOError("header declared " + std::to_string(num_vertices) +
-                           " vertices, found " + std::to_string(vertices_seen));
+                           " vertices, found " +
+                           std::to_string(declared_degree.size()));
   }
   if (edges_seen != num_edges) {
     return Status::IOError("header declared " + std::to_string(num_edges) +
@@ -161,6 +174,21 @@ Result<Graph> ReadGraphBinary(const std::string& path) {
   }
   if (!ReadRaw(in, &num_vertices) || !ReadRaw(in, &num_edges)) {
     return Status::IOError("truncated header");
+  }
+  // Check the counts against the bytes that follow before reserving for
+  // them: 4 per label, 8 per edge.
+  const std::streampos body_start = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff body_bytes = in.tellg() - body_start;
+  in.seekg(body_start);
+  if (!in || body_bytes < 0) return Status::IOError("cannot size file body");
+  const uint64_t remaining = static_cast<uint64_t>(body_bytes);
+  if (num_vertices > kInvalidVertex || num_vertices > remaining / 4 ||
+      num_edges > (remaining - 4 * num_vertices) / 8) {
+    return Status::IOError("header declares " + std::to_string(num_vertices) +
+                           " vertices and " + std::to_string(num_edges) +
+                           " edges, more than the file's " +
+                           std::to_string(remaining) + " body bytes hold");
   }
   GraphBuilder builder;
   builder.Reserve(num_vertices, num_edges);

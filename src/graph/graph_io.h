@@ -20,7 +20,8 @@ namespace neursc {
 ///   ...
 ///
 /// Vertex ids must be dense 0..n-1; the degree column is redundant and is
-/// validated on load.
+/// validated on load. Readers size nothing from the header counts until
+/// the file backs them, and reject labels >= kMaxLabels.
 Result<Graph> ReadGraphFromStream(std::istream& in);
 Result<Graph> ReadGraphFromFile(const std::string& path);
 Result<Graph> ReadGraphFromString(const std::string& text);

@@ -1,7 +1,6 @@
 #include "matching/bipartite_matching.h"
 
 #include <limits>
-#include <queue>
 
 namespace neursc {
 
@@ -10,41 +9,48 @@ namespace {
 constexpr size_t kUnmatched = std::numeric_limits<size_t>::max();
 constexpr size_t kInfDist = std::numeric_limits<size_t>::max();
 
-/// Hopcroft-Karp state. match_left[l] / match_right[r] hold the partner or
-/// kUnmatched.
+/// Hopcroft-Karp over the arrays of a MatchingScratch. match_left[l] /
+/// match_right[r] hold the partner or kUnmatched.
 struct HopcroftKarp {
   const BipartiteGraph& g;
-  std::vector<size_t> match_left;
-  std::vector<size_t> match_right;
-  std::vector<size_t> dist;
+  std::vector<size_t>& match_left;
+  std::vector<size_t>& match_right;
+  std::vector<size_t>& dist;
+  std::vector<size_t>& queue;
 
-  explicit HopcroftKarp(const BipartiteGraph& graph)
+  HopcroftKarp(const BipartiteGraph& graph, MatchingScratch& scratch)
       : g(graph),
-        match_left(graph.NumLeft(), kUnmatched),
-        match_right(graph.NumRight(), kUnmatched),
-        dist(graph.NumLeft(), kInfDist) {}
+        match_left(scratch.match_left),
+        match_right(scratch.match_right),
+        dist(scratch.dist),
+        queue(scratch.queue) {
+    match_left.assign(graph.NumLeft(), kUnmatched);
+    match_right.assign(graph.NumRight(), kUnmatched);
+    dist.assign(graph.NumLeft(), kInfDist);
+  }
 
   bool Bfs() {
-    std::queue<size_t> queue;
+    // Each left vertex enters the queue at most once per phase, so a
+    // vector read from `head` serves as the FIFO.
+    queue.clear();
     for (size_t l = 0; l < g.NumLeft(); ++l) {
       if (match_left[l] == kUnmatched) {
         dist[l] = 0;
-        queue.push(l);
+        queue.push_back(l);
       } else {
         dist[l] = kInfDist;
       }
     }
     bool found_augmenting = false;
-    while (!queue.empty()) {
-      size_t l = queue.front();
-      queue.pop();
+    for (size_t head = 0; head < queue.size(); ++head) {
+      size_t l = queue[head];
       for (size_t r : g.NeighborsOfLeft(l)) {
         size_t next = match_right[r];
         if (next == kUnmatched) {
           found_augmenting = true;
         } else if (dist[next] == kInfDist) {
           dist[next] = dist[l] + 1;
-          queue.push(next);
+          queue.push_back(next);
         }
       }
     }
@@ -78,18 +84,29 @@ struct HopcroftKarp {
 
 }  // namespace
 
-size_t MaximumBipartiteMatching(const BipartiteGraph& g) {
-  HopcroftKarp hk(g);
-  return hk.Run();
+size_t MaximumBipartiteMatching(const BipartiteGraph& g,
+                                MatchingScratch& scratch) {
+  return HopcroftKarp(g, scratch).Run();
 }
 
-bool HasLeftSaturatingMatching(const BipartiteGraph& g) {
+size_t MaximumBipartiteMatching(const BipartiteGraph& g) {
+  MatchingScratch scratch;
+  return MaximumBipartiteMatching(g, scratch);
+}
+
+bool HasLeftSaturatingMatching(const BipartiteGraph& g,
+                               MatchingScratch& scratch) {
   if (g.NumLeft() > g.NumRight()) return false;
   // Quick reject: a left vertex without edges can never be matched.
   for (size_t l = 0; l < g.NumLeft(); ++l) {
     if (g.NeighborsOfLeft(l).empty()) return false;
   }
-  return MaximumBipartiteMatching(g) == g.NumLeft();
+  return MaximumBipartiteMatching(g, scratch) == g.NumLeft();
+}
+
+bool HasLeftSaturatingMatching(const BipartiteGraph& g) {
+  MatchingScratch scratch;
+  return HasLeftSaturatingMatching(g, scratch);
 }
 
 }  // namespace neursc

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <queue>
+#include <span>
 
 #include "common/metrics_registry.h"
 #include "common/parallel.h"
@@ -15,28 +16,24 @@ namespace {
 
 /// Sorted multiset of labels of vertices within distance <= radius of v,
 /// excluding v itself (v's own label is compared separately since candidates
-/// must share it exactly).
+/// must share it exactly). Only used for radius > 1; at radius 1 the profile
+/// is Graph::NeighborLabels(v).
 std::vector<Label> NeighborhoodProfile(const Graph& g, VertexId v,
                                        int radius) {
   std::vector<Label> profile;
-  if (radius <= 1) {
-    profile.reserve(g.Degree(v));
-    for (VertexId w : g.Neighbors(v)) profile.push_back(g.GetLabel(w));
-  } else {
-    std::vector<uint32_t> dist(g.NumVertices(), UINT32_MAX);
-    std::queue<VertexId> queue;
-    dist[v] = 0;
-    queue.push(v);
-    while (!queue.empty()) {
-      VertexId x = queue.front();
-      queue.pop();
-      if (dist[x] >= static_cast<uint32_t>(radius)) continue;
-      for (VertexId w : g.Neighbors(x)) {
-        if (dist[w] == UINT32_MAX) {
-          dist[w] = dist[x] + 1;
-          profile.push_back(g.GetLabel(w));
-          queue.push(w);
-        }
+  std::vector<uint32_t> dist(g.NumVertices(), UINT32_MAX);
+  std::queue<VertexId> queue;
+  dist[v] = 0;
+  queue.push(v);
+  while (!queue.empty()) {
+    VertexId x = queue.front();
+    queue.pop();
+    if (dist[x] >= static_cast<uint32_t>(radius)) continue;
+    for (VertexId w : g.Neighbors(x)) {
+      if (dist[w] == UINT32_MAX) {
+        dist[w] = dist[x] + 1;
+        profile.push_back(g.GetLabel(w));
+        queue.push(w);
       }
     }
   }
@@ -44,9 +41,62 @@ std::vector<Label> NeighborhoodProfile(const Graph& g, VertexId v,
   return profile;
 }
 
+/// Radius > 1 profiles, computed per query: query[u] for every query
+/// vertex, data[v] for every data vertex some query vertex inspects past
+/// the degree test (other slots stay empty).
+struct MaterializedProfiles {
+  std::vector<std::vector<Label>> query;
+  std::vector<std::vector<Label>> data;
+};
+
+MaterializedProfiles MaterializeProfiles(
+    const Graph& query, const Graph& data,
+    const CandidateFilterOptions& options) {
+  const size_t nq = query.NumVertices();
+  MaterializedProfiles profiles;
+  profiles.query.resize(nq);
+  ParallelFor(nq, [&](size_t u) {
+    profiles.query[u] = NeighborhoodProfile(query, static_cast<VertexId>(u),
+                                            options.profile_radius);
+  });
+
+  // The smallest query degree per distinct query label bounds which data
+  // vertices can survive the degree test, so profiles are only computed
+  // for vertices that at least one query vertex will actually inspect
+  // past that test.
+  std::vector<size_t> min_degree_for_label;
+  for (size_t u = 0; u < nq; ++u) {
+    Label label = query.GetLabel(static_cast<VertexId>(u));
+    if (label >= min_degree_for_label.size()) {
+      min_degree_for_label.resize(label + 1, SIZE_MAX);
+    }
+    min_degree_for_label[label] =
+        std::min(min_degree_for_label[label],
+                 options.homomorphism_safe
+                     ? size_t{0}
+                     : query.Degree(static_cast<VertexId>(u)));
+  }
+  std::vector<VertexId> to_profile;
+  for (Label label = 0; label < min_degree_for_label.size(); ++label) {
+    if (min_degree_for_label[label] == SIZE_MAX) continue;
+    for (VertexId v : data.VerticesWithLabel(label)) {
+      if (data.Degree(v) >= min_degree_for_label[label]) {
+        to_profile.push_back(v);
+      }
+    }
+  }
+  // Each vertex has exactly one label, so `to_profile` is duplicate-free
+  // and every task writes a distinct slot.
+  profiles.data.resize(data.NumVertices());
+  ParallelFor(to_profile.size(), [&](size_t i) {
+    profiles.data[to_profile[i]] =
+        NeighborhoodProfile(data, to_profile[i], options.profile_radius);
+  });
+  return profiles;
+}
+
 /// True iff every distinct value of sorted `sub` appears in sorted `super`.
-bool IsSubSet(const std::vector<Label>& sub,
-              const std::vector<Label>& super) {
+bool IsSubSet(std::span<const Label> sub, std::span<const Label> super) {
   for (Label l : sub) {
     if (!std::binary_search(super.begin(), super.end(), l)) return false;
   }
@@ -54,8 +104,7 @@ bool IsSubSet(const std::vector<Label>& sub,
 }
 
 /// True iff sorted multiset `sub` is contained in sorted multiset `super`.
-bool IsSubMultiset(const std::vector<Label>& sub,
-                   const std::vector<Label>& super) {
+bool IsSubMultiset(std::span<const Label> sub, std::span<const Label> super) {
   size_t i = 0;
   size_t j = 0;
   while (i < sub.size() && j < super.size()) {
@@ -107,51 +156,15 @@ Result<CandidateSets> ComputeCandidateSets(
   const size_t nq = query.NumVertices();
 
   // --- Stage 1: local pruning by neighborhood label profiles. ---
-  // The per-query-vertex loop is embarrassingly parallel once the data
-  // profiles it reads are materialized, so the stage runs as two
-  // ParallelFor passes whose tasks write only per-index slots; the
-  // resulting candidate sets are identical to a serial sweep at every
-  // thread count (see docs/threading.md).
+  // At radius 1 every profile is a NeighborLabels span the graphs built
+  // once; larger radii are materialized here first. The per-query-vertex
+  // loop then writes only its own candidates[u] slot, so the candidate
+  // sets are identical to a serial sweep at every thread count (see
+  // docs/threading.md).
   NEURSC_SPAN(local_span, "filter/local");
-  std::vector<std::vector<Label>> query_profiles(nq);
-  ParallelFor(nq, [&](size_t u) {
-    query_profiles[u] =
-        NeighborhoodProfile(query, static_cast<VertexId>(u),
-                            options.profile_radius);
-  });
-
-  // The smallest query degree per distinct query label bounds which data
-  // vertices can survive the degree test, so profiles are only computed
-  // for vertices that at least one query vertex will actually inspect
-  // past that test (mirroring the serial lazy cache).
-  std::vector<size_t> min_degree_for_label;
-  for (size_t u = 0; u < nq; ++u) {
-    Label label = query.GetLabel(static_cast<VertexId>(u));
-    if (label >= min_degree_for_label.size()) {
-      min_degree_for_label.resize(label + 1, SIZE_MAX);
-    }
-    min_degree_for_label[label] =
-        std::min(min_degree_for_label[label],
-                 options.homomorphism_safe
-                     ? size_t{0}
-                     : query.Degree(static_cast<VertexId>(u)));
-  }
-  std::vector<VertexId> to_profile;
-  for (Label label = 0; label < min_degree_for_label.size(); ++label) {
-    if (min_degree_for_label[label] == SIZE_MAX) continue;
-    for (VertexId v : data.VerticesWithLabel(label)) {
-      if (data.Degree(v) >= min_degree_for_label[label]) {
-        to_profile.push_back(v);
-      }
-    }
-  }
-  // Each vertex has exactly one label, so `to_profile` is duplicate-free
-  // and every task writes a distinct data_profiles slot.
-  std::vector<std::vector<Label>> data_profiles(data.NumVertices());
-  ParallelFor(to_profile.size(), [&](size_t i) {
-    data_profiles[to_profile[i]] =
-        NeighborhoodProfile(data, to_profile[i], options.profile_radius);
-  });
+  const bool materialized = options.profile_radius > 1;
+  MaterializedProfiles profiles;
+  if (materialized) profiles = MaterializeProfiles(query, data, options);
 
   std::vector<size_t> inspected_per_vertex(nq, 0);
   CandidateSets result;
@@ -159,15 +172,19 @@ Result<CandidateSets> ComputeCandidateSets(
   ParallelFor(nq, [&](size_t u) {
     VertexId qu = static_cast<VertexId>(u);
     Label label = query.GetLabel(qu);
+    std::span<const Label> query_profile =
+        materialized ? profiles.query[u] : query.NeighborLabels(qu);
     for (VertexId v : data.VerticesWithLabel(label)) {
       ++inspected_per_vertex[u];
       if (!options.homomorphism_safe &&
           data.Degree(v) < query.Degree(qu)) {
         continue;
       }
+      std::span<const Label> data_profile =
+          materialized ? profiles.data[v] : data.NeighborLabels(v);
       bool keep = options.homomorphism_safe
-                      ? IsSubSet(query_profiles[u], data_profiles[v])
-                      : IsSubMultiset(query_profiles[u], data_profiles[v]);
+                      ? IsSubSet(query_profile, data_profile)
+                      : IsSubMultiset(query_profile, data_profile);
       if (keep) result.candidates[u].push_back(v);
     }
   });
@@ -180,41 +197,57 @@ Result<CandidateSets> ComputeCandidateSets(
                      static_cast<int64_t>(result.TotalSize()));
   if (options.local_only || options.homomorphism_safe) return result;
 
-  // Membership bitmaps, maintained across refinement sweeps.
-  std::vector<std::vector<bool>> is_candidate(
-      nq, std::vector<bool>(data.NumVertices(), false));
+  // Membership of every CS(u) in one flat bitmap, maintained across
+  // refinement sweeps: bit v of row u is set iff v is in CS(u).
+  const size_t words_per_row = (data.NumVertices() + 63) / 64;
+  std::vector<uint64_t> is_candidate(nq * words_per_row, 0);
   for (size_t u = 0; u < nq; ++u) {
-    for (VertexId v : result.candidates[u]) is_candidate[u][v] = true;
+    uint64_t* row = is_candidate.data() + u * words_per_row;
+    for (VertexId v : result.candidates[u]) {
+      row[v / 64] |= uint64_t{1} << (v % 64);
+    }
   }
 
   // --- Stage 2: global refinement by semi-perfect matching. ---
+  // One bipartite graph and one matching scratch serve every candidate
+  // pair, and CS(u) is compacted in place, so a sweep allocates only when
+  // a pair is larger than every pair before it.
   NEURSC_SPAN(refine_span, "filter/refine");
+  BipartiteGraph b;
+  MatchingScratch scratch;
   int rounds_run = 0;
   for (int round = 0; round < options.refinement_rounds; ++round) {
     ++rounds_run;
     bool changed = false;
     for (size_t u = 0; u < nq; ++u) {
-      VertexId qu = static_cast<VertexId>(u);
-      auto query_nbrs = query.Neighbors(qu);
-      std::vector<VertexId> kept;
-      kept.reserve(result.candidates[u].size());
-      for (VertexId v : result.candidates[u]) {
+      auto query_nbrs = query.Neighbors(static_cast<VertexId>(u));
+      std::vector<VertexId>& cs = result.candidates[u];
+      size_t kept = 0;
+      for (VertexId v : cs) {
         auto data_nbrs = data.Neighbors(v);
-        BipartiteGraph b(query_nbrs.size(), data_nbrs.size());
-        for (size_t i = 0; i < query_nbrs.size(); ++i) {
-          VertexId uprime = query_nbrs[i];
+        b.Reset(query_nbrs.size(), data_nbrs.size());
+        // A neighbor u' with no admissible image rejects v without a
+        // matching run.
+        bool every_left_has_edge = true;
+        for (size_t i = 0; i < query_nbrs.size() && every_left_has_edge;
+             ++i) {
+          const uint64_t* row =
+              is_candidate.data() + query_nbrs[i] * words_per_row;
           for (size_t j = 0; j < data_nbrs.size(); ++j) {
-            if (is_candidate[uprime][data_nbrs[j]]) b.AddEdge(i, j);
+            VertexId w = data_nbrs[j];
+            if ((row[w / 64] >> (w % 64)) & 1) b.AddEdge(i, j);
           }
+          every_left_has_edge = !b.NeighborsOfLeft(i).empty();
         }
-        if (HasLeftSaturatingMatching(b)) {
-          kept.push_back(v);
+        if (every_left_has_edge && HasLeftSaturatingMatching(b, scratch)) {
+          cs[kept++] = v;
         } else {
-          is_candidate[u][v] = false;
+          is_candidate[u * words_per_row + v / 64] &=
+              ~(uint64_t{1} << (v % 64));
           changed = true;
         }
       }
-      result.candidates[u] = std::move(kept);
+      cs.resize(kept);
     }
     if (!changed) break;
   }

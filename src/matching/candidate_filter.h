@@ -50,9 +50,14 @@ struct CandidateFilterOptions {
 ///
 /// 1. Local pruning: v is a candidate of u iff the lexicographically sorted
 ///    label profile of u's radius-r neighborhood is a sub-multiset of v's.
+///    At radius 1 the profiles are Graph::NeighborLabels, which each graph
+///    builds once, so no per-query profile is computed; larger radii are
+///    materialized per call by BFS.
 /// 2. Global refinement: for v in CS(u), build the bipartite graph between
 ///    N(u) and N(v) with an edge (u', v') iff v' in CS(u'), and drop v if no
-///    matching saturates N(u). Repeated for `refinement_rounds` sweeps.
+///    matching saturates N(u). Repeated for `refinement_rounds` sweeps, in
+///    query-vertex order, each test seeing the removals made before it. One
+///    bipartite graph and matching scratch are reused for every pair.
 Result<CandidateSets> ComputeCandidateSets(
     const Graph& query, const Graph& data,
     const CandidateFilterOptions& options = {});

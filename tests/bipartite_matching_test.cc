@@ -101,5 +101,45 @@ TEST_P(BipartitePropertyTest, MatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(RandomBipartite, BipartitePropertyTest,
                          ::testing::Range(0, 30));
 
+// One graph and one scratch reused over graphs that alternately grow and
+// shrink must answer as fresh objects and brute force do: Reset may leave
+// no stale adjacency list or matching state behind.
+TEST(BipartiteMatchingTest, ReusedGraphAndScratchMatchFreshObjects) {
+  Rng rng(2024);
+  BipartiteGraph reused;
+  MatchingScratch scratch;
+  for (int step = 0; step < 400; ++step) {
+    const bool grow = step % 2 == 0;
+    const size_t nl = grow ? 4 + rng.UniformIndex(4) : rng.UniformIndex(4);
+    const size_t nr = grow ? 4 + rng.UniformIndex(5) : 1 + rng.UniformIndex(4);
+    const double density = rng.Uniform(0.15, 0.85);
+    BipartiteGraph fresh(nl, nr);
+    reused.Reset(nl, nr);
+    for (size_t l = 0; l < nl; ++l) {
+      for (size_t r = 0; r < nr; ++r) {
+        if (rng.Bernoulli(density)) {
+          fresh.AddEdge(l, r);
+          reused.AddEdge(l, r);
+        }
+      }
+    }
+    ASSERT_EQ(reused.NumLeft(), nl);
+    ASSERT_EQ(reused.NumRight(), nr);
+    for (size_t l = 0; l < nl; ++l) {
+      ASSERT_EQ(reused.NeighborsOfLeft(l), fresh.NeighborsOfLeft(l))
+          << "step " << step << " left " << l;
+    }
+    const size_t expected = BruteForceMatching(fresh);
+    EXPECT_EQ(MaximumBipartiteMatching(fresh), expected) << "step " << step;
+    EXPECT_EQ(MaximumBipartiteMatching(reused, scratch), expected)
+        << "step " << step;
+    EXPECT_EQ(HasLeftSaturatingMatching(reused, scratch),
+              HasLeftSaturatingMatching(fresh))
+        << "step " << step;
+    EXPECT_EQ(HasLeftSaturatingMatching(fresh), expected == nl)
+        << "step " << step;
+  }
+}
+
 }  // namespace
 }  // namespace neursc

@@ -1,11 +1,15 @@
 #include "matching/candidate_filter.h"
 
+#include <algorithm>
+#include <queue>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
 #include "graph/query_generator.h"
+#include "matching/bipartite_matching.h"
 #include "matching/enumeration.h"
 #include "test_util.h"
 
@@ -143,6 +147,157 @@ TEST(CandidateFilterTest, FilteredEnumerationMatchesBruteForce) {
   auto counted = CountSubgraphIsomorphisms(*query, *data);
   ASSERT_TRUE(counted.ok());
   EXPECT_EQ(counted->count, testing_util::BruteForceCount(*query, *data));
+}
+
+// --- Oracle: the filter computed the direct way. Every profile is
+// materialized per call by BFS, and refinement builds a fresh bipartite
+// graph and fresh matching state for every candidate pair over one
+// membership vector per query vertex. ComputeCandidateSets must return the
+// same vertices in the same order. ---
+
+std::vector<Label> OracleProfile(const Graph& g, VertexId v, int radius) {
+  std::vector<Label> profile;
+  std::vector<int> dist(g.NumVertices(), -1);
+  std::queue<VertexId> queue;
+  dist[v] = 0;
+  queue.push(v);
+  while (!queue.empty()) {
+    VertexId x = queue.front();
+    queue.pop();
+    if (dist[x] >= std::max(radius, 1)) continue;
+    for (VertexId w : g.Neighbors(x)) {
+      if (dist[w] < 0) {
+        dist[w] = dist[x] + 1;
+        profile.push_back(g.GetLabel(w));
+        queue.push(w);
+      }
+    }
+  }
+  std::sort(profile.begin(), profile.end());
+  return profile;
+}
+
+CandidateSets OracleCandidateSets(const Graph& query, const Graph& data,
+                                  const CandidateFilterOptions& options) {
+  const size_t nq = query.NumVertices();
+  CandidateSets result;
+  result.candidates.resize(nq);
+  for (VertexId u = 0; u < nq; ++u) {
+    std::vector<Label> qp = OracleProfile(query, u, options.profile_radius);
+    for (VertexId v : data.VerticesWithLabel(query.GetLabel(u))) {
+      if (!options.homomorphism_safe && data.Degree(v) < query.Degree(u)) {
+        continue;
+      }
+      std::vector<Label> dp = OracleProfile(data, v, options.profile_radius);
+      bool keep;
+      if (options.homomorphism_safe) {
+        std::vector<Label> distinct = qp;
+        distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                       distinct.end());
+        keep = std::includes(dp.begin(), dp.end(), distinct.begin(),
+                             distinct.end());
+      } else {
+        keep = std::includes(dp.begin(), dp.end(), qp.begin(), qp.end());
+      }
+      if (keep) result.candidates[u].push_back(v);
+    }
+  }
+  if (options.local_only || options.homomorphism_safe) return result;
+
+  std::vector<std::vector<bool>> is_candidate(
+      nq, std::vector<bool>(data.NumVertices(), false));
+  for (size_t u = 0; u < nq; ++u) {
+    for (VertexId v : result.candidates[u]) is_candidate[u][v] = true;
+  }
+  for (int round = 0; round < options.refinement_rounds; ++round) {
+    bool changed = false;
+    for (VertexId u = 0; u < nq; ++u) {
+      auto query_nbrs = query.Neighbors(u);
+      std::vector<VertexId> kept;
+      for (VertexId v : result.candidates[u]) {
+        auto data_nbrs = data.Neighbors(v);
+        BipartiteGraph b(query_nbrs.size(), data_nbrs.size());
+        for (size_t i = 0; i < query_nbrs.size(); ++i) {
+          for (size_t j = 0; j < data_nbrs.size(); ++j) {
+            if (is_candidate[query_nbrs[i]][data_nbrs[j]]) b.AddEdge(i, j);
+          }
+        }
+        if (HasLeftSaturatingMatching(b)) {
+          kept.push_back(v);
+        } else {
+          is_candidate[u][v] = false;
+          changed = true;
+        }
+      }
+      result.candidates[u] = std::move(kept);
+    }
+    if (!changed) break;
+  }
+  return result;
+}
+
+TEST(CandidateFilterTest, MatchesOracleOnGeneratedWorkloads) {
+  std::vector<std::pair<std::string, CandidateFilterOptions>> variants;
+  variants.emplace_back("default", CandidateFilterOptions{});
+  CandidateFilterOptions local_only;
+  local_only.local_only = true;
+  variants.emplace_back("local_only", local_only);
+  CandidateFilterOptions homomorphism;
+  homomorphism.homomorphism_safe = true;
+  variants.emplace_back("homomorphism_safe", homomorphism);
+  for (int rounds : {1, 4}) {
+    CandidateFilterOptions refine;
+    refine.refinement_rounds = rounds;
+    variants.emplace_back("refinement_rounds=" + std::to_string(rounds),
+                          refine);
+  }
+  CandidateFilterOptions radius2;
+  radius2.profile_radius = 2;
+  variants.emplace_back("profile_radius=2", radius2);
+
+  size_t compared = 0;
+  size_t refined_away = 0;
+  for (const char* name : {"Yeast", "Wordnet"}) {
+    auto profile = FindDatasetProfile(name);
+    ASSERT_TRUE(profile.ok());
+    const bool yeast = std::string(name) == "Yeast";
+    auto data = GenerateDataset(*profile, yeast ? 0.3 : 0.01, 9);
+    ASSERT_TRUE(data.ok()) << name;
+    for (size_t size : {4u, 8u, 16u}) {
+      QueryGeneratorConfig qc;
+      qc.query_size = size;
+      qc.edge_keep_probability = 0.6;
+      qc.seed = 31 + size;
+      QueryGenerator generator(*data, qc);
+      auto queries = generator.GenerateMany(4);
+      ASSERT_TRUE(queries.ok()) << name << " size " << size;
+      for (size_t q = 0; q < queries->size(); ++q) {
+        const Graph& query = (*queries)[q];
+        for (const auto& [label, options] : variants) {
+          auto got = ComputeCandidateSets(query, *data, options);
+          ASSERT_TRUE(got.ok());
+          CandidateSets want = OracleCandidateSets(query, *data, options);
+          ASSERT_EQ(got->candidates.size(), want.candidates.size());
+          for (size_t u = 0; u < want.candidates.size(); ++u) {
+            EXPECT_EQ(got->candidates[u], want.candidates[u])
+                << name << " size " << size << " query " << q << " "
+                << label << " vertex " << u;
+          }
+          ++compared;
+          if (label == "default") {
+            CandidateFilterOptions local = options;
+            local.local_only = true;
+            refined_away += OracleCandidateSets(query, *data, local)
+                                .TotalSize() -
+                            want.TotalSize();
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(compared, 2u * 3u * 4u * variants.size());
+  // The sweep must exercise refinement, not only local pruning.
+  EXPECT_GT(refined_away, 0u);
 }
 
 }  // namespace

@@ -1,7 +1,11 @@
 #include "graph/graph.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "graph/generators.h"
 #include "test_util.h"
 
 namespace neursc {
@@ -132,6 +136,87 @@ TEST(GraphTest, FingerprintSeparatesDifferentGraphs) {
   Graph empty = MakeGraph({}, {});
   Graph lone = MakeGraph({0}, {});
   EXPECT_NE(empty.Fingerprint(), lone.Fingerprint());
+}
+
+// NeighborLabels(v) must be exactly the sorted labels of Neighbors(v).
+void ExpectNeighborLabelsAreSortedNeighborLabels(const Graph& g) {
+  for (size_t v = 0; v < g.NumVertices(); ++v) {
+    std::vector<Label> expected;
+    for (VertexId w : g.Neighbors(static_cast<VertexId>(v))) {
+      expected.push_back(g.GetLabel(w));
+    }
+    std::sort(expected.begin(), expected.end());
+    auto labels = g.NeighborLabels(static_cast<VertexId>(v));
+    EXPECT_EQ(std::vector<Label>(labels.begin(), labels.end()), expected)
+        << "vertex " << v;
+  }
+}
+
+TEST(GraphTest, NeighborLabelsOnSmallGraphs) {
+  // Neighbor ids ascend while their labels do not.
+  Graph star = MakeGraph({0, 9, 4, 4, 1}, {{0, 1}, {0, 2}, {0, 3}, {0, 4}});
+  auto labels = star.NeighborLabels(0);
+  EXPECT_EQ(std::vector<Label>(labels.begin(), labels.end()),
+            (std::vector<Label>{1, 4, 4, 9}));
+  ExpectNeighborLabelsAreSortedNeighborLabels(star);
+
+  Graph isolated = MakeGraph({3, 1, 2}, {});
+  for (VertexId v = 0; v < 3; ++v) {
+    EXPECT_TRUE(isolated.NeighborLabels(v).empty());
+  }
+  ExpectNeighborLabelsAreSortedNeighborLabels(MakeGraph({}, {}));
+  // Isolated vertices between connected ones keep the offsets aligned.
+  ExpectNeighborLabelsAreSortedNeighborLabels(
+      MakeGraph({2, 0, 1, 0, 2}, {{0, 2}, {2, 4}}));
+}
+
+TEST(GraphTest, NeighborLabelsOnGeneratedAndInducedGraphs) {
+  for (const char* name : {"Yeast", "Wordnet"}) {
+    auto profile = FindDatasetProfile(name);
+    ASSERT_TRUE(profile.ok());
+    auto data = GenerateDataset(*profile, name[0] == 'Y' ? 0.2 : 0.01, 5);
+    ASSERT_TRUE(data.ok()) << name;
+    ExpectNeighborLabelsAreSortedNeighborLabels(*data);
+
+    // Induced subgraphs on random vertex subsets, in shuffled order.
+    Rng rng(17);
+    std::vector<VertexId> all(data->NumVertices());
+    for (size_t v = 0; v < all.size(); ++v) all[v] = static_cast<VertexId>(v);
+    for (int trial = 0; trial < 5; ++trial) {
+      rng.Shuffle(&all);
+      std::vector<VertexId> subset(all.begin(),
+                                   all.begin() + all.size() / (trial + 2));
+      auto sub = BuildInducedSubgraph(*data, subset);
+      ASSERT_TRUE(sub.ok());
+      ExpectNeighborLabelsAreSortedNeighborLabels(sub->graph);
+    }
+  }
+  auto er = GenerateErdosRenyiGraph(60, 150, 7, 3);
+  ASSERT_TRUE(er.ok());
+  ExpectNeighborLabelsAreSortedNeighborLabels(*er);
+}
+
+TEST(GraphBuilderTest, RejectsLabelAboveCap) {
+  GraphBuilder builder;
+  builder.AddVertex(0);
+  builder.AddVertex(0xFFFFFFF0u);
+  ASSERT_TRUE(builder.AddEdge(0, 1).ok());
+  auto built = builder.Build();
+  ASSERT_FALSE(built.ok());
+  EXPECT_TRUE(built.status().IsInvalidArgument());
+  // The builder is left empty, as after a successful Build.
+  EXPECT_EQ(builder.NumVertices(), 0u);
+  EXPECT_EQ(builder.NumEdges(), 0u);
+
+  GraphBuilder at_cap;
+  at_cap.AddVertex(kMaxLabels);
+  EXPECT_TRUE(at_cap.Build().status().IsInvalidArgument());
+
+  GraphBuilder below_cap;
+  below_cap.AddVertex(kMaxLabels - 1);
+  auto ok = below_cap.Build();
+  ASSERT_TRUE(ok.ok());
+  EXPECT_EQ(ok->NumLabels(), size_t{kMaxLabels});
 }
 
 TEST(InducedSubgraphTest, KeepsEdgesAndLabels) {
