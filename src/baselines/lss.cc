@@ -139,31 +139,30 @@ Matrix LssEstimator::Featurize(const Graph& g) const {
   return features;
 }
 
-template <typename Ctx>
-Var LssEstimator::Forward(Ctx* ctx,
+Var LssEstimator::Forward(Tape* tape,
                           const std::vector<Graph>& substructures,
                           const std::vector<Matrix>& features) {
   std::vector<Var> embeddings;
   embeddings.reserve(substructures.size());
   for (size_t i = 0; i < substructures.size(); ++i) {
     EdgeIndex edges = UndirectedEdges(substructures[i]);
-    Var h = ctx->Constant(features[i]);
-    for (auto& layer : gin_) h = layer->Forward(ctx, h, edges);
+    Var h = tape->Constant(features[i]);
+    for (auto& layer : gin_) h = layer->Forward(tape, h, edges);
     // Scaled sum pooling keeps magnitudes bounded across ball sizes.
     float scale = 1.0f / std::sqrt(
         1.0f + static_cast<float>(substructures[i].NumVertices()));
-    embeddings.push_back(ctx->Scale(ctx->SumRows(h), scale));
+    embeddings.push_back(tape->Scale(tape->SumRows(h), scale));
   }
-  Var stacked = ctx->ConcatRows(embeddings);  // m x hidden
+  Var stacked = tape->ConcatRows(embeddings);  // m x hidden
   // Self-attention pooling: alpha = softmax(a^T tanh(W e_i)).
-  Var keys = ctx->Tanh(attn_proj_->Forward(ctx, stacked));
-  Var attn_vec = ctx->Leaf(&attn_vector_);
-  Var scores = ctx->MatMul(keys, attn_vec);  // m x 1
+  Var keys = tape->Tanh(attn_proj_->Forward(tape, stacked));
+  Var attn_vec = tape->Leaf(&attn_vector_);
+  Var scores = tape->MatMul(keys, attn_vec);  // m x 1
   std::vector<uint32_t> one_segment(substructures.size(), 0);
-  Var alpha = ctx->SegmentSoftmax(scores, std::move(one_segment), 1);
-  Var pooled = ctx->SumRows(ctx->ColBroadcastMul(stacked, alpha));
-  Var log_count = predictor_->Forward(ctx, pooled);
-  return ctx->Exp(log_count);
+  Var alpha = tape->SegmentSoftmax(scores, one_segment, 1);
+  Var pooled = tape->SumRows(tape->ColBroadcastMul(stacked, alpha));
+  Var log_count = predictor_->Forward(tape, pooled);
+  return tape->Exp(log_count);
 }
 
 Status LssEstimator::Train(const std::vector<TrainingExample>& examples) {
@@ -218,9 +217,9 @@ Result<double> LssEstimator::EstimateCount(const Graph& query) {
   std::vector<Matrix> features;
   features.reserve(substructures.size());
   for (const Graph& s : substructures) features.push_back(Featurize(s));
-  eval_.Reset();
-  Var estimate = Forward(&eval_, substructures, features);
-  return static_cast<double>(eval_.Value(estimate).scalar());
+  tape_.Reset();
+  Var estimate = Forward(&tape_, substructures, features);
+  return static_cast<double>(tape_.Value(estimate).scalar());
 }
 
 }  // namespace neursc

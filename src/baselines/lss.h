@@ -7,7 +7,6 @@
 #include "baselines/estimator.h"
 #include "baselines/label_embedding.h"
 #include "common/rng.h"
-#include "nn/eval.h"
 #include "nn/modules.h"
 #include "nn/optimizer.h"
 #include "nn/tape.h"
@@ -65,11 +64,8 @@ class LssEstimator : public CardinalityEstimator {
 
  private:
   Matrix Featurize(const Graph& g) const;
-  /// Forward over one query; returns the positive scalar estimate. Generic
-  /// over the execution context: Train runs it on a Tape, EstimateCount on
-  /// the reusable tape-free eval_ workspace (docs/execution.md).
-  template <typename Ctx>
-  Var Forward(Ctx* ctx, const std::vector<Graph>& substructures,
+  /// Forward over one query; returns the positive scalar estimate.
+  Var Forward(Tape* tape, const std::vector<Graph>& substructures,
               const std::vector<Matrix>& features);
   std::vector<Parameter*> AllParameters();
 
@@ -88,11 +84,11 @@ class LssEstimator : public CardinalityEstimator {
   Parameter attn_vector_;                  // attention_dim x 1
   std::unique_ptr<Mlp> predictor_;
   std::unique_ptr<AdamOptimizer> optimizer_;
-  /// Forward-only workspace for EstimateCount; Reset() per call keeps the
-  /// warmed-up arena so repeated estimates allocate nothing. EstimateCount
-  /// is not called concurrently (the estimator confines itself to one
-  /// caller thread; see docs/threading.md).
-  EvalContext eval_;
+  /// Workspace for EstimateCount; Reset() per call keeps the warmed-up
+  /// arena so repeated estimates allocate nothing. EstimateCount is not
+  /// called concurrently (the estimator confines itself to one caller
+  /// thread; see docs/threading.md).
+  Tape tape_;
   std::vector<double> epoch_seconds_;
 };
 

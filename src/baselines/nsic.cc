@@ -104,7 +104,7 @@ Var NsicEstimator::GnnLayer(Tape* tape, size_t layer, Var h,
   }
   Matrix inv(n, 1);
   for (size_t v = 0; v < n; ++v) inv.at(v, 0) = inv_degree[v];
-  Var normalized = tape->ColBroadcastMul(agg, tape->Constant(std::move(inv)));
+  Var normalized = tape->ColBroadcastMul(agg, tape->Constant(inv));
   return tape->Relu(gcn_linear_[layer]->Forward(tape, normalized));
 }
 

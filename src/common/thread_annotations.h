@@ -13,7 +13,7 @@
 //
 // Build with the analysis as an error gate via
 //   cmake -DNEURSC_ANALYZE=ON -DCMAKE_CXX_COMPILER=clang++
-// (adds -Wthread-safety -Werror=thread-safety; ci.sh stage 6 runs it
+// (adds -Wthread-safety -Werror=thread-safety; ci.sh stage 5 runs it
 // whenever clang is installed).
 //
 // Exemption policy: NEURSC_NO_THREAD_SAFETY_ANALYSIS is allowed only with

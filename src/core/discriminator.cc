@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "common/logging.h"
-#include "nn/eval.h"
 #include "nn/optimizer.h"
 
 namespace neursc {
@@ -35,9 +34,8 @@ Discriminator::Discriminator(size_t repr_dim, size_t hidden_dim, float clip,
   ClampWeights();
 }
 
-template <typename Ctx>
-Var Discriminator::Score(Ctx* ctx, Var h) {
-  return mlp_->Forward(ctx, h);
+Var Discriminator::Score(Tape* tape, Var h) {
+  return mlp_->Forward(tape, h);
 }
 
 void Discriminator::ClampWeights() { ClampParameters(Parameters(), clip_); }
@@ -203,57 +201,43 @@ Correspondence SelectCorrespondenceByDistance(
   return pairs;
 }
 
-template <typename Ctx>
-Var WassersteinLoss(Ctx* ctx, Var query_scores, Var sub_scores,
+Var WassersteinLoss(Tape* tape, Var query_scores, Var sub_scores,
                     const Correspondence& pairs) {
-  Var fq = ctx->ReduceSum(ctx->GatherRows(query_scores, pairs.query_rows));
-  Var fs = ctx->ReduceSum(ctx->GatherRows(sub_scores, pairs.sub_rows));
-  return ctx->Sub(fq, fs);
+  Var fq = tape->ReduceSum(tape->GatherRows(query_scores, pairs.query_rows));
+  Var fs = tape->ReduceSum(tape->GatherRows(sub_scores, pairs.sub_rows));
+  return tape->Sub(fq, fs);
 }
 
-template <typename Ctx>
-Var PairDistanceLoss(Ctx* ctx, Var query_repr, Var sub_repr,
+Var PairDistanceLoss(Tape* tape, Var query_repr, Var sub_repr,
                      const Correspondence& pairs, DistanceMetric metric) {
   NEURSC_CHECK(pairs.size() > 0);
-  Var a = ctx->GatherRows(query_repr, pairs.query_rows);
-  Var b = ctx->GatherRows(sub_repr, pairs.sub_rows);
+  Var a = tape->GatherRows(query_repr, pairs.query_rows);
+  Var b = tape->GatherRows(sub_repr, pairs.sub_rows);
   float inv = 1.0f / static_cast<float>(pairs.size());
   switch (metric) {
     case DistanceMetric::kWasserstein:
     case DistanceMetric::kEuclidean: {
-      Var diff = ctx->Sub(a, b);
-      return ctx->Scale(ctx->ReduceSum(ctx->Mul(diff, diff)), inv);
+      Var diff = tape->Sub(a, b);
+      return tape->Scale(tape->ReduceSum(tape->Mul(diff, diff)), inv);
     }
     case DistanceMetric::kKL: {
-      Var p = ctx->RowSoftmax(a);
-      Var q = ctx->RowSoftmax(b);
-      Var log_ratio = ctx->Sub(ctx->Log(p), ctx->Log(q));
-      return ctx->Scale(ctx->ReduceSum(ctx->Mul(p, log_ratio)), inv);
+      Var p = tape->RowSoftmax(a);
+      Var q = tape->RowSoftmax(b);
+      Var log_ratio = tape->Sub(tape->Log(p), tape->Log(q));
+      return tape->Scale(tape->ReduceSum(tape->Mul(p, log_ratio)), inv);
     }
     case DistanceMetric::kJS: {
-      Var p = ctx->RowSoftmax(a);
-      Var q = ctx->RowSoftmax(b);
-      Var m = ctx->Scale(ctx->Add(p, q), 0.5f);
+      Var p = tape->RowSoftmax(a);
+      Var q = tape->RowSoftmax(b);
+      Var m = tape->Scale(tape->Add(p, q), 0.5f);
       Var kl_pm =
-          ctx->ReduceSum(ctx->Mul(p, ctx->Sub(ctx->Log(p), ctx->Log(m))));
+          tape->ReduceSum(tape->Mul(p, tape->Sub(tape->Log(p), tape->Log(m))));
       Var kl_qm =
-          ctx->ReduceSum(ctx->Mul(q, ctx->Sub(ctx->Log(q), ctx->Log(m))));
-      return ctx->Scale(ctx->Add(kl_pm, kl_qm), 0.5f * inv);
+          tape->ReduceSum(tape->Mul(q, tape->Sub(tape->Log(q), tape->Log(m))));
+      return tape->Scale(tape->Add(kl_pm, kl_qm), 0.5f * inv);
     }
   }
-  return ctx->Constant(Matrix::Scalar(0.0f));
+  return tape->Constant(Matrix::Scalar(0.0f));
 }
-
-// Explicit instantiations for both execution backends (docs/execution.md).
-template Var Discriminator::Score<Tape>(Tape*, Var);
-template Var Discriminator::Score<EvalContext>(EvalContext*, Var);
-template Var WassersteinLoss<Tape>(Tape*, Var, Var, const Correspondence&);
-template Var WassersteinLoss<EvalContext>(EvalContext*, Var, Var,
-                                          const Correspondence&);
-template Var PairDistanceLoss<Tape>(Tape*, Var, Var, const Correspondence&,
-                                    DistanceMetric);
-template Var PairDistanceLoss<EvalContext>(EvalContext*, Var, Var,
-                                           const Correspondence&,
-                                           DistanceMetric);
 
 }  // namespace neursc

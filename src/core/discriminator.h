@@ -24,10 +24,8 @@ class Discriminator : public Module {
   Discriminator(size_t repr_dim, size_t hidden_dim, float clip,
                 uint64_t seed);
 
-  /// Scores every row of h: (n x D) -> (n x 1). Generic over the
-  /// execution context (Tape or EvalContext; see docs/execution.md).
-  template <typename Ctx>
-  Var Score(Ctx* ctx, Var h);
+  /// Scores every row of h: (n x D) -> (n x 1).
+  Var Score(Tape* tape, Var h);
 
   /// Clamps all weights into the clip box; call after each omega step.
   void ClampWeights();
@@ -69,14 +67,12 @@ Correspondence SelectCorrespondenceByDistance(
 /// Differentiable L_w (Eq. 9) from precomputed critic scores (n x 1 each):
 /// sum of scores over the selected query rows minus the sum over the
 /// selected substructure rows.
-template <typename Ctx>
-Var WassersteinLoss(Ctx* ctx, Var query_scores, Var sub_scores,
+Var WassersteinLoss(Tape* tape, Var query_scores, Var sub_scores,
                     const Correspondence& pairs);
 
 /// Differentiable mean pairwise distance for the EU/KL/JS variants. KL and
 /// JS interpret each representation as a distribution via row softmax.
-template <typename Ctx>
-Var PairDistanceLoss(Ctx* ctx, Var query_repr, Var sub_repr,
+Var PairDistanceLoss(Tape* tape, Var query_repr, Var sub_repr,
                      const Correspondence& pairs, DistanceMetric metric);
 
 /// Numeric (non-differentiable) distance between two representation rows,

@@ -26,6 +26,24 @@ Substructure WholeGraphSubstructure(const Graph& data, size_t num_query) {
   return s;
 }
 
+/// Hash of the settings a Prepared entry depends on besides the query and
+/// the data graph: every CandidateFilterOptions field, the feature hops,
+/// and whether extraction runs at all. A new field of either that changes
+/// extraction or features belongs here.
+uint64_t PreparedSettingsHash(const NeurSCConfig& config) {
+  uint64_t h = 14695981039346656037ull;
+  for (uint64_t v :
+       {static_cast<uint64_t>(config.filter.profile_radius),
+        static_cast<uint64_t>(config.filter.refinement_rounds),
+        static_cast<uint64_t>(config.filter.local_only),
+        static_cast<uint64_t>(config.filter.homomorphism_safe),
+        static_cast<uint64_t>(config.west.feature_hops),
+        static_cast<uint64_t>(config.use_substructure_extraction)}) {
+    h = (h ^ v) * 1099511628211ull;
+  }
+  return h;
+}
+
 }  // namespace
 
 NeurSCEstimator::NeurSCEstimator(const Graph& data, NeurSCConfig config)
@@ -92,29 +110,29 @@ void NeurSCEstimator::UpdateCritic(
     const std::vector<std::vector<VertexId>>& candidates) {
   NEURSC_SPAN(critic_span, "train/critic");
   NEURSC_COUNTER_ADD("train.critic_updates", config_.disc_iters);
+  auto tape = tape_pool_.Acquire();
   for (int it = 0; it < config_.disc_iters; ++it) {
-    Tape tape;
-    Var hq = tape.Constant(query_repr);
-    Var hs = tape.Constant(sub_repr);
-    Var sq = critic_->Score(&tape, hq);
-    Var ss = critic_->Score(&tape, hs);
+    tape->Reset();
+    Var hq = tape->Constant(query_repr);
+    Var hs = tape->Constant(sub_repr);
+    Var sq = critic_->Score(tape.get(), hq);
+    Var ss = critic_->Score(tape.get(), hs);
     Correspondence pairs = SelectCorrespondenceByScores(
-        tape.Value(sq), tape.Value(ss), candidates);
+        tape->Value(sq), tape->Value(ss), candidates);
     if (pairs.size() == 0) return;
-    Var lw = WassersteinLoss(&tape, sq, ss, pairs);
+    Var lw = WassersteinLoss(tape.get(), sq, ss, pairs);
     // The critic maximizes L_w, i.e. minimizes -L_w.
-    Var loss = tape.Scale(lw, -1.0f);
+    Var loss = tape->Scale(lw, -1.0f);
     opt_omega_->ZeroGrad();
-    tape.Backward(loss);
+    tape->Backward(loss);
     opt_omega_->Step();
     opt_omega_->ZeroGrad();
     critic_->ClampWeights();
   }
 }
 
-template <typename Ctx>
 Var NeurSCEstimator::BuildQueryLoss(
-    Ctx* ctx, const Graph& query, const Prepared& prep, double target_count,
+    Tape* tape, const Graph& query, const Prepared& prep, double target_count,
     bool adversarial, Rng* rng,
     std::vector<CriticUpdateInput>* critic_inputs) {
   const auto& subs = prep.extraction.substructures;
@@ -123,10 +141,10 @@ Var NeurSCEstimator::BuildQueryLoss(
   Var total_prediction{};
   std::vector<Var> wasserstein_terms;
   for (size_t j = 0; j < subs.size(); ++j) {
-    auto fw = model_->Forward(ctx, query, subs[j], prep.query_features,
+    auto fw = model_->Forward(tape, query, subs[j], prep.query_features,
                               prep.sub_features[j], rng);
     total_prediction = total_prediction.valid()
-                           ? ctx->Add(total_prediction, fw.prediction)
+                           ? tape->Add(total_prediction, fw.prediction)
                            : fw.prediction;
     if (adversarial && config_.use_discriminator) {
       if (config_.metric == DistanceMetric::kWasserstein) {
@@ -136,33 +154,33 @@ Var NeurSCEstimator::BuildQueryLoss(
         // detached representations captured for the caller below.
         if (critic_inputs != nullptr) {
           critic_inputs->push_back(CriticUpdateInput{
-              j, ctx->Value(fw.query_repr), ctx->Value(fw.sub_repr)});
+              j, tape->Value(fw.query_repr), tape->Value(fw.sub_repr)});
         }
-        Var sq = critic_->Score(ctx, fw.query_repr);
-        Var ss = critic_->Score(ctx, fw.sub_repr);
+        Var sq = critic_->Score(tape, fw.query_repr);
+        Var ss = critic_->Score(tape, fw.sub_repr);
         Correspondence pairs = SelectCorrespondenceByScores(
-            ctx->Value(sq), ctx->Value(ss), subs[j].local_candidates);
+            tape->Value(sq), tape->Value(ss), subs[j].local_candidates);
         if (pairs.size() > 0) {
           wasserstein_terms.push_back(
-              WassersteinLoss(ctx, sq, ss, pairs));
+              WassersteinLoss(tape, sq, ss, pairs));
         }
       } else {
         Correspondence pairs = SelectCorrespondenceByDistance(
-            ctx->Value(fw.query_repr), ctx->Value(fw.sub_repr),
+            tape->Value(fw.query_repr), tape->Value(fw.sub_repr),
             subs[j].local_candidates, config_.metric);
         if (pairs.size() > 0) {
           wasserstein_terms.push_back(PairDistanceLoss(
-              ctx, fw.query_repr, fw.sub_repr, pairs, config_.metric));
+              tape, fw.query_repr, fw.sub_repr, pairs, config_.metric));
         }
       }
     }
   }
 
-  Var loss = ctx->QErrorLoss(total_prediction, target_count);
+  Var loss = tape->QErrorLoss(total_prediction, target_count);
   if (!wasserstein_terms.empty()) {
     Var lw_sum = wasserstein_terms[0];
     for (size_t i = 1; i < wasserstein_terms.size(); ++i) {
-      lw_sum = ctx->Add(lw_sum, wasserstein_terms[i]);
+      lw_sum = tape->Add(lw_sum, wasserstein_terms[i]);
     }
     // Eq. 11 with the estimator *minimizing* the Wasserstein distance
     // estimate (the generator side of the WGAN game): the L_w term enters
@@ -170,8 +188,9 @@ Var NeurSCEstimator::BuildQueryLoss(
     // query/data representations together.
     float w = static_cast<float>(config_.beta /
                                  static_cast<double>(subs.size()));
-    loss = ctx->Add(ctx->Scale(loss, 1.0f - static_cast<float>(config_.beta)),
-                    ctx->Scale(lw_sum, w));
+    loss = tape->Add(
+        tape->Scale(loss, 1.0f - static_cast<float>(config_.beta)),
+        tape->Scale(lw_sum, w));
   }
   return loss;
 }
@@ -193,23 +212,29 @@ Result<TrainStats> NeurSCEstimator::Train(
   NEURSC_SPAN(prepare_span, "train/prepare");
   std::vector<std::shared_ptr<const Prepared>> all_prepared(examples.size());
   std::vector<Status> prepare_status(examples.size());
+  PreparedQueryCache::Key base_key;
+  if (cache != nullptr) {
+    base_key.data = data_.Fingerprint();
+    base_key.settings = PreparedSettingsHash(config_);
+  }
   ParallelFor(examples.size(), [&](size_t i) {
-    uint64_t key = 0;
+    const Graph& query = examples[i].query;
+    PreparedQueryCache::Key key = base_key;
     if (cache != nullptr) {
-      key = examples[i].query.Fingerprint();
-      if (auto hit = cache->Lookup(key)) {
+      key.query = query.Fingerprint();
+      if (auto hit = cache->Lookup(key, query)) {
         all_prepared[i] = std::move(hit);
         return;
       }
     }
-    auto prep = Prepare(examples[i].query);
+    auto prep = Prepare(query);
     if (!prep.ok()) {
       prepare_status[i] = prep.status();
       return;
     }
     auto owned = std::make_shared<const Prepared>(std::move(prep).value());
     all_prepared[i] =
-        cache != nullptr ? cache->Insert(key, std::move(owned)) : owned;
+        cache != nullptr ? cache->Insert(key, query, std::move(owned)) : owned;
   });
   // Lowest-index failure wins, matching the old serial loop's behavior.
   for (const Status& st : prepare_status) {
@@ -250,29 +275,24 @@ Result<TrainStats> NeurSCEstimator::Train(
                       indices.end());
     indices.resize(indices.size() - held);
   }
-  // Tape-size hints (allocation churn): a query's graph structure fixes
-  // its node count per (adversarial?) mode, so reserving last time's size
-  // removes nodes_ regrowth from the steady state.
-  std::vector<size_t> tape_node_hint(usable.size(), 0);
 
   auto validation_qerror = [&]() {
     // Forward-only, parameters frozen: the held-out losses are
     // independent. Seeds are drawn serially in validation order and the
     // reduction sums in that same order, so the q-error is bit-identical
-    // at every thread count. Runs on pooled EvalContexts (no backward
-    // closures, reused arenas).
+    // at every thread count. Runs on pooled tapes (reused arenas).
     std::vector<uint64_t> seeds = DrawTaskSeeds(validation.size());
     std::vector<double> losses(validation.size(), 0.0);
     std::vector<uint8_t> valid(validation.size(), 0);
     ParallelFor(validation.size(), [&](size_t k) {
       size_t idx = validation[k];
       Rng rng(seeds[k]);
-      auto ctx = eval_pool_.Acquire();
-      Var loss = BuildQueryLoss(ctx.get(), usable[idx]->query,
+      auto tape = tape_pool_.Acquire();
+      Var loss = BuildQueryLoss(tape.get(), usable[idx]->query,
                                 *prepared[idx], usable[idx]->count,
                                 /*adversarial=*/false, &rng, nullptr);
       if (!loss.valid()) return;
-      losses[k] = ctx->Value(loss).scalar();
+      losses[k] = tape->Value(loss).scalar();
       valid[k] = 1;
     });
     double total = 0.0;
@@ -315,7 +335,10 @@ Result<TrainStats> NeurSCEstimator::Train(
       // Parallel region: theta and omega are frozen for the whole batch,
       // so the per-example forward+backward passes are independent. Each
       // runs on its own tape with a private Rng and routes its leaf
-      // gradients into a tape-local sink instead of Parameter::grad.
+      // gradients into a tape-local sink instead of Parameter::grad. The
+      // tape is not pooled: a pass holds every substructure of its query,
+      // and a pooled tape would keep each arena slot at its largest size
+      // over all examples for the estimator's lifetime.
       std::vector<GradientSink> sinks(batch);
       std::vector<double> example_loss(batch, 0.0);
       std::vector<uint8_t> has_loss(batch, 0);
@@ -325,7 +348,6 @@ Result<TrainStats> NeurSCEstimator::Train(
         ParallelFor(batch, [&](size_t k) {
           size_t idx = indices[start + k];
           Tape tape;
-          tape.ReserveNodes(tape_node_hint[idx]);
           tape.set_gradient_sink(&sinks[k]);
           Rng rng(seeds[k]);
           Var loss = BuildQueryLoss(
@@ -336,7 +358,6 @@ Result<TrainStats> NeurSCEstimator::Train(
           example_loss[k] = tape.Value(loss).scalar();
           has_loss[k] = 1;
           tape.Backward(loss);
-          tape_node_hint[idx] = tape.NumNodes();
         });
       }
 
@@ -467,15 +488,14 @@ void NeurSCEstimator::RunInferenceTasks(
     InferenceTask& task = (*tasks)[i];
     NEURSC_SPAN(substructure_span, "estimate/substructure");
     auto start = std::chrono::steady_clock::now();
-    // One EvalContext and one RNG per task: nothing the forward pass
-    // mutates is shared across workers (see docs/threading.md). The leased
-    // context's warmed-up arena makes the pass allocation-free in steady
-    // state.
+    // One tape and one RNG per task: nothing the forward pass mutates is
+    // shared across workers (see docs/threading.md). The leased tape's
+    // warmed-up arenas make the pass allocation-free in steady state.
     Rng rng(task.seed);
-    auto ctx = eval_pool_.Acquire();
-    auto fw = model_->Forward(ctx.get(), *task.query, *task.sub,
+    auto tape = tape_pool_.Acquire();
+    auto fw = model_->Forward(tape.get(), *task.query, *task.sub,
                               *task.query_features, *task.sub_features, &rng);
-    task.prediction = ctx->Value(fw.prediction).scalar();
+    task.prediction = tape->Value(fw.prediction).scalar();
     auto end = std::chrono::steady_clock::now();
     task.start_seconds = std::chrono::duration<double>(start - epoch).count();
     task.end_seconds = std::chrono::duration<double>(end - epoch).count();

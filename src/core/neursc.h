@@ -20,8 +20,8 @@
 #include "graph/graph.h"
 #include "matching/candidate_filter.h"
 #include "matching/substructure.h"
-#include "nn/eval.h"
 #include "nn/optimizer.h"
+#include "nn/tape.h"
 
 namespace neursc {
 
@@ -123,13 +123,15 @@ class PreparedQueryCache;
 /// Threading (see docs/threading.md): the estimator parallelizes *inside*
 /// Estimate/EstimateOnSubstructures/EstimateBatch and Train.
 ///
+/// Inference, validation and critic passes run on Tapes leased from one
+/// per-estimator pool (tape_pool_), so warmed-up arenas are reused across
+/// queries and epochs; each task holds an exclusive lease for the duration
+/// of its pass.
+///
 /// Inference: per-substructure WEst forward passes each run on their own
-/// EvalContext with a private Rng, and the per-substructure counts are
-/// reduced in index order. The contexts come from a per-estimator pool
-/// (eval_pool_), so their warmed-up arenas are reused across queries and
-/// steady-state inference performs no heap allocation; each task holds an
-/// exclusive lease for the duration of its forward pass. Only training
-/// runs on the autograd Tape.
+/// leased Tape with a private Rng, and the per-substructure counts are
+/// reduced in index order. Steady-state inference performs no arena
+/// allocation.
 ///
 /// Training: within a batch the parameters are frozen, so the per-example
 /// forward+backward passes run over ParallelFor, each on its own Tape with
@@ -259,8 +261,8 @@ class NeurSCEstimator {
   Result<std::vector<EstimateInfo>> EstimateQueries(
       std::span<const Graph> queries,
       const std::function<Result<Prepared>(const Graph&)>& prepare);
-  /// Evaluates every task over ParallelFor, one pooled EvalContext + Rng
-  /// per task.
+  /// Evaluates every task over ParallelFor, one pooled Tape + Rng per
+  /// task.
   void RunInferenceTasks(std::vector<InferenceTask>* tasks,
                          std::chrono::steady_clock::time_point epoch);
   /// r_s sampling (Sec. 5.8): the substructure indices to evaluate, in
@@ -272,16 +274,15 @@ class NeurSCEstimator {
   /// detached representations.
   void UpdateCritic(const Matrix& query_repr, const Matrix& sub_repr,
                     const std::vector<std::vector<VertexId>>& candidates);
-  /// Forward + loss for one query on `ctx` (Tape when gradients are
-  /// needed, EvalContext for the forward-only validation loop); returns
-  /// the loss Var, or an invalid Var when the query has no usable
-  /// substructures. `rng` drives the bipartite linking edges; callers in
-  /// parallel regions pass a task-private Rng seeded serially. The critic
-  /// (when scored) is read frozen; if `critic_inputs` is non-null, the
-  /// detached representations needed for its later serial updates are
-  /// appended there.
-  template <typename Ctx>
-  Var BuildQueryLoss(Ctx* ctx, const Graph& query, const Prepared& prep,
+  /// Forward + loss for one query on `tape` (followed by Backward in
+  /// training, read forward-only by the validation loop); returns the loss
+  /// Var, or an invalid Var when the query has no usable substructures.
+  /// `rng` drives the bipartite linking edges; callers in parallel regions
+  /// pass a task-private Rng seeded serially. The critic (when scored) is
+  /// read frozen; if `critic_inputs` is non-null, the detached
+  /// representations needed for its later serial updates are appended
+  /// there.
+  Var BuildQueryLoss(Tape* tape, const Graph& query, const Prepared& prep,
                      double target_count, bool adversarial, Rng* rng,
                      std::vector<CriticUpdateInput>* critic_inputs);
 
@@ -292,19 +293,22 @@ class NeurSCEstimator {
   std::unique_ptr<Discriminator> critic_;
   std::unique_ptr<AdamOptimizer> opt_theta_;
   std::unique_ptr<AdamOptimizer> opt_omega_;
-  /// Reusable forward-only workspaces for inference; grows to peak
-  /// inference concurrency and keeps the warmed-up arenas thereafter.
-  EvalContextPool eval_pool_;
+  /// Reusable workspaces for inference, validation and critic passes;
+  /// grows to peak concurrency and keeps the warmed-up arenas thereafter.
+  TapePool tape_pool_;
   Rng rng_;
 };
 
-/// Shared cache of per-query Prepared data (extraction + features), keyed
-/// by Graph::Fingerprint(). Extraction and feature initialization are
-/// seed-independent, so entries are valid across any estimators that share
-/// a data graph and filter/feature configuration — the active-learning
-/// ensemble, which retrains every member on the same growing labeled set,
-/// is the intended user. Thread-safe: Train's parallel prepare pass probes
-/// it from worker threads.
+/// Shared cache of per-query Prepared data (extraction + features).
+/// Extraction and feature initialization are seed-independent functions of
+/// (query, data graph, filter and feature settings), so an entry is keyed
+/// by all three: the query's and the data graph's Graph::Fingerprint() and
+/// a hash of the settings. A hit also compares the stored query, so a
+/// fingerprint collision misses instead of returning another query's
+/// data. Estimators over different data graphs or settings may share one
+/// cache; the active-learning ensemble, which retrains every member on the
+/// same growing labeled set, is the intended user. Thread-safe: Train's
+/// parallel prepare pass probes it from worker threads.
 class PreparedQueryCache {
  public:
   PreparedQueryCache() = default;
@@ -325,35 +329,54 @@ class PreparedQueryCache {
  private:
   friend class NeurSCEstimator;
 
+  /// Fingerprints of the query and the data graph, and the hash of the
+  /// filter and feature settings.
+  struct Key {
+    uint64_t query = 0;
+    uint64_t data = 0;
+    uint64_t settings = 0;
+    bool operator==(const Key&) const = default;
+  };
+  struct Entry {
+    Graph query;
+    std::shared_ptr<const NeurSCEstimator::Prepared> prepared;
+  };
+  struct KeyHash {
+    size_t operator()(const Key& k) const {
+      return static_cast<size_t>(k.query ^ (k.data * 0x9e3779b97f4a7c15ULL) ^
+                                 (k.settings * 0xc2b2ae3d27d4eb4fULL));
+    }
+  };
+
   /// Null on miss (counts toward misses()).
-  std::shared_ptr<const NeurSCEstimator::Prepared> Lookup(uint64_t key)
-      NEURSC_EXCLUDES(mu_) {
+  std::shared_ptr<const NeurSCEstimator::Prepared> Lookup(
+      const Key& key, const Graph& query) NEURSC_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     auto it = entries_.find(key);
-    if (it == entries_.end()) {
+    if (it == entries_.end() || it->second.query != query) {
       misses_.fetch_add(1, std::memory_order_relaxed);
       return nullptr;
     }
     hits_.fetch_add(1, std::memory_order_relaxed);
-    return it->second;
+    return it->second.prepared;
   }
 
   /// Returns the winning entry: `value`, or the existing one if another
-  /// thread inserted the key first (both are equal — Prepared is a
-  /// deterministic function of the query).
+  /// thread inserted the same query first (both are equal — Prepared is a
+  /// deterministic function of the key's inputs). A different query under
+  /// the same key keeps the slot; `value` is returned uncached.
   std::shared_ptr<const NeurSCEstimator::Prepared> Insert(
-      uint64_t key, std::shared_ptr<const NeurSCEstimator::Prepared> value)
+      const Key& key, const Graph& query,
+      std::shared_ptr<const NeurSCEstimator::Prepared> value)
       NEURSC_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
-    auto [it, inserted] = entries_.emplace(key, std::move(value));
-    return it->second;
+    auto [it, inserted] = entries_.emplace(key, Entry{query, value});
+    return it->second.query == query ? it->second.prepared : value;
   }
 
   /// Guards the entry map; hit/miss tallies are lock-free atomics.
   mutable Mutex mu_;
-  std::unordered_map<uint64_t,
-                     std::shared_ptr<const NeurSCEstimator::Prepared>>
-      entries_ NEURSC_GUARDED_BY(mu_);
+  std::unordered_map<Key, Entry, KeyHash> entries_ NEURSC_GUARDED_BY(mu_);
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
 };

@@ -6,7 +6,6 @@
 #include "common/logging.h"
 #include "common/metrics_registry.h"
 #include "common/trace.h"
-#include "nn/eval.h"
 
 namespace neursc {
 
@@ -130,8 +129,7 @@ size_t WEstModel::ReprDim() const {
   return config_.intra_dim + (config_.use_inter ? config_.inter_dim : 0);
 }
 
-template <typename Ctx>
-WEstModel::Forwarded WEstModel::Forward(Ctx* ctx, const Graph& query,
+WEstModel::Forwarded WEstModel::Forward(Tape* tape, const Graph& query,
                                         const Substructure& sub,
                                         const Matrix& query_features,
                                         const Matrix& sub_features,
@@ -145,11 +143,11 @@ WEstModel::Forwarded WEstModel::Forward(Ctx* ctx, const Graph& query,
   NEURSC_SPAN(intra_span, "west/intra");
   EdgeIndex query_edges = UndirectedEdges(query);
   EdgeIndex sub_edges = UndirectedEdges(sub.graph);
-  Var hq = ctx->Constant(query_features);
-  Var hs = ctx->Constant(sub_features);
+  Var hq = tape->Constant(query_features);
+  Var hs = tape->Constant(sub_features);
   for (size_t k = 0; k < config_.intra_layers; ++k) {
-    hq = IntraForward(ctx, k, hq, query_edges);
-    hs = IntraForward(ctx, k, hs, sub_edges);
+    hq = IntraForward(tape, k, hq, query_edges);
+    hs = IntraForward(tape, k, hs, sub_edges);
   }
   intra_span.End();
 
@@ -160,18 +158,18 @@ WEstModel::Forwarded WEstModel::Forward(Ctx* ctx, const Graph& query,
     // --- Inter-graph branch over the candidate bipartite graph. ---
     NEURSC_SPAN(inter_span, "west/inter");
     EdgeIndex bipartite = BuildBipartiteEdges(query, sub, rng);
-    Var hb = ctx->Constant(StackRows(query_features, sub_features));
+    Var hb = tape->Constant(StackRows(query_features, sub_features));
     for (auto& layer : inter_) {
-      hb = ctx->Relu(layer->Forward(ctx, hb, bipartite));
+      hb = tape->Relu(layer->Forward(tape, hb, bipartite));
     }
     std::vector<uint32_t> query_rows(nq);
     std::vector<uint32_t> sub_rows(ns);
     std::iota(query_rows.begin(), query_rows.end(), 0u);
     std::iota(sub_rows.begin(), sub_rows.end(), static_cast<uint32_t>(nq));
-    Var inter_q = ctx->GatherRows(hb, std::move(query_rows));
-    Var inter_s = ctx->GatherRows(hb, std::move(sub_rows));
-    query_repr = ctx->ConcatCols(hq, inter_q);
-    sub_repr = ctx->ConcatCols(hs, inter_s);
+    Var inter_q = tape->GatherRows(hb, query_rows);
+    Var inter_s = tape->GatherRows(hb, sub_rows);
+    query_repr = tape->ConcatCols(hq, inter_q);
+    sub_repr = tape->ConcatCols(hs, inter_s);
   }
 
   // --- Readout (sum pooling) and prediction. ---
@@ -180,26 +178,25 @@ WEstModel::Forwarded WEstModel::Forward(Ctx* ctx, const Graph& query,
   // implementation-stability detail that keeps the regressor's input
   // magnitude bounded across substructure sizes without destroying the
   // size information (the scale differs per vertex count).
-  Var pooled_q = ctx->Scale(
-      ctx->SumRows(query_repr),
+  Var pooled_q = tape->Scale(
+      tape->SumRows(query_repr),
       1.0f / std::sqrt(1.0f + static_cast<float>(nq)));
-  Var pooled_s = ctx->Scale(
-      ctx->SumRows(sub_repr),
+  Var pooled_s = tape->Scale(
+      tape->SumRows(sub_repr),
       1.0f / std::sqrt(1.0f + static_cast<float>(ns)));
-  Var joint = ctx->ConcatCols(pooled_q, pooled_s);
-  Var log_count = predictor_->Forward(ctx, joint);
-  Var prediction = ctx->Exp(log_count);
+  Var joint = tape->ConcatCols(pooled_q, pooled_s);
+  Var log_count = predictor_->Forward(tape, joint);
+  Var prediction = tape->Exp(log_count);
 
   return Forwarded{query_repr, sub_repr, prediction};
 }
 
-template <typename Ctx>
-Var WEstModel::IntraForward(Ctx* ctx, size_t layer, Var h,
+Var WEstModel::IntraForward(Tape* tape, size_t layer, Var h,
                             const EdgeIndex& edges) {
   if (config_.intra_kind == IntraGnnKind::kGin) {
-    return intra_gin_[layer]->Forward(ctx, h, edges);
+    return intra_gin_[layer]->Forward(tape, h, edges);
   }
-  return intra_mean_[layer]->Forward(ctx, h, edges);
+  return intra_mean_[layer]->Forward(tape, h, edges);
 }
 
 std::vector<Parameter*> WEstModel::Parameters() {
@@ -216,13 +213,5 @@ std::vector<Parameter*> WEstModel::Parameters() {
   for (Parameter* p : predictor_->Parameters()) params.push_back(p);
   return params;
 }
-
-// Explicit instantiations for both execution backends (docs/execution.md).
-template WEstModel::Forwarded WEstModel::Forward<Tape>(
-    Tape*, const Graph&, const Substructure&, const Matrix&, const Matrix&,
-    Rng*);
-template WEstModel::Forwarded WEstModel::Forward<EvalContext>(
-    EvalContext*, const Graph&, const Substructure&, const Matrix&,
-    const Matrix&, Rng*);
 
 }  // namespace neursc

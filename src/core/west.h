@@ -62,15 +62,13 @@ class WEstModel : public Module {
     Var prediction;
   };
 
-  /// Runs Alg. 2 on `ctx` — the autograd Tape when training, the tape-free
-  /// EvalContext when serving (both produce bit-identical values; see
+  /// Runs Alg. 2 on `tape`, for training and serving alike (see
   /// docs/execution.md). `query_features`/`sub_features` are the Eq. 1
   /// features; `sub` supplies the bipartite candidate edges. `rng` breaks
   /// bipartite-graph disconnection by random linking edges (Sec. 5.3).
-  template <typename Ctx>
-  Forwarded Forward(Ctx* ctx, const Graph& query,
-                    const Substructure& sub, const Matrix& query_features,
-                    const Matrix& sub_features, Rng* rng);
+  Forwarded Forward(Tape* tape, const Graph& query, const Substructure& sub,
+                    const Matrix& query_features, const Matrix& sub_features,
+                    Rng* rng);
 
   /// Per-vertex representation dimension D (intra + inter when enabled).
   size_t ReprDim() const;
@@ -80,8 +78,7 @@ class WEstModel : public Module {
   const WEstConfig& config() const { return config_; }
 
  private:
-  template <typename Ctx>
-  Var IntraForward(Ctx* ctx, size_t layer, Var h, const EdgeIndex& edges);
+  Var IntraForward(Tape* tape, size_t layer, Var h, const EdgeIndex& edges);
 
   WEstConfig config_;
   std::vector<std::unique_ptr<GinLayer>> intra_gin_;

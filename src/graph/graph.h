@@ -99,6 +99,12 @@ class Graph {
   /// PreparedQueryCache). Not isomorphism-invariant. Derived arrays
   /// (neighbor labels, label groups) are not hashed.
   uint64_t Fingerprint() const;
+  /// Equality over the arrays Fingerprint() hashes: same vertex ids,
+  /// labels and edges.
+  bool operator==(const Graph& other) const {
+    return labels_ == other.labels_ && offsets_ == other.offsets_ &&
+           adjacency_ == other.adjacency_;
+  }
 
  private:
   friend class GraphBuilder;

@@ -13,13 +13,10 @@
 namespace neursc {
 namespace fwd {
 
-/// Shared forward kernels of the nn op vocabulary. Both execution backends
-/// — the autograd Tape (tape.cc) and the forward-only EvalContext
-/// (eval.cc) — compute their forward values by calling these functions, so
-/// the two backends produce bit-identical floats by construction: there is
+/// Forward kernels of the nn op vocabulary: the Tape (tape.cc) computes
+/// every op's forward value by calling these functions, so there is
 /// exactly one definition of each op's arithmetic and evaluation order.
-/// Changing a kernel changes both backends together; the differential
-/// suite tests/eval_context_test.cc asserts the equality stays exact.
+/// tests/golden_output_test.cc pins the floats they produce.
 ///
 /// Convention: `out` is pre-shaped by the caller. Kernels that accumulate
 /// (MatMul via Matrix::MatMulInto, ScatterAddRows, SumRows) additionally
@@ -103,7 +100,7 @@ inline void Log(const Matrix& a, Matrix* out) {
 }
 
 /// Row-wise softmax with per-row max subtraction; the exp sum accumulates
-/// in double, matching the Tape's historical arithmetic exactly.
+/// in double.
 inline void RowSoftmax(const Matrix& x, Matrix* out) {
   for (size_t r = 0; r < x.rows(); ++r) {
     const float* xrow = x.row(r);
@@ -159,7 +156,7 @@ inline void ScatterAddRows(const Matrix& x,
 
 /// Per-segment softmax of a column vector, max-subtracted, exp sums in
 /// double. `seg_max`/`seg_sum` are caller scratch (resized here) so a
-/// reusing backend pays no steady-state allocation.
+/// reused tape pays no steady-state allocation.
 inline void SegmentSoftmax(const Matrix& x,
                            const std::vector<uint32_t>& segments,
                            size_t num_segments, Matrix* out,
@@ -202,8 +199,8 @@ inline void ReduceSum(const Matrix& x, Matrix* out) {
   out->at(0, 0) = x.Sum();
 }
 
-/// The q-error forward pieces (Eq. 10). `under`/`over` feed the Tape's
-/// backward closure; EvalContext only consumes `loss`.
+/// The q-error forward pieces (Eq. 10). `under`/`over` select the branch
+/// whose derivative the Tape records for Backward.
 struct QErrorParts {
   double c = 0.0;
   double under = 0.0;

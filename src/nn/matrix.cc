@@ -78,17 +78,30 @@ void Matrix::MatMulInto(const Matrix& a, const Matrix& b, Matrix* c) {
 }
 
 Matrix Matrix::MatMulTransposeA(const Matrix& a, const Matrix& b) {
-  NEURSC_CHECK(a.rows_ == b.rows_) << "matmul^T shape mismatch";
   Matrix c(a.cols_, b.cols_);
-  // A^T(i, p) = a(p, i): row stride 1, column stride a.cols_.
-  simd::Gemm(a.cols_, a.rows_, b.cols_, a.data(), 1, a.cols_, b.data(),
-             b.cols_, c.data(), c.cols_);
+  MatMulTransposeAInto(a, b, &c);
   return c;
 }
 
 Matrix Matrix::MatMulTransposeB(const Matrix& a, const Matrix& b) {
-  NEURSC_CHECK(a.cols_ == b.cols_) << "matmul B^T shape mismatch";
   Matrix c(a.rows_, b.rows_);
+  MatMulTransposeBInto(a, b, &c);
+  return c;
+}
+
+void Matrix::MatMulTransposeAInto(const Matrix& a, const Matrix& b,
+                                  Matrix* c) {
+  NEURSC_CHECK(a.rows_ == b.rows_) << "matmul^T shape mismatch";
+  NEURSC_CHECK(c->rows_ == a.cols_ && c->cols_ == b.cols_);
+  // A^T(i, p) = a(p, i): row stride 1, column stride a.cols_.
+  simd::Gemm(a.cols_, a.rows_, b.cols_, a.data(), 1, a.cols_, b.data(),
+             b.cols_, c->data(), c->cols_);
+}
+
+void Matrix::MatMulTransposeBInto(const Matrix& a, const Matrix& b,
+                                  Matrix* c) {
+  NEURSC_CHECK(a.cols_ == b.cols_) << "matmul B^T shape mismatch";
+  NEURSC_CHECK(c->rows_ == a.rows_ && c->cols_ == b.rows_);
   // Pack B^T row-major so the core streams contiguous rows of it. The
   // buffer is per thread and only grows, so the Tape's backward pass
   // allocates nothing here once warm.
@@ -100,9 +113,8 @@ Matrix Matrix::MatMulTransposeB(const Matrix& a, const Matrix& b) {
     const float* brow = b.row(j);
     for (size_t p = 0; p < k; ++p) packed[p * n + j] = brow[p];
   }
-  simd::Gemm(a.rows_, k, n, a.data(), a.cols_, 1, packed.data(), n, c.data(),
-             c.cols_);
-  return c;
+  simd::Gemm(a.rows_, k, n, a.data(), a.cols_, 1, packed.data(), n,
+             c->data(), c->cols_);
 }
 
 float Matrix::Norm() const {

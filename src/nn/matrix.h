@@ -40,14 +40,14 @@ class Matrix {
   size_t cols() const { return cols_; }
   size_t size() const { return data_.size(); }
   bool empty() const { return data_.empty(); }
-  /// Allocated float capacity (>= size()). Exposed for the EvalContext
+  /// Allocated float capacity (>= size()). Exposed for the Tape's
   /// arena accounting: Reshape() only touches the heap when the new size
   /// exceeds this.
   size_t capacity() const { return data_.capacity(); }
 
   /// Repurposes this matrix as a zero-filled (rows x cols) buffer, reusing
   /// the existing allocation whenever its capacity suffices. The workspace
-  /// primitive behind EvalContext slot reuse.
+  /// primitive behind the Tape's slot reuse.
   void Reshape(size_t rows, size_t cols) {
     rows_ = rows;
     cols_ = cols;
@@ -85,6 +85,12 @@ class Matrix {
   static Matrix MatMulTransposeA(const Matrix& a, const Matrix& b);
   /// C = A * B^T ([m,k] x [n,k]^T -> [m,n]).
   static Matrix MatMulTransposeB(const Matrix& a, const Matrix& b);
+  /// C += A^T * B and C += A * B^T into a pre-shaped, zero-filled `c`;
+  /// the allocating forms above wrap them.
+  static void MatMulTransposeAInto(const Matrix& a, const Matrix& b,
+                                   Matrix* c);
+  static void MatMulTransposeBInto(const Matrix& a, const Matrix& b,
+                                   Matrix* c);
 
   /// Frobenius norm.
   float Norm() const;

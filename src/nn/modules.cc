@@ -3,23 +3,21 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "nn/eval.h"
 
 namespace neursc {
 
-template <typename Ctx>
-Var ApplyActivation(Ctx* ctx, Var x, Activation activation) {
+Var ApplyActivation(Tape* tape, Var x, Activation activation) {
   switch (activation) {
     case Activation::kNone:
       return x;
     case Activation::kRelu:
-      return ctx->Relu(x);
+      return tape->Relu(x);
     case Activation::kLeakyRelu:
-      return ctx->LeakyRelu(x);
+      return tape->LeakyRelu(x);
     case Activation::kSigmoid:
-      return ctx->Sigmoid(x);
+      return tape->Sigmoid(x);
     case Activation::kTanh:
-      return ctx->Tanh(x);
+      return tape->Tanh(x);
   }
   return x;
 }
@@ -28,11 +26,10 @@ Linear::Linear(size_t in_features, size_t out_features, Rng* rng)
     : weight_(Matrix::GlorotUniform(in_features, out_features, rng)),
       bias_(Matrix(1, out_features)) {}
 
-template <typename Ctx>
-Var Linear::Forward(Ctx* ctx, Var x) {
-  Var w = ctx->Leaf(&weight_);
-  Var b = ctx->Leaf(&bias_);
-  return ctx->AddRowBroadcast(ctx->MatMul(x, w), b);
+Var Linear::Forward(Tape* tape, Var x) {
+  Var w = tape->Leaf(&weight_);
+  Var b = tape->Leaf(&bias_);
+  return tape->AddRowBroadcast(tape->MatMul(x, w), b);
 }
 
 Mlp::Mlp(std::vector<size_t> dims, Activation activation, Rng* rng)
@@ -43,11 +40,10 @@ Mlp::Mlp(std::vector<size_t> dims, Activation activation, Rng* rng)
   }
 }
 
-template <typename Ctx>
-Var Mlp::Forward(Ctx* ctx, Var x) {
+Var Mlp::Forward(Tape* tape, Var x) {
   for (size_t i = 0; i < layers_.size(); ++i) {
-    x = layers_[i]->Forward(ctx, x);
-    if (i + 1 < layers_.size()) x = ApplyActivation(ctx, x, activation_);
+    x = layers_[i]->Forward(tape, x);
+    if (i + 1 < layers_.size()) x = ApplyActivation(tape, x, activation_);
   }
   return x;
 }
@@ -70,26 +66,25 @@ GinLayer::GinLayer(size_t in_features, size_t out_features, Rng* rng)
     : mlp_({in_features, out_features, out_features}, Activation::kRelu, rng),
       epsilon_(Matrix::Scalar(0.0f)) {}
 
-template <typename Ctx>
-Var GinLayer::Forward(Ctx* ctx, Var h, const EdgeIndex& edges) {
-  const size_t n = ctx->Value(h).rows();
+Var GinLayer::Forward(Tape* tape, Var h, const EdgeIndex& edges) {
+  const size_t n = tape->Value(h).rows();
   // Neighborhood sum: gather source rows, scatter-add into destinations.
   Var aggregated;
   if (edges.size() > 0) {
-    Var messages = ctx->GatherRows(h, edges.src);
-    aggregated = ctx->ScatterAddRows(messages, edges.dst, n);
+    Var messages = tape->GatherRows(h, edges.src);
+    aggregated = tape->ScatterAddRows(messages, edges.dst, n);
   } else {
-    aggregated = ctx->Constant(
-        Matrix(n, ctx->Value(h).cols()));
+    aggregated = tape->Constant(
+        Matrix(n, tape->Value(h).cols()));
   }
   // (1 + eps) * h + aggregated; eps is a learnable scalar broadcast by
   // expanding it to a per-row weight column.
-  Var eps = ctx->Leaf(&epsilon_);
-  Var ones = ctx->Constant(Matrix::Ones(n, 1));
-  Var eps_col = ctx->MatMul(ones, eps);  // n x 1, all entries = eps
-  Var scaled_self = ctx->ColBroadcastMul(h, eps_col);
-  Var combined = ctx->Add(ctx->Add(h, scaled_self), aggregated);
-  return ctx->Relu(mlp_.Forward(ctx, combined));
+  Var eps = tape->Leaf(&epsilon_);
+  Var ones = tape->Constant(Matrix::Ones(n, 1));
+  Var eps_col = tape->MatMul(ones, eps);  // n x 1, all entries = eps
+  Var scaled_self = tape->ColBroadcastMul(h, eps_col);
+  Var combined = tape->Add(tape->Add(h, scaled_self), aggregated);
+  return tape->Relu(mlp_.Forward(tape, combined));
 }
 
 std::vector<Parameter*> GinLayer::Parameters() {
@@ -102,28 +97,27 @@ MeanAggregatorLayer::MeanAggregatorLayer(size_t in_features,
                                          size_t out_features, Rng* rng)
     : linear_(2 * in_features, out_features, rng) {}
 
-template <typename Ctx>
-Var MeanAggregatorLayer::Forward(Ctx* ctx, Var h, const EdgeIndex& edges) {
-  const size_t n = ctx->Value(h).rows();
-  const size_t d = ctx->Value(h).cols();
+Var MeanAggregatorLayer::Forward(Tape* tape, Var h, const EdgeIndex& edges) {
+  const size_t n = tape->Value(h).rows();
+  const size_t d = tape->Value(h).cols();
   // Mean over neighbors: scatter-sum then divide by degree (1 minimum so
   // isolated vertices keep a zero aggregate).
   Var aggregated;
   std::vector<float> degree(n, 0.0f);
   for (uint32_t dst : edges.dst) degree[dst] += 1.0f;
   if (edges.size() > 0) {
-    Var messages = ctx->GatherRows(h, edges.src);
-    Var sums = ctx->ScatterAddRows(messages, edges.dst, n);
+    Var messages = tape->GatherRows(h, edges.src);
+    Var sums = tape->ScatterAddRows(messages, edges.dst, n);
     Matrix inv(n, 1);
     for (size_t v = 0; v < n; ++v) {
       inv.at(v, 0) = 1.0f / std::max(degree[v], 1.0f);
     }
-    aggregated = ctx->ColBroadcastMul(sums, ctx->Constant(std::move(inv)));
+    aggregated = tape->ColBroadcastMul(sums, tape->Constant(inv));
   } else {
-    aggregated = ctx->Constant(Matrix(n, d));
+    aggregated = tape->Constant(Matrix(n, d));
   }
-  Var joint = ctx->ConcatCols(h, aggregated);
-  return ctx->Relu(linear_.Forward(ctx, joint));
+  Var joint = tape->ConcatCols(h, aggregated);
+  return tape->Relu(linear_.Forward(tape, joint));
 }
 
 std::vector<Parameter*> MeanAggregatorLayer::Parameters() {
@@ -137,56 +131,36 @@ BipartiteAttentionLayer::BipartiteAttentionLayer(size_t in_features,
       theta_attn_(Matrix::GlorotUniform(in_features, out_features, rng)),
       attn_(Matrix::GlorotUniform(2 * out_features, 1, rng)) {}
 
-template <typename Ctx>
-Var BipartiteAttentionLayer::Forward(Ctx* ctx, Var h,
+Var BipartiteAttentionLayer::Forward(Tape* tape, Var h,
                                      const EdgeIndex& edges) {
-  const size_t n = ctx->Value(h).rows();
+  const size_t n = tape->Value(h).rows();
 
   // Self-loops realize the alpha_uu term of Eq. 4.
   EdgeIndex all = edges;
   for (uint32_t v = 0; v < n; ++v) all.Add(v, v);
 
-  Var theta = ctx->Leaf(&theta_);
-  Var theta_attn = ctx->Leaf(&theta_attn_);
-  Var attn = ctx->Leaf(&attn_);
+  Var theta = tape->Leaf(&theta_);
+  Var theta_attn = tape->Leaf(&theta_attn_);
+  Var attn = tape->Leaf(&attn_);
 
-  Var projected = ctx->MatMul(h, theta);            // n x out
-  Var attn_feats = ctx->MatMul(h, theta_attn);      // n x out
+  Var projected = tape->MatMul(h, theta);            // n x out
+  Var attn_feats = tape->MatMul(h, theta_attn);      // n x out
 
   // Eq. 5 scores: LeakyReLU(a^T [Theta_a h_u || Theta_a h_v]) where u is
   // the destination (the vertex whose neighborhood is normalized over).
-  Var feats_dst = ctx->GatherRows(attn_feats, all.dst);
-  Var feats_src = ctx->GatherRows(attn_feats, all.src);
-  Var pair = ctx->ConcatCols(feats_dst, feats_src);  // E x 2out
-  Var logits = ctx->LeakyRelu(ctx->MatMul(pair, attn));  // E x 1
-  Var alpha = ctx->SegmentSoftmax(logits, all.dst, n);
+  Var feats_dst = tape->GatherRows(attn_feats, all.dst);
+  Var feats_src = tape->GatherRows(attn_feats, all.src);
+  Var pair = tape->ConcatCols(feats_dst, feats_src);  // E x 2out
+  Var logits = tape->LeakyRelu(tape->MatMul(pair, attn));  // E x 1
+  Var alpha = tape->SegmentSoftmax(logits, all.dst, n);
 
-  Var messages = ctx->GatherRows(projected, all.src);  // E x out
-  Var weighted = ctx->ColBroadcastMul(messages, alpha);
-  return ctx->ScatterAddRows(weighted, all.dst, n);
+  Var messages = tape->GatherRows(projected, all.src);  // E x out
+  Var weighted = tape->ColBroadcastMul(messages, alpha);
+  return tape->ScatterAddRows(weighted, all.dst, n);
 }
 
 std::vector<Parameter*> BipartiteAttentionLayer::Parameters() {
   return {&theta_, &theta_attn_, &attn_};
 }
-
-// Explicit instantiations: modules compile once per execution context.
-// Adding a third backend means adding its block here.
-template Var ApplyActivation<Tape>(Tape*, Var, Activation);
-template Var ApplyActivation<EvalContext>(EvalContext*, Var, Activation);
-template Var Linear::Forward<Tape>(Tape*, Var);
-template Var Linear::Forward<EvalContext>(EvalContext*, Var);
-template Var Mlp::Forward<Tape>(Tape*, Var);
-template Var Mlp::Forward<EvalContext>(EvalContext*, Var);
-template Var GinLayer::Forward<Tape>(Tape*, Var, const EdgeIndex&);
-template Var GinLayer::Forward<EvalContext>(EvalContext*, Var,
-                                            const EdgeIndex&);
-template Var MeanAggregatorLayer::Forward<Tape>(Tape*, Var, const EdgeIndex&);
-template Var MeanAggregatorLayer::Forward<EvalContext>(EvalContext*, Var,
-                                                       const EdgeIndex&);
-template Var BipartiteAttentionLayer::Forward<Tape>(Tape*, Var,
-                                                    const EdgeIndex&);
-template Var BipartiteAttentionLayer::Forward<EvalContext>(EvalContext*, Var,
-                                                           const EdgeIndex&);
 
 }  // namespace neursc

@@ -45,25 +45,17 @@ class Module {
 /// Supported pointwise activations for MLP hidden layers.
 enum class Activation { kNone, kRelu, kLeakyRelu, kSigmoid, kTanh };
 
-/// Applies `activation` to `x` on `ctx`.
-///
-/// Modules are written once against the execution-context concept: every
-/// Forward below is a template over the context type, instantiated for the
-/// autograd Tape (training) and the tape-free EvalContext (inference; see
-/// nn/eval.h). Both backends expose the same op vocabulary and share the
-/// forward kernels in nn/kernels.h, so a module produces bit-identical
-/// values on either. Definitions live in modules.cc with explicit
-/// instantiations for both context types — no per-op virtual dispatch.
-template <typename Ctx>
-Var ApplyActivation(Ctx* ctx, Var x, Activation activation);
+/// Applies `activation` to `x` on `tape`. Every module Forward below runs
+/// on the one execution engine, the Tape (docs/execution.md), for
+/// training and inference alike.
+Var ApplyActivation(Tape* tape, Var x, Activation activation);
 
 /// Fully-connected layer y = x W + b.
 class Linear : public Module {
  public:
   Linear(size_t in_features, size_t out_features, Rng* rng);
 
-  template <typename Ctx>
-  Var Forward(Ctx* ctx, Var x);
+  Var Forward(Tape* tape, Var x);
   std::vector<Parameter*> Parameters() override { return {&weight_, &bias_}; }
 
   Parameter& weight() { return weight_; }
@@ -80,8 +72,7 @@ class Mlp : public Module {
  public:
   Mlp(std::vector<size_t> dims, Activation activation, Rng* rng);
 
-  template <typename Ctx>
-  Var Forward(Ctx* ctx, Var x);
+  Var Forward(Tape* tape, Var x);
   std::vector<Parameter*> Parameters() override;
 
   /// Scales the last layer's weights by `factor` and zeroes its bias so
@@ -108,8 +99,7 @@ class GinLayer : public Module {
   GinLayer(size_t in_features, size_t out_features, Rng* rng);
 
   /// h: (num_vertices x in_features). Returns (num_vertices x out_features).
-  template <typename Ctx>
-  Var Forward(Ctx* ctx, Var h, const EdgeIndex& edges);
+  Var Forward(Tape* tape, Var h, const EdgeIndex& edges);
   std::vector<Parameter*> Parameters() override;
 
  private:
@@ -126,8 +116,7 @@ class MeanAggregatorLayer : public Module {
  public:
   MeanAggregatorLayer(size_t in_features, size_t out_features, Rng* rng);
 
-  template <typename Ctx>
-  Var Forward(Ctx* ctx, Var h, const EdgeIndex& edges);
+  Var Forward(Tape* tape, Var h, const EdgeIndex& edges);
   std::vector<Parameter*> Parameters() override;
 
  private:
@@ -147,8 +136,7 @@ class BipartiteAttentionLayer : public Module {
   /// both directions; self-loops are added internally. Returns
   /// (num_vertices x out) with sigma = ELU-free plain ReLU activation left
   /// to the caller (the raw combination of Eq. 4 is returned).
-  template <typename Ctx>
-  Var Forward(Ctx* ctx, Var h, const EdgeIndex& edges);
+  Var Forward(Tape* tape, Var h, const EdgeIndex& edges);
   std::vector<Parameter*> Parameters() override;
 
  private:

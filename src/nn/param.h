@@ -6,8 +6,8 @@
 namespace neursc {
 
 /// A trainable tensor: value plus accumulated gradient. Owned by modules
-/// (Linear, GIN, ...); execution contexts (the autograd Tape, the
-/// forward-only EvalContext) only reference parameters during a pass.
+/// (Linear, GIN, ...); the Tape only references parameters during a
+/// pass.
 struct Parameter {
   Matrix value;
   Matrix grad;
@@ -19,9 +19,9 @@ struct Parameter {
   void ZeroGrad() { grad.Fill(0.0f); }
 };
 
-/// Lightweight handle to a node recorded by an execution context. Ids are
-/// context-local: a Var is only meaningful on the Tape or EvalContext that
-/// produced it.
+/// Lightweight handle to a node recorded by a Tape. Ids are tape-local
+/// and per pass: a Var is only meaningful on the Tape that produced it,
+/// until its next Reset().
 struct Var {
   int id = -1;
   bool valid() const { return id >= 0; }

@@ -4,14 +4,17 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/metrics_registry.h"
 #include "nn/kernels.h"
 
 namespace neursc {
 
-// Forward values are computed by the shared kernels in nn/kernels.h — the
-// same functions the forward-only EvalContext calls — so the two backends
-// are bit-identical by construction. Everything below the kernel call in
-// each op is the backward closure, which is Tape-only.
+// Forward values come from the kernels in nn/kernels.h. The backward
+// cases must keep their arithmetic and accumulation order, which
+// golden_output_test pins through the trained weights: an elementwise
+// delta is added as grad + (g * y), the same float as adding a delta
+// matrix, and products run into zeroed scratch that is then added, never
+// straight into a gradient that may already hold a contribution.
 
 void GradientSink::Accumulate(Parameter* param, const Matrix& delta) {
   auto it = buffers_.find(param);
@@ -30,525 +33,248 @@ void GradientSink::ReduceIntoParameters() const {
   }
 }
 
-Var Tape::MakeNode(Matrix value, bool requires_grad,
-                   std::function<void(Tape*)> backward) {
-  Node node;
-  node.value = std::move(value);
-  node.requires_grad = requires_grad;
-  node.backward = std::move(backward);
-  nodes_.push_back(std::move(node));
-  return Var{static_cast<int>(nodes_.size()) - 1};
+void Tape::Reset() {
+  nodes_.clear();
+  records_.clear();
+  indices_.clear();
+  slots_used_ = 0;
+  grad_slots_used_ = 0;
+  backward_done_ = false;
+  gradient_sink_ = nullptr;
+  NEURSC_GAUGE_SET("eval/arena_bytes", static_cast<double>(arena_bytes()));
+}
+
+size_t Tape::arena_bytes() const {
+  size_t bytes = 0;
+  for (const Matrix& m : slots_) bytes += m.capacity() * sizeof(float);
+  for (const Matrix& m : grad_slots_) bytes += m.capacity() * sizeof(float);
+  return bytes;
+}
+
+Matrix* Tape::AllocSlot(std::deque<Matrix>* arena, size_t* used, size_t rows,
+                        size_t cols) {
+  bool grew = false;
+  if (*used == arena->size()) {
+    arena->emplace_back();
+    grew = true;
+  }
+  Matrix& m = (*arena)[(*used)++];
+  if (m.capacity() < rows * cols) grew = true;
+  m.Reshape(rows, cols);
+  if (grew) {
+    ++arena_grows_;
+    NEURSC_COUNTER_INC("eval/arena_grows");
+  }
+  return &m;
+}
+
+Tape::Record& Tape::AppendRecord(OpKind kind, int out) {
+  Record& r = records_.emplace_back();
+  r.kind = kind;
+  r.out = out;
+  return r;
+}
+
+Var Tape::Emit(const Matrix* value, OpKind kind, Var a, Var b, double scalar,
+               std::span<const uint32_t> indices) {
+  const bool req = Requires(a.id) || (b.valid() && Requires(b.id));
+  nodes_.push_back(Node{value, nullptr, nullptr, req});
+  const int id = static_cast<int>(nodes_.size()) - 1;
+  if (req) {
+    Record& r = AppendRecord(kind, id);
+    r.a = a.id;
+    r.b = b.id;
+    r.scalar = scalar;
+    r.index_begin = static_cast<uint32_t>(indices_.size());
+    r.index_count = static_cast<uint32_t>(indices.size());
+    indices_.insert(indices_.end(), indices.begin(), indices.end());
+  }
+  return Var{id};
 }
 
 Matrix& Tape::EnsureGrad(int id) {
   Node& node = nodes_[id];
-  if (node.grad.empty()) {
-    node.grad = Matrix(node.value.rows(), node.value.cols());
+  if (node.grad == nullptr) {
+    node.grad = AllocSlot(&grad_slots_, &grad_slots_used_,
+                          node.value->rows(), node.value->cols());
   }
-  return node.grad;
+  return *node.grad;
 }
 
-void Tape::AccumulateGrad(int id, const Matrix& delta) {
-  EnsureGrad(id).AddInPlace(delta);
-}
-
-Var Tape::Constant(Matrix value) {
-  return MakeNode(std::move(value), false, nullptr);
+Var Tape::Constant(const Matrix& value) {
+  Matrix* out = AllocValue(value.rows(), value.cols());
+  fwd::Copy(value, out);
+  nodes_.push_back(Node{out, nullptr, nullptr, false});
+  return Var{static_cast<int>(nodes_.size()) - 1};
 }
 
 Var Tape::Leaf(Parameter* param) {
   NEURSC_CHECK(param != nullptr);
-  Var v = MakeNode(param->value, true, nullptr);
-  nodes_[v.id].param = param;
-  return v;
+  nodes_.push_back(Node{&param->value, nullptr, param, true});
+  const int id = static_cast<int>(nodes_.size()) - 1;
+  AppendRecord(OpKind::kLeaf, id);
+  return Var{id};
 }
 
 Var Tape::MatMul(Var a, Var b) {
-  Matrix out(Value(a).rows(), Value(b).cols());
-  Matrix::MatMulInto(Value(a), Value(b), &out);
-  bool req = Requires(a) || Requires(b);
-  Var v = MakeNode(std::move(out), req, nullptr);
-  if (!req) return v;
-  int out_id = v.id;
-  int aid = a.id;
-  int bid = b.id;
-  nodes_[out_id].backward = [out_id, aid, bid](Tape* t) {
-    const Matrix& g = t->nodes_[out_id].grad;
-    if (t->nodes_[aid].requires_grad) {
-      t->AccumulateGrad(aid, Matrix::MatMulTransposeB(g, t->nodes_[bid].value));
-    }
-    if (t->nodes_[bid].requires_grad) {
-      t->AccumulateGrad(bid, Matrix::MatMulTransposeA(t->nodes_[aid].value, g));
-    }
-  };
-  return v;
+  const Matrix& av = Value(a);
+  const Matrix& bv = Value(b);
+  Matrix* out = AllocValue(av.rows(), bv.cols());
+  Matrix::MatMulInto(av, bv, out);
+  return Emit(out, OpKind::kMatMul, a, b);
 }
 
 Var Tape::Add(Var a, Var b) {
-  Matrix out(Value(a).rows(), Value(a).cols());
-  fwd::Add(Value(a), Value(b), &out);
-  bool req = Requires(a) || Requires(b);
-  Var v = MakeNode(std::move(out), req, nullptr);
-  if (!req) return v;
-  int out_id = v.id;
-  int aid = a.id;
-  int bid = b.id;
-  nodes_[out_id].backward = [out_id, aid, bid](Tape* t) {
-    const Matrix& g = t->nodes_[out_id].grad;
-    if (t->nodes_[aid].requires_grad) t->AccumulateGrad(aid, g);
-    if (t->nodes_[bid].requires_grad) t->AccumulateGrad(bid, g);
-  };
-  return v;
+  const Matrix& av = Value(a);
+  Matrix* out = AllocValue(av.rows(), av.cols());
+  fwd::Add(av, Value(b), out);
+  return Emit(out, OpKind::kAdd, a, b);
 }
 
 Var Tape::AddRowBroadcast(Var x, Var bias) {
   const Matrix& xv = Value(x);
-  Matrix out(xv.rows(), xv.cols());
-  fwd::AddRowBroadcast(xv, Value(bias), &out);
-  bool req = Requires(x) || Requires(bias);
-  Var v = MakeNode(std::move(out), req, nullptr);
-  if (!req) return v;
-  int out_id = v.id;
-  int xid = x.id;
-  int bid = bias.id;
-  nodes_[out_id].backward = [out_id, xid, bid](Tape* t) {
-    const Matrix& g = t->nodes_[out_id].grad;
-    if (t->nodes_[xid].requires_grad) t->AccumulateGrad(xid, g);
-    if (t->nodes_[bid].requires_grad) {
-      Matrix& bg = t->EnsureGrad(bid);
-      for (size_t r = 0; r < g.rows(); ++r) {
-        for (size_t c = 0; c < g.cols(); ++c) bg.at(0, c) += g.at(r, c);
-      }
-    }
-  };
-  return v;
+  Matrix* out = AllocValue(xv.rows(), xv.cols());
+  fwd::AddRowBroadcast(xv, Value(bias), out);
+  return Emit(out, OpKind::kAddRowBroadcast, x, bias);
 }
 
 Var Tape::Sub(Var a, Var b) {
-  Matrix out(Value(a).rows(), Value(a).cols());
-  fwd::Sub(Value(a), Value(b), &out);
-  bool req = Requires(a) || Requires(b);
-  Var v = MakeNode(std::move(out), req, nullptr);
-  if (!req) return v;
-  int out_id = v.id;
-  int aid = a.id;
-  int bid = b.id;
-  nodes_[out_id].backward = [out_id, aid, bid](Tape* t) {
-    const Matrix& g = t->nodes_[out_id].grad;
-    if (t->nodes_[aid].requires_grad) t->AccumulateGrad(aid, g);
-    if (t->nodes_[bid].requires_grad) {
-      Matrix neg = g;
-      neg.ScaleInPlace(-1.0f);
-      t->AccumulateGrad(bid, neg);
-    }
-  };
-  return v;
+  const Matrix& av = Value(a);
+  Matrix* out = AllocValue(av.rows(), av.cols());
+  fwd::Sub(av, Value(b), out);
+  return Emit(out, OpKind::kSub, a, b);
 }
 
 Var Tape::Mul(Var a, Var b) {
   const Matrix& av = Value(a);
-  Matrix out(av.rows(), av.cols());
-  fwd::Mul(av, Value(b), &out);
-  bool req = Requires(a) || Requires(b);
-  Var v = MakeNode(std::move(out), req, nullptr);
-  if (!req) return v;
-  int out_id = v.id;
-  int aid = a.id;
-  int bid = b.id;
-  nodes_[out_id].backward = [out_id, aid, bid](Tape* t) {
-    const Matrix& g = t->nodes_[out_id].grad;
-    if (t->nodes_[aid].requires_grad) {
-      Matrix d = g;
-      const Matrix& bv2 = t->nodes_[bid].value;
-      for (size_t i = 0; i < d.size(); ++i) d.data()[i] *= bv2.data()[i];
-      t->AccumulateGrad(aid, d);
-    }
-    if (t->nodes_[bid].requires_grad) {
-      Matrix d = g;
-      const Matrix& av2 = t->nodes_[aid].value;
-      for (size_t i = 0; i < d.size(); ++i) d.data()[i] *= av2.data()[i];
-      t->AccumulateGrad(bid, d);
-    }
-  };
-  return v;
+  Matrix* out = AllocValue(av.rows(), av.cols());
+  fwd::Mul(av, Value(b), out);
+  return Emit(out, OpKind::kMul, a, b);
 }
 
 Var Tape::Scale(Var a, float s) {
   const Matrix& av = Value(a);
-  Matrix out(av.rows(), av.cols());
-  fwd::Scale(av, s, &out);
-  bool req = Requires(a);
-  Var v = MakeNode(std::move(out), req, nullptr);
-  if (!req) return v;
-  int out_id = v.id;
-  int aid = a.id;
-  nodes_[out_id].backward = [out_id, aid, s](Tape* t) {
-    Matrix d = t->nodes_[out_id].grad;
-    d.ScaleInPlace(s);
-    t->AccumulateGrad(aid, d);
-  };
-  return v;
+  Matrix* out = AllocValue(av.rows(), av.cols());
+  fwd::Scale(av, s, out);
+  return Emit(out, OpKind::kScale, a, Var{}, s);
 }
 
 Var Tape::Relu(Var a) {
   const Matrix& av = Value(a);
-  Matrix out(av.rows(), av.cols());
-  fwd::Relu(av, &out);
-  bool req = Requires(a);
-  Var v = MakeNode(std::move(out), req, nullptr);
-  if (!req) return v;
-  int out_id = v.id;
-  int aid = a.id;
-  nodes_[out_id].backward = [out_id, aid](Tape* t) {
-    const Matrix& g = t->nodes_[out_id].grad;
-    const Matrix& x = t->nodes_[aid].value;
-    Matrix d = g;
-    for (size_t i = 0; i < d.size(); ++i) {
-      if (x.data()[i] <= 0.0f) d.data()[i] = 0.0f;
-    }
-    t->AccumulateGrad(aid, d);
-  };
-  return v;
+  Matrix* out = AllocValue(av.rows(), av.cols());
+  fwd::Relu(av, out);
+  return Emit(out, OpKind::kRelu, a);
 }
 
 Var Tape::LeakyRelu(Var a, float negative_slope) {
-  const float s = negative_slope;
   const Matrix& av = Value(a);
-  Matrix out(av.rows(), av.cols());
-  fwd::LeakyRelu(av, s, &out);
-  bool req = Requires(a);
-  Var v = MakeNode(std::move(out), req, nullptr);
-  if (!req) return v;
-  int out_id = v.id;
-  int aid = a.id;
-  nodes_[out_id].backward = [out_id, aid, s](Tape* t) {
-    const Matrix& g = t->nodes_[out_id].grad;
-    const Matrix& x = t->nodes_[aid].value;
-    Matrix d = g;
-    for (size_t i = 0; i < d.size(); ++i) {
-      if (x.data()[i] <= 0.0f) d.data()[i] *= s;
-    }
-    t->AccumulateGrad(aid, d);
-  };
-  return v;
+  Matrix* out = AllocValue(av.rows(), av.cols());
+  fwd::LeakyRelu(av, negative_slope, out);
+  return Emit(out, OpKind::kLeakyRelu, a, Var{}, negative_slope);
 }
 
 Var Tape::Sigmoid(Var a) {
   const Matrix& av = Value(a);
-  Matrix out(av.rows(), av.cols());
-  fwd::Sigmoid(av, &out);
-  bool req = Requires(a);
-  Var v = MakeNode(std::move(out), req, nullptr);
-  if (!req) return v;
-  int out_id = v.id;
-  int aid = a.id;
-  nodes_[out_id].backward = [out_id, aid](Tape* t) {
-    const Matrix& g = t->nodes_[out_id].grad;
-    const Matrix& y = t->nodes_[out_id].value;
-    Matrix d = g;
-    for (size_t i = 0; i < d.size(); ++i) {
-      float yi = y.data()[i];
-      d.data()[i] *= yi * (1.0f - yi);
-    }
-    t->AccumulateGrad(aid, d);
-  };
-  return v;
+  Matrix* out = AllocValue(av.rows(), av.cols());
+  fwd::Sigmoid(av, out);
+  return Emit(out, OpKind::kSigmoid, a);
 }
 
 Var Tape::Tanh(Var a) {
   const Matrix& av = Value(a);
-  Matrix out(av.rows(), av.cols());
-  fwd::Tanh(av, &out);
-  bool req = Requires(a);
-  Var v = MakeNode(std::move(out), req, nullptr);
-  if (!req) return v;
-  int out_id = v.id;
-  int aid = a.id;
-  nodes_[out_id].backward = [out_id, aid](Tape* t) {
-    const Matrix& g = t->nodes_[out_id].grad;
-    const Matrix& y = t->nodes_[out_id].value;
-    Matrix d = g;
-    for (size_t i = 0; i < d.size(); ++i) {
-      float yi = y.data()[i];
-      d.data()[i] *= 1.0f - yi * yi;
-    }
-    t->AccumulateGrad(aid, d);
-  };
-  return v;
+  Matrix* out = AllocValue(av.rows(), av.cols());
+  fwd::Tanh(av, out);
+  return Emit(out, OpKind::kTanh, a);
 }
 
 Var Tape::Exp(Var a) {
   const Matrix& av = Value(a);
-  Matrix out(av.rows(), av.cols());
-  fwd::Exp(av, &out);
-  bool req = Requires(a);
-  Var v = MakeNode(std::move(out), req, nullptr);
-  if (!req) return v;
-  int out_id = v.id;
-  int aid = a.id;
-  nodes_[out_id].backward = [out_id, aid](Tape* t) {
-    const Matrix& g = t->nodes_[out_id].grad;
-    const Matrix& y = t->nodes_[out_id].value;
-    Matrix d = g;
-    for (size_t i = 0; i < d.size(); ++i) {
-      // In the clamped region we use the boundary derivative exp(+-30)
-      // rather than the true 0 so that saturated predictions still receive
-      // a corrective signal (straight-through at the clamp).
-      d.data()[i] *= y.data()[i];
-    }
-    t->AccumulateGrad(aid, d);
-  };
-  return v;
+  Matrix* out = AllocValue(av.rows(), av.cols());
+  fwd::Exp(av, out);
+  return Emit(out, OpKind::kExp, a);
 }
 
 Var Tape::Log(Var a) {
   const Matrix& av = Value(a);
-  Matrix out(av.rows(), av.cols());
-  fwd::Log(av, &out);
-  bool req = Requires(a);
-  Var v = MakeNode(std::move(out), req, nullptr);
-  if (!req) return v;
-  int out_id = v.id;
-  int aid = a.id;
-  nodes_[out_id].backward = [out_id, aid](Tape* t) {
-    const Matrix& g = t->nodes_[out_id].grad;
-    const Matrix& x = t->nodes_[aid].value;
-    Matrix d = g;
-    for (size_t i = 0; i < d.size(); ++i) {
-      d.data()[i] /= std::max(x.data()[i], 1e-12f);
-    }
-    t->AccumulateGrad(aid, d);
-  };
-  return v;
+  Matrix* out = AllocValue(av.rows(), av.cols());
+  fwd::Log(av, out);
+  return Emit(out, OpKind::kLog, a);
 }
 
 Var Tape::RowSoftmax(Var a) {
-  const Matrix& xv = Value(a);
-  Matrix out(xv.rows(), xv.cols());
-  fwd::RowSoftmax(xv, &out);
-  bool req = Requires(a);
-  Var v = MakeNode(std::move(out), req, nullptr);
-  if (!req) return v;
-  int out_id = v.id;
-  int aid = a.id;
-  nodes_[out_id].backward = [out_id, aid](Tape* t) {
-    const Matrix& g = t->nodes_[out_id].grad;
-    const Matrix& y = t->nodes_[out_id].value;
-    Matrix d(y.rows(), y.cols());
-    for (size_t r = 0; r < y.rows(); ++r) {
-      double dot = 0.0;
-      for (size_t c = 0; c < y.cols(); ++c) {
-        dot += static_cast<double>(g.at(r, c)) * y.at(r, c);
-      }
-      for (size_t c = 0; c < y.cols(); ++c) {
-        d.at(r, c) = y.at(r, c) * (g.at(r, c) - static_cast<float>(dot));
-      }
-    }
-    t->AccumulateGrad(aid, d);
-  };
-  return v;
+  const Matrix& av = Value(a);
+  Matrix* out = AllocValue(av.rows(), av.cols());
+  fwd::RowSoftmax(av, out);
+  return Emit(out, OpKind::kRowSoftmax, a);
 }
 
 Var Tape::ConcatCols(Var a, Var b) {
   const Matrix& av = Value(a);
   const Matrix& bv = Value(b);
-  // Read before MakeNode: it may grow nodes_, invalidating av/bv.
-  size_t acols = av.cols();
-  Matrix out(av.rows(), acols + bv.cols());
-  fwd::ConcatCols(av, bv, &out);
-  bool req = Requires(a) || Requires(b);
-  Var v = MakeNode(std::move(out), req, nullptr);
-  if (!req) return v;
-  int out_id = v.id;
-  int aid = a.id;
-  int bid = b.id;
-  nodes_[out_id].backward = [out_id, aid, bid, acols](Tape* t) {
-    const Matrix& g = t->nodes_[out_id].grad;
-    if (t->nodes_[aid].requires_grad) {
-      Matrix& ag = t->EnsureGrad(aid);
-      for (size_t r = 0; r < g.rows(); ++r) {
-        for (size_t c = 0; c < acols; ++c) ag.at(r, c) += g.at(r, c);
-      }
-    }
-    if (t->nodes_[bid].requires_grad) {
-      Matrix& bg = t->EnsureGrad(bid);
-      for (size_t r = 0; r < g.rows(); ++r) {
-        for (size_t c = 0; c < bg.cols(); ++c) {
-          bg.at(r, c) += g.at(r, acols + c);
-        }
-      }
-    }
-  };
-  return v;
+  Matrix* out = AllocValue(av.rows(), av.cols() + bv.cols());
+  fwd::ConcatCols(av, bv, out);
+  return Emit(out, OpKind::kConcatCols, a, b);
 }
 
 Var Tape::ConcatRows(const std::vector<Var>& parts) {
   NEURSC_CHECK(!parts.empty());
   size_t total_rows = 0;
-  size_t cols = Value(parts[0]).cols();
   bool req = false;
-  std::vector<const Matrix*> values;
-  values.reserve(parts.size());
+  concat_parts_.clear();
   for (Var p : parts) {
-    values.push_back(&Value(p));
-    total_rows += values.back()->rows();
-    req = req || Requires(p);
+    concat_parts_.push_back(&Value(p));
+    total_rows += concat_parts_.back()->rows();
+    req = req || Requires(p.id);
   }
-  Matrix out(total_rows, cols);
-  fwd::ConcatRows(values, &out);
-  Var v = MakeNode(std::move(out), req, nullptr);
-  if (!req) return v;
-  int out_id = v.id;
-  std::vector<int> part_ids;
-  part_ids.reserve(parts.size());
-  for (Var p : parts) part_ids.push_back(p.id);
-  nodes_[out_id].backward = [out_id, part_ids = std::move(part_ids)](Tape* t) {
-    const Matrix& g = t->nodes_[out_id].grad;
-    size_t row2 = 0;
-    for (int pid : part_ids) {
-      const Matrix& pv = t->nodes_[pid].value;
-      if (t->nodes_[pid].requires_grad) {
-        Matrix& pg = t->EnsureGrad(pid);
-        for (size_t r = 0; r < pv.rows(); ++r) {
-          for (size_t c = 0; c < pv.cols(); ++c) {
-            pg.at(r, c) += g.at(row2 + r, c);
-          }
-        }
-      }
-      row2 += pv.rows();
-    }
-  };
-  return v;
+  Matrix* out = AllocValue(total_rows, concat_parts_[0]->cols());
+  fwd::ConcatRows(concat_parts_, out);
+  nodes_.push_back(Node{out, nullptr, nullptr, req});
+  const int id = static_cast<int>(nodes_.size()) - 1;
+  if (req) {
+    Record& r = AppendRecord(OpKind::kConcatRows, id);
+    r.index_begin = static_cast<uint32_t>(indices_.size());
+    r.index_count = static_cast<uint32_t>(parts.size());
+    for (Var p : parts) indices_.push_back(static_cast<uint32_t>(p.id));
+  }
+  return Var{id};
 }
 
-Var Tape::GatherRows(Var x, std::vector<uint32_t> rows) {
+Var Tape::GatherRows(Var x, const std::vector<uint32_t>& rows) {
   const Matrix& xv = Value(x);
-  Matrix out(rows.size(), xv.cols());
-  fwd::GatherRows(xv, rows, &out);
-  bool req = Requires(x);
-  Var v = MakeNode(std::move(out), req, nullptr);
-  if (!req) return v;
-  int out_id = v.id;
-  int xid = x.id;
-  nodes_[out_id].backward = [out_id, xid, rows = std::move(rows)](Tape* t) {
-    const Matrix& g = t->nodes_[out_id].grad;
-    Matrix& xg = t->EnsureGrad(xid);
-    for (size_t i = 0; i < rows.size(); ++i) {
-      for (size_t c = 0; c < g.cols(); ++c) {
-        xg.at(rows[i], c) += g.at(i, c);
-      }
-    }
-  };
-  return v;
+  Matrix* out = AllocValue(rows.size(), xv.cols());
+  fwd::GatherRows(xv, rows, out);
+  return Emit(out, OpKind::kGatherRows, x, Var{}, 0.0, rows);
 }
 
-Var Tape::ScatterAddRows(Var x, std::vector<uint32_t> targets,
+Var Tape::ScatterAddRows(Var x, const std::vector<uint32_t>& targets,
                          size_t num_rows) {
   const Matrix& xv = Value(x);
-  Matrix out(num_rows, xv.cols());
-  fwd::ScatterAddRows(xv, targets, &out);
-  bool req = Requires(x);
-  Var v = MakeNode(std::move(out), req, nullptr);
-  if (!req) return v;
-  int out_id = v.id;
-  int xid = x.id;
-  nodes_[out_id].backward =
-      [out_id, xid, targets = std::move(targets)](Tape* t) {
-        const Matrix& g = t->nodes_[out_id].grad;
-        Matrix& xg = t->EnsureGrad(xid);
-        for (size_t i = 0; i < targets.size(); ++i) {
-          for (size_t c = 0; c < g.cols(); ++c) {
-            xg.at(i, c) += g.at(targets[i], c);
-          }
-        }
-      };
-  return v;
+  Matrix* out = AllocValue(num_rows, xv.cols());
+  fwd::ScatterAddRows(xv, targets, out);
+  return Emit(out, OpKind::kScatterAddRows, x, Var{}, 0.0, targets);
 }
 
-Var Tape::SegmentSoftmax(Var logits, std::vector<uint32_t> segments,
+Var Tape::SegmentSoftmax(Var logits, const std::vector<uint32_t>& segments,
                          size_t num_segments) {
   const Matrix& xv = Value(logits);
-  Matrix out(xv.rows(), 1);
-  std::vector<float> seg_max;
-  std::vector<double> seg_sum;
-  fwd::SegmentSoftmax(xv, segments, num_segments, &out, &seg_max, &seg_sum);
-  bool req = Requires(logits);
-  Var v = MakeNode(std::move(out), req, nullptr);
-  if (!req) return v;
-  int out_id = v.id;
-  int xid = logits.id;
-  nodes_[out_id].backward = [out_id, xid, segments = std::move(segments),
-                             num_segments](Tape* t) {
-    const Matrix& g = t->nodes_[out_id].grad;
-    const Matrix& y = t->nodes_[out_id].value;
-    // dL/dx_i = y_i * (g_i - sum_{j in seg(i)} g_j y_j)
-    std::vector<double> seg_dot(num_segments, 0.0);
-    for (size_t i = 0; i < segments.size(); ++i) {
-      seg_dot[segments[i]] +=
-          static_cast<double>(g.at(i, 0)) * y.at(i, 0);
-    }
-    Matrix d(y.rows(), 1);
-    for (size_t i = 0; i < segments.size(); ++i) {
-      d.at(i, 0) = y.at(i, 0) *
-                   (g.at(i, 0) - static_cast<float>(seg_dot[segments[i]]));
-    }
-    t->AccumulateGrad(xid, d);
-  };
-  return v;
+  Matrix* out = AllocValue(xv.rows(), 1);
+  fwd::SegmentSoftmax(xv, segments, num_segments, out, &seg_max_, &seg_sum_);
+  return Emit(out, OpKind::kSegmentSoftmax, logits, Var{},
+              static_cast<double>(num_segments), segments);
 }
 
 Var Tape::ColBroadcastMul(Var x, Var w) {
   const Matrix& xv = Value(x);
-  Matrix out(xv.rows(), xv.cols());
-  fwd::ColBroadcastMul(xv, Value(w), &out);
-  bool req = Requires(x) || Requires(w);
-  Var v = MakeNode(std::move(out), req, nullptr);
-  if (!req) return v;
-  int out_id = v.id;
-  int xid = x.id;
-  int wid = w.id;
-  nodes_[out_id].backward = [out_id, xid, wid](Tape* t) {
-    const Matrix& g = t->nodes_[out_id].grad;
-    const Matrix& xv2 = t->nodes_[xid].value;
-    const Matrix& wv2 = t->nodes_[wid].value;
-    if (t->nodes_[xid].requires_grad) {
-      Matrix d = g;
-      for (size_t r = 0; r < d.rows(); ++r) {
-        float wr = wv2.at(r, 0);
-        for (size_t c = 0; c < d.cols(); ++c) d.at(r, c) *= wr;
-      }
-      t->AccumulateGrad(xid, d);
-    }
-    if (t->nodes_[wid].requires_grad) {
-      Matrix d(wv2.rows(), 1);
-      for (size_t r = 0; r < g.rows(); ++r) {
-        float dot = 0.0f;
-        for (size_t c = 0; c < g.cols(); ++c) dot += g.at(r, c) * xv2.at(r, c);
-        d.at(r, 0) = dot;
-      }
-      t->AccumulateGrad(wid, d);
-    }
-  };
-  return v;
+  Matrix* out = AllocValue(xv.rows(), xv.cols());
+  fwd::ColBroadcastMul(xv, Value(w), out);
+  return Emit(out, OpKind::kColBroadcastMul, x, w);
 }
 
 Var Tape::SumRows(Var x) {
   const Matrix& xv = Value(x);
-  Matrix out(1, xv.cols());
-  fwd::SumRows(xv, &out);
-  bool req = Requires(x);
-  Var v = MakeNode(std::move(out), req, nullptr);
-  if (!req) return v;
-  int out_id = v.id;
-  int xid = x.id;
-  nodes_[out_id].backward = [out_id, xid](Tape* t) {
-    const Matrix& g = t->nodes_[out_id].grad;
-    Matrix& xg = t->EnsureGrad(xid);
-    for (size_t r = 0; r < xg.rows(); ++r) {
-      for (size_t c = 0; c < xg.cols(); ++c) xg.at(r, c) += g.at(0, c);
-    }
-  };
-  return v;
+  Matrix* out = AllocValue(1, xv.cols());
+  fwd::SumRows(xv, out);
+  return Emit(out, OpKind::kSumRows, x);
 }
 
 Var Tape::MeanRows(Var x) {
@@ -559,45 +285,24 @@ Var Tape::MeanRows(Var x) {
 
 Var Tape::ReduceSum(Var x) {
   const Matrix& xv = Value(x);
-  Matrix out(1, 1);
-  fwd::ReduceSum(xv, &out);
-  bool req = Requires(x);
-  Var v = MakeNode(std::move(out), req, nullptr);
-  if (!req) return v;
-  int out_id = v.id;
-  int xid = x.id;
-  nodes_[out_id].backward = [out_id, xid](Tape* t) {
-    float g = t->nodes_[out_id].grad.at(0, 0);
-    Matrix& xg = t->EnsureGrad(xid);
-    for (size_t i = 0; i < xg.size(); ++i) xg.data()[i] += g;
-  };
-  return v;
+  Matrix* out = AllocValue(1, 1);
+  fwd::ReduceSum(xv, out);
+  return Emit(out, OpKind::kReduceSum, x);
 }
 
 Var Tape::QErrorLoss(Var pred, double target, double eps) {
   const Matrix& pv = Value(pred);
   NEURSC_CHECK(pv.rows() == 1 && pv.cols() == 1);
-  double c_hat = pv.at(0, 0);
+  const double c_hat = pv.at(0, 0);
   fwd::QErrorParts parts = fwd::QError(c_hat, target, eps);
-  Matrix out(1, 1);
-  out.at(0, 0) = parts.loss;
-  bool req = Requires(pred);
-  Var v = MakeNode(std::move(out), req, nullptr);
-  if (!req) return v;
-  int out_id = v.id;
-  int pid = pred.id;
-  const double c = parts.c;
-  const double under = parts.under;
-  const double over = parts.over;
-  nodes_[out_id].backward = [out_id, pid, c, c_hat, eps, under,
-                             over](Tape* t) {
-    float g = t->nodes_[out_id].grad.at(0, 0);
-    double d = (under >= over) ? -c / ((c_hat + eps) * (c_hat + eps))
-                               : 1.0 / c;
-    Matrix delta = Matrix::Scalar(static_cast<float>(g * d));
-    t->AccumulateGrad(pid, delta);
-  };
-  return v;
+  Matrix* out = AllocValue(1, 1);
+  out->at(0, 0) = parts.loss;
+  // d(loss)/d(pred) of whichever branch of the max is active.
+  const double derivative =
+      (parts.under >= parts.over)
+          ? -parts.c / ((c_hat + eps) * (c_hat + eps))
+          : 1.0 / parts.c;
+  return Emit(out, OpKind::kQErrorLoss, pred, Var{}, derivative);
 }
 
 void Tape::Backward(Var loss) {
@@ -607,18 +312,274 @@ void Tape::Backward(Var loss) {
   NEURSC_CHECK(lv.rows() == 1 && lv.cols() == 1)
       << "Backward target must be scalar";
   EnsureGrad(loss.id).at(0, 0) = 1.0f;
-  for (int id = static_cast<int>(nodes_.size()) - 1; id >= 0; --id) {
-    Node& node = nodes_[id];
-    if (!node.requires_grad || node.grad.empty()) continue;
-    if (node.backward) node.backward(this);
-    if (node.param != nullptr) {
+  for (auto it = records_.rbegin(); it != records_.rend(); ++it) {
+    const Matrix* g = nodes_[it->out].grad;
+    if (g == nullptr || g->empty()) continue;
+    BackwardStep(*it, *g);
+  }
+}
+
+void Tape::BackwardStep(const Record& r, const Matrix& g) {
+  const size_t n = g.size();
+  const float* gd = g.data();
+  switch (r.kind) {
+    case OpKind::kLeaf: {
+      Parameter* param = nodes_[r.out].param;
       if (gradient_sink_ != nullptr) {
-        gradient_sink_->Accumulate(node.param, node.grad);
+        gradient_sink_->Accumulate(param, g);
       } else {
-        node.param->grad.AddInPlace(node.grad);
+        param->grad.AddInPlace(g);
       }
+      break;
+    }
+    case OpKind::kMatMul:
+      if (Requires(r.a)) {
+        scratch_.Reshape(g.rows(), V(r.b).rows());
+        Matrix::MatMulTransposeBInto(g, V(r.b), &scratch_);
+        EnsureGrad(r.a).AddInPlace(scratch_);
+      }
+      if (Requires(r.b)) {
+        scratch_.Reshape(V(r.a).cols(), g.cols());
+        Matrix::MatMulTransposeAInto(V(r.a), g, &scratch_);
+        EnsureGrad(r.b).AddInPlace(scratch_);
+      }
+      break;
+    case OpKind::kAdd:
+      if (Requires(r.a)) EnsureGrad(r.a).AddInPlace(g);
+      if (Requires(r.b)) EnsureGrad(r.b).AddInPlace(g);
+      break;
+    case OpKind::kAddRowBroadcast:
+      if (Requires(r.a)) EnsureGrad(r.a).AddInPlace(g);
+      if (Requires(r.b)) {
+        Matrix& bg = EnsureGrad(r.b);
+        for (size_t row = 0; row < g.rows(); ++row) {
+          for (size_t c = 0; c < g.cols(); ++c) bg.at(0, c) += g.at(row, c);
+        }
+      }
+      break;
+    case OpKind::kSub:
+      if (Requires(r.a)) EnsureGrad(r.a).AddInPlace(g);
+      if (Requires(r.b)) {
+        float* bg = EnsureGrad(r.b).data();
+        for (size_t i = 0; i < n; ++i) bg[i] += gd[i] * -1.0f;
+      }
+      break;
+    case OpKind::kMul:
+      if (Requires(r.a)) {
+        const float* bv = V(r.b).data();
+        float* ag = EnsureGrad(r.a).data();
+        for (size_t i = 0; i < n; ++i) ag[i] += gd[i] * bv[i];
+      }
+      if (Requires(r.b)) {
+        const float* av = V(r.a).data();
+        float* bg = EnsureGrad(r.b).data();
+        for (size_t i = 0; i < n; ++i) bg[i] += gd[i] * av[i];
+      }
+      break;
+    case OpKind::kScale: {
+      const float s = static_cast<float>(r.scalar);
+      float* ag = EnsureGrad(r.a).data();
+      for (size_t i = 0; i < n; ++i) ag[i] += gd[i] * s;
+      break;
+    }
+    case OpKind::kRelu: {
+      const float* x = V(r.a).data();
+      float* ag = EnsureGrad(r.a).data();
+      for (size_t i = 0; i < n; ++i) ag[i] += x[i] <= 0.0f ? 0.0f : gd[i];
+      break;
+    }
+    case OpKind::kLeakyRelu: {
+      const float s = static_cast<float>(r.scalar);
+      const float* x = V(r.a).data();
+      float* ag = EnsureGrad(r.a).data();
+      for (size_t i = 0; i < n; ++i) {
+        ag[i] += x[i] <= 0.0f ? gd[i] * s : gd[i];
+      }
+      break;
+    }
+    case OpKind::kSigmoid: {
+      const float* y = V(r.out).data();
+      float* ag = EnsureGrad(r.a).data();
+      for (size_t i = 0; i < n; ++i) ag[i] += gd[i] * (y[i] * (1.0f - y[i]));
+      break;
+    }
+    case OpKind::kTanh: {
+      const float* y = V(r.out).data();
+      float* ag = EnsureGrad(r.a).data();
+      for (size_t i = 0; i < n; ++i) ag[i] += gd[i] * (1.0f - y[i] * y[i]);
+      break;
+    }
+    case OpKind::kExp: {
+      // In the clamped region this uses the boundary derivative exp(+-30)
+      // rather than the true 0, so saturated predictions still receive a
+      // corrective signal (straight-through at the clamp).
+      const float* y = V(r.out).data();
+      float* ag = EnsureGrad(r.a).data();
+      for (size_t i = 0; i < n; ++i) ag[i] += gd[i] * y[i];
+      break;
+    }
+    case OpKind::kLog: {
+      const float* x = V(r.a).data();
+      float* ag = EnsureGrad(r.a).data();
+      for (size_t i = 0; i < n; ++i) ag[i] += gd[i] / std::max(x[i], 1e-12f);
+      break;
+    }
+    case OpKind::kRowSoftmax: {
+      const Matrix& y = V(r.out);
+      Matrix& ag = EnsureGrad(r.a);
+      for (size_t row = 0; row < y.rows(); ++row) {
+        double dot = 0.0;
+        for (size_t c = 0; c < y.cols(); ++c) {
+          dot += static_cast<double>(g.at(row, c)) * y.at(row, c);
+        }
+        for (size_t c = 0; c < y.cols(); ++c) {
+          ag.at(row, c) +=
+              y.at(row, c) * (g.at(row, c) - static_cast<float>(dot));
+        }
+      }
+      break;
+    }
+    case OpKind::kConcatCols: {
+      const size_t acols = V(r.a).cols();
+      if (Requires(r.a)) {
+        Matrix& ag = EnsureGrad(r.a);
+        for (size_t row = 0; row < g.rows(); ++row) {
+          for (size_t c = 0; c < acols; ++c) ag.at(row, c) += g.at(row, c);
+        }
+      }
+      if (Requires(r.b)) {
+        Matrix& bg = EnsureGrad(r.b);
+        for (size_t row = 0; row < g.rows(); ++row) {
+          for (size_t c = 0; c < bg.cols(); ++c) {
+            bg.at(row, c) += g.at(row, acols + c);
+          }
+        }
+      }
+      break;
+    }
+    case OpKind::kConcatRows: {
+      size_t offset = 0;
+      for (uint32_t k = 0; k < r.index_count; ++k) {
+        const int part = static_cast<int>(indices_[r.index_begin + k]);
+        const Matrix& pv = V(part);
+        if (Requires(part)) {
+          Matrix& pg = EnsureGrad(part);
+          for (size_t row = 0; row < pv.rows(); ++row) {
+            for (size_t c = 0; c < pv.cols(); ++c) {
+              pg.at(row, c) += g.at(offset + row, c);
+            }
+          }
+        }
+        offset += pv.rows();
+      }
+      break;
+    }
+    case OpKind::kGatherRows: {
+      const uint32_t* rows = indices_.data() + r.index_begin;
+      Matrix& xg = EnsureGrad(r.a);
+      for (size_t i = 0; i < r.index_count; ++i) {
+        for (size_t c = 0; c < g.cols(); ++c) xg.at(rows[i], c) += g.at(i, c);
+      }
+      break;
+    }
+    case OpKind::kScatterAddRows: {
+      const uint32_t* targets = indices_.data() + r.index_begin;
+      Matrix& xg = EnsureGrad(r.a);
+      for (size_t i = 0; i < r.index_count; ++i) {
+        for (size_t c = 0; c < g.cols(); ++c) {
+          xg.at(i, c) += g.at(targets[i], c);
+        }
+      }
+      break;
+    }
+    case OpKind::kSegmentSoftmax: {
+      // dL/dx_i = y_i * (g_i - sum_{j in seg(i)} g_j y_j)
+      const uint32_t* segments = indices_.data() + r.index_begin;
+      const Matrix& y = V(r.out);
+      seg_sum_.assign(static_cast<size_t>(r.scalar), 0.0);
+      for (size_t i = 0; i < r.index_count; ++i) {
+        seg_sum_[segments[i]] += static_cast<double>(g.at(i, 0)) * y.at(i, 0);
+      }
+      Matrix& xg = EnsureGrad(r.a);
+      for (size_t i = 0; i < r.index_count; ++i) {
+        xg.at(i, 0) += y.at(i, 0) * (g.at(i, 0) -
+                                     static_cast<float>(seg_sum_[segments[i]]));
+      }
+      break;
+    }
+    case OpKind::kColBroadcastMul: {
+      const Matrix& xv = V(r.a);
+      const Matrix& wv = V(r.b);
+      if (Requires(r.a)) {
+        Matrix& xg = EnsureGrad(r.a);
+        for (size_t row = 0; row < g.rows(); ++row) {
+          const float wr = wv.at(row, 0);
+          for (size_t c = 0; c < g.cols(); ++c) {
+            xg.at(row, c) += g.at(row, c) * wr;
+          }
+        }
+      }
+      if (Requires(r.b)) {
+        Matrix& wg = EnsureGrad(r.b);
+        for (size_t row = 0; row < g.rows(); ++row) {
+          float dot = 0.0f;
+          for (size_t c = 0; c < g.cols(); ++c) {
+            dot += g.at(row, c) * xv.at(row, c);
+          }
+          wg.at(row, 0) += dot;
+        }
+      }
+      break;
+    }
+    case OpKind::kSumRows: {
+      Matrix& xg = EnsureGrad(r.a);
+      for (size_t row = 0; row < xg.rows(); ++row) {
+        for (size_t c = 0; c < xg.cols(); ++c) xg.at(row, c) += g.at(0, c);
+      }
+      break;
+    }
+    case OpKind::kReduceSum: {
+      const float gs = g.at(0, 0);
+      Matrix& xg = EnsureGrad(r.a);
+      for (size_t i = 0; i < xg.size(); ++i) xg.data()[i] += gs;
+      break;
+    }
+    case OpKind::kQErrorLoss:
+      EnsureGrad(r.a).at(0, 0) += static_cast<float>(g.at(0, 0) * r.scalar);
+      break;
+  }
+}
+
+TapePool::Lease TapePool::Acquire() {
+  std::unique_ptr<Tape> tape;
+  {
+    MutexLock lock(&mu_);
+    if (!free_.empty()) {
+      tape = std::move(free_.back());
+      free_.pop_back();
+    } else {
+      tape.reset(new Tape());
+      ++created_;
+      NEURSC_GAUGE_SET("eval/pool_contexts", static_cast<double>(created_));
     }
   }
+  tape->Reset();
+  return Lease(this, std::move(tape));
+}
+
+void TapePool::Release(std::unique_ptr<Tape> tape) {
+  MutexLock lock(&mu_);
+  free_.push_back(std::move(tape));
+}
+
+size_t TapePool::created() const {
+  MutexLock lock(&mu_);
+  return created_;
+}
+
+size_t TapePool::idle() const {
+  MutexLock lock(&mu_);
+  return free_.size();
 }
 
 }  // namespace neursc

@@ -2,10 +2,13 @@
 #define NEURSC_NN_TAPE_H_
 
 #include <cstdint>
-#include <functional>
+#include <deque>
+#include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
+#include "common/mutex.h"
 #include "nn/matrix.h"
 #include "nn/param.h"
 
@@ -44,65 +47,69 @@ class GradientSink {
   std::unordered_map<Parameter*, Matrix> buffers_;
 };
 
-/// Eager reverse-mode automatic differentiation.
+/// The execution engine: eager evaluation with optional reverse-mode
+/// automatic differentiation. Training, validation and inference all run
+/// on it (docs/execution.md).
 ///
-/// Operations execute immediately and record a backward closure; calling
-/// Backward(loss) propagates d(loss)/d(node) to every node and accumulates
-/// into Parameter::grad for leaves created with Leaf(). A Tape represents a
-/// single forward pass: Clear() (or a fresh Tape) is required between
-/// passes. The op vocabulary is the minimal set needed by GNNs: dense
-/// algebra, pointwise nonlinearities, and segment (scatter/gather) ops for
-/// message passing and attention.
+/// Each op takes its output from a reusable arena of Matrix slots, computes
+/// it with its one kernel in nn/kernels.h, and — when an operand needs a
+/// gradient — appends a typed op record: the op kind, the operand node
+/// ids, a scalar, and a span of the op's index list (copied into a reused
+/// per-tape buffer). Backward(loss) walks the records in reverse and
+/// accumulates d(loss)/d(node) into gradient slots drawn from a second
+/// arena, then into Parameter::grad (or the installed GradientSink) for
+/// every node created with Leaf(). Backward may run once per pass.
+/// Reset() rewinds nodes, records, index buffer, gradient slots and the
+/// backward flag for the next pass, keeping every capacity, so repeated
+/// same-shaped passes perform no arena allocation after the first.
+/// `arena_grows()` counts every value or gradient slot append or capacity
+/// increase (also exported as the `eval/arena_grows` counter).
 ///
-/// The Tape is the *training* backend of the execution-context concept
-/// (docs/execution.md): modules are templated over the context, and
-/// forward-only call sites run the same op sequence on the tape-free
-/// EvalContext (nn/eval.h) instead. Both backends evaluate their forward
-/// values through the shared kernels in nn/kernels.h, so their outputs are
-/// bit-identical by construction.
+/// The op vocabulary is the minimal set needed by GNNs: dense algebra,
+/// pointwise nonlinearities, and segment (scatter/gather) ops for message
+/// passing and attention.
 ///
 /// Threading contract (docs/threading.md): a Tape is confined to one
 /// thread — it is not internally synchronized, and all its mutable state
-/// (the node list, per-node gradients, the backward flag, the gradient
-/// sink pointer) lives in the Tape instance; there are no global or
-/// thread-local caches anywhere in the nn layer. Independent tapes on
+/// (nodes, records, arenas, the backward flag, the gradient sink pointer)
+/// lives in the Tape instance; there are no global or thread-local caches
+/// in the nn layer beyond the GEMM packing buffer. Independent tapes on
 /// different threads are therefore safe to run concurrently, *including*
-/// forward passes that share Parameters: Constant()/forward ops only read
-/// Parameter::value. Backward() on a shared Parameter set is also safe
-/// across threads **when each tape has its own GradientSink installed**
-/// (set_gradient_sink): leaf gradients then land in the tape-local sink,
-/// and the sinks are reduced into Parameter::grad serially afterwards, in
-/// example-index order, so the result is bit-identical at every thread
-/// count — this is how data-parallel training works. Without a sink,
-/// Backward() accumulates into Parameter::grad directly and gradient work
-/// for one Parameter set must stay on one thread at a time (the serial
-/// critic updates use this mode). Mutating a shared Parameter (optimizer
-/// steps, weight clamping, LoadModel) while another thread runs a
-/// forward or backward pass over it is a data race. The same confinement
-/// rules apply to EvalContext, with one addition: an EvalContext's arena
-/// is reused across passes, so a context must not be handed to another
-/// thread until the previous pass's results have been fully consumed —
-/// pooled serving goes through EvalContextPool, which enforces exclusive
-/// leases (see nn/eval.h and docs/threading.md).
+/// passes that share Parameters: ops only read Parameter::value.
+/// Backward() on a shared Parameter set is also safe across threads
+/// **when each tape has its own GradientSink installed**: leaf gradients
+/// then land in the tape-local sink, and the sinks are reduced into
+/// Parameter::grad serially afterwards, in example-index order, so the
+/// result is bit-identical at every thread count — this is how
+/// data-parallel training works. Without a sink, Backward() accumulates
+/// into Parameter::grad directly and gradient work for one Parameter set
+/// must stay on one thread at a time (the serial critic updates use this
+/// mode). Mutating a shared Parameter (optimizer steps, weight clamping,
+/// LoadModel) while another thread runs a pass over it is a data race.
+/// Because the arenas are reused, a tape must not be handed to another
+/// thread until the previous pass's results have been consumed; parallel
+/// callers lease tapes from a TapePool, which enforces exclusive leases.
 class Tape {
  public:
   Tape() = default;
   Tape(const Tape&) = delete;
   Tape& operator=(const Tape&) = delete;
 
-  /// A leaf with no gradient tracking (inputs, constants).
-  Var Constant(Matrix value);
-  /// A leaf bound to a trainable parameter; Backward() accumulates into
-  /// `param->grad`. The parameter must outlive the tape.
+  /// Rewinds the tape for the next pass and uninstalls the gradient sink.
+  /// Capacity is kept, which is what makes repeated same-shaped passes
+  /// allocation-free.
+  void Reset();
+
+  /// A leaf with no gradient tracking, holding a copy of `value` in the
+  /// arena (so temporaries are safe to pass).
+  Var Constant(const Matrix& value);
+  /// A leaf bound to a trainable parameter. It borrows `param->value`
+  /// without copying; Backward() accumulates into `param->grad`. The
+  /// parameter must outlive the pass and keep its value until then.
   Var Leaf(Parameter* param);
 
-  /// Reference into the node vector: invalidated by any node-creating
-  /// call (every op may reallocate nodes_). Copy out what you need
-  /// before building more graph.
-  const Matrix& Value(Var v) const { return nodes_[v.id].value; }
-  /// Gradient of the last Backward() target w.r.t. v. Zero matrix if the
-  /// node was not reached.
-  const Matrix& Grad(Var v) const { return nodes_[v.id].grad; }
+  /// A node's value. The reference stays valid until Reset().
+  const Matrix& Value(Var v) const { return *nodes_[v.id].value; }
 
   // --- Dense algebra ---
   Var MatMul(Var a, Var b);
@@ -121,7 +128,8 @@ class Tape {
   Var Sigmoid(Var a);
   Var Tanh(Var a);
   /// exp() with input clamped to [-30, 30] for numeric safety; used to map
-  /// the predictor's log-scale output to a positive count.
+  /// the predictor's log-scale output to a positive count. The gradient
+  /// uses the clamped output (straight-through at the clamp).
   Var Exp(Var a);
   /// Natural log with the input floored at 1e-12.
   Var Log(Var a);
@@ -135,13 +143,14 @@ class Tape {
   /// Vertical stacking of the given vars (column counts must match).
   Var ConcatRows(const std::vector<Var>& parts);
   /// out[i] = x[rows[i]]; duplicates allowed (gradient accumulates).
-  Var GatherRows(Var x, std::vector<uint32_t> rows);
+  Var GatherRows(Var x, const std::vector<uint32_t>& rows);
   /// out (num_rows x d) with out[targets[i]] += x[i].
-  Var ScatterAddRows(Var x, std::vector<uint32_t> targets, size_t num_rows);
+  Var ScatterAddRows(Var x, const std::vector<uint32_t>& targets,
+                     size_t num_rows);
   /// Softmax of a column vector (m x 1) within each segment:
   /// out[i] = exp(x[i]) / sum_{j: seg[j]==seg[i]} exp(x[j]), computed with
   /// the per-segment max subtracted. Empty segments are fine.
-  Var SegmentSoftmax(Var logits, std::vector<uint32_t> segments,
+  Var SegmentSoftmax(Var logits, const std::vector<uint32_t>& segments,
                      size_t num_segments);
   /// Multiplies row i of x (m x d) by scalar w[i] (w is m x 1).
   Var ColBroadcastMul(Var x, Var w);
@@ -158,7 +167,7 @@ class Tape {
   Var QErrorLoss(Var pred, double target, double eps = 1e-9);
 
   /// Runs reverse-mode accumulation from `loss` (must be 1x1) with seed 1.
-  /// May be called once per tape. Leaf gradients go to Parameter::grad, or
+  /// May be called once per pass. Leaf gradients go to Parameter::grad, or
   /// to the installed gradient sink when one is set.
   void Backward(Var loss);
 
@@ -167,36 +176,159 @@ class Tape {
   /// restore direct accumulation. The sink must outlive the Backward()
   /// call. Must be set before Backward() runs to take effect.
   void set_gradient_sink(GradientSink* sink) { gradient_sink_ = sink; }
-  GradientSink* gradient_sink() const { return gradient_sink_; }
 
-  /// Pre-sizes the node list. Training tapes have stable node counts per
-  /// query across epochs, so reserving the previous epoch's count removes
-  /// reallocation churn from the hot loop.
-  void ReserveNodes(size_t n) { nodes_.reserve(n); }
-
-  /// Number of recorded nodes (diagnostics/tests).
+  /// Number of recorded nodes this pass (diagnostics/tests).
   size_t NumNodes() const { return nodes_.size(); }
+  /// Arena growth events since construction: a value or gradient slot
+  /// appended, or a slot's float capacity increased. Flat across passes
+  /// once the tape is warmed up on the largest shapes it will see.
+  uint64_t arena_grows() const { return arena_grows_; }
+  /// Bytes currently held by the value and gradient slots.
+  size_t arena_bytes() const;
+  /// Number of value slots ever allocated.
+  size_t num_slots() const { return slots_.size(); }
 
  private:
-  struct Node {
-    Matrix value;
-    Matrix grad;  // allocated lazily on first contribution
-    bool requires_grad = false;
-    Parameter* param = nullptr;
-    // Propagates this node's grad into its inputs' grads.
-    std::function<void(Tape*)> backward;
+  enum class OpKind : uint8_t {
+    kLeaf,
+    kMatMul,
+    kAdd,
+    kAddRowBroadcast,
+    kSub,
+    kMul,
+    kScale,
+    kRelu,
+    kLeakyRelu,
+    kSigmoid,
+    kTanh,
+    kExp,
+    kLog,
+    kRowSoftmax,
+    kConcatCols,
+    kConcatRows,
+    kGatherRows,
+    kScatterAddRows,
+    kSegmentSoftmax,
+    kColBroadcastMul,
+    kSumRows,
+    kReduceSum,
+    kQErrorLoss,
   };
 
-  Var MakeNode(Matrix value, bool requires_grad,
-               std::function<void(Tape*)> backward);
-  /// Adds `delta` into node id's grad, allocating it on first touch.
-  void AccumulateGrad(int id, const Matrix& delta);
+  struct Node {
+    /// An arena slot, or the borrowed value of a Leaf's parameter.
+    const Matrix* value = nullptr;
+    /// Gradient slot, taken from the gradient arena on first contribution.
+    Matrix* grad = nullptr;
+    Parameter* param = nullptr;
+    bool requires_grad = false;
+  };
+
+  /// What Backward needs of one op whose output requires a gradient.
+  struct Record {
+    OpKind kind = OpKind::kLeaf;
+    int out = -1;
+    int a = -1;
+    int b = -1;
+    /// Scale factor, LeakyRelu slope, SegmentSoftmax segment count, or
+    /// the QErrorLoss derivative.
+    double scalar = 0.0;
+    /// The op's index list (rows, targets, segments, ConcatRows part
+    /// ids): indices_[index_begin, index_begin + index_count).
+    uint32_t index_begin = 0;
+    uint32_t index_count = 0;
+  };
+
+  /// Next slot of `arena` (cursor `used`), reshaped (zero-filled) to
+  /// rows x cols. Growth is counted at most once per call.
+  Matrix* AllocSlot(std::deque<Matrix>* arena, size_t* used, size_t rows,
+                    size_t cols);
+  Matrix* AllocValue(size_t rows, size_t cols) {
+    return AllocSlot(&slots_, &slots_used_, rows, cols);
+  }
+  /// Appends the node for `value`. When `a` or `b` requires a gradient,
+  /// so does the node, and its record is appended with `indices` copied
+  /// into the index buffer.
+  Var Emit(const Matrix* value, OpKind kind, Var a, Var b = Var{},
+           double scalar = 0.0, std::span<const uint32_t> indices = {});
+  Record& AppendRecord(OpKind kind, int out);
+  bool Requires(int id) const { return nodes_[id].requires_grad; }
+  const Matrix& V(int id) const { return *nodes_[id].value; }
   Matrix& EnsureGrad(int id);
-  bool Requires(Var v) const { return nodes_[v.id].requires_grad; }
+  /// Runs one record's backward step; `g` is the gradient of its output.
+  void BackwardStep(const Record& r, const Matrix& g);
 
   std::vector<Node> nodes_;
+  std::vector<Record> records_;
+  std::vector<uint32_t> indices_;
+  /// Value and gradient arenas. Deques keep slot addresses stable while
+  /// an arena grows, so Value() references survive later ops.
+  std::deque<Matrix> slots_;
+  size_t slots_used_ = 0;
+  std::deque<Matrix> grad_slots_;
+  size_t grad_slots_used_ = 0;
+  uint64_t arena_grows_ = 0;
   bool backward_done_ = false;
   GradientSink* gradient_sink_ = nullptr;
+  /// Op scratch, reused across passes like the slots.
+  Matrix scratch_;
+  std::vector<const Matrix*> concat_parts_;
+  std::vector<float> seg_max_;
+  std::vector<double> seg_sum_;
+};
+
+/// Hands out tapes to parallel tasks. ParallelFor distributes indices by
+/// an atomic counter with no per-worker identity, so workspaces cannot be
+/// indexed by thread; instead each task leases a tape for the duration of
+/// one pass and returns it. The pool grows to the peak concurrency ever
+/// observed (gauge `eval/pool_contexts`) and reuses those tapes forever
+/// after, preserving their warmed-up arenas. Acquire/Release are
+/// mutex-protected; the leased tape itself is exclusively owned until the
+/// Lease dies.
+class TapePool {
+ public:
+  class Lease {
+   public:
+    Lease(TapePool* pool, std::unique_ptr<Tape> tape)
+        : pool_(pool), tape_(std::move(tape)) {}
+    Lease(Lease&& other) noexcept = default;
+    Lease& operator=(Lease&&) = delete;
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+    ~Lease() {
+      if (tape_ != nullptr) pool_->Release(std::move(tape_));
+    }
+
+    Tape* get() const { return tape_.get(); }
+    Tape* operator->() const { return tape_.get(); }
+    Tape& operator*() const { return *tape_; }
+
+   private:
+    TapePool* pool_;
+    std::unique_ptr<Tape> tape_;
+  };
+
+  TapePool() = default;
+  TapePool(const TapePool&) = delete;
+  TapePool& operator=(const TapePool&) = delete;
+
+  /// Leases a Reset() tape: a pooled one when available, else a fresh one.
+  /// The lease returns it on destruction.
+  Lease Acquire() NEURSC_EXCLUDES(mu_);
+
+  /// Tapes created over the pool's lifetime (== peak concurrency).
+  size_t created() const NEURSC_EXCLUDES(mu_);
+  /// Tapes currently parked in the pool.
+  size_t idle() const NEURSC_EXCLUDES(mu_);
+
+ private:
+  void Release(std::unique_ptr<Tape> tape) NEURSC_EXCLUDES(mu_);
+
+  /// Guards the free list and the creation count; a leased tape itself is
+  /// unsynchronized by contract (exclusively owned until the Lease dies).
+  mutable Mutex mu_;
+  std::vector<std::unique_ptr<Tape>> free_ NEURSC_GUARDED_BY(mu_);
+  size_t created_ NEURSC_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace neursc

@@ -4,7 +4,7 @@
 // EstimateOnSubstructures, and EstimateBatch return bit-identical results
 // at every NEURSC_THREADS value: all random decisions are drawn from the
 // estimator RNG serially before the parallel region, every forward pass
-// runs on its own EvalContext with a private RNG, and per-substructure
+// runs on its own pooled Tape with a private RNG, and per-substructure
 // counts are reduced in index order. These tests enforce the contract by
 // comparing each parallel configuration against the single-threaded
 // reference across RNG seeds, including the r_s < 1 sampling path, with

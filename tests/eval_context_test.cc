@@ -1,17 +1,14 @@
-// Differential suite for the tape-free inference engine (nn/eval.h).
+// Workspace suite for the execution engine (nn/tape.h).
 //
-// The execution-context refactor (docs/execution.md) promises that the
-// forward-only EvalContext and the autograd Tape compute bit-identical
-// values: both backends call the shared kernels in nn/kernels.h, so their
-// floats agree by construction, not within a tolerance. These tests
-// enforce that contract at three levels — op by op, one WEst forward
-// pass on fresh weights, and WEst forward passes of a trained estimator
-// over every substructure its queries extract — and pin the EvalContext's
-// workspace-reuse guarantee: after a warm-up pass, repeated forwards on
-// same-shaped inputs perform zero arena growth.
+// A Tape reuses its value and gradient arenas across passes, so these
+// tests pin what reuse must not change: a pass on a reused tape computes
+// the same bits as one on a fresh tape, forward-only and with Backward,
+// and after a warm-up pass per shape, repeated passes perform zero arena
+// growth. They also cover Leaf's borrow of the parameter value and the
+// TapePool that serves training, validation and inference.
 //
 // The pooled-workspace cases carry the "concurrency" label so the ci.sh
-// TSan lane exercises EvalContextPool under real thread contention.
+// TSan lane exercises TapePool under real thread contention.
 
 #include <cstdint>
 #include <cstdlib>
@@ -29,7 +26,6 @@
 #include "core/west.h"
 #include "graph/graph.h"
 #include "matching/substructure.h"
-#include "nn/eval.h"
 #include "nn/tape.h"
 #include "test_util.h"
 
@@ -116,14 +112,6 @@ std::vector<Graph> TestQueries() {
   return queries;
 }
 
-std::vector<TrainingExample> TinyExamples() {
-  std::vector<TrainingExample> examples;
-  for (const Graph& q : TestQueries()) {
-    examples.push_back(TrainingExample{q, 6.0});
-  }
-  return examples;
-}
-
 /// Fixture matching west_test.cc: a triangle query against a data graph of
 /// two triangles joined by a bridge edge.
 struct WEstFixture {
@@ -142,213 +130,17 @@ struct WEstFixture {
   }
 };
 
-// --- Level 1: every op, bit for bit -----------------------------------
-
-TEST(EvalContextOpTest, OpVocabularyMatchesTapeBitForBit) {
-  Rng rng(2024);
-  Matrix a4x3 = RandomMatrix(4, 3, &rng);
-  Matrix b4x3 = RandomMatrix(4, 3, &rng);
-  Matrix b3x5 = RandomMatrix(3, 5, &rng);
-  Matrix bias = RandomMatrix(1, 3, &rng);
-  Matrix col4 = RandomMatrix(4, 1, &rng);
-  Matrix pred(1, 1);
-  pred.at(0, 0) = 7.25f;
-  std::vector<uint32_t> gather_rows = {2, 0, 3, 1, 2};
-  std::vector<uint32_t> scatter_targets = {1, 0, 1, 2};
-  std::vector<uint32_t> segments = {0, 0, 1, 1};
-
-  Tape tape;
-  EvalContext eval;
-
-  // Each entry builds the same expression on both backends and returns the
-  // pair of output nodes to compare.
-  struct Case {
-    std::string name;
-    Var on_tape;
-    Var on_eval;
-  };
-  std::vector<Case> cases;
-  auto both = [&](const std::string& name, auto&& build) {
-    cases.push_back(Case{name, build(&tape), build(&eval)});
-  };
-
-  both("MatMul", [&](auto* ctx) {
-    return ctx->MatMul(ctx->Constant(a4x3), ctx->Constant(b3x5));
-  });
-  both("Add", [&](auto* ctx) {
-    return ctx->Add(ctx->Constant(a4x3), ctx->Constant(b4x3));
-  });
-  both("AddRowBroadcast", [&](auto* ctx) {
-    return ctx->AddRowBroadcast(ctx->Constant(a4x3), ctx->Constant(bias));
-  });
-  both("Sub", [&](auto* ctx) {
-    return ctx->Sub(ctx->Constant(a4x3), ctx->Constant(b4x3));
-  });
-  both("Mul", [&](auto* ctx) {
-    return ctx->Mul(ctx->Constant(a4x3), ctx->Constant(b4x3));
-  });
-  both("Scale", [&](auto* ctx) {
-    return ctx->Scale(ctx->Constant(a4x3), 0.37f);
-  });
-  both("Relu", [&](auto* ctx) { return ctx->Relu(ctx->Constant(a4x3)); });
-  both("LeakyRelu", [&](auto* ctx) {
-    return ctx->LeakyRelu(ctx->Constant(a4x3), 0.2f);
-  });
-  both("Sigmoid", [&](auto* ctx) {
-    return ctx->Sigmoid(ctx->Constant(a4x3));
-  });
-  both("Tanh", [&](auto* ctx) { return ctx->Tanh(ctx->Constant(a4x3)); });
-  both("Exp", [&](auto* ctx) { return ctx->Exp(ctx->Constant(a4x3)); });
-  both("Log", [&](auto* ctx) { return ctx->Log(ctx->Constant(a4x3)); });
-  both("RowSoftmax", [&](auto* ctx) {
-    return ctx->RowSoftmax(ctx->Constant(a4x3));
-  });
-  both("ConcatCols", [&](auto* ctx) {
-    return ctx->ConcatCols(ctx->Constant(a4x3), ctx->Constant(b4x3));
-  });
-  both("ConcatRows", [&](auto* ctx) {
-    std::vector<Var> parts = {ctx->Constant(a4x3), ctx->Constant(b4x3)};
-    return ctx->ConcatRows(parts);
-  });
-  both("GatherRows", [&](auto* ctx) {
-    return ctx->GatherRows(ctx->Constant(a4x3), gather_rows);
-  });
-  both("ScatterAddRows", [&](auto* ctx) {
-    return ctx->ScatterAddRows(ctx->Constant(a4x3), scatter_targets, 3);
-  });
-  both("SegmentSoftmax", [&](auto* ctx) {
-    return ctx->SegmentSoftmax(ctx->Constant(col4), segments, 2);
-  });
-  both("ColBroadcastMul", [&](auto* ctx) {
-    return ctx->ColBroadcastMul(ctx->Constant(a4x3), ctx->Constant(col4));
-  });
-  both("SumRows", [&](auto* ctx) {
-    return ctx->SumRows(ctx->Constant(a4x3));
-  });
-  both("MeanRows", [&](auto* ctx) {
-    return ctx->MeanRows(ctx->Constant(a4x3));
-  });
-  both("ReduceSum", [&](auto* ctx) {
-    return ctx->ReduceSum(ctx->Constant(a4x3));
-  });
-  both("QErrorLoss", [&](auto* ctx) {
-    return ctx->QErrorLoss(ctx->Constant(pred), 12.0);
-  });
-
-  for (const Case& c : cases) {
-    ExpectBitEqual(tape.Value(c.on_tape), eval.Value(c.on_eval), c.name);
-  }
-}
+// --- Leaf borrows the parameter value -------------------------------
 
 TEST(EvalContextOpTest, LeafBorrowsParameterWithoutCopy) {
   Rng rng(7);
   Parameter p;
   p.value = RandomMatrix(3, 3, &rng);
-  EvalContext eval;
-  Var leaf = eval.Leaf(&p);
+  Tape tape;
+  Var leaf = tape.Leaf(&p);
   // Leaf is a borrow: the node aliases the parameter storage directly.
-  EXPECT_EQ(&eval.Value(leaf), &p.value);
-  EXPECT_EQ(eval.num_slots(), 0u);
-}
-
-// --- Level 2: one WEst forward pass, all variants ---------------------
-
-TEST(EvalContextWEstTest, ForwardBitIdenticalAcrossBackends) {
-  WEstFixture fx;
-  const Substructure& sub = fx.extraction.substructures[0];
-  Matrix qf = fx.features.Compute(fx.query);
-  Matrix sf = fx.features.Compute(sub.graph);
-  for (IntraGnnKind kind : {IntraGnnKind::kGin, IntraGnnKind::kMeanAggregator}) {
-    for (bool use_inter : {true, false}) {
-      for (uint64_t seed : {11u, 22u, 33u}) {
-        WEstConfig config;
-        config.intra_dim = 8;
-        config.inter_dim = 8;
-        config.predictor_hidden = 16;
-        config.intra_kind = kind;
-        config.use_inter = use_inter;
-        config.seed = seed;
-        WEstModel model(fx.features.FeatureDim(), config);
-        const std::string what =
-            std::string(kind == IntraGnnKind::kGin ? "gin" : "mean") +
-            (use_inter ? "+inter" : "") + " seed=" + std::to_string(seed);
-
-        Rng tape_rng(seed * 31 + 1);
-        Tape tape;
-        auto on_tape =
-            model.Forward(&tape, fx.query, sub, qf, sf, &tape_rng);
-
-        Rng eval_rng(seed * 31 + 1);
-        EvalContext eval;
-        auto on_eval =
-            model.Forward(&eval, fx.query, sub, qf, sf, &eval_rng);
-
-        ExpectBitEqual(tape.Value(on_tape.prediction),
-                       eval.Value(on_eval.prediction), what + " prediction");
-        ExpectBitEqual(tape.Value(on_tape.query_repr),
-                       eval.Value(on_eval.query_repr), what + " query_repr");
-        ExpectBitEqual(tape.Value(on_tape.sub_repr),
-                       eval.Value(on_eval.sub_repr), what + " sub_repr");
-      }
-    }
-  }
-}
-
-// --- Level 3: trained weights on real extracted substructures ----------
-
-TEST(EvalContextWEstTest, TrainedForwardBitIdenticalAcrossBackends) {
-  // Training moves the weights away from their initialization, and
-  // extraction yields the substructures Estimate actually evaluates, so
-  // this covers what the fresh-weight single-fixture case above cannot.
-  Graph data = DisjointTriangles(8);
-  for (IntraGnnKind kind : {IntraGnnKind::kGin, IntraGnnKind::kMeanAggregator}) {
-    for (bool use_inter : {true, false}) {
-      for (uint64_t seed : {77u, 123u, 55u}) {
-        NeurSCConfig config = TinyConfig(seed);
-        config.west.intra_kind = kind;
-        config.west.use_inter = use_inter;
-        NeurSCEstimator estimator(data, config);
-        ASSERT_TRUE(estimator.Train(TinyExamples()).ok());
-        FeatureInitializer features(data, config.west.feature_hops);
-        const std::string variant =
-            std::string(kind == IntraGnnKind::kGin ? "gin" : "mean") +
-            (use_inter ? "+inter" : "") + " seed=" + std::to_string(seed);
-
-        std::vector<Graph> queries = TestQueries();
-        for (size_t q = 0; q < queries.size(); ++q) {
-          auto ext = ExtractSubstructures(queries[q], data, config.filter);
-          ASSERT_TRUE(ext.ok()) << ext.status().ToString();
-          ASSERT_FALSE(ext->substructures.empty()) << variant;
-          Matrix qf = features.Compute(queries[q]);
-          for (size_t j = 0; j < ext->substructures.size(); ++j) {
-            const Substructure& sub = ext->substructures[j];
-            Matrix sf = features.Compute(sub.graph);
-            const std::string what = variant + " query=" + std::to_string(q) +
-                                     " sub=" + std::to_string(j);
-
-            Rng tape_rng(seed + j);
-            Tape tape;
-            auto on_tape = estimator.model().Forward(&tape, queries[q], sub,
-                                                     qf, sf, &tape_rng);
-
-            Rng eval_rng(seed + j);
-            EvalContext eval;
-            auto on_eval = estimator.model().Forward(&eval, queries[q], sub,
-                                                     qf, sf, &eval_rng);
-
-            ExpectBitEqual(tape.Value(on_tape.prediction),
-                           eval.Value(on_eval.prediction),
-                           what + " prediction");
-            ExpectBitEqual(tape.Value(on_tape.query_repr),
-                           eval.Value(on_eval.query_repr),
-                           what + " query_repr");
-            ExpectBitEqual(tape.Value(on_tape.sub_repr),
-                           eval.Value(on_eval.sub_repr), what + " sub_repr");
-          }
-        }
-      }
-    }
-  }
+  EXPECT_EQ(&tape.Value(leaf), &p.value);
+  EXPECT_EQ(tape.num_slots(), 0u);
 }
 
 // --- Pooled workspaces under parallelism (TSan lane) ------------------
@@ -379,7 +171,7 @@ TEST(EvalContextPoolTest, PooledEstimateBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(EvalContextPoolTest, SequentialLeasesReuseOneContext) {
-  EvalContextPool pool;
+  TapePool pool;
   for (int i = 0; i < 5; ++i) {
     auto lease = pool.Acquire();
     lease->Constant(Matrix(2, 2));
@@ -392,7 +184,7 @@ TEST(EvalContextPoolTest, ConcurrentLeasesAreExclusive) {
   // Hammer the pool from many threads; each lease runs a small forward
   // chain on its context. TSan (ci.sh lane 2) verifies exclusivity; the
   // created() bound verifies leases never alias.
-  EvalContextPool pool;
+  TapePool pool;
   constexpr size_t kThreads = 8;
   constexpr int kItersPerThread = 50;
   std::vector<std::thread> workers;
@@ -426,13 +218,13 @@ TEST(EvalContextArenaTest, NoGrowthAfterWarmupOnWEstForward) {
   config.predictor_hidden = 16;
   WEstModel model(fx.features.FeatureDim(), config);
 
-  EvalContext eval;
+  Tape tape;
   Rng warm_rng(9);
-  auto warm = model.Forward(&eval, fx.query, sub, qf, sf, &warm_rng);
+  auto warm = model.Forward(&tape, fx.query, sub, qf, sf, &warm_rng);
   (void)warm;
-  const uint64_t grows_after_warmup = eval.arena_grows();
-  const size_t bytes_after_warmup = eval.arena_bytes();
-  const size_t nodes_after_warmup = eval.NumNodes();
+  const uint64_t grows_after_warmup = tape.arena_grows();
+  const size_t bytes_after_warmup = tape.arena_bytes();
+  const size_t nodes_after_warmup = tape.NumNodes();
   EXPECT_GT(grows_after_warmup, 0u);
   EXPECT_GT(bytes_after_warmup, 0u);
 
@@ -441,14 +233,14 @@ TEST(EvalContextArenaTest, NoGrowthAfterWarmupOnWEstForward) {
   // must stay flat.
   MetricsRegistry::Global().Reset();
   for (int pass = 2; pass <= 5; ++pass) {
-    eval.Reset();
+    tape.Reset();
     Rng rng(9);
-    auto fw = model.Forward(&eval, fx.query, sub, qf, sf, &rng);
-    ExpectBitEqual(eval.Value(fw.prediction), eval.Value(fw.prediction),
+    auto fw = model.Forward(&tape, fx.query, sub, qf, sf, &rng);
+    ExpectBitEqual(tape.Value(fw.prediction), tape.Value(fw.prediction),
                    "self");  // sanity: value readable after reuse
-    EXPECT_EQ(eval.arena_grows(), grows_after_warmup) << "pass=" << pass;
-    EXPECT_EQ(eval.arena_bytes(), bytes_after_warmup) << "pass=" << pass;
-    EXPECT_EQ(eval.NumNodes(), nodes_after_warmup) << "pass=" << pass;
+    EXPECT_EQ(tape.arena_grows(), grows_after_warmup) << "pass=" << pass;
+    EXPECT_EQ(tape.arena_bytes(), bytes_after_warmup) << "pass=" << pass;
+    EXPECT_EQ(tape.NumNodes(), nodes_after_warmup) << "pass=" << pass;
   }
   EXPECT_EQ(MetricsRegistry::Global().GetCounter("eval/arena_grows")->Value(),
             0);
@@ -476,18 +268,104 @@ TEST(EvalContextArenaTest, EstimatorSteadyStateAllocationsAreZero) {
 }
 
 TEST(EvalContextArenaTest, ResetKeepsCapacityAndShrinksNodes) {
-  EvalContext eval;
+  Tape tape;
   Rng rng(3);
   Matrix m = RandomMatrix(6, 6, &rng);
-  Var x = eval.Constant(m);
-  eval.Relu(eval.MatMul(x, x));
-  const size_t slots = eval.num_slots();
-  const size_t bytes = eval.arena_bytes();
+  Var x = tape.Constant(m);
+  tape.Relu(tape.MatMul(x, x));
+  const size_t slots = tape.num_slots();
+  const size_t bytes = tape.arena_bytes();
   ASSERT_GT(slots, 0u);
-  eval.Reset();
-  EXPECT_EQ(eval.NumNodes(), 0u);
-  EXPECT_EQ(eval.num_slots(), slots);   // capacity retained
-  EXPECT_EQ(eval.arena_bytes(), bytes);
+  tape.Reset();
+  EXPECT_EQ(tape.NumNodes(), 0u);
+  EXPECT_EQ(tape.num_slots(), slots);   // capacity retained
+  EXPECT_EQ(tape.arena_bytes(), bytes);
+}
+
+TEST(EvalContextArenaTest, ReusedTapeTrainsBitIdenticalToFreshTape) {
+  // One reused tape alternates two training examples of different shapes
+  // (WEst forward, q-error loss, Backward into a GradientSink). Every pass
+  // must reproduce a fresh tape's loss and sink contents bit for bit, and
+  // once each shape has run once the arenas must stop growing.
+  Graph data = MakeGraph({0, 1, 2, 0, 1, 2},
+                         {{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5},
+                          {2, 3}});
+  FeatureInitializer features(data, 1);
+  WEstConfig config;
+  config.intra_dim = 8;
+  config.inter_dim = 8;
+  config.predictor_hidden = 16;
+  WEstModel model(features.FeatureDim(), config);
+
+  struct Example {
+    Graph query;
+    double count = 0.0;
+    ExtractionResult extraction;
+    Matrix query_features;
+    Matrix sub_features;
+  };
+  std::vector<Example> examples(2);
+  examples[0].query = MakeGraph({0, 1, 2}, {{0, 1}, {1, 2}, {0, 2}});
+  examples[0].count = 2.0;
+  examples[1].query = MakeGraph({2, 0}, {{0, 1}});
+  examples[1].count = 7.0;
+  for (Example& ex : examples) {
+    auto ext = ExtractSubstructures(ex.query, data);
+    ASSERT_TRUE(ext.ok()) << ext.status().ToString();
+    ASSERT_FALSE(ext->substructures.empty());
+    ex.extraction = std::move(ext).value();
+    ex.query_features = features.Compute(ex.query);
+    ex.sub_features =
+        features.Compute(ex.extraction.substructures[0].graph);
+  }
+  ASSERT_NE(examples[0].sub_features.rows(), examples[1].sub_features.rows());
+
+  // Runs one training pass on `tape`; returns the loss and the sink's
+  // gradients, reduced into the (zeroed) parameters and read back.
+  auto train_pass = [&](Tape* tape, const Example& ex,
+                        std::vector<Matrix>* grads) {
+    GradientSink sink;
+    tape->set_gradient_sink(&sink);
+    Rng rng(17);
+    auto fw = model.Forward(tape, ex.query, ex.extraction.substructures[0],
+                            ex.query_features, ex.sub_features, &rng);
+    Var loss = tape->QErrorLoss(fw.prediction, ex.count);
+    tape->Backward(loss);
+    model.ZeroGrad();
+    sink.ReduceIntoParameters();
+    grads->clear();
+    for (Parameter* p : model.Parameters()) grads->push_back(p->grad);
+    model.ZeroGrad();
+    return tape->Value(loss);
+  };
+
+  std::vector<Matrix> fresh_loss;
+  std::vector<std::vector<Matrix>> fresh_grads(examples.size());
+  for (size_t e = 0; e < examples.size(); ++e) {
+    Tape fresh;
+    fresh_loss.push_back(train_pass(&fresh, examples[e], &fresh_grads[e]));
+  }
+
+  Tape tape;
+  uint64_t grows_after_warmup = 0;
+  for (size_t pass = 0; pass < 6; ++pass) {
+    const size_t e = pass % examples.size();
+    const std::string what =
+        "pass=" + std::to_string(pass) + " example=" + std::to_string(e);
+    tape.Reset();
+    std::vector<Matrix> grads;
+    ExpectBitEqual(train_pass(&tape, examples[e], &grads), fresh_loss[e],
+                   what + " loss");
+    ASSERT_EQ(grads.size(), fresh_grads[e].size());
+    for (size_t p = 0; p < grads.size(); ++p) {
+      ExpectBitEqual(grads[p], fresh_grads[e][p],
+                     what + " grad of param " + std::to_string(p));
+    }
+    if (pass + 1 == examples.size()) grows_after_warmup = tape.arena_grows();
+    if (pass >= examples.size()) {
+      EXPECT_EQ(tape.arena_grows(), grows_after_warmup) << what;
+    }
+  }
 }
 
 }  // namespace

@@ -30,7 +30,6 @@
 #include "core/west.h"
 #include "graph/graph.h"
 #include "matching/substructure.h"
-#include "nn/eval.h"
 #include "nn/matrix.h"
 #include "nn/tape.h"
 #include "test_util.h"
@@ -124,7 +123,7 @@ TEST(GoldenOutputTest, WEstForwardMatchesPinnedHexfloats) {
         (golden.use_inter ? "+inter" : "");
 
     Rng eval_rng(5);
-    EvalContext eval;
+    Tape eval;
     auto out = model.Forward(&eval, query, sub, qf, sf, &eval_rng);
     const float prediction = eval.Value(out.prediction).scalar();
     const uint64_t repr_hash = HashMatrix(

@@ -116,7 +116,7 @@ TEST(GraphTest, FingerprintPinnedValues) {
   // The fingerprint is a persisted-adjacent contract: PreparedQueryCache
   // keys and any future on-disk caches depend on it, so the FNV-1a mixing
   // must stay bit-stable across refactors (the UBSan audit of ci.sh
-  // stage 7 covers the unsigned arithmetic). These constants are the
+  // stage 6 covers the unsigned arithmetic). These constants are the
   // current hash values; a change here is a cache-invalidating break.
   EXPECT_EQ(MakeGraph({}, {}).Fingerprint(), 9354609568656401157ull);
   EXPECT_EQ(MakeGraph({0}, {}).Fingerprint(), 11689819895610196388ull);

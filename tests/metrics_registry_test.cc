@@ -109,7 +109,7 @@ TEST(HistogramTest, ZeroAndNegativeGoToZeroBucket) {
 }
 
 TEST(HistogramTest, BucketIndexPinnedValues) {
-  // UBSan-audit regression pins (ci.sh stage 7): the +inf guard added to
+  // UBSan-audit regression pins (ci.sh stage 6): the +inf guard added to
   // BucketIndex (casting frexp's unspecified-exponent inf mantissa was
   // float-cast-overflow UB) must not move any finite value's bucket.
   // These constants are the pre-fix bucket assignments.

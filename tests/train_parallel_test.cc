@@ -260,5 +260,24 @@ TEST(TrainParallelTest, PreparedCacheDoesNotChangeResults) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
+TEST(TrainParallelTest, PreparedCacheIsKeyedByDataGraph) {
+  // Prepared data is a function of the data graph too: one cache shared
+  // by estimators over different data graphs must not hand the second the
+  // first one's extraction.
+  ThreadsGuard guard(8);
+  Graph first_data = DisjointTriangles(6);
+  Graph second_data = DisjointTriangles(3);
+  std::vector<TrainingExample> examples = TrainingSet(3);
+  NeurSCConfig config = TrainConfig(99);
+  TrainOutcome uncached = RunTraining(second_data, config, examples);
+
+  PreparedQueryCache cache;
+  RunTraining(first_data, config, examples, &cache);
+  const uint64_t misses_after_first = cache.misses();
+  TrainOutcome shared = RunTraining(second_data, config, examples, &cache);
+  EXPECT_GT(cache.misses(), misses_after_first);
+  ExpectBitIdenticalOutcome(shared, uncached, 8);
+}
+
 }  // namespace
 }  // namespace neursc
