@@ -1,6 +1,5 @@
 // Ablation microbenchmarks for the design choices DESIGN.md calls out:
 //  - global-refinement sweep count vs pruning power and cost,
-//  - profile radius r=1 vs r=2,
 //  - candidate-guided vs unconstrained correspondence selection.
 // Pruning power is reported through benchmark counters.
 
@@ -45,7 +44,6 @@ void BM_FilterRefinementRounds(benchmark::State& state) {
   const Fixture& fx = Fixture::Get();
   CandidateFilterOptions options;
   options.refinement_rounds = static_cast<int>(state.range(0));
-  options.local_only = options.refinement_rounds == 0;
   size_t total_candidates = 0;
   size_t runs = 0;
   for (auto _ : state) {
@@ -60,26 +58,6 @@ void BM_FilterRefinementRounds(benchmark::State& state) {
                          static_cast<double>(std::max<size_t>(runs, 1)));
 }
 BENCHMARK(BM_FilterRefinementRounds)->Arg(0)->Arg(1)->Arg(2)->Arg(4);
-
-void BM_FilterProfileRadius(benchmark::State& state) {
-  const Fixture& fx = Fixture::Get();
-  CandidateFilterOptions options;
-  options.profile_radius = static_cast<int>(state.range(0));
-  options.local_only = true;
-  size_t total_candidates = 0;
-  size_t runs = 0;
-  for (auto _ : state) {
-    for (const Graph& q : fx.queries) {
-      auto cs = ComputeCandidateSets(q, fx.data, options);
-      total_candidates += cs->TotalSize();
-      ++runs;
-    }
-  }
-  state.counters["avg_candidates"] =
-      benchmark::Counter(static_cast<double>(total_candidates) /
-                         static_cast<double>(std::max<size_t>(runs, 1)));
-}
-BENCHMARK(BM_FilterProfileRadius)->Arg(1)->Arg(2);
 
 void BM_CorrespondenceCandidateGuided(benchmark::State& state) {
   const size_t nq = 16;

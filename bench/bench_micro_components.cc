@@ -55,7 +55,7 @@ BENCHMARK(BM_CandidateFiltering)->Arg(4)->Arg(8)->Arg(16);
 void BM_CandidateFilteringLocalOnly(benchmark::State& state) {
   const Fixture& fx = Fixture::Get(static_cast<size_t>(state.range(0)));
   CandidateFilterOptions options;
-  options.local_only = true;
+  options.refinement_rounds = 0;
   for (auto _ : state) {
     auto cs = ComputeCandidateSets(fx.query, fx.data, options);
     benchmark::DoNotOptimize(cs);

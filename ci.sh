@@ -19,10 +19,13 @@
 #      the Release and TSan builds — the bit-identity contract of
 #      docs/execution.md. Stage 6 runs them again under ASan+UBSan, which
 #      covers the AVX2 kernels' vector bodies and scalar tails.
-#   4. Training-throughput smoke: bench_table4_training_time on a tiny
-#      dataset sweeps NEURSC_THREADS {1,2,8} over full training runs and
-#      exits non-zero unless every parallel run reproduces the serial
-#      final weights and loss curves bit for bit.
+#   4. Bench smoke: bench_table4_training_time on a tiny dataset sweeps
+#      NEURSC_THREADS {1,2,8} over full training runs and exits non-zero
+#      unless every parallel run reproduces the serial final weights and
+#      loss curves bit for bit; then the component and ablation
+#      microbenchmarks (bench_micro_components, bench_micro_ablations) run
+#      once each with a short minimum time, so they keep building and
+#      running.
 #   5. Static thread-safety analysis: a Clang build of the full tree with
 #      -DNEURSC_ANALYZE=ON (-Werror=thread-safety), proving every
 #      NEURSC_GUARDED_BY / NEURSC_REQUIRES contract, plus the clang-tidy
@@ -71,10 +74,13 @@ NEURSC_THREADS=8 ctest --test-dir build-tsan -R "$BIT_IDENTITY" \
   --output-on-failure
 
 echo
-echo "=== [4/7] Training-throughput smoke (NEURSC_THREADS sweep) ==="
-cmake --build build -j "$JOBS" --target bench_table4_training_time
+echo "=== [4/7] Bench smoke (NEURSC_THREADS sweep + microbenchmarks) ==="
+cmake --build build -j "$JOBS" --target bench_table4_training_time \
+  bench_micro_components bench_micro_ablations
 NEURSC_SCALE=0.25 NEURSC_EPOCHS=4 NEURSC_QUERIES=8 \
   ./build/bench/bench_table4_training_time
+./build/bench/bench_micro_components --benchmark_min_time=0.01
+./build/bench/bench_micro_ablations --benchmark_min_time=0.01
 
 echo
 echo "=== [5/7] Static analysis: Clang -Werror=thread-safety + clang-tidy ==="

@@ -20,10 +20,8 @@
 // All recording is wait-free relaxed atomics and safe from any thread.
 //
 // Use the NEURSC_COUNTER_* / NEURSC_HISTOGRAM_* macros (below) on hot paths:
-// they cache the name lookup in a function-local static. Defining
-// NEURSC_DISABLE_OBSERVABILITY at compile time turns the macros (and
-// TraceSpan recording in trace.h) into no-ops; setting the environment
-// variable NEURSC_METRICS=off disables recording at runtime.
+// they cache the name lookup in a function-local static. Setting the
+// environment variable NEURSC_METRICS=off disables recording at runtime.
 
 namespace neursc {
 
@@ -202,23 +200,6 @@ class MetricsRegistry {
       NEURSC_GUARDED_BY(mu_);
 };
 
-#if defined(NEURSC_DISABLE_OBSERVABILITY)
-
-#define NEURSC_COUNTER_ADD(name, delta) \
-  do {                                  \
-  } while (0)
-#define NEURSC_COUNTER_INC(name) \
-  do {                           \
-  } while (0)
-#define NEURSC_GAUGE_SET(name, value) \
-  do {                                \
-  } while (0)
-#define NEURSC_HISTOGRAM_RECORD(name, value) \
-  do {                                       \
-  } while (0)
-
-#else
-
 /// Adds `delta` to the counter `name`; the registry lookup happens once per
 /// call site (function-local static).
 #define NEURSC_COUNTER_ADD(name, delta)                           \
@@ -249,8 +230,6 @@ class MetricsRegistry {
       neursc_histogram_site_->Record(value);                      \
     }                                                             \
   } while (0)
-
-#endif  // NEURSC_DISABLE_OBSERVABILITY
 
 }  // namespace neursc
 

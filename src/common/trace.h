@@ -24,8 +24,7 @@
 // bench --trace-out flag calls it) or the environment variable
 // NEURSC_TRACE=on enable it; NEURSC_TRACE=off vetoes Start() entirely. While
 // disabled, a span costs two steady_clock reads plus one relaxed atomic
-// load. Defining NEURSC_DISABLE_OBSERVABILITY compiles recording out; the
-// span still measures elapsed time (callers use ElapsedSeconds()).
+// load.
 //
 // Use the NEURSC_SPAN(var, "name") macro for instrumentation: it also
 // accumulates the span's duration into the histogram "span/<name>", which is
@@ -110,10 +109,8 @@ class TraceSpan {
   explicit TraceSpan(const char* name, Histogram* duration_histogram = nullptr)
       : name_(name),
         histogram_(duration_histogram),
-#if !defined(NEURSC_DISABLE_OBSERVABILITY)
         tracing_(TraceRecorder::Global().enabled()),
         start_us_(tracing_ ? TraceRecorder::Global().NowMicros() : 0),
-#endif
         start_(std::chrono::steady_clock::now()) {
   }
 
@@ -130,7 +127,6 @@ class TraceSpan {
     if (ended_) return;
     ended_ = true;
     end_ = std::chrono::steady_clock::now();
-#if !defined(NEURSC_DISABLE_OBSERVABILITY)
     if (histogram_ != nullptr && MetricsEnabled()) {
       histogram_->Record(ElapsedSeconds());
     }
@@ -140,7 +136,6 @@ class TraceSpan {
                            .count();
       TraceRecorder::Global().Record(name_, start_us_, dur_us);
     }
-#endif
   }
 
   const char* name() const { return name_; }
@@ -151,20 +146,12 @@ class TraceSpan {
  private:
   const char* name_;
   Histogram* histogram_;
-#if !defined(NEURSC_DISABLE_OBSERVABILITY)
   bool tracing_ = false;
   int64_t start_us_ = 0;
-#endif
   std::chrono::steady_clock::time_point start_;
   std::chrono::steady_clock::time_point end_;
   bool ended_ = false;
 };
-
-#if defined(NEURSC_DISABLE_OBSERVABILITY)
-
-#define NEURSC_SPAN(var, name) ::neursc::TraceSpan var((name), nullptr)
-
-#else
 
 /// Declares a TraceSpan named `var` for stage `name` (a string literal like
 /// "filter/refine") whose duration also feeds the histogram "span/<name>".
@@ -173,8 +160,6 @@ class TraceSpan {
       ::neursc::MetricsRegistry::Global().GetHistogram(           \
           ::std::string("span/") + (name));                       \
   ::neursc::TraceSpan var((name), var##_span_hist_)
-
-#endif  // NEURSC_DISABLE_OBSERVABILITY
 
 }  // namespace neursc
 

@@ -33,9 +33,7 @@ Substructure WholeGraphSubstructure(const Graph& data, size_t num_query) {
 uint64_t PreparedSettingsHash(const NeurSCConfig& config) {
   uint64_t h = 14695981039346656037ull;
   for (uint64_t v :
-       {static_cast<uint64_t>(config.filter.profile_radius),
-        static_cast<uint64_t>(config.filter.refinement_rounds),
-        static_cast<uint64_t>(config.filter.local_only),
+       {static_cast<uint64_t>(config.filter.refinement_rounds),
         static_cast<uint64_t>(config.filter.homomorphism_safe),
         static_cast<uint64_t>(config.west.feature_hops),
         static_cast<uint64_t>(config.use_substructure_extraction)}) {

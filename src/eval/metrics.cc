@@ -60,33 +60,4 @@ double Mean(const std::vector<double>& values) {
   return s / static_cast<double>(values.size());
 }
 
-CalibrationStats ComputeCalibration(
-    const std::vector<double>& signed_qerrors) {
-  CalibrationStats stats;
-  stats.count = signed_qerrors.size();
-  if (signed_qerrors.empty()) return stats;
-  std::vector<double> magnitudes;
-  magnitudes.reserve(signed_qerrors.size());
-  size_t under = 0;
-  size_t over = 0;
-  for (double q : signed_qerrors) {
-    double magnitude = std::abs(q);
-    magnitudes.push_back(magnitude);
-    if (magnitude <= 1.0) continue;  // exact
-    if (q < 0.0) {
-      ++under;
-    } else {
-      ++over;
-    }
-  }
-  double n = static_cast<double>(signed_qerrors.size());
-  stats.underestimate_fraction = static_cast<double>(under) / n;
-  stats.overestimate_fraction = static_cast<double>(over) / n;
-  stats.geomean_qerror = GeometricMean(magnitudes);
-  stats.median_qerror = Percentile(magnitudes, 50.0);
-  stats.p90_qerror = Percentile(magnitudes, 90.0);
-  stats.max_qerror = Percentile(magnitudes, 100.0);
-  return stats;
-}
-
 }  // namespace neursc

@@ -37,23 +37,6 @@ double GeometricMean(const std::vector<double>& values);
 
 double Mean(const std::vector<double>& values);
 
-/// Direction-aware summary of a set of signed q-errors: how often and how
-/// badly an estimator under/over-estimates.
-struct CalibrationStats {
-  size_t count = 0;
-  double underestimate_fraction = 0.0;
-  double overestimate_fraction = 0.0;
-  /// Geometric mean of |q-error| (>= 1).
-  double geomean_qerror = 1.0;
-  double median_qerror = 1.0;
-  double p90_qerror = 1.0;
-  double max_qerror = 1.0;
-};
-
-/// Summarizes SignedQError outputs. Exact estimates (|q| == 1) count as
-/// neither under- nor over-estimates.
-CalibrationStats ComputeCalibration(const std::vector<double>& signed_qerrors);
-
 }  // namespace neursc
 
 #endif  // NEURSC_EVAL_METRICS_H_

@@ -165,26 +165,6 @@ WorkloadSplit StratifiedSplit(const Workload& workload,
   return split;
 }
 
-std::vector<WorkloadSplit> KFoldSplits(const Workload& workload, size_t k,
-                                       uint64_t seed) {
-  NEURSC_CHECK(k >= 2);
-  std::vector<size_t> indices(workload.examples.size());
-  std::iota(indices.begin(), indices.end(), 0);
-  Rng rng(seed);
-  rng.Shuffle(&indices);
-  std::vector<WorkloadSplit> splits(k);
-  for (size_t fold = 0; fold < k; ++fold) {
-    for (size_t i = 0; i < indices.size(); ++i) {
-      if (i % k == fold) {
-        splits[fold].test.push_back(indices[i]);
-      } else {
-        splits[fold].train.push_back(indices[i]);
-      }
-    }
-  }
-  return splits;
-}
-
 std::vector<TrainingExample> Gather(const Workload& workload,
                                     const std::vector<size_t>& indices) {
   std::vector<TrainingExample> out;

@@ -64,10 +64,6 @@ WorkloadSplit SplitWorkload(const Workload& workload, double train_fraction,
 WorkloadSplit StratifiedSplit(const Workload& workload,
                               double train_fraction, uint64_t seed);
 
-/// k-fold cross-validation splits (the paper reports 5-fold results).
-std::vector<WorkloadSplit> KFoldSplits(const Workload& workload, size_t k,
-                                       uint64_t seed);
-
 /// Gathers the examples at `indices`.
 std::vector<TrainingExample> Gather(const Workload& workload,
                                     const std::vector<size_t>& indices);

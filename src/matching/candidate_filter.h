@@ -31,14 +31,10 @@ struct CandidateSets {
 /// adopts for its extraction module; shown in [89] to have the strongest
 /// pruning power).
 struct CandidateFilterOptions {
-  /// Neighborhood radius r of the local-pruning profile. r=1 compares the
-  /// labels of direct neighbors (the complexity the paper analyzes).
-  int profile_radius = 1;
   /// Number of global-refinement sweeps (each sweep re-checks every
-  /// candidate pair with the semi-perfect-matching test).
+  /// candidate pair with the semi-perfect-matching test). 0 keeps the
+  /// local-pruning result unrefined.
   int refinement_rounds = 2;
-  /// If true, skip global refinement entirely (local pruning only).
-  bool local_only = false;
   /// Weaken every check to be sound for *homomorphisms* (non-injective
   /// mappings): neighbor-label containment becomes set containment, the
   /// degree test is dropped, and global refinement (which requires
@@ -48,11 +44,11 @@ struct CandidateFilterOptions {
 
 /// Computes candidate sets for every query vertex:
 ///
-/// 1. Local pruning: v is a candidate of u iff the lexicographically sorted
-///    label profile of u's radius-r neighborhood is a sub-multiset of v's.
-///    At radius 1 the profiles are Graph::NeighborLabels, which each graph
-///    builds once, so no per-query profile is computed; larger radii are
-///    materialized per call by BFS.
+/// 1. Local pruning: v is a candidate of u iff it has u's label, at least
+///    u's degree, and the sorted labels of u's direct neighbours are a
+///    sub-multiset of v's (the radius-1 profile the paper analyzes). The
+///    profiles are Graph::NeighborLabels, which each graph builds once, so
+///    no per-query profile is computed.
 /// 2. Global refinement: for v in CS(u), build the bipartite graph between
 ///    N(u) and N(v) with an edge (u', v') iff v' in CS(u'), and drop v if no
 ///    matching saturates N(u). Repeated for `refinement_rounds` sweeps, in

@@ -1,7 +1,6 @@
 #include "matching/substructure.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/metrics_registry.h"
 #include "common/trace.h"
@@ -10,59 +9,72 @@ namespace neursc {
 
 namespace {
 
-/// Splits the induced subgraph over `universe` into connected components,
-/// keeps those at least as large as the query, and localizes candidate sets.
+/// Splits the subgraph of `data` induced by the sorted, duplicate-free
+/// `universe` into connected components in one traversal, keeps those at
+/// least as large as the query, and localizes the candidate sets.
+/// Components come out ordered by their smallest data id, each with its
+/// vertices in ascending order.
 Result<ExtractionResult> SplitIntoSubstructures(
     const Graph& query, const Graph& data,
     const std::vector<VertexId>& universe, const CandidateSets& candidates) {
   NEURSC_SPAN(split_span, "extract/split");
   ExtractionResult out;
-  out.candidates = candidates;
   out.stats.candidate_union_size = universe.size();
   out.stats.total_candidates = candidates.TotalSize();
-  if (universe.size() < query.NumVertices()) {
+  const size_t nq = query.NumVertices();
+  if (universe.size() < nq) {
     out.early_terminate = true;
     return out;
   }
 
-  auto induced = BuildInducedSubgraph(data, universe);
-  if (!induced.ok()) return induced.status();
-  const Graph& whole = induced->graph;
+  // local[v] is kInvalidVertex outside the universe and kUnvisited for a
+  // member not yet reached; once reached, it is v's id in its component
+  // (meaningful only for kept components, hence the original_id check
+  // when candidate sets are localized).
+  constexpr VertexId kUnvisited = kInvalidVertex - 1;
+  std::vector<VertexId> local(data.NumVertices(), kInvalidVertex);
+  for (VertexId v : universe) local[v] = kUnvisited;
 
-  auto components = ConnectedComponents(whole);
-  out.stats.components_total = components.size();
-  for (const auto& component : components) {
-    if (component.size() < query.NumVertices()) continue;
-
-    // Component vertices are local ids within `whole`; translate back to
-    // data-graph ids to build the component graph.
-    std::vector<VertexId> component_data_ids;
-    component_data_ids.reserve(component.size());
-    for (VertexId local : component) {
-      component_data_ids.push_back(induced->original_id[local]);
+  std::vector<VertexId> component;
+  for (VertexId root : universe) {
+    if (local[root] != kUnvisited) continue;
+    ++out.stats.components_total;
+    // Breadth-first, using `component` itself as the queue; every edge
+    // inside the component is seen once from each end.
+    component.assign(1, root);
+    local[root] = 0;
+    size_t edge_ends = 0;
+    for (size_t i = 0; i < component.size(); ++i) {
+      for (VertexId w : data.Neighbors(component[i])) {
+        if (local[w] == kInvalidVertex) continue;
+        ++edge_ends;
+        if (local[w] == kUnvisited) {
+          local[w] = 0;
+          component.push_back(w);
+        }
+      }
     }
-    auto sub = BuildInducedSubgraph(data, component_data_ids);
-    if (!sub.ok()) return sub.status();
-    if (sub->graph.NumEdges() < query.NumEdges()) continue;
+    if (component.size() < nq || edge_ends / 2 < query.NumEdges()) continue;
 
+    std::sort(component.begin(), component.end());
+    auto sub = BuildInducedSubgraph(data, component);
+    if (!sub.ok()) return sub.status();
     Substructure s;
     s.graph = std::move(sub->graph);
     s.original_id = std::move(sub->original_id);
-
-    std::unordered_map<VertexId, VertexId> to_local;
-    to_local.reserve(s.original_id.size());
-    for (size_t i = 0; i < s.original_id.size(); ++i) {
-      to_local.emplace(s.original_id[i], static_cast<VertexId>(i));
+    for (size_t i = 0; i < component.size(); ++i) {
+      local[component[i]] = static_cast<VertexId>(i);
     }
-    s.local_candidates.resize(query.NumVertices());
-    for (size_t u = 0; u < query.NumVertices(); ++u) {
+    // CS(u) is sorted and local ids follow data ids, so each localized
+    // set comes out sorted.
+    s.local_candidates.resize(nq);
+    for (size_t u = 0; u < nq; ++u) {
       for (VertexId v : candidates.candidates[u]) {
-        auto it = to_local.find(v);
-        if (it != to_local.end()) {
-          s.local_candidates[u].push_back(it->second);
+        VertexId lv = local[v];
+        if (lv < s.original_id.size() && s.original_id[lv] == v) {
+          s.local_candidates[u].push_back(lv);
         }
       }
-      std::sort(s.local_candidates[u].begin(), s.local_candidates[u].end());
     }
     out.stats.largest_substructure_vertices =
         std::max(out.stats.largest_substructure_vertices,
@@ -93,7 +105,6 @@ Result<ExtractionResult> ExtractSubstructures(
     NEURSC_COUNTER_INC("extract.early_terminated");
     ExtractionResult out;
     out.early_terminate = true;
-    out.candidates = std::move(candidates).value();
     return out;
   }
   auto universe = candidates->Union();
@@ -103,9 +114,23 @@ Result<ExtractionResult> ExtractSubstructures(
 Result<ExtractionResult> BuildSubstructuresFromVertices(
     const Graph& query, const Graph& data,
     const std::vector<VertexId>& universe, const CandidateSets& candidates) {
+  // SplitIntoSubstructures indexes a |V(data)| array by every universe
+  // vertex and every candidate, so both are range-checked here.
+  if (candidates.candidates.size() != query.NumVertices()) {
+    return Status::InvalidArgument("one candidate set per query vertex");
+  }
+  for (const auto& cs : candidates.candidates) {
+    if (!std::is_sorted(cs.begin(), cs.end()) ||
+        (!cs.empty() && cs.back() >= data.NumVertices())) {
+      return Status::InvalidArgument("candidate set unsorted or out of range");
+    }
+  }
   std::vector<VertexId> sorted = universe;
   std::sort(sorted.begin(), sorted.end());
   sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  if (!sorted.empty() && sorted.back() >= data.NumVertices()) {
+    return Status::InvalidArgument("universe vertex out of range");
+  }
   return SplitIntoSubstructures(query, data, sorted, candidates);
 }
 

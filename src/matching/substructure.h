@@ -42,16 +42,17 @@ struct ExtractionResult {
   /// empty or |union CS| < |V(q)|.
   bool early_terminate = false;
   /// Connected substructures that survived the size check (components
-  /// smaller than the query in vertices or edges are skipped since a query
-  /// cannot embed into a smaller graph).
+  /// smaller than the query in vertices or edges are skipped, before they
+  /// are built, since a query cannot embed into a smaller graph). Ordered
+  /// by smallest data-graph id; each lists its vertices in ascending
+  /// data-graph order.
   std::vector<Substructure> substructures;
-  /// Candidate sets on the full data graph, for reuse by callers.
-  CandidateSets candidates;
   ExtractionStats stats;
 };
 
-/// Runs candidate filtering + induced-subgraph extraction + connected
-/// splitting for `query` on `data`.
+/// Runs candidate filtering, then splits the subgraph induced by the
+/// candidate union into connected substructures in one traversal of
+/// `data`.
 Result<ExtractionResult> ExtractSubstructures(
     const Graph& query, const Graph& data,
     const CandidateFilterOptions& filter_options = {});
@@ -59,7 +60,9 @@ Result<ExtractionResult> ExtractSubstructures(
 /// Builds substructures from an explicit candidate-vertex universe (used by
 /// the "perfect substructure" ablation, where the universe is the set of
 /// data vertices appearing in ground-truth embeddings). `candidates` must
-/// be positioned on the same data graph.
+/// be positioned on the same data graph: one sorted set per query vertex.
+/// Returns InvalidArgument for a universe vertex or candidate outside
+/// `data`, or a malformed `candidates`.
 Result<ExtractionResult> BuildSubstructuresFromVertices(
     const Graph& query, const Graph& data,
     const std::vector<VertexId>& universe, const CandidateSets& candidates);

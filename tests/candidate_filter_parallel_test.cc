@@ -67,14 +67,11 @@ void ExpectIdenticalCandidates(const CandidateSets& a,
 TEST(CandidateFilterParallelTest, MatchesSerialOnRandomGraphs) {
   const std::vector<CandidateFilterOptions> option_variants = [] {
     CandidateFilterOptions defaults;
-    CandidateFilterOptions local_only;
-    local_only.local_only = true;
+    CandidateFilterOptions local;
+    local.refinement_rounds = 0;
     CandidateFilterOptions homomorphism;
     homomorphism.homomorphism_safe = true;
-    CandidateFilterOptions radius2;
-    radius2.profile_radius = 2;
-    return std::vector<CandidateFilterOptions>{defaults, local_only,
-                                               homomorphism, radius2};
+    return std::vector<CandidateFilterOptions>{defaults, local, homomorphism};
   }();
   for (uint64_t seed : {11u, 29u, 47u, 83u, 131u}) {
     GeneratorConfig gconfig;

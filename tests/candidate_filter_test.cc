@@ -1,7 +1,6 @@
 #include "matching/candidate_filter.h"
 
 #include <algorithm>
-#include <queue>
 #include <set>
 #include <string>
 
@@ -34,7 +33,7 @@ TEST(CandidateFilterTest, LocalPruningUsesNeighborLabels) {
   Graph data = MakeGraph({0, 1, 2, 0, 1, 1},
                          {{0, 1}, {0, 2}, {3, 4}, {3, 5}});
   CandidateFilterOptions options;
-  options.local_only = true;
+  options.refinement_rounds = 0;
   auto cs = ComputeCandidateSets(query, data, options);
   ASSERT_TRUE(cs.ok());
   EXPECT_EQ(cs->candidates[0], (std::vector<VertexId>{0}));
@@ -44,7 +43,7 @@ TEST(CandidateFilterTest, DegreeFilterApplies) {
   Graph query = MakeGraph({0, 1, 1}, {{0, 1}, {0, 2}});  // center degree 2
   Graph data = MakeGraph({0, 1, 0, 1, 1}, {{0, 1}, {2, 3}, {2, 4}});
   CandidateFilterOptions options;
-  options.local_only = true;
+  options.refinement_rounds = 0;
   auto cs = ComputeCandidateSets(query, data, options);
   ASSERT_TRUE(cs.ok());
   // v0 has degree 1 < 2, only v2 qualifies for u0.
@@ -93,12 +92,11 @@ TEST(CandidateFilterTest, UnionHelpers) {
 
 // Definition 2 (complete candidate set) as a property: for every embedding
 // found by exact enumeration, every (u, v) pair must be inside CS(u). Swept
-// over random graphs and both radius settings.
-class CandidateCompletenessTest
-    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+// over random graphs.
+class CandidateCompletenessTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(CandidateCompletenessTest, ContainsAllEmbeddingVertices) {
-  auto [seed, radius] = GetParam();
+  const int seed = GetParam();
   auto data = GenerateErdosRenyiGraph(24, 60, 3, seed);
   ASSERT_TRUE(data.ok());
   QueryGeneratorConfig qc;
@@ -108,9 +106,7 @@ TEST_P(CandidateCompletenessTest, ContainsAllEmbeddingVertices) {
   auto query = generator.Generate();
   if (!query.ok()) GTEST_SKIP();
 
-  CandidateFilterOptions options;
-  options.profile_radius = radius;
-  auto cs = ComputeCandidateSets(*query, *data, options);
+  auto cs = ComputeCandidateSets(*query, *data);
   ASSERT_TRUE(cs.ok());
 
   EnumerationOptions eopts;
@@ -129,9 +125,8 @@ TEST_P(CandidateCompletenessTest, ContainsAllEmbeddingVertices) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    RandomGraphs, CandidateCompletenessTest,
-    ::testing::Combine(::testing::Range(1, 13), ::testing::Values(1, 2)));
+INSTANTIATE_TEST_SUITE_P(RandomGraphs, CandidateCompletenessTest,
+                         ::testing::Range(1, 13));
 
 // The filter must never *increase* enumeration results: counting with
 // filtered candidates equals brute-force counting.
@@ -150,29 +145,14 @@ TEST(CandidateFilterTest, FilteredEnumerationMatchesBruteForce) {
 }
 
 // --- Oracle: the filter computed the direct way. Every profile is
-// materialized per call by BFS, and refinement builds a fresh bipartite
+// collected and sorted per call, and refinement builds a fresh bipartite
 // graph and fresh matching state for every candidate pair over one
 // membership vector per query vertex. ComputeCandidateSets must return the
 // same vertices in the same order. ---
 
-std::vector<Label> OracleProfile(const Graph& g, VertexId v, int radius) {
+std::vector<Label> OracleProfile(const Graph& g, VertexId v) {
   std::vector<Label> profile;
-  std::vector<int> dist(g.NumVertices(), -1);
-  std::queue<VertexId> queue;
-  dist[v] = 0;
-  queue.push(v);
-  while (!queue.empty()) {
-    VertexId x = queue.front();
-    queue.pop();
-    if (dist[x] >= std::max(radius, 1)) continue;
-    for (VertexId w : g.Neighbors(x)) {
-      if (dist[w] < 0) {
-        dist[w] = dist[x] + 1;
-        profile.push_back(g.GetLabel(w));
-        queue.push(w);
-      }
-    }
-  }
+  for (VertexId w : g.Neighbors(v)) profile.push_back(g.GetLabel(w));
   std::sort(profile.begin(), profile.end());
   return profile;
 }
@@ -183,12 +163,12 @@ CandidateSets OracleCandidateSets(const Graph& query, const Graph& data,
   CandidateSets result;
   result.candidates.resize(nq);
   for (VertexId u = 0; u < nq; ++u) {
-    std::vector<Label> qp = OracleProfile(query, u, options.profile_radius);
+    std::vector<Label> qp = OracleProfile(query, u);
     for (VertexId v : data.VerticesWithLabel(query.GetLabel(u))) {
       if (!options.homomorphism_safe && data.Degree(v) < query.Degree(u)) {
         continue;
       }
-      std::vector<Label> dp = OracleProfile(data, v, options.profile_radius);
+      std::vector<Label> dp = OracleProfile(data, v);
       bool keep;
       if (options.homomorphism_safe) {
         std::vector<Label> distinct = qp;
@@ -202,7 +182,7 @@ CandidateSets OracleCandidateSets(const Graph& query, const Graph& data,
       if (keep) result.candidates[u].push_back(v);
     }
   }
-  if (options.local_only || options.homomorphism_safe) return result;
+  if (options.homomorphism_safe) return result;
 
   std::vector<std::vector<bool>> is_candidate(
       nq, std::vector<bool>(data.NumVertices(), false));
@@ -239,21 +219,15 @@ CandidateSets OracleCandidateSets(const Graph& query, const Graph& data,
 TEST(CandidateFilterTest, MatchesOracleOnGeneratedWorkloads) {
   std::vector<std::pair<std::string, CandidateFilterOptions>> variants;
   variants.emplace_back("default", CandidateFilterOptions{});
-  CandidateFilterOptions local_only;
-  local_only.local_only = true;
-  variants.emplace_back("local_only", local_only);
   CandidateFilterOptions homomorphism;
   homomorphism.homomorphism_safe = true;
   variants.emplace_back("homomorphism_safe", homomorphism);
-  for (int rounds : {1, 4}) {
+  for (int rounds : {0, 1, 4}) {
     CandidateFilterOptions refine;
     refine.refinement_rounds = rounds;
     variants.emplace_back("refinement_rounds=" + std::to_string(rounds),
                           refine);
   }
-  CandidateFilterOptions radius2;
-  radius2.profile_radius = 2;
-  variants.emplace_back("profile_radius=2", radius2);
 
   size_t compared = 0;
   size_t refined_away = 0;
@@ -286,7 +260,7 @@ TEST(CandidateFilterTest, MatchesOracleOnGeneratedWorkloads) {
           ++compared;
           if (label == "default") {
             CandidateFilterOptions local = options;
-            local.local_only = true;
+            local.refinement_rounds = 0;
             refined_away += OracleCandidateSets(query, *data, local)
                                 .TotalSize() -
                             want.TotalSize();

@@ -1,7 +1,6 @@
 // Property tests of candidate-filter invariants: pruning only ever
-// shrinks candidate sets (more refinement rounds / larger profile radius
-// never add candidates), and the homomorphism-safe mode is a superset of
-// the isomorphism filter.
+// shrinks candidate sets (more refinement rounds never add candidates),
+// and the homomorphism-safe mode is a superset of the isomorphism filter.
 
 #include <gtest/gtest.h>
 
@@ -55,7 +54,7 @@ TEST_P(FilterMonotonicityTest, MoreRefinementNeverAddsCandidates) {
 TEST_P(FilterMonotonicityTest, GlobalRefinementSubsetOfLocal) {
   Instance inst = MakeInstance(GetParam());
   CandidateFilterOptions local;
-  local.local_only = true;
+  local.refinement_rounds = 0;
   auto cs_local = ComputeCandidateSets(inst.query, inst.data, local);
   auto cs_full = ComputeCandidateSets(inst.query, inst.data);
   ASSERT_TRUE(cs_local.ok());
@@ -64,11 +63,6 @@ TEST_P(FilterMonotonicityTest, GlobalRefinementSubsetOfLocal) {
     EXPECT_TRUE(IsSubsetOf(cs_full->candidates[u], cs_local->candidates[u]));
   }
 }
-
-// Note: a radius-2 profile filter is NOT per-vertex stronger than the
-// radius-1 filter (the merged <=r multiset lets 2-hop labels stand in for
-// missing 1-hop labels), so no subset property is asserted across radii —
-// only completeness, which CandidateCompletenessTest covers per radius.
 
 TEST_P(FilterMonotonicityTest, HomomorphismModeIsSuperset) {
   Instance inst = MakeInstance(GetParam());

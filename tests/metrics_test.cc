@@ -1,7 +1,5 @@
 #include "eval/metrics.h"
 
-#include <cmath>
-
 #include <gtest/gtest.h>
 
 #include "eval/reporting.h"
@@ -82,33 +80,6 @@ TEST(ReportingTest, BoxRowContainsAllFields) {
   EXPECT_NE(row.find("med"), std::string::npos);
   EXPECT_NE(row.find("n=5"), std::string::npos);
 }
-
-
-TEST(CalibrationTest, CountsDirections) {
-  // Two underestimates, one overestimate, one exact.
-  std::vector<double> signed_qerrors = {-4.0, -2.0, 8.0, 1.0};
-  CalibrationStats stats = ComputeCalibration(signed_qerrors);
-  EXPECT_EQ(stats.count, 4u);
-  EXPECT_DOUBLE_EQ(stats.underestimate_fraction, 0.5);
-  EXPECT_DOUBLE_EQ(stats.overestimate_fraction, 0.25);
-  EXPECT_NEAR(stats.geomean_qerror, std::pow(4.0 * 2.0 * 8.0 * 1.0, 0.25),
-              1e-9);
-  EXPECT_DOUBLE_EQ(stats.max_qerror, 8.0);
-}
-
-TEST(CalibrationTest, EmptyInput) {
-  CalibrationStats stats = ComputeCalibration({});
-  EXPECT_EQ(stats.count, 0u);
-  EXPECT_DOUBLE_EQ(stats.geomean_qerror, 1.0);
-}
-
-TEST(CalibrationTest, AllExact) {
-  CalibrationStats stats = ComputeCalibration({1.0, 1.0, 1.0});
-  EXPECT_DOUBLE_EQ(stats.underestimate_fraction, 0.0);
-  EXPECT_DOUBLE_EQ(stats.overestimate_fraction, 0.0);
-  EXPECT_DOUBLE_EQ(stats.geomean_qerror, 1.0);
-}
-
 
 TEST(ReportingTest, PrintTableHandlesRaggedRows) {
   // Rows narrower/wider than the header must not crash or misindex.

@@ -57,21 +57,6 @@ TEST(WorkloadTest, SplitPartitionsIndices) {
   EXPECT_EQ(seen.size(), workload->examples.size());
 }
 
-TEST(WorkloadTest, KFoldCoversEverythingOnce) {
-  Graph data = SmallData();
-  auto workload = BuildWorkload(data, {3}, 15);
-  ASSERT_TRUE(workload.ok());
-  auto folds = KFoldSplits(*workload, 5, 9);
-  ASSERT_EQ(folds.size(), 5u);
-  std::vector<size_t> test_seen(workload->examples.size(), 0);
-  for (const auto& fold : folds) {
-    EXPECT_EQ(fold.train.size() + fold.test.size(),
-              workload->examples.size());
-    for (size_t i : fold.test) ++test_seen[i];
-  }
-  for (size_t c : test_seen) EXPECT_EQ(c, 1u);
-}
-
 TEST(WorkloadTest, GatherPullsExamples) {
   Graph data = SmallData();
   auto workload = BuildWorkload(data, {3}, 5);
