@@ -14,7 +14,6 @@
 #include <string>
 
 #include "bench_util.h"
-#include "common/metrics_registry.h"
 
 namespace neursc {
 namespace bench {
@@ -107,7 +106,6 @@ bool RunThreadSweep(const BenchEnv& env) {
   SweepRun reference = TrainAtThreadCount(ds->graph, config, train, 1);
   if (!reference.ok) return false;
   double serial_seconds = reference.stats.total_seconds;
-  NEURSC_GAUGE_SET("bench.table4.train_serial_seconds", serial_seconds);
 
   bool all_agree = true;
   std::vector<std::vector<std::string>> rows;
@@ -125,14 +123,6 @@ bool RunThreadSweep(const BenchEnv& env) {
     double speedup = run.stats.total_seconds > 0.0
                          ? serial_seconds / run.stats.total_seconds
                          : 0.0;
-    // Registry lookups instead of NEURSC_GAUGE_SET: the macro caches the
-    // gauge per call site, which would alias the per-thread-count names.
-    std::string tag = "bench.table4.train_threads_" + std::to_string(threads);
-    auto& registry = MetricsRegistry::Global();
-    registry.GetGauge(tag + ".seconds")->Set(run.stats.total_seconds);
-    registry.GetGauge(tag + ".speedup")->Set(speedup);
-    registry.GetGauge(tag + ".bit_identical")
-        ->Set(weights_ok && losses_ok ? 1.0 : 0.0);
     char buf[48];
     std::vector<std::string> row;
     row.push_back(std::to_string(threads));

@@ -25,7 +25,9 @@
 #      loss curves bit for bit; then the component and ablation
 #      microbenchmarks (bench_micro_components, bench_micro_ablations) run
 #      once each with a short minimum time, so they keep building and
-#      running.
+#      running; last, the neursc_cli self-demo (generate -> train ->
+#      evaluate, ~0.1 s) prints the per-query extraction/inference times
+#      from EstimateInfo.
 #   5. Static thread-safety analysis: a Clang build of the full tree with
 #      -DNEURSC_ANALYZE=ON (-Werror=thread-safety), proving every
 #      NEURSC_GUARDED_BY / NEURSC_REQUIRES contract, plus the clang-tidy
@@ -74,13 +76,14 @@ NEURSC_THREADS=8 ctest --test-dir build-tsan -R "$BIT_IDENTITY" \
   --output-on-failure
 
 echo
-echo "=== [4/7] Bench smoke (NEURSC_THREADS sweep + microbenchmarks) ==="
+echo "=== [4/7] Bench smoke (NEURSC_THREADS sweep + microbenchmarks + CLI demo) ==="
 cmake --build build -j "$JOBS" --target bench_table4_training_time \
-  bench_micro_components bench_micro_ablations
+  bench_micro_components bench_micro_ablations neursc_cli
 NEURSC_SCALE=0.25 NEURSC_EPOCHS=4 NEURSC_QUERIES=8 \
   ./build/bench/bench_table4_training_time
 ./build/bench/bench_micro_components --benchmark_min_time=0.01
 ./build/bench/bench_micro_ablations --benchmark_min_time=0.01
+./build/examples/neursc_cli
 
 echo
 echo "=== [5/7] Static analysis: Clang -Werror=thread-safety + clang-tidy ==="

@@ -11,16 +11,20 @@
 //       Load model, rebuild the held-out workload, report q-error stats.
 //
 // Every subcommand also accepts --trace-out=<file> (Chrome trace_event
-// JSON, see docs/observability.md) and --metrics-out=<file> (metrics
-// snapshot JSON); estimate/evaluate print a per-stage cost table.
+// JSON, see docs/observability.md) and --metrics-out=<file> (counter
+// snapshot JSON); estimate/evaluate print the extraction and inference time
+// of the paper's two stages from EstimateInfo.
 //
-// Exit code 0 on success; errors go to stderr.
+// Exit code 0 on success, 1 on errors (reported on stderr), 2 on a usage
+// error such as an unknown --flag.
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
+#include "common/metrics_registry.h"
 #include "core/neursc.h"
 #include "eval/metrics.h"
 #include "eval/reporting.h"
@@ -49,14 +53,14 @@ Result<Workload> CliWorkload(const Graph& data) {
   return BuildWorkload(data, {4, 8}, 20);
 }
 
-/// Stage table scoped to estimation. Callers Reset() the registry right
-/// before estimating so the table reflects only Estimate work; the two
-/// tiles are the direct children of the parent span ("estimate/total" for
-/// single-query runs, "estimate/batch" for EstimateBatch runs) and should
-/// account for >=95% of its wall time.
-void PrintEstimateBreakdown(const char* parent = "estimate/total") {
-  PrintStageBreakdown(MetricsRegistry::Global().Snapshot(), parent,
-                      {"estimate/prepare", "estimate/infer"});
+/// Prints the median and p95 of one per-query stage time, in ms.
+void PrintStageTime(const char* stage, const std::vector<EstimateInfo>& infos,
+                    double EstimateInfo::*seconds) {
+  std::vector<double> ms;
+  ms.reserve(infos.size());
+  for (const EstimateInfo& info : infos) ms.push_back(1e3 * info.*seconds);
+  std::printf("%s: median %.2fms, p95 %.2fms per query\n", stage,
+              Percentile(ms, 50.0), Percentile(ms, 95.0));
 }
 
 int CmdGenerate(const std::string& profile_name, const std::string& path) {
@@ -100,6 +104,7 @@ int CmdEstimate(const std::string& graph_path,
   NeurSCEstimator estimator(*graph, CliConfig(epochs));
   Status st = estimator.LoadModel(model_path);
   if (!st.ok()) return Fail(st);
+  // Scope the --metrics-out counters to estimation.
   MetricsRegistry::Global().Reset();
   auto info = estimator.Estimate(*query);
   if (!info.ok()) return Fail(info.status());
@@ -109,7 +114,6 @@ int CmdEstimate(const std::string& graph_path,
               info->num_substructures, info->num_used,
               1e3 * info->extraction_seconds,
               1e3 * info->inference_seconds, 1e3 * info->total_seconds);
-  PrintEstimateBreakdown();
   return 0;
 }
 
@@ -125,6 +129,7 @@ int CmdEvaluate(const std::string& graph_path,
   Status st = estimator.LoadModel(model_path);
   if (!st.ok()) return Fail(st);
 
+  // Scope the --metrics-out counters to estimation.
   MetricsRegistry::Global().Reset();
   // All held-out queries go through the batch API: their substructure
   // forward passes share one NEURSC_THREADS-wide work pool, and each
@@ -138,7 +143,10 @@ int CmdEvaluate(const std::string& graph_path,
                   ? 0.0
                   : 1e3 * evaluation->batch_seconds /
                         static_cast<double>(split.test.size()));
-  PrintEstimateBreakdown("estimate/batch");
+  PrintStageTime("extraction", evaluation->infos,
+                 &EstimateInfo::extraction_seconds);
+  PrintStageTime("inference", evaluation->infos,
+                 &EstimateInfo::inference_seconds);
   return 0;
 }
 
@@ -159,6 +167,12 @@ int Usage() {
 
 int main(int argc, char** argv) {
   ObservabilitySession observability(&argc, argv);
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--", 2) == 0) {
+      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
+      return Usage();
+    }
+  }
   if (argc < 2) {
     // With no arguments, run a self-contained demo so the binary is
     // usable in the bench/example sweeps.

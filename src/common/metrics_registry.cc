@@ -1,12 +1,8 @@
 #include "common/metrics_registry.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-
-#include "common/logging.h"
 
 namespace neursc {
 
@@ -96,191 +92,6 @@ void Counter::Reset() {
   }
 }
 
-// --- Histogram -------------------------------------------------------------
-
-size_t Histogram::BucketIndex(double value) {
-  if (!(value > 0.0)) return 0;  // zeros, negatives, NaN
-  // +inf must be caught before frexp: its exponent output is unspecified,
-  // so the sub-bucket cast below would be UB (float-cast-overflow). It
-  // clamps to the overflow bucket like any other out-of-range value.
-  if (std::isinf(value)) return kNumBuckets - 1;
-  int exp = 0;
-  double mantissa = std::frexp(value, &exp);  // mantissa in [0.5, 1)
-  if (exp < kMinExp) return 1;                // underflow: smallest bucket
-  if (exp >= kMaxExp) return kNumBuckets - 1; // overflow: largest bucket
-  auto sub = static_cast<size_t>((mantissa - 0.5) * 2.0 *
-                                 static_cast<double>(kSubBuckets));
-  sub = std::min(sub, kSubBuckets - 1);
-  return 1 + static_cast<size_t>(exp - kMinExp) * kSubBuckets + sub;
-}
-
-double Histogram::BucketRepresentative(size_t index) {
-  if (index == 0) return 0.0;
-  size_t linear = index - 1;
-  int exp = kMinExp + static_cast<int>(linear / kSubBuckets);
-  size_t sub = linear % kSubBuckets;
-  double base = std::ldexp(1.0, exp - 1);  // 2^(exp-1)
-  double lo = base * (1.0 + static_cast<double>(sub) /
-                                static_cast<double>(kSubBuckets));
-  double hi = base * (1.0 + static_cast<double>(sub + 1) /
-                                static_cast<double>(kSubBuckets));
-  return std::sqrt(lo * hi);
-}
-
-Histogram::Stripe* Histogram::GetStripe(size_t index) {
-  Stripe* stripe = stripes_[index].load(std::memory_order_acquire);
-  if (stripe != nullptr) return stripe;
-  auto* fresh = new Stripe();
-  if (stripes_[index].compare_exchange_strong(stripe, fresh,
-                                              std::memory_order_acq_rel)) {
-    return fresh;
-  }
-  delete fresh;  // lost the race; `stripe` now holds the winner
-  return stripe;
-}
-
-Histogram::~Histogram() {
-  for (auto& slot : stripes_) {
-    delete slot.load(std::memory_order_acquire);
-  }
-}
-
-namespace {
-
-/// Relaxed atomic double accumulate / min / max via CAS. The owner thread is
-/// normally the only writer of its stripe, so the loop exits first try.
-void AtomicAdd(std::atomic<double>* target, double delta) {
-  double old = target->load(std::memory_order_relaxed);
-  while (!target->compare_exchange_weak(old, old + delta,
-                                        std::memory_order_relaxed)) {
-  }
-}
-
-void AtomicMin(std::atomic<double>* target, double value) {
-  double old = target->load(std::memory_order_relaxed);
-  while (value < old && !target->compare_exchange_weak(
-                            old, value, std::memory_order_relaxed)) {
-  }
-}
-
-void AtomicMax(std::atomic<double>* target, double value) {
-  double old = target->load(std::memory_order_relaxed);
-  while (value > old && !target->compare_exchange_weak(
-                            old, value, std::memory_order_relaxed)) {
-  }
-}
-
-}  // namespace
-
-void Histogram::Record(double value) {
-  Stripe* stripe = GetStripe(internal_metrics::ShardIndex());
-  stripe->buckets[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
-  stripe->count.fetch_add(1, std::memory_order_relaxed);
-  AtomicAdd(&stripe->sum, value);
-  AtomicMin(&stripe->min, value);
-  AtomicMax(&stripe->max, value);
-}
-
-uint64_t Histogram::Count() const {
-  uint64_t total = 0;
-  for (const auto& slot : stripes_) {
-    const Stripe* stripe = slot.load(std::memory_order_acquire);
-    if (stripe != nullptr) {
-      total += stripe->count.load(std::memory_order_relaxed);
-    }
-  }
-  return total;
-}
-
-double Histogram::Sum() const {
-  double total = 0.0;
-  for (const auto& slot : stripes_) {
-    const Stripe* stripe = slot.load(std::memory_order_acquire);
-    if (stripe != nullptr) {
-      total += stripe->sum.load(std::memory_order_relaxed);
-    }
-  }
-  return total;
-}
-
-double Histogram::Min() const {
-  double result = 1e300;
-  for (const auto& slot : stripes_) {
-    const Stripe* stripe = slot.load(std::memory_order_acquire);
-    if (stripe != nullptr) {
-      result = std::min(result, stripe->min.load(std::memory_order_relaxed));
-    }
-  }
-  return result == 1e300 ? 0.0 : result;
-}
-
-double Histogram::Max() const {
-  double result = -1e300;
-  for (const auto& slot : stripes_) {
-    const Stripe* stripe = slot.load(std::memory_order_acquire);
-    if (stripe != nullptr) {
-      result = std::max(result, stripe->max.load(std::memory_order_relaxed));
-    }
-  }
-  return result == -1e300 ? 0.0 : result;
-}
-
-double Histogram::Mean() const {
-  uint64_t count = Count();
-  return count == 0 ? 0.0 : Sum() / static_cast<double>(count);
-}
-
-void Histogram::MergeBuckets(std::array<uint64_t, kNumBuckets>* out) const {
-  out->fill(0);
-  for (const auto& slot : stripes_) {
-    const Stripe* stripe = slot.load(std::memory_order_acquire);
-    if (stripe == nullptr) continue;
-    for (size_t b = 0; b < kNumBuckets; ++b) {
-      (*out)[b] += stripe->buckets[b].load(std::memory_order_relaxed);
-    }
-  }
-}
-
-double Histogram::Percentile(double q) const {
-  std::array<uint64_t, kNumBuckets> merged;
-  MergeBuckets(&merged);
-  uint64_t total = 0;
-  for (uint64_t c : merged) total += c;
-  if (total == 0) return 0.0;
-  q = std::min(std::max(q, 0.0), 1.0);
-  // The extremes are tracked exactly; only interior quantiles pay the
-  // bucket-resolution error.
-  if (q == 0.0) return Min();
-  if (q == 1.0) return Max();
-  // Rank of the target order statistic (nearest-rank on the merged counts).
-  auto rank = static_cast<uint64_t>(q * static_cast<double>(total - 1));
-  uint64_t seen = 0;
-  for (size_t b = 0; b < kNumBuckets; ++b) {
-    seen += merged[b];
-    if (seen > rank) {
-      double rep = BucketRepresentative(b);
-      // Clamp into the observed range so tiny samples do not report a
-      // bucket midpoint outside [min, max].
-      return std::min(std::max(rep, Min()), Max());
-    }
-  }
-  return Max();
-}
-
-void Histogram::Reset() {
-  for (auto& slot : stripes_) {
-    Stripe* stripe = slot.load(std::memory_order_acquire);
-    if (stripe == nullptr) continue;
-    for (auto& bucket : stripe->buckets) {
-      bucket.store(0, std::memory_order_relaxed);
-    }
-    stripe->sum.store(0.0, std::memory_order_relaxed);
-    stripe->min.store(1e300, std::memory_order_relaxed);
-    stripe->max.store(-1e300, std::memory_order_relaxed);
-    stripe->count.store(0, std::memory_order_relaxed);
-  }
-}
-
 // --- Snapshot --------------------------------------------------------------
 
 namespace {
@@ -294,13 +105,6 @@ void AppendJsonKey(std::string* out, const std::string& name) {
   out->append("\": ");
 }
 
-std::string JsonNumber(double value) {
-  if (!std::isfinite(value)) return "0";
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
-
 }  // namespace
 
 std::string MetricsSnapshot::ToJson() const {
@@ -309,27 +113,6 @@ std::string MetricsSnapshot::ToJson() const {
     out.append(i == 0 ? "\n    " : ",\n    ");
     AppendJsonKey(&out, counters[i].name);
     out.append(std::to_string(counters[i].value));
-  }
-  out.append("\n  },\n  \"gauges\": {");
-  for (size_t i = 0; i < gauges.size(); ++i) {
-    out.append(i == 0 ? "\n    " : ",\n    ");
-    AppendJsonKey(&out, gauges[i].name);
-    out.append(JsonNumber(gauges[i].value));
-  }
-  out.append("\n  },\n  \"histograms\": {");
-  for (size_t i = 0; i < histograms.size(); ++i) {
-    const HistogramSnapshot& h = histograms[i];
-    out.append(i == 0 ? "\n    " : ",\n    ");
-    AppendJsonKey(&out, h.name);
-    out.append("{\"count\": ").append(std::to_string(h.count));
-    out.append(", \"sum\": ").append(JsonNumber(h.sum));
-    out.append(", \"min\": ").append(JsonNumber(h.min));
-    out.append(", \"max\": ").append(JsonNumber(h.max));
-    out.append(", \"mean\": ").append(JsonNumber(h.mean));
-    out.append(", \"p50\": ").append(JsonNumber(h.p50));
-    out.append(", \"p95\": ").append(JsonNumber(h.p95));
-    out.append(", \"p99\": ").append(JsonNumber(h.p99));
-    out.append("}");
   }
   out.append("\n  }\n}\n");
   return out;
@@ -349,14 +132,6 @@ Status MetricsSnapshot::WriteJsonFile(const std::string& path) const {
   return Status::OK();
 }
 
-const HistogramSnapshot* MetricsSnapshot::FindHistogram(
-    const std::string& name) const {
-  for (const auto& h : histograms) {
-    if (h.name == name) return &h;
-  }
-  return nullptr;
-}
-
 // --- Registry --------------------------------------------------------------
 
 MetricsRegistry& MetricsRegistry::Global() {
@@ -366,37 +141,9 @@ MetricsRegistry& MetricsRegistry::Global() {
 
 Counter* MetricsRegistry::GetCounter(const std::string& name) {
   MutexLock lock(&mu_);
-  NEURSC_CHECK(gauges_.find(name) == gauges_.end() &&
-               histograms_.find(name) == histograms_.end())
-      << "metric name registered with a different kind: " << name;
   auto it = counters_.find(name);
   if (it == counters_.end()) {
     it = counters_.emplace(name, std::unique_ptr<Counter>(new Counter()))
-             .first;
-  }
-  return it->second.get();
-}
-
-Gauge* MetricsRegistry::GetGauge(const std::string& name) {
-  MutexLock lock(&mu_);
-  NEURSC_CHECK(counters_.find(name) == counters_.end() &&
-               histograms_.find(name) == histograms_.end())
-      << "metric name registered with a different kind: " << name;
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(name, std::unique_ptr<Gauge>(new Gauge())).first;
-  }
-  return it->second.get();
-}
-
-Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
-  MutexLock lock(&mu_);
-  NEURSC_CHECK(counters_.find(name) == counters_.end() &&
-               gauges_.find(name) == gauges_.end())
-      << "metric name registered with a different kind: " << name;
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(name, std::unique_ptr<Histogram>(new Histogram()))
              .first;
   }
   return it->second.get();
@@ -409,32 +156,12 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   for (const auto& [name, counter] : counters_) {
     snapshot.counters.push_back({name, counter->Value()});
   }
-  snapshot.gauges.reserve(gauges_.size());
-  for (const auto& [name, gauge] : gauges_) {
-    snapshot.gauges.push_back({name, gauge->Value()});
-  }
-  snapshot.histograms.reserve(histograms_.size());
-  for (const auto& [name, histogram] : histograms_) {
-    HistogramSnapshot h;
-    h.name = name;
-    h.count = histogram->Count();
-    h.sum = histogram->Sum();
-    h.min = histogram->Min();
-    h.max = histogram->Max();
-    h.mean = histogram->Mean();
-    h.p50 = histogram->Percentile(0.50);
-    h.p95 = histogram->Percentile(0.95);
-    h.p99 = histogram->Percentile(0.99);
-    snapshot.histograms.push_back(std::move(h));
-  }
   return snapshot;
 }
 
 void MetricsRegistry::Reset() {
   MutexLock lock(&mu_);
   for (auto& [name, counter] : counters_) counter->Reset();
-  for (auto& [name, gauge] : gauges_) gauge->Reset();
-  for (auto& [name, histogram] : histograms_) histogram->Reset();
 }
 
 }  // namespace neursc

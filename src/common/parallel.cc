@@ -74,29 +74,21 @@ class WorkerPool {
 
   void Run(size_t n, const std::function<void(size_t)>& fn,
            size_t num_threads) NEURSC_EXCLUDES(mu_) {
-    NEURSC_GAUGE_SET("parallel.pool_waiting_regions",
-                     static_cast<double>(waiting_regions_.fetch_add(1) + 1));
     Job job;
     job.fn = &fn;
     job.n = n;
     const size_t helpers = num_threads - 1;
-    size_t pool_size;
     mu_.Lock();
     while (region_active_) region_cv_.Wait(&mu_);
     region_active_ = true;
     while (threads_.size() < helpers) {
       threads_.emplace_back([this] { WorkerLoop(); });
     }
-    pool_size = threads_.size();
     current_ = &job;
     ++job_seq_;
     joiners_left_ = helpers;
     mu_.Unlock();
     cv_.SignalAll();
-    NEURSC_GAUGE_SET("parallel.pool_waiting_regions",
-                     static_cast<double>(waiting_regions_.fetch_sub(1) - 1));
-    NEURSC_GAUGE_SET("parallel.pool_threads",
-                     static_cast<double>(pool_size));
     // The caller works too, with worker semantics so nested ParallelFor
     // calls from its tasks run inline like they do on pool workers.
     in_parallel_worker = true;
@@ -164,10 +156,6 @@ class WorkerPool {
     mu_.Unlock();
   }
 
-  // Count of callers inside Run() that have not started their region yet
-  // (diagnostics gauge only).
-  std::atomic<size_t> waiting_regions_{0};
-
   // Guards all fields below plus job join/leave transitions. Leaf lock:
   // never held while user callbacks run or while another lock is taken
   // (lock hierarchy table in docs/threading.md).
@@ -220,7 +208,6 @@ void ParallelFor(size_t n, const std::function<void(size_t)>& fn,
   num_threads = std::min(num_threads, n);
   NEURSC_COUNTER_INC("parallel.invocations");
   NEURSC_COUNTER_ADD("parallel.tasks", static_cast<int64_t>(n));
-  NEURSC_GAUGE_SET("parallel.threads", static_cast<double>(num_threads));
   if (num_threads <= 1) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;

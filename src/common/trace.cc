@@ -1,47 +1,17 @@
 #include "common/trace.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 namespace neursc {
 
-namespace {
-
-/// NEURSC_TRACE environment states: unset (start off, Start() allowed),
-/// on/1 (recording from process start), off/0 (Start() is a no-op).
-enum class TraceEnv { kUnset, kOn, kOff };
-
-TraceEnv GetTraceEnv() {
-  static const TraceEnv env = [] {
-    const char* v = std::getenv("NEURSC_TRACE");
-    if (v == nullptr) return TraceEnv::kUnset;
-    if (std::strcmp(v, "on") == 0 || std::strcmp(v, "1") == 0) {
-      return TraceEnv::kOn;
-    }
-    if (std::strcmp(v, "off") == 0 || std::strcmp(v, "0") == 0) {
-      return TraceEnv::kOff;
-    }
-    return TraceEnv::kUnset;
-  }();
-  return env;
-}
-
-}  // namespace
-
-TraceRecorder::TraceRecorder() : epoch_(std::chrono::steady_clock::now()) {
-  if (GetTraceEnv() == TraceEnv::kOn) Start();
-}
+TraceRecorder::TraceRecorder() : epoch_(std::chrono::steady_clock::now()) {}
 
 TraceRecorder& TraceRecorder::Global() {
   static TraceRecorder* recorder = new TraceRecorder();
   return *recorder;
 }
 
-void TraceRecorder::Start() {
-  if (GetTraceEnv() == TraceEnv::kOff) return;
-  enabled_.store(true, std::memory_order_relaxed);
-}
+void TraceRecorder::Start() { enabled_.store(true, std::memory_order_relaxed); }
 
 void TraceRecorder::Stop() { enabled_.store(false, std::memory_order_relaxed); }
 

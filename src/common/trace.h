@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "common/metrics_registry.h"
 #include "common/mutex.h"
 #include "common/status.h"
 
@@ -20,15 +19,10 @@
 // parent ids are needed. Span names follow the `stage/substage` scheme
 // documented in docs/observability.md.
 //
-// Recording is off by default. TraceRecorder::Global().Start() (the CLI /
-// bench --trace-out flag calls it) or the environment variable
-// NEURSC_TRACE=on enable it; NEURSC_TRACE=off vetoes Start() entirely. While
-// disabled, a span costs two steady_clock reads plus one relaxed atomic
-// load.
-//
-// Use the NEURSC_SPAN(var, "name") macro for instrumentation: it also
-// accumulates the span's duration into the histogram "span/<name>", which is
-// what the stage-breakdown table reads.
+// Recording is off by default; only TraceRecorder::Global().Start() (the CLI
+// / bench --trace-out flag calls it) enables it. While disabled, a span costs
+// two steady_clock reads plus one relaxed atomic load. Spans record trace
+// events only; per-query stage times live in EstimateInfo.
 
 namespace neursc {
 
@@ -39,8 +33,8 @@ class TraceRecorder {
  public:
   static TraceRecorder& Global();
 
-  /// Starts recording (no-op when NEURSC_TRACE=off). Clears nothing: spans
-  /// recorded before a Stop()/Start() cycle stay buffered until Clear().
+  /// Starts recording. Clears nothing: spans recorded before a
+  /// Stop()/Start() cycle stay buffered until Clear().
   void Start();
   void Stop();
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
@@ -102,13 +96,11 @@ class TraceRecorder {
 };
 
 /// RAII span. Measures wall time from construction to End()/destruction;
-/// when tracing is enabled the interval is recorded as a trace event, and
-/// when a histogram is supplied the duration in seconds is recorded there.
+/// when tracing is enabled the interval is recorded as a trace event.
 class TraceSpan {
  public:
-  explicit TraceSpan(const char* name, Histogram* duration_histogram = nullptr)
+  explicit TraceSpan(const char* name)
       : name_(name),
-        histogram_(duration_histogram),
         tracing_(TraceRecorder::Global().enabled()),
         start_us_(tracing_ ? TraceRecorder::Global().NowMicros() : 0),
         start_(std::chrono::steady_clock::now()) {
@@ -127,9 +119,6 @@ class TraceSpan {
     if (ended_) return;
     ended_ = true;
     end_ = std::chrono::steady_clock::now();
-    if (histogram_ != nullptr && MetricsEnabled()) {
-      histogram_->Record(ElapsedSeconds());
-    }
     if (tracing_ && TraceRecorder::Global().enabled()) {
       int64_t dur_us = std::chrono::duration_cast<std::chrono::microseconds>(
                            end_ - start_)
@@ -145,7 +134,6 @@ class TraceSpan {
 
  private:
   const char* name_;
-  Histogram* histogram_;
   bool tracing_ = false;
   int64_t start_us_ = 0;
   std::chrono::steady_clock::time_point start_;
@@ -154,12 +142,8 @@ class TraceSpan {
 };
 
 /// Declares a TraceSpan named `var` for stage `name` (a string literal like
-/// "filter/refine") whose duration also feeds the histogram "span/<name>".
-#define NEURSC_SPAN(var, name)                                    \
-  static ::neursc::Histogram* var##_span_hist_ =                  \
-      ::neursc::MetricsRegistry::Global().GetHistogram(           \
-          ::std::string("span/") + (name));                       \
-  ::neursc::TraceSpan var((name), var##_span_hist_)
+/// "filter/refine").
+#define NEURSC_SPAN(var, name) ::neursc::TraceSpan var(name)
 
 }  // namespace neursc
 

@@ -484,7 +484,6 @@ void NeurSCEstimator::RunInferenceTasks(
                      static_cast<int64_t>(tasks->size()));
   ParallelFor(tasks->size(), [&](size_t i) {
     InferenceTask& task = (*tasks)[i];
-    NEURSC_SPAN(substructure_span, "estimate/substructure");
     auto start = std::chrono::steady_clock::now();
     // One tape and one RNG per task: nothing the forward pass mutates is
     // shared across workers (see docs/threading.md). The leased tape's
@@ -607,7 +606,8 @@ Result<std::vector<EstimateInfo>> NeurSCEstimator::EstimateQueries(
   // total >= extraction + inference. A query runs no task iff it
   // early-terminated: r_s sampling keeps at least one substructure.
   infos.reserve(queries.size());
-  for (const QueryRecord& record : records) {
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const QueryRecord& record = records[q];
     const size_t total = record.prep->extraction.substructures.size();
     const size_t used = record.task_end - record.task_begin;
     double sum = 0.0;
@@ -623,10 +623,15 @@ Result<std::vector<EstimateInfo>> NeurSCEstimator::EstimateQueries(
       infer_end = std::max(infer_end, tasks[t].end_seconds);
     }
     // Sec. 5.8: scale the sampled sum by the inverse sampled fraction.
+    const double count = used == 0 ? 0.0
+                                   : sum * static_cast<double>(total) /
+                                         static_cast<double>(used);
+    if (!std::isfinite(count)) {
+      return Status::Internal("non-finite estimate for query " +
+                              std::to_string(q));
+    }
     infos.push_back(EstimateInfo{
-        .count = used == 0 ? 0.0
-                           : sum * static_cast<double>(total) /
-                                 static_cast<double>(used),
+        .count = count,
         .early_terminated = used == 0,
         .num_substructures = total,
         .num_used = used,

@@ -173,7 +173,8 @@ class NeurSCEstimator {
 
   /// Estimates c(q) for one query (Alg. 1), sampling substructures at the
   /// configured r_s. Substructure forward passes run in parallel; the
-  /// result does not depend on the thread count.
+  /// result does not depend on the thread count. A non-finite estimate
+  /// (e.g. from NaN weights) is an Internal error, never a returned count.
   Result<EstimateInfo> Estimate(const Graph& query);
 
   /// Estimate using externally supplied substructures (the "perfect
@@ -193,7 +194,8 @@ class NeurSCEstimator {
   /// query order exactly as sequential Estimate calls would, so
   /// EstimateBatch(qs)[i] equals the i-th sequential Estimate(qs[i]) from
   /// the same starting state, at any thread count. Fails with the status
-  /// of the first (lowest-index) query whose extraction fails.
+  /// of the first (lowest-index) query whose extraction fails, or with
+  /// Internal if a query's estimate is not finite.
   Result<std::vector<EstimateInfo>> EstimateBatch(
       const std::vector<Graph>& queries);
 
@@ -257,7 +259,8 @@ class NeurSCEstimator {
   /// `prepare` on every query in parallel, then selects substructures and
   /// draws seeds serially in query order, evaluates all forward passes in
   /// one work pool and reduces each query in selection order. Fails with
-  /// the status of the lowest-index query whose prepare step fails.
+  /// the status of the lowest-index query whose prepare step fails, or
+  /// with Internal naming the first query whose estimate is NaN or inf.
   Result<std::vector<EstimateInfo>> EstimateQueries(
       std::span<const Graph> queries,
       const std::function<Result<Prepared>(const Graph&)>& prepare);

@@ -140,7 +140,6 @@ WEstModel::Forwarded WEstModel::Forward(Tape* tape, const Graph& query,
   const size_t ns = sub.graph.NumVertices();
 
   // --- Intra-graph branch: shared GNN stack applied to each graph. ---
-  NEURSC_SPAN(intra_span, "west/intra");
   EdgeIndex query_edges = UndirectedEdges(query);
   EdgeIndex sub_edges = UndirectedEdges(sub.graph);
   Var hq = tape->Constant(query_features);
@@ -149,14 +148,12 @@ WEstModel::Forwarded WEstModel::Forward(Tape* tape, const Graph& query,
     hq = IntraForward(tape, k, hq, query_edges);
     hs = IntraForward(tape, k, hs, sub_edges);
   }
-  intra_span.End();
 
   Var query_repr = hq;
   Var sub_repr = hs;
 
   if (config_.use_inter) {
     // --- Inter-graph branch over the candidate bipartite graph. ---
-    NEURSC_SPAN(inter_span, "west/inter");
     EdgeIndex bipartite = BuildBipartiteEdges(query, sub, rng);
     Var hb = tape->Constant(StackRows(query_features, sub_features));
     for (auto& layer : inter_) {
@@ -173,7 +170,6 @@ WEstModel::Forwarded WEstModel::Forward(Tape* tape, const Graph& query,
   }
 
   // --- Readout (sum pooling) and prediction. ---
-  NEURSC_SPAN(readout_span, "west/readout");
   // Sum pooling per the paper; the 1/sqrt(1+n) scaling is an
   // implementation-stability detail that keeps the regressor's input
   // magnitude bounded across substructure sizes without destroying the

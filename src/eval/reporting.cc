@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/logging.h"
+#include "common/metrics_registry.h"
 #include "common/trace.h"
 
 namespace neursc {
@@ -57,67 +58,6 @@ void PrintQErrorBox(const std::string& name,
                     const std::vector<double>& signed_qerrors) {
   std::printf("%s\n",
               FormatBoxRow(name, ComputeBoxStats(signed_qerrors)).c_str());
-}
-
-namespace {
-
-constexpr char kSpanPrefix[] = "span/";
-
-/// Histogram snapshot of stage `stage`, or nullptr.
-const HistogramSnapshot* FindStage(const MetricsSnapshot& snapshot,
-                                   const std::string& stage) {
-  return snapshot.FindHistogram(kSpanPrefix + stage);
-}
-
-std::string FormatFixed(double value, int decimals) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);
-  return buf;
-}
-
-}  // namespace
-
-double StageCoverage(const MetricsSnapshot& snapshot,
-                     const std::string& parent_stage,
-                     const std::vector<std::string>& tile_stages) {
-  const HistogramSnapshot* parent = FindStage(snapshot, parent_stage);
-  if (parent == nullptr || parent->sum <= 0.0) return 0.0;
-  double covered = 0.0;
-  for (const auto& stage : tile_stages) {
-    const HistogramSnapshot* h = FindStage(snapshot, stage);
-    if (h != nullptr) covered += h->sum;
-  }
-  return covered / parent->sum;
-}
-
-void PrintStageBreakdown(const MetricsSnapshot& snapshot,
-                         const std::string& parent_stage,
-                         const std::vector<std::string>& tile_stages) {
-  const HistogramSnapshot* parent = FindStage(snapshot, parent_stage);
-  if (parent == nullptr || parent->count == 0) return;
-  const double parent_sum = parent->sum > 0.0 ? parent->sum : 1e-300;
-
-  std::vector<std::vector<std::string>> rows;
-  for (const auto& h : snapshot.histograms) {
-    if (h.name.rfind(kSpanPrefix, 0) != 0 || h.count == 0) continue;
-    std::string stage = h.name.substr(std::strlen(kSpanPrefix));
-    std::string share = stage == parent_stage
-                            ? "100.0"
-                            : FormatFixed(1e2 * h.sum / parent_sum, 1);
-    rows.push_back({std::move(stage), std::to_string(h.count),
-                    FormatFixed(h.sum, 3), FormatFixed(1e3 * h.mean, 3),
-                    FormatFixed(1e3 * h.p95, 3), share});
-  }
-  std::printf("stage breakdown (parent: %s, %s total over %zu spans)\n",
-              parent_stage.c_str(), FormatFixed(parent->sum, 3).c_str(),
-              static_cast<size_t>(parent->count));
-  PrintTable({"stage", "count", "total s", "mean ms", "p95 ms", "% parent"},
-             rows);
-  double coverage = StageCoverage(snapshot, parent_stage, tile_stages);
-  std::printf("coverage: %s%% of %s accounted for by",
-              FormatFixed(1e2 * coverage, 1).c_str(), parent_stage.c_str());
-  for (const auto& stage : tile_stages) std::printf(" %s", stage.c_str());
-  std::printf("\n");
 }
 
 ObservabilitySession::ObservabilitySession(int* argc, char** argv) {

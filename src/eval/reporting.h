@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "common/metrics_registry.h"
 #include "eval/metrics.h"
 
 namespace neursc {
@@ -28,24 +27,6 @@ void PrintTable(const std::vector<std::string>& header,
 /// Convenience: signed q-errors -> box stats -> printed row.
 void PrintQErrorBox(const std::string& name,
                     const std::vector<double>& signed_qerrors);
-
-/// Prints the per-stage cost table derived from the "span/<stage>"
-/// histograms in `snapshot`: one row per stage (count, total seconds, mean
-/// and p95 milliseconds, share of the parent stage's total), then a
-/// "coverage" line stating how much of the parent's wall time the
-/// `tile_stages` (non-overlapping direct sub-stages) account for.
-/// `parent_stage` is a span name like "estimate/total". Does nothing when
-/// the parent histogram is missing or empty.
-void PrintStageBreakdown(const MetricsSnapshot& snapshot,
-                         const std::string& parent_stage,
-                         const std::vector<std::string>& tile_stages);
-
-/// Fraction of the parent stage's total time covered by `tile_stages`
-/// (0 when the parent is missing or empty). Exposed for tests and for
-/// callers that want the number without the table.
-double StageCoverage(const MetricsSnapshot& snapshot,
-                     const std::string& parent_stage,
-                     const std::vector<std::string>& tile_stages);
 
 /// Harness-edge observability glue shared by neursc_cli and the bench
 /// binaries. Recognizes and strips

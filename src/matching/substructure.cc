@@ -87,9 +87,6 @@ Result<ExtractionResult> SplitIntoSubstructures(
                      static_cast<int64_t>(out.stats.components_total));
   NEURSC_COUNTER_ADD("extract.substructures",
                      static_cast<int64_t>(out.substructures.size()));
-  NEURSC_HISTOGRAM_RECORD(
-      "extract.substructures_per_query",
-      static_cast<double>(out.substructures.size()));
   return out;
 }
 

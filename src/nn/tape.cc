@@ -41,7 +41,6 @@ void Tape::Reset() {
   grad_slots_used_ = 0;
   backward_done_ = false;
   gradient_sink_ = nullptr;
-  NEURSC_GAUGE_SET("eval/arena_bytes", static_cast<double>(arena_bytes()));
 }
 
 size_t Tape::arena_bytes() const {
@@ -560,7 +559,6 @@ TapePool::Lease TapePool::Acquire() {
     } else {
       tape.reset(new Tape());
       ++created_;
-      NEURSC_GAUGE_SET("eval/pool_contexts", static_cast<double>(created_));
     }
   }
   tape->Reset();

@@ -281,7 +281,7 @@ class Tape {
 /// an atomic counter with no per-worker identity, so workspaces cannot be
 /// indexed by thread; instead each task leases a tape for the duration of
 /// one pass and returns it. The pool grows to the peak concurrency ever
-/// observed (gauge `eval/pool_contexts`) and reuses those tapes forever
+/// observed (created()) and reuses those tapes forever
 /// after, preserving their warmed-up arenas. Acquire/Release are
 /// mutex-protected; the leased tape itself is exclusively owned until the
 /// Lease dies.

@@ -361,7 +361,7 @@ TEST(EstimateParallelTest, SingleEstimateTimingInvariantUnderParallelism) {
             info->extraction_seconds + info->inference_seconds);
 }
 
-TEST(EstimateParallelTest, SubstructureHistogramCountsEveryForwardOnce) {
+TEST(EstimateParallelTest, SubstructuresEvaluatedCountsEveryForwardOnce) {
   ThreadsGuard guard(8);
   Graph data = DisjointTriangles(10);
   std::vector<Graph> queries = TestQueries();
@@ -372,19 +372,12 @@ TEST(EstimateParallelTest, SubstructureHistogramCountsEveryForwardOnce) {
   size_t expected_forwards = 0;
   for (const EstimateInfo& info : *infos) expected_forwards += info.num_used;
   ASSERT_GT(expected_forwards, 0u);
-  MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
-  // Each evaluated substructure records exactly one "estimate/substructure"
-  // span, no matter which worker thread ran it.
-  const HistogramSnapshot* hist =
-      snapshot.FindHistogram("span/estimate/substructure");
-  ASSERT_NE(hist, nullptr);
-  EXPECT_EQ(hist->count, expected_forwards);
-  for (const CounterSnapshot& counter : snapshot.counters) {
-    if (counter.name == "estimate.substructures_evaluated") {
-      EXPECT_EQ(counter.value,
-                static_cast<int64_t>(expected_forwards));
-    }
-  }
+  // Each evaluated substructure is counted exactly once, no matter which
+  // worker thread ran it.
+  EXPECT_EQ(MetricsRegistry::Global()
+                .GetCounter("estimate.substructures_evaluated")
+                ->Value(),
+            static_cast<int64_t>(expected_forwards));
 }
 
 TEST(EstimateParallelTest, WorkerThreadSpansLandInTrace) {
@@ -395,21 +388,18 @@ TEST(EstimateParallelTest, WorkerThreadSpansLandInTrace) {
   TraceRecorder::Global().Stop();
   TraceRecorder::Global().Clear();
   TraceRecorder::Global().Start();
-  if (!TraceRecorder::Global().enabled()) {
-    GTEST_SKIP() << "tracing vetoed by NEURSC_TRACE=off";
-  }
   auto infos = estimator.EstimateBatch(queries);
   ASSERT_TRUE(infos.ok());
   size_t expected_forwards = 0;
   for (const EstimateInfo& info : *infos) expected_forwards += info.num_used;
-  // Every worker-side substructure span must be buffered (plus the
+  // Every worker-side forward-pass span must be buffered (plus the
   // prepare/infer/batch spans from the calling thread).
   EXPECT_GE(TraceRecorder::Global().EventCount(), expected_forwards + 3);
   const std::string path = ::testing::TempDir() + "/batch_trace.json";
   Status st = TraceRecorder::Global().WriteChromeTrace(path);
   ASSERT_TRUE(st.ok()) << st.ToString();
   std::string json = ReadFileToString(path);
-  EXPECT_NE(json.find("estimate/substructure"), std::string::npos);
+  EXPECT_NE(json.find("west/forward"), std::string::npos);
   EXPECT_NE(json.find("estimate/batch"), std::string::npos);
   TraceRecorder::Global().Stop();
   TraceRecorder::Global().Clear();

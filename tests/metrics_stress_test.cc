@@ -1,5 +1,5 @@
 // Concurrency stress for the observability layer: many threads hammer the
-// same counters, histograms, and trace recorder while readers snapshot
+// same counters and trace recorder while readers snapshot
 // concurrently. Run under NEURSC_SANITIZE=thread (see ci.sh) to prove the
 // recording paths are race-free; the assertions also verify no updates are
 // lost under contention.
@@ -32,52 +32,36 @@ TEST(MetricsStressTest, ConcurrentCountersLoseNothing) {
   EXPECT_EQ(c->Value(), static_cast<int64_t>(kThreads) * kIters);
 }
 
-TEST(MetricsStressTest, ConcurrentHistogramKeepsEverySample) {
-  Histogram* h = MetricsRegistry::Global().GetHistogram("stress.hist");
-  h->Reset();
-  constexpr int kThreads = 8;
-  constexpr int kIters = 20000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t]() {
-      for (int i = 0; i < kIters; ++i) {
-        h->Record(1e-6 * static_cast<double>(t * kIters + i + 1));
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(h->Count(), static_cast<uint64_t>(kThreads) * kIters);
-  EXPECT_DOUBLE_EQ(h->Min(), 1e-6);
-  EXPECT_DOUBLE_EQ(h->Max(), 1e-6 * kThreads * kIters);
-}
-
 TEST(MetricsStressTest, SnapshotWhileWritersRun) {
   Counter* c = MetricsRegistry::Global().GetCounter("stress.snap.counter");
-  Histogram* h = MetricsRegistry::Global().GetHistogram("stress.snap.hist");
+  Counter* writes = MetricsRegistry::Global().GetCounter("stress.snap.writes");
   c->Reset();
-  h->Reset();
+  writes->Reset();
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
   for (int t = 0; t < 8; ++t) {
     writers.emplace_back([&]() {
       while (!stop.load(std::memory_order_relaxed)) {
         c->Increment();
-        h->Record(0.001);
+        writes->Add(2);
       }
     });
   }
-  // Readers race the writers; merged values must be internally consistent.
+  // Readers race the writers; a merged counter never goes backwards.
+  int64_t last = 0;
   for (int i = 0; i < 50; ++i) {
     MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
-    const HistogramSnapshot* hs = snap.FindHistogram("stress.snap.hist");
-    ASSERT_NE(hs, nullptr);
-    EXPECT_GE(hs->sum, 0.0);
+    for (const CounterSnapshot& counter : snap.counters) {
+      if (counter.name != "stress.snap.counter") continue;
+      EXPECT_GE(counter.value, last);
+      last = counter.value;
+    }
     std::string json = snap.ToJson();
     EXPECT_FALSE(json.empty());
   }
   stop.store(true);
   for (auto& w : writers) w.join();
-  EXPECT_EQ(c->Value(), static_cast<int64_t>(h->Count()));
+  EXPECT_EQ(2 * c->Value(), writes->Value());
 }
 
 TEST(MetricsStressTest, TracedSpansAcrossManyShortLivedThreads) {
@@ -97,8 +81,6 @@ TEST(MetricsStressTest, TracedSpansAcrossManyShortLivedThreads) {
   }
   EXPECT_EQ(TraceRecorder::Global().EventCount(),
             static_cast<size_t>(kRounds) * kTasks);
-  Histogram* h = MetricsRegistry::Global().GetHistogram("span/stress/span");
-  EXPECT_GE(h->Count(), static_cast<uint64_t>(kRounds) * kTasks);
   std::string path = ::testing::TempDir() + "/metrics_stress_trace.json";
   Status st = TraceRecorder::Global().WriteChromeTrace(path);
   EXPECT_TRUE(st.ok()) << st.ToString();
@@ -122,8 +104,6 @@ TEST(MetricsStressTest, MixedWorkloadUnderContention) {
       for (int i = 0; i < 2000; ++i) {
         NEURSC_SPAN(span, "stress/mixed");
         NEURSC_COUNTER_ADD("stress.mixed.items", 2);
-        NEURSC_GAUGE_SET("stress.mixed.depth", static_cast<double>(i));
-        NEURSC_HISTOGRAM_RECORD("stress.mixed.value", 1e-4);
       }
     });
   }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "eval/metrics.h"
 #include "eval/workload.h"
 #include "graph/generators.h"
@@ -36,6 +39,27 @@ TEST(NeurSCTest, EstimateIsPositiveAndFinite) {
   EXPECT_GE(info->count, 0.0);
   EXPECT_TRUE(std::isfinite(info->count));
   EXPECT_GE(info->num_substructures, 1u);
+}
+
+TEST(NeurSCTest, NonFiniteEstimateIsAnError) {
+  auto data = GenerateErdosRenyiGraph(80, 240, 4, 31);
+  ASSERT_TRUE(data.ok());
+  auto workload = BuildWorkload(*data, {3}, 3);
+  ASSERT_TRUE(workload.ok());
+  NeurSCEstimator estimator(*data, TinyConfig());
+  // The predictor's output bias: a NaN there makes every forward pass NaN.
+  estimator.model().Parameters().back()->value.data()[0] =
+      std::numeric_limits<float>::quiet_NaN();
+  const Graph& query = workload->examples[0].query;
+  auto info = estimator.Estimate(query);
+  ASSERT_FALSE(info.ok());
+  EXPECT_EQ(info.status().code(), StatusCode::kInternal);
+  EXPECT_NE(info.status().message().find("query 0"), std::string::npos)
+      << info.status().ToString();
+
+  auto infos = estimator.EstimateBatch({workload->examples[1].query, query});
+  ASSERT_FALSE(infos.ok());
+  EXPECT_EQ(infos.status().code(), StatusCode::kInternal);
 }
 
 TEST(NeurSCTest, EarlyTerminationOnImpossibleQuery) {

@@ -1,10 +1,13 @@
 #include "common/trace.h"
 
 #include <chrono>
+#include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/metrics_registry.h"
+#include "core/neursc.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 
@@ -51,22 +54,6 @@ TEST_F(TraceTest, ElapsedSecondsGrowsAndFreezesAtEnd) {
   EXPECT_GE(at_end, 0.004);
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
   EXPECT_DOUBLE_EQ(span.ElapsedSeconds(), at_end);
-}
-
-TEST_F(TraceTest, SpanFeedsHistogram) {
-  Histogram* h = MetricsRegistry::Global().GetHistogram("span/test.feed");
-  h->Reset();
-  { TraceSpan span("test.feed", h); }
-  EXPECT_EQ(h->Count(), 1u);
-  EXPECT_GE(h->Min(), 0.0);
-}
-
-TEST_F(TraceTest, SpanMacroFeedsSpanHistogram) {
-  Histogram* h =
-      MetricsRegistry::Global().GetHistogram("span/test/macro_feed");
-  h->Reset();
-  { NEURSC_SPAN(span, "test/macro_feed"); }
-  EXPECT_EQ(h->Count(), 1u);
 }
 
 TEST_F(TraceTest, ClearDiscardsBufferedEvents) {
@@ -139,6 +126,68 @@ TEST_F(TraceTest, DisabledSpanOverheadIsSmall) {
   total.End();
   EXPECT_EQ(TraceRecorder::Global().EventCount(), 0u);
   EXPECT_LT(total.ElapsedSeconds() / kSpans, 5e-6);
+}
+
+/// Names of the events in a Chrome trace written by WriteChromeTrace.
+std::set<std::string> TraceEventNames(const std::string& json) {
+  const std::string key = "{\"name\": \"";
+  std::set<std::string> names;
+  for (size_t at = json.find(key); at != std::string::npos;
+       at = json.find(key, at)) {
+    at += key.size();
+    names.insert(json.substr(at, json.find('"', at) - at));
+  }
+  return names;
+}
+
+TEST_F(TraceTest, EveryCounterAndSpanNameIsDocumented) {
+  // A short Train + EstimateBatch exercises every library stage; each
+  // counter it registers and each span it traces must be listed (in
+  // backticks) in the observability guide.
+  const std::string doc = testing_util::ReadFileToString(
+      std::string(NEURSC_SOURCE_DIR) + "/docs/observability.md");
+  ASSERT_FALSE(doc.empty());
+  Graph data = testing_util::MakeGraph(
+      {0, 1, 0, 1, 0, 1, 0, 1},
+      {{0, 1}, {1, 2}, {2, 3}, {3, 0}, {4, 5}, {5, 6}, {6, 7}, {4, 6}});
+  std::vector<Graph> queries = {
+      testing_util::MakeGraph({0, 1}, {{0, 1}}),
+      testing_util::MakeGraph({0, 1, 0}, {{0, 1}, {1, 2}}),
+      testing_util::MakeGraph({1, 0, 1}, {{0, 1}, {1, 2}})};
+  std::vector<TrainingExample> examples;
+  for (const Graph& q : queries) examples.push_back({q, 4.0});
+  NeurSCConfig config;
+  config.west.intra_dim = 8;
+  config.west.inter_dim = 8;
+  config.west.predictor_hidden = 16;
+  config.disc_hidden = 8;
+  config.epochs = 2;
+  config.pretrain_epochs = 1;
+  config.validation_fraction = 0.34;
+
+  TraceRecorder::Global().Start();
+  NeurSCEstimator estimator(data, config);
+  ASSERT_TRUE(estimator.Train(examples).ok());
+  ASSERT_TRUE(estimator.EstimateBatch(queries).ok());
+  const std::string path = ::testing::TempDir() + "/trace_inventory.json";
+  ASSERT_TRUE(TraceRecorder::Global().WriteChromeTrace(path).ok());
+
+  auto documented = [&doc](const std::string& name) {
+    return doc.find("`" + name + "`") != std::string::npos;
+  };
+  size_t counters = 0;
+  for (const CounterSnapshot& counter :
+       MetricsRegistry::Global().Snapshot().counters) {
+    ++counters;
+    EXPECT_TRUE(documented(counter.name)) << "counter " << counter.name;
+  }
+  EXPECT_GT(counters, 0u);
+  const std::set<std::string> spans =
+      TraceEventNames(testing_util::ReadFileToString(path));
+  EXPECT_TRUE(spans.count("west/forward")) << "no forward pass traced";
+  for (const std::string& span : spans) {
+    EXPECT_TRUE(documented(span)) << "span " << span;
+  }
 }
 
 }  // namespace
