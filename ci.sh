@@ -34,9 +34,12 @@
 #      gate (scripts/lint.sh, .clang-tidy check set). Skipped loudly when
 #      clang is not installed — the annotations are no-op macros on GCC.
 #   6. ASan+UBSan lane: the full ctest suite rebuilt with
-#      -DNEURSC_SANITIZE=address,undefined; UBSan failures are fatal
-#      (-fno-sanitize-recover), so any signed-overflow/bad-shift/bad-cast
-#      or memory bug fails the run.
+#      -DNEURSC_SANITIZE=address,undefined and -Werror, so a compiler
+#      warning (say, an unused static helper left behind by a deletion)
+#      fails the build; UBSan failures are fatal (-fno-sanitize-recover),
+#      so any signed-overflow/bad-shift/bad-cast or memory bug fails the
+#      run. The suite includes the deterministic mutation fuzz of the
+#      untrusted-input readers (input_fuzz_test).
 #   7. Benchmark code: `python3 -m unittest discover -s perfbench`. Its
 #      setup builds perfbench.cc against src/ exactly as perfbench/run.py
 #      does (into .bench_build/perfbench), so a library API change that
@@ -100,7 +103,8 @@ fi
 
 echo
 echo "=== [6/7] ASan+UBSan build + full test suite ==="
-cmake -B build-asan -S . -DNEURSC_SANITIZE=address,undefined >/dev/null
+cmake -B build-asan -S . -DNEURSC_SANITIZE=address,undefined \
+  -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build-asan -j "$JOBS"
 ASAN_OPTIONS=halt_on_error=1 UBSAN_OPTIONS=print_stacktrace=1 \
   ctest --test-dir build-asan --output-on-failure

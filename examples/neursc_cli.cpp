@@ -7,7 +7,7 @@
 //       Build a workload on the graph, train NeurSC, save the weights.
 //   neursc_cli estimate <graph-path> <model-path> <query-path>
 //       Load graph + trained model, estimate the count of a query graph.
-//   neursc_cli evaluate <graph-path> <model-path>
+//   neursc_cli evaluate <graph-path> <model-path> [epochs]
 //       Load model, rebuild the held-out workload, report q-error stats.
 //
 // Every subcommand also accepts --trace-out=<file> (Chrome trace_event
@@ -16,8 +16,10 @@
 // of the paper's two stages from EstimateInfo.
 //
 // Exit code 0 on success, 1 on errors (reported on stderr), 2 on a usage
-// error such as an unknown --flag.
+// error such as an unknown --flag or an epochs argument that is not a
+// positive integer.
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -163,6 +165,17 @@ int Usage() {
   return 2;
 }
 
+/// Parses a positive decimal integer (digits only, no sign); false for
+/// anything else, including 0 and values that overflow size_t.
+bool ParseEpochs(const char* text, size_t* epochs) {
+  const char* end = text + std::strlen(text);
+  size_t value = 0;
+  auto [stop, error] = std::from_chars(text, end, value);
+  if (error != std::errc() || stop != end || value == 0) return false;
+  *epochs = value;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -185,18 +198,21 @@ int main(int argc, char** argv) {
   }
   std::string cmd = argv[1];
   size_t epochs = 10;
+  if ((cmd == "train" || cmd == "evaluate") && argc >= 5 &&
+      !ParseEpochs(argv[4], &epochs)) {
+    std::fprintf(stderr, "epochs must be a positive integer: %s\n", argv[4]);
+    return Usage();
+  }
   if (cmd == "generate" && argc >= 4) {
     return CmdGenerate(argv[2], argv[3]);
   }
   if (cmd == "train" && argc >= 4) {
-    if (argc >= 5) epochs = static_cast<size_t>(std::atol(argv[4]));
     return CmdTrain(argv[2], argv[3], epochs);
   }
   if (cmd == "estimate" && argc >= 5) {
     return CmdEstimate(argv[2], argv[3], argv[4], epochs);
   }
   if (cmd == "evaluate" && argc >= 4) {
-    if (argc >= 5) epochs = static_cast<size_t>(std::atol(argv[4]));
     return CmdEvaluate(argv[2], argv[3], epochs);
   }
   return Usage();

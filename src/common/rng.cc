@@ -4,19 +4,6 @@
 
 namespace neursc {
 
-size_t Rng::Discrete(const std::vector<double>& weights) {
-  double total = 0.0;
-  for (double w : weights) total += w;
-  if (total <= 0.0) return weights.size();
-  double r = Uniform01() * total;
-  double acc = 0.0;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    acc += weights[i];
-    if (r < acc) return i;
-  }
-  return weights.size() - 1;
-}
-
 int64_t Rng::Zipf(int64_t n, double alpha) {
   // Inverse-transform sampling of the continuous power-law density
   // p(x) ~ x^-alpha on [1, n+1), truncated to an integer.

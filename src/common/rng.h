@@ -38,18 +38,8 @@ class Rng {
     return dist(engine_);
   }
 
-  /// Standard normal sample scaled by `stddev`.
-  double Normal(double stddev = 1.0) {
-    std::normal_distribution<double> dist(0.0, stddev);
-    return dist(engine_);
-  }
-
   /// True with probability p.
   bool Bernoulli(double p) { return Uniform01() < p; }
-
-  /// Samples an index proportionally to the given non-negative weights.
-  /// Returns weights.size() if all weights are zero.
-  size_t Discrete(const std::vector<double>& weights);
 
   /// Fisher-Yates shuffle.
   template <typename T>

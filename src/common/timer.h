@@ -12,18 +12,12 @@ class Timer {
  public:
   Timer() : start_(Clock::now()) {}
 
-  /// Resets the start time to now.
-  void Restart() { start_ = Clock::now(); }
-
-  /// Elapsed time in seconds since construction/Restart.
+  /// Elapsed time in seconds since construction.
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  /// Elapsed time in milliseconds since construction/Restart.
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
-
-  /// Elapsed time in microseconds since construction/Restart.
+  /// Elapsed time in microseconds since construction.
   int64_t ElapsedMicros() const {
     return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
                                                                  start_)

@@ -64,17 +64,6 @@ Result<Workload> BuildWorkload(const Graph& data,
       for (size_t i = 0; i < candidates.size() && accepted < per_size;
            ++i) {
         if (counts[i] < 0.0) continue;
-        if (options.deduplicate_isomorphic) {
-          bool duplicate = false;
-          for (size_t j = workload.examples.size(); j-- > 0;) {
-            if (workload.sizes[j] != size) break;  // earlier sizes differ
-            if (AreIsomorphic(workload.examples[j].query, candidates[i])) {
-              duplicate = true;
-              break;
-            }
-          }
-          if (duplicate) continue;
-        }
         workload.sizes.push_back(size);
         workload.examples.push_back(
             TrainingExample{std::move(candidates[i]), counts[i]});

@@ -18,9 +18,6 @@ struct WorkloadOptions {
   /// Probability of keeping non-spanning-tree edges in extracted queries
   /// (1.0 = induced, dense queries).
   double edge_keep_probability = 0.8;
-  /// Drop queries isomorphic to an already-accepted query of the same
-  /// size (exact labeled-isomorphism test; keeps workloads diverse).
-  bool deduplicate_isomorphic = false;
   /// Fraction of each size's quota filled with *unmatchable* queries
   /// (count 0), produced by perturbing labels of extracted queries until
   /// the exact count is 0. Real workloads contain such queries; they

@@ -208,25 +208,4 @@ Result<Graph> ReadGraphBinary(const std::string& path) {
   return builder.Build();
 }
 
-std::string ToDot(const Graph& g, const std::string& name) {
-  static const char* kPalette[] = {"#4C72B0", "#DD8452", "#55A868",
-                                   "#C44E52", "#8172B3", "#937860",
-                                   "#DA8BC3", "#8C8C8C"};
-  std::ostringstream out;
-  out << "graph " << name << " {\n";
-  out << "  node [style=filled, fontcolor=white];\n";
-  for (size_t v = 0; v < g.NumVertices(); ++v) {
-    Label l = g.GetLabel(static_cast<VertexId>(v));
-    out << "  v" << v << " [label=\"" << v << ":" << l << "\", fillcolor=\""
-        << kPalette[l % 8] << "\"];\n";
-  }
-  for (size_t v = 0; v < g.NumVertices(); ++v) {
-    for (VertexId w : g.Neighbors(static_cast<VertexId>(v))) {
-      if (v < w) out << "  v" << v << " -- v" << w << ";\n";
-    }
-  }
-  out << "}\n";
-  return out.str();
-}
-
 }  // namespace neursc

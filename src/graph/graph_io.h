@@ -37,11 +37,6 @@ std::string WriteGraphToString(const Graph& g);
 Status WriteGraphBinary(const Graph& g, const std::string& path);
 Result<Graph> ReadGraphBinary(const std::string& path);
 
-/// Graphviz DOT rendering (undirected), with labels as both node text and
-/// a small categorical color palette. Intended for debugging small query
-/// graphs and substructures.
-std::string ToDot(const Graph& g, const std::string& name = "g");
-
 }  // namespace neursc
 
 #endif  // NEURSC_GRAPH_GRAPH_IO_H_

@@ -66,51 +66,4 @@ uint32_t Diameter(const Graph& g) {
   return diameter;
 }
 
-uint64_t CountTriangles(const Graph& g) {
-  // For each edge (u, v) with u < v, count common neighbors w > v via
-  // sorted-list intersection; each triangle is counted once.
-  uint64_t triangles = 0;
-  for (size_t u = 0; u < g.NumVertices(); ++u) {
-    auto nu = g.Neighbors(static_cast<VertexId>(u));
-    for (VertexId v : nu) {
-      if (v <= u) continue;
-      auto nv = g.Neighbors(v);
-      size_t i = 0;
-      size_t j = 0;
-      while (i < nu.size() && j < nv.size()) {
-        if (nu[i] == nv[j]) {
-          if (nu[i] > v) ++triangles;
-          ++i;
-          ++j;
-        } else if (nu[i] < nv[j]) {
-          ++i;
-        } else {
-          ++j;
-        }
-      }
-    }
-  }
-  return triangles;
-}
-
-double GlobalClusteringCoefficient(const Graph& g) {
-  uint64_t wedges = 0;
-  for (size_t v = 0; v < g.NumVertices(); ++v) {
-    uint64_t d = g.Degree(static_cast<VertexId>(v));
-    wedges += d * (d - 1) / 2;
-  }
-  if (wedges == 0) return 0.0;
-  return 3.0 * static_cast<double>(CountTriangles(g)) /
-         static_cast<double>(wedges);
-}
-
-QueryCharacteristics ComputeQueryCharacteristics(const Graph& q) {
-  QueryCharacteristics c;
-  c.label_entropy = LabelEntropy(q);
-  c.degree_entropy = DegreeEntropy(q);
-  c.density = q.Density();
-  c.diameter = Diameter(q);
-  return c;
-}
-
 }  // namespace neursc

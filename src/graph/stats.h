@@ -22,23 +22,6 @@ uint32_t Diameter(const Graph& g);
 /// Eccentricity of `source`: max BFS distance to any reachable vertex.
 uint32_t Eccentricity(const Graph& g, VertexId source);
 
-/// Number of triangles (unordered vertex triples forming 3-cycles).
-uint64_t CountTriangles(const Graph& g);
-
-/// Global clustering coefficient: 3 * triangles / #wedges (0 if no
-/// wedges). Used to validate generator realism (real graphs cluster).
-double GlobalClusteringCoefficient(const Graph& g);
-
-/// Summary of the characteristics Figure 9 buckets queries by.
-struct QueryCharacteristics {
-  double label_entropy = 0.0;
-  double degree_entropy = 0.0;
-  double density = 0.0;
-  uint32_t diameter = 0;
-};
-
-QueryCharacteristics ComputeQueryCharacteristics(const Graph& q);
-
 }  // namespace neursc
 
 #endif  // NEURSC_GRAPH_STATS_H_

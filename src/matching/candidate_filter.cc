@@ -13,14 +13,6 @@ namespace neursc {
 
 namespace {
 
-/// True iff every distinct value of sorted `sub` appears in sorted `super`.
-bool IsSubSet(std::span<const Label> sub, std::span<const Label> super) {
-  for (Label l : sub) {
-    if (!std::binary_search(super.begin(), super.end(), l)) return false;
-  }
-  return true;
-}
-
 /// True iff sorted multiset `sub` is contained in sorted multiset `super`.
 bool IsSubMultiset(std::span<const Label> sub, std::span<const Label> super) {
   size_t i = 0;
@@ -88,15 +80,10 @@ Result<CandidateSets> ComputeCandidateSets(
     std::span<const Label> query_profile = query.NeighborLabels(qu);
     for (VertexId v : data.VerticesWithLabel(label)) {
       ++inspected_per_vertex[u];
-      if (!options.homomorphism_safe &&
-          data.Degree(v) < query.Degree(qu)) {
-        continue;
+      if (data.Degree(v) < query.Degree(qu)) continue;
+      if (IsSubMultiset(query_profile, data.NeighborLabels(v))) {
+        result.candidates[u].push_back(v);
       }
-      std::span<const Label> data_profile = data.NeighborLabels(v);
-      bool keep = options.homomorphism_safe
-                      ? IsSubSet(query_profile, data_profile)
-                      : IsSubMultiset(query_profile, data_profile);
-      if (keep) result.candidates[u].push_back(v);
     }
   });
   local_span.End();
@@ -106,7 +93,6 @@ Result<CandidateSets> ComputeCandidateSets(
                      static_cast<int64_t>(inspected));
   NEURSC_COUNTER_ADD("filter.candidates_local",
                      static_cast<int64_t>(result.TotalSize()));
-  if (options.homomorphism_safe) return result;
 
   // Membership of every CS(u) in one flat bitmap, maintained across
   // refinement sweeps: bit v of row u is set iff v is in CS(u).

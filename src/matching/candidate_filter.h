@@ -35,11 +35,6 @@ struct CandidateFilterOptions {
   /// candidate pair with the semi-perfect-matching test). 0 keeps the
   /// local-pruning result unrefined.
   int refinement_rounds = 2;
-  /// Weaken every check to be sound for *homomorphisms* (non-injective
-  /// mappings): neighbor-label containment becomes set containment, the
-  /// degree test is dropped, and global refinement (which requires
-  /// distinct neighbor images) is skipped.
-  bool homomorphism_safe = false;
 };
 
 /// Computes candidate sets for every query vertex:

@@ -127,7 +127,7 @@ class Enumerator {
     }
     VertexId u = order_[depth];
     for (VertexId v : candidates_.candidates[u]) {
-      if (!options_.homomorphism && used_[v]) continue;
+      if (used_[v]) continue;
       bool consistent = true;
       for (VertexId w : mapped_neighbors_[depth]) {
         if (!data_.HasEdge(v, mapping_[w])) {
@@ -162,10 +162,7 @@ class Enumerator {
 Result<CountResult> CountSubgraphIsomorphisms(
     const Graph& query, const Graph& data,
     const EnumerationOptions& options) {
-  CandidateFilterOptions filter = options.filter;
-  // Injectivity-based pruning is unsound for homomorphism counting.
-  filter.homomorphism_safe = options.homomorphism;
-  auto candidates = ComputeCandidateSets(query, data, filter);
+  auto candidates = ComputeCandidateSets(query, data, options.filter);
   if (!candidates.ok()) return candidates.status();
   return CountSubgraphIsomorphismsWithCandidates(query, data, *candidates,
                                                  options);
@@ -187,30 +184,6 @@ Result<CountResult> CountSubgraphIsomorphismsWithCandidates(
   }
   Enumerator enumerator(query, data, candidates, options);
   return enumerator.Run();
-}
-
-bool AreIsomorphic(const Graph& g1, const Graph& g2) {
-  if (g1.NumVertices() != g2.NumVertices()) return false;
-  if (g1.NumEdges() != g2.NumEdges()) return false;
-  if (g1.NumVertices() == 0) return true;
-  // Cheap invariants first: sorted (label, degree) pairs must agree.
-  auto signature = [](const Graph& g) {
-    std::vector<std::pair<Label, uint32_t>> sig;
-    sig.reserve(g.NumVertices());
-    for (size_t v = 0; v < g.NumVertices(); ++v) {
-      sig.emplace_back(g.GetLabel(static_cast<VertexId>(v)),
-                       g.Degree(static_cast<VertexId>(v)));
-    }
-    std::sort(sig.begin(), sig.end());
-    return sig;
-  };
-  if (signature(g1) != signature(g2)) return false;
-  // With |V| and |E| equal, any subgraph-isomorphic embedding is a full
-  // isomorphism (the image uses all vertices and all edges).
-  EnumerationOptions options;
-  options.max_matches = 1;
-  auto counted = CountSubgraphIsomorphisms(g1, g2, options);
-  return counted.ok() && counted->count > 0;
 }
 
 }  // namespace neursc

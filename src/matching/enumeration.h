@@ -21,9 +21,6 @@ struct EnumerationOptions {
   /// Collect up to this many full embeddings (query-vertex -> data-vertex
   /// maps); 0 collects none. Used by the "perfect substructure" ablation.
   size_t collect_embeddings = 0;
-  /// Count homomorphisms instead of isomorphisms: the mapping need not be
-  /// injective (Sec. 2.2 of the paper; every other constraint is kept).
-  bool homomorphism = false;
   CandidateFilterOptions filter;
 };
 
@@ -53,13 +50,6 @@ Result<CountResult> CountSubgraphIsomorphisms(
 Result<CountResult> CountSubgraphIsomorphismsWithCandidates(
     const Graph& query, const Graph& data, const CandidateSets& candidates,
     const EnumerationOptions& options = {});
-
-/// Exact graph isomorphism for small graphs (queries): true iff g1 and g2
-/// are isomorphic as labeled graphs. Decided by size/degree/label-profile
-/// checks plus a single embedding search (an injective edge-preserving map
-/// between equal-size, equal-edge-count graphs is an isomorphism).
-/// Intended for query-size graphs; cost is that of one enumeration.
-bool AreIsomorphic(const Graph& g1, const Graph& g2);
 
 }  // namespace neursc
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/logging.h"
 #include "nn/simd.h"
@@ -42,13 +41,6 @@ float Matrix::scalar() const {
 void Matrix::AddInPlace(const Matrix& other) {
   NEURSC_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
   simd::Add(data(), other.data(), data(), data_.size());
-}
-
-void Matrix::AxpyInPlace(float alpha, const Matrix& other) {
-  NEURSC_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
-  for (size_t i = 0; i < data_.size(); ++i) {
-    data_[i] += alpha * other.data_[i];
-  }
 }
 
 void Matrix::ScaleInPlace(float alpha) {
@@ -136,21 +128,6 @@ float Matrix::MaxAbsDiff(const Matrix& a, const Matrix& b) {
     m = std::max(m, std::abs(a.data_[i] - b.data_[i]));
   }
   return m;
-}
-
-std::string Matrix::DebugString(int max_rows) const {
-  std::ostringstream out;
-  out << rows_ << "x" << cols_ << " [";
-  for (size_t r = 0; r < rows_ && r < static_cast<size_t>(max_rows); ++r) {
-    out << (r == 0 ? "[" : " [");
-    for (size_t c = 0; c < cols_ && c < 8; ++c) {
-      out << at(r, c) << (c + 1 < cols_ ? ", " : "");
-    }
-    out << "]";
-  }
-  if (rows_ > static_cast<size_t>(max_rows)) out << " ...";
-  out << "]";
-  return out.str();
 }
 
 }  // namespace neursc

@@ -2,7 +2,6 @@
 #define NEURSC_NN_MATRIX_H_
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -68,8 +67,6 @@ class Matrix {
 
   /// this += other (same shape).
   void AddInPlace(const Matrix& other);
-  /// this += alpha * other (same shape).
-  void AxpyInPlace(float alpha, const Matrix& other);
   /// this *= alpha.
   void ScaleInPlace(float alpha);
   /// Clamps every entry into [-limit, limit] (WGAN weight clipping).
@@ -99,8 +96,6 @@ class Matrix {
 
   /// Max |a-b| over entries; shapes must match.
   static float MaxAbsDiff(const Matrix& a, const Matrix& b);
-
-  std::string DebugString(int max_rows = 6) const;
 
  private:
   size_t rows_ = 0;

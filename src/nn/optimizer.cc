@@ -27,9 +27,6 @@ void AdamOptimizer::Step() {
     Parameter* p = params_[i];
     for (size_t j = 0; j < p->value.size(); ++j) {
       double g = p->grad.data()[j];
-      if (options_.weight_decay > 0.0) {
-        g += options_.weight_decay * p->value.data()[j];
-      }
       double m = b1 * m_[i].data()[j] + (1.0 - b1) * g;
       double v = b2 * v_[i].data()[j] + (1.0 - b2) * g * g;
       m_[i].data()[j] = static_cast<float>(m);
@@ -59,20 +56,6 @@ double AdamOptimizer::ClipGradNorm(double max_norm) {
     for (Parameter* p : params_) p->grad.ScaleInPlace(scale);
   }
   return total;
-}
-
-SgdOptimizer::SgdOptimizer(std::vector<Parameter*> params,
-                           double learning_rate)
-    : params_(std::move(params)), learning_rate_(learning_rate) {}
-
-void SgdOptimizer::Step() {
-  for (Parameter* p : params_) {
-    p->value.AxpyInPlace(static_cast<float>(-learning_rate_), p->grad);
-  }
-}
-
-void SgdOptimizer::ZeroGrad() {
-  for (Parameter* p : params_) p->ZeroGrad();
 }
 
 void ClampParameters(const std::vector<Parameter*>& params, float limit) {

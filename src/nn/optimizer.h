@@ -7,8 +7,8 @@
 
 namespace neursc {
 
-/// Adam (Kingma & Ba) with optional decoupled L2 penalty, matching the
-/// paper's optimizer choice for both WEst and the discriminator.
+/// Adam (Kingma & Ba), the paper's optimizer for both WEst and the
+/// discriminator.
 class AdamOptimizer {
  public:
   struct Options {
@@ -16,7 +16,6 @@ class AdamOptimizer {
     double beta1 = 0.9;
     double beta2 = 0.999;
     double epsilon = 1e-8;
-    double weight_decay = 0.0;
   };
 
   AdamOptimizer(std::vector<Parameter*> params, Options options);
@@ -35,7 +34,6 @@ class AdamOptimizer {
   double ClipGradNorm(double max_norm);
 
   const Options& options() const { return options_; }
-  void set_learning_rate(double lr) { options_.learning_rate = lr; }
 
  private:
   std::vector<Parameter*> params_;
@@ -43,18 +41,6 @@ class AdamOptimizer {
   std::vector<Matrix> m_;  // first moments
   std::vector<Matrix> v_;  // second moments
   int64_t step_count_ = 0;
-};
-
-/// Plain SGD, used in tests as a cross-check against Adam.
-class SgdOptimizer {
- public:
-  SgdOptimizer(std::vector<Parameter*> params, double learning_rate);
-  void Step();
-  void ZeroGrad();
-
- private:
-  std::vector<Parameter*> params_;
-  double learning_rate_;
 };
 
 /// Clamps every weight of `params` into [-limit, limit]; the WGAN weight

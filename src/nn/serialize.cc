@@ -1,10 +1,12 @@
 #include "nn/serialize.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <vector>
 
 namespace neursc {
 
@@ -61,7 +63,11 @@ Status LoadParameters(const std::vector<Parameter*>& params,
         "parameter count mismatch: file has " + std::to_string(count) +
         ", model has " + std::to_string(params.size()));
   }
-  for (Parameter* p : params) {
+  // Every value is parsed into `staged` first and committed only after the
+  // whole checkpoint parsed, so a rejected load leaves `params` untouched.
+  std::vector<std::vector<float>> staged(params.size());
+  for (size_t k = 0; k < params.size(); ++k) {
+    const Parameter* p = params[k];
     std::string tag;
     size_t rows = 0;
     size_t cols = 0;
@@ -77,6 +83,7 @@ Status LoadParameters(const std::vector<Parameter*>& params,
     // infinity, so the finite check below is what actually enforces the
     // no-NaN/Inf contract on every input.
     std::string token;
+    staged[k].resize(p->value.size());
     for (size_t i = 0; i < p->value.size(); ++i) {
       if (!(in >> token)) {
         return Status::IOError("truncated parameter data");
@@ -90,8 +97,11 @@ Status LoadParameters(const std::vector<Parameter*>& params,
         return Status::InvalidArgument(
             "non-finite parameter value '" + token + "' in checkpoint");
       }
-      p->value.data()[i] = v;
+      staged[k][i] = v;
     }
+  }
+  for (size_t k = 0; k < params.size(); ++k) {
+    std::copy(staged[k].begin(), staged[k].end(), params[k]->value.data());
   }
   return Status::OK();
 }

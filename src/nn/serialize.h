@@ -26,7 +26,9 @@ namespace neursc {
 ///
 /// Loading requires the destination parameter list to already have the
 /// same shapes (i.e. the model must be constructed with the same
-/// configuration); a mismatch is an InvalidArgument error.
+/// configuration); a mismatch is an InvalidArgument error. A rejected
+/// load changes no parameter: values are committed only after the whole
+/// checkpoint parsed.
 Status SaveParameters(const std::vector<Parameter*>& params,
                       std::ostream& out);
 Status SaveParametersToFile(const std::vector<Parameter*>& params,

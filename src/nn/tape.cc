@@ -276,12 +276,6 @@ Var Tape::SumRows(Var x) {
   return Emit(out, OpKind::kSumRows, x);
 }
 
-Var Tape::MeanRows(Var x) {
-  size_t n = Value(x).rows();
-  Var s = SumRows(x);
-  return n > 0 ? Scale(s, 1.0f / static_cast<float>(n)) : s;
-}
-
 Var Tape::ReduceSum(Var x) {
   const Matrix& xv = Value(x);
   Matrix* out = AllocValue(1, 1);

@@ -156,8 +156,6 @@ class Tape {
   Var ColBroadcastMul(Var x, Var w);
   /// Column-wise sum: (n x d) -> (1 x d). Sum-pooling readout.
   Var SumRows(Var x);
-  /// Mean over rows: (n x d) -> (1 x d).
-  Var MeanRows(Var x);
   /// Sum of all entries -> 1x1.
   Var ReduceSum(Var x);
 

@@ -69,9 +69,7 @@ TEST(CandidateFilterParallelTest, MatchesSerialOnRandomGraphs) {
     CandidateFilterOptions defaults;
     CandidateFilterOptions local;
     local.refinement_rounds = 0;
-    CandidateFilterOptions homomorphism;
-    homomorphism.homomorphism_safe = true;
-    return std::vector<CandidateFilterOptions>{defaults, local, homomorphism};
+    return std::vector<CandidateFilterOptions>{defaults, local};
   }();
   for (uint64_t seed : {11u, 29u, 47u, 83u, 131u}) {
     GeneratorConfig gconfig;

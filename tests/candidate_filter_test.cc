@@ -165,24 +165,13 @@ CandidateSets OracleCandidateSets(const Graph& query, const Graph& data,
   for (VertexId u = 0; u < nq; ++u) {
     std::vector<Label> qp = OracleProfile(query, u);
     for (VertexId v : data.VerticesWithLabel(query.GetLabel(u))) {
-      if (!options.homomorphism_safe && data.Degree(v) < query.Degree(u)) {
-        continue;
-      }
+      if (data.Degree(v) < query.Degree(u)) continue;
       std::vector<Label> dp = OracleProfile(data, v);
-      bool keep;
-      if (options.homomorphism_safe) {
-        std::vector<Label> distinct = qp;
-        distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                       distinct.end());
-        keep = std::includes(dp.begin(), dp.end(), distinct.begin(),
-                             distinct.end());
-      } else {
-        keep = std::includes(dp.begin(), dp.end(), qp.begin(), qp.end());
+      if (std::includes(dp.begin(), dp.end(), qp.begin(), qp.end())) {
+        result.candidates[u].push_back(v);
       }
-      if (keep) result.candidates[u].push_back(v);
     }
   }
-  if (options.homomorphism_safe) return result;
 
   std::vector<std::vector<bool>> is_candidate(
       nq, std::vector<bool>(data.NumVertices(), false));
@@ -219,9 +208,6 @@ CandidateSets OracleCandidateSets(const Graph& query, const Graph& data,
 TEST(CandidateFilterTest, MatchesOracleOnGeneratedWorkloads) {
   std::vector<std::pair<std::string, CandidateFilterOptions>> variants;
   variants.emplace_back("default", CandidateFilterOptions{});
-  CandidateFilterOptions homomorphism;
-  homomorphism.homomorphism_safe = true;
-  variants.emplace_back("homomorphism_safe", homomorphism);
   for (int rounds : {0, 1, 4}) {
     CandidateFilterOptions refine;
     refine.refinement_rounds = rounds;

@@ -1,5 +1,4 @@
 #include <atomic>
-#include <cmath>
 #include <thread>
 #include <vector>
 
@@ -97,26 +96,6 @@ TEST(RngTest, Uniform01InRange) {
   }
 }
 
-TEST(RngTest, DiscreteRespectsWeights) {
-  Rng rng(3);
-  std::vector<double> weights = {0.0, 1.0, 3.0};
-  size_t counts[3] = {0, 0, 0};
-  for (int i = 0; i < 10000; ++i) {
-    size_t idx = rng.Discrete(weights);
-    ASSERT_LT(idx, 3u);
-    ++counts[idx];
-  }
-  EXPECT_EQ(counts[0], 0u);
-  EXPECT_GT(counts[2], counts[1]);  // ~3x more likely
-  EXPECT_NEAR(static_cast<double>(counts[2]) / counts[1], 3.0, 0.5);
-}
-
-TEST(RngTest, DiscreteAllZeroReturnsSize) {
-  Rng rng(4);
-  std::vector<double> weights = {0.0, 0.0};
-  EXPECT_EQ(rng.Discrete(weights), 2u);
-}
-
 TEST(RngTest, ZipfStaysInRange) {
   Rng rng(5);
   for (int i = 0; i < 1000; ++i) {
@@ -142,23 +121,6 @@ TEST(RngTest, ShufflePreservesElements) {
   rng.Shuffle(&v);
   std::sort(v.begin(), v.end());
   EXPECT_EQ(v, (std::vector<int>{1, 2, 3, 4, 5}));
-}
-
-
-TEST(RngTest, NormalHasRoughlyUnitSpread) {
-  Rng rng(8);
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    double v = rng.Normal(2.0);
-    sum += v;
-    sum_sq += v * v;
-  }
-  double mean = sum / n;
-  double var = sum_sq / n - mean * mean;
-  EXPECT_NEAR(mean, 0.0, 0.1);
-  EXPECT_NEAR(std::sqrt(var), 2.0, 0.1);
 }
 
 TEST(RngTest, UniformRangeRespected) {

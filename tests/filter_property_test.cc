@@ -1,6 +1,5 @@
 // Property tests of candidate-filter invariants: pruning only ever
-// shrinks candidate sets (more refinement rounds never add candidates),
-// and the homomorphism-safe mode is a superset of the isomorphism filter.
+// shrinks candidate sets (more refinement rounds never add candidates).
 
 #include <gtest/gtest.h>
 
@@ -61,20 +60,6 @@ TEST_P(FilterMonotonicityTest, GlobalRefinementSubsetOfLocal) {
   ASSERT_TRUE(cs_full.ok());
   for (size_t u = 0; u < inst.query.NumVertices(); ++u) {
     EXPECT_TRUE(IsSubsetOf(cs_full->candidates[u], cs_local->candidates[u]));
-  }
-}
-
-TEST_P(FilterMonotonicityTest, HomomorphismModeIsSuperset) {
-  Instance inst = MakeInstance(GetParam());
-  CandidateFilterOptions iso;
-  auto cs_iso = ComputeCandidateSets(inst.query, inst.data, iso);
-  CandidateFilterOptions hom;
-  hom.homomorphism_safe = true;
-  auto cs_hom = ComputeCandidateSets(inst.query, inst.data, hom);
-  ASSERT_TRUE(cs_iso.ok());
-  ASSERT_TRUE(cs_hom.ok());
-  for (size_t u = 0; u < inst.query.NumVertices(); ++u) {
-    EXPECT_TRUE(IsSubsetOf(cs_iso->candidates[u], cs_hom->candidates[u]));
   }
 }
 

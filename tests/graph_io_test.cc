@@ -216,24 +216,5 @@ TEST(GraphIoBinaryTest, EmptyGraphRoundTrip) {
   EXPECT_EQ(back->NumVertices(), 0u);
 }
 
-
-TEST(GraphDotTest, ContainsVerticesAndEdges) {
-  Graph g = MakeGraph({0, 1, 2}, {{0, 1}, {1, 2}});
-  std::string dot = ToDot(g, "demo");
-  EXPECT_NE(dot.find("graph demo {"), std::string::npos);
-  EXPECT_NE(dot.find("v0 -- v1"), std::string::npos);
-  EXPECT_NE(dot.find("v1 -- v2"), std::string::npos);
-  EXPECT_EQ(dot.find("v0 -- v2"), std::string::npos);
-  EXPECT_NE(dot.find("0:0"), std::string::npos);  // id:label text
-}
-
-TEST(GraphDotTest, EmptyGraphStillValid) {
-  GraphBuilder b;
-  Graph g = std::move(b.Build()).value();
-  std::string dot = ToDot(g);
-  EXPECT_NE(dot.find("graph g {"), std::string::npos);
-  EXPECT_NE(dot.find("}"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace neursc

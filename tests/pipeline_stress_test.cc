@@ -32,7 +32,6 @@ TEST_P(PipelineStressTest, FullPipelineInvariants) {
 
   WorkloadOptions wopts;
   wopts.seed = seed;
-  wopts.deduplicate_isomorphic = true;
   wopts.unmatchable_fraction = 0.3;
   auto workload = BuildWorkload(*data, {3, 4}, 8, wopts);
   ASSERT_TRUE(workload.ok());

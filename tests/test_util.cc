@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
@@ -81,6 +82,29 @@ double MaxGradCheckError(const std::vector<Parameter*>& params,
     }
   }
   return max_rel_error;
+}
+
+std::vector<std::vector<float>> SnapshotWeights(
+    const std::vector<Parameter*>& params) {
+  std::vector<std::vector<float>> values;
+  for (const Parameter* p : params) {
+    values.emplace_back(p->value.data(), p->value.data() + p->value.size());
+  }
+  return values;
+}
+
+bool WeightsUnchanged(const std::vector<Parameter*>& params,
+                      const std::vector<std::vector<float>>& before) {
+  if (params.size() != before.size()) return false;
+  for (size_t i = 0; i < params.size(); ++i) {
+    const Matrix& m = params[i]->value;
+    if (m.size() != before[i].size() ||
+        std::memcmp(m.data(), before[i].data(), m.size() * sizeof(float)) !=
+            0) {
+      return false;
+    }
+  }
+  return true;
 }
 
 std::string ReadFileToString(const std::string& path) {

@@ -27,6 +27,14 @@ double MaxGradCheckError(const std::vector<Parameter*>& params,
                          const std::function<double()>& loss,
                          float step = 1e-3f);
 
+/// The raw values of every weight in `params`, for WeightsUnchanged.
+std::vector<std::vector<float>> SnapshotWeights(
+    const std::vector<Parameter*>& params);
+
+/// True iff every weight of `params` is bit-identical to `before`.
+bool WeightsUnchanged(const std::vector<Parameter*>& params,
+                      const std::vector<std::vector<float>>& before);
+
 /// Whole file as a string; dies if the file cannot be read.
 std::string ReadFileToString(const std::string& path);
 

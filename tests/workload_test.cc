@@ -87,27 +87,6 @@ TEST(WorkloadTest, DeterministicAcrossThreadCounts) {
 }
 
 
-TEST(WorkloadTest, DeduplicationDropsIsomorphicQueries) {
-  Graph data = SmallData();
-  WorkloadOptions base;
-  base.seed = 3;
-  auto plain = BuildWorkload(data, {3}, 12, base);
-  ASSERT_TRUE(plain.ok());
-  WorkloadOptions dedup = base;
-  dedup.deduplicate_isomorphic = true;
-  auto unique = BuildWorkload(data, {3}, 12, dedup);
-  ASSERT_TRUE(unique.ok());
-  // Every pair in the deduplicated workload is non-isomorphic.
-  for (size_t i = 0; i < unique->examples.size(); ++i) {
-    for (size_t j = i + 1; j < unique->examples.size(); ++j) {
-      EXPECT_FALSE(AreIsomorphic(unique->examples[i].query,
-                                 unique->examples[j].query));
-    }
-  }
-  EXPECT_LE(unique->examples.size(), plain->examples.size());
-}
-
-
 TEST(WorkloadTest, UnmatchableQueriesHaveZeroCount) {
   Graph data = SmallData();
   WorkloadOptions options;
