@@ -15,12 +15,14 @@ namespace neursc {
 namespace bench {
 namespace {
 
-void Run() {
+/// Returns the process exit code: non-zero when the workload, the pool or
+/// the active-learning run fails.
+int Run() {
   BenchEnv env = BenchEnv::FromEnvironment();
   auto ds = BuildBenchDataset("Yeast", env, {4, 8});
   if (!ds.ok()) {
     std::fprintf(stderr, "%s\n", ds.status().ToString().c_str());
-    return;
+    return 1;
   }
 
   // Budget B = |train|; passive uses all of it, active starts from half.
@@ -38,7 +40,7 @@ void Run() {
   auto pool = generator.GenerateMany(40);
   if (!pool.ok()) {
     std::fprintf(stderr, "pool: %s\n", pool.status().ToString().c_str());
-    return;
+    return 1;
   }
 
   NeurSCConfig config = DefaultNeurSCConfig(env);
@@ -48,18 +50,15 @@ void Run() {
   (void)passive->Train(train);
 
   // Active: half the budget seeded, the other half acquired.
-  std::unique_ptr<NeurSCEstimator> active_model;
   ActiveLearner::Options al;
   al.rounds = 2;
   al.acquisitions_per_round = (budget - seed_size + 1) / 2;
-  ActiveLearner learner(ds->graph,
-                        MakeNeurSCHooks(&active_model, ds->graph, config),
-                        al);
+  ActiveLearner learner(ds->graph, config, al);
   auto labeled = learner.Run(seed_set, *pool);
   if (!labeled.ok()) {
     std::fprintf(stderr, "active: %s\n",
                  labeled.status().ToString().c_str());
-    return;
+    return 1;
   }
 
   PrintSection("Extension: active learning (Yeast, equal labeling budget)");
@@ -76,7 +75,7 @@ void Run() {
   active_result.name = "NeurSC (active)";
   for (size_t i : ds->split.test) {
     const auto& example = ds->workload.examples[i];
-    auto info = active_model->Estimate(example.query);
+    auto info = learner.model()->Estimate(example.query);
     ++active_result.evaluated;
     if (!info.ok()) {
       ++active_result.failures;
@@ -90,6 +89,7 @@ void Run() {
   std::printf("geomean q-error: passive %.2f, active %.2f\n",
               GeometricMean(passive_result.qerrors),
               GeometricMean(active_result.qerrors));
+  return 0;
 }
 
 }  // namespace
@@ -98,6 +98,5 @@ void Run() {
 
 int main(int argc, char** argv) {
   neursc::ObservabilitySession observability(&argc, argv);
-  neursc::bench::Run();
-  return 0;
+  return neursc::bench::Run();
 }

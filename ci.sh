@@ -25,9 +25,11 @@
 #      loss curves bit for bit; then the component and ablation
 #      microbenchmarks (bench_micro_components, bench_micro_ablations) run
 #      once each with a short minimum time, so they keep building and
-#      running; last, the neursc_cli self-demo (generate -> train ->
+#      running; then the neursc_cli self-demo (generate -> train ->
 #      evaluate, ~0.1 s) prints the per-query extraction/inference times
-#      from EstimateInfo.
+#      from EstimateInfo; last, bench_ext_active_learning runs the
+#      active-learning loop on a tiny dataset (~0.06 s) and exits non-zero
+#      if the workload, the query pool or the learner's run fails.
 #   5. Static thread-safety analysis: a Clang build of the full tree with
 #      -DNEURSC_ANALYZE=ON (-Werror=thread-safety), proving every
 #      NEURSC_GUARDED_BY / NEURSC_REQUIRES contract, plus the clang-tidy
@@ -79,14 +81,17 @@ NEURSC_THREADS=8 ctest --test-dir build-tsan -R "$BIT_IDENTITY" \
   --output-on-failure
 
 echo
-echo "=== [4/7] Bench smoke (NEURSC_THREADS sweep + microbenchmarks + CLI demo) ==="
+echo "=== [4/7] Bench smoke (NEURSC_THREADS sweep + microbenchmarks + CLI demo + active learning) ==="
 cmake --build build -j "$JOBS" --target bench_table4_training_time \
-  bench_micro_components bench_micro_ablations neursc_cli
+  bench_micro_components bench_micro_ablations neursc_cli \
+  bench_ext_active_learning
 NEURSC_SCALE=0.25 NEURSC_EPOCHS=4 NEURSC_QUERIES=8 \
   ./build/bench/bench_table4_training_time
 ./build/bench/bench_micro_components --benchmark_min_time=0.01
 ./build/bench/bench_micro_ablations --benchmark_min_time=0.01
 ./build/examples/neursc_cli
+NEURSC_SCALE=0.25 NEURSC_EPOCHS=4 NEURSC_QUERIES=8 \
+  ./build/bench/bench_ext_active_learning
 
 echo
 echo "=== [5/7] Static analysis: Clang -Werror=thread-safety + clang-tidy ==="

@@ -8,22 +8,9 @@
 #include "common/logging.h"
 #include "common/timer.h"
 #include "core/feature_init.h"
+#include "core/west.h"
 
 namespace neursc {
-
-namespace {
-
-EdgeIndex UndirectedEdges(const Graph& g) {
-  EdgeIndex edges;
-  for (size_t v = 0; v < g.NumVertices(); ++v) {
-    for (VertexId w : g.Neighbors(static_cast<VertexId>(v))) {
-      edges.Add(static_cast<uint32_t>(w), static_cast<uint32_t>(v));
-    }
-  }
-  return edges;
-}
-
-}  // namespace
 
 LssEstimator::LssEstimator(const Graph& data, Options options)
     : data_(data),

@@ -6,21 +6,11 @@
 
 #include "common/logging.h"
 #include "common/timer.h"
-#include "core/feature_init.h"
+#include "core/west.h"
 
 namespace neursc {
 
 namespace {
-
-EdgeIndex UndirectedEdges(const Graph& g) {
-  EdgeIndex edges;
-  for (size_t v = 0; v < g.NumVertices(); ++v) {
-    for (VertexId w : g.Neighbors(static_cast<VertexId>(v))) {
-      edges.Add(static_cast<uint32_t>(w), static_cast<uint32_t>(v));
-    }
-  }
-  return edges;
-}
 
 std::vector<float> InverseDegreePlusOne(const Graph& g) {
   std::vector<float> inv(g.NumVertices());
@@ -37,10 +27,8 @@ NsicEstimator::NsicEstimator(const Graph& data, Options options)
     : data_(data),
       options_(options),
       rng_(options.seed),
-      degree_bits_(BitsFor(data.MaxDegree())),
-      label_bits_(BitsFor(data.NumLabels() == 0 ? 1 : data.NumLabels() - 1)) {
-  const size_t input_dim = degree_bits_ + label_bits_;
-  size_t in = input_dim;
+      features_(data, /*num_hops=*/0) {
+  size_t in = features_.FeatureDim();
   for (size_t k = 0; k < options_.layers; ++k) {
     if (options_.kind == GnnKind::kGin) {
       gin_.push_back(
@@ -63,27 +51,6 @@ std::string NsicEstimator::Name() const {
       options_.kind == GnnKind::kGin ? "NSIC-I" : "NSIC-C";
   if (options_.use_substructure_extraction) name += " w/ SE";
   return name;
-}
-
-Matrix NsicEstimator::Featurize(const Graph& g) const {
-  const size_t dim = degree_bits_ + label_bits_;
-  Matrix features(g.NumVertices(), dim);
-  for (size_t v = 0; v < g.NumVertices(); ++v) {
-    float* row = features.row(v);
-    size_t degree = std::min<size_t>(
-        g.Degree(static_cast<VertexId>(v)),
-        (static_cast<size_t>(1) << degree_bits_) - 1);
-    for (size_t b = 0; b < degree_bits_; ++b) {
-      row[b] = static_cast<float>((degree >> b) & 1u);
-    }
-    size_t label = std::min<size_t>(
-        g.GetLabel(static_cast<VertexId>(v)),
-        (static_cast<size_t>(1) << label_bits_) - 1);
-    for (size_t b = 0; b < label_bits_; ++b) {
-      row[degree_bits_ + b] = static_cast<float>((label >> b) & 1u);
-    }
-  }
-  return features;
 }
 
 Var NsicEstimator::GnnLayer(Tape* tape, size_t layer, Var h,
@@ -134,7 +101,7 @@ Var NsicEstimator::Predict(Tape* tape, Var query_embedding,
 
 Result<Var> NsicEstimator::DataEmbedding(Tape* tape, const Graph& query) {
   if (!options_.use_substructure_extraction) {
-    return Encode(tape, data_, Featurize(data_));
+    return Encode(tape, data_, features_.Compute(data_));
   }
   auto extraction = ExtractSubstructures(query, data_);
   if (!extraction.ok()) return extraction.status();
@@ -143,7 +110,7 @@ Result<Var> NsicEstimator::DataEmbedding(Tape* tape, const Graph& query) {
   }
   std::vector<Var> parts;
   for (const auto& sub : extraction->substructures) {
-    parts.push_back(Encode(tape, sub.graph, Featurize(sub.graph)));
+    parts.push_back(Encode(tape, sub.graph, features_.Compute(sub.graph)));
   }
   // Sum the substructure embeddings into one data-side embedding.
   Var stacked = tape->ConcatRows(parts);
@@ -179,7 +146,7 @@ Status NsicEstimator::Train(const std::vector<TrainingExample>& examples) {
       for (size_t i = start; i < end; ++i) {
         const TrainingExample& example = examples[indices[i]];
         Tape tape;
-        Var hq = Encode(&tape, example.query, Featurize(example.query));
+        Var hq = Encode(&tape, example.query, features_.Compute(example.query));
         auto hg = DataEmbedding(&tape, example.query);
         if (!hg.ok()) continue;
         Var estimate = Predict(&tape, hq, *hg);
@@ -197,7 +164,7 @@ Status NsicEstimator::Train(const std::vector<TrainingExample>& examples) {
 Result<double> NsicEstimator::EstimateCount(const Graph& query) {
   Timer timer;
   Tape tape;
-  Var hq = Encode(&tape, query, Featurize(query));
+  Var hq = Encode(&tape, query, features_.Compute(query));
   auto hg = DataEmbedding(&tape, query);
   if (!hg.ok()) {
     if (hg.status().IsNotFound()) return 0.0;

@@ -6,6 +6,7 @@
 
 #include "baselines/estimator.h"
 #include "common/rng.h"
+#include "core/feature_init.h"
 #include "matching/substructure.h"
 #include "nn/modules.h"
 #include "nn/optimizer.h"
@@ -59,7 +60,6 @@ class NsicEstimator : public CardinalityEstimator {
   Var Encode(Tape* tape, const Graph& g, const Matrix& features);
   /// Interaction + regression from the two embeddings.
   Var Predict(Tape* tape, Var query_embedding, Var data_embedding);
-  Matrix Featurize(const Graph& g) const;
   std::vector<Parameter*> AllParameters();
   /// Data-side embedding for a query (whole graph or substructures).
   Result<Var> DataEmbedding(Tape* tape, const Graph& query);
@@ -67,8 +67,8 @@ class NsicEstimator : public CardinalityEstimator {
   const Graph& data_;
   Options options_;
   Rng rng_;
-  size_t degree_bits_;
-  size_t label_bits_;
+  /// Eq. 1's own-vertex encoding (degree bits || label bits), no hops.
+  FeatureInitializer features_;
 
   // kGin uses gin_, kGcn uses gcn_linear_ (one Linear per layer).
   std::vector<std::unique_ptr<GinLayer>> gin_;

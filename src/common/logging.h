@@ -1,8 +1,6 @@
 #ifndef NEURSC_COMMON_LOGGING_H_
 #define NEURSC_COMMON_LOGGING_H_
 
-#include <atomic>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -10,10 +8,10 @@
 
 // Thread safety: logging is deliberately lock-free, so there is no mutex
 // here to annotate (docs/threading.md lock table). The severity threshold
-// and the NEURSC_LOG_EVERY_N counters are relaxed atomics, and Emit()
-// formats each line into one buffer written by a single fwrite(3) — POSIX
-// stream operations are atomic with respect to each other, so concurrent
-// log lines never interleave mid-line.
+// is a relaxed atomic, and Emit() formats each line into one buffer
+// written by a single fwrite(3) — POSIX stream operations are atomic with
+// respect to each other, so concurrent log lines never interleave
+// mid-line.
 
 namespace neursc {
 
@@ -30,13 +28,6 @@ void SetLogLevel(LogLevel level);
 /// file.cc:42] msg") in a single fwrite, so concurrent threads never
 /// interleave within a line.
 void Emit(LogLevel level, const char* file, int line, const std::string& msg);
-
-/// True on the first call and then every `n`-th call per `counter` (one
-/// static counter per NEURSC_LOG_EVERY_N site). Thread-safe.
-inline bool EveryN(std::atomic<uint64_t>* counter, uint64_t n) {
-  if (n <= 1) return true;
-  return counter->fetch_add(1, std::memory_order_relaxed) % n == 0;
-}
 
 /// Stream collector used by the NEURSC_LOG macro.
 class LogMessage {
@@ -62,20 +53,6 @@ class LogMessage {
   ::neursc::internal_logging::LogMessage(::neursc::LogLevel::k##level,     \
                                          __FILE__, __LINE__)               \
       .stream()
-
-/// Rate-limited logging for hot loops: emits the 1st, (n+1)-th, (2n+1)-th...
-/// execution of this statement. Usage mirrors NEURSC_LOG:
-///   NEURSC_LOG_EVERY_N(Info, 1000) << "processed " << i;
-#define NEURSC_LOG_EVERY_N(level, n)                                       \
-  if (!::neursc::internal_logging::EveryN(                                 \
-          []() -> ::std::atomic<uint64_t>* {                               \
-            static ::std::atomic<uint64_t> counter{0};                     \
-            return &counter;                                               \
-          }(),                                                             \
-          static_cast<uint64_t>(n)))                                       \
-    ;                                                                      \
-  else                                                                     \
-    NEURSC_LOG(level)
 
 /// Invariant check that stays on in release builds; logs and aborts on
 /// failure. Use for programmer errors, not data errors (those get Status).

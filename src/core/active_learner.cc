@@ -21,9 +21,17 @@ double PairwiseQError(double a, double b) {
 
 }  // namespace
 
-ActiveLearner::ActiveLearner(const Graph& data, ModelHooks hooks,
+ActiveLearner::ActiveLearner(const Graph& data, NeurSCConfig config,
                              Options options)
-    : data_(data), hooks_(std::move(hooks)), options_(options) {}
+    : data_(data), config_(std::move(config)), options_(options) {}
+
+Status ActiveLearner::TrainModel(uint64_t seed,
+                                 const std::vector<TrainingExample>& labeled) {
+  NeurSCConfig seeded = config_;
+  seeded.seed = seed;
+  model_ = std::make_unique<NeurSCEstimator>(data_, seeded);
+  return model_->Train(labeled).status();
+}
 
 Result<std::vector<TrainingExample>> ActiveLearner::Run(
     std::vector<TrainingExample> labeled,
@@ -38,38 +46,32 @@ Result<std::vector<TrainingExample>> ActiveLearner::Run(
     std::vector<std::vector<double>> member_predictions(
         options_.ensemble_size);
     for (size_t member = 0; member < options_.ensemble_size; ++member) {
-      hooks_.reset(options_.seed + 1000 * round + member);
-      NEURSC_RETURN_IF_ERROR(hooks_.train(labeled));
+      NEURSC_RETURN_IF_ERROR(
+          TrainModel(options_.seed + 1000 * round + member, labeled));
       member_predictions[member].assign(unlabeled_pool.size(), -1.0);
-      // Prefer the batch hook: one call covers the whole remaining pool
-      // (NeurSC schedules every query's substructures into one shared
-      // work pool). A failed batch falls back to the per-query loop —
-      // NeurSC's EstimateBatch returns prepare-phase errors before
-      // consuming any estimator randomness, so the fallback sees the
-      // same RNG state sequential estimates always did.
-      bool scored = false;
-      if (hooks_.estimate_batch) {
-        std::vector<size_t> open_indices;
-        std::vector<Graph> open_queries;
-        for (size_t i = 0; i < unlabeled_pool.size(); ++i) {
-          if (taken[i]) continue;
-          open_indices.push_back(i);
-          open_queries.push_back(unlabeled_pool[i]);
-        }
-        auto batch = hooks_.estimate_batch(open_queries);
-        if (batch.ok()) {
-          NEURSC_CHECK(batch->size() == open_indices.size());
-          for (size_t k = 0; k < open_indices.size(); ++k) {
-            member_predictions[member][open_indices[k]] = (*batch)[k];
-          }
-          scored = true;
-        }
+      // One EstimateBatch call covers the whole remaining pool, sharing
+      // one inference work pool across the queries' substructures. A
+      // failed batch falls back to per-query Estimate calls: EstimateBatch
+      // returns prepare-phase errors before consuming any estimator
+      // randomness, so the fallback sees the same RNG state sequential
+      // estimates always did.
+      std::vector<size_t> open_indices;
+      std::vector<Graph> open_queries;
+      for (size_t i = 0; i < unlabeled_pool.size(); ++i) {
+        if (taken[i]) continue;
+        open_indices.push_back(i);
+        open_queries.push_back(unlabeled_pool[i]);
       }
-      if (!scored) {
-        for (size_t i = 0; i < unlabeled_pool.size(); ++i) {
-          if (taken[i]) continue;
-          auto est = hooks_.estimate(unlabeled_pool[i]);
-          if (est.ok()) member_predictions[member][i] = *est;
+      auto batch = model_->EstimateBatch(open_queries);
+      if (batch.ok()) {
+        NEURSC_CHECK(batch->size() == open_indices.size());
+        for (size_t k = 0; k < open_indices.size(); ++k) {
+          member_predictions[member][open_indices[k]] = (*batch)[k].count;
+        }
+      } else {
+        for (size_t i : open_indices) {
+          auto est = model_->Estimate(unlabeled_pool[i]);
+          if (est.ok()) member_predictions[member][i] = est->count;
         }
       }
     }
@@ -117,44 +119,8 @@ Result<std::vector<TrainingExample>> ActiveLearner::Run(
   }
 
   // Final training pass on the enlarged labeled set with the base seed.
-  hooks_.reset(options_.seed);
-  NEURSC_RETURN_IF_ERROR(hooks_.train(labeled));
+  NEURSC_RETURN_IF_ERROR(TrainModel(options_.seed, labeled));
   return labeled;
-}
-
-ActiveLearner::ModelHooks MakeNeurSCHooks(
-    std::unique_ptr<NeurSCEstimator>* slot, const Graph& data,
-    NeurSCConfig config) {
-  ActiveLearner::ModelHooks hooks;
-  // One Prepared cache across every reset/train cycle: extraction and
-  // feature initialization depend only on (data graph, query, config), not
-  // on the estimator seed, so all ensemble members and all later rounds
-  // reuse each labeled query's extraction instead of redoing it.
-  auto cache = std::make_shared<PreparedQueryCache>();
-  hooks.reset = [slot, &data, config](uint64_t seed) {
-    NeurSCConfig seeded = config;
-    seeded.seed = seed;
-    *slot = std::make_unique<NeurSCEstimator>(data, seeded);
-  };
-  hooks.train = [slot, cache](const std::vector<TrainingExample>& examples) {
-    auto stats = (*slot)->Train(examples, cache.get());
-    return stats.ok() ? Status::OK() : stats.status();
-  };
-  hooks.estimate = [slot](const Graph& query) -> Result<double> {
-    auto info = (*slot)->Estimate(query);
-    if (!info.ok()) return info.status();
-    return info->count;
-  };
-  hooks.estimate_batch =
-      [slot](const std::vector<Graph>& queries) -> Result<std::vector<double>> {
-    auto infos = (*slot)->EstimateBatch(queries);
-    if (!infos.ok()) return infos.status();
-    std::vector<double> counts;
-    counts.reserve(infos->size());
-    for (const EstimateInfo& info : *infos) counts.push_back(info.count);
-    return counts;
-  };
-  return hooks;
 }
 
 }  // namespace neursc

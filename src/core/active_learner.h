@@ -1,11 +1,9 @@
 #ifndef NEURSC_CORE_ACTIVE_LEARNER_H_
 #define NEURSC_CORE_ACTIVE_LEARNER_H_
 
-#include <functional>
 #include <memory>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/status.h"
 #include "core/neursc.h"
 #include "graph/graph.h"
@@ -15,18 +13,14 @@ namespace neursc {
 /// Active learning for count estimators, in the spirit of ALSS (Zhao et
 /// al. pair LSS with an active learner; the NeurSC paper compares against
 /// plain LSS but cites the AL extension). The loop is
-/// estimator-agnostic:
 ///
-///   1. Train an ensemble of estimators (different seeds) on the labeled
-///      pool.
+///   1. Train an ensemble of NeurSC estimators (different seeds) on the
+///      labeled pool.
 ///   2. Score every unlabeled candidate query by ensemble disagreement
 ///      (the max pairwise q-error between member predictions — a
 ///      label-free uncertainty proxy).
 ///   3. Move the most uncertain queries to the labeled pool, computing
 ///      their exact counts (the expensive "oracle" call), and retrain.
-///
-/// The harness exposes hooks so both NeurSC and LSS (or any
-/// CardinalityEstimator) can plug in.
 class ActiveLearner {
  public:
   struct Options {
@@ -39,34 +33,14 @@ class ActiveLearner {
     uint64_t seed = 77;
   };
 
-  /// A trainable-model factory: builds a fresh estimator with the given
-  /// seed. Train/estimate run through the returned closure pair.
-  struct ModelHooks {
-    /// Resets the model with a seed.
-    std::function<void(uint64_t seed)> reset;
-    /// Trains on the labeled pool.
-    std::function<Status(const std::vector<TrainingExample>&)> train;
-    /// Predicts a count.
-    std::function<Result<double>(const Graph&)> estimate;
-    /// Optional batch prediction: counts for all queries at once, in input
-    /// order. When set, the learner scores each round's remaining pool
-    /// through one call (NeurSC's EstimateBatch shares a single inference
-    /// work pool across the queries' substructures); on error it falls
-    /// back to the per-query `estimate` loop. Must behave exactly like
-    /// sequential `estimate` calls (NeurSC's EstimateBatch guarantees
-    /// bit-identical results).
-    std::function<Result<std::vector<double>>(const std::vector<Graph>&)>
-        estimate_batch;
-  };
-
-  /// `data` is the data graph the counts refer to; hooks are invoked on a
-  /// caller-owned model (the learner drives reset/train/estimate cycles).
-  ActiveLearner(const Graph& data, ModelHooks hooks, Options options);
+  /// `data` is the data graph the counts refer to; every estimator the
+  /// learner builds uses `config` with its seed overridden.
+  ActiveLearner(const Graph& data, NeurSCConfig config, Options options);
 
   /// Runs the loop: starts from `labeled`, draws acquisitions from
   /// `unlabeled_pool` (queries without counts). Returns the final labeled
-  /// set (inputs + acquisitions with oracle counts). The model behind
-  /// `hooks` ends up trained on that final set with the base seed.
+  /// set (inputs + acquisitions with oracle counts); model() is then
+  /// trained on that final set with the base seed.
   Result<std::vector<TrainingExample>> Run(
       std::vector<TrainingExample> labeled,
       const std::vector<Graph>& unlabeled_pool);
@@ -74,21 +48,21 @@ class ActiveLearner {
   /// Disagreement score of the last Run() per pool index (diagnostics).
   const std::vector<double>& last_scores() const { return last_scores_; }
 
+  /// The last trained estimator; null before Run().
+  NeurSCEstimator* model() { return model_.get(); }
+
  private:
+  /// Replaces model() with a fresh estimator seeded `seed`, trained on
+  /// `labeled`.
+  Status TrainModel(uint64_t seed,
+                    const std::vector<TrainingExample>& labeled);
+
   const Graph& data_;
-  ModelHooks hooks_;
+  NeurSCConfig config_;
   Options options_;
+  std::unique_ptr<NeurSCEstimator> model_;
   std::vector<double> last_scores_;
 };
-
-/// Convenience hook factory for NeurSCEstimator. The estimator object is
-/// rebuilt on reset with the stored config (seed overridden). All train
-/// calls share one PreparedQueryCache, so each labeled query's extraction
-/// and features are computed once per Run() instead of once per ensemble
-/// member per round (extraction is seed-independent; see neursc.h).
-ActiveLearner::ModelHooks MakeNeurSCHooks(
-    std::unique_ptr<NeurSCEstimator>* slot, const Graph& data,
-    NeurSCConfig config);
 
 }  // namespace neursc
 

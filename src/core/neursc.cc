@@ -26,21 +26,6 @@ Substructure WholeGraphSubstructure(const Graph& data, size_t num_query) {
   return s;
 }
 
-/// Hash of the settings a Prepared entry depends on besides the query and
-/// the data graph: every CandidateFilterOptions field, the feature hops,
-/// and whether extraction runs at all. A new field of either that changes
-/// extraction or features belongs here.
-uint64_t PreparedSettingsHash(const NeurSCConfig& config) {
-  uint64_t h = 14695981039346656037ull;
-  for (uint64_t v :
-       {static_cast<uint64_t>(config.filter.refinement_rounds),
-        static_cast<uint64_t>(config.west.feature_hops),
-        static_cast<uint64_t>(config.use_substructure_extraction)}) {
-    h = (h ^ v) * 1099511628211ull;
-  }
-  return h;
-}
-
 }  // namespace
 
 NeurSCEstimator::NeurSCEstimator(const Graph& data, NeurSCConfig config)
@@ -193,7 +178,7 @@ Var NeurSCEstimator::BuildQueryLoss(
 }
 
 Result<TrainStats> NeurSCEstimator::Train(
-    const std::vector<TrainingExample>& examples, PreparedQueryCache* cache) {
+    const std::vector<TrainingExample>& examples) {
   if (examples.empty()) {
     return Status::InvalidArgument("no training examples");
   }
@@ -204,40 +189,23 @@ Result<TrainStats> NeurSCEstimator::Train(
   // once, in parallel across examples (Alg. 3 recomputes per epoch;
   // hoisting is purely an optimization). Prepare never touches rng_, so
   // running out of order is safe; per-index slots keep the results
-  // thread-count independent. With a cache, each query's Prepared data is
-  // shared across Train calls.
+  // thread-count independent.
   NEURSC_SPAN(prepare_span, "train/prepare");
-  std::vector<std::shared_ptr<const Prepared>> all_prepared(examples.size());
+  std::vector<std::optional<Prepared>> all_prepared(examples.size());
   std::vector<Status> prepare_status(examples.size());
-  PreparedQueryCache::Key base_key;
-  if (cache != nullptr) {
-    base_key.data = data_.Fingerprint();
-    base_key.settings = PreparedSettingsHash(config_);
-  }
   ParallelFor(examples.size(), [&](size_t i) {
-    const Graph& query = examples[i].query;
-    PreparedQueryCache::Key key = base_key;
-    if (cache != nullptr) {
-      key.query = query.Fingerprint();
-      if (auto hit = cache->Lookup(key, query)) {
-        all_prepared[i] = std::move(hit);
-        return;
-      }
-    }
-    auto prep = Prepare(query);
-    if (!prep.ok()) {
+    auto prep = Prepare(examples[i].query);
+    if (prep.ok()) {
+      all_prepared[i] = std::move(prep).value();
+    } else {
       prepare_status[i] = prep.status();
-      return;
     }
-    auto owned = std::make_shared<const Prepared>(std::move(prep).value());
-    all_prepared[i] =
-        cache != nullptr ? cache->Insert(key, query, std::move(owned)) : owned;
   });
   // Lowest-index failure wins, matching the old serial loop's behavior.
   for (const Status& st : prepare_status) {
     if (!st.ok()) return st;
   }
-  std::vector<std::shared_ptr<const Prepared>> prepared;
+  std::vector<Prepared> prepared;
   std::vector<const TrainingExample*> usable;
   prepared.reserve(examples.size());
   for (size_t i = 0; i < examples.size(); ++i) {
@@ -246,7 +214,7 @@ Result<TrainStats> NeurSCEstimator::Train(
       ++stats.examples_skipped;
       continue;
     }
-    prepared.push_back(all_prepared[i]);
+    prepared.push_back(std::move(*all_prepared[i]));
     usable.push_back(&examples[i]);
   }
   all_prepared.clear();
@@ -286,7 +254,7 @@ Result<TrainStats> NeurSCEstimator::Train(
       Rng rng(seeds[k]);
       auto tape = tape_pool_.Acquire();
       Var loss = BuildQueryLoss(tape.get(), usable[idx]->query,
-                                *prepared[idx], usable[idx]->count,
+                                prepared[idx], usable[idx]->count,
                                 /*adversarial=*/false, &rng, nullptr);
       if (!loss.valid()) return;
       losses[k] = tape->Value(loss).scalar();
@@ -348,7 +316,7 @@ Result<TrainStats> NeurSCEstimator::Train(
           tape.set_gradient_sink(&sinks[k]);
           Rng rng(seeds[k]);
           Var loss = BuildQueryLoss(
-              &tape, usable[idx]->query, *prepared[idx], usable[idx]->count,
+              &tape, usable[idx]->query, prepared[idx], usable[idx]->count,
               adversarial, &rng,
               wasserstein_updates ? &critic_inputs[k] : nullptr);
           if (!loss.valid()) return;
@@ -379,7 +347,7 @@ Result<TrainStats> NeurSCEstimator::Train(
       if (wasserstein_updates) {
         for (size_t k = 0; k < batch; ++k) {
           size_t idx = indices[start + k];
-          const auto& subs = prepared[idx]->extraction.substructures;
+          const auto& subs = prepared[idx].extraction.substructures;
           for (const CriticUpdateInput& input : critic_inputs[k]) {
             UpdateCritic(input.query_repr, input.sub_repr,
                          subs[input.sub_index].local_candidates);

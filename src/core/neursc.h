@@ -2,16 +2,13 @@
 #define NEURSC_CORE_NEURSC_H_
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <functional>
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "common/mutex.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "core/discriminator.h"
@@ -109,8 +106,6 @@ struct TrainStats {
   bool early_stopped = false;
 };
 
-class PreparedQueryCache;
-
 /// The NeurSC estimator bound to one data graph: substructure extraction
 /// (Sec. 4) plus the WEst network (Sec. 5) and its adversarial trainer.
 ///
@@ -149,27 +144,12 @@ class PreparedQueryCache;
 /// threads (each call advances rng_).
 class NeurSCEstimator {
  public:
-  /// Extraction + feature computation for one query. Immutable once built;
-  /// both are seed-independent functions of (data graph, query, config), so
-  /// Prepared data can be shared across estimator instances constructed
-  /// with the same data graph and filter/feature settings (see
-  /// PreparedQueryCache).
-  struct Prepared {
-    ExtractionResult extraction;
-    Matrix query_features;
-    std::vector<Matrix> sub_features;
-  };
-
   NeurSCEstimator(const Graph& data, NeurSCConfig config);
 
   /// Trains on `examples` following Alg. 3 (with the L_c-only pretraining
   /// stage of Sec. 5.6). Deterministic given the config seed, at every
-  /// NEURSC_THREADS value. When `cache` is non-null, per-query extraction
-  /// and feature results are looked up / deposited there instead of being
-  /// recomputed (the active-learning ensemble retrains many estimators on
-  /// the same labeled set).
-  Result<TrainStats> Train(const std::vector<TrainingExample>& examples,
-                           PreparedQueryCache* cache = nullptr);
+  /// NEURSC_THREADS value.
+  Result<TrainStats> Train(const std::vector<TrainingExample>& examples);
 
   /// Estimates c(q) for one query (Alg. 1), sampling substructures at the
   /// configured r_s. Substructure forward passes run in parallel; the
@@ -218,6 +198,14 @@ class NeurSCEstimator {
   Discriminator* critic() { return critic_.get(); }
 
  private:
+  /// Extraction + feature computation for one query: seed-independent
+  /// functions of (data graph, query, config).
+  struct Prepared {
+    ExtractionResult extraction;
+    Matrix query_features;
+    std::vector<Matrix> sub_features;
+  };
+
   /// One WEst forward pass of the inference work pool: an independent
   /// (query, substructure) evaluation with a pre-drawn RNG seed. Filled-in
   /// fields (prediction, timing) are written only by the worker that owns
@@ -300,88 +288,6 @@ class NeurSCEstimator {
   /// grows to peak concurrency and keeps the warmed-up arenas thereafter.
   TapePool tape_pool_;
   Rng rng_;
-};
-
-/// Shared cache of per-query Prepared data (extraction + features).
-/// Extraction and feature initialization are seed-independent functions of
-/// (query, data graph, filter and feature settings), so an entry is keyed
-/// by all three: the query's and the data graph's Graph::Fingerprint() and
-/// a hash of the settings. A hit also compares the stored query, so a
-/// fingerprint collision misses instead of returning another query's
-/// data. Estimators over different data graphs or settings may share one
-/// cache; the active-learning ensemble, which retrains every member on the
-/// same growing labeled set, is the intended user. Thread-safe: Train's
-/// parallel prepare pass probes it from worker threads.
-class PreparedQueryCache {
- public:
-  PreparedQueryCache() = default;
-  PreparedQueryCache(const PreparedQueryCache&) = delete;
-  PreparedQueryCache& operator=(const PreparedQueryCache&) = delete;
-
-  size_t size() const NEURSC_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return entries_.size();
-  }
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  void Clear() NEURSC_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    entries_.clear();
-  }
-
- private:
-  friend class NeurSCEstimator;
-
-  /// Fingerprints of the query and the data graph, and the hash of the
-  /// filter and feature settings.
-  struct Key {
-    uint64_t query = 0;
-    uint64_t data = 0;
-    uint64_t settings = 0;
-    bool operator==(const Key&) const = default;
-  };
-  struct Entry {
-    Graph query;
-    std::shared_ptr<const NeurSCEstimator::Prepared> prepared;
-  };
-  struct KeyHash {
-    size_t operator()(const Key& k) const {
-      return static_cast<size_t>(k.query ^ (k.data * 0x9e3779b97f4a7c15ULL) ^
-                                 (k.settings * 0xc2b2ae3d27d4eb4fULL));
-    }
-  };
-
-  /// Null on miss (counts toward misses()).
-  std::shared_ptr<const NeurSCEstimator::Prepared> Lookup(
-      const Key& key, const Graph& query) NEURSC_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    auto it = entries_.find(key);
-    if (it == entries_.end() || it->second.query != query) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      return nullptr;
-    }
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return it->second.prepared;
-  }
-
-  /// Returns the winning entry: `value`, or the existing one if another
-  /// thread inserted the same query first (both are equal — Prepared is a
-  /// deterministic function of the key's inputs). A different query under
-  /// the same key keeps the slot; `value` is returned uncached.
-  std::shared_ptr<const NeurSCEstimator::Prepared> Insert(
-      const Key& key, const Graph& query,
-      std::shared_ptr<const NeurSCEstimator::Prepared> value)
-      NEURSC_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    auto [it, inserted] = entries_.emplace(key, Entry{query, value});
-    return it->second.query == query ? it->second.prepared : value;
-  }
-
-  /// Guards the entry map; hit/miss tallies are lock-free atomics.
-  mutable Mutex mu_;
-  std::unordered_map<Key, Entry, KeyHash> entries_ NEURSC_GUARDED_BY(mu_);
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
 };
 
 }  // namespace neursc

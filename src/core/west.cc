@@ -9,9 +9,6 @@
 
 namespace neursc {
 
-namespace {
-
-/// Both-direction edge list of an undirected graph.
 EdgeIndex UndirectedEdges(const Graph& g) {
   EdgeIndex edges;
   edges.src.reserve(2 * g.NumEdges());
@@ -23,6 +20,8 @@ EdgeIndex UndirectedEdges(const Graph& g) {
   }
   return edges;
 }
+
+namespace {
 
 /// Disjoint-set union used to connect the bipartite graph.
 class UnionFind {

@@ -41,6 +41,10 @@ struct WEstConfig {
   uint64_t seed = 1234;
 };
 
+/// Both-direction edge list of an undirected graph: (w, v) for every
+/// neighbor w of every vertex v, in vertex order.
+EdgeIndex UndirectedEdges(const Graph& g);
+
 /// The WEst estimation network f_theta (Alg. 2): a GIN branch over each
 /// graph individually, an attention branch over the query/candidate
 /// bipartite graph, sum-pooling readouts, and an MLP regressor. The

@@ -95,9 +95,9 @@ class Graph {
 
   /// 64-bit FNV-1a structural fingerprint over labels and adjacency.
   /// Graphs that are equal vertex-for-vertex (same ids, labels, and edges)
-  /// hash equal; used as a cache key for per-query derived data (e.g.
-  /// PreparedQueryCache). Not isomorphism-invariant. Derived arrays
-  /// (neighbor labels, label groups) are not hashed.
+  /// hash equal; perfbench's manifest check compares it against the
+  /// fingerprints written with its inputs. Not isomorphism-invariant.
+  /// Derived arrays (neighbor labels, label groups) are not hashed.
   uint64_t Fingerprint() const;
   /// Equality over the arrays Fingerprint() hashes: same vertex ids,
   /// labels and edges.

@@ -49,13 +49,10 @@ NeurSCConfig TinyConfig() {
 
 TEST(ActiveLearnerTest, AcquiresFromPool) {
   TestEnv s = TestEnv::Build();
-  std::unique_ptr<NeurSCEstimator> model;
   ActiveLearner::Options options;
   options.rounds = 2;
   options.acquisitions_per_round = 3;
-  ActiveLearner learner(s.data,
-                        MakeNeurSCHooks(&model, s.data, TinyConfig()),
-                        options);
+  ActiveLearner learner(s.data, TinyConfig(), options);
   size_t initial = s.workload.examples.size();
   auto labeled = learner.Run(s.workload.examples, s.pool);
   ASSERT_TRUE(labeled.ok()) << labeled.status().ToString();
@@ -66,21 +63,18 @@ TEST(ActiveLearnerTest, AcquiresFromPool) {
     EXPECT_GE((*labeled)[i].count, 0.0);
   }
   // The final model is trained and usable.
-  ASSERT_NE(model, nullptr);
-  auto info = model->Estimate(s.pool[0]);
+  ASSERT_NE(learner.model(), nullptr);
+  auto info = learner.model()->Estimate(s.pool[0]);
   ASSERT_TRUE(info.ok());
   EXPECT_GE(info->count, 0.0);
 }
 
 TEST(ActiveLearnerTest, ScoresCoverPool) {
   TestEnv s = TestEnv::Build();
-  std::unique_ptr<NeurSCEstimator> model;
   ActiveLearner::Options options;
   options.rounds = 1;
   options.acquisitions_per_round = 2;
-  ActiveLearner learner(s.data,
-                        MakeNeurSCHooks(&model, s.data, TinyConfig()),
-                        options);
+  ActiveLearner learner(s.data, TinyConfig(), options);
   auto labeled = learner.Run(s.workload.examples, s.pool);
   ASSERT_TRUE(labeled.ok());
   EXPECT_EQ(learner.last_scores().size(), s.pool.size());
@@ -88,23 +82,37 @@ TEST(ActiveLearnerTest, ScoresCoverPool) {
 
 TEST(ActiveLearnerTest, RejectsEmptyLabeledSet) {
   TestEnv s = TestEnv::Build();
-  std::unique_ptr<NeurSCEstimator> model;
-  ActiveLearner learner(s.data,
-                        MakeNeurSCHooks(&model, s.data, TinyConfig()),
-                        ActiveLearner::Options());
+  ActiveLearner learner(s.data, TinyConfig(), ActiveLearner::Options());
   EXPECT_FALSE(learner.Run({}, s.pool).ok());
 }
 
 TEST(ActiveLearnerTest, EmptyPoolDegradesToPlainTraining) {
   TestEnv s = TestEnv::Build();
-  std::unique_ptr<NeurSCEstimator> model;
-  ActiveLearner learner(s.data,
-                        MakeNeurSCHooks(&model, s.data, TinyConfig()),
-                        ActiveLearner::Options());
+  ActiveLearner learner(s.data, TinyConfig(), ActiveLearner::Options());
   auto labeled = learner.Run(s.workload.examples, {});
   ASSERT_TRUE(labeled.ok());
   EXPECT_EQ(labeled->size(), s.workload.examples.size());
-  ASSERT_NE(model, nullptr);
+  ASSERT_NE(learner.model(), nullptr);
+}
+
+TEST(ActiveLearnerTest, FailedBatchFallsBackPerQuery) {
+  // ComputeCandidateSets rejects the empty query, so each member's
+  // EstimateBatch over the pool fails and the learner scores the pool
+  // with per-query Estimate calls instead: the empty query keeps score 0
+  // and every other query gets a real disagreement score.
+  TestEnv s = TestEnv::Build();
+  s.pool.insert(s.pool.begin(), Graph());
+  ActiveLearner::Options options;
+  options.rounds = 1;
+  options.acquisitions_per_round = 0;
+  ActiveLearner learner(s.data, TinyConfig(), options);
+  auto labeled = learner.Run(s.workload.examples, s.pool);
+  ASSERT_TRUE(labeled.ok()) << labeled.status().ToString();
+  ASSERT_EQ(learner.last_scores().size(), s.pool.size());
+  EXPECT_EQ(learner.last_scores()[0], 0.0);
+  for (size_t i = 1; i < s.pool.size(); ++i) {
+    EXPECT_GE(learner.last_scores()[i], 1.0) << "pool index " << i;
+  }
 }
 
 }  // namespace

@@ -109,10 +109,9 @@ struct TrainOutcome {
 };
 
 TrainOutcome RunTraining(const Graph& data, const NeurSCConfig& config,
-                         const std::vector<TrainingExample>& examples,
-                         PreparedQueryCache* cache = nullptr) {
+                         const std::vector<TrainingExample>& examples) {
   NeurSCEstimator estimator(data, config);
-  auto stats = estimator.Train(examples, cache);
+  auto stats = estimator.Train(examples);
   EXPECT_TRUE(stats.ok()) << stats.status().ToString();
   TrainOutcome outcome;
   if (!stats.ok()) return outcome;
@@ -233,50 +232,6 @@ TEST(TrainParallelTest, NoDiscriminatorVariantBitIdentical) {
     TrainOutcome got = RunTraining(data, config, examples);
     ExpectBitIdenticalOutcome(got, reference, threads);
   }
-}
-
-TEST(TrainParallelTest, PreparedCacheDoesNotChangeResults) {
-  ThreadsGuard guard(8);
-  Graph data = DisjointTriangles(6);
-  std::vector<TrainingExample> examples = TrainingSet(6);
-  NeurSCConfig config = TrainConfig(99);
-  TrainOutcome uncached = RunTraining(data, config, examples);
-
-  PreparedQueryCache cache;
-  TrainOutcome cold = RunTraining(data, config, examples, &cache);
-  EXPECT_GT(cache.misses(), 0u);
-  EXPECT_GT(cache.size(), 0u);
-  // Duplicate queries in the training set hit within the first pass or on
-  // the warm rerun; either way the warm pass must be all hits.
-  uint64_t misses_after_cold = cache.misses();
-  TrainOutcome warm = RunTraining(data, config, examples, &cache);
-  EXPECT_EQ(cache.misses(), misses_after_cold);
-  EXPECT_GT(cache.hits(), 0u);
-
-  ExpectBitIdenticalOutcome(cold, uncached, 8);
-  ExpectBitIdenticalOutcome(warm, uncached, 8);
-
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(TrainParallelTest, PreparedCacheIsKeyedByDataGraph) {
-  // Prepared data is a function of the data graph too: one cache shared
-  // by estimators over different data graphs must not hand the second the
-  // first one's extraction.
-  ThreadsGuard guard(8);
-  Graph first_data = DisjointTriangles(6);
-  Graph second_data = DisjointTriangles(3);
-  std::vector<TrainingExample> examples = TrainingSet(3);
-  NeurSCConfig config = TrainConfig(99);
-  TrainOutcome uncached = RunTraining(second_data, config, examples);
-
-  PreparedQueryCache cache;
-  RunTraining(first_data, config, examples, &cache);
-  const uint64_t misses_after_first = cache.misses();
-  TrainOutcome shared = RunTraining(second_data, config, examples, &cache);
-  EXPECT_GT(cache.misses(), misses_after_first);
-  ExpectBitIdenticalOutcome(shared, uncached, 8);
 }
 
 }  // namespace
