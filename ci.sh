@@ -14,10 +14,13 @@
 #      reused tape's forward and backward match a fresh tape's bit for bit,
 #      with zero arena growth after warm-up), the checkpoint round-trip
 #      suite (serialize_test), the scalar-vs-AVX2 kernel equivalence suite
-#      (simd_kernels_test) and the golden-output pin of WEst forward and
-#      training results (golden_output_test) re-run explicitly under both
-#      the Release and TSan builds — the bit-identity contract of
-#      docs/execution.md. Stage 6 runs them again under ASan+UBSan, which
+#      (simd_kernels_test, including the backward and Adam kernels), the
+#      golden-output pin of WEst forward and training results
+#      (golden_output_test), the Adam suite (optimizer_test) and the tape
+#      suite (tape_test, whose per-op backward pin checks each op's input
+#      gradients against the scalar loops they replaced) re-run explicitly
+#      under both the Release and TSan builds — the bit-identity contract
+#      of docs/execution.md. Stage 6 runs them again under ASan+UBSan, which
 #      covers the AVX2 kernels' vector bodies and scalar tails.
 #   4. Bench smoke: bench_table4_training_time on a tiny dataset sweeps
 #      NEURSC_THREADS {1,2,8} over full training runs and exits non-zero
@@ -74,8 +77,8 @@ NEURSC_THREADS=8 ctest --test-dir build-tsan -L concurrency \
 echo
 echo "=== [3/7] Bit-identity suites (Release + TSan) ==="
 cmake --build build-tsan -j "$JOBS" --target serialize_test \
-  simd_kernels_test golden_output_test
-BIT_IDENTITY='eval_context_test|serialize_test|simd_kernels_test|golden_output_test'
+  simd_kernels_test golden_output_test optimizer_test tape_test
+BIT_IDENTITY='eval_context_test|serialize_test|simd_kernels_test|golden_output_test|optimizer_test|tape_test'
 ctest --test-dir build -R "$BIT_IDENTITY" --output-on-failure
 NEURSC_THREADS=8 ctest --test-dir build-tsan -R "$BIT_IDENTITY" \
   --output-on-failure

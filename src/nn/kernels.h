@@ -22,9 +22,12 @@ namespace fwd {
 /// (MatMul via Matrix::MatMulInto, ScatterAddRows, SumRows) additionally
 /// require `out` zero-filled; the others overwrite every entry.
 ///
-/// Add, AddRowBroadcast, Relu, ScatterAddRows and ColBroadcastMul run on
-/// the dispatched nn/simd.h kernels, whose scalar and AVX2 variants give
-/// bit-identical results (docs/execution.md, "Vectorized kernels").
+/// Add, AddRowBroadcast, Relu, LeakyRelu, ScatterAddRows, ColBroadcastMul
+/// and SumRows (one Add per row) run on the dispatched nn/simd.h kernels,
+/// whose scalar and AVX2 variants give bit-identical results
+/// (docs/execution.md, "Vectorized kernels"). Sub, Mul and Scale stay
+/// scalar loops: the default WEst and critic run them only on 1-row
+/// values, and Mul and Sub appear only in the EU/KL/JS ablations.
 
 inline void Copy(const Matrix& a, Matrix* out) {
   NEURSC_CHECK(out->rows() == a.rows() && out->cols() == a.cols());
@@ -67,10 +70,7 @@ inline void Relu(const Matrix& a, Matrix* out) {
 }
 
 inline void LeakyRelu(const Matrix& a, float negative_slope, Matrix* out) {
-  for (size_t i = 0; i < a.size(); ++i) {
-    float x = a.data()[i];
-    out->data()[i] = x > 0.0f ? x : negative_slope * x;
-  }
+  simd::LeakyRelu(a.data(), negative_slope, out->data(), a.size());
 }
 
 inline void Sigmoid(const Matrix& a, Matrix* out) {
@@ -191,7 +191,7 @@ inline void ColBroadcastMul(const Matrix& x, const Matrix& w, Matrix* out) {
 /// zero-filled.
 inline void SumRows(const Matrix& x, Matrix* out) {
   for (size_t r = 0; r < x.rows(); ++r) {
-    for (size_t c = 0; c < x.cols(); ++c) out->at(0, c) += x.at(r, c);
+    simd::Add(out->data(), x.row(r), out->data(), x.cols());
   }
 }
 

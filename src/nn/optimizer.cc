@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "nn/simd.h"
+
 namespace neursc {
 
 AdamOptimizer::AdamOptimizer(std::vector<Parameter*> params)
@@ -19,24 +21,19 @@ AdamOptimizer::AdamOptimizer(std::vector<Parameter*> params, Options options)
 
 void AdamOptimizer::Step() {
   ++step_count_;
-  const double b1 = options_.beta1;
-  const double b2 = options_.beta2;
-  const double bias1 = 1.0 - std::pow(b1, static_cast<double>(step_count_));
-  const double bias2 = 1.0 - std::pow(b2, static_cast<double>(step_count_));
+  const double t = static_cast<double>(step_count_);
+  const simd::AdamCoefficients coeffs{
+      .beta1 = options_.beta1,
+      .beta2 = options_.beta2,
+      .bias1 = 1.0 - std::pow(options_.beta1, t),
+      .bias2 = 1.0 - std::pow(options_.beta2, t),
+      .learning_rate = options_.learning_rate,
+      .epsilon = options_.epsilon,
+  };
   for (size_t i = 0; i < params_.size(); ++i) {
     Parameter* p = params_[i];
-    for (size_t j = 0; j < p->value.size(); ++j) {
-      double g = p->grad.data()[j];
-      double m = b1 * m_[i].data()[j] + (1.0 - b1) * g;
-      double v = b2 * v_[i].data()[j] + (1.0 - b2) * g * g;
-      m_[i].data()[j] = static_cast<float>(m);
-      v_[i].data()[j] = static_cast<float>(v);
-      double m_hat = m / bias1;
-      double v_hat = v / bias2;
-      p->value.data()[j] -= static_cast<float>(
-          options_.learning_rate * m_hat /
-          (std::sqrt(v_hat) + options_.epsilon));
-    }
+    simd::AdamStep(p->grad.data(), coeffs, p->value.data(), m_[i].data(),
+                   v_[i].data(), p->value.size());
   }
 }
 

@@ -1,5 +1,7 @@
 #include "nn/simd.h"
 
+#include <cmath>
+
 #if defined(NEURSC_SIMD_AVX2)
 #include <immintrin.h>
 #endif
@@ -57,6 +59,44 @@ void Relu(const float* x, float* out, size_t n) {
   for (size_t j = 0; j < n; ++j) out[j] = x[j] < 0.0f ? 0.0f : x[j];
 }
 
+void LeakyRelu(const float* x, float slope, float* out, size_t n) {
+  for (size_t j = 0; j < n; ++j) out[j] = x[j] > 0.0f ? x[j] : slope * x[j];
+}
+
+void AddMul(const float* a, const float* b, float* out, size_t n) {
+  for (size_t j = 0; j < n; ++j) out[j] += a[j] * b[j];
+}
+
+void AddScaled(const float* x, float s, float* out, size_t n) {
+  for (size_t j = 0; j < n; ++j) out[j] += x[j] * s;
+}
+
+void AddReluGrad(const float* x, const float* g, float* out, size_t n) {
+  for (size_t j = 0; j < n; ++j) out[j] += x[j] <= 0.0f ? 0.0f : g[j];
+}
+
+void AddLeakyReluGrad(const float* x, const float* g, float slope,
+                      float* out, size_t n) {
+  for (size_t j = 0; j < n; ++j) out[j] += x[j] <= 0.0f ? g[j] * slope : g[j];
+}
+
+void AdamStep(const float* grad, const AdamCoefficients& coeffs,
+              float* value, float* m, float* v, size_t n) {
+  const double b1 = coeffs.beta1;
+  const double b2 = coeffs.beta2;
+  for (size_t j = 0; j < n; ++j) {
+    const double g = grad[j];
+    const double mj = b1 * m[j] + (1.0 - b1) * g;
+    const double vj = b2 * v[j] + (1.0 - b2) * g * g;
+    m[j] = static_cast<float>(mj);
+    v[j] = static_cast<float>(vj);
+    const double m_hat = mj / coeffs.bias1;
+    const double v_hat = vj / coeffs.bias2;
+    value[j] -= static_cast<float>(coeffs.learning_rate * m_hat /
+                                   (std::sqrt(v_hat) + coeffs.epsilon));
+  }
+}
+
 }  // namespace scalar
 
 #if defined(NEURSC_SIMD_AVX2)
@@ -77,19 +117,114 @@ NEURSC_AVX2_ inline void AddSpan(const float* a, const float* b, float* out,
   for (; j < n; ++j) out[j] = a[j] + b[j];
 }
 
+/// Columns p..p+3 of eight rows of a row-major A: lane r of col[q] is
+/// a[r * stride + q]. Each register holds row i in its low half and row
+/// i + 4 in its high half, so in-lane unpacks and shuffles finish the
+/// transpose. They move bits, so every value, NaN payloads included, is
+/// kept.
+NEURSC_AVX2_ inline void LoadColumns8x4(const float* a, size_t stride,
+                                        __m256* col) {
+  __m256 r[4];
+  for (size_t i = 0; i < 4; ++i) {
+    r[i] = _mm256_insertf128_ps(
+        _mm256_castps128_ps256(_mm_loadu_ps(a + i * stride)),
+        _mm_loadu_ps(a + (i + 4) * stride), 1);
+  }
+  const __m256 t0 = _mm256_unpacklo_ps(r[0], r[1]);
+  const __m256 t1 = _mm256_unpackhi_ps(r[0], r[1]);
+  const __m256 t2 = _mm256_unpacklo_ps(r[2], r[3]);
+  const __m256 t3 = _mm256_unpackhi_ps(r[2], r[3]);
+  col[0] = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+  col[1] = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+  col[2] = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+  col[3] = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+}
+
+/// The eight entries c[0], c[ldc], ..., c[7 * ldc] of one C column.
+NEURSC_AVX2_ inline __m256 LoadColumn8(const float* c, size_t ldc) {
+  return _mm256_setr_ps(c[0], c[ldc], c[2 * ldc], c[3 * ldc], c[4 * ldc],
+                        c[5 * ldc], c[6 * ldc], c[7 * ldc]);
+}
+
+NEURSC_AVX2_ inline void StoreColumn8(__m256 v, float* c, size_t ldc) {
+  alignas(32) float lanes[8];
+  _mm256_store_ps(lanes, v);
+  for (size_t r = 0; r < 8; ++r) c[r * ldc] = lanes[r];
+}
+
+// The narrow-column kernels below compute C[i0 + r, j] for the columns j
+// in [j0, n) past the last 8-wide block, eight rows of C per register:
+// lane r of an accumulator holds one entry and receives one mul, then one
+// add, per p, in p order. `a` and `c` point at row i0.
+
+/// A transposed (row stride 1): A(i0..i0+7, p) is one load per p. The
+/// kBlocks groups of eight rows keep independent accumulators, which hides
+/// the latency of the adds (the unroll pragma keeps them in registers).
+template <size_t kBlocks>
+NEURSC_AVX2_ inline void NarrowColumnsAT(size_t k, const float* a,
+                                         size_t a_col_stride, const float* b,
+                                         size_t ldb, size_t j0, size_t n,
+                                         float* c, size_t ldc) {
+  for (size_t j = j0; j < n; ++j) {
+    __m256 acc[kBlocks];
+    for (size_t r = 0; r < kBlocks; ++r) {
+      acc[r] = LoadColumn8(c + 8 * r * ldc + j, ldc);
+    }
+    for (size_t p = 0; p < k; ++p) {
+      const float* ap = a + p * a_col_stride;
+      const __m256 bv = _mm256_set1_ps(b[p * ldb + j]);
+#pragma GCC unroll 4
+      for (size_t r = 0; r < kBlocks; ++r) {
+        acc[r] = _mm256_add_ps(
+            acc[r], _mm256_mul_ps(_mm256_loadu_ps(ap + 8 * r), bv));
+      }
+    }
+    for (size_t r = 0; r < kBlocks; ++r) {
+      StoreColumn8(acc[r], c + 8 * r * ldc + j, ldc);
+    }
+  }
+}
+
+/// A row-major (column stride 1), eight rows: blocks of 8 rows x 4
+/// columns of A are transposed in registers, so lane r again holds
+/// A(i0 + r, p).
+NEURSC_AVX2_ inline void NarrowColumnsA(size_t k, const float* a,
+                                        size_t a_row_stride, const float* b,
+                                        size_t ldb, size_t j0, size_t n,
+                                        float* c, size_t ldc) {
+  for (size_t j = j0; j < n; ++j) {
+    __m256 acc = LoadColumn8(c + j, ldc);
+    size_t p = 0;
+    for (; p + 4 <= k; p += 4) {
+      __m256 col[4];
+      LoadColumns8x4(a + p, a_row_stride, col);
+      for (size_t q = 0; q < 4; ++q) {
+        acc = _mm256_add_ps(
+            acc, _mm256_mul_ps(col[q], _mm256_set1_ps(b[(p + q) * ldb + j])));
+      }
+    }
+    for (; p < k; ++p) {
+      acc = _mm256_add_ps(acc, _mm256_mul_ps(LoadColumn8(a + p, a_row_stride),
+                                             _mm256_set1_ps(b[p * ldb + j])));
+    }
+    StoreColumn8(acc, c + j, ldc);
+  }
+}
+
 }  // namespace
 
 NEURSC_AVX2_ void Gemm(size_t m, size_t k, size_t n, const float* a,
                        size_t a_row_stride, size_t a_col_stride,
                        const float* b, size_t ldb, float* c, size_t ldc) {
   if (m == 0 || k == 0 || n == 0) return;
+  const size_t n8 = n - n % 8;
   for (size_t i = 0; i < m; ++i) {
     const float* ai = a + i * a_row_stride;
     float* ci = c + i * ldc;
     size_t j = 0;
     // A 32-column block of the C row stays in four accumulators across the
     // whole p loop: one broadcast and four B loads per p, no C traffic.
-    for (; j + 32 <= n; j += 32) {
+    for (; j + 32 <= n8; j += 32) {
       __m256 c0 = _mm256_loadu_ps(ci + j);
       __m256 c1 = _mm256_loadu_ps(ci + j + 8);
       __m256 c2 = _mm256_loadu_ps(ci + j + 16);
@@ -107,7 +242,7 @@ NEURSC_AVX2_ void Gemm(size_t m, size_t k, size_t n, const float* a,
       _mm256_storeu_ps(ci + j + 16, c2);
       _mm256_storeu_ps(ci + j + 24, c3);
     }
-    for (; j + 8 <= n; j += 8) {
+    for (; j < n8; j += 8) {
       __m256 c0 = _mm256_loadu_ps(ci + j);
       const float* bp = b + j;
       for (size_t p = 0; p < k; ++p, bp += ldb) {
@@ -116,7 +251,31 @@ NEURSC_AVX2_ void Gemm(size_t m, size_t k, size_t n, const float* a,
       }
       _mm256_storeu_ps(ci + j, c0);
     }
-    for (; j < n; ++j) {
+  }
+  if (n8 == n) return;
+  // The narrow columns past the last 8-wide block (n = 1 for a matrix
+  // times a vector) are vectorised across rows instead; the rows left over
+  // run the scalar loop.
+  size_t i0 = 0;
+  if (a_row_stride == 1) {
+    for (; i0 + 32 <= m; i0 += 32) {
+      NarrowColumnsAT<4>(k, a + i0, a_col_stride, b, ldb, n8, n,
+                         c + i0 * ldc, ldc);
+    }
+    for (; i0 + 8 <= m; i0 += 8) {
+      NarrowColumnsAT<1>(k, a + i0, a_col_stride, b, ldb, n8, n,
+                         c + i0 * ldc, ldc);
+    }
+  } else if (a_col_stride == 1) {
+    for (; i0 + 8 <= m; i0 += 8) {
+      NarrowColumnsA(k, a + i0 * a_row_stride, a_row_stride, b, ldb, n8, n,
+                     c + i0 * ldc, ldc);
+    }
+  }
+  for (size_t i = i0; i < m; ++i) {
+    const float* ai = a + i * a_row_stride;
+    float* ci = c + i * ldc;
+    for (size_t j = n8; j < n; ++j) {
       float cij = ci[j];
       for (size_t p = 0; p < k; ++p) {
         cij += ai[p * a_col_stride] * b[p * ldb + j];
@@ -171,6 +330,110 @@ NEURSC_AVX2_ void Relu(const float* x, float* out, size_t n) {
     _mm256_storeu_ps(out + j, _mm256_max_ps(zero, _mm256_loadu_ps(x + j)));
   }
   for (; j < n; ++j) out[j] = x[j] < 0.0f ? 0.0f : x[j];
+}
+
+NEURSC_AVX2_ void LeakyRelu(const float* x, float slope, float* out,
+                            size_t n) {
+  // _CMP_GT_OQ is false for NaN, which then takes slope * x as the scalar
+  // ternary does.
+  const __m256 zero = _mm256_setzero_ps();
+  const __m256 sv = _mm256_set1_ps(slope);
+  size_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    const __m256 xv = _mm256_loadu_ps(x + j);
+    const __m256 pos = _mm256_cmp_ps(xv, zero, _CMP_GT_OQ);
+    _mm256_storeu_ps(out + j,
+                     _mm256_blendv_ps(_mm256_mul_ps(sv, xv), xv, pos));
+  }
+  scalar::LeakyRelu(x + j, slope, out + j, n - j);
+}
+
+NEURSC_AVX2_ void AddMul(const float* a, const float* b, float* out,
+                         size_t n) {
+  size_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    const __m256 prod =
+        _mm256_mul_ps(_mm256_loadu_ps(a + j), _mm256_loadu_ps(b + j));
+    _mm256_storeu_ps(out + j, _mm256_add_ps(_mm256_loadu_ps(out + j), prod));
+  }
+  scalar::AddMul(a + j, b + j, out + j, n - j);
+}
+
+NEURSC_AVX2_ void AddScaled(const float* x, float s, float* out, size_t n) {
+  const __m256 sv = _mm256_set1_ps(s);
+  size_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    const __m256 prod = _mm256_mul_ps(_mm256_loadu_ps(x + j), sv);
+    _mm256_storeu_ps(out + j, _mm256_add_ps(_mm256_loadu_ps(out + j), prod));
+  }
+  scalar::AddScaled(x + j, s, out + j, n - j);
+}
+
+// The gradient masks: _CMP_LE_OQ is false for NaN, so a NaN input passes
+// the gradient through as `x <= 0 ? ... : g` does, and a masked entry still
+// receives its add of +0.0 (which turns a -0.0 gradient into +0.0).
+
+NEURSC_AVX2_ void AddReluGrad(const float* x, const float* g, float* out,
+                              size_t n) {
+  const __m256 zero = _mm256_setzero_ps();
+  size_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    const __m256 off =
+        _mm256_cmp_ps(_mm256_loadu_ps(x + j), zero, _CMP_LE_OQ);
+    const __m256 d = _mm256_andnot_ps(off, _mm256_loadu_ps(g + j));
+    _mm256_storeu_ps(out + j, _mm256_add_ps(_mm256_loadu_ps(out + j), d));
+  }
+  scalar::AddReluGrad(x + j, g + j, out + j, n - j);
+}
+
+NEURSC_AVX2_ void AddLeakyReluGrad(const float* x, const float* g,
+                                   float slope, float* out, size_t n) {
+  const __m256 zero = _mm256_setzero_ps();
+  const __m256 sv = _mm256_set1_ps(slope);
+  size_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    const __m256 off =
+        _mm256_cmp_ps(_mm256_loadu_ps(x + j), zero, _CMP_LE_OQ);
+    const __m256 gv = _mm256_loadu_ps(g + j);
+    const __m256 d = _mm256_blendv_ps(gv, _mm256_mul_ps(gv, sv), off);
+    _mm256_storeu_ps(out + j, _mm256_add_ps(_mm256_loadu_ps(out + j), d));
+  }
+  scalar::AddLeakyReluGrad(x + j, g + j, slope, out + j, n - j);
+}
+
+NEURSC_AVX2_ void AdamStep(const float* grad, const AdamCoefficients& coeffs,
+                           float* value, float* m, float* v, size_t n) {
+  // Four double lanes. The float -> double conversions are exact, and
+  // mul, div, sqrt and the double -> float conversions round to nearest in
+  // every lane, as the scalar operations and casts do.
+  const __m256d b1 = _mm256_set1_pd(coeffs.beta1);
+  const __m256d b2 = _mm256_set1_pd(coeffs.beta2);
+  const __m256d one_b1 = _mm256_set1_pd(1.0 - coeffs.beta1);
+  const __m256d one_b2 = _mm256_set1_pd(1.0 - coeffs.beta2);
+  const __m256d bias1 = _mm256_set1_pd(coeffs.bias1);
+  const __m256d bias2 = _mm256_set1_pd(coeffs.bias2);
+  const __m256d lr = _mm256_set1_pd(coeffs.learning_rate);
+  const __m256d eps = _mm256_set1_pd(coeffs.epsilon);
+  size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    const __m256d g = _mm256_cvtps_pd(_mm_loadu_ps(grad + j));
+    const __m256d mj =
+        _mm256_add_pd(_mm256_mul_pd(b1, _mm256_cvtps_pd(_mm_loadu_ps(m + j))),
+                      _mm256_mul_pd(one_b1, g));
+    const __m256d vj = _mm256_add_pd(
+        _mm256_mul_pd(b2, _mm256_cvtps_pd(_mm_loadu_ps(v + j))),
+        _mm256_mul_pd(_mm256_mul_pd(one_b2, g), g));
+    _mm_storeu_ps(m + j, _mm256_cvtpd_ps(mj));
+    _mm_storeu_ps(v + j, _mm256_cvtpd_ps(vj));
+    const __m256d m_hat = _mm256_div_pd(mj, bias1);
+    const __m256d v_hat = _mm256_div_pd(vj, bias2);
+    const __m256d step =
+        _mm256_div_pd(_mm256_mul_pd(lr, m_hat),
+                      _mm256_add_pd(_mm256_sqrt_pd(v_hat), eps));
+    _mm_storeu_ps(value + j, _mm_sub_ps(_mm_loadu_ps(value + j),
+                                        _mm256_cvtpd_ps(step)));
+  }
+  scalar::AdamStep(grad + j, coeffs, value + j, m + j, v + j, n - j);
 }
 
 #undef NEURSC_AVX2_
@@ -228,6 +491,32 @@ void ScatterAddRows(const float* x, const uint32_t* targets, size_t rows,
 
 void Relu(const float* x, float* out, size_t n) {
   NEURSC_DISPATCH_(Relu, x, out, n);
+}
+
+void LeakyRelu(const float* x, float slope, float* out, size_t n) {
+  NEURSC_DISPATCH_(LeakyRelu, x, slope, out, n);
+}
+
+void AddMul(const float* a, const float* b, float* out, size_t n) {
+  NEURSC_DISPATCH_(AddMul, a, b, out, n);
+}
+
+void AddScaled(const float* x, float s, float* out, size_t n) {
+  NEURSC_DISPATCH_(AddScaled, x, s, out, n);
+}
+
+void AddReluGrad(const float* x, const float* g, float* out, size_t n) {
+  NEURSC_DISPATCH_(AddReluGrad, x, g, out, n);
+}
+
+void AddLeakyReluGrad(const float* x, const float* g, float slope,
+                      float* out, size_t n) {
+  NEURSC_DISPATCH_(AddLeakyReluGrad, x, g, slope, out, n);
+}
+
+void AdamStep(const float* grad, const AdamCoefficients& coeffs,
+              float* value, float* m, float* v, size_t n) {
+  NEURSC_DISPATCH_(AdamStep, grad, coeffs, value, m, v, n);
 }
 
 #undef NEURSC_DISPATCH_

@@ -1,18 +1,19 @@
 #ifndef NEURSC_NN_SIMD_H_
 #define NEURSC_NN_SIMD_H_
 
-// Vectorised dense kernels behind Matrix's GEMMs and the hot fwd:: row ops
-// (docs/execution.md, "Vectorized kernels"). Internal to the nn library:
-// model code calls Matrix / fwd::, never this header; the kernel
+// Vectorised kernels behind Matrix's GEMMs, the hot fwd:: row ops, the
+// Tape's backward accumulation and the Adam update (docs/execution.md,
+// "Vectorized kernels"). Internal to the nn library: model code calls
+// Matrix / fwd:: / Tape / AdamOptimizer, never this header; the kernel
 // equivalence test includes it to compare the variants directly.
 //
 // Every kernel exists twice, in `scalar::` and `avx2::`, with the same
-// per-entry float association: the AVX2 variant vectorises only across
-// output columns, never across a reduction index, and uses a multiply
-// followed by an add (never FMA). Both therefore produce bit-identical
-// results, and the unqualified `simd::` entry points may pick either at
-// run time. They pick AVX2 whenever the CPU supports it; there is no
-// other switch.
+// per-entry arithmetic: the AVX2 variant vectorises only across
+// independent outputs, never across a reduction index, and uses a
+// multiply followed by an add (never FMA). Both therefore produce
+// bit-identical results, and the unqualified `simd::` entry points may
+// pick either at run time. They pick AVX2 whenever the CPU supports it;
+// there is no other switch.
 //
 // The AVX2 variants are compiled with __attribute__((target("avx2"))), so
 // the build flags stay the same. They exist only on x86-64 GCC/Clang
@@ -29,6 +30,17 @@
 namespace neursc {
 namespace simd {
 
+/// The per-step constants of one Adam update (AdamOptimizer::Step):
+/// bias1 = 1 - beta1^t and bias2 = 1 - beta2^t at step t.
+struct AdamCoefficients {
+  double beta1 = 0.0;
+  double beta2 = 0.0;
+  double bias1 = 0.0;
+  double bias2 = 0.0;
+  double learning_rate = 0.0;
+  double epsilon = 0.0;
+};
+
 /// Kernel signatures, shared by all three namespaces below.
 ///
 /// Gemm: C[i, :] += sum_p A(i, p) * B[p, :] for i < m, p < k, over n
@@ -41,6 +53,15 @@ namespace simd {
 /// ScatterAddRows: out[targets[r], :] = out[targets[r], :] + x[r, :], in
 ///   row order; every target must be in range (the caller checks).
 /// Relu: out[j] = x[j] < 0 ? 0 : x[j] (keeps -0.0 and NaN as they are).
+/// LeakyRelu: out[j] = x[j] > 0 ? x[j] : slope * x[j].
+/// AddMul: out[j] = out[j] + a[j] * b[j].
+/// AddScaled: out[j] = out[j] + x[j] * s.
+/// AddReluGrad: out[j] = out[j] + (x[j] <= 0 ? 0 : g[j]).
+/// AddLeakyReluGrad: out[j] = out[j] + (x[j] <= 0 ? g[j] * slope : g[j]).
+/// AdamStep: for each j, in double, m' = beta1 * m + (1 - beta1) * g and
+///   v' = beta2 * v + (1 - beta2) * g * g; m[j] and v[j] take m' and v'
+///   rounded to float, and value[j] -= float(lr * (m' / bias1) /
+///   (sqrt(v' / bias2) + epsilon)).
 #define NEURSC_SIMD_KERNELS_                                                 \
   void Gemm(size_t m, size_t k, size_t n, const float* a,                   \
             size_t a_row_stride, size_t a_col_stride, const float* b,       \
@@ -52,7 +73,15 @@ namespace simd {
                        size_t rows, size_t cols);                           \
   void ScatterAddRows(const float* x, const uint32_t* targets, size_t rows, \
                       size_t cols, float* out);                             \
-  void Relu(const float* x, float* out, size_t n);
+  void Relu(const float* x, float* out, size_t n);                          \
+  void LeakyRelu(const float* x, float slope, float* out, size_t n);        \
+  void AddMul(const float* a, const float* b, float* out, size_t n);        \
+  void AddScaled(const float* x, float s, float* out, size_t n);            \
+  void AddReluGrad(const float* x, const float* g, float* out, size_t n);   \
+  void AddLeakyReluGrad(const float* x, const float* g, float slope,        \
+                        float* out, size_t n);                              \
+  void AdamStep(const float* grad, const AdamCoefficients& coeffs,          \
+                float* value, float* m, float* v, size_t n);
 
 namespace scalar {
 NEURSC_SIMD_KERNELS_

@@ -6,15 +6,21 @@
 #include "common/logging.h"
 #include "common/metrics_registry.h"
 #include "nn/kernels.h"
+#include "nn/simd.h"
 
 namespace neursc {
 
 // Forward values come from the kernels in nn/kernels.h. The backward
 // cases must keep their arithmetic and accumulation order, which
-// golden_output_test pins through the trained weights: an elementwise
-// delta is added as grad + (g * y), the same float as adding a delta
-// matrix, and products run into zeroed scratch that is then added, never
-// straight into a gradient that may already hold a contribution.
+// golden_output_test pins through the trained weights and tape_test pins
+// op by op: an elementwise delta is added as grad + (g * y), the same
+// float as adding a delta matrix, and products run into zeroed scratch
+// that is then added, never straight into a gradient that may already
+// hold a contribution. The elementwise and row-structured cases run on
+// the nn/simd.h accumulate kernels (AddMul, AddScaled, the ReLU masks, Add
+// per row or block, ScatterAddRows), whose every variant adds each delta
+// entry onto the gradient in this same order; the reductions keep their
+// scalar loops.
 
 void GradientSink::Accumulate(Parameter* param, const Matrix& delta) {
   auto it = buffers_.find(param);
@@ -344,52 +350,35 @@ void Tape::BackwardStep(const Record& r, const Matrix& g) {
     case OpKind::kAddRowBroadcast:
       if (Requires(r.a)) EnsureGrad(r.a).AddInPlace(g);
       if (Requires(r.b)) {
-        Matrix& bg = EnsureGrad(r.b);
+        float* bg = EnsureGrad(r.b).data();
         for (size_t row = 0; row < g.rows(); ++row) {
-          for (size_t c = 0; c < g.cols(); ++c) bg.at(0, c) += g.at(row, c);
+          simd::Add(bg, g.row(row), bg, g.cols());
         }
       }
       break;
     case OpKind::kSub:
       if (Requires(r.a)) EnsureGrad(r.a).AddInPlace(g);
-      if (Requires(r.b)) {
-        float* bg = EnsureGrad(r.b).data();
-        for (size_t i = 0; i < n; ++i) bg[i] += gd[i] * -1.0f;
-      }
+      if (Requires(r.b)) simd::AddScaled(gd, -1.0f, EnsureGrad(r.b).data(), n);
       break;
     case OpKind::kMul:
       if (Requires(r.a)) {
-        const float* bv = V(r.b).data();
-        float* ag = EnsureGrad(r.a).data();
-        for (size_t i = 0; i < n; ++i) ag[i] += gd[i] * bv[i];
+        simd::AddMul(gd, V(r.b).data(), EnsureGrad(r.a).data(), n);
       }
       if (Requires(r.b)) {
-        const float* av = V(r.a).data();
-        float* bg = EnsureGrad(r.b).data();
-        for (size_t i = 0; i < n; ++i) bg[i] += gd[i] * av[i];
+        simd::AddMul(gd, V(r.a).data(), EnsureGrad(r.b).data(), n);
       }
       break;
-    case OpKind::kScale: {
-      const float s = static_cast<float>(r.scalar);
-      float* ag = EnsureGrad(r.a).data();
-      for (size_t i = 0; i < n; ++i) ag[i] += gd[i] * s;
+    case OpKind::kScale:
+      simd::AddScaled(gd, static_cast<float>(r.scalar),
+                      EnsureGrad(r.a).data(), n);
       break;
-    }
-    case OpKind::kRelu: {
-      const float* x = V(r.a).data();
-      float* ag = EnsureGrad(r.a).data();
-      for (size_t i = 0; i < n; ++i) ag[i] += x[i] <= 0.0f ? 0.0f : gd[i];
+    case OpKind::kRelu:
+      simd::AddReluGrad(V(r.a).data(), gd, EnsureGrad(r.a).data(), n);
       break;
-    }
-    case OpKind::kLeakyRelu: {
-      const float s = static_cast<float>(r.scalar);
-      const float* x = V(r.a).data();
-      float* ag = EnsureGrad(r.a).data();
-      for (size_t i = 0; i < n; ++i) {
-        ag[i] += x[i] <= 0.0f ? gd[i] * s : gd[i];
-      }
+    case OpKind::kLeakyRelu:
+      simd::AddLeakyReluGrad(V(r.a).data(), gd, static_cast<float>(r.scalar),
+                             EnsureGrad(r.a).data(), n);
       break;
-    }
     case OpKind::kSigmoid: {
       const float* y = V(r.out).data();
       float* ag = EnsureGrad(r.a).data();
@@ -406,9 +395,7 @@ void Tape::BackwardStep(const Record& r, const Matrix& g) {
       // In the clamped region this uses the boundary derivative exp(+-30)
       // rather than the true 0, so saturated predictions still receive a
       // corrective signal (straight-through at the clamp).
-      const float* y = V(r.out).data();
-      float* ag = EnsureGrad(r.a).data();
-      for (size_t i = 0; i < n; ++i) ag[i] += gd[i] * y[i];
+      simd::AddMul(gd, V(r.out).data(), EnsureGrad(r.a).data(), n);
       break;
     }
     case OpKind::kLog: {
@@ -437,15 +424,13 @@ void Tape::BackwardStep(const Record& r, const Matrix& g) {
       if (Requires(r.a)) {
         Matrix& ag = EnsureGrad(r.a);
         for (size_t row = 0; row < g.rows(); ++row) {
-          for (size_t c = 0; c < acols; ++c) ag.at(row, c) += g.at(row, c);
+          simd::Add(ag.row(row), g.row(row), ag.row(row), acols);
         }
       }
       if (Requires(r.b)) {
         Matrix& bg = EnsureGrad(r.b);
         for (size_t row = 0; row < g.rows(); ++row) {
-          for (size_t c = 0; c < bg.cols(); ++c) {
-            bg.at(row, c) += g.at(row, acols + c);
-          }
+          simd::Add(bg.row(row), g.row(row) + acols, bg.row(row), bg.cols());
         }
       }
       break;
@@ -456,32 +441,25 @@ void Tape::BackwardStep(const Record& r, const Matrix& g) {
         const int part = static_cast<int>(indices_[r.index_begin + k]);
         const Matrix& pv = V(part);
         if (Requires(part)) {
-          Matrix& pg = EnsureGrad(part);
-          for (size_t row = 0; row < pv.rows(); ++row) {
-            for (size_t c = 0; c < pv.cols(); ++c) {
-              pg.at(row, c) += g.at(offset + row, c);
-            }
-          }
+          // The part's rows are one contiguous block of g.
+          float* pg = EnsureGrad(part).data();
+          simd::Add(pg, g.row(offset), pg, pv.size());
         }
         offset += pv.rows();
       }
       break;
     }
     case OpKind::kGatherRows: {
-      const uint32_t* rows = indices_.data() + r.index_begin;
-      Matrix& xg = EnsureGrad(r.a);
-      for (size_t i = 0; i < r.index_count; ++i) {
-        for (size_t c = 0; c < g.cols(); ++c) xg.at(rows[i], c) += g.at(i, c);
-      }
+      // Gathered rows scatter their gradient back, repeats in row order.
+      simd::ScatterAddRows(gd, indices_.data() + r.index_begin,
+                           r.index_count, g.cols(), EnsureGrad(r.a).data());
       break;
     }
     case OpKind::kScatterAddRows: {
       const uint32_t* targets = indices_.data() + r.index_begin;
       Matrix& xg = EnsureGrad(r.a);
       for (size_t i = 0; i < r.index_count; ++i) {
-        for (size_t c = 0; c < g.cols(); ++c) {
-          xg.at(i, c) += g.at(targets[i], c);
-        }
+        simd::Add(xg.row(i), g.row(targets[i]), xg.row(i), g.cols());
       }
       break;
     }
@@ -506,10 +484,7 @@ void Tape::BackwardStep(const Record& r, const Matrix& g) {
       if (Requires(r.a)) {
         Matrix& xg = EnsureGrad(r.a);
         for (size_t row = 0; row < g.rows(); ++row) {
-          const float wr = wv.at(row, 0);
-          for (size_t c = 0; c < g.cols(); ++c) {
-            xg.at(row, c) += g.at(row, c) * wr;
-          }
+          simd::AddScaled(g.row(row), wv.at(row, 0), xg.row(row), g.cols());
         }
       }
       if (Requires(r.b)) {
@@ -527,7 +502,7 @@ void Tape::BackwardStep(const Record& r, const Matrix& g) {
     case OpKind::kSumRows: {
       Matrix& xg = EnsureGrad(r.a);
       for (size_t row = 0; row < xg.rows(); ++row) {
-        for (size_t c = 0; c < xg.cols(); ++c) xg.at(row, c) += g.at(0, c);
+        simd::Add(xg.row(row), gd, xg.row(row), xg.cols());
       }
       break;
     }

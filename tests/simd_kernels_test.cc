@@ -344,6 +344,137 @@ TEST_F(SimdAvx2Test, ReluKeepsNegativeZeroAndNaNBitsExactly) {
   }
 }
 
+TEST_F(SimdAvx2Test, ElementwiseKernelsMatchScalar) {
+  Rng rng(13);
+  for (size_t n : kSizes) {
+    for (bool special : {false, true}) {
+      const std::string what =
+          "n=" + std::to_string(n) + (special ? " special" : "");
+      std::vector<float> x = Values(n, special, &rng);
+      std::vector<float> y = Values(n, special, &rng);
+      std::vector<float> out0 = Values(n, special, &rng);
+      for (float slope : {0.2f, -1.0f}) {
+        std::vector<float> want(n);
+        std::vector<float> got(n);
+        simd::scalar::LeakyRelu(x.data(), slope, want.data(), n);
+        simd::avx2::LeakyRelu(x.data(), slope, got.data(), n);
+        ASSERT_TRUE(
+            SameFloats(got.data(), want.data(), n, "LeakyRelu " + what));
+
+        want = out0;
+        got = out0;
+        simd::scalar::AddScaled(x.data(), slope, want.data(), n);
+        simd::avx2::AddScaled(x.data(), slope, got.data(), n);
+        ASSERT_TRUE(
+            SameFloats(got.data(), want.data(), n, "AddScaled " + what));
+
+        want = out0;
+        got = out0;
+        simd::scalar::AddLeakyReluGrad(x.data(), y.data(), slope, want.data(),
+                                       n);
+        simd::avx2::AddLeakyReluGrad(x.data(), y.data(), slope, got.data(), n);
+        ASSERT_TRUE(SameFloats(got.data(), want.data(), n,
+                               "AddLeakyReluGrad " + what));
+      }
+      std::vector<float> want = out0;
+      std::vector<float> got = out0;
+      simd::scalar::AddMul(x.data(), y.data(), want.data(), n);
+      simd::avx2::AddMul(x.data(), y.data(), got.data(), n);
+      ASSERT_TRUE(SameFloats(got.data(), want.data(), n, "AddMul " + what));
+
+      want = out0;
+      got = out0;
+      simd::scalar::AddReluGrad(x.data(), y.data(), want.data(), n);
+      simd::avx2::AddReluGrad(x.data(), y.data(), got.data(), n);
+      ASSERT_TRUE(
+          SameFloats(got.data(), want.data(), n, "AddReluGrad " + what));
+    }
+  }
+}
+
+TEST_F(SimdAvx2Test, GradientMasksKeepSignedZerosAndSpecialsExactly) {
+  // Every (x, g, out) triple over the special values, so each mask sees
+  // x = -0.0, +0.0, NaN, +-inf and denormals on both sides of its compare,
+  // and a masked entry adds +0.0 onto a -0.0 gradient.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> specials = {-0.0f, 0.0f,    nan,     inf,  -inf,
+                                       denorm, -denorm, -1.5f, 2.25f};
+  std::vector<float> x;
+  std::vector<float> g;
+  std::vector<float> out0;
+  for (float xv : specials) {
+    for (float gv : specials) {
+      for (float ov : specials) {
+        x.push_back(xv);
+        g.push_back(gv);
+        out0.push_back(ov);
+      }
+    }
+  }
+  const size_t n = x.size();
+  std::vector<float> want = out0;
+  std::vector<float> got = out0;
+  simd::scalar::AddReluGrad(x.data(), g.data(), want.data(), n);
+  simd::avx2::AddReluGrad(x.data(), g.data(), got.data(), n);
+  EXPECT_TRUE(SameFloats(got.data(), want.data(), n, "AddReluGrad"));
+
+  want = out0;
+  got = out0;
+  simd::scalar::AddLeakyReluGrad(x.data(), g.data(), 0.2f, want.data(), n);
+  simd::avx2::AddLeakyReluGrad(x.data(), g.data(), 0.2f, got.data(), n);
+  EXPECT_TRUE(SameFloats(got.data(), want.data(), n, "AddLeakyReluGrad"));
+
+  // The forward LeakyRelu has a single operand, so its bits are fully
+  // fixed, NaN payload and sign included.
+  simd::scalar::LeakyRelu(x.data(), 0.2f, want.data(), n);
+  simd::avx2::LeakyRelu(x.data(), 0.2f, got.data(), n);
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(Bits(got[i]), Bits(want[i])) << "LeakyRelu entry " << i;
+  }
+}
+
+TEST_F(SimdAvx2Test, AdamStepMatchesScalarOverSeveralSteps) {
+  Rng rng(14);
+  for (size_t n : kSizes) {
+    const std::string what = "n=" + std::to_string(n);
+    std::vector<float> value_want = Values(n, false, &rng);
+    std::vector<float> value_got = value_want;
+    std::vector<float> m_want(n, 0.0f);
+    std::vector<float> v_want(n, 0.0f);
+    std::vector<float> m_got = m_want;
+    std::vector<float> v_got = v_want;
+    for (int step = 1; step <= 6; ++step) {
+      // Ordinary gradients; every other entry is zero, negative or a
+      // denormal instead.
+      static const float kGrads[] = {
+          0.0f, -0.0f, -0.75f, std::numeric_limits<float>::denorm_min(),
+          -FLT_MIN / 4};
+      std::vector<float> grad = Values(n, false, &rng);
+      for (size_t j = step % 2; j < n; j += 2) {
+        grad[j] = kGrads[(j / 2 + step) % std::size(kGrads)];
+      }
+      simd::AdamCoefficients coeffs;
+      coeffs.beta1 = 0.9;
+      coeffs.beta2 = 0.999;
+      coeffs.bias1 = 1.0 - std::pow(coeffs.beta1, step);
+      coeffs.bias2 = 1.0 - std::pow(coeffs.beta2, step);
+      coeffs.learning_rate = 1e-3;
+      coeffs.epsilon = 1e-8;
+      simd::scalar::AdamStep(grad.data(), coeffs, value_want.data(),
+                             m_want.data(), v_want.data(), n);
+      simd::avx2::AdamStep(grad.data(), coeffs, value_got.data(),
+                           m_got.data(), v_got.data(), n);
+      const std::string at = what + " step " + std::to_string(step);
+      ASSERT_TRUE(
+          SameFloats(value_got.data(), value_want.data(), n, "value " + at));
+      ASSERT_TRUE(SameFloats(m_got.data(), m_want.data(), n, "m " + at));
+      ASSERT_TRUE(SameFloats(v_got.data(), v_want.data(), n, "v " + at));
+    }
+  }
+}
+
 #endif  // NEURSC_SIMD_AVX2
 
 }  // namespace

@@ -1,6 +1,10 @@
 #include "nn/tape.h"
 
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -363,6 +367,296 @@ TEST(TapeTest, DeepCompositeGradCheck) {
     tape.Backward(build(&tape));
   }
   EXPECT_LT(MaxGradCheckError({&w1, &w2, &feat}, loss, 5e-4f), 3e-2);
+}
+
+// --- Backward of each op against the scalar loops it replaced ----------
+//
+// golden_output_test pins the training of the default model, which does
+// not reach every op's backward. The reference loops below are the scalar
+// backward loops the Tape ran before its backward moved onto the nn/simd.h
+// kernels, with their arithmetic and order unchanged; each op's input
+// gradients must match them bit for bit. Every input gradient already
+// holds a value when the op adds to it, so the accumulate-onto-existing
+// order is covered.
+
+using Grads = std::vector<Matrix>;
+
+struct BackwardCase {
+  std::string name;
+  std::vector<Matrix> inputs;
+  /// Records the op under test on leaves bound to `inputs`.
+  std::function<Var(Tape*, const std::vector<Var>&)> op;
+  /// Adds the op's contribution for upstream gradient `g` onto `grads`
+  /// (one per input), given the inputs `in` and the op's output `y`.
+  std::function<void(const std::vector<Matrix>& in, const Matrix& y,
+                     const Matrix& g, Grads* grads)>
+      reference;
+};
+
+Matrix RandomMatrix(size_t rows, size_t cols, Rng* rng) {
+  return Matrix::Uniform(rows, cols, -2.0f, 2.0f, rng);
+}
+
+/// Random values with exact zeros of both signs, for the ReLU masks.
+Matrix KinkedMatrix(size_t rows, size_t cols, Rng* rng) {
+  Matrix m = RandomMatrix(rows, cols, rng);
+  for (size_t i = 0; i < m.size(); i += 3) {
+    m.data()[i] = (i % 2 == 0) ? 0.0f : -0.0f;
+  }
+  return m;
+}
+
+std::vector<BackwardCase> BackwardCases(size_t cols, Rng* rng) {
+  constexpr size_t kRows = 6;
+  const std::vector<uint32_t> gather_rows = {2, 0, 2, 5, 1, 2, 0};
+  const std::vector<uint32_t> scatter_targets = {1, 3, 1, 0, 3, 3, 5};
+  std::vector<BackwardCase> cases;
+  cases.push_back(
+      {"Sub",
+       {RandomMatrix(kRows, cols, rng), RandomMatrix(kRows, cols, rng)},
+       [](Tape* t, const std::vector<Var>& x) { return t->Sub(x[0], x[1]); },
+       [](const std::vector<Matrix>&, const Matrix&, const Matrix& g,
+          Grads* grads) {
+         (*grads)[0].AddInPlace(g);
+         float* bg = (*grads)[1].data();
+         for (size_t i = 0; i < g.size(); ++i) bg[i] += g.data()[i] * -1.0f;
+       }});
+  cases.push_back(
+      {"Mul",
+       {RandomMatrix(kRows, cols, rng), RandomMatrix(kRows, cols, rng)},
+       [](Tape* t, const std::vector<Var>& x) { return t->Mul(x[0], x[1]); },
+       [](const std::vector<Matrix>& in, const Matrix&, const Matrix& g,
+          Grads* grads) {
+         const float* gd = g.data();
+         float* ag = (*grads)[0].data();
+         for (size_t i = 0; i < g.size(); ++i) ag[i] += gd[i] * in[1].data()[i];
+         float* bg = (*grads)[1].data();
+         for (size_t i = 0; i < g.size(); ++i) bg[i] += gd[i] * in[0].data()[i];
+       }});
+  cases.push_back(
+      {"Scale",
+       {RandomMatrix(kRows, cols, rng)},
+       [](Tape* t, const std::vector<Var>& x) { return t->Scale(x[0], 0.37f); },
+       [](const std::vector<Matrix>&, const Matrix&, const Matrix& g,
+          Grads* grads) {
+         float* ag = (*grads)[0].data();
+         for (size_t i = 0; i < g.size(); ++i) ag[i] += g.data()[i] * 0.37f;
+       }});
+  cases.push_back(
+      {"Relu",
+       {KinkedMatrix(kRows, cols, rng)},
+       [](Tape* t, const std::vector<Var>& x) { return t->Relu(x[0]); },
+       [](const std::vector<Matrix>& in, const Matrix&, const Matrix& g,
+          Grads* grads) {
+         const float* x = in[0].data();
+         float* ag = (*grads)[0].data();
+         for (size_t i = 0; i < g.size(); ++i) {
+           ag[i] += x[i] <= 0.0f ? 0.0f : g.data()[i];
+         }
+       }});
+  cases.push_back(
+      {"LeakyRelu",
+       {KinkedMatrix(kRows, cols, rng)},
+       [](Tape* t, const std::vector<Var>& x) {
+         return t->LeakyRelu(x[0], 0.2f);
+       },
+       [](const std::vector<Matrix>& in, const Matrix&, const Matrix& g,
+          Grads* grads) {
+         const float s = 0.2f;
+         const float* x = in[0].data();
+         const float* gd = g.data();
+         float* ag = (*grads)[0].data();
+         for (size_t i = 0; i < g.size(); ++i) {
+           ag[i] += x[i] <= 0.0f ? gd[i] * s : gd[i];
+         }
+       }});
+  cases.push_back(
+      {"Exp",
+       {RandomMatrix(kRows, cols, rng)},
+       [](Tape* t, const std::vector<Var>& x) { return t->Exp(x[0]); },
+       [](const std::vector<Matrix>&, const Matrix& y, const Matrix& g,
+          Grads* grads) {
+         const float* gd = g.data();
+         float* ag = (*grads)[0].data();
+         for (size_t i = 0; i < g.size(); ++i) ag[i] += gd[i] * y.data()[i];
+       }});
+  cases.push_back(
+      {"ConcatCols",
+       {RandomMatrix(kRows, cols, rng), RandomMatrix(kRows, cols + 1, rng)},
+       [](Tape* t, const std::vector<Var>& x) {
+         return t->ConcatCols(x[0], x[1]);
+       },
+       [](const std::vector<Matrix>& in, const Matrix&, const Matrix& g,
+          Grads* grads) {
+         const size_t acols = in[0].cols();
+         Matrix& ag = (*grads)[0];
+         for (size_t row = 0; row < g.rows(); ++row) {
+           for (size_t c = 0; c < acols; ++c) ag.at(row, c) += g.at(row, c);
+         }
+         Matrix& bg = (*grads)[1];
+         for (size_t row = 0; row < g.rows(); ++row) {
+           for (size_t c = 0; c < bg.cols(); ++c) {
+             bg.at(row, c) += g.at(row, acols + c);
+           }
+         }
+       }});
+  cases.push_back(
+      {"ConcatRows",
+       {RandomMatrix(2, cols, rng), RandomMatrix(1, cols, rng),
+        RandomMatrix(kRows, cols, rng)},
+       [](Tape* t, const std::vector<Var>& x) { return t->ConcatRows(x); },
+       [](const std::vector<Matrix>& in, const Matrix&, const Matrix& g,
+          Grads* grads) {
+         size_t offset = 0;
+         for (size_t k = 0; k < in.size(); ++k) {
+           const Matrix& pv = in[k];
+           Matrix& pg = (*grads)[k];
+           for (size_t row = 0; row < pv.rows(); ++row) {
+             for (size_t c = 0; c < pv.cols(); ++c) {
+               pg.at(row, c) += g.at(offset + row, c);
+             }
+           }
+           offset += pv.rows();
+         }
+       }});
+  cases.push_back(
+      {"GatherRows",
+       {RandomMatrix(kRows, cols, rng)},
+       [gather_rows](Tape* t, const std::vector<Var>& x) {
+         return t->GatherRows(x[0], gather_rows);
+       },
+       [gather_rows](const std::vector<Matrix>&, const Matrix&,
+                     const Matrix& g, Grads* grads) {
+         Matrix& xg = (*grads)[0];
+         for (size_t i = 0; i < gather_rows.size(); ++i) {
+           for (size_t c = 0; c < g.cols(); ++c) {
+             xg.at(gather_rows[i], c) += g.at(i, c);
+           }
+         }
+       }});
+  cases.push_back(
+      {"ScatterAddRows",
+       {RandomMatrix(scatter_targets.size(), cols, rng)},
+       [scatter_targets](Tape* t, const std::vector<Var>& x) {
+         return t->ScatterAddRows(x[0], scatter_targets, kRows);
+       },
+       [scatter_targets](const std::vector<Matrix>&, const Matrix&,
+                         const Matrix& g, Grads* grads) {
+         Matrix& xg = (*grads)[0];
+         for (size_t i = 0; i < scatter_targets.size(); ++i) {
+           for (size_t c = 0; c < g.cols(); ++c) {
+             xg.at(i, c) += g.at(scatter_targets[i], c);
+           }
+         }
+       }});
+  cases.push_back(
+      {"SumRows",
+       {RandomMatrix(kRows, cols, rng)},
+       [](Tape* t, const std::vector<Var>& x) { return t->SumRows(x[0]); },
+       [](const std::vector<Matrix>&, const Matrix&, const Matrix& g,
+          Grads* grads) {
+         Matrix& xg = (*grads)[0];
+         for (size_t row = 0; row < xg.rows(); ++row) {
+           for (size_t c = 0; c < xg.cols(); ++c) xg.at(row, c) += g.at(0, c);
+         }
+       }});
+  cases.push_back(
+      {"AddRowBroadcast",
+       {RandomMatrix(kRows, cols, rng), RandomMatrix(1, cols, rng)},
+       [](Tape* t, const std::vector<Var>& x) {
+         return t->AddRowBroadcast(x[0], x[1]);
+       },
+       [](const std::vector<Matrix>&, const Matrix&, const Matrix& g,
+          Grads* grads) {
+         (*grads)[0].AddInPlace(g);
+         Matrix& bg = (*grads)[1];
+         for (size_t row = 0; row < g.rows(); ++row) {
+           for (size_t c = 0; c < g.cols(); ++c) bg.at(0, c) += g.at(row, c);
+         }
+       }});
+  cases.push_back(
+      {"ColBroadcastMul",
+       {RandomMatrix(kRows, cols, rng), RandomMatrix(kRows, 1, rng)},
+       [](Tape* t, const std::vector<Var>& x) {
+         return t->ColBroadcastMul(x[0], x[1]);
+       },
+       [](const std::vector<Matrix>& in, const Matrix&, const Matrix& g,
+          Grads* grads) {
+         const Matrix& xv = in[0];
+         const Matrix& wv = in[1];
+         Matrix& xg = (*grads)[0];
+         for (size_t row = 0; row < g.rows(); ++row) {
+           const float wr = wv.at(row, 0);
+           for (size_t c = 0; c < g.cols(); ++c) {
+             xg.at(row, c) += g.at(row, c) * wr;
+           }
+         }
+         Matrix& wg = (*grads)[1];
+         for (size_t row = 0; row < g.rows(); ++row) {
+           float dot = 0.0f;
+           for (size_t c = 0; c < g.cols(); ++c) {
+             dot += g.at(row, c) * xv.at(row, c);
+           }
+           wg.at(row, 0) += dot;
+         }
+       }});
+  return cases;
+}
+
+/// Exact bits; NaN is not expected from these inputs.
+bool SameBits(const Matrix& got, const Matrix& want) {
+  return got.rows() == want.rows() && got.cols() == want.cols() &&
+         std::memcmp(got.data(), want.data(), got.size() * sizeof(float)) == 0;
+}
+
+TEST(TapeTest, BackwardMatchesScalarReferenceLoopsBitForBit) {
+  for (size_t cols : {1, 7, 9, 33}) {
+    Rng rng(70 + cols);
+    for (const BackwardCase& c : BackwardCases(cols, &rng)) {
+      SCOPED_TRACE(c.name + " cols=" + std::to_string(cols));
+      std::vector<Parameter> params;
+      std::vector<Matrix> pre_fill;  // each input's gradient before the op
+      for (const Matrix& in : c.inputs) {
+        params.emplace_back(in);
+        pre_fill.push_back(RandomMatrix(in.rows(), in.cols(), &rng));
+      }
+      Tape tape;
+      std::vector<Var> leaves;
+      for (Parameter& p : params) leaves.push_back(tape.Leaf(&p));
+      Var y = c.op(&tape, leaves);
+      const Matrix upstream =
+          RandomMatrix(tape.Value(y).rows(), tape.Value(y).cols(), &rng);
+      // loss = sum(y * upstream) + sum_k sum(x_k * pre_fill_k). Backward
+      // walks records in reverse, so the later terms give each input its
+      // gradient pre_fill_k before the op under test adds to it, and y's
+      // gradient is exactly `upstream`.
+      Var loss = tape.ReduceSum(tape.Mul(y, tape.Constant(upstream)));
+      for (size_t k = 0; k < leaves.size(); ++k) {
+        loss = tape.Add(loss, tape.ReduceSum(tape.Mul(
+                                  leaves[k], tape.Constant(pre_fill[k]))));
+      }
+      tape.Backward(loss);
+
+      // The same sums by hand: every gradient slot starts at +0.0, and the
+      // seed gradient 1 reaches each Mul unchanged.
+      auto from_zero = [](const Matrix& m) {
+        Matrix out(m.rows(), m.cols());
+        for (size_t i = 0; i < m.size(); ++i) {
+          out.data()[i] = 0.0f + 1.0f * m.data()[i];
+        }
+        return out;
+      };
+      Grads want;
+      for (const Matrix& pre : pre_fill) want.push_back(from_zero(pre));
+      c.reference(c.inputs, tape.Value(y), from_zero(upstream), &want);
+      for (size_t k = 0; k < params.size(); ++k) {
+        // Leaf gradients land in a zero-initialised Parameter::grad.
+        Matrix leaf(want[k].rows(), want[k].cols());
+        leaf.AddInPlace(want[k]);
+        EXPECT_TRUE(SameBits(params[k].grad, leaf)) << "input " << k;
+      }
+    }
+  }
 }
 
 }  // namespace
