@@ -65,7 +65,6 @@ NeurSCConfig DefaultNeurSCConfig(const BenchEnv& env) {
   config.disc_hidden = 32;
   config.epochs = env.epochs;
   config.pretrain_epochs = env.pretrain_epochs;
-  config.batch_size = 20;
   return config;
 }
 

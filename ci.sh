@@ -25,11 +25,11 @@
 #   4. Bench smoke: bench_table4_training_time on a tiny dataset sweeps
 #      NEURSC_THREADS {1,2,8} over full training runs and exits non-zero
 #      unless every parallel run reproduces the serial final weights and
-#      loss curves bit for bit; then the component and ablation
-#      microbenchmarks (bench_micro_components, bench_micro_ablations) run
-#      once each with a short minimum time, so they keep building and
-#      running; then the neursc_cli self-demo (generate -> train ->
-#      evaluate, ~0.1 s) prints the per-query extraction/inference times
+#      loss curves bit for bit; then bench_ablations (~0.4 s) prints the
+#      refinement-round sweep and Sec. 5.5's greedy-vs-exact transport
+#      cost ratio, and exits non-zero if its fixtures fail to generate or
+#      filter or a ratio is not finite; then the neursc_cli self-demo
+#      (generate -> train -> evaluate, ~0.1 s) prints the per-query extraction/inference times
 #      from EstimateInfo; last, bench_ext_active_learning runs the
 #      active-learning loop on a tiny dataset (~0.06 s) and exits non-zero
 #      if the workload, the query pool or the learner's run fails.
@@ -84,14 +84,12 @@ NEURSC_THREADS=8 ctest --test-dir build-tsan -R "$BIT_IDENTITY" \
   --output-on-failure
 
 echo
-echo "=== [4/7] Bench smoke (NEURSC_THREADS sweep + microbenchmarks + CLI demo + active learning) ==="
+echo "=== [4/7] Bench smoke (NEURSC_THREADS sweep + ablations + CLI demo + active learning) ==="
 cmake --build build -j "$JOBS" --target bench_table4_training_time \
-  bench_micro_components bench_micro_ablations neursc_cli \
-  bench_ext_active_learning
+  bench_ablations neursc_cli bench_ext_active_learning
 NEURSC_SCALE=0.25 NEURSC_EPOCHS=4 NEURSC_QUERIES=8 \
   ./build/bench/bench_table4_training_time
-./build/bench/bench_micro_components --benchmark_min_time=0.01
-./build/bench/bench_micro_ablations --benchmark_min_time=0.01
+./build/bench/bench_ablations
 ./build/examples/neursc_cli
 NEURSC_SCALE=0.25 NEURSC_EPOCHS=4 NEURSC_QUERIES=8 \
   ./build/bench/bench_ext_active_learning

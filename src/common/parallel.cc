@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/metrics_registry.h"
 #include "common/mutex.h"
 
@@ -182,7 +183,16 @@ class WorkerPool {
 size_t DefaultThreadCount() {
   const char* env = std::getenv("NEURSC_THREADS");
   if (env != nullptr) {
-    long parsed = std::atol(env);
+    long parsed = std::strtol(env, nullptr, 10);
+    if (parsed > static_cast<long>(kMaxThreadCount)) {
+      static std::atomic<bool> warned{false};
+      if (!warned.exchange(true)) {
+        NEURSC_LOG(Warning) << "NEURSC_THREADS=" << env << " exceeds "
+                            << kMaxThreadCount << "; using "
+                            << kMaxThreadCount;
+      }
+      return kMaxThreadCount;
+    }
     if (parsed > 0) return static_cast<size_t>(parsed);
   }
   unsigned hw = std::thread::hardware_concurrency();

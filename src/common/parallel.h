@@ -6,10 +6,15 @@
 
 namespace neursc {
 
+/// Upper bound on NEURSC_THREADS. Larger values are clamped to it, so a
+/// bad setting cannot make the pool spawn threads until thread creation
+/// fails.
+inline constexpr size_t kMaxThreadCount = 256;
+
 /// Number of worker threads used by ParallelFor: the NEURSC_THREADS
-/// environment variable if set, otherwise the hardware concurrency
-/// (at least 1). Re-read on every call, so tests can change the
-/// environment between invocations.
+/// environment variable if set (at most kMaxThreadCount), otherwise the
+/// hardware concurrency (at least 1). Re-read on every call, so tests can
+/// change the environment between invocations.
 size_t DefaultThreadCount();
 
 /// True iff the calling thread is executing ParallelFor tasks (a pool

@@ -16,6 +16,14 @@ namespace neursc {
 
 namespace {
 
+// Training constants of Alg. 3 (Sec. 6.1 settings). iter_omega = 1:
+// UpdateCritic takes one critic step per (query, substructure) pair.
+constexpr double kLearningRate = 1e-3;      // alpha_theta
+constexpr double kDiscLearningRate = 1e-3;  // alpha_omega
+constexpr double kBeta = 0.8;               // beta of Eq. 11: L_c vs L_w
+constexpr float kDiscClip = 0.01f;          // WGAN critic weight clip
+constexpr double kGradClipNorm = 5.0;       // theta gradient-norm clip
+
 /// Substructure standing in for the whole data graph ("w/o SE" ablation).
 Substructure WholeGraphSubstructure(const Graph& data, size_t num_query) {
   Substructure s;
@@ -44,15 +52,15 @@ NeurSCEstimator::NeurSCEstimator(const Graph& data, NeurSCConfig config)
   model_ = std::make_unique<WEstModel>(features_.FeatureDim(), config_.west);
   if (config_.use_discriminator) {
     critic_ = std::make_unique<Discriminator>(
-        model_->ReprDim(), config_.disc_hidden, config_.disc_clip,
+        model_->ReprDim(), config_.disc_hidden, kDiscClip,
         config_.seed + 1);
     AdamOptimizer::Options omega_options;
-    omega_options.learning_rate = config_.disc_learning_rate;
+    omega_options.learning_rate = kDiscLearningRate;
     opt_omega_ = std::make_unique<AdamOptimizer>(critic_->Parameters(),
                                                  omega_options);
   }
   AdamOptimizer::Options theta_options;
-  theta_options.learning_rate = config_.learning_rate;
+  theta_options.learning_rate = kLearningRate;
   opt_theta_ =
       std::make_unique<AdamOptimizer>(model_->Parameters(), theta_options);
 }
@@ -91,26 +99,24 @@ void NeurSCEstimator::UpdateCritic(
     const Matrix& query_repr, const Matrix& sub_repr,
     const std::vector<std::vector<VertexId>>& candidates) {
   NEURSC_SPAN(critic_span, "train/critic");
-  NEURSC_COUNTER_ADD("train.critic_updates", config_.disc_iters);
+  NEURSC_COUNTER_INC("train.critic_updates");
   auto tape = tape_pool_.Acquire();
-  for (int it = 0; it < config_.disc_iters; ++it) {
-    tape->Reset();
-    Var hq = tape->Constant(query_repr);
-    Var hs = tape->Constant(sub_repr);
-    Var sq = critic_->Score(tape.get(), hq);
-    Var ss = critic_->Score(tape.get(), hs);
-    Correspondence pairs = SelectCorrespondenceByScores(
-        tape->Value(sq), tape->Value(ss), candidates);
-    if (pairs.size() == 0) return;
-    Var lw = WassersteinLoss(tape.get(), sq, ss, pairs);
-    // The critic maximizes L_w, i.e. minimizes -L_w.
-    Var loss = tape->Scale(lw, -1.0f);
-    opt_omega_->ZeroGrad();
-    tape->Backward(loss);
-    opt_omega_->Step();
-    opt_omega_->ZeroGrad();
-    critic_->ClampWeights();
-  }
+  tape->Reset();
+  Var hq = tape->Constant(query_repr);
+  Var hs = tape->Constant(sub_repr);
+  Var sq = critic_->Score(tape.get(), hq);
+  Var ss = critic_->Score(tape.get(), hs);
+  Correspondence pairs = SelectCorrespondenceByScores(
+      tape->Value(sq), tape->Value(ss), candidates);
+  if (pairs.size() == 0) return;
+  Var lw = WassersteinLoss(tape.get(), sq, ss, pairs);
+  // The critic maximizes L_w, i.e. minimizes -L_w.
+  Var loss = tape->Scale(lw, -1.0f);
+  opt_omega_->ZeroGrad();
+  tape->Backward(loss);
+  opt_omega_->Step();
+  opt_omega_->ZeroGrad();
+  critic_->ClampWeights();
 }
 
 Var NeurSCEstimator::BuildQueryLoss(
@@ -168,10 +174,9 @@ Var NeurSCEstimator::BuildQueryLoss(
     // estimate (the generator side of the WGAN game): the L_w term enters
     // with +beta/|G_sub| so that gradient descent pulls corresponding
     // query/data representations together.
-    float w = static_cast<float>(config_.beta /
-                                 static_cast<double>(subs.size()));
+    float w = static_cast<float>(kBeta / static_cast<double>(subs.size()));
     loss = tape->Add(
-        tape->Scale(loss, 1.0f - static_cast<float>(config_.beta)),
+        tape->Scale(loss, 1.0f - static_cast<float>(kBeta)),
         tape->Scale(lw_sum, w));
   }
   return loss;
@@ -342,10 +347,11 @@ Result<TrainStats> NeurSCEstimator::Train(
       // critic during the combined backward passes.
       if (opt_omega_ != nullptr) opt_omega_->ZeroGrad();
       // Critic inner maximization (Alg. 3 lines 10-12), serial by design:
-      // disc_iters is small, every update mutates omega, and the fixed
-      // (example, substructure) order keeps the critic's trajectory
-      // thread-count independent. The estimator-side L_w above used the
-      // batch-start critic; these updates take effect from the next batch.
+      // one step per pair (iter_omega = 1), every update mutates omega,
+      // and the fixed (example, substructure) order keeps the critic's
+      // trajectory thread-count independent. The estimator-side L_w above
+      // used the batch-start critic; these updates take effect from the
+      // next batch.
       if (wasserstein_updates) {
         for (size_t k = 0; k < batch; ++k) {
           size_t idx = indices[start + k];
@@ -356,7 +362,7 @@ Result<TrainStats> NeurSCEstimator::Train(
           }
         }
       }
-      opt_theta_->ClipGradNorm(config_.grad_clip_norm);
+      opt_theta_->ClipGradNorm(kGradClipNorm);
       opt_theta_->Step();
       opt_theta_->ZeroGrad();
     }

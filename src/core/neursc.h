@@ -30,21 +30,14 @@ struct NeurSCConfig {
   CandidateFilterOptions filter;
 
   // --- Training (Alg. 3) ---
-  double learning_rate = 1e-3;         // alpha_theta
-  double disc_learning_rate = 1e-3;    // alpha_omega
-  size_t batch_size = 20;              // n_batch
-  /// beta of Eq. 11, balancing L_c against L_w.
-  double beta = 0.8;
-  /// iter_omega: discriminator steps per (query, substructure) pair.
-  int disc_iters = 1;
+  // Learning rates, beta, iter_omega and the clips are neursc.cc constants.
+  size_t batch_size = 20;  // n_batch
   size_t disc_hidden = 32;
-  float disc_clip = 0.01f;
   /// Epochs trained with L_c only before the adversarial phase starts
   /// (Sec. 5.6's two-stage schedule avoiding representation collapse).
   size_t pretrain_epochs = 4;
   /// Total training epochs (pretrain + adversarial).
   size_t epochs = 12;
-  double grad_clip_norm = 5.0;
   /// Fraction of training examples held out for validation-based early
   /// stopping; 0 disables early stopping. When enabled, training stops
   /// after `early_stop_patience` epochs without validation improvement
@@ -262,7 +255,7 @@ class NeurSCEstimator {
   /// Serially draws one forward-pass seed per selected substructure.
   std::vector<uint64_t> DrawTaskSeeds(size_t count);
   /// Runs the discriminator's inner maximization (Alg. 3 lines 10-12) on
-  /// detached representations.
+  /// detached representations: one critic step, as iter_omega = 1.
   void UpdateCritic(const Matrix& query_repr, const Matrix& sub_repr,
                     const std::vector<std::vector<VertexId>>& candidates);
   /// Forward + loss for one query on `tape` (followed by Backward in

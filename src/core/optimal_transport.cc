@@ -1,6 +1,5 @@
 #include "core/optimal_transport.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -80,25 +79,6 @@ double AssignmentCost(const Matrix& cost,
     total += cost.at(i, assignment[i]);
   }
   return total;
-}
-
-double ExactWasserstein1(const Matrix& a, const Matrix& b) {
-  NEURSC_CHECK(a.cols() == b.cols());
-  NEURSC_CHECK(a.rows() <= b.rows());
-  Matrix cost(a.rows(), b.rows());
-  for (size_t i = 0; i < a.rows(); ++i) {
-    for (size_t j = 0; j < b.rows(); ++j) {
-      double s = 0.0;
-      for (size_t c = 0; c < a.cols(); ++c) {
-        double d = static_cast<double>(a.at(i, c)) - b.at(j, c);
-        s += d * d;
-      }
-      cost.at(i, j) = static_cast<float>(std::sqrt(s));
-    }
-  }
-  auto assignment = SolveAssignment(cost);
-  return AssignmentCost(cost, assignment) /
-         static_cast<double>(std::max<size_t>(a.rows(), 1));
 }
 
 Correspondence SelectCorrespondenceByExactOt(

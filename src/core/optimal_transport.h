@@ -11,9 +11,8 @@ namespace neursc {
 /// Exact assignment-based optimal transport, used as the reference the
 /// paper argues is unnecessary (Sec. 5.5: "it is not necessary to compute
 /// the exact optimal transport due to its extra time cost and limited
-/// improvement"). The bench_micro_ablations suite and the tests compare
-/// WEst's candidate-guided greedy correspondence against this exact
-/// solver.
+/// improvement"). bench/bench_ablations and the tests compare WEst's
+/// candidate-guided greedy correspondence against this exact solver.
 
 /// Solves min-cost assignment on an n x m cost matrix (n <= m): every row
 /// is assigned to a distinct column minimizing the total cost. Returns the
@@ -23,11 +22,6 @@ std::vector<size_t> SolveAssignment(const Matrix& cost);
 /// Total cost of an assignment under `cost`.
 double AssignmentCost(const Matrix& cost,
                       const std::vector<size_t>& assignment);
-
-/// Empirical Wasserstein-1 distance between two equal-weight point clouds
-/// (rows of a and b, n_a <= n_b): the minimum average pairwise Euclidean
-/// distance over injective assignments.
-double ExactWasserstein1(const Matrix& a, const Matrix& b);
 
 /// Correspondence built from the exact optimal transport plan between
 /// query and substructure representations, restricted to candidate sets by

@@ -1,5 +1,8 @@
 #include "core/optimal_transport.h"
 
+#include <set>
+#include <tuple>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -60,24 +63,6 @@ TEST_P(AssignmentPropertyTest, MatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(RandomCosts, AssignmentPropertyTest,
                          ::testing::Range(0, 20));
 
-TEST(ExactWassersteinTest, IdenticalCloudsHaveZeroDistance) {
-  Rng rng(5);
-  Matrix a = Matrix::Uniform(6, 3, -1, 1, &rng);
-  EXPECT_NEAR(ExactWasserstein1(a, a), 0.0, 1e-6);
-}
-
-TEST(ExactWassersteinTest, TranslationShowsUp) {
-  Matrix a = Matrix::FromRows({{0, 0}, {1, 0}});
-  Matrix b = Matrix::FromRows({{0, 3}, {1, 3}});
-  EXPECT_NEAR(ExactWasserstein1(a, b), 3.0, 1e-6);
-}
-
-TEST(ExactWassersteinTest, SubsetIntoLargerCloud) {
-  Matrix a = Matrix::FromRows({{0.0f, 0.0f}});
-  Matrix b = Matrix::FromRows({{5, 0}, {1, 0}, {9, 9}});
-  EXPECT_NEAR(ExactWasserstein1(a, b), 1.0, 1e-6);
-}
-
 TEST(ExactOtCorrespondenceTest, RespectsCandidates) {
   Matrix query_repr = Matrix::FromRows({{0.0f, 0.0f}, {5.0f, 5.0f}});
   Matrix sub_repr =
@@ -112,6 +97,58 @@ TEST(ExactOtCorrespondenceTest, DropsCandidatelessVertices) {
   ASSERT_EQ(pairs.size(), 1u);
   EXPECT_EQ(pairs.query_rows[0], 1u);
 }
+
+// Sec. 5.5's greedy-vs-exact comparison on instances shaped like those
+// of bench_ablations: 16 query rows, |V_sub| rows, 8 random candidates
+// per query row, 32-dim representations. The greedy selection takes each
+// row's nearest candidate on its own, so its cost is a lower bound on any
+// injective assignment over the same rows, and it is the optimum itself
+// when no two rows chose the same candidate.
+class GreedyVsExactOtTest
+    : public ::testing::TestWithParam<std::tuple<size_t, int>> {};
+
+TEST_P(GreedyVsExactOtTest, GreedyCostBoundsExactCost) {
+  const size_t nq = 16;
+  const size_t ns = std::get<0>(GetParam());
+  const size_t dim = 32;
+  Rng rng(std::get<1>(GetParam()));
+  Matrix query_repr = Matrix::Uniform(nq, dim, -1, 1, &rng);
+  Matrix sub_repr = Matrix::Uniform(ns, dim, -1, 1, &rng);
+  std::vector<std::vector<VertexId>> candidates(nq);
+  for (auto& row : candidates) {
+    for (int k = 0; k < 8; ++k) {
+      row.push_back(static_cast<VertexId>(rng.UniformIndex(ns)));
+    }
+  }
+  auto cost = [&](const Correspondence& pairs) {
+    double total = 0.0;
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      total += RepresentationDistance(query_repr.row(pairs.query_rows[i]),
+                                      sub_repr.row(pairs.sub_rows[i]), dim,
+                                      DistanceMetric::kEuclidean);
+    }
+    return total;
+  };
+  Correspondence greedy = SelectCorrespondenceByDistance(
+      query_repr, sub_repr, candidates, DistanceMetric::kEuclidean);
+  Correspondence exact =
+      SelectCorrespondenceByExactOt(query_repr, sub_repr, candidates);
+  ASSERT_EQ(greedy.size(), nq);
+  ASSERT_EQ(exact.size(), greedy.size());
+  const double greedy_cost = cost(greedy);
+  const double exact_cost = cost(exact);
+  const double tolerance = 1e-5 * exact_cost;
+  EXPECT_LE(greedy_cost, exact_cost + tolerance);
+  std::set<uint32_t> distinct(greedy.sub_rows.begin(), greedy.sub_rows.end());
+  if (distinct.size() == greedy.size()) {
+    EXPECT_NEAR(greedy_cost, exact_cost, tolerance);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BenchShapes, GreedyVsExactOtTest,
+    ::testing::Combine(::testing::Values(size_t{64}, size_t{1024}),
+                       ::testing::Range(0, 8)));
 
 }  // namespace
 }  // namespace neursc

@@ -1,6 +1,7 @@
 #include "common/parallel.h"
 
 #include <atomic>
+#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -53,6 +54,22 @@ TEST(ParallelForTest, MoreThreadsThanItems) {
 
 TEST(ParallelForTest, DefaultThreadCountPositive) {
   EXPECT_GE(DefaultThreadCount(), 1u);
+}
+
+// Reads the count only: no region runs, so no thread is started.
+TEST(ParallelForTest, DefaultThreadCountClampsHugeEnvValue) {
+  const char* old = std::getenv("NEURSC_THREADS");
+  const bool had_old = old != nullptr;
+  const std::string saved = had_old ? old : "";
+  setenv("NEURSC_THREADS", "100000", 1);
+  const size_t count = DefaultThreadCount();
+  if (had_old) {
+    setenv("NEURSC_THREADS", saved.c_str(), 1);
+  } else {
+    unsetenv("NEURSC_THREADS");
+  }
+  EXPECT_LE(count, 256u);
+  EXPECT_EQ(count, kMaxThreadCount);
 }
 
 TEST(ParallelForTest, PropagatesWorkerException) {
