@@ -13,17 +13,20 @@ namespace neursc {
 namespace bench {
 namespace {
 
-void Run() {
+/// Returns false if any dataset cannot be built.
+bool Run() {
   BenchEnv env = BenchEnv::FromEnvironment();
 
   PrintSection("Table 2: Statistics of Data Graphs (stand-in vs paper)");
   std::vector<std::vector<std::string>> rows;
   std::vector<BenchDataset> datasets;
+  bool ok = true;
   for (const auto& profile : AllDatasetProfiles()) {
     auto ds = BuildBenchDataset(profile.name, env);
     if (!ds.ok()) {
       std::fprintf(stderr, "%s: %s\n", profile.name.c_str(),
                    ds.status().ToString().c_str());
+      ok = false;
       continue;
     }
     char buf[64];
@@ -115,6 +118,7 @@ void Run() {
   PrintTable({"Dataset", "avg |CS(q)|", "avg components", "avg kept",
               "early-term"},
              rows);
+  return ok;
 }
 
 }  // namespace
@@ -123,6 +127,5 @@ void Run() {
 
 int main(int argc, char** argv) {
   neursc::ObservabilitySession observability(&argc, argv);
-  neursc::bench::Run();
-  return 0;
+  return neursc::bench::Run() ? 0 : 1;
 }

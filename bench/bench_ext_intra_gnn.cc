@@ -11,12 +11,13 @@ namespace neursc {
 namespace bench {
 namespace {
 
-void Run() {
+/// Returns false if the dataset cannot be built.
+bool Run() {
   BenchEnv env = BenchEnv::FromEnvironment();
   auto ds = BuildBenchDataset("Yeast", env);
   if (!ds.ok()) {
     std::fprintf(stderr, "%s\n", ds.status().ToString().c_str());
-    return;
+    return false;
   }
   auto train = Gather(ds->workload, ds->split.train);
 
@@ -48,6 +49,7 @@ void Run() {
     PrintMethodRow(gin_result);
     PrintMethodRow(EvaluateMethod(with_mean.get(), ds->workload, indices));
   }
+  return true;
 }
 
 }  // namespace
@@ -56,6 +58,5 @@ void Run() {
 
 int main(int argc, char** argv) {
   neursc::ObservabilitySession observability(&argc, argv);
-  neursc::bench::Run();
-  return 0;
+  return neursc::bench::Run() ? 0 : 1;
 }

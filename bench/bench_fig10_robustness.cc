@@ -11,12 +11,13 @@ namespace neursc {
 namespace bench {
 namespace {
 
-void Run() {
+/// Returns false if the dataset cannot be built or has no Q16 query.
+bool Run() {
   BenchEnv env = BenchEnv::FromEnvironment();
   auto ds = BuildBenchDataset("Yeast", env, {4, 8, 16, 24, 32});
   if (!ds.ok()) {
     std::fprintf(stderr, "%s\n", ds.status().ToString().c_str());
-    return;
+    return false;
   }
 
   // Train strictly on Q16.
@@ -24,7 +25,7 @@ void Run() {
   auto train = Gather(ds->workload, train_indices);
   if (train.empty()) {
     std::fprintf(stderr, "no Q16 queries fit the ground-truth budget\n");
-    return;
+    return false;
   }
 
   LssEstimator lss(ds->graph, DefaultLssOptions(env));
@@ -47,6 +48,7 @@ void Run() {
     PrintMethodRow(EvaluateMethod(&lss, ds->workload, indices));
     PrintMethodRow(EvaluateMethod(neursc.get(), ds->workload, indices));
   }
+  return true;
 }
 
 }  // namespace
@@ -55,6 +57,5 @@ void Run() {
 
 int main(int argc, char** argv) {
   neursc::ObservabilitySession observability(&argc, argv);
-  neursc::bench::Run();
-  return 0;
+  return neursc::bench::Run() ? 0 : 1;
 }

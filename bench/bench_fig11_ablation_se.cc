@@ -59,12 +59,13 @@ MethodResult EvaluateWithPerfectSubstructures(
   return result;
 }
 
-void Run() {
+/// Returns false if the dataset cannot be built.
+bool Run() {
   BenchEnv env = BenchEnv::FromEnvironment();
   auto ds = BuildBenchDataset("Yeast", env);
   if (!ds.ok()) {
     std::fprintf(stderr, "%s\n", ds.status().ToString().c_str());
-    return;
+    return false;
   }
   auto train = Gather(ds->workload, ds->split.train);
 
@@ -101,6 +102,7 @@ void Run() {
     PrintMethodRow(EvaluateWithPerfectSubstructures(
         neursc.get(), ds->graph, ds->workload, indices));
   }
+  return true;
 }
 
 }  // namespace
@@ -109,6 +111,5 @@ void Run() {
 
 int main(int argc, char** argv) {
   neursc::ObservabilitySession observability(&argc, argv);
-  neursc::bench::Run();
-  return 0;
+  return neursc::bench::Run() ? 0 : 1;
 }

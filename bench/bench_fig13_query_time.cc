@@ -10,7 +10,8 @@ namespace neursc {
 namespace bench {
 namespace {
 
-void RunDataset(const std::string& name, const BenchEnv& env) {
+/// Returns false if the dataset cannot be built.
+bool RunDataset(const std::string& name, const BenchEnv& env) {
   BenchEnv quick = env;
   quick.epochs = 2;  // latency, not accuracy, is measured here
   quick.pretrain_epochs = 1;
@@ -18,7 +19,7 @@ void RunDataset(const std::string& name, const BenchEnv& env) {
   if (!ds.ok()) {
     std::fprintf(stderr, "%s: %s\n", name.c_str(),
                  ds.status().ToString().c_str());
-    return;
+    return false;
   }
   auto train = Gather(ds->workload, ds->split.train);
 
@@ -57,6 +58,7 @@ void RunDataset(const std::string& name, const BenchEnv& env) {
     }
     PrintTable({"Method", "avg ms/query", "timeouts"}, rows);
   }
+  return true;
 }
 
 }  // namespace
@@ -67,12 +69,10 @@ int main(int argc, char** argv) {
   neursc::ObservabilitySession observability(&argc, argv);
   neursc::bench::BenchEnv env =
       neursc::bench::BenchEnv::FromEnvironment();
-  if (argc > 1) {
-    neursc::bench::RunDataset(argv[1], env);
-    return 0;
-  }
+  if (argc > 1) return neursc::bench::RunDataset(argv[1], env) ? 0 : 1;
+  bool ok = true;
   for (const auto& profile : neursc::AllDatasetProfiles()) {
-    neursc::bench::RunDataset(profile.name, env);
+    ok = neursc::bench::RunDataset(profile.name, env) && ok;
   }
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -10,7 +10,8 @@ namespace neursc {
 namespace bench {
 namespace {
 
-void RunDataset(const std::string& name, size_t query_size,
+/// Returns false if the dataset cannot be built.
+bool RunDataset(const std::string& name, size_t query_size,
                 const BenchEnv& env) {
   // Induced (dense) queries: their candidate regions fragment into
   // multiple substructures, which is what the r_s sweep samples over. At
@@ -21,7 +22,7 @@ void RunDataset(const std::string& name, size_t query_size,
   if (!ds.ok()) {
     std::fprintf(stderr, "%s: %s\n", name.c_str(),
                  ds.status().ToString().c_str());
-    return;
+    return false;
   }
   auto train = Gather(ds->workload, ds->split.train);
 
@@ -68,6 +69,7 @@ void RunDataset(const std::string& name, size_t query_size,
     std::printf("%savg ms/query: %.3f  (substructures used %zu/%zu)\n",
                 label, r.MeanQueryMillis(), used_subs, total_subs);
   }
+  return true;
 }
 
 }  // namespace
@@ -82,7 +84,7 @@ int main(int argc, char** argv) {
   // reduced stand-in scale only small induced queries produce multiple
   // substructures, so the sweep uses Q4 (plus Wordnet, whose 5-label space
   // fragments most).
-  neursc::bench::RunDataset("Youtube", 4, env);
-  neursc::bench::RunDataset("Wordnet", 4, env);
-  return 0;
+  bool ok = neursc::bench::RunDataset("Youtube", 4, env);
+  ok = neursc::bench::RunDataset("Wordnet", 4, env) && ok;
+  return ok ? 0 : 1;
 }

@@ -11,12 +11,13 @@ namespace neursc {
 namespace bench {
 namespace {
 
-void RunDataset(const std::string& name, const BenchEnv& env) {
+/// Returns false if the dataset cannot be built.
+bool RunDataset(const std::string& name, const BenchEnv& env) {
   auto ds = BuildBenchDataset(name, env);
   if (!ds.ok()) {
     std::fprintf(stderr, "%s: %s\n", name.c_str(),
                  ds.status().ToString().c_str());
-    return;
+    return false;
   }
   auto train = Gather(ds->workload, ds->split.train);
 
@@ -75,6 +76,7 @@ void RunDataset(const std::string& name, const BenchEnv& env) {
       PrintMethodRow(EvaluateMethod(method, ds->workload, indices));
     }
   }
+  return true;
 }
 
 }  // namespace
@@ -85,12 +87,10 @@ int main(int argc, char** argv) {
   neursc::ObservabilitySession observability(&argc, argv);
   neursc::bench::BenchEnv env =
       neursc::bench::BenchEnv::FromEnvironment();
-  if (argc > 1) {
-    neursc::bench::RunDataset(argv[1], env);
-    return 0;
-  }
+  if (argc > 1) return neursc::bench::RunDataset(argv[1], env) ? 0 : 1;
+  bool ok = true;
   for (const auto& profile : neursc::AllDatasetProfiles()) {
-    neursc::bench::RunDataset(profile.name, env);
+    ok = neursc::bench::RunDataset(profile.name, env) && ok;
   }
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -10,12 +10,13 @@ namespace neursc {
 namespace bench {
 namespace {
 
-void Run() {
+/// Returns false if the dataset cannot be built.
+bool Run() {
   BenchEnv env = BenchEnv::FromEnvironment();
   auto ds = BuildBenchDataset("Yeast", env);
   if (!ds.ok()) {
     std::fprintf(stderr, "%s\n", ds.status().ToString().c_str());
-    return;
+    return false;
   }
   auto train = Gather(ds->workload, ds->split.train);
 
@@ -55,6 +56,7 @@ void Run() {
     PrintMethodRow(EvaluateMethod(&lss, ds->workload, indices));
     PrintMethodRow(EvaluateMethod(neursc.get(), ds->workload, indices));
   }
+  return true;
 }
 
 }  // namespace
@@ -63,6 +65,5 @@ void Run() {
 
 int main(int argc, char** argv) {
   neursc::ObservabilitySession observability(&argc, argv);
-  neursc::bench::Run();
-  return 0;
+  return neursc::bench::Run() ? 0 : 1;
 }

@@ -7,9 +7,9 @@
 #   2. ThreadSanitizer build of the concurrency-sensitive pieces, running
 #      every test labeled `concurrency` (ctest -L concurrency): ParallelFor
 #      and the worker pool, the observability stress tests, the
-#      differential suites, and the pooled Tape workspaces that serve
-#      training, validation and inference, with NEURSC_THREADS=8 to force
-#      real contention.
+#      differential suites, and the per-thread Tape workspaces that serve
+#      inference, validation and critic updates, with NEURSC_THREADS=8 to
+#      force real contention.
 #   3. Bit-identity suites: the tape-reuse suite (eval_context_test: a
 #      reused tape's forward and backward match a fresh tape's bit for bit,
 #      with zero arena growth after warm-up), the checkpoint round-trip

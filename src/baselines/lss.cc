@@ -204,9 +204,9 @@ Result<double> LssEstimator::EstimateCount(const Graph& query) {
   std::vector<Matrix> features;
   features.reserve(substructures.size());
   for (const Graph& s : substructures) features.push_back(Featurize(s));
-  tape_.Reset();
-  Var estimate = Forward(&tape_, substructures, features);
-  return static_cast<double>(tape_.Value(estimate).scalar());
+  ThreadTape tape;
+  Var estimate = Forward(tape.get(), substructures, features);
+  return static_cast<double>(tape->Value(estimate).scalar());
 }
 
 }  // namespace neursc

@@ -84,11 +84,6 @@ class LssEstimator : public CardinalityEstimator {
   Parameter attn_vector_;                  // attention_dim x 1
   std::unique_ptr<Mlp> predictor_;
   std::unique_ptr<AdamOptimizer> optimizer_;
-  /// Workspace for EstimateCount; Reset() per call keeps the warmed-up
-  /// arena so repeated estimates allocate nothing. EstimateCount is not
-  /// called concurrently (the estimator confines itself to one caller
-  /// thread; see docs/threading.md).
-  Tape tape_;
   std::vector<double> epoch_seconds_;
 };
 

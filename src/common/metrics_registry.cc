@@ -17,61 +17,10 @@ bool MetricsEnabled() {
 
 namespace internal_metrics {
 
-namespace {
-
-/// Free list of stripe indices; threads lease one for their lifetime so
-/// short-lived ParallelFor workers reuse stripes instead of growing state.
-class ShardSlotPool {
- public:
-  static ShardSlotPool& Get() {
-    static ShardSlotPool* pool = new ShardSlotPool();
-    return *pool;
-  }
-
-  size_t Acquire(bool* leased) NEURSC_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    if (!free_.empty()) {
-      size_t index = free_.back();
-      free_.pop_back();
-      *leased = true;
-      return index;
-    }
-    // More live threads than stripes: share stripes round-robin. Atomics
-    // keep this correct; it only costs contention.
-    *leased = false;
-    return overflow_next_++ % kShardCount;
-  }
-
-  void Release(size_t index) NEURSC_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    free_.push_back(index);
-  }
-
- private:
-  ShardSlotPool() {
-    free_.reserve(kShardCount);
-    for (size_t i = kShardCount; i-- > 0;) free_.push_back(i);
-  }
-
-  Mutex mu_;
-  std::vector<size_t> free_ NEURSC_GUARDED_BY(mu_);
-  size_t overflow_next_ NEURSC_GUARDED_BY(mu_) = 0;
-};
-
-struct ShardLease {
-  ShardLease() { index = ShardSlotPool::Get().Acquire(&leased); }
-  ~ShardLease() {
-    if (leased) ShardSlotPool::Get().Release(index);
-  }
-  size_t index = 0;
-  bool leased = false;
-};
-
-}  // namespace
-
 size_t ShardIndex() {
-  thread_local ShardLease lease;
-  return lease.index;
+  static std::atomic<size_t> next_index{0};
+  thread_local const size_t index = next_index.fetch_add(1) % kShardCount;
+  return index;
 }
 
 }  // namespace internal_metrics

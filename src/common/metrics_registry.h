@@ -16,8 +16,8 @@
 // each query's stage times are in its EstimateInfo, and TraceSpan records
 // trace events.
 //
-// Hot-path writes go through per-thread shards (a leased stripe per live
-// thread, recycled on thread exit), so ParallelFor workers record without
+// Hot-path writes go through per-thread shards (each thread keeps one
+// stripe for its lifetime), so ParallelFor workers record without
 // contending on shared cache lines; readers merge the stripes on demand.
 // All recording is wait-free relaxed atomics and safe from any thread.
 //
@@ -32,9 +32,9 @@ bool MetricsEnabled();
 
 namespace internal_metrics {
 
-/// Number of shard stripes. Threads lease distinct stripes while alive (the
-/// lease returns to a free list on thread exit); if more than kShardCount
-/// threads are live at once the excess hash onto shared stripes, which stays
+/// Number of shard stripes. Threads take stripes round-robin in the order
+/// they first record and keep them for their lifetime, so the first
+/// kShardCount threads get distinct stripes; later ones share, which stays
 /// correct (atomics) but may contend.
 inline constexpr size_t kShardCount = 64;
 

@@ -15,36 +15,15 @@ void TraceRecorder::Start() { enabled_.store(true, std::memory_order_relaxed); }
 
 void TraceRecorder::Stop() { enabled_.store(false, std::memory_order_relaxed); }
 
-/// Thread-lifetime lease of a recorder buffer; returns it for reuse so
-/// ParallelFor's short-lived workers do not grow the buffer list without
-/// bound.
-struct TraceBufferLease {
-  TraceRecorder::Buffer* buffer = nullptr;
-  void (*release)(TraceRecorder::Buffer*) = nullptr;
-  ~TraceBufferLease() {
-    if (buffer != nullptr && release != nullptr) release(buffer);
-  }
-};
-
 TraceRecorder::Buffer* TraceRecorder::ThreadBuffer() {
-  thread_local TraceBufferLease lease;
-  if (lease.buffer == nullptr) {
+  thread_local Buffer* buffer = nullptr;
+  if (buffer == nullptr) {
     MutexLock lock(&mu_);
-    if (!free_buffers_.empty()) {
-      lease.buffer = free_buffers_.back();
-      free_buffers_.pop_back();
-    } else {
-      buffers_.push_back(std::make_unique<Buffer>());
-      lease.buffer = buffers_.back().get();
-      lease.buffer->tid = next_tid_++;
-    }
-    lease.release = [](Buffer* buffer) {
-      TraceRecorder& recorder = TraceRecorder::Global();
-      MutexLock lock(&recorder.mu_);
-      recorder.free_buffers_.push_back(buffer);
-    };
+    buffers_.push_back(std::make_unique<Buffer>());
+    buffer = buffers_.back().get();
+    buffer->tid = next_tid_++;
   }
-  return lease.buffer;
+  return buffer;
 }
 
 void TraceRecorder::Record(const char* name, int64_t start_us,

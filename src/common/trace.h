@@ -26,9 +26,9 @@
 
 namespace neursc {
 
-/// Collects completed span events into per-thread buffers (leased and reused
-/// across short-lived worker threads) and serializes them as a Chrome
-/// trace_event JSON file.
+/// Collects completed span events into per-thread buffers (one per thread
+/// that ever recorded, each with its own Chrome `tid`) and serializes them
+/// as a Chrome trace_event JSON file.
 class TraceRecorder {
  public:
   static TraceRecorder& Global();
@@ -81,18 +81,17 @@ class TraceRecorder {
     int tid = 0;
   };
 
+  /// The calling thread's buffer, registered on its first event. The
+  /// recorder owns it, so its events outlive the thread.
   Buffer* ThreadBuffer() NEURSC_EXCLUDES(mu_);
 
   std::atomic<bool> enabled_{false};
   std::chrono::steady_clock::time_point epoch_;
-  /// Guards buffer registration/recycling; each Buffer's events are then
-  /// guarded by their own Buffer::mu.
+  /// Guards buffer registration; each Buffer's events are then guarded by
+  /// their own Buffer::mu.
   mutable Mutex mu_;
   std::vector<std::unique_ptr<Buffer>> buffers_ NEURSC_GUARDED_BY(mu_);
-  std::vector<Buffer*> free_buffers_ NEURSC_GUARDED_BY(mu_);
   int next_tid_ NEURSC_GUARDED_BY(mu_) = 1;
-
-  friend struct TraceBufferLease;
 };
 
 /// RAII span. Measures wall time from construction to End()/destruction;

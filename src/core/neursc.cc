@@ -67,6 +67,11 @@ NeurSCEstimator::NeurSCEstimator(const Graph& data, NeurSCConfig config)
 
 Result<NeurSCEstimator::Prepared> NeurSCEstimator::Prepare(
     const Graph& query) {
+  // Checked here for both modes: without extraction the candidate filter,
+  // which also rejects an empty query, never runs.
+  if (query.NumVertices() == 0) {
+    return Status::InvalidArgument("empty query graph");
+  }
   auto extraction = Extract(query);
   if (!extraction.ok()) return extraction.status();
   return InitializeFeatures(query, std::move(extraction).value());
@@ -100,8 +105,7 @@ void NeurSCEstimator::UpdateCritic(
     const std::vector<std::vector<VertexId>>& candidates) {
   NEURSC_SPAN(critic_span, "train/critic");
   NEURSC_COUNTER_INC("train.critic_updates");
-  auto tape = tape_pool_.Acquire();
-  tape->Reset();
+  ThreadTape tape;
   Var hq = tape->Constant(query_repr);
   Var hs = tape->Constant(sub_repr);
   Var sq = critic_->Score(tape.get(), hq);
@@ -250,14 +254,14 @@ Result<TrainStats> NeurSCEstimator::Train(
     // Forward-only, parameters frozen: the held-out losses are
     // independent. Seeds are drawn serially in validation order and the
     // reduction sums in that same order, so the q-error is bit-identical
-    // at every thread count. Runs on pooled tapes (reused arenas).
+    // at every thread count. Runs on thread tapes (reused arenas).
     std::vector<uint64_t> seeds = DrawTaskSeeds(validation.size());
     std::vector<double> losses(validation.size(), 0.0);
     std::vector<uint8_t> valid(validation.size(), 0);
     ParallelFor(validation.size(), [&](size_t k) {
       size_t idx = validation[k];
       Rng rng(seeds[k]);
-      auto tape = tape_pool_.Acquire();
+      ThreadTape tape;
       Var loss = BuildQueryLoss(tape.get(), usable[idx]->query,
                                 prepared[idx], usable[idx]->count,
                                 /*adversarial=*/false, &rng, nullptr);
@@ -306,10 +310,10 @@ Result<TrainStats> NeurSCEstimator::Train(
       // so the per-example forward+backward passes are independent. Each
       // runs on its own tape with a private Rng and routes its leaf
       // gradients into a tape-local sink instead of Parameter::grad. The
-      // tape is not pooled: a pass holds every substructure of its query,
-      // and a pooled tape would keep each arena slot at its largest size
-      // over all examples for the estimator's lifetime. Leasing it from
-      // tape_pool_ raised perfbench's label-poor peak_rss_mb from 31.2 to
+      // tape is fresh, not the ThreadTape: a pass holds every substructure
+      // of its query, and a reused tape would keep each arena slot at its
+      // largest size over all examples for the thread's lifetime. Reusing
+      // tapes here raised perfbench's label-poor peak_rss_mb from 31.2 to
       // 44.2 MB.
       std::vector<GradientSink> sinks(batch);
       std::vector<double> example_loss(batch, 0.0);
@@ -461,10 +465,10 @@ void NeurSCEstimator::RunInferenceTasks(
     InferenceTask& task = (*tasks)[i];
     auto start = std::chrono::steady_clock::now();
     // One tape and one RNG per task: nothing the forward pass mutates is
-    // shared across workers (see docs/threading.md). The leased tape's
+    // shared across workers (see docs/threading.md). The thread tape's
     // warmed-up arenas make the pass allocation-free in steady state.
     Rng rng(task.seed);
-    auto tape = tape_pool_.Acquire();
+    ThreadTape tape;
     auto fw = model_->Forward(tape.get(), *task.query, *task.sub,
                               *task.query_features, *task.sub_features, &rng);
     task.prediction = tape->Value(fw.prediction).scalar();

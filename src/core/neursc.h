@@ -111,13 +111,12 @@ struct TrainStats {
 /// Threading (see docs/threading.md): the estimator parallelizes *inside*
 /// Estimate/EstimateOnSubstructures/EstimateBatch and Train.
 ///
-/// Inference, validation and critic passes run on Tapes leased from one
-/// per-estimator pool (tape_pool_), so warmed-up arenas are reused across
-/// queries and epochs; each task holds an exclusive lease for the duration
-/// of its pass.
+/// Inference, validation and critic passes run on the calling thread's
+/// ThreadTape, so warmed-up arenas are reused across queries and epochs;
+/// each task holds the scope for the duration of its pass.
 ///
-/// Inference: per-substructure WEst forward passes each run on their own
-/// leased Tape with a private Rng, and the per-substructure counts are
+/// Inference: per-substructure WEst forward passes each run on their
+/// thread's Tape with a private Rng, and the per-substructure counts are
 /// reduced in index order. Steady-state inference performs no arena
 /// allocation.
 ///
@@ -245,8 +244,8 @@ class NeurSCEstimator {
   Result<std::vector<EstimateInfo>> EstimateQueries(
       std::span<const Graph> queries,
       const std::function<Result<Prepared>(const Graph&)>& prepare);
-  /// Evaluates every task over ParallelFor, one pooled Tape + Rng per
-  /// task.
+  /// Evaluates every task over ParallelFor, each on its thread's
+  /// ThreadTape with its own Rng.
   void RunInferenceTasks(std::vector<InferenceTask>* tasks,
                          std::chrono::steady_clock::time_point epoch);
   /// r_s sampling (Sec. 5.8): the substructure indices to evaluate, in
@@ -277,9 +276,6 @@ class NeurSCEstimator {
   std::unique_ptr<Discriminator> critic_;
   std::unique_ptr<AdamOptimizer> opt_theta_;
   std::unique_ptr<AdamOptimizer> opt_omega_;
-  /// Reusable workspaces for inference, validation and critic passes;
-  /// grows to peak concurrency and keeps the warmed-up arenas thereafter.
-  TapePool tape_pool_;
   Rng rng_;
 };
 

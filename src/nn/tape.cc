@@ -518,35 +518,19 @@ void Tape::BackwardStep(const Record& r, const Matrix& g) {
   }
 }
 
-TapePool::Lease TapePool::Acquire() {
-  std::unique_ptr<Tape> tape;
-  {
-    MutexLock lock(&mu_);
-    if (!free_.empty()) {
-      tape = std::move(free_.back());
-      free_.pop_back();
-    } else {
-      tape.reset(new Tape());
-      ++created_;
-    }
-  }
-  tape->Reset();
-  return Lease(this, std::move(tape));
+namespace {
+
+thread_local Tape thread_tape;
+thread_local bool thread_tape_in_use = false;
+
+}  // namespace
+
+ThreadTape::ThreadTape() : tape_(&thread_tape) {
+  NEURSC_CHECK(!thread_tape_in_use) << "nested ThreadTape on one thread";
+  thread_tape_in_use = true;
+  tape_->Reset();
 }
 
-void TapePool::Release(std::unique_ptr<Tape> tape) {
-  MutexLock lock(&mu_);
-  free_.push_back(std::move(tape));
-}
-
-size_t TapePool::created() const {
-  MutexLock lock(&mu_);
-  return created_;
-}
-
-size_t TapePool::idle() const {
-  MutexLock lock(&mu_);
-  return free_.size();
-}
+ThreadTape::~ThreadTape() { thread_tape_in_use = false; }
 
 }  // namespace neursc

@@ -3,12 +3,10 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
-#include "common/mutex.h"
 #include "nn/matrix.h"
 #include "nn/param.h"
 
@@ -72,8 +70,8 @@ class GradientSink {
 /// Threading contract (docs/threading.md): a Tape is confined to one
 /// thread — it is not internally synchronized, and all its mutable state
 /// (nodes, records, arenas, the backward flag, the gradient sink pointer)
-/// lives in the Tape instance; there are no global or thread-local caches
-/// in the nn layer beyond the GEMM packing buffer. Independent tapes on
+/// lives in the Tape instance; the nn layer's only thread-local state is
+/// the GEMM packing buffer and the ThreadTape workspace. Independent tapes on
 /// different threads are therefore safe to run concurrently, *including*
 /// passes that share Parameters: ops only read Parameter::value.
 /// Backward() on a shared Parameter set is also safe across threads
@@ -86,9 +84,8 @@ class GradientSink {
 /// must stay on one thread at a time (the serial critic updates use this
 /// mode). Mutating a shared Parameter (optimizer steps, weight clamping,
 /// LoadModel) while another thread runs a pass over it is a data race.
-/// Because the arenas are reused, a tape must not be handed to another
-/// thread until the previous pass's results have been consumed; parallel
-/// callers lease tapes from a TapePool, which enforces exclusive leases.
+/// Parallel callers reuse warmed-up arenas through ThreadTape, which
+/// hands each thread its own tape, one pass at a time.
 class Tape {
  public:
   Tape() = default;
@@ -275,58 +272,24 @@ class Tape {
   std::vector<double> seg_sum_;
 };
 
-/// Hands out tapes to parallel tasks. ParallelFor distributes indices by
-/// an atomic counter with no per-worker identity, so workspaces cannot be
-/// indexed by thread; instead each task leases a tape for the duration of
-/// one pass and returns it. The pool grows to the peak concurrency ever
-/// observed (created()) and reuses those tapes forever
-/// after, preserving their warmed-up arenas. Acquire/Release are
-/// mutex-protected; the leased tape itself is exclusively owned until the
-/// Lease dies.
-class TapePool {
+/// The calling thread's workspace tape, held for one pass. Each thread
+/// owns one thread_local Tape for its lifetime, as it owns the GEMM
+/// packing buffer, so the warmed-up arenas serve every inference,
+/// validation and critic pass that thread runs. The constructor Reset()s
+/// the tape. Scopes on one thread must not nest: a second live scope
+/// would rewind the first one's values, so it fails a NEURSC_CHECK.
+class ThreadTape {
  public:
-  class Lease {
-   public:
-    Lease(TapePool* pool, std::unique_ptr<Tape> tape)
-        : pool_(pool), tape_(std::move(tape)) {}
-    Lease(Lease&& other) noexcept = default;
-    Lease& operator=(Lease&&) = delete;
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-    ~Lease() {
-      if (tape_ != nullptr) pool_->Release(std::move(tape_));
-    }
+  ThreadTape();
+  ~ThreadTape();
+  ThreadTape(const ThreadTape&) = delete;
+  ThreadTape& operator=(const ThreadTape&) = delete;
 
-    Tape* get() const { return tape_.get(); }
-    Tape* operator->() const { return tape_.get(); }
-    Tape& operator*() const { return *tape_; }
-
-   private:
-    TapePool* pool_;
-    std::unique_ptr<Tape> tape_;
-  };
-
-  TapePool() = default;
-  TapePool(const TapePool&) = delete;
-  TapePool& operator=(const TapePool&) = delete;
-
-  /// Leases a Reset() tape: a pooled one when available, else a fresh one.
-  /// The lease returns it on destruction.
-  Lease Acquire() NEURSC_EXCLUDES(mu_);
-
-  /// Tapes created over the pool's lifetime (== peak concurrency).
-  size_t created() const NEURSC_EXCLUDES(mu_);
-  /// Tapes currently parked in the pool.
-  size_t idle() const NEURSC_EXCLUDES(mu_);
+  Tape* get() const { return tape_; }
+  Tape* operator->() const { return tape_; }
 
  private:
-  void Release(std::unique_ptr<Tape> tape) NEURSC_EXCLUDES(mu_);
-
-  /// Guards the free list and the creation count; a leased tape itself is
-  /// unsynchronized by contract (exclusively owned until the Lease dies).
-  mutable Mutex mu_;
-  std::vector<std::unique_ptr<Tape>> free_ NEURSC_GUARDED_BY(mu_);
-  size_t created_ NEURSC_GUARDED_BY(mu_) = 0;
+  Tape* tape_;
 };
 
 }  // namespace neursc

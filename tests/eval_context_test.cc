@@ -5,14 +5,17 @@
 // the same bits as one on a fresh tape, forward-only and with Backward,
 // and after a warm-up pass per shape, repeated passes perform zero arena
 // growth. They also cover Leaf's borrow of the parameter value and the
-// TapePool that serves training, validation and inference.
+// per-thread ThreadTape that serves inference, validation and critic
+// passes.
 //
-// The pooled-workspace cases carry the "concurrency" label so the ci.sh
-// TSan lane exercises TapePool under real thread contention.
+// The suite carries the "concurrency" label so the ci.sh TSan lane
+// exercises the thread tapes under real thread contention.
 
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -143,7 +146,7 @@ TEST(EvalContextOpTest, LeafBorrowsParameterWithoutCopy) {
   EXPECT_EQ(tape.num_slots(), 0u);
 }
 
-// --- Pooled workspaces under parallelism (TSan lane) ------------------
+// --- Thread tapes under parallelism (TSan lane) ----------------------
 
 TEST(EvalContextPoolTest, PooledEstimateBitIdenticalAcrossThreadCounts) {
   Graph data = DisjointTriangles(8);
@@ -170,39 +173,63 @@ TEST(EvalContextPoolTest, PooledEstimateBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(EvalContextPoolTest, SequentialLeasesReuseOneContext) {
-  TapePool pool;
-  for (int i = 0; i < 5; ++i) {
-    auto lease = pool.Acquire();
-    lease->Constant(Matrix(2, 2));
-  }
-  EXPECT_EQ(pool.created(), 1u);
-  EXPECT_EQ(pool.idle(), 1u);
+/// One small forward chain on `tape`, the same shapes on every call.
+void RunSmallPass(Tape* tape, Rng* rng) {
+  Var x = tape->Constant(RandomMatrix(3, 3, rng));
+  Var y = tape->Relu(tape->MatMul(x, x));
+  ASSERT_EQ(tape->Value(y).rows(), 3u);
 }
 
-TEST(EvalContextPoolTest, ConcurrentLeasesAreExclusive) {
-  // Hammer the pool from many threads; each lease runs a small forward
-  // chain on its context. TSan (ci.sh lane 2) verifies exclusivity; the
-  // created() bound verifies leases never alias.
-  TapePool pool;
+TEST(ThreadTapeTest, SequentialScopesReuseOneTape) {
+  Rng rng(5);
+  Tape* first = nullptr;
+  uint64_t grows_after_warmup = 0;
+  {
+    ThreadTape tape;
+    RunSmallPass(tape.get(), &rng);
+    first = tape.get();
+    grows_after_warmup = tape->arena_grows();
+  }
+  for (int i = 0; i < 5; ++i) {
+    ThreadTape tape;
+    EXPECT_EQ(tape.get(), first) << "scope " << i;
+    EXPECT_EQ(tape->NumNodes(), 0u) << "scope " << i;
+    RunSmallPass(tape.get(), &rng);
+    EXPECT_EQ(tape->arena_grows(), grows_after_warmup) << "scope " << i;
+  }
+}
+
+TEST(ThreadTapeTest, ConcurrentScopesAreBoundToTheirThreads) {
+  // Each thread opens many scopes and runs a small forward chain in each.
+  // TSan (ci.sh lane 2) verifies that no tape is touched by two threads;
+  // the pointer checks verify that a thread always gets its own tape and
+  // that live threads never share one. No thread exits before all have
+  // finished, so a finished thread's tape cannot be recycled for another.
   constexpr size_t kThreads = 8;
-  constexpr int kItersPerThread = 50;
+  constexpr int kScopesPerThread = 50;
+  std::vector<const Tape*> tape_of(kThreads, nullptr);
+  std::vector<int> scopes_on_own_tape(kThreads, 0);
+  std::atomic<size_t> finished{0};
   std::vector<std::thread> workers;
   for (size_t t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&pool, t] {
+    workers.emplace_back([&, t] {
       Rng rng(1000 + t);
-      for (int i = 0; i < kItersPerThread; ++i) {
-        auto ctx = pool.Acquire();
-        Matrix m = RandomMatrix(3, 3, &rng);
-        Var x = ctx->Constant(m);
-        Var y = ctx->Relu(ctx->MatMul(x, x));
-        ASSERT_EQ(ctx->Value(y).rows(), 3u);
+      for (int i = 0; i < kScopesPerThread; ++i) {
+        ThreadTape tape;
+        if (tape_of[t] == nullptr) tape_of[t] = tape.get();
+        if (tape.get() == tape_of[t]) ++scopes_on_own_tape[t];
+        RunSmallPass(tape.get(), &rng);
       }
+      finished.fetch_add(1);
+      while (finished.load() < kThreads) std::this_thread::yield();
     });
   }
   for (std::thread& w : workers) w.join();
-  EXPECT_LE(pool.created(), kThreads);
-  EXPECT_EQ(pool.idle(), pool.created());
+  std::set<const Tape*> distinct(tape_of.begin(), tape_of.end());
+  EXPECT_EQ(distinct.size(), kThreads);
+  for (size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(scopes_on_own_tape[t], kScopesPerThread) << "thread " << t;
+  }
 }
 
 // --- Workspace reuse: zero arena growth after warm-up -----------------
@@ -248,8 +275,8 @@ TEST(EvalContextArenaTest, NoGrowthAfterWarmupOnWEstForward) {
 
 TEST(EvalContextArenaTest, EstimatorSteadyStateAllocationsAreZero) {
   // Estimator-level version of the reuse guarantee: after a warm-up
-  // Estimate, re-estimating the same query grows no pooled arena. Pinned
-  // to one thread so the pool hands the same warmed context to every task.
+  // Estimate, re-estimating the same query grows no thread tape's arena.
+  // Pinned to one thread so every task runs on the same warmed tape.
   ThreadsGuard guard(1);
   Graph data = DisjointTriangles(8);
   NeurSCEstimator estimator(data, TinyConfig(42));

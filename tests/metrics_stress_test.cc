@@ -32,6 +32,27 @@ TEST(MetricsStressTest, ConcurrentCountersLoseNothing) {
   EXPECT_EQ(c->Value(), static_cast<int64_t>(kThreads) * kIters);
 }
 
+TEST(MetricsStressTest, CounterStaysExactAcrossMoreThreadsThanStripes) {
+  // Threads keep their stripe for life, so once kShardCount threads have
+  // recorded, later threads share stripes. Waves of at most 8 live threads
+  // reach that path without starting all of them at once.
+  Counter* c = MetricsRegistry::Global().GetCounter("stress.waves.counter");
+  c->Reset();
+  constexpr size_t kTotalThreads = 3 * internal_metrics::kShardCount;
+  constexpr size_t kWave = 8;
+  constexpr int kIters = 1000;
+  for (size_t started = 0; started < kTotalThreads; started += kWave) {
+    std::vector<std::thread> wave;
+    for (size_t t = 0; t < kWave; ++t) {
+      wave.emplace_back([c]() {
+        for (int i = 0; i < kIters; ++i) c->Increment();
+      });
+    }
+    for (auto& th : wave) th.join();
+  }
+  EXPECT_EQ(c->Value(), static_cast<int64_t>(kTotalThreads) * kIters);
+}
+
 TEST(MetricsStressTest, SnapshotWhileWritersRun) {
   Counter* c = MetricsRegistry::Global().GetCounter("stress.snap.counter");
   Counter* writes = MetricsRegistry::Global().GetCounter("stress.snap.writes");

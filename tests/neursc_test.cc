@@ -329,5 +329,32 @@ TEST(NeurSCTest, TrainRejectsEmptyExampleList) {
   EXPECT_FALSE(estimator.Train({}).ok());
 }
 
+TEST(NeurSCTest, EmptyQueryIsRejectedWithAndWithoutExtraction) {
+  Graph ring = MakeGraph({0, 0, 0, 0, 0, 0},
+                         {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}});
+  Graph path = MakeGraph({0, 0}, {{0, 1}});
+  Graph empty = MakeGraph({}, {});
+  for (bool extraction : {true, false}) {
+    SCOPED_TRACE(extraction ? "with extraction" : "without extraction");
+    NeurSCConfig config = TinyConfig();
+    config.use_substructure_extraction = extraction;
+    NeurSCEstimator estimator(ring, config);
+
+    auto info = estimator.Estimate(empty);
+    ASSERT_FALSE(info.ok());
+    EXPECT_EQ(info.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(info.status().message().find("empty query graph"),
+              std::string::npos)
+        << info.status().ToString();
+
+    auto stats = estimator.Train({{path, 12.0}, {empty, 1.0}});
+    ASSERT_FALSE(stats.ok());
+    EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(stats.status().message().find("empty query graph"),
+              std::string::npos)
+        << stats.status().ToString();
+  }
+}
+
 }  // namespace
 }  // namespace neursc

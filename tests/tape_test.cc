@@ -659,5 +659,16 @@ TEST(TapeTest, BackwardMatchesScalarReferenceLoopsBitForBit) {
   }
 }
 
+TEST(ThreadTapeDeathTest, NestedScopeOnOneThreadDies) {
+  // A second scope would Reset() the tape under the first one's values.
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        ThreadTape outer;
+        ThreadTape inner;
+      },
+      "nested ThreadTape");
+}
+
 }  // namespace
 }  // namespace neursc

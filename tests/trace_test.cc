@@ -113,6 +113,29 @@ TEST_F(TraceTest, EventsFromWorkerThreadsAreCollected) {
   EXPECT_EQ(TraceRecorder::Global().EventCount(), 32u);
 }
 
+TEST_F(TraceTest, ThreadsThatRunOneAfterAnotherGetDistinctTids) {
+  TraceRecorder::Global().Start();
+  std::thread([] { TraceSpan span("test/first_thread"); }).join();
+  std::thread([] { TraceSpan span("test/second_thread"); }).join();
+  std::string path = ::testing::TempDir() + "/trace_tid_test.json";
+  Status st = TraceRecorder::Global().WriteChromeTrace(path);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+
+  // Each event is one line of the JSON; its tid is the last field.
+  std::string json = testing_util::ReadFileToString(path);
+  auto tid_of = [&json](const std::string& name) {
+    size_t at = json.find("\"" + name + "\"");
+    EXPECT_NE(at, std::string::npos) << name;
+    if (at == std::string::npos) return std::string();
+    size_t tid = json.find("\"tid\": ", at) + 7;
+    return json.substr(tid, json.find('}', tid) - tid);
+  };
+  std::string first = tid_of("test/first_thread");
+  std::string second = tid_of("test/second_thread");
+  EXPECT_FALSE(first.empty());
+  EXPECT_NE(first, second);
+}
+
 TEST_F(TraceTest, DisabledSpanOverheadIsSmall) {
   // With the recorder stopped, a span is two clock reads and an atomic
   // load. Bound the per-span cost loosely so the test stays robust on
