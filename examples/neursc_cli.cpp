@@ -13,7 +13,9 @@
 // Every subcommand also accepts --trace-out=<file> (Chrome trace_event
 // JSON, see docs/observability.md) and --metrics-out=<file> (counter
 // snapshot JSON); estimate/evaluate print the extraction and inference time
-// of the paper's two stages from EstimateInfo.
+// of the paper's two stages from EstimateInfo, and estimate also prints the
+// query's extraction statistics (candidates, components, largest
+// substructure).
 //
 // Exit code 0 on success, 1 on errors (reported on stderr), 2 on a usage
 // error such as an unknown --flag or an epochs argument that is not a
@@ -111,9 +113,14 @@ int CmdEstimate(const std::string& graph_path,
   auto info = estimator.Estimate(*query);
   if (!info.ok()) return Fail(info.status());
   std::printf("estimated count: %.1f\n", info->count);
-  std::printf("substructures: %zu (used %zu), extraction %.1fms, "
-              "inference %.1fms, total %.1fms\n",
+  const ExtractionStats& stats = info->extraction;
+  std::printf("substructures: %zu (used %zu), candidates %zu (union %zu), "
+              "components %zu (kept %zu, largest %zu vertices), "
+              "extraction %.1fms, inference %.1fms, total %.1fms\n",
               info->num_substructures, info->num_used,
+              stats.total_candidates, stats.candidate_union_size,
+              stats.components_total, stats.components_kept,
+              stats.largest_substructure_vertices,
               1e3 * info->extraction_seconds,
               1e3 * info->inference_seconds, 1e3 * info->total_seconds);
   return 0;

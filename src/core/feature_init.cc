@@ -1,7 +1,7 @@
 #include "core/feature_init.h"
 
 #include <algorithm>
-#include <queue>
+#include <span>
 #include <vector>
 
 #include "common/metrics_registry.h"
@@ -56,42 +56,47 @@ Matrix FeatureInitializer::Compute(const Graph& g) const {
 
   if (num_hops_ == 0) return features;
 
-  // Exact-i-hop rings via BFS per vertex; mean-pool the (deg, label)
-  // encodings of each ring into the corresponding feature block.
-  std::vector<uint32_t> dist(n);
-  std::vector<float> encode_buffer(base);
+  // Mean-pools the own-encoding rows of `ring`, in order, into `block`.
+  auto pool = [&](std::span<const VertexId> ring, float* block) {
+    if (ring.empty()) return;
+    for (VertexId x : ring) {
+      const float* own = features.row(x);
+      for (size_t i = 0; i < base; ++i) block[i] += own[i];
+    }
+    const float inv = 1.0f / static_cast<float>(ring.size());
+    for (size_t i = 0; i < base; ++i) block[i] *= inv;
+  };
+
+  // Exact-i-hop rings of a BFS from each vertex, pooled in the BFS's pop
+  // order. Ring 1 is the adjacency list itself, so k = 1 costs O(n + m).
+  // Deeper rings grow level by level in one queue; `seen[x] == v + 1`
+  // marks x as reached from v, so the arrays are allocated once and never
+  // refilled.
+  std::vector<uint32_t> seen(num_hops_ > 1 ? n : 0, 0);
+  std::vector<VertexId> queue;
   for (size_t v = 0; v < n; ++v) {
-    std::fill(dist.begin(), dist.end(), UINT32_MAX);
-    std::queue<VertexId> queue;
-    dist[v] = 0;
-    queue.push(static_cast<VertexId>(v));
-    std::vector<size_t> ring_count(num_hops_ + 1, 0);
     float* row = features.row(v);
-    while (!queue.empty()) {
-      VertexId x = queue.front();
-      queue.pop();
-      uint32_t d = dist[x];
-      if (d > 0 && d <= num_hops_) {
-        float* block = row + base * d;
-        EncodeBinary(g.Degree(x), degree_bits_, encode_buffer.data());
-        EncodeBinary(g.GetLabel(x), label_bits_,
-                     encode_buffer.data() + degree_bits_);
-        for (size_t i = 0; i < base; ++i) block[i] += encode_buffer[i];
-        ++ring_count[d];
-      }
-      if (d >= num_hops_) continue;
-      for (VertexId w : g.Neighbors(x)) {
-        if (dist[w] == UINT32_MAX) {
-          dist[w] = d + 1;
-          queue.push(w);
+    auto ring = g.Neighbors(static_cast<VertexId>(v));
+    pool(ring, row + base);
+    if (num_hops_ == 1) continue;
+    const uint32_t stamp = static_cast<uint32_t>(v) + 1;
+    seen[v] = stamp;
+    for (VertexId w : ring) seen[w] = stamp;
+    queue.assign(ring.begin(), ring.end());
+    size_t ring_begin = 0;
+    for (size_t hop = 2; hop <= num_hops_; ++hop) {
+      const size_t ring_end = queue.size();
+      for (size_t i = ring_begin; i < ring_end; ++i) {
+        for (VertexId w : g.Neighbors(queue[i])) {
+          if (seen[w] != stamp) {
+            seen[w] = stamp;
+            queue.push_back(w);
+          }
         }
       }
-    }
-    for (size_t hop = 1; hop <= num_hops_; ++hop) {
-      if (ring_count[hop] == 0) continue;
-      float inv = 1.0f / static_cast<float>(ring_count[hop]);
-      float* block = row + base * hop;
-      for (size_t i = 0; i < base; ++i) block[i] *= inv;
+      ring_begin = ring_end;
+      pool(std::span<const VertexId>(queue).subspan(ring_begin),
+           row + base * hop);
     }
   }
   return features;

@@ -38,6 +38,13 @@ class FeatureInitializer {
   /// Features for every vertex of `g`: (|V(g)| x FeatureDim()). Degrees are
   /// g's own degrees (query features use query degrees, substructure
   /// features substructure degrees).
+  ///
+  /// Ring i of v is the set of vertices at distance exactly i, pooled in a
+  /// BFS's pop order. Ring 1 is v's adjacency list, so at k = 1 the cost
+  /// is O(|V| + |E|) row additions; deeper rings extend one BFS queue level
+  /// by level, with stamps that are never refilled, so each vertex costs
+  /// the size of its k-hop ball. The result is bit-identical to a fresh BFS
+  /// per vertex (feature_init_test keeps that version as its oracle).
   Matrix Compute(const Graph& g) const;
 
  private:

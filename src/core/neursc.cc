@@ -617,6 +617,7 @@ Result<std::vector<EstimateInfo>> NeurSCEstimator::EstimateQueries(
         .extraction_seconds = record.prepare_end - record.prepare_start,
         .inference_seconds = infer_end - infer_start,
         .total_seconds = infer_end - record.prepare_start,
+        .extraction = record.prep->extraction.stats,
     });
   }
   return infos;

@@ -84,6 +84,10 @@ struct EstimateInfo {
   double inference_seconds = 0.0;
   /// Prepare start to last forward pass end (>= extraction + inference).
   double total_seconds = 0.0;
+  /// What the extraction found: candidate counts, components and the
+  /// largest substructure. All zero without extraction, and when the
+  /// filter left some CS(u) empty (extraction stops before the split).
+  ExtractionStats extraction;
 };
 
 /// Training progress summary.

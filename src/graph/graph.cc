@@ -5,6 +5,8 @@
 #include <numeric>
 #include <unordered_map>
 
+#include "common/logging.h"
+
 namespace neursc {
 
 bool Graph::HasEdge(VertexId u, VertexId v) const {
@@ -95,52 +97,71 @@ Status GraphBuilder::AddEdge(VertexId u, VertexId v) {
 }
 
 Result<Graph> GraphBuilder::Build() {
-  Graph g;
   const size_t n = labels_.size();
-  g.labels_ = std::move(labels_);
+  std::vector<Label> labels = std::move(labels_);
+  std::vector<std::pair<VertexId, VertexId>> edges = std::move(edges_);
   labels_.clear();
+  edges_.clear();
   Label max_label = 0;
-  for (Label l : g.labels_) max_label = std::max(max_label, l);
+  for (Label l : labels) max_label = std::max(max_label, l);
   if (max_label >= kMaxLabels) {
-    edges_.clear();
     return Status::InvalidArgument("label " + std::to_string(max_label) +
                                    " exceeds the label cap " +
                                    std::to_string(kMaxLabels));
   }
 
   // Degree counting pass.
-  g.offsets_.assign(n + 1, 0);
-  for (const auto& [u, v] : edges_) {
-    ++g.offsets_[u + 1];
-    ++g.offsets_[v + 1];
+  std::vector<size_t> offsets(n + 1, 0);
+  for (const auto& [u, v] : edges) {
+    ++offsets[u + 1];
+    ++offsets[v + 1];
   }
-  std::partial_sum(g.offsets_.begin(), g.offsets_.end(), g.offsets_.begin());
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
 
-  g.adjacency_.resize(edges_.size() * 2);
-  std::vector<size_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
-  for (const auto& [u, v] : edges_) {
-    g.adjacency_[cursor[u]++] = v;
-    g.adjacency_[cursor[v]++] = u;
+  std::vector<VertexId> adjacency(edges.size() * 2);
+  std::vector<size_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (const auto& [u, v] : edges) {
+    adjacency[cursor[u]++] = v;
+    adjacency[cursor[v]++] = u;
   }
-  edges_.clear();
-
-  g.max_degree_ = 0;
-  g.neighbor_labels_.resize(g.adjacency_.size());
   for (size_t v = 0; v < n; ++v) {
-    auto begin = g.adjacency_.begin() + static_cast<ptrdiff_t>(g.offsets_[v]);
-    auto end = g.adjacency_.begin() + static_cast<ptrdiff_t>(g.offsets_[v + 1]);
+    auto begin = adjacency.begin() + static_cast<ptrdiff_t>(offsets[v]);
+    auto end = adjacency.begin() + static_cast<ptrdiff_t>(offsets[v + 1]);
     std::sort(begin, end);
     if (std::adjacent_find(begin, end) != end) {
       return Status::InvalidArgument("duplicate edge at vertex " +
                                      std::to_string(v));
     }
-    g.max_degree_ = std::max(
-        g.max_degree_, static_cast<uint32_t>(std::distance(begin, end)));
-    auto labels_begin =
-        g.neighbor_labels_.begin() + static_cast<ptrdiff_t>(g.offsets_[v]);
-    auto labels_end = std::transform(
-        begin, end, labels_begin, [&g](VertexId w) { return g.labels_[w]; });
-    std::sort(labels_begin, labels_end);
+  }
+  return Graph::FromValidatedCsr(std::move(labels), std::move(offsets),
+                                 std::move(adjacency));
+}
+
+Graph Graph::FromValidatedCsr(std::vector<Label> labels,
+                              std::vector<size_t> offsets,
+                              std::vector<VertexId> adjacency) {
+  NEURSC_CHECK(offsets.size() == labels.size() + 1 &&
+               offsets.back() == adjacency.size())
+      << "CSR arrays disagree in size";
+  Graph g;
+  const size_t n = labels.size();
+  g.labels_ = std::move(labels);
+  g.offsets_ = std::move(offsets);
+  g.adjacency_ = std::move(adjacency);
+
+  Label max_label = 0;
+  g.neighbor_labels_.resize(g.adjacency_.size());
+  for (size_t v = 0; v < n; ++v) {
+    max_label = std::max(max_label, g.labels_[v]);
+    const size_t begin = g.offsets_[v];
+    const size_t end = g.offsets_[v + 1];
+    g.max_degree_ =
+        std::max(g.max_degree_, static_cast<uint32_t>(end - begin));
+    for (size_t i = begin; i < end; ++i) {
+      g.neighbor_labels_[i] = g.labels_[g.adjacency_[i]];
+    }
+    std::sort(g.neighbor_labels_.begin() + static_cast<ptrdiff_t>(begin),
+              g.neighbor_labels_.begin() + static_cast<ptrdiff_t>(end));
   }
 
   // Label grouping.

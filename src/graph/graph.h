@@ -39,6 +39,19 @@ class Graph {
   Graph(Graph&&) = default;
   Graph& operator=(Graph&&) = default;
 
+  /// Builds a graph from CSR arrays the caller has already validated, and
+  /// derives the neighbour labels, label groups and max degree. Vertex v's
+  /// neighbours are adjacency[offsets[v], offsets[v+1]): each list sorted,
+  /// duplicate-free, free of self loops, with every edge listed from both
+  /// ends; offsets has |labels| + 1 entries, starting at 0 and ending at
+  /// |adjacency|; every label is below kMaxLabels. Nothing but the array
+  /// sizes is checked. GraphBuilder::Build validates its edge list and then
+  /// comes here; the substructure split comes here directly, because a
+  /// component it cuts from a valid graph already meets the contract.
+  static Graph FromValidatedCsr(std::vector<Label> labels,
+                                std::vector<size_t> offsets,
+                                std::vector<VertexId> adjacency);
+
   size_t NumVertices() const { return labels_.size(); }
   /// Number of undirected edges.
   size_t NumEdges() const { return adjacency_.size() / 2; }

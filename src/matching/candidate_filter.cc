@@ -95,60 +95,108 @@ Result<CandidateSets> ComputeCandidateSets(
                      static_cast<int64_t>(result.TotalSize()));
 
   // Membership of every CS(u) in one flat bitmap, maintained across
-  // refinement sweeps: bit v of row u is set iff v is in CS(u).
+  // refinement sweeps: bit v of row u is set iff v is in CS(u). The bitmap
+  // is this thread's scratch and all-zero between calls, so a query
+  // writes only its own candidates' words and clears them before
+  // returning; nothing of size |V| is filled per query.
   const size_t words_per_row = (data.NumVertices() + 63) / 64;
-  std::vector<uint64_t> is_candidate(nq * words_per_row, 0);
+  thread_local std::vector<uint64_t> bitmap;
+  if (bitmap.size() < nq * words_per_row) {
+    bitmap.resize(nq * words_per_row, 0);
+  }
+  uint64_t* const is_candidate = bitmap.data();
+  auto row = [&](size_t u) { return is_candidate + u * words_per_row; };
+  auto has = [](const uint64_t* row, VertexId v) {
+    return ((row[v / 64] >> (v % 64)) & 1) != 0;
+  };
   for (size_t u = 0; u < nq; ++u) {
-    uint64_t* row = is_candidate.data() + u * words_per_row;
     for (VertexId v : result.candidates[u]) {
-      row[v / 64] |= uint64_t{1} << (v % 64);
+      row(u)[v / 64] |= uint64_t{1} << (v % 64);
     }
   }
 
   // --- Stage 2: global refinement by semi-perfect matching. ---
-  // One bipartite graph and one matching scratch serve every candidate
-  // pair, and CS(u) is compacted in place, so a sweep allocates only when
-  // a pair is larger than every pair before it.
+  // dirty[u][i] is set iff the bipartite graph of (u, CS(u)[i]) lost an
+  // edge since that pair last passed (initially: never tested). Removing w
+  // from CS(u') deletes the edges (u', w) of exactly the pairs (u, v) with
+  // u in N(u') and v in N(w), so only those are marked. A clean pair would
+  // pass again, because its bipartite graph is the one that passed, so it
+  // is skipped; the removals, their order and the sweep count are those
+  // of re-testing every pair. The flags sit beside CS(u) and are
+  // compacted with it. One bipartite graph and one matching scratch serve
+  // every tested pair, so a sweep allocates only when a pair is larger
+  // than every pair before it.
   NEURSC_SPAN(refine_span, "filter/refine");
+  std::vector<std::vector<uint8_t>> dirty(nq);
+  for (size_t u = 0; u < nq; ++u) {
+    dirty[u].assign(result.candidates[u].size(), 1);
+  }
+  // Removes v from CS(u) during sweep `round` and marks the pairs whose
+  // bipartite graph lost an edge. A pair of a later query vertex is still
+  // dirty in the first sweep, and a pair of an earlier one is never
+  // tested again after the last sweep, so neither is marked.
+  auto remove = [&](int round, size_t u, VertexId v) {
+    row(u)[v / 64] &= ~(uint64_t{1} << (v % 64));
+    for (VertexId nu : query.Neighbors(static_cast<VertexId>(u))) {
+      if (nu > u ? round == 0 : round + 1 == options.refinement_rounds) {
+        continue;
+      }
+      const std::vector<VertexId>& cs = result.candidates[nu];
+      const uint64_t* nu_row = row(nu);
+      for (VertexId w : data.Neighbors(v)) {
+        if (!has(nu_row, w)) continue;
+        dirty[nu][std::lower_bound(cs.begin(), cs.end(), w) - cs.begin()] = 1;
+      }
+    }
+  };
+  // The semi-perfect matching test of (u, v). A neighbor u' with no
+  // admissible image rejects v without a matching run, and with at most
+  // one query neighbour an admissible image is a saturating matching.
   BipartiteGraph b;
   MatchingScratch scratch;
+  int64_t pair_tests = 0;
+  auto passes = [&](VertexId u, VertexId v) {
+    ++pair_tests;
+    auto query_nbrs = query.Neighbors(u);
+    auto data_nbrs = data.Neighbors(v);
+    b.Reset(query_nbrs.size(), data_nbrs.size());
+    for (size_t i = 0; i < query_nbrs.size(); ++i) {
+      const uint64_t* nbr_row = row(query_nbrs[i]);
+      for (size_t j = 0; j < data_nbrs.size(); ++j) {
+        if (has(nbr_row, data_nbrs[j])) b.AddEdge(i, j);
+      }
+      if (b.NeighborsOfLeft(i).empty()) return false;
+    }
+    return query_nbrs.size() <= 1 || HasLeftSaturatingMatching(b, scratch);
+  };
   int rounds_run = 0;
   for (int round = 0; round < options.refinement_rounds; ++round) {
     ++rounds_run;
     bool changed = false;
     for (size_t u = 0; u < nq; ++u) {
-      auto query_nbrs = query.Neighbors(static_cast<VertexId>(u));
       std::vector<VertexId>& cs = result.candidates[u];
+      std::vector<uint8_t>& cs_dirty = dirty[u];
       size_t kept = 0;
-      for (VertexId v : cs) {
-        auto data_nbrs = data.Neighbors(v);
-        b.Reset(query_nbrs.size(), data_nbrs.size());
-        // A neighbor u' with no admissible image rejects v without a
-        // matching run.
-        bool every_left_has_edge = true;
-        for (size_t i = 0; i < query_nbrs.size() && every_left_has_edge;
-             ++i) {
-          const uint64_t* row =
-              is_candidate.data() + query_nbrs[i] * words_per_row;
-          for (size_t j = 0; j < data_nbrs.size(); ++j) {
-            VertexId w = data_nbrs[j];
-            if ((row[w / 64] >> (w % 64)) & 1) b.AddEdge(i, j);
-          }
-          every_left_has_edge = !b.NeighborsOfLeft(i).empty();
-        }
-        if (every_left_has_edge && HasLeftSaturatingMatching(b, scratch)) {
-          cs[kept++] = v;
+      for (size_t k = 0; k < cs.size(); ++k) {
+        const VertexId v = cs[k];
+        if (!cs_dirty[k] || passes(static_cast<VertexId>(u), v)) {
+          cs[kept] = v;
+          cs_dirty[kept++] = 0;
         } else {
-          is_candidate[u * words_per_row + v / 64] &=
-              ~(uint64_t{1} << (v % 64));
+          remove(round, u, v);
           changed = true;
         }
       }
       cs.resize(kept);
+      cs_dirty.resize(kept);
     }
     if (!changed) break;
   }
+  for (size_t u = 0; u < nq; ++u) {
+    for (VertexId v : result.candidates[u]) row(u)[v / 64] = 0;
+  }
   NEURSC_COUNTER_ADD("filter.refine_rounds", rounds_run);
+  NEURSC_COUNTER_ADD("filter.pair_tests", pair_tests);
   NEURSC_COUNTER_ADD("filter.candidates_refined",
                      static_cast<int64_t>(result.TotalSize()));
   return result;

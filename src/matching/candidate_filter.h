@@ -47,8 +47,20 @@ struct CandidateFilterOptions {
 /// 2. Global refinement: for v in CS(u), build the bipartite graph between
 ///    N(u) and N(v) with an edge (u', v') iff v' in CS(u'), and drop v if no
 ///    matching saturates N(u). Repeated for `refinement_rounds` sweeps, in
-///    query-vertex order, each test seeing the removals made before it. One
-///    bipartite graph and matching scratch are reused for every pair.
+///    query-vertex order, each test seeing the removals made before it; a
+///    sweep that removes nothing ends refinement. The result is that of
+///    re-testing every pair in every sweep, but refinement is incremental:
+///    a pair is re-tested only if its bipartite graph lost an edge since it
+///    last passed, which happens exactly when some w in N(v) left CS(u')
+///    for some u' in N(u). Each removal marks those pairs. The test itself
+///    skips Hopcroft-Karp when u has at most one query neighbour. The
+///    tests that ran are counted in `filter.pair_tests`; the removals,
+///    their order, `filter.refine_rounds` and `filter.candidates_refined`
+///    are those of the full re-test.
+///
+/// Memory: the membership bitmap (|V(q)| rows of ceil(|V(G)|/64) words) is
+/// per-thread scratch that a call clears before returning, so a query
+/// fills nothing of size |V(G)| (docs/threading.md).
 Result<CandidateSets> ComputeCandidateSets(
     const Graph& query, const Graph& data,
     const CandidateFilterOptions& options = {});

@@ -30,9 +30,14 @@ Result<ExtractionResult> SplitIntoSubstructures(
   // local[v] is kInvalidVertex outside the universe and kUnvisited for a
   // member not yet reached; once reached, it is v's id in its component
   // (meaningful only for kept components, hence the original_id check
-  // when candidate sets are localized).
+  // when candidate sets are localized). The array is this thread's
+  // scratch, all kInvalidVertex between calls: only the universe's entries
+  // are written, and they are reset before returning.
   constexpr VertexId kUnvisited = kInvalidVertex - 1;
-  std::vector<VertexId> local(data.NumVertices(), kInvalidVertex);
+  thread_local std::vector<VertexId> local;
+  if (local.size() < data.NumVertices()) {
+    local.resize(data.NumVertices(), kInvalidVertex);
+  }
   for (VertexId v : universe) local[v] = kUnvisited;
 
   std::vector<VertexId> component;
@@ -56,15 +61,29 @@ Result<ExtractionResult> SplitIntoSubstructures(
     }
     if (component.size() < nq || edge_ends / 2 < query.NumEdges()) continue;
 
+    // The component's CSR, read straight off `data`. Every universe
+    // neighbour of a member lies in the same component, so a neighbour
+    // is kept iff it is in the universe. Local ids ascend with data ids,
+    // so each filtered neighbour list is already sorted.
     std::sort(component.begin(), component.end());
-    auto sub = BuildInducedSubgraph(data, component);
-    if (!sub.ok()) return sub.status();
-    Substructure s;
-    s.graph = std::move(sub->graph);
-    s.original_id = std::move(sub->original_id);
     for (size_t i = 0; i < component.size(); ++i) {
       local[component[i]] = static_cast<VertexId>(i);
     }
+    std::vector<Label> labels(component.size());
+    std::vector<size_t> offsets(component.size() + 1, 0);
+    std::vector<VertexId> adjacency(edge_ends);
+    size_t end = 0;
+    for (size_t i = 0; i < component.size(); ++i) {
+      labels[i] = data.GetLabel(component[i]);
+      for (VertexId w : data.Neighbors(component[i])) {
+        if (local[w] != kInvalidVertex) adjacency[end++] = local[w];
+      }
+      offsets[i + 1] = end;
+    }
+    Substructure s;
+    s.graph = Graph::FromValidatedCsr(std::move(labels), std::move(offsets),
+                                      std::move(adjacency));
+    s.original_id = component;
     // CS(u) is sorted and local ids follow data ids, so each localized
     // set comes out sorted.
     s.local_candidates.resize(nq);
@@ -81,6 +100,7 @@ Result<ExtractionResult> SplitIntoSubstructures(
                  s.graph.NumVertices());
     out.substructures.push_back(std::move(s));
   }
+  for (VertexId v : universe) local[v] = kInvalidVertex;
   out.stats.components_kept = out.substructures.size();
   if (out.substructures.empty()) out.early_terminate = true;
   NEURSC_COUNTER_ADD("extract.components_total",

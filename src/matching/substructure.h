@@ -52,7 +52,13 @@ struct ExtractionResult {
 
 /// Runs candidate filtering, then splits the subgraph induced by the
 /// candidate union into connected substructures in one traversal of
-/// `data`.
+/// `data`. Each kept component's CSR is written straight from its sorted
+/// vertices (Graph::FromValidatedCsr): its neighbour lists come out sorted,
+/// so only the neighbour labels are sorted. After the filter, the cost is
+/// linear in the candidate union and the edges it touches, plus the sum of
+/// |CS(u)| per kept component to localize the candidate sets; the
+/// |V(G)|-entry local-id array is per-thread scratch that the split resets
+/// before returning (docs/threading.md).
 Result<ExtractionResult> ExtractSubstructures(
     const Graph& query, const Graph& data,
     const CandidateFilterOptions& filter_options = {});

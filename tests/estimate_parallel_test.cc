@@ -4,13 +4,15 @@
 // EstimateOnSubstructures, and EstimateBatch return bit-identical results
 // at every NEURSC_THREADS value: all random decisions are drawn from the
 // estimator RNG serially before the parallel region, every forward pass
-// runs on its own pooled Tape with a private RNG, and per-substructure
-// counts are reduced in index order. These tests enforce the contract by
-// comparing each parallel configuration against the single-threaded
-// reference across RNG seeds, including the r_s < 1 sampling path, with
-// exact equality. They also pin that the three entry points are one
-// pipeline: EstimateBatch equals sequential Estimate, and
-// EstimateOnSubstructures fed Estimate's own extraction equals Estimate.
+// runs on its thread's own Tape (a ThreadTape scope) with a private RNG,
+// the prepare step's per-thread extraction scratch is reset after every
+// query, and per-substructure counts are reduced in index order. These
+// tests enforce the contract by comparing each parallel configuration
+// against the single-threaded reference across RNG seeds, including the
+// r_s < 1 sampling path, with exact equality. They also pin that the three
+// entry points are one pipeline: EstimateBatch equals sequential Estimate,
+// and EstimateOnSubstructures fed Estimate's own extraction equals
+// Estimate.
 
 #include <cmath>
 #include <cstdlib>

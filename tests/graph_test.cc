@@ -235,6 +235,69 @@ TEST(InducedSubgraphTest, KeepsEdgesAndLabels) {
   EXPECT_EQ(sub->original_id, (std::vector<VertexId>{0, 2, 3}));
 }
 
+// The CSR arrays of the subgraph of `g` induced by the ascending
+// `sorted`, found by binary search in `sorted`, handed to the factory.
+Graph InducedThroughFactory(const Graph& g,
+                            const std::vector<VertexId>& sorted) {
+  std::vector<Label> labels;
+  std::vector<size_t> offsets = {0};
+  std::vector<VertexId> adjacency;
+  for (VertexId v : sorted) {
+    labels.push_back(g.GetLabel(v));
+    for (VertexId w : g.Neighbors(v)) {
+      auto it = std::lower_bound(sorted.begin(), sorted.end(), w);
+      if (it != sorted.end() && *it == w) {
+        adjacency.push_back(static_cast<VertexId>(it - sorted.begin()));
+      }
+    }
+    offsets.push_back(adjacency.size());
+  }
+  return Graph::FromValidatedCsr(std::move(labels), std::move(offsets),
+                                 std::move(adjacency));
+}
+
+TEST(GraphFactoryTest, MatchesBuildInducedSubgraphOnEveryAccessor) {
+  // Neighbour ids ascend while their labels do not, and vertex 5 is
+  // isolated, so the neighbour labels need their own sort and the
+  // offsets must stay aligned across an empty list.
+  Graph small = MakeGraph({3, 9, 1, 4, 4, 0},
+                          {{0, 1}, {0, 2}, {0, 3}, {1, 4}, {2, 3}});
+  for (const std::vector<VertexId>& subset :
+       {std::vector<VertexId>{}, {5}, {0, 1, 2, 3}, {0, 1, 2, 3, 4, 5},
+        {1, 2, 4}}) {
+    auto want = BuildInducedSubgraph(small, subset);
+    ASSERT_TRUE(want.ok());
+    testing_util::ExpectSameGraph(InducedThroughFactory(small, subset),
+                                  want->graph,
+                                  "small, " + std::to_string(subset.size()) +
+                                      " vertices");
+  }
+
+  size_t compared = 0;
+  for (const char* name : {"Yeast", "Wordnet"}) {
+    auto profile = FindDatasetProfile(name);
+    ASSERT_TRUE(profile.ok());
+    auto data = GenerateDataset(*profile, name[0] == 'Y' ? 0.2 : 0.01, 5);
+    ASSERT_TRUE(data.ok()) << name;
+    Rng rng(23);
+    std::vector<VertexId> all(data->NumVertices());
+    for (size_t v = 0; v < all.size(); ++v) all[v] = static_cast<VertexId>(v);
+    for (int trial = 0; trial < 6; ++trial) {
+      rng.Shuffle(&all);
+      std::vector<VertexId> subset(all.begin(),
+                                   all.begin() + all.size() / (trial + 1));
+      std::sort(subset.begin(), subset.end());
+      auto want = BuildInducedSubgraph(*data, subset);
+      ASSERT_TRUE(want.ok());
+      testing_util::ExpectSameGraph(
+          InducedThroughFactory(*data, subset), want->graph,
+          std::string(name) + " trial " + std::to_string(trial));
+      ++compared;
+    }
+  }
+  EXPECT_EQ(compared, 12u);
+}
+
 TEST(InducedSubgraphTest, RejectsDuplicates) {
   Graph g = MakeGraph({0, 0}, {{0, 1}});
   EXPECT_FALSE(BuildInducedSubgraph(g, {0, 0}).ok());

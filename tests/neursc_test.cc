@@ -41,6 +41,36 @@ TEST(NeurSCTest, EstimateIsPositiveAndFinite) {
   EXPECT_GE(info->num_substructures, 1u);
 }
 
+TEST(NeurSCTest, EstimateInfoCarriesTheExtractionStats) {
+  auto data = GenerateErdosRenyiGraph(80, 240, 4, 31);
+  ASSERT_TRUE(data.ok());
+  auto workload = BuildWorkload(*data, {3, 4}, 3);
+  ASSERT_TRUE(workload.ok());
+  NeurSCEstimator estimator(*data, TinyConfig());
+  std::vector<Graph> queries;
+  for (const auto& example : workload->examples) {
+    queries.push_back(example.query);
+  }
+  auto batch = estimator.EstimateBatch(queries);
+  ASSERT_TRUE(batch.ok());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    auto want = ExtractSubstructures(queries[q], *data);
+    ASSERT_TRUE(want.ok());
+    for (const EstimateInfo& info :
+         {(*batch)[q], *estimator.Estimate(queries[q])}) {
+      const ExtractionStats& got = info.extraction;
+      EXPECT_EQ(got.candidate_union_size, want->stats.candidate_union_size);
+      EXPECT_EQ(got.total_candidates, want->stats.total_candidates);
+      EXPECT_EQ(got.components_total, want->stats.components_total);
+      EXPECT_EQ(got.components_kept, want->stats.components_kept);
+      EXPECT_EQ(got.components_kept, info.num_substructures);
+      EXPECT_EQ(got.largest_substructure_vertices,
+                want->stats.largest_substructure_vertices);
+      EXPECT_GT(got.total_candidates, 0u) << "query " << q;
+    }
+  }
+}
+
 TEST(NeurSCTest, NonFiniteEstimateIsAnError) {
   auto data = GenerateErdosRenyiGraph(80, 240, 4, 31);
   ASSERT_TRUE(data.ok());

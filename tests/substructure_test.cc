@@ -354,5 +354,41 @@ TEST(SubstructureTest, MatchesThreePassOracleOnGeneratedWorkloads) {
   EXPECT_GT(perfect_universes, 0u);
 }
 
+// The split writes each substructure's CSR itself; its graphs must agree
+// with BuildInducedSubgraph on the derived arrays too (neighbour labels,
+// label groups, max degree), which ExpectSameExtraction's operator== does
+// not compare.
+TEST(SubstructureTest, SubstructureGraphsMatchInducedSubgraphOnEveryAccessor) {
+  size_t substructures = 0;
+  for (const char* name : {"Yeast", "Wordnet"}) {
+    auto profile = FindDatasetProfile(name);
+    ASSERT_TRUE(profile.ok());
+    const bool yeast = std::string(name) == "Yeast";
+    auto data = GenerateDataset(*profile, yeast ? 0.3 : 0.01, 9);
+    ASSERT_TRUE(data.ok()) << name;
+    for (size_t size : {4u, 8u}) {
+      QueryGeneratorConfig qc;
+      qc.query_size = size;
+      qc.seed = 71 + size;
+      QueryGenerator generator(*data, qc);
+      auto queries = generator.GenerateMany(4);
+      ASSERT_TRUE(queries.ok()) << name << " size " << size;
+      for (const Graph& query : *queries) {
+        auto got = ExtractSubstructures(query, *data);
+        ASSERT_TRUE(got.ok());
+        for (const Substructure& sub : got->substructures) {
+          auto want = BuildInducedSubgraph(*data, sub.original_id);
+          ASSERT_TRUE(want.ok());
+          testing_util::ExpectSameGraph(sub.graph, want->graph,
+                                        std::string(name) + " size " +
+                                            std::to_string(size));
+          ++substructures;
+        }
+      }
+    }
+  }
+  EXPECT_GT(substructures, 4u);
+}
+
 }  // namespace
 }  // namespace neursc

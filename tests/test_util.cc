@@ -6,6 +6,8 @@
 #include <numeric>
 #include <vector>
 
+#include <gtest/gtest.h>
+
 #include "common/logging.h"
 
 namespace neursc {
@@ -22,6 +24,58 @@ Graph MakeGraph(const std::vector<Label>& labels,
   auto built = builder.Build();
   NEURSC_CHECK(built.ok()) << built.status().ToString();
   return std::move(built).value();
+}
+
+void ExpectSameGraph(const Graph& got, const Graph& want,
+                     const std::string& context) {
+  ASSERT_EQ(got.NumVertices(), want.NumVertices()) << context;
+  EXPECT_EQ(got.NumEdges(), want.NumEdges()) << context;
+  EXPECT_EQ(got.NumLabels(), want.NumLabels()) << context;
+  EXPECT_EQ(got.MaxDegree(), want.MaxDegree()) << context;
+  EXPECT_EQ(got.Fingerprint(), want.Fingerprint()) << context;
+  EXPECT_TRUE(got == want) << context;
+  auto same = [](auto a, auto b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  };
+  for (VertexId v = 0; v < want.NumVertices(); ++v) {
+    EXPECT_EQ(got.GetLabel(v), want.GetLabel(v)) << context << " vertex " << v;
+    EXPECT_TRUE(same(got.Neighbors(v), want.Neighbors(v)))
+        << context << " neighbours of " << v;
+    EXPECT_TRUE(same(got.NeighborLabels(v), want.NeighborLabels(v)))
+        << context << " neighbour labels of " << v;
+  }
+  // One label past the last, whose group is empty in both.
+  for (Label l = 0; l <= want.NumLabels(); ++l) {
+    EXPECT_TRUE(same(got.VerticesWithLabel(l), want.VerticesWithLabel(l)))
+        << context << " label " << l;
+  }
+
+  // `want` may come through the same factory as `got`, so the derived
+  // arrays are also checked against their definitions.
+  uint32_t max_degree = 0;
+  Label max_label = 0;
+  std::vector<std::vector<VertexId>> by_label(got.NumLabels());
+  for (VertexId v = 0; v < got.NumVertices(); ++v) {
+    max_degree = std::max(max_degree, got.Degree(v));
+    max_label = std::max(max_label, got.GetLabel(v));
+    if (got.GetLabel(v) < by_label.size()) {
+      by_label[got.GetLabel(v)].push_back(v);
+    }
+    std::vector<Label> labels;
+    for (VertexId w : got.Neighbors(v)) labels.push_back(got.GetLabel(w));
+    std::sort(labels.begin(), labels.end());
+    EXPECT_TRUE(same(got.NeighborLabels(v), std::span<const Label>(labels)))
+        << context << " neighbour labels of " << v << " are not sorted";
+  }
+  EXPECT_EQ(got.MaxDegree(), max_degree) << context;
+  EXPECT_EQ(got.NumLabels(),
+            got.NumVertices() == 0 ? 0 : size_t{max_label} + 1)
+      << context;
+  for (Label l = 0; l < by_label.size(); ++l) {
+    EXPECT_TRUE(same(got.VerticesWithLabel(l),
+                     std::span<const VertexId>(by_label[l])))
+        << context << " label group " << l;
+  }
 }
 
 uint64_t BruteForceCount(const Graph& query, const Graph& data) {

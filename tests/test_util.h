@@ -15,6 +15,14 @@ namespace testing_util {
 Graph MakeGraph(const std::vector<Label>& labels,
                 const std::vector<std::pair<VertexId, VertexId>>& edges);
 
+/// Expects `got` and `want` to agree on every accessor, derived arrays
+/// included: sizes, labels, neighbours, neighbour labels, label groups,
+/// max degree and fingerprint (Graph::operator== compares only the
+/// defining arrays). Also checks `got`'s derived arrays against their
+/// definitions, since `want` may be built by the same code.
+void ExpectSameGraph(const Graph& got, const Graph& want,
+                     const std::string& context);
+
 /// Exact subgraph isomorphism count by brute force over all injective
 /// mappings (only for tiny graphs; used to validate the real enumerator).
 uint64_t BruteForceCount(const Graph& query, const Graph& data);
