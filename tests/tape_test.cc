@@ -1,5 +1,6 @@
 #include "nn/tape.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -655,6 +656,366 @@ TEST(TapeTest, BackwardMatchesScalarReferenceLoopsBitForBit) {
         leaf.AddInPlace(want[k]);
         EXPECT_TRUE(SameBits(params[k].grad, leaf)) << "input " << k;
       }
+    }
+  }
+}
+
+// --- Forward of each op against scalar reference loops -----------------
+//
+// golden_output_test pins the forward values of the ops the default model
+// runs. The references below pin every op, each with the arithmetic and
+// evaluation order its forward has always had: the dispatched nn/simd.h
+// kernels written out as their scalar loops, the rest copied as they are.
+// Every output must match its reference bit for bit.
+
+struct ForwardCase {
+  std::string name;
+  std::vector<Matrix> inputs;
+  /// Records the op under test on leaves bound to `inputs`.
+  std::function<Var(Tape*, const std::vector<Var>&)> op;
+  /// The op's output for `in`.
+  std::function<Matrix(const std::vector<Matrix>& in)> reference;
+};
+
+/// A fresh zero matrix shaped like `m`.
+Matrix ZerosLike(const Matrix& m) { return Matrix(m.rows(), m.cols()); }
+
+/// A reference that applies `f` to every entry of its one input.
+std::function<Matrix(const std::vector<Matrix>&)> Pointwise(
+    std::function<float(float)> f) {
+  return [f](const std::vector<Matrix>& in) {
+    Matrix out = ZerosLike(in[0]);
+    for (size_t i = 0; i < out.size(); ++i) out.data()[i] = f(in[0].data()[i]);
+    return out;
+  };
+}
+
+/// The q-error of Eq. 10 for the value of the 1x1 input.
+std::function<Matrix(const std::vector<Matrix>&)> QErrorReference(
+    double target) {
+  return [target](const std::vector<Matrix>& in) {
+    const double eps = 1e-9;
+    const double c_hat = in[0].at(0, 0);
+    const double c = std::max(target, 1.0);
+    const double under = c / (c_hat + eps);
+    const double over = c_hat / c;
+    return Matrix::Scalar(static_cast<float>(std::max(under, over)));
+  };
+}
+
+std::vector<ForwardCase> ForwardCases(size_t cols, Rng* rng) {
+  constexpr size_t kRows = 6;
+  const std::vector<uint32_t> gather_rows = {2, 0, 2, 5, 1, 2, 0};
+  const std::vector<uint32_t> scatter_targets = {1, 3, 1, 0, 3, 3, 5};
+  // Segments 1 and 4 stay empty; the column vector's length follows cols.
+  constexpr uint32_t kUsedSegments[] = {0, 2, 3};
+  std::vector<uint32_t> segments;
+  for (size_t i = 0; i < kRows + cols; ++i) {
+    segments.push_back(kUsedSegments[i % 3]);
+  }
+  constexpr size_t kSegments = 5;
+  // All logits negative, so a segment's max is never 0.
+  Matrix logits = RandomMatrix(segments.size(), 1, rng);
+  for (size_t i = 0; i < logits.size(); ++i) logits.data()[i] -= 3.0f;
+  // Inputs past +-30, so Exp's clamp is reached on both sides.
+  Matrix wide = RandomMatrix(kRows, cols, rng);
+  for (size_t i = 0; i < wide.size(); ++i) wide.data()[i] *= 20.0f;
+  // Positive 1x1 predictions for the q-error.
+  Matrix pred =
+      Matrix::Scalar(1.0f + std::abs(RandomMatrix(1, 1, rng).scalar()));
+
+  std::vector<ForwardCase> cases;
+  cases.push_back(
+      {"Constant",
+       {RandomMatrix(kRows, cols, rng)},
+       [](Tape* t, const std::vector<Var>& x) {
+         return t->Constant(t->Value(x[0]));
+       },
+       [](const std::vector<Matrix>& in) { return in[0]; }});
+  cases.push_back(
+      {"MatMul",
+       {RandomMatrix(kRows, cols, rng), RandomMatrix(cols, cols + 2, rng)},
+       [](Tape* t, const std::vector<Var>& x) {
+         return t->MatMul(x[0], x[1]);
+       },
+       [](const std::vector<Matrix>& in) {
+         const Matrix& a = in[0];
+         const Matrix& b = in[1];
+         Matrix out(a.rows(), b.cols());
+         for (size_t i = 0; i < a.rows(); ++i) {
+           for (size_t k = 0; k < a.cols(); ++k) {
+             for (size_t j = 0; j < b.cols(); ++j) {
+               out.at(i, j) += a.at(i, k) * b.at(k, j);
+             }
+           }
+         }
+         return out;
+       }});
+  cases.push_back(
+      {"Add",
+       {RandomMatrix(kRows, cols, rng), RandomMatrix(kRows, cols, rng)},
+       [](Tape* t, const std::vector<Var>& x) { return t->Add(x[0], x[1]); },
+       [](const std::vector<Matrix>& in) {
+         Matrix out = ZerosLike(in[0]);
+         for (size_t i = 0; i < out.size(); ++i) {
+           out.data()[i] = in[0].data()[i] + in[1].data()[i];
+         }
+         return out;
+       }});
+  cases.push_back(
+      {"AddRowBroadcast",
+       {RandomMatrix(kRows, cols, rng), RandomMatrix(1, cols, rng)},
+       [](Tape* t, const std::vector<Var>& x) {
+         return t->AddRowBroadcast(x[0], x[1]);
+       },
+       [](const std::vector<Matrix>& in) {
+         Matrix out = ZerosLike(in[0]);
+         for (size_t r = 0; r < out.rows(); ++r) {
+           for (size_t c = 0; c < out.cols(); ++c) {
+             out.at(r, c) = in[0].at(r, c) + in[1].at(0, c);
+           }
+         }
+         return out;
+       }});
+  cases.push_back(
+      {"Sub",
+       {RandomMatrix(kRows, cols, rng), RandomMatrix(kRows, cols, rng)},
+       [](Tape* t, const std::vector<Var>& x) { return t->Sub(x[0], x[1]); },
+       [](const std::vector<Matrix>& in) {
+         Matrix out = ZerosLike(in[0]);
+         for (size_t i = 0; i < out.size(); ++i) {
+           out.data()[i] = in[0].data()[i] - in[1].data()[i];
+         }
+         return out;
+       }});
+  cases.push_back(
+      {"Mul",
+       {RandomMatrix(kRows, cols, rng), RandomMatrix(kRows, cols, rng)},
+       [](Tape* t, const std::vector<Var>& x) { return t->Mul(x[0], x[1]); },
+       [](const std::vector<Matrix>& in) {
+         Matrix out = ZerosLike(in[0]);
+         for (size_t i = 0; i < out.size(); ++i) {
+           out.data()[i] = in[0].data()[i] * in[1].data()[i];
+         }
+         return out;
+       }});
+  cases.push_back(
+      {"Scale",
+       {RandomMatrix(kRows, cols, rng)},
+       [](Tape* t, const std::vector<Var>& x) { return t->Scale(x[0], 0.37f); },
+       Pointwise([](float v) { return v * 0.37f; })});
+  cases.push_back(
+      {"Relu",
+       {KinkedMatrix(kRows, cols, rng)},
+       [](Tape* t, const std::vector<Var>& x) { return t->Relu(x[0]); },
+       Pointwise([](float v) { return v < 0.0f ? 0.0f : v; })});
+  cases.push_back(
+      {"LeakyRelu",
+       {KinkedMatrix(kRows, cols, rng)},
+       [](Tape* t, const std::vector<Var>& x) {
+         return t->LeakyRelu(x[0], 0.2f);
+       },
+       Pointwise([](float v) { return v > 0.0f ? v : 0.2f * v; })});
+  cases.push_back(
+      {"Sigmoid",
+       {RandomMatrix(kRows, cols, rng)},
+       [](Tape* t, const std::vector<Var>& x) { return t->Sigmoid(x[0]); },
+       Pointwise([](float v) { return 1.0f / (1.0f + std::exp(-v)); })});
+  cases.push_back(
+      {"Tanh",
+       {RandomMatrix(kRows, cols, rng)},
+       [](Tape* t, const std::vector<Var>& x) { return t->Tanh(x[0]); },
+       Pointwise([](float v) { return std::tanh(v); })});
+  cases.push_back(
+      {"Exp",
+       {wide},
+       [](Tape* t, const std::vector<Var>& x) { return t->Exp(x[0]); },
+       Pointwise([](float v) {
+         return std::exp(std::clamp(v, -30.0f, 30.0f));
+       })});
+  cases.push_back(
+      {"Log",
+       {RandomMatrix(kRows, cols, rng)},
+       [](Tape* t, const std::vector<Var>& x) { return t->Log(x[0]); },
+       Pointwise([](float v) { return std::log(std::max(v, 1e-12f)); })});
+  cases.push_back(
+      {"RowSoftmax",
+       {RandomMatrix(kRows, cols, rng)},
+       [](Tape* t, const std::vector<Var>& x) { return t->RowSoftmax(x[0]); },
+       [](const std::vector<Matrix>& in) {
+         const Matrix& x = in[0];
+         Matrix out = ZerosLike(x);
+         for (size_t r = 0; r < x.rows(); ++r) {
+           float mx = x.at(r, 0);
+           for (size_t c = 1; c < x.cols(); ++c) mx = std::max(mx, x.at(r, c));
+           double sum = 0.0;
+           for (size_t c = 0; c < x.cols(); ++c) {
+             out.at(r, c) = std::exp(x.at(r, c) - mx);
+             sum += out.at(r, c);
+           }
+           float inv = static_cast<float>(1.0 / std::max(sum, 1e-30));
+           for (size_t c = 0; c < x.cols(); ++c) out.at(r, c) *= inv;
+         }
+         return out;
+       }});
+  cases.push_back(
+      {"ConcatCols",
+       {RandomMatrix(kRows, cols, rng), RandomMatrix(kRows, cols + 1, rng)},
+       [](Tape* t, const std::vector<Var>& x) {
+         return t->ConcatCols(x[0], x[1]);
+       },
+       [](const std::vector<Matrix>& in) {
+         const Matrix& a = in[0];
+         const Matrix& b = in[1];
+         Matrix out(a.rows(), a.cols() + b.cols());
+         for (size_t r = 0; r < a.rows(); ++r) {
+           for (size_t c = 0; c < a.cols(); ++c) out.at(r, c) = a.at(r, c);
+           for (size_t c = 0; c < b.cols(); ++c) {
+             out.at(r, a.cols() + c) = b.at(r, c);
+           }
+         }
+         return out;
+       }});
+  cases.push_back(
+      {"ConcatRows",
+       {RandomMatrix(2, cols, rng), RandomMatrix(1, cols, rng),
+        RandomMatrix(kRows, cols, rng)},
+       [](Tape* t, const std::vector<Var>& x) { return t->ConcatRows(x); },
+       [](const std::vector<Matrix>& in) {
+         Matrix out(2 + 1 + kRows, in[0].cols());
+         size_t row = 0;
+         for (const Matrix& p : in) {
+           for (size_t r = 0; r < p.rows(); ++r, ++row) {
+             for (size_t c = 0; c < p.cols(); ++c) out.at(row, c) = p.at(r, c);
+           }
+         }
+         return out;
+       }});
+  cases.push_back(
+      {"GatherRows",
+       {RandomMatrix(kRows, cols, rng)},
+       [gather_rows](Tape* t, const std::vector<Var>& x) {
+         return t->GatherRows(x[0], gather_rows);
+       },
+       [gather_rows](const std::vector<Matrix>& in) {
+         Matrix out(gather_rows.size(), in[0].cols());
+         for (size_t i = 0; i < gather_rows.size(); ++i) {
+           for (size_t c = 0; c < out.cols(); ++c) {
+             out.at(i, c) = in[0].at(gather_rows[i], c);
+           }
+         }
+         return out;
+       }});
+  cases.push_back(
+      {"ScatterAddRows",
+       {RandomMatrix(scatter_targets.size(), cols, rng)},
+       [scatter_targets](Tape* t, const std::vector<Var>& x) {
+         return t->ScatterAddRows(x[0], scatter_targets, kRows);
+       },
+       [scatter_targets](const std::vector<Matrix>& in) {
+         Matrix out(kRows, in[0].cols());
+         for (size_t i = 0; i < scatter_targets.size(); ++i) {
+           for (size_t c = 0; c < out.cols(); ++c) {
+             out.at(scatter_targets[i], c) =
+                 out.at(scatter_targets[i], c) + in[0].at(i, c);
+           }
+         }
+         return out;
+       }});
+  cases.push_back(
+      {"SegmentSoftmax",
+       {logits},
+       [segments](Tape* t, const std::vector<Var>& x) {
+         return t->SegmentSoftmax(x[0], segments, kSegments);
+       },
+       [segments](const std::vector<Matrix>& in) {
+         const Matrix& x = in[0];
+         Matrix out = ZerosLike(x);
+         std::vector<float> seg_max(kSegments, -1e30f);
+         for (size_t i = 0; i < segments.size(); ++i) {
+           seg_max[segments[i]] = std::max(seg_max[segments[i]], x.at(i, 0));
+         }
+         std::vector<double> seg_sum(kSegments, 0.0);
+         for (size_t i = 0; i < segments.size(); ++i) {
+           float e = std::exp(x.at(i, 0) - seg_max[segments[i]]);
+           out.at(i, 0) = e;
+           seg_sum[segments[i]] += e;
+         }
+         for (size_t i = 0; i < segments.size(); ++i) {
+           out.at(i, 0) = static_cast<float>(
+               out.at(i, 0) / std::max(seg_sum[segments[i]], 1e-30));
+         }
+         return out;
+       }});
+  cases.push_back(
+      {"ColBroadcastMul",
+       {RandomMatrix(kRows, cols, rng), RandomMatrix(kRows, 1, rng)},
+       [](Tape* t, const std::vector<Var>& x) {
+         return t->ColBroadcastMul(x[0], x[1]);
+       },
+       [](const std::vector<Matrix>& in) {
+         Matrix out = ZerosLike(in[0]);
+         for (size_t r = 0; r < out.rows(); ++r) {
+           const float wr = in[1].at(r, 0);
+           for (size_t c = 0; c < out.cols(); ++c) {
+             out.at(r, c) = in[0].at(r, c) * wr;
+           }
+         }
+         return out;
+       }});
+  cases.push_back(
+      {"SumRows",
+       {RandomMatrix(kRows, cols, rng)},
+       [](Tape* t, const std::vector<Var>& x) { return t->SumRows(x[0]); },
+       [](const std::vector<Matrix>& in) {
+         Matrix out(1, in[0].cols());
+         for (size_t r = 0; r < in[0].rows(); ++r) {
+           for (size_t c = 0; c < out.cols(); ++c) {
+             out.at(0, c) = out.at(0, c) + in[0].at(r, c);
+           }
+         }
+         return out;
+       }});
+  cases.push_back(
+      {"ReduceSum",
+       {RandomMatrix(kRows, cols, rng)},
+       [](Tape* t, const std::vector<Var>& x) { return t->ReduceSum(x[0]); },
+       [](const std::vector<Matrix>& in) {
+         double s = 0.0;
+         for (size_t i = 0; i < in[0].size(); ++i) s += in[0].data()[i];
+         return Matrix::Scalar(static_cast<float>(s));
+       }});
+  // One prediction under its target and one over it: the two branches of
+  // the max.
+  cases.push_back(
+      {"QErrorLossUnder",
+       {pred},
+       [](Tape* t, const std::vector<Var>& x) {
+         return t->QErrorLoss(x[0], 50.0);
+       },
+       QErrorReference(50.0)});
+  cases.push_back(
+      {"QErrorLossOver",
+       {pred},
+       [](Tape* t, const std::vector<Var>& x) {
+         return t->QErrorLoss(x[0], 0.5);
+       },
+       QErrorReference(0.5)});
+  return cases;
+}
+
+TEST(TapeTest, ForwardMatchesScalarReferenceLoopsBitForBit) {
+  for (size_t cols : {1, 7, 9, 33}) {
+    Rng rng(90 + cols);
+    for (const ForwardCase& c : ForwardCases(cols, &rng)) {
+      SCOPED_TRACE(c.name + " cols=" + std::to_string(cols));
+      std::vector<Parameter> params;
+      for (const Matrix& in : c.inputs) params.emplace_back(in);
+      Tape tape;
+      std::vector<Var> leaves;
+      for (Parameter& p : params) leaves.push_back(tape.Leaf(&p));
+      EXPECT_TRUE(SameBits(tape.Value(c.op(&tape, leaves)),
+                           c.reference(c.inputs)));
     }
   }
 }
