@@ -5,22 +5,25 @@
 
 #include "common/logging.h"
 #include "common/metrics_registry.h"
-#include "nn/kernels.h"
 #include "nn/simd.h"
 
 namespace neursc {
 
-// Forward values come from the kernels in nn/kernels.h. The backward
-// cases must keep their arithmetic and accumulation order, which
-// golden_output_test pins through the trained weights and tape_test pins
-// op by op: an elementwise delta is added as grad + (g * y), the same
-// float as adding a delta matrix, and products run into zeroed scratch
-// that is then added, never straight into a gradient that may already
-// hold a contribution. The elementwise and row-structured cases run on
-// the nn/simd.h accumulate kernels (AddMul, AddScaled, the ReLU masks, Add
-// per row or block, ScatterAddRows), whose every variant adds each delta
-// entry onto the gradient in this same order; the reductions keep their
-// scalar loops.
+// An op is its method below, which computes the forward value, and its
+// case in BackwardStep. Both must keep their arithmetic and evaluation
+// order, which golden_output_test pins through the trained weights and
+// tape_test pins op by op against scalar reference loops. Forward values
+// run on the dispatched nn/simd.h kernels (whose scalar and AVX2 variants
+// agree bit for bit), Matrix::MatMulInto or a scalar loop; the ops that
+// accumulate (MatMul, ScatterAddRows, SumRows) start from the zero-filled
+// slot that AllocSlot hands out. In the backward cases an elementwise
+// delta is added as grad + (g * y), the same float as adding a delta
+// matrix, and products run into zeroed scratch that is then added, never
+// straight into a gradient that may already hold a contribution. The
+// elementwise and row-structured cases run on the nn/simd.h accumulate
+// kernels (AddMul, AddScaled, the ReLU masks, Add per row or block,
+// ScatterAddRows), whose every variant adds each delta entry onto the
+// gradient in this same order; the reductions keep their scalar loops.
 
 void GradientSink::Accumulate(Parameter* param, const Matrix& delta) {
   auto it = buffers_.find(param);
@@ -108,7 +111,7 @@ Matrix& Tape::EnsureGrad(int id) {
 
 Var Tape::Constant(const Matrix& value) {
   Matrix* out = AllocValue(value.rows(), value.cols());
-  fwd::Copy(value, out);
+  std::copy(value.data(), value.data() + value.size(), out->data());
   nodes_.push_back(Node{out, nullptr, nullptr, false});
   return Var{static_cast<int>(nodes_.size()) - 1};
 }
@@ -131,93 +134,135 @@ Var Tape::MatMul(Var a, Var b) {
 
 Var Tape::Add(Var a, Var b) {
   const Matrix& av = Value(a);
+  const Matrix& bv = Value(b);
+  NEURSC_CHECK(av.rows() == bv.rows() && av.cols() == bv.cols());
   Matrix* out = AllocValue(av.rows(), av.cols());
-  fwd::Add(av, Value(b), out);
+  simd::Add(av.data(), bv.data(), out->data(), av.size());
   return Emit(out, OpKind::kAdd, a, b);
 }
 
 Var Tape::AddRowBroadcast(Var x, Var bias) {
   const Matrix& xv = Value(x);
+  const Matrix& bv = Value(bias);
+  NEURSC_CHECK(bv.rows() == 1 && bv.cols() == xv.cols());
   Matrix* out = AllocValue(xv.rows(), xv.cols());
-  fwd::AddRowBroadcast(xv, Value(bias), out);
+  simd::AddRowBroadcast(xv.data(), bv.data(), out->data(), xv.rows(),
+                        xv.cols());
   return Emit(out, OpKind::kAddRowBroadcast, x, bias);
 }
 
+// Sub, Mul and Scale stay scalar loops: the default WEst and critic run them
+// only on 1-row values, and Mul and Sub appear only in the EU/KL/JS
+// ablations.
+
 Var Tape::Sub(Var a, Var b) {
   const Matrix& av = Value(a);
+  const Matrix& bv = Value(b);
+  NEURSC_CHECK(av.rows() == bv.rows() && av.cols() == bv.cols());
   Matrix* out = AllocValue(av.rows(), av.cols());
-  fwd::Sub(av, Value(b), out);
+  for (size_t i = 0; i < av.size(); ++i) {
+    out->data()[i] = av.data()[i] - bv.data()[i];
+  }
   return Emit(out, OpKind::kSub, a, b);
 }
 
 Var Tape::Mul(Var a, Var b) {
   const Matrix& av = Value(a);
+  const Matrix& bv = Value(b);
+  NEURSC_CHECK(av.rows() == bv.rows() && av.cols() == bv.cols());
   Matrix* out = AllocValue(av.rows(), av.cols());
-  fwd::Mul(av, Value(b), out);
+  for (size_t i = 0; i < av.size(); ++i) {
+    out->data()[i] = av.data()[i] * bv.data()[i];
+  }
   return Emit(out, OpKind::kMul, a, b);
 }
 
 Var Tape::Scale(Var a, float s) {
   const Matrix& av = Value(a);
   Matrix* out = AllocValue(av.rows(), av.cols());
-  fwd::Scale(av, s, out);
+  for (size_t i = 0; i < av.size(); ++i) out->data()[i] = av.data()[i] * s;
   return Emit(out, OpKind::kScale, a, Var{}, s);
 }
 
 Var Tape::Relu(Var a) {
   const Matrix& av = Value(a);
   Matrix* out = AllocValue(av.rows(), av.cols());
-  fwd::Relu(av, out);
+  simd::Relu(av.data(), out->data(), av.size());
   return Emit(out, OpKind::kRelu, a);
 }
 
 Var Tape::LeakyRelu(Var a, float negative_slope) {
   const Matrix& av = Value(a);
   Matrix* out = AllocValue(av.rows(), av.cols());
-  fwd::LeakyRelu(av, negative_slope, out);
+  simd::LeakyRelu(av.data(), negative_slope, out->data(), av.size());
   return Emit(out, OpKind::kLeakyRelu, a, Var{}, negative_slope);
 }
 
 Var Tape::Sigmoid(Var a) {
   const Matrix& av = Value(a);
   Matrix* out = AllocValue(av.rows(), av.cols());
-  fwd::Sigmoid(av, out);
+  for (size_t i = 0; i < av.size(); ++i) {
+    out->data()[i] = 1.0f / (1.0f + std::exp(-av.data()[i]));
+  }
   return Emit(out, OpKind::kSigmoid, a);
 }
 
 Var Tape::Tanh(Var a) {
   const Matrix& av = Value(a);
   Matrix* out = AllocValue(av.rows(), av.cols());
-  fwd::Tanh(av, out);
+  for (size_t i = 0; i < av.size(); ++i) {
+    out->data()[i] = std::tanh(av.data()[i]);
+  }
   return Emit(out, OpKind::kTanh, a);
 }
 
 Var Tape::Exp(Var a) {
   const Matrix& av = Value(a);
   Matrix* out = AllocValue(av.rows(), av.cols());
-  fwd::Exp(av, out);
+  for (size_t i = 0; i < av.size(); ++i) {
+    out->data()[i] = std::exp(std::clamp(av.data()[i], -30.0f, 30.0f));
+  }
   return Emit(out, OpKind::kExp, a);
 }
 
 Var Tape::Log(Var a) {
   const Matrix& av = Value(a);
   Matrix* out = AllocValue(av.rows(), av.cols());
-  fwd::Log(av, out);
+  for (size_t i = 0; i < av.size(); ++i) {
+    out->data()[i] = std::log(std::max(av.data()[i], 1e-12f));
+  }
   return Emit(out, OpKind::kLog, a);
 }
 
 Var Tape::RowSoftmax(Var a) {
   const Matrix& av = Value(a);
   Matrix* out = AllocValue(av.rows(), av.cols());
-  fwd::RowSoftmax(av, out);
+  // Per-row max subtraction; the exp sum accumulates in double.
+  for (size_t r = 0; r < av.rows(); ++r) {
+    const float* xrow = av.row(r);
+    float* orow = out->row(r);
+    float mx = xrow[0];
+    for (size_t c = 1; c < av.cols(); ++c) mx = std::max(mx, xrow[c]);
+    double sum = 0.0;
+    for (size_t c = 0; c < av.cols(); ++c) {
+      orow[c] = std::exp(xrow[c] - mx);
+      sum += orow[c];
+    }
+    float inv = static_cast<float>(1.0 / std::max(sum, 1e-30));
+    for (size_t c = 0; c < av.cols(); ++c) orow[c] *= inv;
+  }
   return Emit(out, OpKind::kRowSoftmax, a);
 }
 
 Var Tape::ConcatCols(Var a, Var b) {
   const Matrix& av = Value(a);
   const Matrix& bv = Value(b);
+  NEURSC_CHECK(av.rows() == bv.rows());
   Matrix* out = AllocValue(av.rows(), av.cols() + bv.cols());
-  fwd::ConcatCols(av, bv, out);
+  for (size_t r = 0; r < av.rows(); ++r) {
+    std::copy(av.row(r), av.row(r) + av.cols(), out->row(r));
+    std::copy(bv.row(r), bv.row(r) + bv.cols(), out->row(r) + av.cols());
+  }
   return Emit(out, OpKind::kConcatCols, a, b);
 }
 
@@ -225,14 +270,18 @@ Var Tape::ConcatRows(const std::vector<Var>& parts) {
   NEURSC_CHECK(!parts.empty());
   size_t total_rows = 0;
   bool req = false;
-  concat_parts_.clear();
   for (Var p : parts) {
-    concat_parts_.push_back(&Value(p));
-    total_rows += concat_parts_.back()->rows();
+    total_rows += Value(p).rows();
     req = req || Requires(p.id);
   }
-  Matrix* out = AllocValue(total_rows, concat_parts_[0]->cols());
-  fwd::ConcatRows(concat_parts_, out);
+  Matrix* out = AllocValue(total_rows, Value(parts[0]).cols());
+  size_t row = 0;
+  for (Var p : parts) {
+    const Matrix& pv = Value(p);
+    NEURSC_CHECK(pv.cols() == out->cols());
+    std::copy(pv.data(), pv.data() + pv.size(), out->row(row));
+    row += pv.rows();
+  }
   nodes_.push_back(Node{out, nullptr, nullptr, req});
   const int id = static_cast<int>(nodes_.size()) - 1;
   if (req) {
@@ -247,45 +296,74 @@ Var Tape::ConcatRows(const std::vector<Var>& parts) {
 Var Tape::GatherRows(Var x, const std::vector<uint32_t>& rows) {
   const Matrix& xv = Value(x);
   Matrix* out = AllocValue(rows.size(), xv.cols());
-  fwd::GatherRows(xv, rows, out);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    NEURSC_CHECK(rows[i] < xv.rows());
+    std::copy(xv.row(rows[i]), xv.row(rows[i]) + xv.cols(), out->row(i));
+  }
   return Emit(out, OpKind::kGatherRows, x, Var{}, 0.0, rows);
 }
 
 Var Tape::ScatterAddRows(Var x, const std::vector<uint32_t>& targets,
                          size_t num_rows) {
   const Matrix& xv = Value(x);
+  NEURSC_CHECK(targets.size() == xv.rows());
+  for (uint32_t t : targets) NEURSC_CHECK(t < num_rows);
   Matrix* out = AllocValue(num_rows, xv.cols());
-  fwd::ScatterAddRows(xv, targets, out);
+  simd::ScatterAddRows(xv.data(), targets.data(), xv.rows(), xv.cols(),
+                       out->data());
   return Emit(out, OpKind::kScatterAddRows, x, Var{}, 0.0, targets);
 }
 
 Var Tape::SegmentSoftmax(Var logits, const std::vector<uint32_t>& segments,
                          size_t num_segments) {
   const Matrix& xv = Value(logits);
+  NEURSC_CHECK(xv.cols() == 1 && segments.size() == xv.rows());
   Matrix* out = AllocValue(xv.rows(), 1);
-  fwd::SegmentSoftmax(xv, segments, num_segments, out, &seg_max_, &seg_sum_);
+  // Max-subtracted, exp sums in double; seg_max_ and seg_sum_ are reused
+  // across passes.
+  seg_max_.assign(num_segments, -1e30f);
+  for (size_t i = 0; i < segments.size(); ++i) {
+    NEURSC_CHECK(segments[i] < num_segments);
+    seg_max_[segments[i]] = std::max(seg_max_[segments[i]], xv.at(i, 0));
+  }
+  seg_sum_.assign(num_segments, 0.0);
+  for (size_t i = 0; i < segments.size(); ++i) {
+    float e = std::exp(xv.at(i, 0) - seg_max_[segments[i]]);
+    out->at(i, 0) = e;
+    seg_sum_[segments[i]] += e;
+  }
+  for (size_t i = 0; i < segments.size(); ++i) {
+    out->at(i, 0) = static_cast<float>(
+        out->at(i, 0) / std::max(seg_sum_[segments[i]], 1e-30));
+  }
   return Emit(out, OpKind::kSegmentSoftmax, logits, Var{},
               static_cast<double>(num_segments), segments);
 }
 
 Var Tape::ColBroadcastMul(Var x, Var w) {
   const Matrix& xv = Value(x);
+  const Matrix& wv = Value(w);
+  NEURSC_CHECK(wv.cols() == 1 && wv.rows() == xv.rows());
   Matrix* out = AllocValue(xv.rows(), xv.cols());
-  fwd::ColBroadcastMul(xv, Value(w), out);
+  simd::ColBroadcastMul(xv.data(), wv.data(), out->data(), xv.rows(),
+                        xv.cols());
   return Emit(out, OpKind::kColBroadcastMul, x, w);
 }
 
 Var Tape::SumRows(Var x) {
   const Matrix& xv = Value(x);
   Matrix* out = AllocValue(1, xv.cols());
-  fwd::SumRows(xv, out);
+  // Accumulates onto the zero-filled slot in row order.
+  for (size_t r = 0; r < xv.rows(); ++r) {
+    simd::Add(out->data(), xv.row(r), out->data(), xv.cols());
+  }
   return Emit(out, OpKind::kSumRows, x);
 }
 
 Var Tape::ReduceSum(Var x) {
   const Matrix& xv = Value(x);
   Matrix* out = AllocValue(1, 1);
-  fwd::ReduceSum(xv, out);
+  out->at(0, 0) = xv.Sum();
   return Emit(out, OpKind::kReduceSum, x);
 }
 
@@ -293,14 +371,14 @@ Var Tape::QErrorLoss(Var pred, double target, double eps) {
   const Matrix& pv = Value(pred);
   NEURSC_CHECK(pv.rows() == 1 && pv.cols() == 1);
   const double c_hat = pv.at(0, 0);
-  fwd::QErrorParts parts = fwd::QError(c_hat, target, eps);
+  const double c = std::max(target, 1.0);
+  const double under = c / (c_hat + eps);  // penalizes underestimation
+  const double over = c_hat / c;           // penalizes overestimation
   Matrix* out = AllocValue(1, 1);
-  out->at(0, 0) = parts.loss;
+  out->at(0, 0) = static_cast<float>(std::max(under, over));
   // d(loss)/d(pred) of whichever branch of the max is active.
   const double derivative =
-      (parts.under >= parts.over)
-          ? -parts.c / ((c_hat + eps) * (c_hat + eps))
-          : 1.0 / parts.c;
+      (under >= over) ? -c / ((c_hat + eps) * (c_hat + eps)) : 1.0 / c;
   return Emit(out, OpKind::kQErrorLoss, pred, Var{}, derivative);
 }
 

@@ -50,7 +50,7 @@ class GradientSink {
 /// on it (docs/execution.md).
 ///
 /// Each op takes its output from a reusable arena of Matrix slots, computes
-/// it with its one kernel in nn/kernels.h, and — when an operand needs a
+/// it in its own method (tape.cc), and — when an operand needs a
 /// gradient — appends a typed op record: the op kind, the operand node
 /// ids, a scalar, and a span of the op's index list (copied into a reused
 /// per-tape buffer). Backward(loss) walks the records in reverse and
@@ -267,7 +267,6 @@ class Tape {
   GradientSink* gradient_sink_ = nullptr;
   /// Op scratch, reused across passes like the slots.
   Matrix scratch_;
-  std::vector<const Matrix*> concat_parts_;
   std::vector<float> seg_max_;
   std::vector<double> seg_sum_;
 };
