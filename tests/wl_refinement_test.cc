@@ -1,4 +1,4 @@
-#include "graph/wl_refinement.h"
+#include "wl_refinement.h"
 
 #include <gtest/gtest.h>
 
