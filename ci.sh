@@ -17,8 +17,9 @@
 #      (simd_kernels_test, including the backward and Adam kernels), the
 #      golden-output pin of WEst forward and training results
 #      (golden_output_test), the Adam suite (optimizer_test) and the tape
-#      suite (tape_test, whose per-op backward pin checks each op's input
-#      gradients against the scalar loops they replaced) and the prepare
+#      suite (tape_test, whose per-op forward pin checks every op's output
+#      and whose per-op backward pin checks each op's input gradients
+#      against scalar reference loops, bit for bit) and the prepare
 #      path's oracle suites (candidate_filter_test: incremental refinement
 #      against a full re-test; substructure_test: the direct-CSR split
 #      against a three-pass split; feature_init_test: linear-time features

@@ -1,11 +1,11 @@
 #ifndef NEURSC_NN_SIMD_H_
 #define NEURSC_NN_SIMD_H_
 
-// Vectorised kernels behind Matrix's GEMMs, the hot fwd:: row ops, the
-// Tape's backward accumulation and the Adam update (docs/execution.md,
+// Vectorised kernels behind Matrix's GEMMs, the Tape's hot forward row
+// ops and backward accumulation, and the Adam update (docs/execution.md,
 // "Vectorized kernels"). Internal to the nn library: model code calls
-// Matrix / fwd:: / Tape / AdamOptimizer, never this header; the kernel
-// equivalence test includes it to compare the variants directly.
+// Matrix / Tape / AdamOptimizer, never this header; the kernel equivalence
+// test includes it to compare the variants directly.
 //
 // Every kernel exists twice, in `scalar::` and `avx2::`, with the same
 // per-entry arithmetic: the AVX2 variant vectorises only across

@@ -1,6 +1,6 @@
 // Golden-output pin for the numeric kernels.
 //
-// The dense kernels (nn/matrix.cc, nn/kernels.h) may be rewritten for
+// The dense kernels (nn/matrix.cc, the Tape ops) may be rewritten for
 // speed only if every float they produce keeps its association, so a
 // rewrite must reproduce the previous outputs bit for bit. This suite pins
 // those outputs: the hexfloat of one WEstModel::Forward prediction per
