@@ -23,6 +23,10 @@ EdgeIndex UndirectedEdges(const Graph& g) {
 
 namespace {
 
+constexpr size_t kIntraLayers = 2;      // K
+constexpr size_t kInterLayers = 2;      // K'
+constexpr size_t kPredictorLayers = 4;  // layers of the regressor MLP
+
 /// Disjoint-set union used to connect the bipartite graph.
 class UnionFind {
  public:
@@ -92,9 +96,8 @@ EdgeIndex BuildBipartiteEdges(const Graph& query, const Substructure& sub,
 WEstModel::WEstModel(size_t input_dim, const WEstConfig& config)
     : config_(config) {
   Rng rng(config.seed);
-  NEURSC_CHECK(config.intra_layers >= 1);
   size_t in = input_dim;
-  for (size_t k = 0; k < config.intra_layers; ++k) {
+  for (size_t k = 0; k < kIntraLayers; ++k) {
     if (config.intra_kind == IntraGnnKind::kGin) {
       intra_gin_.push_back(
           std::make_unique<GinLayer>(in, config.intra_dim, &rng));
@@ -106,7 +109,7 @@ WEstModel::WEstModel(size_t input_dim, const WEstConfig& config)
   }
   if (config.use_inter) {
     in = input_dim;
-    for (size_t k = 0; k < config.inter_layers; ++k) {
+    for (size_t k = 0; k < kInterLayers; ++k) {
       inter_.push_back(std::make_unique<BipartiteAttentionLayer>(
           in, config.inter_dim, &rng));
       in = config.inter_dim;
@@ -114,7 +117,7 @@ WEstModel::WEstModel(size_t input_dim, const WEstConfig& config)
   }
   std::vector<size_t> dims;
   dims.push_back(2 * ReprDim());
-  for (size_t i = 0; i + 1 < config.predictor_layers; ++i) {
+  for (size_t i = 0; i + 1 < kPredictorLayers; ++i) {
     dims.push_back(config.predictor_hidden);
   }
   dims.push_back(1);
@@ -143,7 +146,7 @@ WEstModel::Forwarded WEstModel::Forward(Tape* tape, const Graph& query,
   EdgeIndex sub_edges = UndirectedEdges(sub.graph);
   Var hq = tape->Constant(query_features);
   Var hs = tape->Constant(sub_features);
-  for (size_t k = 0; k < config_.intra_layers; ++k) {
+  for (size_t k = 0; k < kIntraLayers; ++k) {
     hq = IntraForward(tape, k, hq, query_edges);
     hs = IntraForward(tape, k, hs, sub_edges);
   }

@@ -12,30 +12,26 @@
 
 namespace neursc {
 
-/// Hyperparameters of the WEst estimation network (Sec. 6.1 defaults,
-/// scaled down for in-harness runs; the paper's values are 128-dim hidden
-/// layers).
 /// Intra-graph GNN flavor. The paper selects GIN for its WL-level
 /// expressive power (Sec. 5.2); the mean aggregator is the weaker contrast
 /// arm of that ablation.
 enum class IntraGnnKind { kGin, kMeanAggregator };
 
+/// Hyperparameters of the WEst estimation network (Sec. 6.1 defaults,
+/// scaled down for in-harness runs; the paper's values are 128-dim hidden
+/// layers). The depths are west.cc constants: K = 2 intra-graph layers,
+/// K' = 2 inter-graph layers and a 4-layer regressor.
 struct WEstConfig {
   /// k of Eq. 1 (neighborhood hops pooled into initial features).
   size_t feature_hops = 1;
   /// Intra-graph layer type.
   IntraGnnKind intra_kind = IntraGnnKind::kGin;
-  /// K: intra-graph GIN layers.
-  size_t intra_layers = 2;
   /// dim_K: intra-graph output dimension.
   size_t intra_dim = 32;
-  /// K': inter-graph attention layers.
-  size_t inter_layers = 2;
   /// dim_K': inter-graph output dimension.
   size_t inter_dim = 32;
   /// Hidden width of the 4-layer prediction MLP.
   size_t predictor_hidden = 64;
-  size_t predictor_layers = 4;
   /// Disables the inter-graph branch (the NeurSC-I ablation).
   bool use_inter = true;
   uint64_t seed = 1234;

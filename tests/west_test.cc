@@ -106,8 +106,6 @@ TEST(WEstModelTest, IntraOnlyVariantShrinksRepr) {
 
 TEST(WEstModelTest, ParameterCountMatchesConfig) {
   WEstConfig config;
-  config.intra_layers = 2;
-  config.inter_layers = 2;
   WEstModel model(16, config);
   EXPECT_GT(model.Parameters().size(), 0u);
   size_t weights = 0;
