@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -49,7 +48,8 @@ struct NeurSCConfig {
   /// false => NeurSC-D (dual GNN, no discriminator).
   bool use_discriminator = true;
   /// false => "NeurSC w/o SE": the whole data graph is the single
-  /// substructure; forces intra-only, no discriminator.
+  /// substructure of every query, built with its features once per
+  /// estimator; forces intra-only, no discriminator.
   bool use_substructure_extraction = true;
   /// Discriminator distance metric (Fig. 12 variants).
   DistanceMetric metric = DistanceMetric::kWasserstein;
@@ -77,8 +77,10 @@ struct EstimateInfo {
   size_t num_substructures = 0;
   /// Substructures actually evaluated (< num_substructures when r_s < 1).
   size_t num_used = 0;
-  /// Candidate filtering + substructure split + feature initialization
-  /// (features only for EstimateOnSubstructures).
+  /// The query's prepare step: candidate filtering + substructure split +
+  /// feature initialization. Features of the given substructures and of
+  /// the query only for EstimateOnSubstructures; the query's features only
+  /// under w/o SE.
   double extraction_seconds = 0.0;
   /// First forward pass start to last one end; 0 if early-terminated.
   double inference_seconds = 0.0;
@@ -110,7 +112,8 @@ struct TrainStats {
 /// feature initialization), select its substructures at r_s, draw one seed
 /// per forward pass, run every (query, substructure) forward pass in one
 /// work pool, and reduce. Estimate is a batch of one; EstimateOnSubstructures
-/// is a batch of one whose prepare step skips extraction.
+/// is a batch of one whose prepare step takes the caller's substructures
+/// instead of extracting. Train runs the same prepare step on its examples.
 ///
 /// Threading (see docs/threading.md): the estimator parallelizes *inside*
 /// Estimate/EstimateOnSubstructures/EstimateBatch and Train.
@@ -160,17 +163,19 @@ class NeurSCEstimator {
   /// does (at r_s = 1 that is sum * n / n, which can differ from the plain
   /// sum in the last bit). EstimateOnSubstructures(q,
   /// ExtractSubstructures(q, data, filter)) therefore equals Estimate(q)
-  /// exactly.
+  /// exactly. Returns InvalidArgument for an empty query, and for an `ext`
+  /// that does not fit it: a substructure without exactly |V(q)| local
+  /// candidate sets, or a candidate id outside its substructure.
   Result<EstimateInfo> EstimateOnSubstructures(const Graph& query,
                                                const ExtractionResult& ext);
 
   /// Estimates every query of a batch, scheduling the queries'
   /// substructure forward passes into one shared work pool (queries x
-  /// substructures), after a parallel extraction pass. Consumes rng_ in
+  /// substructures), after the parallel prepare step. Consumes rng_ in
   /// query order exactly as sequential Estimate calls would, so
   /// EstimateBatch(qs)[i] equals the i-th sequential Estimate(qs[i]) from
   /// the same starting state, at any thread count. Fails with the status
-  /// of the first (lowest-index) query whose extraction fails, or with
+  /// of the first (lowest-index) query whose prepare step fails, or with
   /// Internal if a query's estimate is not finite.
   Result<std::vector<EstimateInfo>> EstimateBatch(
       const std::vector<Graph>& queries);
@@ -194,12 +199,23 @@ class NeurSCEstimator {
   Discriminator* critic() { return critic_.get(); }
 
  private:
-  /// Extraction + feature computation for one query: seed-independent
-  /// functions of (data graph, query, config).
-  struct Prepared {
+  /// A query's substructures and their Eq. 1 features: seed-independent
+  /// and immutable once built, so queries, training examples and batches
+  /// can share one (w/o SE shares the estimator's whole-graph copy).
+  struct SubstructureSet {
+    SubstructureSet(ExtractionResult ext,
+                    const FeatureInitializer& initializer);
     ExtractionResult extraction;
+    std::vector<Matrix> features;
+  };
+
+  /// A query's prepare step output: its own features, its substructures,
+  /// and when the step ran.
+  struct Prepared {
     Matrix query_features;
-    std::vector<Matrix> sub_features;
+    std::shared_ptr<const SubstructureSet> subs;
+    std::chrono::steady_clock::time_point start;
+    std::chrono::steady_clock::time_point end;
   };
 
   /// One WEst forward pass of the inference work pool: an independent
@@ -216,10 +232,9 @@ class NeurSCEstimator {
     uint64_t seed = 0;
     // --- Outputs (written by the evaluating worker) ---
     double prediction = 0.0;
-    /// Wall-clock interval of the forward pass, seconds relative to the
-    /// epoch passed to RunInferenceTasks.
-    double start_seconds = 0.0;
-    double end_seconds = 0.0;
+    /// Wall-clock interval of the forward pass.
+    std::chrono::steady_clock::time_point start{};
+    std::chrono::steady_clock::time_point end{};
   };
 
   /// Detached (query_repr, sub_repr) pair captured during a batch's
@@ -232,26 +247,26 @@ class NeurSCEstimator {
     Matrix sub_repr;
   };
 
-  /// Prepare step of a query: Extract, then InitializeFeatures.
-  Result<Prepared> Prepare(const Graph& query);
-  /// Substructure extraction (Sec. 4), or the whole data graph as the one
-  /// substructure when extraction is disabled.
-  Result<ExtractionResult> Extract(const Graph& query);
-  /// Feature initialization of the query and of every substructure.
-  Prepared InitializeFeatures(const Graph& query, ExtractionResult extraction);
-  /// The estimation pipeline behind every Estimate* entry point: runs
-  /// `prepare` on every query in parallel, then selects substructures and
-  /// draws seeds serially in query order, evaluates all forward passes in
-  /// one work pool and reduces each query in selection order. Fails with
-  /// the status of the lowest-index query whose prepare step fails, or
-  /// with Internal naming the first query whose estimate is NaN or inf.
+  /// The prepare step of Alg. 1 and Alg. 3, run on every query in
+  /// parallel. It rejects an empty query, then takes the query's
+  /// substructures from `given` when it is non-null (after checking that
+  /// it fits the query), from the whole-graph copy under w/o SE, or from
+  /// ExtractSubstructures, and computes the query's features. Never
+  /// touches rng_. Fails with the status of the lowest-index query that
+  /// fails.
+  Result<std::vector<Prepared>> PrepareQueries(
+      std::span<const Graph* const> queries, const ExtractionResult* given);
+  /// The estimation pipeline behind every Estimate* entry point: prepares
+  /// every query, then selects substructures and draws seeds serially in
+  /// query order, evaluates all forward passes in one work pool and
+  /// reduces each query in selection order. Fails with the prepare step's
+  /// status, or with Internal naming the first query whose estimate is NaN
+  /// or inf.
   Result<std::vector<EstimateInfo>> EstimateQueries(
-      std::span<const Graph> queries,
-      const std::function<Result<Prepared>(const Graph&)>& prepare);
+      std::span<const Graph> queries, const ExtractionResult* given);
   /// Evaluates every task over ParallelFor, each on its thread's
   /// ThreadTape with its own Rng.
-  void RunInferenceTasks(std::vector<InferenceTask>* tasks,
-                         std::chrono::steady_clock::time_point epoch);
+  void RunInferenceTasks(std::vector<InferenceTask>* tasks);
   /// r_s sampling (Sec. 5.8): the substructure indices to evaluate, in
   /// evaluation order. Advances rng_ when sampling kicks in.
   std::vector<size_t> SelectSubstructures(size_t total);
@@ -280,6 +295,9 @@ class NeurSCEstimator {
   std::unique_ptr<Discriminator> critic_;
   std::unique_ptr<AdamOptimizer> opt_theta_;
   std::unique_ptr<AdamOptimizer> opt_omega_;
+  /// w/o SE only: the whole data graph as every query's one substructure,
+  /// built once. Null when extraction is on.
+  std::shared_ptr<const SubstructureSet> whole_graph_;
   Rng rng_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <limits>
 #include <string>
 
@@ -383,7 +384,110 @@ TEST(NeurSCTest, EmptyQueryIsRejectedWithAndWithoutExtraction) {
     EXPECT_NE(stats.status().message().find("empty query graph"),
               std::string::npos)
         << stats.status().ToString();
+
+    auto ext = ExtractSubstructures(path, ring);
+    ASSERT_TRUE(ext.ok());
+    auto given = estimator.EstimateOnSubstructures(empty, *ext);
+    ASSERT_FALSE(given.ok());
+    EXPECT_EQ(given.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(given.status().message().find("empty query graph"),
+              std::string::npos)
+        << given.status().ToString();
   }
+}
+
+TEST(NeurSCTest, EstimateOnSubstructuresRejectsAnExtractionThatDoesNotFit) {
+  Graph ring = MakeGraph({0, 0, 0, 0, 0, 0},
+                         {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}});
+  Graph path = MakeGraph({0, 0}, {{0, 1}});
+  Graph long_path =
+      MakeGraph({0, 0, 0, 0, 0}, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
+  auto ext = ExtractSubstructures(path, ring);
+  ASSERT_TRUE(ext.ok());
+  ASSERT_FALSE(ext->substructures.empty());
+  NeurSCEstimator estimator(ring, TinyConfig());
+  ASSERT_TRUE(estimator.EstimateOnSubstructures(path, *ext).ok());
+
+  // Two candidate sets for a query of five vertices.
+  auto info = estimator.EstimateOnSubstructures(long_path, *ext);
+  ASSERT_FALSE(info.ok());
+  EXPECT_EQ(info.status().code(), StatusCode::kInvalidArgument);
+
+  // A candidate id past the substructure's last vertex.
+  ExtractionResult outside = *ext;
+  Substructure& sub = outside.substructures[0];
+  sub.local_candidates[1].push_back(
+      static_cast<VertexId>(sub.graph.NumVertices()));
+  info = estimator.EstimateOnSubstructures(path, outside);
+  ASSERT_FALSE(info.ok());
+  EXPECT_EQ(info.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(NeurSCTest, WithoutExtractionEstimatesOnTheWholeGraph) {
+  auto data = GenerateErdosRenyiGraph(60, 180, 3, 37);
+  ASSERT_TRUE(data.ok());
+  auto workload = BuildWorkload(*data, {3, 4}, 3);
+  ASSERT_TRUE(workload.ok());
+  std::vector<Graph> queries;
+  for (const auto& example : workload->examples) {
+    queries.push_back(example.query);
+  }
+  NeurSCConfig no_se = TinyConfig();
+  no_se.use_substructure_extraction = false;
+  // What w/o SE forces, with extraction left on.
+  NeurSCConfig intra_only = TinyConfig();
+  intra_only.west.use_inter = false;
+  intra_only.use_discriminator = false;
+
+  // Estimate(q) without extraction is EstimateOnSubstructures on the whole
+  // graph, with one empty candidate set per query vertex.
+  NeurSCEstimator whole_graph(*data, no_se);
+  NeurSCEstimator given(*data, intra_only);
+  for (const Graph& query : queries) {
+    ExtractionResult whole;
+    Substructure& sub = whole.substructures.emplace_back();
+    sub.graph = *data;
+    for (VertexId v = 0; v < data->NumVertices(); ++v) {
+      sub.original_id.push_back(v);
+    }
+    sub.local_candidates.assign(query.NumVertices(), {});
+    auto want = given.EstimateOnSubstructures(query, whole);
+    auto got = whole_graph.Estimate(query);
+    ASSERT_TRUE(want.ok() && got.ok());
+    EXPECT_EQ(got->count, want->count);
+    EXPECT_EQ(got->num_substructures, 1u);
+  }
+
+  // EstimateBatch equals sequential Estimate, at 1 and 8 threads.
+  const char* env = std::getenv("NEURSC_THREADS");
+  const std::string saved = env != nullptr ? env : "";
+  for (const char* threads : {"1", "8"}) {
+    setenv("NEURSC_THREADS", threads, 1);
+    NeurSCEstimator sequential(*data, no_se);
+    NeurSCEstimator batched(*data, no_se);
+    auto batch = batched.EstimateBatch(queries);
+    ASSERT_TRUE(batch.ok());
+    for (size_t q = 0; q < queries.size(); ++q) {
+      auto info = sequential.Estimate(queries[q]);
+      ASSERT_TRUE(info.ok());
+      EXPECT_EQ((*batch)[q].count, info->count)
+          << threads << " threads, query " << q;
+    }
+  }
+  if (env != nullptr) {
+    setenv("NEURSC_THREADS", saved.c_str(), 1);
+  } else {
+    unsetenv("NEURSC_THREADS");
+  }
+
+  // Two Train runs give identical weights.
+  NeurSCEstimator first(*data, no_se);
+  NeurSCEstimator second(*data, no_se);
+  ASSERT_TRUE(first.Train(workload->examples).ok());
+  ASSERT_TRUE(second.Train(workload->examples).ok());
+  EXPECT_TRUE(testing_util::WeightsUnchanged(
+      second.model().Parameters(),
+      testing_util::SnapshotWeights(first.model().Parameters())));
 }
 
 }  // namespace
