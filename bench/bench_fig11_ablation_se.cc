@@ -13,10 +13,12 @@ namespace bench {
 namespace {
 
 /// Evaluates a trained NeurSC on perfect substructures derived from the
-/// ground-truth embeddings of each test query.
+/// ground-truth embeddings of each test query. A query whose ground truth
+/// or substructures cannot be built is a counted failure; an estimate that
+/// fails is also added to `*estimate_errors`.
 MethodResult EvaluateWithPerfectSubstructures(
     NeurSCAdapter* model, const Graph& data, const Workload& workload,
-    const std::vector<size_t>& indices) {
+    const std::vector<size_t>& indices, size_t* estimate_errors) {
   MethodResult result;
   result.name = "NeurSC w/ PS";
   for (size_t i : indices) {
@@ -51,6 +53,7 @@ MethodResult EvaluateWithPerfectSubstructures(
     ++result.evaluated;
     if (!info.ok()) {
       ++result.failures;
+      ++*estimate_errors;
       continue;
     }
     result.signed_qerrors.push_back(SignedQError(info->count, example.count));
@@ -59,7 +62,8 @@ MethodResult EvaluateWithPerfectSubstructures(
   return result;
 }
 
-/// Returns false if the dataset cannot be built.
+/// Returns false if the dataset cannot be built or a NeurSC variant's
+/// estimate fails.
 bool Run() {
   BenchEnv env = BenchEnv::FromEnvironment();
   auto ds = BuildBenchDataset("Yeast", env);
@@ -84,6 +88,7 @@ bool Run() {
   (void)nsic.Train(train);
   (void)nsic_se.Train(train);
 
+  size_t neursc_errors = 0;
   for (size_t size : ds->profile.query_sizes) {
     std::vector<size_t> indices;
     for (size_t i : ds->split.test) {
@@ -97,10 +102,17 @@ bool Run() {
     PrintSection(title);
     PrintMethodRow(EvaluateMethod(&nsic, ds->workload, indices));
     PrintMethodRow(EvaluateMethod(&nsic_se, ds->workload, indices));
-    PrintMethodRow(EvaluateMethod(no_se.get(), ds->workload, indices));
-    PrintMethodRow(EvaluateMethod(neursc.get(), ds->workload, indices));
+    for (NeurSCAdapter* variant : {no_se.get(), neursc.get()}) {
+      MethodResult row = EvaluateMethod(variant, ds->workload, indices);
+      neursc_errors += row.failures + row.timeouts;
+      PrintMethodRow(row);
+    }
     PrintMethodRow(EvaluateWithPerfectSubstructures(
-        neursc.get(), ds->graph, ds->workload, indices));
+        neursc.get(), ds->graph, ds->workload, indices, &neursc_errors));
+  }
+  if (neursc_errors > 0) {
+    std::fprintf(stderr, "%zu NeurSC estimates failed\n", neursc_errors);
+    return false;
   }
   return true;
 }

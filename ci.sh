@@ -35,9 +35,12 @@
 #      cost ratio, and exits non-zero if its fixtures fail to generate or
 #      filter or a ratio is not finite; then the neursc_cli self-demo
 #      (generate -> train -> evaluate, ~0.1 s) prints the per-query extraction/inference times
-#      from EstimateInfo; last, bench_ext_active_learning runs the
+#      from EstimateInfo; then bench_ext_active_learning runs the
 #      active-learning loop on a tiny dataset (~0.06 s) and exits non-zero
-#      if the workload, the query pool or the learner's run fails.
+#      if the workload, the query pool or the learner's run fails; last,
+#      bench_fig11_ablation_se, the only program that runs "NeurSC w/o SE"
+#      and "NeurSC w/ PS" end to end, on a tiny dataset (~0.2 s); it exits
+#      non-zero if a NeurSC variant's estimate fails.
 #   5. Static thread-safety analysis: a Clang build of the full tree with
 #      -DNEURSC_ANALYZE=ON (-Werror=thread-safety), proving every
 #      NEURSC_GUARDED_BY / NEURSC_REQUIRES contract, plus the clang-tidy
@@ -90,15 +93,18 @@ NEURSC_THREADS=8 ctest --test-dir build-tsan -R "$BIT_IDENTITY" \
   --output-on-failure
 
 echo
-echo "=== [4/7] Bench smoke (NEURSC_THREADS sweep + ablations + CLI demo + active learning) ==="
+echo "=== [4/7] Bench smoke (NEURSC_THREADS sweep + ablations + CLI demo + active learning + Fig. 11) ==="
 cmake --build build -j "$JOBS" --target bench_table4_training_time \
-  bench_ablations neursc_cli bench_ext_active_learning
+  bench_ablations neursc_cli bench_ext_active_learning \
+  bench_fig11_ablation_se
 NEURSC_SCALE=0.25 NEURSC_EPOCHS=4 NEURSC_QUERIES=8 \
   ./build/bench/bench_table4_training_time
 ./build/bench/bench_ablations
 ./build/examples/neursc_cli
 NEURSC_SCALE=0.25 NEURSC_EPOCHS=4 NEURSC_QUERIES=8 \
   ./build/bench/bench_ext_active_learning
+NEURSC_SCALE=0.25 NEURSC_EPOCHS=2 NEURSC_QUERIES=4 \
+  ./build/bench/bench_fig11_ablation_se
 
 echo
 echo "=== [5/7] Static analysis: Clang -Werror=thread-safety + clang-tidy ==="
