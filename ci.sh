@@ -21,11 +21,15 @@
 #      and whose per-op backward pin checks each op's input gradients
 #      against scalar reference loops, bit for bit) and the prepare
 #      path's oracle suites (candidate_filter_test: incremental refinement
-#      against a full re-test; substructure_test: the direct-CSR split
-#      against a three-pass split; feature_init_test: linear-time features
-#      against a per-vertex BFS; all three on the per-thread extraction
-#      scratch) re-run explicitly under both the Release and TSan builds —
-#      the bit-identity contract of docs/execution.md. Stage 6 runs them again under ASan+UBSan, which
+#      against a full re-test; filter_property_test: more
+#      refinement never adds a candidate; bipartite_matching_test: the
+#      bitset semi-perfect matching test against brute force and
+#      Hopcroft-Karp, with its scratch reused; substructure_test: the
+#      direct-CSR split against a three-pass split; feature_init_test:
+#      linear-time features against a per-vertex BFS; all on the
+#      per-thread extraction scratch) re-run explicitly under both the
+#      Release and TSan builds — the bit-identity contract of
+#      docs/execution.md. Stage 6 runs them again under ASan+UBSan, which
 #      covers the AVX2 kernels' vector bodies and scalar tails.
 #   4. Bench smoke: bench_table4_training_time on a tiny dataset sweeps
 #      NEURSC_THREADS {1,2,8} over full training runs and exits non-zero
@@ -86,8 +90,9 @@ echo
 echo "=== [3/7] Bit-identity suites (Release + TSan) ==="
 cmake --build build-tsan -j "$JOBS" --target serialize_test \
   simd_kernels_test golden_output_test optimizer_test tape_test \
-  candidate_filter_test substructure_test feature_init_test
-BIT_IDENTITY='eval_context_test|serialize_test|simd_kernels_test|golden_output_test|optimizer_test|tape_test|candidate_filter_test|substructure_test|feature_init_test'
+  candidate_filter_test substructure_test feature_init_test \
+  bipartite_matching_test filter_property_test
+BIT_IDENTITY='eval_context_test|serialize_test|simd_kernels_test|golden_output_test|optimizer_test|tape_test|candidate_filter_test|substructure_test|feature_init_test|bipartite_matching_test|filter_property_test'
 ctest --test-dir build -R "$BIT_IDENTITY" --output-on-failure
 NEURSC_THREADS=8 ctest --test-dir build-tsan -R "$BIT_IDENTITY" \
   --output-on-failure

@@ -151,6 +151,7 @@ Graph Graph::FromValidatedCsr(std::vector<Label> labels,
 
   Label max_label = 0;
   g.neighbor_labels_.resize(g.adjacency_.size());
+  g.label_signatures_.assign(n, 0);
   for (size_t v = 0; v < n; ++v) {
     max_label = std::max(max_label, g.labels_[v]);
     const size_t begin = g.offsets_[v];
@@ -158,7 +159,9 @@ Graph Graph::FromValidatedCsr(std::vector<Label> labels,
     g.max_degree_ =
         std::max(g.max_degree_, static_cast<uint32_t>(end - begin));
     for (size_t i = begin; i < end; ++i) {
-      g.neighbor_labels_[i] = g.labels_[g.adjacency_[i]];
+      const Label l = g.labels_[g.adjacency_[i]];
+      g.neighbor_labels_[i] = l;
+      g.label_signatures_[v] |= uint64_t{1} << (l % 64);
     }
     std::sort(g.neighbor_labels_.begin() + static_cast<ptrdiff_t>(begin),
               g.neighbor_labels_.begin() + static_cast<ptrdiff_t>(end));

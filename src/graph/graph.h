@@ -40,14 +40,15 @@ class Graph {
   Graph& operator=(Graph&&) = default;
 
   /// Builds a graph from CSR arrays the caller has already validated, and
-  /// derives the neighbour labels, label groups and max degree. Vertex v's
-  /// neighbours are adjacency[offsets[v], offsets[v+1]): each list sorted,
-  /// duplicate-free, free of self loops, with every edge listed from both
-  /// ends; offsets has |labels| + 1 entries, starting at 0 and ending at
-  /// |adjacency|; every label is below kMaxLabels. Nothing but the array
-  /// sizes is checked. GraphBuilder::Build validates its edge list and then
-  /// comes here; the substructure split comes here directly, because a
-  /// component it cuts from a valid graph already meets the contract.
+  /// derives the neighbour labels, label signatures, label groups and max
+  /// degree. Vertex v's neighbours are adjacency[offsets[v], offsets[v+1]):
+  /// each list sorted, duplicate-free, free of self loops, with every edge
+  /// listed from both ends; offsets has |labels| + 1 entries, starting at 0
+  /// and ending at |adjacency|; every label is below kMaxLabels. Nothing
+  /// but the array sizes is checked. GraphBuilder::Build validates its
+  /// edge list and then comes here; the substructure split comes here
+  /// directly, because a component it cuts from a valid graph already
+  /// meets the contract.
   static Graph FromValidatedCsr(std::vector<Label> labels,
                                 std::vector<size_t> offsets,
                                 std::vector<VertexId> adjacency);
@@ -78,6 +79,13 @@ class Graph {
     return {neighbor_labels_.data() + offsets_[v],
             offsets_[v + 1] - offsets_[v]};
   }
+
+  /// One bit per neighbour label: bit (l mod 64) is set iff some neighbour
+  /// of v has a label l of that residue; 0 for an isolated vertex. If u's
+  /// neighbour labels are a sub-multiset of v's, then
+  /// (LabelSignature(u) & ~LabelSignature(v)) == 0, so a nonzero result
+  /// rejects v as u's candidate without comparing the profiles.
+  uint64_t LabelSignature(VertexId v) const { return label_signatures_[v]; }
 
   /// True iff the undirected edge (u, v) exists. O(log deg(u)).
   bool HasEdge(VertexId u, VertexId v) const;
@@ -110,7 +118,8 @@ class Graph {
   /// Graphs that are equal vertex-for-vertex (same ids, labels, and edges)
   /// hash equal; perfbench's manifest check compares it against the
   /// fingerprints written with its inputs. Not isomorphism-invariant.
-  /// Derived arrays (neighbor labels, label groups) are not hashed.
+  /// Derived arrays (neighbor labels, signatures, label groups) are not
+  /// hashed.
   uint64_t Fingerprint() const;
   /// Equality over the arrays Fingerprint() hashes: same vertex ids,
   /// labels and edges.
@@ -127,6 +136,8 @@ class Graph {
   // Derived from adjacency_ and labels_: per-vertex neighbor labels,
   // indexed by offsets_, sorted per vertex.
   std::vector<Label> neighbor_labels_;
+  // Derived from neighbor_labels_: LabelSignature(v), one word per vertex.
+  std::vector<uint64_t> label_signatures_;
   std::vector<Label> labels_;
   // Vertices grouped by label: label_offsets_[l]..label_offsets_[l+1] indexes
   // into vertices_by_label_.

@@ -2,73 +2,67 @@
 #define NEURSC_MATCHING_BIPARTITE_MATCHING_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace neursc {
 
-/// A bipartite graph over left vertices [0, num_left) and right vertices
-/// [0, num_right), stored as per-left adjacency lists. Used by GraphQL's
-/// global refinement to test whether every neighbor of a query vertex can
-/// be injectively assigned to a distinct neighbor of a data vertex.
+/// The semi-perfect matching test of GraphQL's global refinement (the
+/// paper's Sec. 4): can every neighbour u' of query vertex u be assigned to
+/// a distinct neighbour v' of data vertex v with v' in CS(u')?
 ///
-/// Reset() empties the graph for reuse and keeps the lists' capacity, so a
-/// caller testing many small graphs in a row allocates only when a graph
-/// is larger than every one before it.
-class BipartiteGraph {
+/// The bipartite graph is stored as bit rows: left vertex l (a query
+/// neighbour) has one row of WordsPerRow() = ceil(num_right / 64) words,
+/// and bit r of the row is set iff (l, r) is an edge. The test runs
+/// augmenting-path search (Kuhn's algorithm) over the rows with word
+/// operations: each search takes a free right vertex directly when the
+/// row reaches one, and otherwise grows an alternating BFS tree, so a
+/// right vertex is visited at most once per search. It works at every
+/// right-side size.
+///
+/// A matcher is reusable scratch: Reset() keeps every array's capacity,
+/// so a caller testing many pairs in a row allocates only when a pair is
+/// larger than every one before it, and no answer depends on what an
+/// earlier test left behind. A matcher is not thread-safe; the candidate
+/// filter keeps one per thread.
+class SemiPerfectMatcher {
  public:
-  BipartiteGraph() = default;
-  BipartiteGraph(size_t num_left, size_t num_right) {
-    Reset(num_left, num_right);
-  }
+  /// Makes this the edgeless graph on num_left x num_right vertices: every
+  /// row is zero.
+  void Reset(size_t num_left, size_t num_right);
 
-  /// Makes this the edgeless graph on num_left x num_right vertices.
-  void Reset(size_t num_left, size_t num_right) {
-    if (adjacency_.size() < num_left) adjacency_.resize(num_left);
-    for (size_t l = 0; l < num_left; ++l) adjacency_[l].clear();
-    num_left_ = num_left;
-    num_right_ = num_right;
-  }
+  size_t WordsPerRow() const { return words_; }
 
-  void AddEdge(size_t left, size_t right) {
-    adjacency_[left].push_back(right);
-  }
+  /// Row of left vertex l, WordsPerRow() words: the caller sets bit r % 64
+  /// of word r / 64 for each edge (l, r), r < num_right.
+  uint64_t* Row(size_t l) { return rows_.data() + l * words_; }
 
-  size_t NumLeft() const { return num_left_; }
-  size_t NumRight() const { return num_right_; }
-  const std::vector<size_t>& NeighborsOfLeft(size_t left) const {
-    return adjacency_[left];
-  }
+  /// True iff a matching saturates every left vertex. False at once when
+  /// there are more left than right vertices.
+  bool HasLeftSaturatingMatching();
 
  private:
+  /// Augments the matching from unmatched left vertex `root`; false iff no
+  /// augmenting path starts there.
+  bool Augment(uint32_t root);
+
   size_t num_left_ = 0;
   size_t num_right_ = 0;
-  // Only the first num_left_ lists belong to the graph; the rest are spare
-  // capacity from earlier, larger graphs.
-  std::vector<std::vector<size_t>> adjacency_;
+  size_t words_ = 0;
+  // num_left_ rows of words_ words; storage beyond them is spare capacity.
+  std::vector<uint64_t> rows_;
+  // Bit r set iff right vertex r is unmatched.
+  std::vector<uint64_t> free_;
+  // Bit r set iff the current search has reached right vertex r.
+  std::vector<uint64_t> visited_;
+  // Partners under the current matching; match_right_[r] is meaningful
+  // only where r is matched, match_left_[l] only where l is.
+  std::vector<uint32_t> match_left_;
+  std::vector<uint32_t> match_right_;
+  // via_[r]: the left vertex whose row reached r in the current search.
+  std::vector<uint32_t> via_;
+  std::vector<uint32_t> queue_;
 };
-
-/// Working arrays of one Hopcroft-Karp run. Passing the same scratch to
-/// many calls reuses its storage; its contents between calls carry no
-/// meaning, so results never depend on what it held before.
-struct MatchingScratch {
-  std::vector<size_t> match_left;
-  std::vector<size_t> match_right;
-  std::vector<size_t> dist;
-  std::vector<size_t> queue;
-};
-
-/// Size of a maximum matching, via Hopcroft-Karp (O(E sqrt(V))).
-size_t MaximumBipartiteMatching(const BipartiteGraph& g,
-                                MatchingScratch& scratch);
-size_t MaximumBipartiteMatching(const BipartiteGraph& g);
-
-/// True iff a matching saturating every left vertex exists. This is the
-/// "semi-perfect matching" test of GraphQL's global refinement (the paper's
-/// Sec. 4): every neighbor u' of query vertex u must be assignable to a
-/// distinct neighbor v' of data vertex v with v' in CS(u').
-bool HasLeftSaturatingMatching(const BipartiteGraph& g,
-                               MatchingScratch& scratch);
-bool HasLeftSaturatingMatching(const BipartiteGraph& g);
 
 }  // namespace neursc
 

@@ -66,21 +66,28 @@ Result<CandidateSets> ComputeCandidateSets(
   const size_t nq = query.NumVertices();
 
   // --- Stage 1: local pruning by neighborhood label profiles. ---
-  // Every profile is a NeighborLabels span the graphs built once. The
-  // per-query-vertex loop writes only its own candidates[u] slot, so the
-  // candidate sets are identical to a serial sweep at every thread count
-  // (see docs/threading.md).
+  // Every profile is a NeighborLabels span the graphs built once, and a
+  // label signature that misses a bit of u's rejects v before the merge.
+  // The per-query-vertex loop writes only its own slots, so the candidate
+  // sets are identical to a serial sweep at every thread count (see
+  // docs/threading.md).
   NEURSC_SPAN(local_span, "filter/local");
   std::vector<size_t> inspected_per_vertex(nq, 0);
+  std::vector<size_t> signature_rejects_per_vertex(nq, 0);
   CandidateSets result;
   result.candidates.resize(nq);
   ParallelFor(nq, [&](size_t u) {
     VertexId qu = static_cast<VertexId>(u);
     Label label = query.GetLabel(qu);
     std::span<const Label> query_profile = query.NeighborLabels(qu);
+    const uint64_t query_signature = query.LabelSignature(qu);
     for (VertexId v : data.VerticesWithLabel(label)) {
       ++inspected_per_vertex[u];
       if (data.Degree(v) < query.Degree(qu)) continue;
+      if ((query_signature & ~data.LabelSignature(v)) != 0) {
+        ++signature_rejects_per_vertex[u];
+        continue;
+      }
       if (IsSubMultiset(query_profile, data.NeighborLabels(v))) {
         result.candidates[u].push_back(v);
       }
@@ -89,8 +96,12 @@ Result<CandidateSets> ComputeCandidateSets(
   local_span.End();
   size_t inspected = 0;
   for (size_t c : inspected_per_vertex) inspected += c;
+  size_t signature_rejects = 0;
+  for (size_t c : signature_rejects_per_vertex) signature_rejects += c;
   NEURSC_COUNTER_ADD("filter.vertices_inspected",
                      static_cast<int64_t>(inspected));
+  NEURSC_COUNTER_ADD("filter.signature_rejects",
+                     static_cast<int64_t>(signature_rejects));
   NEURSC_COUNTER_ADD("filter.candidates_local",
                      static_cast<int64_t>(result.TotalSize()));
 
@@ -123,9 +134,7 @@ Result<CandidateSets> ComputeCandidateSets(
   // pass again, because its bipartite graph is the one that passed, so it
   // is skipped; the removals, their order and the sweep count are those
   // of re-testing every pair. The flags sit beside CS(u) and are
-  // compacted with it. One bipartite graph and one matching scratch serve
-  // every tested pair, so a sweep allocates only when a pair is larger
-  // than every pair before it.
+  // compacted with it.
   NEURSC_SPAN(refine_span, "filter/refine");
   std::vector<std::vector<uint8_t>> dirty(nq);
   for (size_t u = 0; u < nq; ++u) {
@@ -149,25 +158,35 @@ Result<CandidateSets> ComputeCandidateSets(
       }
     }
   };
-  // The semi-perfect matching test of (u, v). A neighbor u' with no
-  // admissible image rejects v without a matching run, and with at most
-  // one query neighbour an admissible image is a saturating matching.
-  BipartiteGraph b;
-  MatchingScratch scratch;
+  // The semi-perfect matching test of (u, v). Row i of the matcher holds
+  // bit j iff N(v)[j] is in CS(N(u)[i]), read off the membership bitmap a
+  // word of N(v) at a time. An empty row rejects v without a matching
+  // run, and with at most one query neighbour a nonempty row is a
+  // saturating matching. The matcher is this thread's scratch, so a sweep
+  // allocates only when a pair is larger than every pair before it.
+  thread_local SemiPerfectMatcher matcher;
   int64_t pair_tests = 0;
   auto passes = [&](VertexId u, VertexId v) {
     ++pair_tests;
     auto query_nbrs = query.Neighbors(u);
     auto data_nbrs = data.Neighbors(v);
-    b.Reset(query_nbrs.size(), data_nbrs.size());
+    matcher.Reset(query_nbrs.size(), data_nbrs.size());
     for (size_t i = 0; i < query_nbrs.size(); ++i) {
       const uint64_t* nbr_row = row(query_nbrs[i]);
-      for (size_t j = 0; j < data_nbrs.size(); ++j) {
-        if (has(nbr_row, data_nbrs[j])) b.AddEdge(i, j);
+      uint64_t* bits = matcher.Row(i);
+      uint64_t any = 0;
+      for (size_t w = 0; w < matcher.WordsPerRow(); ++w) {
+        const size_t end = std::min(data_nbrs.size(), 64 * (w + 1));
+        uint64_t word = 0;
+        for (size_t j = 64 * w; j < end; ++j) {
+          word |= uint64_t{has(nbr_row, data_nbrs[j])} << (j % 64);
+        }
+        bits[w] = word;
+        any |= word;
       }
-      if (b.NeighborsOfLeft(i).empty()) return false;
+      if (any == 0) return false;
     }
-    return query_nbrs.size() <= 1 || HasLeftSaturatingMatching(b, scratch);
+    return query_nbrs.size() <= 1 || matcher.HasLeftSaturatingMatching();
   };
   int rounds_run = 0;
   for (int round = 0; round < options.refinement_rounds; ++round) {

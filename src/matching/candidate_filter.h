@@ -43,7 +43,11 @@ struct CandidateFilterOptions {
 ///    u's degree, and the sorted labels of u's direct neighbours are a
 ///    sub-multiset of v's (the radius-1 profile the paper analyzes). The
 ///    profiles are Graph::NeighborLabels, which each graph builds once, so
-///    no per-query profile is computed.
+///    no per-query profile is computed. Before the profiles are merged, v
+///    is rejected if its neighbour-label signature (Graph::LabelSignature,
+///    one bit per label mod 64) misses a bit of u's. That is a necessary
+///    condition of the sub-multiset test, so it changes no candidate set;
+///    the vertices it rejects are counted in `filter.signature_rejects`.
 /// 2. Global refinement: for v in CS(u), build the bipartite graph between
 ///    N(u) and N(v) with an edge (u', v') iff v' in CS(u'), and drop v if no
 ///    matching saturates N(u). Repeated for `refinement_rounds` sweeps, in
@@ -52,15 +56,20 @@ struct CandidateFilterOptions {
 ///    re-testing every pair in every sweep, but refinement is incremental:
 ///    a pair is re-tested only if its bipartite graph lost an edge since it
 ///    last passed, which happens exactly when some w in N(v) left CS(u')
-///    for some u' in N(u). Each removal marks those pairs. The test itself
-///    skips Hopcroft-Karp when u has at most one query neighbour. The
-///    tests that ran are counted in `filter.pair_tests`; the removals,
-///    their order, `filter.refine_rounds` and `filter.candidates_refined`
-///    are those of the full re-test.
+///    for some u' in N(u). Each removal marks those pairs. The test stores
+///    the bipartite graph as one bit row of ceil(deg(v)/64) words per u',
+///    read off the membership bitmap below, and rejects v as soon as a row
+///    is empty; otherwise, with two or more query neighbours, it searches
+///    augmenting paths over the rows with word operations
+///    (SemiPerfectMatcher, matching/bipartite_matching.h). The tests that
+///    ran are counted in `filter.pair_tests`; the removals, their order,
+///    `filter.refine_rounds` and `filter.candidates_refined` are those of
+///    the full re-test.
 ///
-/// Memory: the membership bitmap (|V(q)| rows of ceil(|V(G)|/64) words) is
-/// per-thread scratch that a call clears before returning, so a query
-/// fills nothing of size |V(G)| (docs/threading.md).
+/// Memory: the membership bitmap (|V(q)| rows of ceil(|V(G)|/64) words) and
+/// the matcher's rows are per-thread scratch; a call clears the bitmap
+/// before returning, so a query fills nothing of size |V(G)|
+/// (docs/threading.md).
 Result<CandidateSets> ComputeCandidateSets(
     const Graph& query, const Graph& data,
     const CandidateFilterOptions& options = {});

@@ -1,68 +1,43 @@
 #include "matching/bipartite_matching.h"
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "hopcroft_karp.h"
 
 namespace neursc {
 namespace {
 
-TEST(BipartiteMatchingTest, PerfectMatchingOnIdentity) {
-  BipartiteGraph g(3, 3);
-  for (size_t i = 0; i < 3; ++i) g.AddEdge(i, i);
-  EXPECT_EQ(MaximumBipartiteMatching(g), 3u);
-  EXPECT_TRUE(HasLeftSaturatingMatching(g));
-}
+using Edges = std::vector<std::pair<size_t, size_t>>;
 
-TEST(BipartiteMatchingTest, EmptyLeftIsTriviallySaturated) {
-  BipartiteGraph g(0, 5);
-  EXPECT_EQ(MaximumBipartiteMatching(g), 0u);
-  EXPECT_TRUE(HasLeftSaturatingMatching(g));
-}
-
-TEST(BipartiteMatchingTest, IsolatedLeftVertexFails) {
-  BipartiteGraph g(2, 2);
-  g.AddEdge(0, 0);
-  EXPECT_FALSE(HasLeftSaturatingMatching(g));
-}
-
-TEST(BipartiteMatchingTest, MoreLeftThanRightFails) {
-  BipartiteGraph g(3, 2);
-  for (size_t l = 0; l < 3; ++l) {
-    g.AddEdge(l, 0);
-    g.AddEdge(l, 1);
+/// The matcher's answer on a graph loaded into `matcher`.
+bool Saturates(SemiPerfectMatcher& matcher, size_t num_left,
+               size_t num_right, const Edges& edges) {
+  matcher.Reset(num_left, num_right);
+  for (const auto& [l, r] : edges) {
+    matcher.Row(l)[r / 64] |= uint64_t{1} << (r % 64);
   }
-  EXPECT_FALSE(HasLeftSaturatingMatching(g));
-  EXPECT_EQ(MaximumBipartiteMatching(g), 2u);
+  return matcher.HasLeftSaturatingMatching();
 }
 
-TEST(BipartiteMatchingTest, RequiresAugmentingPath) {
-  // l0 -> {r0}, l1 -> {r0, r1}: greedy could block l0, Hopcroft-Karp must
-  // route l1 to r1.
-  BipartiteGraph g(2, 2);
-  g.AddEdge(0, 0);
-  g.AddEdge(1, 0);
-  g.AddEdge(1, 1);
-  EXPECT_EQ(MaximumBipartiteMatching(g), 2u);
-  EXPECT_TRUE(HasLeftSaturatingMatching(g));
+bool Saturates(size_t num_left, size_t num_right, const Edges& edges) {
+  SemiPerfectMatcher matcher;
+  return Saturates(matcher, num_left, num_right, edges);
 }
 
-TEST(BipartiteMatchingTest, ClassicHallViolation) {
-  // Three left vertices all restricted to the same two right vertices.
-  BipartiteGraph g(3, 3);
-  for (size_t l = 0; l < 3; ++l) {
-    g.AddEdge(l, 0);
-    g.AddEdge(l, 1);
-  }
-  EXPECT_EQ(MaximumBipartiteMatching(g), 2u);
-  EXPECT_FALSE(HasLeftSaturatingMatching(g));
+BipartiteGraph ListGraph(size_t num_left, size_t num_right,
+                         const Edges& edges) {
+  BipartiteGraph g(num_left, num_right);
+  for (const auto& [l, r] : edges) g.AddEdge(l, r);
+  return g;
 }
 
-// Property: Hopcroft-Karp matches a simple exhaustive matcher on random
-// bipartite graphs.
+/// Size of a maximum matching by exhaustive search: each left vertex in
+/// turn is skipped or given each free neighbour. Only for small graphs.
 size_t BruteForceMatching(const BipartiteGraph& g) {
-  // Try all subsets of left vertices in decreasing size; check if a
-  // perfect assignment of the subset exists via backtracking.
   std::vector<int> owner(g.NumRight(), -1);
   size_t best = 0;
   auto recurse = [&](auto&& self, size_t l, size_t matched) -> void {
@@ -83,60 +58,145 @@ size_t BruteForceMatching(const BipartiteGraph& g) {
   return best;
 }
 
-class BipartitePropertyTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(BipartitePropertyTest, MatchesBruteForce) {
-  Rng rng(GetParam());
-  size_t nl = 1 + rng.UniformIndex(5);
-  size_t nr = 1 + rng.UniformIndex(5);
-  BipartiteGraph g(nl, nr);
-  for (size_t l = 0; l < nl; ++l) {
-    for (size_t r = 0; r < nr; ++r) {
-      if (rng.Bernoulli(0.4)) g.AddEdge(l, r);
+/// A random graph on num_left x num_right whose edges fall on `spread`
+/// right vertices scattered over [0, num_right): few of them make Hall
+/// violations likely, and scattering them reaches every word of a row.
+Edges RandomEdges(Rng& rng, size_t num_left, size_t num_right,
+                  size_t spread, double density) {
+  std::vector<size_t> rights(num_right);
+  for (size_t r = 0; r < num_right; ++r) rights[r] = r;
+  rng.Shuffle(&rights);
+  rights.resize(std::min(spread, num_right));
+  Edges edges;
+  for (size_t l = 0; l < num_left; ++l) {
+    for (size_t r : rights) {
+      if (rng.Bernoulli(density)) edges.emplace_back(l, r);
     }
   }
-  EXPECT_EQ(MaximumBipartiteMatching(g), BruteForceMatching(g));
+  return edges;
 }
 
-INSTANTIATE_TEST_SUITE_P(RandomBipartite, BipartitePropertyTest,
+TEST(SemiPerfectMatcherTest, PerfectMatchingOnIdentity) {
+  EXPECT_TRUE(Saturates(3, 3, {{0, 0}, {1, 1}, {2, 2}}));
+}
+
+TEST(SemiPerfectMatcherTest, EmptyLeftIsTriviallySaturated) {
+  EXPECT_TRUE(Saturates(0, 5, {}));
+  EXPECT_TRUE(Saturates(0, 0, {}));
+}
+
+TEST(SemiPerfectMatcherTest, EmptyRowFails) {
+  EXPECT_FALSE(Saturates(2, 2, {{0, 0}}));
+  // The empty row sits between full multi-word rows.
+  Edges edges;
+  for (size_t r = 0; r < 150; ++r) {
+    edges.emplace_back(0, r);
+    edges.emplace_back(2, r);
+  }
+  EXPECT_FALSE(Saturates(3, 150, edges));
+  edges.emplace_back(1, 149);
+  EXPECT_TRUE(Saturates(3, 150, edges));
+}
+
+TEST(SemiPerfectMatcherTest, MoreLeftThanRightFails) {
+  Edges edges;
+  for (size_t l = 0; l < 3; ++l) {
+    edges.emplace_back(l, 0);
+    edges.emplace_back(l, 1);
+  }
+  EXPECT_FALSE(Saturates(3, 2, edges));
+  EXPECT_FALSE(Saturates(1, 0, {}));
+}
+
+TEST(SemiPerfectMatcherTest, RequiresAugmentingPath) {
+  // l0 -> {r0}, l1 -> {r0, r1} in the order l1 first: l1 takes r0, and l0
+  // must push it to r1.
+  EXPECT_TRUE(Saturates(2, 2, {{0, 1}, {1, 0}, {1, 1}}));
+  EXPECT_TRUE(Saturates(2, 2, {{1, 0}, {0, 0}, {0, 1}}));
+  // The same across words: the path runs r0 -> r100 -> r199.
+  EXPECT_TRUE(Saturates(3, 200, {{0, 0}, {0, 100}, {1, 100}, {1, 199},
+                                 {2, 0}}));
+}
+
+TEST(SemiPerfectMatcherTest, ClassicHallViolation) {
+  // Three left vertices all restricted to the same two right vertices,
+  // here at the ends of a three-word row.
+  Edges edges;
+  for (size_t l = 0; l < 3; ++l) {
+    edges.emplace_back(l, 0);
+    edges.emplace_back(l, 190);
+  }
+  EXPECT_FALSE(Saturates(3, 191, edges));
+  edges.emplace_back(2, 64);
+  EXPECT_TRUE(Saturates(3, 191, edges));
+}
+
+// Both oracles agree with exhaustive search on small graphs, and the
+// matcher with them.
+class SmallBipartiteTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(SmallBipartiteTest, MatchesBruteForce) {
+  Rng rng(GetParam());
+  for (int trial = 0; trial < 20; ++trial) {
+    const size_t nl = 1 + rng.UniformIndex(6);
+    const size_t nr = 1 + rng.UniformIndex(7);
+    const Edges edges =
+        RandomEdges(rng, nl, nr, nr, rng.Uniform(0.15, 0.7));
+    const BipartiteGraph g = ListGraph(nl, nr, edges);
+    const size_t expected = BruteForceMatching(g);
+    EXPECT_EQ(MaximumBipartiteMatching(g), expected) << "trial " << trial;
+    EXPECT_EQ(HasLeftSaturatingMatching(g), expected == nl)
+        << "trial " << trial;
+    EXPECT_EQ(Saturates(nl, nr, edges), expected == nl) << "trial " << trial;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomBipartite, SmallBipartiteTest,
                          ::testing::Range(0, 30));
 
-// One graph and one scratch reused over graphs that alternately grow and
-// shrink must answer as fresh objects and brute force do: Reset may leave
-// no stale adjacency list or matching state behind.
-TEST(BipartiteMatchingTest, ReusedGraphAndScratchMatchFreshObjects) {
+// Up to 12 left and 200 right vertices, so rows span up to four words.
+TEST(SemiPerfectMatcherTest, MatchesHopcroftKarpOnMultiWordRows) {
+  Rng rng(77);
+  size_t saturated = 0;
+  size_t rejected = 0;
+  size_t multi_word = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const size_t nl = 1 + rng.UniformIndex(12);
+    const size_t nr = 1 + rng.UniformIndex(200);
+    const size_t spread = 1 + rng.UniformIndex(std::min(nr, 2 * nl));
+    const Edges edges =
+        RandomEdges(rng, nl, nr, spread, rng.Uniform(0.1, 0.6));
+    const bool expected = HasLeftSaturatingMatching(ListGraph(nl, nr, edges));
+    ASSERT_EQ(Saturates(nl, nr, edges), expected)
+        << "trial " << trial << ": " << nl << " x " << nr;
+    (expected ? saturated : rejected) += 1;
+    if (nr > 64) ++multi_word;
+  }
+  // Both answers and multi-word rows are well represented.
+  EXPECT_GT(saturated, 300u);
+  EXPECT_GT(rejected, 300u);
+  EXPECT_GT(multi_word, 1500u);
+}
+
+// One matcher reused over graphs that alternately grow and shrink answers
+// as a fresh matcher and Hopcroft-Karp do: Reset leaves no stale row,
+// match or visited bit behind.
+TEST(SemiPerfectMatcherTest, ReusedMatcherMatchesFreshOne) {
   Rng rng(2024);
-  BipartiteGraph reused;
-  MatchingScratch scratch;
-  for (int step = 0; step < 400; ++step) {
+  SemiPerfectMatcher reused;
+  for (int step = 0; step < 600; ++step) {
     const bool grow = step % 2 == 0;
-    const size_t nl = grow ? 4 + rng.UniformIndex(4) : rng.UniformIndex(4);
-    const size_t nr = grow ? 4 + rng.UniformIndex(5) : 1 + rng.UniformIndex(4);
-    const double density = rng.Uniform(0.15, 0.85);
-    BipartiteGraph fresh(nl, nr);
-    reused.Reset(nl, nr);
-    for (size_t l = 0; l < nl; ++l) {
-      for (size_t r = 0; r < nr; ++r) {
-        if (rng.Bernoulli(density)) {
-          fresh.AddEdge(l, r);
-          reused.AddEdge(l, r);
-        }
-      }
-    }
-    ASSERT_EQ(reused.NumLeft(), nl);
-    ASSERT_EQ(reused.NumRight(), nr);
-    for (size_t l = 0; l < nl; ++l) {
-      ASSERT_EQ(reused.NeighborsOfLeft(l), fresh.NeighborsOfLeft(l))
-          << "step " << step << " left " << l;
-    }
-    const size_t expected = BruteForceMatching(fresh);
-    EXPECT_EQ(MaximumBipartiteMatching(fresh), expected) << "step " << step;
-    EXPECT_EQ(MaximumBipartiteMatching(reused, scratch), expected)
-        << "step " << step;
-    EXPECT_EQ(HasLeftSaturatingMatching(reused, scratch),
-              HasLeftSaturatingMatching(fresh))
-        << "step " << step;
-    EXPECT_EQ(HasLeftSaturatingMatching(fresh), expected == nl)
+    const size_t nl = grow ? 6 + rng.UniformIndex(7) : 1 + rng.UniformIndex(4);
+    const size_t nr =
+        grow ? 100 + rng.UniformIndex(101) : 1 + rng.UniformIndex(70);
+    const size_t spread = 1 + rng.UniformIndex(std::min(nr, 2 * nl));
+    const Edges edges =
+        RandomEdges(rng, nl, nr, spread, rng.Uniform(0.15, 0.85));
+    const bool expected = HasLeftSaturatingMatching(ListGraph(nl, nr, edges));
+    EXPECT_EQ(Saturates(reused, nl, nr, edges), expected) << "step " << step;
+    EXPECT_EQ(Saturates(nl, nr, edges), expected) << "step " << step;
+    // Asking twice gives the same answer: the test leaves its rows alone.
+    EXPECT_EQ(reused.HasLeftSaturatingMatching(), expected)
         << "step " << step;
   }
 }

@@ -7,7 +7,6 @@
 // The TSan stress case at the bottom is part of the ci.sh sanitizer lane
 // (ctest -L concurrency).
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -17,32 +16,12 @@
 #include "graph/graph.h"
 #include "graph/query_generator.h"
 #include "matching/candidate_filter.h"
+#include "test_util.h"
 
 namespace neursc {
 namespace {
 
-class ThreadsGuard {
- public:
-  explicit ThreadsGuard(size_t n) {
-    const char* old = std::getenv("NEURSC_THREADS");
-    if (old != nullptr) {
-      had_old_ = true;
-      old_ = old;
-    }
-    setenv("NEURSC_THREADS", std::to_string(n).c_str(), 1);
-  }
-  ~ThreadsGuard() {
-    if (had_old_) {
-      setenv("NEURSC_THREADS", old_.c_str(), 1);
-    } else {
-      unsetenv("NEURSC_THREADS");
-    }
-  }
-
- private:
-  bool had_old_ = false;
-  std::string old_;
-};
+using testing_util::ThreadsGuard;
 
 /// Candidate sets computed with the given thread count.
 CandidateSets ComputeWithThreads(const Graph& query, const Graph& data,

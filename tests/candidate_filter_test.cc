@@ -6,9 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics_registry.h"
 #include "graph/generators.h"
 #include "graph/query_generator.h"
-#include "matching/bipartite_matching.h"
+#include "hopcroft_karp.h"
 #include "matching/enumeration.h"
 #include "test_util.h"
 
@@ -258,6 +259,84 @@ TEST(CandidateFilterTest, MatchesOracleOnGeneratedWorkloads) {
   EXPECT_EQ(compared, 2u * 3u * 4u * variants.size());
   // The sweep must exercise refinement, not only local pruning.
   EXPECT_GT(refined_away, 0u);
+}
+
+// Two hubs whose decisive neighbours sit in the second and third words of
+// their bit rows. Query: c (label 0) and d (label 3), both adjacent to b1,
+// b2 and b3 (label 2). Hub 0's label-2 neighbours 74, 148 and 185 (row
+// positions 71, 145 and 182) are adjacent to d's image 2 and match b1-b3;
+// hub 1 has only two such neighbours, 259 and 296, so refinement drops it
+// by Hall's condition, and then 259 and 296 lose their only image of c.
+TEST(CandidateFilterTest, RefinementReadsEveryWordOfARow) {
+  GraphBuilder builder;
+  for (VertexId v = 0; v < 400; ++v) {
+    builder.AddVertex(v < 2 ? 0 : v == 2 ? 3 : v % 37 == 0 ? 2 : 1);
+  }
+  for (VertexId v = 3; v < 400; ++v) {
+    ASSERT_TRUE(builder.AddEdge(v < 200 ? 0 : 1, v).ok());
+  }
+  for (VertexId v : {74u, 148u, 185u, 259u, 296u}) {
+    ASSERT_TRUE(builder.AddEdge(2, v).ok());
+  }
+  auto data = builder.Build();
+  ASSERT_TRUE(data.ok());
+  Graph query = MakeGraph({0, 2, 2, 2, 3},
+                          {{0, 1}, {0, 2}, {0, 3}, {4, 1}, {4, 2}, {4, 3}});
+
+  CandidateFilterOptions local_only;
+  local_only.refinement_rounds = 0;
+  auto local = ComputeCandidateSets(query, *data, local_only);
+  ASSERT_TRUE(local.ok());
+  EXPECT_EQ(local->candidates[0], (std::vector<VertexId>{0, 1}));
+  EXPECT_EQ(local->candidates[1],
+            (std::vector<VertexId>{74, 148, 185, 259, 296}));
+
+  auto refined = ComputeCandidateSets(query, *data);
+  ASSERT_TRUE(refined.ok());
+  EXPECT_EQ(refined->candidates[0], (std::vector<VertexId>{0}));
+  for (size_t b = 1; b <= 3; ++b) {
+    EXPECT_EQ(refined->candidates[b], (std::vector<VertexId>{74, 148, 185}))
+        << "vertex " << b;
+  }
+  EXPECT_EQ(refined->candidates[4], (std::vector<VertexId>{2}));
+  EXPECT_EQ(refined->candidates,
+            OracleCandidateSets(query, *data, {}).candidates);
+}
+
+// filter.signature_rejects counts, per query vertex u, the data vertices
+// with u's label and at least u's degree whose label signature misses a
+// bit of u's: the vertices the pre-test spares the profile merge.
+TEST(CandidateFilterTest, SignatureRejectsFollowTheirDefinition) {
+  Counter* rejects =
+      MetricsRegistry::Global().GetCounter("filter.signature_rejects");
+  int64_t total = 0;
+  for (const char* name : {"Yeast", "Wordnet"}) {
+    auto profile = FindDatasetProfile(name);
+    ASSERT_TRUE(profile.ok());
+    const bool yeast = std::string(name) == "Yeast";
+    auto data = GenerateDataset(*profile, yeast ? 0.3 : 0.01, 9);
+    ASSERT_TRUE(data.ok()) << name;
+    QueryGeneratorConfig qc;
+    qc.query_size = 8;
+    qc.edge_keep_probability = 0.6;
+    QueryGenerator generator(*data, qc);
+    auto queries = generator.GenerateMany(6);
+    ASSERT_TRUE(queries.ok()) << name;
+    for (const Graph& query : *queries) {
+      int64_t want = 0;
+      for (VertexId u = 0; u < query.NumVertices(); ++u) {
+        for (VertexId v : data->VerticesWithLabel(query.GetLabel(u))) {
+          want += data->Degree(v) >= query.Degree(u) &&
+                  (query.LabelSignature(u) & ~data->LabelSignature(v)) != 0;
+        }
+      }
+      const int64_t before = rejects->Value();
+      ASSERT_TRUE(ComputeCandidateSets(query, *data).ok());
+      EXPECT_EQ(rejects->Value() - before, want) << name;
+      total += want;
+    }
+  }
+  EXPECT_GT(total, 0);
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 // Estimate.
 
 #include <cmath>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -35,34 +34,10 @@ namespace {
 
 using testing_util::MakeGraph;
 using testing_util::ReadFileToString;
+using testing_util::ThreadsGuard;
 
 constexpr uint64_t kSeeds[] = {31, 77, 123, 4242, 99991};
 constexpr size_t kThreadCounts[] = {1, 2, 8};
-
-/// Scoped NEURSC_THREADS override; restores the previous value on exit so
-/// tests do not leak thread settings into each other.
-class ThreadsGuard {
- public:
-  explicit ThreadsGuard(size_t n) {
-    const char* old = std::getenv("NEURSC_THREADS");
-    if (old != nullptr) {
-      had_old_ = true;
-      old_ = old;
-    }
-    setenv("NEURSC_THREADS", std::to_string(n).c_str(), 1);
-  }
-  ~ThreadsGuard() {
-    if (had_old_) {
-      setenv("NEURSC_THREADS", old_.c_str(), 1);
-    } else {
-      unsetenv("NEURSC_THREADS");
-    }
-  }
-
- private:
-  bool had_old_ = false;
-  std::string old_;
-};
 
 NeurSCConfig TinyConfig(uint64_t seed) {
   NeurSCConfig config;

@@ -13,7 +13,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <set>
 #include <string>
@@ -36,32 +35,9 @@ namespace neursc {
 namespace {
 
 using testing_util::MakeGraph;
+using testing_util::ThreadsGuard;
 
 constexpr size_t kThreadCounts[] = {1, 2, 8};
-
-/// Scoped NEURSC_THREADS override; restores the previous value on exit.
-class ThreadsGuard {
- public:
-  explicit ThreadsGuard(size_t n) {
-    const char* old = std::getenv("NEURSC_THREADS");
-    if (old != nullptr) {
-      had_old_ = true;
-      old_ = old;
-    }
-    setenv("NEURSC_THREADS", std::to_string(n).c_str(), 1);
-  }
-  ~ThreadsGuard() {
-    if (had_old_) {
-      setenv("NEURSC_THREADS", old_.c_str(), 1);
-    } else {
-      unsetenv("NEURSC_THREADS");
-    }
-  }
-
- private:
-  bool had_old_ = false;
-  std::string old_;
-};
 
 /// Bit-for-bit matrix equality: memcmp over the float payload, so even
 /// -0.0 vs 0.0 or differently-rounded last bits fail loudly.

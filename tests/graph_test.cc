@@ -1,11 +1,16 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "graph/generators.h"
+#include "graph/graph_io.h"
+#include "graph/query_generator.h"
+#include "matching/substructure.h"
 #include "test_util.h"
 
 namespace neursc {
@@ -194,6 +199,93 @@ TEST(GraphTest, NeighborLabelsOnGeneratedAndInducedGraphs) {
   auto er = GenerateErdosRenyiGraph(60, 150, 7, 3);
   ASSERT_TRUE(er.ok());
   ExpectNeighborLabelsAreSortedNeighborLabels(*er);
+}
+
+/// Checks LabelSignature(v) against its definition: bit (l mod 64) for
+/// each neighbour label l. Returns how many vertices have a neighbour
+/// label of 64 or more, whose bit wraps around.
+size_t ExpectSignaturesMatchDefinition(const Graph& g,
+                                       const std::string& context) {
+  size_t wrapped = 0;
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    uint64_t want = 0;
+    bool wraps = false;
+    for (VertexId w : g.Neighbors(v)) {
+      want |= uint64_t{1} << (g.GetLabel(w) % 64);
+      wraps |= g.GetLabel(w) >= 64;
+    }
+    EXPECT_EQ(g.LabelSignature(v), want) << context << " vertex " << v;
+    wrapped += wraps;
+  }
+  return wrapped;
+}
+
+TEST(GraphTest, LabelSignatureOnSmallGraphs) {
+  // Labels 1, 65 and 129 share bit 1; 63 and 127 share bit 63; 64 and
+  // 1 << 19 wrap to bit 0. Vertex 8 is isolated.
+  Graph g = MakeGraph({0, 1, 65, 129, 63, 127, 64, Label{1} << 19, 5},
+                      {{0, 1}, {0, 2}, {0, 3}, {0, 4}, {1, 5}, {1, 6},
+                       {2, 7}});
+  EXPECT_EQ(g.LabelSignature(0), (uint64_t{1} << 1) | (uint64_t{1} << 63));
+  EXPECT_EQ(g.LabelSignature(1), uint64_t{1} | (uint64_t{1} << 63));
+  EXPECT_EQ(g.LabelSignature(2), uint64_t{1});
+  EXPECT_EQ(g.LabelSignature(3), uint64_t{1});
+  EXPECT_EQ(g.LabelSignature(7), uint64_t{1} << 1);
+  EXPECT_EQ(g.LabelSignature(8), uint64_t{0});
+  EXPECT_EQ(ExpectSignaturesMatchDefinition(g, "small"), 4u);
+
+  Graph isolated = MakeGraph({3, 70, 2}, {});
+  for (VertexId v = 0; v < 3; ++v) EXPECT_EQ(isolated.LabelSignature(v), 0u);
+  ExpectSignaturesMatchDefinition(MakeGraph({}, {}), "empty");
+}
+
+// The signature is derived where every graph is built, so it holds for
+// the builder, the substructure split (which builds its CSR directly) and
+// the binary reader alike.
+TEST(GraphTest, LabelSignatureOnBuiltSplitAndReadGraphs) {
+  auto profile = FindDatasetProfile("Yeast");  // 71 labels: bits wrap
+  ASSERT_TRUE(profile.ok());
+  auto data = GenerateDataset(*profile, 0.2, 5);
+  ASSERT_TRUE(data.ok());
+  EXPECT_GT(ExpectSignaturesMatchDefinition(*data, "Yeast"), 0u);
+
+  QueryGeneratorConfig qc;
+  qc.query_size = 4;
+  qc.seed = 11;
+  QueryGenerator generator(*data, qc);
+  auto queries = generator.GenerateMany(6);
+  ASSERT_TRUE(queries.ok());
+  size_t substructures = 0;
+  for (const Graph& query : *queries) {
+    ExpectSignaturesMatchDefinition(query, "query");
+    auto extraction = ExtractSubstructures(query, *data);
+    ASSERT_TRUE(extraction.ok());
+    for (const Substructure& sub : extraction->substructures) {
+      ExpectSignaturesMatchDefinition(sub.graph, "substructure");
+      for (VertexId v = 0; v < sub.graph.NumVertices(); ++v) {
+        // Each neighbour in the substructure is one in the data graph.
+        EXPECT_EQ(sub.graph.LabelSignature(v) &
+                      ~data->LabelSignature(sub.original_id[v]),
+                  0u);
+      }
+      ++substructures;
+    }
+  }
+  EXPECT_GT(substructures, 0u);
+
+  // Labels past 64 and an isolated vertex through a binary round trip.
+  Graph wide = MakeGraph({70, 6, 134, 6, 9}, {{0, 1}, {0, 2}, {1, 3}});
+  const std::string path = ::testing::TempDir() + "/neursc_signature.nscg";
+  ASSERT_TRUE(WriteGraphBinary(wide, path).ok());
+  auto read = ReadGraphBinary(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(ExpectSignaturesMatchDefinition(*read, "binary"), 3u);
+  for (VertexId v = 0; v < wide.NumVertices(); ++v) {
+    EXPECT_EQ(read->LabelSignature(v), wide.LabelSignature(v));
+  }
+  EXPECT_EQ(read->LabelSignature(0), uint64_t{1} << 6);
+  EXPECT_EQ(read->LabelSignature(4), 0u);
 }
 
 TEST(GraphBuilderTest, RejectsLabelAboveCap) {

@@ -459,10 +459,8 @@ TEST(NeurSCTest, WithoutExtractionEstimatesOnTheWholeGraph) {
   }
 
   // EstimateBatch equals sequential Estimate, at 1 and 8 threads.
-  const char* env = std::getenv("NEURSC_THREADS");
-  const std::string saved = env != nullptr ? env : "";
-  for (const char* threads : {"1", "8"}) {
-    setenv("NEURSC_THREADS", threads, 1);
+  for (size_t threads : {1, 8}) {
+    testing_util::ThreadsGuard guard(threads);
     NeurSCEstimator sequential(*data, no_se);
     NeurSCEstimator batched(*data, no_se);
     auto batch = batched.EstimateBatch(queries);
@@ -473,11 +471,6 @@ TEST(NeurSCTest, WithoutExtractionEstimatesOnTheWholeGraph) {
       EXPECT_EQ((*batch)[q].count, info->count)
           << threads << " threads, query " << q;
     }
-  }
-  if (env != nullptr) {
-    setenv("NEURSC_THREADS", saved.c_str(), 1);
-  } else {
-    unsetenv("NEURSC_THREADS");
   }
 
   // Two Train runs give identical weights.

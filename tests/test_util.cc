@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <numeric>
 #include <vector>
@@ -12,6 +13,23 @@
 
 namespace neursc {
 namespace testing_util {
+
+ThreadsGuard::ThreadsGuard(size_t n) {
+  const char* old = std::getenv("NEURSC_THREADS");
+  if (old != nullptr) {
+    had_old_ = true;
+    old_ = old;
+  }
+  setenv("NEURSC_THREADS", std::to_string(n).c_str(), 1);
+}
+
+ThreadsGuard::~ThreadsGuard() {
+  if (had_old_) {
+    setenv("NEURSC_THREADS", old_.c_str(), 1);
+  } else {
+    unsetenv("NEURSC_THREADS");
+  }
+}
 
 Graph MakeGraph(const std::vector<Label>& labels,
                 const std::vector<std::pair<VertexId, VertexId>>& edges) {
@@ -43,6 +61,8 @@ void ExpectSameGraph(const Graph& got, const Graph& want,
         << context << " neighbours of " << v;
     EXPECT_TRUE(same(got.NeighborLabels(v), want.NeighborLabels(v)))
         << context << " neighbour labels of " << v;
+    EXPECT_EQ(got.LabelSignature(v), want.LabelSignature(v))
+        << context << " label signature of " << v;
   }
   // One label past the last, whose group is empty in both.
   for (Label l = 0; l <= want.NumLabels(); ++l) {
@@ -66,6 +86,10 @@ void ExpectSameGraph(const Graph& got, const Graph& want,
     std::sort(labels.begin(), labels.end());
     EXPECT_TRUE(same(got.NeighborLabels(v), std::span<const Label>(labels)))
         << context << " neighbour labels of " << v << " are not sorted";
+    uint64_t signature = 0;
+    for (Label l : labels) signature |= uint64_t{1} << (l % 64);
+    EXPECT_EQ(got.LabelSignature(v), signature)
+        << context << " label signature of " << v;
   }
   EXPECT_EQ(got.MaxDegree(), max_degree) << context;
   EXPECT_EQ(got.NumLabels(),

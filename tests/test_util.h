@@ -11,13 +11,28 @@
 namespace neursc {
 namespace testing_util {
 
+/// Scoped NEURSC_THREADS override; restores the previous value, or unsets
+/// the variable, on exit, so tests do not leak thread settings into each
+/// other.
+class ThreadsGuard {
+ public:
+  explicit ThreadsGuard(size_t n);
+  ~ThreadsGuard();
+  ThreadsGuard(const ThreadsGuard&) = delete;
+  ThreadsGuard& operator=(const ThreadsGuard&) = delete;
+
+ private:
+  bool had_old_ = false;
+  std::string old_;
+};
+
 /// Builds a graph from labels + edge list; dies on invalid input.
 Graph MakeGraph(const std::vector<Label>& labels,
                 const std::vector<std::pair<VertexId, VertexId>>& edges);
 
 /// Expects `got` and `want` to agree on every accessor, derived arrays
-/// included: sizes, labels, neighbours, neighbour labels, label groups,
-/// max degree and fingerprint (Graph::operator== compares only the
+/// included: sizes, labels, neighbours, neighbour labels, label
+/// signatures, label groups, max degree and fingerprint (Graph::operator== compares only the
 /// defining arrays). Also checks `got`'s derived arrays against their
 /// definitions, since `want` may be built by the same code.
 void ExpectSameGraph(const Graph& got, const Graph& want,
