@@ -19,7 +19,11 @@
 #      (golden_output_test), the Adam suite (optimizer_test) and the tape
 #      suite (tape_test, whose per-op forward pin checks every op's output
 #      and whose per-op backward pin checks each op's input gradients
-#      against scalar reference loops, bit for bit) and the prepare
+#      against scalar reference loops, bit for bit), the message-passing
+#      suite (message_passing_test: the fused EdgeScores and Aggregate ops
+#      and the bipartite attention layer against the gather/concat/matmul
+#      and gather/scale/scatter chains they replaced, values and every
+#      input gradient, bit for bit) and the prepare
 #      path's oracle suites (candidate_filter_test: incremental refinement
 #      against a full re-test; filter_property_test: more
 #      refinement never adds a candidate; bipartite_matching_test: the
@@ -90,9 +94,9 @@ echo
 echo "=== [3/7] Bit-identity suites (Release + TSan) ==="
 cmake --build build-tsan -j "$JOBS" --target serialize_test \
   simd_kernels_test golden_output_test optimizer_test tape_test \
-  candidate_filter_test substructure_test feature_init_test \
-  bipartite_matching_test filter_property_test
-BIT_IDENTITY='eval_context_test|serialize_test|simd_kernels_test|golden_output_test|optimizer_test|tape_test|candidate_filter_test|substructure_test|feature_init_test|bipartite_matching_test|filter_property_test'
+  message_passing_test candidate_filter_test substructure_test \
+  feature_init_test bipartite_matching_test filter_property_test
+BIT_IDENTITY='eval_context_test|serialize_test|simd_kernels_test|golden_output_test|optimizer_test|tape_test|message_passing_test|candidate_filter_test|substructure_test|feature_init_test|bipartite_matching_test|filter_property_test'
 ctest --test-dir build -R "$BIT_IDENTITY" --output-on-failure
 NEURSC_THREADS=8 ctest --test-dir build-tsan -R "$BIT_IDENTITY" \
   --output-on-failure

@@ -61,13 +61,9 @@ Var NsicEstimator::GnnLayer(Tape* tape, size_t layer, Var h,
   }
   // GCN-style mean aggregation over {v} union N(v), then linear + ReLU.
   const size_t n = tape->Value(h).rows();
-  Var agg;
+  Var agg = h;
   if (edges.size() > 0) {
-    Var messages = tape->GatherRows(h, edges.src);
-    agg = tape->ScatterAddRows(messages, edges.dst, n);
-    agg = tape->Add(agg, h);
-  } else {
-    agg = h;
+    agg = tape->Add(tape->Aggregate(h, edges.src, edges.dst, n), h);
   }
   Matrix inv(n, 1);
   for (size_t v = 0; v < n; ++v) inv.at(v, 0) = inv_degree[v];

@@ -68,15 +68,8 @@ GinLayer::GinLayer(size_t in_features, size_t out_features, Rng* rng)
 
 Var GinLayer::Forward(Tape* tape, Var h, const EdgeIndex& edges) {
   const size_t n = tape->Value(h).rows();
-  // Neighborhood sum: gather source rows, scatter-add into destinations.
-  Var aggregated;
-  if (edges.size() > 0) {
-    Var messages = tape->GatherRows(h, edges.src);
-    aggregated = tape->ScatterAddRows(messages, edges.dst, n);
-  } else {
-    aggregated = tape->Constant(
-        Matrix(n, tape->Value(h).cols()));
-  }
+  // Neighborhood sum: each source row added onto its destination.
+  Var aggregated = tape->Aggregate(h, edges.src, edges.dst, n);
   // (1 + eps) * h + aggregated; eps is a learnable scalar broadcast by
   // expanding it to a per-row weight column.
   Var eps = tape->Leaf(&epsilon_);
@@ -99,23 +92,17 @@ MeanAggregatorLayer::MeanAggregatorLayer(size_t in_features,
 
 Var MeanAggregatorLayer::Forward(Tape* tape, Var h, const EdgeIndex& edges) {
   const size_t n = tape->Value(h).rows();
-  const size_t d = tape->Value(h).cols();
-  // Mean over neighbors: scatter-sum then divide by degree (1 minimum so
-  // isolated vertices keep a zero aggregate).
-  Var aggregated;
+  // Mean over neighbors: neighbor sum, then divide by degree (1 minimum so
+  // isolated vertices keep a zero aggregate). Aggregate checks the edge
+  // indices before they index `degree`.
+  Var sums = tape->Aggregate(h, edges.src, edges.dst, n);
   std::vector<float> degree(n, 0.0f);
   for (uint32_t dst : edges.dst) degree[dst] += 1.0f;
-  if (edges.size() > 0) {
-    Var messages = tape->GatherRows(h, edges.src);
-    Var sums = tape->ScatterAddRows(messages, edges.dst, n);
-    Matrix inv(n, 1);
-    for (size_t v = 0; v < n; ++v) {
-      inv.at(v, 0) = 1.0f / std::max(degree[v], 1.0f);
-    }
-    aggregated = tape->ColBroadcastMul(sums, tape->Constant(inv));
-  } else {
-    aggregated = tape->Constant(Matrix(n, d));
+  Matrix inv(n, 1);
+  for (size_t v = 0; v < n; ++v) {
+    inv.at(v, 0) = 1.0f / std::max(degree[v], 1.0f);
   }
+  Var aggregated = tape->ColBroadcastMul(sums, tape->Constant(inv));
   Var joint = tape->ConcatCols(h, aggregated);
   return tape->Relu(linear_.Forward(tape, joint));
 }
@@ -148,15 +135,12 @@ Var BipartiteAttentionLayer::Forward(Tape* tape, Var h,
 
   // Eq. 5 scores: LeakyReLU(a^T [Theta_a h_u || Theta_a h_v]) where u is
   // the destination (the vertex whose neighborhood is normalized over).
-  Var feats_dst = tape->GatherRows(attn_feats, all.dst);
-  Var feats_src = tape->GatherRows(attn_feats, all.src);
-  Var pair = tape->ConcatCols(feats_dst, feats_src);  // E x 2out
-  Var logits = tape->LeakyRelu(tape->MatMul(pair, attn));  // E x 1
+  Var logits = tape->LeakyRelu(
+      tape->EdgeScores(attn_feats, attn, all.src, all.dst));  // E x 1
   Var alpha = tape->SegmentSoftmax(logits, all.dst, n);
 
-  Var messages = tape->GatherRows(projected, all.src);  // E x out
-  Var weighted = tape->ColBroadcastMul(messages, alpha);
-  return tape->ScatterAddRows(weighted, all.dst, n);
+  // Eq. 4: h_u' = sum_v alpha_uv Theta h_v.
+  return tape->Aggregate(projected, all.src, all.dst, n, alpha);
 }
 
 std::vector<Parameter*> BipartiteAttentionLayer::Parameters() {

@@ -55,6 +55,18 @@ void ScatterAddRows(const float* x, const uint32_t* targets, size_t rows,
   }
 }
 
+void EdgeScores(const float* x, const float* a, const uint32_t* src,
+                const uint32_t* dst, size_t edges, size_t cols, float* out) {
+  for (size_t e = 0; e < edges; ++e) {
+    const float* xd = x + dst[e] * cols;
+    const float* xs = x + src[e] * cols;
+    float acc = 0.0f;
+    for (size_t p = 0; p < cols; ++p) acc += xd[p] * a[p];
+    for (size_t p = 0; p < cols; ++p) acc += xs[p] * a[cols + p];
+    out[e] = acc;
+  }
+}
+
 void Relu(const float* x, float* out, size_t n) {
   for (size_t j = 0; j < n; ++j) out[j] = x[j] < 0.0f ? 0.0f : x[j];
 }
@@ -69,6 +81,19 @@ void AddMul(const float* a, const float* b, float* out, size_t n) {
 
 void AddScaled(const float* x, float s, float* out, size_t n) {
   for (size_t j = 0; j < n; ++j) out[j] += x[j] * s;
+}
+
+void Aggregate(const float* x, const uint32_t* src, const uint32_t* dst,
+               const float* w, size_t edges, size_t cols, float* out) {
+  for (size_t e = 0; e < edges; ++e) {
+    float* orow = out + dst[e] * cols;
+    const float* xrow = x + src[e] * cols;
+    if (w == nullptr) {
+      Add(orow, xrow, orow, cols);
+    } else {
+      AddScaled(xrow, w[e], orow, cols);
+    }
+  }
 }
 
 void AddReluGrad(const float* x, const float* g, float* out, size_t n) {
@@ -117,18 +142,17 @@ NEURSC_AVX2_ inline void AddSpan(const float* a, const float* b, float* out,
   for (; j < n; ++j) out[j] = a[j] + b[j];
 }
 
-/// Columns p..p+3 of eight rows of a row-major A: lane r of col[q] is
-/// a[r * stride + q]. Each register holds row i in its low half and row
-/// i + 4 in its high half, so in-lane unpacks and shuffles finish the
-/// transpose. They move bits, so every value, NaN payloads included, is
-/// kept.
-NEURSC_AVX2_ inline void LoadColumns8x4(const float* a, size_t stride,
+/// Columns p..p+3 of eight rows: lane r of col[q] is rows[r][p + q]. Each
+/// register holds row i in its low half and row i + 4 in its high half, so
+/// in-lane unpacks and shuffles finish the transpose. They move bits, so
+/// every value, NaN payloads included, is kept.
+NEURSC_AVX2_ inline void LoadColumns8x4(const float* const* rows, size_t p,
                                         __m256* col) {
   __m256 r[4];
   for (size_t i = 0; i < 4; ++i) {
     r[i] = _mm256_insertf128_ps(
-        _mm256_castps128_ps256(_mm_loadu_ps(a + i * stride)),
-        _mm_loadu_ps(a + (i + 4) * stride), 1);
+        _mm256_castps128_ps256(_mm_loadu_ps(rows[i] + p)),
+        _mm_loadu_ps(rows[i + 4] + p), 1);
   }
   const __m256 t0 = _mm256_unpacklo_ps(r[0], r[1]);
   const __m256 t1 = _mm256_unpackhi_ps(r[0], r[1]);
@@ -138,6 +162,30 @@ NEURSC_AVX2_ inline void LoadColumns8x4(const float* a, size_t stride,
   col[1] = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
   col[2] = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
   col[3] = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+}
+
+/// Lane r of acc plus sum_p rows[r][p] * v[p * v_stride] for p < k: one
+/// mul, then one add, per p, in p order, eight dot products side by side.
+NEURSC_AVX2_ inline __m256 AccumulateDots8(const float* const* rows,
+                                           size_t k, const float* v,
+                                           size_t v_stride, __m256 acc) {
+  size_t p = 0;
+  for (; p + 4 <= k; p += 4) {
+    __m256 col[4];
+    LoadColumns8x4(rows, p, col);
+    for (size_t q = 0; q < 4; ++q) {
+      acc = _mm256_add_ps(
+          acc, _mm256_mul_ps(col[q], _mm256_set1_ps(v[(p + q) * v_stride])));
+    }
+  }
+  for (; p < k; ++p) {
+    const __m256 column =
+        _mm256_setr_ps(rows[0][p], rows[1][p], rows[2][p], rows[3][p],
+                       rows[4][p], rows[5][p], rows[6][p], rows[7][p]);
+    acc = _mm256_add_ps(acc,
+                        _mm256_mul_ps(column, _mm256_set1_ps(v[p * v_stride])));
+  }
+  return acc;
 }
 
 /// The eight entries c[0], c[ldc], ..., c[7 * ldc] of one C column.
@@ -185,30 +233,31 @@ NEURSC_AVX2_ inline void NarrowColumnsAT(size_t k, const float* a,
   }
 }
 
-/// A row-major (column stride 1), eight rows: blocks of 8 rows x 4
-/// columns of A are transposed in registers, so lane r again holds
+/// A row-major (column stride 1), eight rows: AccumulateDots8 transposes
+/// blocks of 8 rows x 4 columns of A in registers, so lane r again holds
 /// A(i0 + r, p).
 NEURSC_AVX2_ inline void NarrowColumnsA(size_t k, const float* a,
                                         size_t a_row_stride, const float* b,
                                         size_t ldb, size_t j0, size_t n,
                                         float* c, size_t ldc) {
+  const float* rows[8];
+  for (size_t r = 0; r < 8; ++r) rows[r] = a + r * a_row_stride;
   for (size_t j = j0; j < n; ++j) {
-    __m256 acc = LoadColumn8(c + j, ldc);
-    size_t p = 0;
-    for (; p + 4 <= k; p += 4) {
-      __m256 col[4];
-      LoadColumns8x4(a + p, a_row_stride, col);
-      for (size_t q = 0; q < 4; ++q) {
-        acc = _mm256_add_ps(
-            acc, _mm256_mul_ps(col[q], _mm256_set1_ps(b[(p + q) * ldb + j])));
-      }
-    }
-    for (; p < k; ++p) {
-      acc = _mm256_add_ps(acc, _mm256_mul_ps(LoadColumn8(a + p, a_row_stride),
-                                             _mm256_set1_ps(b[p * ldb + j])));
-    }
-    StoreColumn8(acc, c + j, ldc);
+    StoreColumn8(AccumulateDots8(rows, k, b + j, ldb, LoadColumn8(c + j, ldc)),
+                 c + j, ldc);
   }
+}
+
+/// out[j] = out[j] + x[j] * s, as scalar::AddScaled.
+NEURSC_AVX2_ inline void AddScaledSpan(const float* x, float s, float* out,
+                                       size_t n) {
+  const __m256 sv = _mm256_set1_ps(s);
+  size_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    const __m256 prod = _mm256_mul_ps(_mm256_loadu_ps(x + j), sv);
+    _mm256_storeu_ps(out + j, _mm256_add_ps(_mm256_loadu_ps(out + j), prod));
+  }
+  for (; j < n; ++j) out[j] += x[j] * s;
 }
 
 }  // namespace
@@ -319,6 +368,40 @@ NEURSC_AVX2_ void ScatterAddRows(const float* x, const uint32_t* targets,
   }
 }
 
+NEURSC_AVX2_ void EdgeScores(const float* x, const float* a,
+                             const uint32_t* src, const uint32_t* dst,
+                             size_t edges, size_t cols, float* out) {
+  // Eight edges per register, lane r for edge e + r: the dst rows' dot
+  // products with a[0, cols), then the src rows' with a[cols, 2 cols) in
+  // the same accumulator. The edges left over run the scalar loop.
+  size_t e = 0;
+  for (; e + 8 <= edges; e += 8) {
+    const float* rows[8];
+    for (size_t r = 0; r < 8; ++r) rows[r] = x + dst[e + r] * cols;
+    __m256 acc = AccumulateDots8(rows, cols, a, 1, _mm256_setzero_ps());
+    for (size_t r = 0; r < 8; ++r) rows[r] = x + src[e + r] * cols;
+    acc = AccumulateDots8(rows, cols, a + cols, 1, acc);
+    _mm256_storeu_ps(out + e, acc);
+  }
+  scalar::EdgeScores(x, a, src + e, dst + e, edges - e, cols, out + e);
+}
+
+NEURSC_AVX2_ void Aggregate(const float* x, const uint32_t* src,
+                            const uint32_t* dst, const float* w, size_t edges,
+                            size_t cols, float* out) {
+  // Vectorised along the row, one edge at a time, so repeated targets take
+  // their additions in edge order.
+  for (size_t e = 0; e < edges; ++e) {
+    float* orow = out + dst[e] * cols;
+    const float* xrow = x + src[e] * cols;
+    if (w == nullptr) {
+      AddSpan(orow, xrow, orow, cols);
+    } else {
+      AddScaledSpan(xrow, w[e], orow, cols);
+    }
+  }
+}
+
 NEURSC_AVX2_ void Relu(const float* x, float* out, size_t n) {
   // max_ps returns its second operand when the operands compare equal or
   // either is NaN, so (zero, x) maps -0.0 to -0.0 and NaN to itself,
@@ -360,13 +443,7 @@ NEURSC_AVX2_ void AddMul(const float* a, const float* b, float* out,
 }
 
 NEURSC_AVX2_ void AddScaled(const float* x, float s, float* out, size_t n) {
-  const __m256 sv = _mm256_set1_ps(s);
-  size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m256 prod = _mm256_mul_ps(_mm256_loadu_ps(x + j), sv);
-    _mm256_storeu_ps(out + j, _mm256_add_ps(_mm256_loadu_ps(out + j), prod));
-  }
-  scalar::AddScaled(x + j, s, out + j, n - j);
+  AddScaledSpan(x, s, out, n);
 }
 
 // The gradient masks: _CMP_LE_OQ is false for NaN, so a NaN input passes
@@ -487,6 +564,16 @@ void ColBroadcastMul(const float* x, const float* w, float* out, size_t rows,
 void ScatterAddRows(const float* x, const uint32_t* targets, size_t rows,
                     size_t cols, float* out) {
   NEURSC_DISPATCH_(ScatterAddRows, x, targets, rows, cols, out);
+}
+
+void EdgeScores(const float* x, const float* a, const uint32_t* src,
+                const uint32_t* dst, size_t edges, size_t cols, float* out) {
+  NEURSC_DISPATCH_(EdgeScores, x, a, src, dst, edges, cols, out);
+}
+
+void Aggregate(const float* x, const uint32_t* src, const uint32_t* dst,
+               const float* w, size_t edges, size_t cols, float* out) {
+  NEURSC_DISPATCH_(Aggregate, x, src, dst, w, edges, cols, out);
 }
 
 void Relu(const float* x, float* out, size_t n) {

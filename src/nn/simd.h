@@ -2,8 +2,8 @@
 #define NEURSC_NN_SIMD_H_
 
 // Vectorised kernels behind Matrix's GEMMs, the Tape's hot forward row
-// ops and backward accumulation, and the Adam update (docs/execution.md,
-// "Vectorized kernels"). Internal to the nn library: model code calls
+// ops, message passing and backward accumulation, and the Adam update
+// (docs/execution.md, "Vectorized kernels"). Internal to the nn library: model code calls
 // Matrix / Tape / AdamOptimizer, never this header; the kernel equivalence
 // test includes it to compare the variants directly.
 //
@@ -52,6 +52,13 @@ struct AdamCoefficients {
 /// ColBroadcastMul: out[r, :] = x[r, :] * w[r].
 /// ScatterAddRows: out[targets[r], :] = out[targets[r], :] + x[r, :], in
 ///   row order; every target must be in range (the caller checks).
+/// EdgeScores: out[e] = sum_p x[dst[e], p] * a[p] + sum_p x[src[e], p] *
+///   a[cols + p] for e < edges: one float accumulator per edge, from 0, one
+///   multiply then one add per term, the dst terms first, each in p order.
+///   x is row-major with `cols` columns; every index must be in range.
+/// Aggregate: for e < edges in order, out[dst[e], :] = out[dst[e], :] +
+///   x[src[e], :] * w[e], or out[dst[e], :] + x[src[e], :] when w is null;
+///   every index must be in range.
 /// Relu: out[j] = x[j] < 0 ? 0 : x[j] (keeps -0.0 and NaN as they are).
 /// LeakyRelu: out[j] = x[j] > 0 ? x[j] : slope * x[j].
 /// AddMul: out[j] = out[j] + a[j] * b[j].
@@ -73,6 +80,11 @@ struct AdamCoefficients {
                        size_t rows, size_t cols);                           \
   void ScatterAddRows(const float* x, const uint32_t* targets, size_t rows, \
                       size_t cols, float* out);                             \
+  void EdgeScores(const float* x, const float* a, const uint32_t* src,      \
+                  const uint32_t* dst, size_t edges, size_t cols,           \
+                  float* out);                                              \
+  void Aggregate(const float* x, const uint32_t* src, const uint32_t* dst,  \
+                 const float* w, size_t edges, size_t cols, float* out);    \
   void Relu(const float* x, float* out, size_t n);                          \
   void LeakyRelu(const float* x, float slope, float* out, size_t n);        \
   void AddMul(const float* a, const float* b, float* out, size_t n);        \

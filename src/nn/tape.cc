@@ -15,15 +15,23 @@ namespace neursc {
 // tape_test pins op by op against scalar reference loops. Forward values
 // run on the dispatched nn/simd.h kernels (whose scalar and AVX2 variants
 // agree bit for bit), Matrix::MatMulInto or a scalar loop; the ops that
-// accumulate (MatMul, ScatterAddRows, SumRows) start from the zero-filled
+// accumulate (MatMul, Aggregate, SumRows) start from the zero-filled
 // slot that AllocSlot hands out. In the backward cases an elementwise
 // delta is added as grad + (g * y), the same float as adding a delta
 // matrix, and products run into zeroed scratch that is then added, never
 // straight into a gradient that may already hold a contribution. The
 // elementwise and row-structured cases run on the nn/simd.h accumulate
 // kernels (AddMul, AddScaled, the ReLU masks, Add per row or block,
-// ScatterAddRows), whose every variant adds each delta entry onto the
-// gradient in this same order; the reductions keep their scalar loops.
+// ScatterAddRows, Aggregate), whose every variant adds each delta entry
+// onto the gradient in this same order; the reductions keep their scalar
+// loops.
+//
+// A gradient slot starts at +0.0 and only ever receives additions, and a
+// float sum is -0.0 only when both addends are, so no gradient slot holds
+// -0.0. Adding g and adding 0.0f + g therefore give the same bits, which
+// is why the message-passing backward cases may add each per-edge delta
+// straight onto the input's gradient and still equal the gather/scatter
+// compositions the header names (docs/execution.md).
 
 void GradientSink::Accumulate(Parameter* param, const Matrix& delta) {
   auto it = buffers_.find(param);
@@ -84,7 +92,8 @@ Tape::Record& Tape::AppendRecord(OpKind kind, int out) {
 }
 
 Var Tape::Emit(const Matrix* value, OpKind kind, Var a, Var b, double scalar,
-               std::span<const uint32_t> indices) {
+               std::span<const uint32_t> indices,
+               std::span<const uint32_t> more_indices) {
   const bool req = Requires(a.id) || (b.valid() && Requires(b.id));
   nodes_.push_back(Node{value, nullptr, nullptr, req});
   const int id = static_cast<int>(nodes_.size()) - 1;
@@ -94,8 +103,10 @@ Var Tape::Emit(const Matrix* value, OpKind kind, Var a, Var b, double scalar,
     r.b = b.id;
     r.scalar = scalar;
     r.index_begin = static_cast<uint32_t>(indices_.size());
-    r.index_count = static_cast<uint32_t>(indices.size());
+    r.index_count =
+        static_cast<uint32_t>(indices.size() + more_indices.size());
     indices_.insert(indices_.end(), indices.begin(), indices.end());
+    indices_.insert(indices_.end(), more_indices.begin(), more_indices.end());
   }
   return Var{id};
 }
@@ -303,15 +314,49 @@ Var Tape::GatherRows(Var x, const std::vector<uint32_t>& rows) {
   return Emit(out, OpKind::kGatherRows, x, Var{}, 0.0, rows);
 }
 
-Var Tape::ScatterAddRows(Var x, const std::vector<uint32_t>& targets,
-                         size_t num_rows) {
+namespace {
+
+/// An edge list of equal-length src and dst lists, src indices below
+/// `src_rows` and dst indices below `dst_rows`.
+void CheckEdges(const std::vector<uint32_t>& src,
+                const std::vector<uint32_t>& dst, size_t src_rows,
+                size_t dst_rows) {
+  NEURSC_CHECK(src.size() == dst.size()) << "edge list length mismatch";
+  for (size_t e = 0; e < src.size(); ++e) {
+    NEURSC_CHECK(src[e] < src_rows && dst[e] < dst_rows)
+        << "edge index out of range";
+  }
+}
+
+}  // namespace
+
+Var Tape::EdgeScores(Var x, Var a, const std::vector<uint32_t>& src,
+                     const std::vector<uint32_t>& dst) {
   const Matrix& xv = Value(x);
-  NEURSC_CHECK(targets.size() == xv.rows());
-  for (uint32_t t : targets) NEURSC_CHECK(t < num_rows);
+  const Matrix& av = Value(a);
+  NEURSC_CHECK(av.rows() == 2 * xv.cols() && av.cols() == 1);
+  CheckEdges(src, dst, xv.rows(), xv.rows());
+  Matrix* out = AllocValue(src.size(), 1);
+  simd::EdgeScores(xv.data(), av.data(), src.data(), dst.data(), src.size(),
+                   xv.cols(), out->data());
+  return Emit(out, OpKind::kEdgeScores, x, a, 0.0, src, dst);
+}
+
+Var Tape::Aggregate(Var x, const std::vector<uint32_t>& src,
+                    const std::vector<uint32_t>& dst, size_t num_rows,
+                    Var w) {
+  const Matrix& xv = Value(x);
+  CheckEdges(src, dst, xv.rows(), num_rows);
+  const float* wd = nullptr;
+  if (w.valid()) {
+    const Matrix& wv = Value(w);
+    NEURSC_CHECK(wv.rows() == src.size() && wv.cols() == 1);
+    wd = wv.data();
+  }
   Matrix* out = AllocValue(num_rows, xv.cols());
-  simd::ScatterAddRows(xv.data(), targets.data(), xv.rows(), xv.cols(),
-                       out->data());
-  return Emit(out, OpKind::kScatterAddRows, x, Var{}, 0.0, targets);
+  simd::Aggregate(xv.data(), src.data(), dst.data(), wd, src.size(),
+                  xv.cols(), out->data());
+  return Emit(out, OpKind::kAggregate, x, w, 0.0, src, dst);
 }
 
 Var Tape::SegmentSoftmax(Var logits, const std::vector<uint32_t>& segments,
@@ -533,11 +578,60 @@ void Tape::BackwardStep(const Record& r, const Matrix& g) {
                            r.index_count, g.cols(), EnsureGrad(r.a).data());
       break;
     }
-    case OpKind::kScatterAddRows: {
-      const uint32_t* targets = indices_.data() + r.index_begin;
-      Matrix& xg = EnsureGrad(r.a);
-      for (size_t i = 0; i < r.index_count; ++i) {
-        simd::Add(xg.row(i), g.row(targets[i]), xg.row(i), g.cols());
+    case OpKind::kEdgeScores: {
+      // The order MatMul(ConcatCols(GatherRows(x, dst), GatherRows(x,
+      // src)), a) backpropagates in: a's gradient summed over edges from
+      // zero and then added, then x's src-side rows, then its dst side,
+      // each in edge order.
+      const size_t edges = r.index_count / 2;
+      const uint32_t* src = indices_.data() + r.index_begin;
+      const uint32_t* dst = src + edges;
+      const Matrix& xv = V(r.a);
+      const size_t d = xv.cols();
+      const float* a = V(r.b).data();
+      if (Requires(r.b)) {
+        scratch_.Reshape(2 * d, 1);
+        float* ag = scratch_.data();
+        for (size_t e = 0; e < edges; ++e) {
+          simd::AddScaled(xv.row(dst[e]), gd[e], ag, d);
+          simd::AddScaled(xv.row(src[e]), gd[e], ag + d, d);
+        }
+        EnsureGrad(r.b).AddInPlace(scratch_);
+      }
+      if (Requires(r.a)) {
+        Matrix& xg = EnsureGrad(r.a);
+        for (size_t e = 0; e < edges; ++e) {
+          simd::AddScaled(a + d, gd[e], xg.row(src[e]), d);
+        }
+        for (size_t e = 0; e < edges; ++e) {
+          simd::AddScaled(a, gd[e], xg.row(dst[e]), d);
+        }
+      }
+      break;
+    }
+    case OpKind::kAggregate: {
+      // The order the gather/ColBroadcastMul/scatter composition
+      // backpropagates in: the weight gradient (a float dot product per
+      // edge, in column order), then x's gradient, which is Aggregate
+      // over the reversed edges.
+      const size_t edges = r.index_count / 2;
+      const uint32_t* src = indices_.data() + r.index_begin;
+      const uint32_t* dst = src + edges;
+      const Matrix& xv = V(r.a);
+      const float* w = r.b >= 0 ? V(r.b).data() : nullptr;
+      if (w != nullptr && Requires(r.b)) {
+        Matrix& wg = EnsureGrad(r.b);
+        for (size_t e = 0; e < edges; ++e) {
+          const float* grow = g.row(dst[e]);
+          const float* xrow = xv.row(src[e]);
+          float dot = 0.0f;
+          for (size_t c = 0; c < g.cols(); ++c) dot += grow[c] * xrow[c];
+          wg.at(e, 0) += dot;
+        }
+      }
+      if (Requires(r.a)) {
+        simd::Aggregate(gd, dst, src, w, edges, g.cols(),
+                        EnsureGrad(r.a).data());
       }
       break;
     }

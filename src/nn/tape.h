@@ -64,8 +64,9 @@ class GradientSink {
 /// increase (also exported as the `eval/arena_grows` counter).
 ///
 /// The op vocabulary is the minimal set needed by GNNs: dense algebra,
-/// pointwise nonlinearities, and segment (scatter/gather) ops for message
-/// passing and attention.
+/// pointwise nonlinearities, gather and segment ops, and two fused
+/// message-passing ops (EdgeScores, Aggregate) that read endpoint rows
+/// through the edge list instead of copying them per edge.
 ///
 /// Threading contract (docs/threading.md): a Tape is confined to one
 /// thread — it is not internally synchronized, and all its mutable state
@@ -141,9 +142,22 @@ class Tape {
   Var ConcatRows(const std::vector<Var>& parts);
   /// out[i] = x[rows[i]]; duplicates allowed (gradient accumulates).
   Var GatherRows(Var x, const std::vector<uint32_t>& rows);
-  /// out (num_rows x d) with out[targets[i]] += x[i].
-  Var ScatterAddRows(Var x, const std::vector<uint32_t>& targets,
-                     size_t num_rows);
+
+  // --- Message passing over an edge list (src[e] -> dst[e]) ---
+  /// One score per edge from its endpoints' rows of x (n x d) and a
+  /// (2d x 1): out[e] = x[dst[e]] . a[0, d) + x[src[e]] . a[d, 2d), an
+  /// E x 1 column. Equals MatMul(ConcatCols(GatherRows(x, dst),
+  /// GatherRows(x, src)), a) bit for bit, values and gradients, without
+  /// the E x 2d copy.
+  Var EdgeScores(Var x, Var a, const std::vector<uint32_t>& src,
+                 const std::vector<uint32_t>& dst);
+  /// Neighbour sum (num_rows x d): out[dst[e]] += w[e] * x[src[e]] in
+  /// edge order, or out[dst[e]] += x[src[e]] when `w` (E x 1) is not
+  /// given. Equals scattering ColBroadcastMul(GatherRows(x, src), w) (or
+  /// the gathered rows) onto dst, bit for bit, without the E x d copies.
+  Var Aggregate(Var x, const std::vector<uint32_t>& src,
+                const std::vector<uint32_t>& dst, size_t num_rows,
+                Var w = Var{});
   /// Softmax of a column vector (m x 1) within each segment:
   /// out[i] = exp(x[i]) / sum_{j: seg[j]==seg[i]} exp(x[j]), computed with
   /// the per-segment max subtracted. Empty segments are fine.
@@ -202,7 +216,8 @@ class Tape {
     kConcatCols,
     kConcatRows,
     kGatherRows,
-    kScatterAddRows,
+    kEdgeScores,
+    kAggregate,
     kSegmentSoftmax,
     kColBroadcastMul,
     kSumRows,
@@ -228,8 +243,9 @@ class Tape {
     /// Scale factor, LeakyRelu slope, SegmentSoftmax segment count, or
     /// the QErrorLoss derivative.
     double scalar = 0.0;
-    /// The op's index list (rows, targets, segments, ConcatRows part
-    /// ids): indices_[index_begin, index_begin + index_count).
+    /// The op's index list (rows, segments, ConcatRows part ids, or a
+    /// message-passing op's src list followed by its dst list):
+    /// indices_[index_begin, index_begin + index_count).
     uint32_t index_begin = 0;
     uint32_t index_count = 0;
   };
@@ -242,10 +258,11 @@ class Tape {
     return AllocSlot(&slots_, &slots_used_, rows, cols);
   }
   /// Appends the node for `value`. When `a` or `b` requires a gradient,
-  /// so does the node, and its record is appended with `indices` copied
-  /// into the index buffer.
+  /// so does the node, and its record is appended with `indices`, then
+  /// `more_indices`, copied into the index buffer.
   Var Emit(const Matrix* value, OpKind kind, Var a, Var b = Var{},
-           double scalar = 0.0, std::span<const uint32_t> indices = {});
+           double scalar = 0.0, std::span<const uint32_t> indices = {},
+           std::span<const uint32_t> more_indices = {});
   Record& AppendRecord(OpKind kind, int out);
   bool Requires(int id) const { return nodes_[id].requires_grad; }
   const Matrix& V(int id) const { return *nodes_[id].value; }

@@ -328,6 +328,54 @@ TEST_F(SimdAvx2Test, RowOpsMatchScalar) {
   }
 }
 
+TEST_F(SimdAvx2Test, MessagePassingKernelsMatchScalar) {
+  // Edge counts around the 8-edge blocks of EdgeScores and row widths
+  // around the 4-column transposes and 8-wide spans, so every vector body
+  // and scalar tail runs; repeated targets and self-loops included.
+  Rng rng(14);
+  constexpr size_t kRows = 11;
+  for (size_t edges : kSizes) {
+    for (size_t cols : kSizes) {
+      const std::string what =
+          "edges=" + std::to_string(edges) + " cols=" + std::to_string(cols);
+      std::vector<uint32_t> src(edges);
+      std::vector<uint32_t> dst(edges);
+      for (size_t e = 0; e < edges; ++e) {
+        src[e] = static_cast<uint32_t>(rng.UniformIndex(kRows));
+        dst[e] = e % 3 == 2 ? src[e] : static_cast<uint32_t>(e % 4);
+      }
+      std::vector<float> x = Values(kRows * cols, true, &rng);
+      std::vector<float> a = Values(2 * cols, true, &rng);
+      std::vector<float> w = Values(edges, true, &rng);
+
+      std::vector<float> want(edges);
+      std::vector<float> got(edges);
+      simd::scalar::EdgeScores(x.data(), a.data(), src.data(), dst.data(),
+                               edges, cols, want.data());
+      simd::avx2::EdgeScores(x.data(), a.data(), src.data(), dst.data(),
+                             edges, cols, got.data());
+      ASSERT_TRUE(SameFloats(got.data(), want.data(), edges,
+                             "EdgeScores " + what));
+
+      // Onto non-zero rows, with and without weights.
+      const std::vector<float> out0 = Values(kRows * cols, true, &rng);
+      for (const float* weights : {static_cast<const float*>(nullptr),
+                                   static_cast<const float*>(w.data())}) {
+        std::vector<float> agg_want = out0;
+        std::vector<float> agg_got = out0;
+        simd::scalar::Aggregate(x.data(), src.data(), dst.data(), weights,
+                                edges, cols, agg_want.data());
+        simd::avx2::Aggregate(x.data(), src.data(), dst.data(), weights,
+                              edges, cols, agg_got.data());
+        ASSERT_TRUE(SameFloats(agg_got.data(), agg_want.data(),
+                               agg_got.size(),
+                               (weights ? "Aggregate weighted " :
+                                          "Aggregate ") + what));
+      }
+    }
+  }
+}
+
 TEST_F(SimdAvx2Test, ReluKeepsNegativeZeroAndNaNBitsExactly) {
   const float nan = std::numeric_limits<float>::quiet_NaN();
   std::vector<float> x = {-0.0f, 0.0f, nan,   -nan,  -1.0f, 1.0f,

@@ -1,6 +1,10 @@
 // Property-based stress test of the autograd tape: random programs of
 // smooth ops over 3x3 matrices must pass a finite-difference gradient
-// check, and CHECK-guarded misuse must abort.
+// check, and CHECK-guarded misuse (bad shapes, bad index lists) must
+// abort.
+
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -126,6 +130,46 @@ TEST(TapeDeathTest, GatherOutOfRangeAborts) {
         tape.GatherRows(a, {5});
       },
       "");
+}
+
+// The message-passing ops read rows through their edge lists, so each
+// must check the lists before its kernel runs: an index past its side's
+// rows (including a uint32_t that would wrap a row offset) or a src list
+// whose length differs from dst's aborts with nothing read.
+
+TEST(TapeDeathTest, AggregateBadEdgeListAborts) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto aggregate = [](std::vector<uint32_t> src, std::vector<uint32_t> dst,
+                      size_t weight_rows) {
+    Tape tape;
+    Var x = tape.Constant(Matrix(3, 2));
+    Var w = weight_rows > 0 ? tape.Constant(Matrix(weight_rows, 1)) : Var{};
+    tape.Aggregate(x, src, dst, 4, w);
+  };
+  EXPECT_DEATH(aggregate({0, 3}, {1, 1}, 0), "edge index out of range");
+  EXPECT_DEATH(aggregate({0, 0xffffffffu}, {1, 1}, 0),
+               "edge index out of range");
+  EXPECT_DEATH(aggregate({0, 1}, {1, 4}, 0), "edge index out of range");
+  EXPECT_DEATH(aggregate({0, 1}, {1}, 0), "edge list length mismatch");
+  EXPECT_DEATH(aggregate({0}, {1, 2}, 0), "edge list length mismatch");
+  EXPECT_DEATH(aggregate({0, 1}, {1, 1}, 3), "wv.rows");
+}
+
+TEST(TapeDeathTest, EdgeScoresBadEdgeListAborts) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto scores = [](std::vector<uint32_t> src, std::vector<uint32_t> dst,
+                   size_t a_rows) {
+    Tape tape;
+    Var x = tape.Constant(Matrix(3, 2));
+    Var a = tape.Constant(Matrix(a_rows, 1));
+    tape.EdgeScores(x, a, src, dst);
+  };
+  EXPECT_DEATH(scores({0, 3}, {1, 1}, 4), "edge index out of range");
+  EXPECT_DEATH(scores({0, 1}, {1, 0xffffffffu}, 4),
+               "edge index out of range");
+  EXPECT_DEATH(scores({0, 1}, {2}, 4), "edge list length mismatch");
+  EXPECT_DEATH(scores({0}, {1, 2}, 4), "edge list length mismatch");
+  EXPECT_DEATH(scores({0, 1}, {1, 1}, 3), "av.rows");
 }
 
 }  // namespace

@@ -226,14 +226,20 @@ TEST(TapeTest, GradCheckConcatRows) {
   EXPECT_LT(MaxGradCheckError({&a, &b, &c}, loss), 2e-2);
 }
 
-TEST(TapeTest, GradCheckScatterAddAndColBroadcast) {
-  Parameter x = RandomParam(5, 3, 30);
+TEST(TapeTest, GradCheckAggregateAndColBroadcast) {
+  Parameter x = RandomParam(4, 3, 30);
   Parameter w = RandomParam(5, 1, 31, 0.2f, 1.0f);
-  std::vector<uint32_t> targets = {0, 1, 1, 2, 0};
+  Parameter v = RandomParam(5, 1, 32, 0.2f, 1.0f);
+  // A repeated edge (1 -> 1) and a self-loop (2 -> 2).
+  const std::vector<uint32_t> src = {3, 1, 1, 2, 0};
+  const std::vector<uint32_t> dst = {0, 1, 1, 2, 0};
   auto build = [&](Tape* tape) {
-    Var weighted = tape->ColBroadcastMul(tape->Leaf(&x), tape->Leaf(&w));
-    Var scattered = tape->ScatterAddRows(weighted, targets, 3);
-    return tape->ReduceSum(tape->Mul(scattered, scattered));
+    Var xv = tape->Leaf(&x);
+    Var weights = tape->ColBroadcastMul(tape->Leaf(&w), tape->Leaf(&v));
+    Var weighted = tape->Aggregate(xv, src, dst, 3, weights);
+    Var plain = tape->Aggregate(xv, src, dst, 3);
+    Var joined = tape->Add(weighted, plain);
+    return tape->ReduceSum(tape->Mul(joined, joined));
   };
   auto loss = [&]() {
     Tape tape;
@@ -243,7 +249,27 @@ TEST(TapeTest, GradCheckScatterAddAndColBroadcast) {
     Tape tape;
     tape.Backward(build(&tape));
   }
-  EXPECT_LT(MaxGradCheckError({&x, &w}, loss), 2e-2);
+  EXPECT_LT(MaxGradCheckError({&x, &w, &v}, loss), 2e-2);
+}
+
+TEST(TapeTest, GradCheckEdgeScores) {
+  Parameter x = RandomParam(4, 3, 33);
+  Parameter a = RandomParam(6, 1, 34);
+  const std::vector<uint32_t> src = {3, 1, 1, 2, 0};
+  const std::vector<uint32_t> dst = {0, 1, 1, 2, 0};
+  auto build = [&](Tape* tape) {
+    Var scores = tape->EdgeScores(tape->Leaf(&x), tape->Leaf(&a), src, dst);
+    return tape->ReduceSum(tape->Mul(scores, scores));
+  };
+  auto loss = [&]() {
+    Tape tape;
+    return static_cast<double>(tape.Value(build(&tape)).scalar());
+  };
+  {
+    Tape tape;
+    tape.Backward(build(&tape));
+  }
+  EXPECT_LT(MaxGradCheckError({&x, &a}, loss), 2e-2);
 }
 
 TEST(TapeTest, SegmentSoftmaxForward) {
@@ -342,7 +368,7 @@ TEST(TapeTest, QErrorLossTreatsSmallTargetsAsOne) {
 }
 
 TEST(TapeTest, DeepCompositeGradCheck) {
-  // A miniature end-to-end network: gather/scatter message passing,
+  // A miniature end-to-end network: neighbour-sum message passing,
   // nonlinearity, readout, exp head, q-error loss.
   Parameter w1 = RandomParam(3, 4, 60);
   Parameter w2 = RandomParam(4, 1, 61);
@@ -351,8 +377,7 @@ TEST(TapeTest, DeepCompositeGradCheck) {
   std::vector<uint32_t> dst = {1, 0, 3, 2, 0, 4};
   auto build = [&](Tape* tape) {
     Var h = tape->MatMul(tape->Leaf(&feat), tape->Leaf(&w1));
-    Var msg = tape->GatherRows(h, src);
-    Var agg = tape->ScatterAddRows(msg, dst, 5);
+    Var agg = tape->Aggregate(h, src, dst, 5);
     Var act = tape->Tanh(tape->Add(h, agg));
     Var pooled = tape->SumRows(act);
     Var z = tape->MatMul(pooled, tape->Leaf(&w2));
@@ -382,6 +407,12 @@ TEST(TapeTest, DeepCompositeGradCheck) {
 
 using Grads = std::vector<Matrix>;
 
+/// The edge list of the message-passing cases, over six rows: nine edges
+/// (one 8-edge vector block and a tail), a repeated edge (2 -> 1), two
+/// self-loops and a row with no in-edge (2).
+const std::vector<uint32_t> kSrc = {2, 0, 2, 5, 1, 2, 0, 4, 3};
+const std::vector<uint32_t> kDst = {1, 3, 1, 0, 3, 3, 5, 4, 3};
+
 struct BackwardCase {
   std::string name;
   std::vector<Matrix> inputs;
@@ -410,7 +441,6 @@ Matrix KinkedMatrix(size_t rows, size_t cols, Rng* rng) {
 std::vector<BackwardCase> BackwardCases(size_t cols, Rng* rng) {
   constexpr size_t kRows = 6;
   const std::vector<uint32_t> gather_rows = {2, 0, 2, 5, 1, 2, 0};
-  const std::vector<uint32_t> scatter_targets = {1, 3, 1, 0, 3, 3, 5};
   std::vector<BackwardCase> cases;
   cases.push_back(
       {"Sub",
@@ -535,18 +565,75 @@ std::vector<BackwardCase> BackwardCases(size_t cols, Rng* rng) {
            }
          }
        }});
+  // Aggregate and EdgeScores: the x gradient sums g along the reversed
+  // edges, in edge order; weight and attention-vector gradients are float
+  // dot products from zero, in column or edge order.
   cases.push_back(
-      {"ScatterAddRows",
-       {RandomMatrix(scatter_targets.size(), cols, rng)},
-       [scatter_targets](Tape* t, const std::vector<Var>& x) {
-         return t->ScatterAddRows(x[0], scatter_targets, kRows);
+      {"Aggregate",
+       {RandomMatrix(kRows, cols, rng)},
+       [](Tape* t, const std::vector<Var>& x) {
+         return t->Aggregate(x[0], kSrc, kDst, kRows);
        },
-       [scatter_targets](const std::vector<Matrix>&, const Matrix&,
-                         const Matrix& g, Grads* grads) {
+       [](const std::vector<Matrix>&, const Matrix&, const Matrix& g,
+          Grads* grads) {
          Matrix& xg = (*grads)[0];
-         for (size_t i = 0; i < scatter_targets.size(); ++i) {
+         for (size_t e = 0; e < kSrc.size(); ++e) {
            for (size_t c = 0; c < g.cols(); ++c) {
-             xg.at(i, c) += g.at(scatter_targets[i], c);
+             xg.at(kSrc[e], c) += g.at(kDst[e], c);
+           }
+         }
+       }});
+  cases.push_back(
+      {"AggregateWeighted",
+       {RandomMatrix(kRows, cols, rng), RandomMatrix(kSrc.size(), 1, rng)},
+       [](Tape* t, const std::vector<Var>& x) {
+         return t->Aggregate(x[0], kSrc, kDst, kRows, x[1]);
+       },
+       [](const std::vector<Matrix>& in, const Matrix&, const Matrix& g,
+          Grads* grads) {
+         Matrix& wg = (*grads)[1];
+         for (size_t e = 0; e < kSrc.size(); ++e) {
+           float dot = 0.0f;
+           for (size_t c = 0; c < g.cols(); ++c) {
+             dot += g.at(kDst[e], c) * in[0].at(kSrc[e], c);
+           }
+           wg.at(e, 0) += dot;
+         }
+         Matrix& xg = (*grads)[0];
+         for (size_t e = 0; e < kSrc.size(); ++e) {
+           for (size_t c = 0; c < g.cols(); ++c) {
+             xg.at(kSrc[e], c) += g.at(kDst[e], c) * in[1].at(e, 0);
+           }
+         }
+       }});
+  cases.push_back(
+      {"EdgeScores",
+       {RandomMatrix(kRows, cols, rng), RandomMatrix(2 * cols, 1, rng)},
+       [](Tape* t, const std::vector<Var>& x) {
+         return t->EdgeScores(x[0], x[1], kSrc, kDst);
+       },
+       [](const std::vector<Matrix>& in, const Matrix&, const Matrix& g,
+          Grads* grads) {
+         const Matrix& x = in[0];
+         const Matrix& a = in[1];
+         const size_t d = x.cols();
+         Matrix sum(2 * d, 1);
+         for (size_t e = 0; e < kSrc.size(); ++e) {
+           for (size_t c = 0; c < d; ++c) {
+             sum.at(c, 0) += x.at(kDst[e], c) * g.at(e, 0);
+             sum.at(d + c, 0) += x.at(kSrc[e], c) * g.at(e, 0);
+           }
+         }
+         (*grads)[1].AddInPlace(sum);
+         Matrix& xg = (*grads)[0];
+         for (size_t e = 0; e < kSrc.size(); ++e) {
+           for (size_t c = 0; c < d; ++c) {
+             xg.at(kSrc[e], c) += a.at(d + c, 0) * g.at(e, 0);
+           }
+         }
+         for (size_t e = 0; e < kSrc.size(); ++e) {
+           for (size_t c = 0; c < d; ++c) {
+             xg.at(kDst[e], c) += a.at(c, 0) * g.at(e, 0);
            }
          }
        }});
@@ -706,7 +793,6 @@ std::function<Matrix(const std::vector<Matrix>&)> QErrorReference(
 std::vector<ForwardCase> ForwardCases(size_t cols, Rng* rng) {
   constexpr size_t kRows = 6;
   const std::vector<uint32_t> gather_rows = {2, 0, 2, 5, 1, 2, 0};
-  const std::vector<uint32_t> scatter_targets = {1, 3, 1, 0, 3, 3, 5};
   // Segments 1 and 4 stay empty; the column vector's length follows cols.
   constexpr uint32_t kUsedSegments[] = {0, 2, 3};
   std::vector<uint32_t> segments;
@@ -907,18 +993,54 @@ std::vector<ForwardCase> ForwardCases(size_t cols, Rng* rng) {
          return out;
        }});
   cases.push_back(
-      {"ScatterAddRows",
-       {RandomMatrix(scatter_targets.size(), cols, rng)},
-       [scatter_targets](Tape* t, const std::vector<Var>& x) {
-         return t->ScatterAddRows(x[0], scatter_targets, kRows);
+      {"Aggregate",
+       {RandomMatrix(kRows, cols, rng)},
+       [](Tape* t, const std::vector<Var>& x) {
+         return t->Aggregate(x[0], kSrc, kDst, kRows);
        },
-       [scatter_targets](const std::vector<Matrix>& in) {
+       [](const std::vector<Matrix>& in) {
          Matrix out(kRows, in[0].cols());
-         for (size_t i = 0; i < scatter_targets.size(); ++i) {
+         for (size_t e = 0; e < kSrc.size(); ++e) {
            for (size_t c = 0; c < out.cols(); ++c) {
-             out.at(scatter_targets[i], c) =
-                 out.at(scatter_targets[i], c) + in[0].at(i, c);
+             out.at(kDst[e], c) = out.at(kDst[e], c) + in[0].at(kSrc[e], c);
            }
+         }
+         return out;
+       }});
+  cases.push_back(
+      {"AggregateWeighted",
+       {RandomMatrix(kRows, cols, rng), RandomMatrix(kSrc.size(), 1, rng)},
+       [](Tape* t, const std::vector<Var>& x) {
+         return t->Aggregate(x[0], kSrc, kDst, kRows, x[1]);
+       },
+       [](const std::vector<Matrix>& in) {
+         Matrix out(kRows, in[0].cols());
+         for (size_t e = 0; e < kSrc.size(); ++e) {
+           for (size_t c = 0; c < out.cols(); ++c) {
+             out.at(kDst[e], c) = out.at(kDst[e], c) +
+                                  in[0].at(kSrc[e], c) * in[1].at(e, 0);
+           }
+         }
+         return out;
+       }});
+  cases.push_back(
+      {"EdgeScores",
+       {RandomMatrix(kRows, cols, rng), RandomMatrix(2 * cols, 1, rng)},
+       [](Tape* t, const std::vector<Var>& x) {
+         return t->EdgeScores(x[0], x[1], kSrc, kDst);
+       },
+       [](const std::vector<Matrix>& in) {
+         const Matrix& x = in[0];
+         const Matrix& a = in[1];
+         const size_t d = x.cols();
+         Matrix out(kSrc.size(), 1);
+         for (size_t e = 0; e < kSrc.size(); ++e) {
+           float acc = 0.0f;
+           for (size_t c = 0; c < d; ++c) acc += x.at(kDst[e], c) * a.at(c, 0);
+           for (size_t c = 0; c < d; ++c) {
+             acc += x.at(kSrc[e], c) * a.at(d + c, 0);
+           }
+           out.at(e, 0) = acc;
          }
          return out;
        }});
