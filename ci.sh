@@ -8,11 +8,13 @@
 #      every test labeled `concurrency` (ctest -L concurrency): ParallelFor
 #      and the worker pool, the observability stress tests, the
 #      differential suites, and the per-thread Tape workspaces that serve
-#      inference, validation and critic updates, with NEURSC_THREADS=8 to
-#      force real contention.
+#      every pass (inference, training examples, validation, critic
+#      updates, LSS and NSIC), with NEURSC_THREADS=8 to force real
+#      contention.
 #   3. Bit-identity suites: the tape-reuse suite (eval_context_test: a
 #      reused tape's forward and backward match a fresh tape's bit for bit,
-#      with zero arena growth after warm-up), the checkpoint round-trip
+#      with zero arena growth after warm-up, and a second run of the same
+#      training and NSIC passes grows no thread tape), the checkpoint round-trip
 #      suite (serialize_test), the scalar-vs-AVX2 kernel equivalence suite
 #      (simd_kernels_test, including the backward and Adam kernels), the
 #      golden-output pin of WEst forward and training results
@@ -46,9 +48,12 @@
 #      from EstimateInfo; then bench_ext_active_learning runs the
 #      active-learning loop on a tiny dataset (~0.06 s) and exits non-zero
 #      if the workload, the query pool or the learner's run fails; last,
-#      bench_fig11_ablation_se, the only program that runs "NeurSC w/o SE"
-#      and "NeurSC w/ PS" end to end, on a tiny dataset (~0.2 s); it exits
-#      non-zero if a NeurSC variant's estimate fails.
+#      bench_fig11_ablation_se, the only program that runs "NeurSC w/o SE",
+#      "NeurSC w/ PS" and NSIC end to end, on a tiny dataset (~0.2 s) at
+#      NEURSC_THREADS=1 and =8; it exits non-zero if a NeurSC variant's
+#      estimate fails, and the stage fails unless cmp finds the two
+#      outputs identical (the only end-to-end check of these passes
+#      across thread counts).
 #   5. Static thread-safety analysis: a Clang build of the full tree with
 #      -DNEURSC_ANALYZE=ON (-Werror=thread-safety), proving every
 #      NEURSC_GUARDED_BY / NEURSC_REQUIRES contract, plus the clang-tidy
@@ -112,8 +117,15 @@ NEURSC_SCALE=0.25 NEURSC_EPOCHS=4 NEURSC_QUERIES=8 \
 ./build/examples/neursc_cli
 NEURSC_SCALE=0.25 NEURSC_EPOCHS=4 NEURSC_QUERIES=8 \
   ./build/bench/bench_ext_active_learning
-NEURSC_SCALE=0.25 NEURSC_EPOCHS=2 NEURSC_QUERIES=4 \
-  ./build/bench/bench_fig11_ablation_se
+FIG11_OUT="$(mktemp -d)"
+for threads in 1 8; do
+  NEURSC_THREADS=$threads NEURSC_SCALE=0.25 NEURSC_EPOCHS=2 \
+    NEURSC_QUERIES=4 ./build/bench/bench_fig11_ablation_se \
+    > "$FIG11_OUT/threads$threads.txt"
+done
+cat "$FIG11_OUT/threads1.txt"
+cmp "$FIG11_OUT/threads1.txt" "$FIG11_OUT/threads8.txt"
+rm -rf "$FIG11_OUT"
 
 echo
 echo "=== [5/7] Static analysis: Clang -Werror=thread-safety + clang-tidy ==="

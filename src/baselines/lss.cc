@@ -12,6 +12,9 @@
 
 namespace neursc {
 
+constexpr size_t kGinLayers = 2;
+constexpr double kGradClipNorm = 5.0;
+
 LssEstimator::LssEstimator(const Graph& data, Options options)
     : data_(data),
       options_(options),
@@ -34,7 +37,7 @@ LssEstimator::LssEstimator(const Graph& data, Options options)
     input_dim = degree_bits_ + label_embedding_->dim();
   }
   size_t in = input_dim;
-  for (size_t k = 0; k < options_.gin_layers; ++k) {
+  for (size_t k = 0; k < kGinLayers; ++k) {
     gin_.push_back(std::make_unique<GinLayer>(in, options_.hidden_dim, &rng_));
     in = options_.hidden_dim;
   }
@@ -185,12 +188,11 @@ Status LssEstimator::Train(const std::vector<TrainingExample>& examples) {
       optimizer_->ZeroGrad();
       for (size_t i = start; i < end; ++i) {
         const Prepared& prep = prepared[indices[i]];
-        Tape tape;
-        Var estimate = Forward(&tape, prep.substructures, prep.features);
-        Var loss = tape.QErrorLoss(estimate, prep.count);
-        tape.Backward(loss);
+        ThreadTape tape;
+        Var estimate = Forward(tape.get(), prep.substructures, prep.features);
+        tape->Backward(tape->QErrorLoss(estimate, prep.count));
       }
-      optimizer_->ClipGradNorm(options_.grad_clip_norm);
+      optimizer_->ClipGradNorm(kGradClipNorm);
       optimizer_->Step();
       optimizer_->ZeroGrad();
     }

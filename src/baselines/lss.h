@@ -26,7 +26,8 @@ namespace neursc {
 /// 3. Aggregate substructure embeddings with a self-attention layer, then
 ///    regress the (log-scale) count with an MLP.
 ///
-/// Trained with Adam on the q-error loss.
+/// Trained with Adam on the q-error loss, two GIN layers and a gradient-norm
+/// clip of 5.
 class LssEstimator : public CardinalityEstimator {
  public:
   /// Vertex feature initialization mode, per [117]'s two options: plain
@@ -38,13 +39,11 @@ class LssEstimator : public CardinalityEstimator {
     size_t hop_k = 3;
     FeatureMode feature_mode = FeatureMode::kBinaryFrequency;
     size_t label_embedding_dim = 8;
-    size_t gin_layers = 2;
     size_t hidden_dim = 32;
     size_t attention_dim = 32;
     double learning_rate = 1e-3;
     size_t batch_size = 8;
     size_t epochs = 12;
-    double grad_clip_norm = 5.0;
     uint64_t seed = 5150;
   };
 

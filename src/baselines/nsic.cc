@@ -12,6 +12,9 @@ namespace neursc {
 
 namespace {
 
+constexpr size_t kLayers = 2;
+constexpr double kGradClipNorm = 5.0;
+
 std::vector<float> InverseDegreePlusOne(const Graph& g) {
   std::vector<float> inv(g.NumVertices());
   for (size_t v = 0; v < g.NumVertices(); ++v) {
@@ -29,7 +32,7 @@ NsicEstimator::NsicEstimator(const Graph& data, Options options)
       rng_(options.seed),
       features_(data, /*num_hops=*/0) {
   size_t in = features_.FeatureDim();
-  for (size_t k = 0; k < options_.layers; ++k) {
+  for (size_t k = 0; k < kLayers; ++k) {
     if (options_.kind == GnnKind::kGin) {
       gin_.push_back(
           std::make_unique<GinLayer>(in, options_.hidden_dim, &rng_));
@@ -76,7 +79,7 @@ Var NsicEstimator::Encode(Tape* tape, const Graph& g,
   EdgeIndex edges = UndirectedEdges(g);
   std::vector<float> inv_degree = InverseDegreePlusOne(g);
   Var h = tape->Constant(features);
-  for (size_t k = 0; k < options_.layers; ++k) {
+  for (size_t k = 0; k < kLayers; ++k) {
     h = GnnLayer(tape, k, h, edges, inv_degree);
   }
   // Scaled sum pooling: without it the whole-data-graph embedding has
@@ -141,15 +144,15 @@ Status NsicEstimator::Train(const std::vector<TrainingExample>& examples) {
       optimizer.ZeroGrad();
       for (size_t i = start; i < end; ++i) {
         const TrainingExample& example = examples[indices[i]];
-        Tape tape;
-        Var hq = Encode(&tape, example.query, features_.Compute(example.query));
-        auto hg = DataEmbedding(&tape, example.query);
+        ThreadTape tape;
+        Var hq = Encode(tape.get(), example.query,
+                        features_.Compute(example.query));
+        auto hg = DataEmbedding(tape.get(), example.query);
         if (!hg.ok()) continue;
-        Var estimate = Predict(&tape, hq, *hg);
-        Var loss = tape.QErrorLoss(estimate, example.count);
-        tape.Backward(loss);
+        Var estimate = Predict(tape.get(), hq, *hg);
+        tape->Backward(tape->QErrorLoss(estimate, example.count));
       }
-      optimizer.ClipGradNorm(options_.grad_clip_norm);
+      optimizer.ClipGradNorm(kGradClipNorm);
       optimizer.Step();
       optimizer.ZeroGrad();
     }
@@ -159,15 +162,15 @@ Status NsicEstimator::Train(const std::vector<TrainingExample>& examples) {
 
 Result<double> NsicEstimator::EstimateCount(const Graph& query) {
   Timer timer;
-  Tape tape;
-  Var hq = Encode(&tape, query, features_.Compute(query));
-  auto hg = DataEmbedding(&tape, query);
+  ThreadTape tape;
+  Var hq = Encode(tape.get(), query, features_.Compute(query));
+  auto hg = DataEmbedding(tape.get(), query);
   if (!hg.ok()) {
     if (hg.status().IsNotFound()) return 0.0;
     return hg.status();
   }
-  Var estimate = Predict(&tape, hq, *hg);
-  double value = tape.Value(estimate).scalar();
+  Var estimate = Predict(tape.get(), hq, *hg);
+  double value = tape->Value(estimate).scalar();
   if (options_.time_limit_seconds > 0 &&
       timer.ElapsedSeconds() > options_.time_limit_seconds) {
     return Status::Timeout("NSIC forward pass exceeded query budget");

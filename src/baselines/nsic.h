@@ -33,12 +33,10 @@ class NsicEstimator : public CardinalityEstimator {
   struct Options {
     GnnKind kind = GnnKind::kGin;
     bool use_substructure_extraction = false;
-    size_t layers = 2;
     size_t hidden_dim = 32;
     double learning_rate = 1e-3;
     size_t batch_size = 8;
     size_t epochs = 8;
-    double grad_clip_norm = 5.0;
     /// Per-query wall budget; exceeded => Timeout (models the paper's
     /// 5-minute cutoff under which NSIC only completes on Yeast).
     double time_limit_seconds = 5.0;

@@ -205,8 +205,7 @@ size_t WorkerPoolThreadCount() {
   return WorkerPool::Instance().ThreadCount();
 }
 
-void ParallelFor(size_t n, const std::function<void(size_t)>& fn,
-                 size_t num_threads) {
+void ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   if (n == 0) return;
   // Nested parallelism runs inline: the outer loop already owns the
   // worker threads, and exceptions propagate naturally to the outer task.
@@ -214,8 +213,7 @@ void ParallelFor(size_t n, const std::function<void(size_t)>& fn,
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  if (num_threads == 0) num_threads = DefaultThreadCount();
-  num_threads = std::min(num_threads, n);
+  const size_t num_threads = std::min(DefaultThreadCount(), n);
   NEURSC_COUNTER_INC("parallel.invocations");
   NEURSC_COUNTER_ADD("parallel.tasks", static_cast<int64_t>(n));
   if (num_threads <= 1) {

@@ -31,7 +31,7 @@ bool InParallelWorker();
 /// so far, never shrinking.
 size_t WorkerPoolThreadCount();
 
-/// Runs fn(i) for i in [0, n) across `num_threads` threads (0 = default).
+/// Runs fn(i) for i in [0, n) across DefaultThreadCount() threads.
 /// Work is distributed by atomic counter, so uneven task costs balance.
 /// fn must be safe to call concurrently for distinct i; results should be
 /// written to pre-sized per-index slots. Deterministic output requires fn
@@ -50,8 +50,7 @@ size_t WorkerPoolThreadCount();
 /// new indices; tasks already in flight still run to completion. Output
 /// slots of indices that were skipped after the failure are left
 /// untouched.
-void ParallelFor(size_t n, const std::function<void(size_t)>& fn,
-                 size_t num_threads = 0);
+void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
 }  // namespace neursc
 

@@ -11,6 +11,10 @@ namespace neursc {
 
 namespace {
 
+constexpr size_t kEnsembleSize = 2;
+// Budget for each oracle (exact counting) call.
+constexpr double kOracleTimeLimitSeconds = 2.0;
+
 // Local q-error (src/eval depends on src/core, so core cannot pull
 // eval/metrics.h in).
 double PairwiseQError(double a, double b) {
@@ -43,9 +47,8 @@ Result<std::vector<TrainingExample>> ActiveLearner::Run(
 
   for (size_t round = 0; round < options_.rounds; ++round) {
     // Ensemble predictions on the remaining pool.
-    std::vector<std::vector<double>> member_predictions(
-        options_.ensemble_size);
-    for (size_t member = 0; member < options_.ensemble_size; ++member) {
+    std::vector<std::vector<double>> member_predictions(kEnsembleSize);
+    for (size_t member = 0; member < kEnsembleSize; ++member) {
       NEURSC_RETURN_IF_ERROR(
           TrainModel(options_.seed + 1000 * round + member, labeled));
       member_predictions[member].assign(unlabeled_pool.size(), -1.0);
@@ -76,20 +79,13 @@ Result<std::vector<TrainingExample>> ActiveLearner::Run(
       }
     }
 
-    // Disagreement = max pairwise q-error between member predictions.
+    // Disagreement = the q-error between the two members' predictions.
     last_scores_.assign(unlabeled_pool.size(), 0.0);
     for (size_t i = 0; i < unlabeled_pool.size(); ++i) {
-      if (taken[i]) continue;
-      double score = 0.0;
-      for (size_t a = 0; a < options_.ensemble_size; ++a) {
-        for (size_t b = a + 1; b < options_.ensemble_size; ++b) {
-          double pa = member_predictions[a][i];
-          double pb = member_predictions[b][i];
-          if (pa < 0.0 || pb < 0.0) continue;
-          score = std::max(score, PairwiseQError(pa, pb));
-        }
-      }
-      last_scores_[i] = score;
+      double pa = member_predictions[0][i];
+      double pb = member_predictions[1][i];
+      if (taken[i] || pa < 0.0 || pb < 0.0) continue;
+      last_scores_[i] = PairwiseQError(pa, pb);
     }
 
     // Acquire the most uncertain queries and label them with the oracle.
@@ -103,7 +99,7 @@ Result<std::vector<TrainingExample>> ActiveLearner::Run(
       if (acquired >= options_.acquisitions_per_round) break;
       if (taken[i] || last_scores_[i] <= 0.0) continue;
       EnumerationOptions eopts;
-      eopts.time_limit_seconds = options_.oracle_time_limit_seconds;
+      eopts.time_limit_seconds = kOracleTimeLimitSeconds;
       auto counted =
           CountSubgraphIsomorphisms(unlabeled_pool[i], data_, eopts);
       if (!counted.ok() || !counted->exact) continue;  // over budget: skip

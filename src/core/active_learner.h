@@ -14,22 +14,20 @@ namespace neursc {
 /// al. pair LSS with an active learner; the NeurSC paper compares against
 /// plain LSS but cites the AL extension). The loop is
 ///
-///   1. Train an ensemble of NeurSC estimators (different seeds) on the
-///      labeled pool.
+///   1. Train an ensemble of two NeurSC estimators (different seeds) on
+///      the labeled pool.
 ///   2. Score every unlabeled candidate query by ensemble disagreement
-///      (the max pairwise q-error between member predictions — a
-///      label-free uncertainty proxy).
+///      (the q-error between the members' predictions — a label-free
+///      uncertainty proxy).
 ///   3. Move the most uncertain queries to the labeled pool, computing
-///      their exact counts (the expensive "oracle" call), and retrain.
+///      their exact counts (the expensive "oracle" call, 2 s budget each),
+///      and retrain.
 class ActiveLearner {
  public:
   struct Options {
-    size_t ensemble_size = 2;
     size_t rounds = 2;
     /// Queries labeled per round.
     size_t acquisitions_per_round = 8;
-    /// Budget for each oracle (exact counting) call.
-    double oracle_time_limit_seconds = 2.0;
     uint64_t seed = 77;
   };
 

@@ -318,13 +318,8 @@ Result<TrainStats> NeurSCEstimator::Train(
 
       // Parallel region: theta and omega are frozen for the whole batch,
       // so the per-example forward+backward passes are independent. Each
-      // runs on its own tape with a private Rng and routes its leaf
-      // gradients into a tape-local sink instead of Parameter::grad. The
-      // tape is fresh, not the ThreadTape: a pass holds every substructure
-      // of its query, and a reused tape would keep each arena slot at its
-      // largest size over all examples for the thread's lifetime. Reusing
-      // tapes here raised perfbench's label-poor peak_rss_mb from 31.2 to
-      // 44.2 MB.
+      // runs on its thread's tape with a private Rng and routes its leaf
+      // gradients into a tape-local sink instead of Parameter::grad.
       std::vector<GradientSink> sinks(batch);
       std::vector<double> example_loss(batch, 0.0);
       std::vector<uint8_t> has_loss(batch, 0);
@@ -333,17 +328,17 @@ Result<TrainStats> NeurSCEstimator::Train(
         NEURSC_SPAN(parallel_span, "train/batch_parallel");
         ParallelFor(batch, [&](size_t k) {
           size_t idx = indices[start + k];
-          Tape tape;
-          tape.set_gradient_sink(&sinks[k]);
+          ThreadTape tape;
+          tape->set_gradient_sink(&sinks[k]);
           Rng rng(seeds[k]);
           Var loss = BuildQueryLoss(
-              &tape, examples[idx].query, (*prepared)[idx],
+              tape.get(), examples[idx].query, (*prepared)[idx],
               examples[idx].count, adversarial, &rng,
               wasserstein_updates ? &critic_inputs[k] : nullptr);
           if (!loss.valid()) return;
-          example_loss[k] = tape.Value(loss).scalar();
+          example_loss[k] = tape->Value(loss).scalar();
           has_loss[k] = 1;
-          tape.Backward(loss);
+          tape->Backward(loss);
         });
       }
 

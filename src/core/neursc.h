@@ -118,21 +118,20 @@ struct TrainStats {
 /// Threading (see docs/threading.md): the estimator parallelizes *inside*
 /// Estimate/EstimateOnSubstructures/EstimateBatch and Train.
 ///
-/// Inference, validation and critic passes run on the calling thread's
-/// ThreadTape, so warmed-up arenas are reused across queries and epochs;
-/// each task holds the scope for the duration of its pass.
+/// Every pass (inference, training example, validation, critic update)
+/// runs on the calling thread's ThreadTape, so warmed-up arenas are reused
+/// across queries, examples and epochs; each task holds the scope for the
+/// duration of its pass.
 ///
-/// Inference: per-substructure WEst forward passes each run on their
-/// thread's Tape with a private Rng, and the per-substructure counts are
-/// reduced in index order. Steady-state inference performs no arena
-/// allocation.
+/// Inference: per-substructure WEst forward passes each run with a private
+/// Rng, and the per-substructure counts are reduced in index order.
+/// Steady-state inference performs no arena allocation.
 ///
 /// Training: within a batch the parameters are frozen, so the per-example
-/// forward+backward passes run over ParallelFor, each on its own Tape with
-/// a tape-local GradientSink; the sinks are then reduced into
-/// Parameter::grad serially in example-index order before the optimizer
-/// step, and the critic's inner maximization (Alg. 3 lines 10-12) runs
-/// serially afterwards. The per-epoch validation q-error loop is
+/// forward+backward passes run over ParallelFor, each with a tape-local
+/// GradientSink; the sinks are then reduced into Parameter::grad serially
+/// in example-index order before the optimizer step, and the critic's
+/// inner maximization (Alg. 3 lines 10-12) runs serially afterwards. The per-epoch validation q-error loop is
 /// parallelized the same way (forward-only, ordered reduction).
 ///
 /// In both modes every random decision (the r_s substructure sample, the

@@ -108,6 +108,12 @@ double EnvScaleMultiplier() {
 
 namespace {
 
+/// Probability that an edge stays inside its community.
+constexpr double kIntraCommunityFraction = 0.85;
+/// Fraction of a community's vertices drawn from its "home" label block
+/// (the rest are global Zipf draws).
+constexpr double kLabelLocality = 0.7;
+
 /// Community-structured variant: vertices are partitioned into
 /// communities, most edges stay intra-community, and each community draws
 /// most of its labels from a "home" block of the label space.
@@ -170,7 +176,7 @@ Result<Graph> GenerateCommunityGraph(const GeneratorConfig& config,
   while (edges.size() < config.num_edges && attempts < max_attempts) {
     ++attempts;
     VertexId a = sample_global();
-    VertexId b = rng->Bernoulli(config.intra_community_fraction)
+    VertexId b = rng->Bernoulli(kIntraCommunityFraction)
                      ? sample_in_community(community[a])
                      : sample_global();
     if (a == b) continue;
@@ -180,7 +186,7 @@ Result<Graph> GenerateCommunityGraph(const GeneratorConfig& config,
 
   // Labels: each community owns a contiguous "home" block of the label
   // space; a vertex draws from its home block with probability
-  // label_locality, globally (Zipf) otherwise. Every label is used at
+  // kLabelLocality, globally (Zipf) otherwise. Every label is used at
   // least once so |L| matches the configuration.
   std::vector<Label> labels(n);
   const size_t num_labels = config.num_labels;
@@ -193,7 +199,7 @@ Result<Graph> GenerateCommunityGraph(const GeneratorConfig& config,
     size_t block_lo = c * num_labels / communities;
     size_t block_hi =
         std::max<size_t>((c + 1) * num_labels / communities, block_lo + 1);
-    if (rng->Bernoulli(config.label_locality)) {
+    if (rng->Bernoulli(kLabelLocality)) {
       labels[v] = static_cast<Label>(
           block_lo + rng->UniformIndex(block_hi - block_lo));
     } else if (config.label_skew > 0.0) {

@@ -48,9 +48,9 @@ Var Mlp::Forward(Tape* tape, Var x) {
   return x;
 }
 
-void Mlp::DampLastLayer(float factor) {
+void Mlp::DampLastLayer() {
   Linear& last = *layers_.back();
-  last.weight().value.ScaleInPlace(factor);
+  last.weight().value.ScaleInPlace(0.01f);
   last.bias().value.Fill(0.0f);
 }
 

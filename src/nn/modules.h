@@ -75,11 +75,11 @@ class Mlp : public Module {
   Var Forward(Tape* tape, Var x);
   std::vector<Parameter*> Parameters() override;
 
-  /// Scales the last layer's weights by `factor` and zeroes its bias so
+  /// Scales the last layer's weights by 0.01 and zeroes its bias so
   /// the network initially outputs near-0 regardless of input magnitude.
   /// Used by count-regression heads (output exp(~0) ~= 1) to start in a
   /// well-conditioned region while keeping gradient flow to lower layers.
-  void DampLastLayer(float factor = 0.01f);
+  void DampLastLayer();
 
   size_t in_features() const { return dims_.front(); }
   size_t out_features() const { return dims_.back(); }

@@ -412,18 +412,19 @@ Var Tape::ReduceSum(Var x) {
   return Emit(out, OpKind::kReduceSum, x);
 }
 
-Var Tape::QErrorLoss(Var pred, double target, double eps) {
+Var Tape::QErrorLoss(Var pred, double target) {
+  constexpr double kEps = 1e-9;
   const Matrix& pv = Value(pred);
   NEURSC_CHECK(pv.rows() == 1 && pv.cols() == 1);
   const double c_hat = pv.at(0, 0);
   const double c = std::max(target, 1.0);
-  const double under = c / (c_hat + eps);  // penalizes underestimation
-  const double over = c_hat / c;           // penalizes overestimation
+  const double under = c / (c_hat + kEps);  // penalizes underestimation
+  const double over = c_hat / c;            // penalizes overestimation
   Matrix* out = AllocValue(1, 1);
   out->at(0, 0) = static_cast<float>(std::max(under, over));
   // d(loss)/d(pred) of whichever branch of the max is active.
   const double derivative =
-      (under >= over) ? -c / ((c_hat + eps) * (c_hat + eps)) : 1.0 / c;
+      (under >= over) ? -c / ((c_hat + kEps) * (c_hat + kEps)) : 1.0 / c;
   return Emit(out, OpKind::kQErrorLoss, pred, Var{}, derivative);
 }
 

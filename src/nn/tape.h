@@ -85,8 +85,8 @@ class GradientSink {
 /// must stay on one thread at a time (the serial critic updates use this
 /// mode). Mutating a shared Parameter (optimizer steps, weight clamping,
 /// LoadModel) while another thread runs a pass over it is a data race.
-/// Parallel callers reuse warmed-up arenas through ThreadTape, which
-/// hands each thread its own tape, one pass at a time.
+/// Library passes do not construct Tapes: each runs on its thread's tape
+/// through ThreadTape (below).
 class Tape {
  public:
   Tape() = default;
@@ -171,9 +171,9 @@ class Tape {
   Var ReduceSum(Var x);
 
   // --- Losses ---
-  /// q-error training loss (Eq. 10): max(target / (pred + eps),
+  /// q-error training loss (Eq. 10): max(target / (pred + 1e-9),
   /// pred / max(target, 1)). `pred` must be 1x1 and positive.
-  Var QErrorLoss(Var pred, double target, double eps = 1e-9);
+  Var QErrorLoss(Var pred, double target);
 
   /// Runs reverse-mode accumulation from `loss` (must be 1x1) with seed 1.
   /// May be called once per pass. Leaf gradients go to Parameter::grad, or
@@ -288,12 +288,14 @@ class Tape {
   std::vector<double> seg_sum_;
 };
 
-/// The calling thread's workspace tape, held for one pass. Each thread
+/// The calling thread's workspace tape, held for one pass. Every pass of
+/// the library, forward-only or with Backward, runs on one. Each thread
 /// owns one thread_local Tape for its lifetime, as it owns the GEMM
-/// packing buffer, so the warmed-up arenas serve every inference,
-/// validation and critic pass that thread runs. The constructor Reset()s
-/// the tape. Scopes on one thread must not nest: a second live scope
-/// would rewind the first one's values, so it fails a NEURSC_CHECK.
+/// packing buffer, and keeps each slot at the largest size its passes
+/// asked for, so after warm-up no pass grows an arena. The constructor
+/// Reset()s the tape, which also uninstalls any gradient sink. Scopes on
+/// one thread must not nest: a second live scope would rewind the first
+/// one's values, so it fails a NEURSC_CHECK.
 class ThreadTape {
  public:
   ThreadTape();

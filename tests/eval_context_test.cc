@@ -5,8 +5,7 @@
 // the same bits as one on a fresh tape, forward-only and with Backward,
 // and after a warm-up pass per shape, repeated passes perform zero arena
 // growth. They also cover Leaf's borrow of the parameter value and the
-// per-thread ThreadTape that serves inference, validation and critic
-// passes.
+// per-thread ThreadTape that serves every pass of the library.
 //
 // The suite carries the "concurrency" label so the ci.sh TSan lane
 // exercises the thread tapes under real thread contention.
@@ -14,6 +13,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <set>
 #include <string>
 #include <thread>
@@ -21,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/lss.h"
+#include "baselines/nsic.h"
 #include "common/metrics_registry.h"
 #include "common/rng.h"
 #include "core/feature_init.h"
@@ -206,6 +208,70 @@ TEST(ThreadTapeTest, ConcurrentScopesAreBoundToTheirThreads) {
   for (size_t t = 0; t < kThreads; ++t) {
     EXPECT_EQ(scopes_on_own_tape[t], kScopesPerThread) << "thread " << t;
   }
+}
+
+/// What `fn` adds to the eval/arena_grows counter.
+int64_t ArenaGrowsDuring(const std::function<void()>& fn) {
+  Counter* grows = MetricsRegistry::Global().GetCounter("eval/arena_grows");
+  const int64_t before = grows->Value();
+  fn();
+  return grows->Value() - before;
+}
+
+TEST(ThreadTapeTest, LibraryPassesLeaveTheThreadTapeWarm) {
+  // Training examples, validation, critic updates and the LSS and NSIC
+  // passes all run on the calling thread's tape. On one thread, a second
+  // run of the same passes therefore finds every slot already sized by
+  // the first, and grows nothing.
+  ThreadsGuard guard(1);
+  Graph data = DisjointTriangles(8);
+  std::vector<TrainingExample> examples;
+  for (const Graph& q : TestQueries()) {
+    examples.push_back({q, 48.0});
+    examples.push_back({q, 40.0});
+  }
+
+  NeurSCConfig config = TinyConfig(42);
+  config.validation_fraction = 0.25;
+  auto train_neursc = [&] {
+    NeurSCEstimator estimator(data, config);
+    auto stats = estimator.Train(examples);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    ASSERT_FALSE(stats->epoch_validation_qerror.empty());
+  };
+  train_neursc();
+  EXPECT_EQ(ArenaGrowsDuring(train_neursc), 0) << "NeurSC Train";
+
+  LssEstimator::Options lss_options;
+  lss_options.hidden_dim = 8;
+  lss_options.attention_dim = 8;
+  lss_options.epochs = 2;
+  auto train_lss = [&] {
+    LssEstimator lss(data, lss_options);
+    Status st = lss.Train(examples);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+  };
+  train_lss();
+  EXPECT_EQ(ArenaGrowsDuring(train_lss), 0) << "LSS Train";
+
+  NsicEstimator::Options nsic_options;
+  nsic_options.hidden_dim = 8;
+  nsic_options.epochs = 2;
+  auto train_nsic = [&] {
+    NsicEstimator nsic(data, nsic_options);
+    Status st = nsic.Train(examples);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+  };
+  train_nsic();
+  EXPECT_EQ(ArenaGrowsDuring(train_nsic), 0) << "NSIC Train";
+
+  NsicEstimator nsic(data, nsic_options);
+  auto estimate = [&] {
+    auto count = nsic.EstimateCount(examples[0].query);
+    ASSERT_TRUE(count.ok()) << count.status().ToString();
+  };
+  estimate();
+  EXPECT_EQ(ArenaGrowsDuring(estimate), 0) << "NSIC EstimateCount";
 }
 
 // --- Workspace reuse: zero arena growth after warm-up -----------------

@@ -32,7 +32,8 @@ TEST(CounterTest, MergesAcrossParallelForThreads) {
   Counter* c = MetricsRegistry::Global().GetCounter("test.counter.parallel");
   c->Reset();
   const size_t kTasks = 10000;
-  ParallelFor(kTasks, [&](size_t) { c->Add(3); }, /*num_threads=*/8);
+  testing_util::ThreadsGuard guard(8);
+  ParallelFor(kTasks, [&](size_t) { c->Add(3); });
   EXPECT_EQ(c->Value(), static_cast<int64_t>(3 * kTasks));
 }
 

@@ -13,6 +13,7 @@
 #include "common/parallel.h"
 #include "common/trace.h"
 #include "gtest/gtest.h"
+#include "test_util.h"
 
 namespace neursc {
 namespace {
@@ -94,11 +95,12 @@ TEST(MetricsStressTest, TracedSpansAcrossManyShortLivedThreads) {
   // buffer/stripe paths under sustained reuse rather than thread churn.
   constexpr int kRounds = 20;
   constexpr size_t kTasks = 64;
+  testing_util::ThreadsGuard guard(8);
   for (int round = 0; round < kRounds; ++round) {
     ParallelFor(kTasks, [](size_t) {
       NEURSC_SPAN(span, "stress/span");
       NEURSC_COUNTER_INC("stress.span.bodies");
-    }, /*num_threads=*/8);
+    });
   }
   EXPECT_EQ(TraceRecorder::Global().EventCount(),
             static_cast<size_t>(kRounds) * kTasks);

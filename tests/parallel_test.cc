@@ -10,13 +10,18 @@
 
 #include <gtest/gtest.h>
 
+#include "test_util.h"
+
 namespace neursc {
 namespace {
+
+using testing_util::ThreadsGuard;
 
 TEST(ParallelForTest, VisitsEveryIndexOnce) {
   const size_t n = 1000;
   std::vector<std::atomic<int>> visits(n);
-  ParallelFor(n, [&](size_t i) { visits[i].fetch_add(1); }, 4);
+  ThreadsGuard guard(4);
+  ParallelFor(n, [&](size_t i) { visits[i].fetch_add(1); });
   for (size_t i = 0; i < n; ++i) EXPECT_EQ(visits[i].load(), 1);
 }
 
@@ -28,7 +33,8 @@ TEST(ParallelForTest, ZeroItemsIsNoOp) {
 
 TEST(ParallelForTest, SingleThreadFallback) {
   std::vector<size_t> order;
-  ParallelFor(5, [&](size_t i) { order.push_back(i); }, 1);
+  ThreadsGuard guard(1);
+  ParallelFor(5, [&](size_t i) { order.push_back(i); });
   EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
 }
 
@@ -36,10 +42,11 @@ TEST(ParallelForTest, ResultsDeterministicPerSlot) {
   const size_t n = 200;
   std::vector<double> a(n);
   std::vector<double> b(n);
+  ThreadsGuard guard(4);
   auto fill = [](std::vector<double>* out) {
     ParallelFor(out->size(), [out](size_t i) {
       (*out)[i] = static_cast<double>(i) * 1.5;
-    }, 4);
+    });
   };
   fill(&a);
   fill(&b);
@@ -48,7 +55,8 @@ TEST(ParallelForTest, ResultsDeterministicPerSlot) {
 
 TEST(ParallelForTest, MoreThreadsThanItems) {
   std::vector<std::atomic<int>> visits(3);
-  ParallelFor(3, [&](size_t i) { visits[i].fetch_add(1); }, 16);
+  ThreadsGuard guard(16);
+  ParallelFor(3, [&](size_t i) { visits[i].fetch_add(1); });
   for (size_t i = 0; i < 3; ++i) EXPECT_EQ(visits[i].load(), 1);
 }
 
@@ -73,18 +81,20 @@ TEST(ParallelForTest, DefaultThreadCountClampsHugeEnvValue) {
 }
 
 TEST(ParallelForTest, PropagatesWorkerException) {
+  ThreadsGuard guard(4);
   EXPECT_THROW(
       ParallelFor(100, [](size_t i) {
         if (i == 37) throw std::runtime_error("task 37 failed");
-      }, 4),
+      }),
       std::runtime_error);
 }
 
 TEST(ParallelForTest, PropagatesExceptionMessage) {
+  ThreadsGuard guard(8);
   try {
     ParallelFor(64, [](size_t i) {
       if (i >= 60) throw std::runtime_error("boom " + std::to_string(i));
-    }, 8);
+    });
     FAIL() << "expected ParallelFor to rethrow";
   } catch (const std::runtime_error& e) {
     EXPECT_EQ(std::string(e.what()).rfind("boom ", 0), 0u);
@@ -92,20 +102,22 @@ TEST(ParallelForTest, PropagatesExceptionMessage) {
 }
 
 TEST(ParallelForTest, PropagatesSerialException) {
+  ThreadsGuard guard(1);
   EXPECT_THROW(
       ParallelFor(10, [](size_t i) {
         if (i == 3) throw std::logic_error("serial failure");
-      }, 1),
+      }),
       std::logic_error);
 }
 
 TEST(ParallelForTest, StopsClaimingWorkAfterException) {
   std::atomic<size_t> executed{0};
+  ThreadsGuard guard(4);
   try {
     ParallelFor(100000, [&](size_t i) {
       executed.fetch_add(1);
       if (i == 0) throw std::runtime_error("early failure");
-    }, 4);
+    });
   } catch (const std::runtime_error&) {
   }
   // Workers stop claiming new indices once a task has thrown; with the
@@ -114,36 +126,47 @@ TEST(ParallelForTest, StopsClaimingWorkAfterException) {
 }
 
 TEST(ParallelForTest, SurvivesExceptionAndRemainsUsable) {
+  ThreadsGuard guard(4);
   try {
-    ParallelFor(16, [](size_t) { throw std::runtime_error("x"); }, 4);
+    ParallelFor(16, [](size_t) { throw std::runtime_error("x"); });
   } catch (const std::runtime_error&) {
   }
   std::vector<std::atomic<int>> visits(50);
-  ParallelFor(50, [&](size_t i) { visits[i].fetch_add(1); }, 4);
+  ParallelFor(50, [&](size_t i) { visits[i].fetch_add(1); });
   for (size_t i = 0; i < 50; ++i) EXPECT_EQ(visits[i].load(), 1);
 }
 
 TEST(WorkerPoolTest, PoolPersistsAcrossInvocations) {
   // Warm the pool, then check that repeated regions neither shrink nor
   // regrow it: the helpers stay parked between calls.
-  ParallelFor(64, [](size_t) {}, 4);
+  ThreadsGuard guard(4);
+  ParallelFor(64, [](size_t) {});
   size_t after_first = WorkerPoolThreadCount();
   EXPECT_GE(after_first, 3u);  // 4 requested threads = caller + 3 helpers
   for (int round = 0; round < 5; ++round) {
-    ParallelFor(64, [](size_t) {}, 4);
+    ParallelFor(64, [](size_t) {});
     EXPECT_EQ(WorkerPoolThreadCount(), after_first) << "round=" << round;
   }
 }
 
 TEST(WorkerPoolTest, PoolGrowsToLargestRequest) {
-  ParallelFor(32, [](size_t) {}, 2);
-  size_t small = WorkerPoolThreadCount();
-  ParallelFor(32, [](size_t) {}, 6);
-  size_t large = WorkerPoolThreadCount();
+  size_t small = 0;
+  {
+    ThreadsGuard guard(2);
+    ParallelFor(32, [](size_t) {});
+    small = WorkerPoolThreadCount();
+  }
+  size_t large = 0;
+  {
+    ThreadsGuard guard(6);
+    ParallelFor(32, [](size_t) {});
+    large = WorkerPoolThreadCount();
+  }
   EXPECT_GE(large, 5u);
   EXPECT_GE(large, small);
   // Shrinking requests keep the grown pool (idle helpers just sleep).
-  ParallelFor(32, [](size_t) {}, 2);
+  ThreadsGuard guard(2);
+  ParallelFor(32, [](size_t) {});
   EXPECT_EQ(WorkerPoolThreadCount(), large);
 }
 
@@ -153,8 +176,9 @@ TEST(WorkerPoolTest, ConcurrentCallersBothComplete) {
   const size_t n = 5000;
   std::vector<std::atomic<int>> a(n);
   std::vector<std::atomic<int>> b(n);
-  std::thread t1([&] { ParallelFor(n, [&](size_t i) { a[i].fetch_add(1); }, 4); });
-  std::thread t2([&] { ParallelFor(n, [&](size_t i) { b[i].fetch_add(1); }, 4); });
+  ThreadsGuard guard(4);
+  std::thread t1([&] { ParallelFor(n, [&](size_t i) { a[i].fetch_add(1); }); });
+  std::thread t2([&] { ParallelFor(n, [&](size_t i) { b[i].fetch_add(1); }); });
   t1.join();
   t2.join();
   for (size_t i = 0; i < n; ++i) {
@@ -169,6 +193,7 @@ TEST(WorkerPoolTest, ThrowingBodyCannotDeadlockWaitingRegions) {
   // rethrown, so callers queued for the next region always proceed. Run
   // several rounds of one throwing caller racing several clean callers.
   const size_t n = 2000;
+  ThreadsGuard guard(4);
   for (int round = 0; round < 5; ++round) {
     std::atomic<int> clean_done{0};
     std::atomic<bool> threw{false};
@@ -176,7 +201,7 @@ TEST(WorkerPoolTest, ThrowingBodyCannotDeadlockWaitingRegions) {
       try {
         ParallelFor(n, [](size_t i) {
           if (i % 7 == 0) throw std::runtime_error("poisoned index");
-        }, 4);
+        });
       } catch (const std::runtime_error&) {
         threw.store(true);
       }
@@ -185,7 +210,7 @@ TEST(WorkerPoolTest, ThrowingBodyCannotDeadlockWaitingRegions) {
     for (int t = 0; t < 3; ++t) {
       clean.emplace_back([&] {
         std::vector<std::atomic<int>> visits(n);
-        ParallelFor(n, [&](size_t i) { visits[i].fetch_add(1); }, 4);
+        ParallelFor(n, [&](size_t i) { visits[i].fetch_add(1); });
         for (size_t i = 0; i < n; ++i) ASSERT_EQ(visits[i].load(), 1);
         clean_done.fetch_add(1);
       });
@@ -202,9 +227,10 @@ TEST(WorkerPoolTest, BodiesRunWithoutPoolLocksHeld) {
   // lock while invoking user callbacks, the caller-participant's body
   // calling it here would self-deadlock.
   std::atomic<size_t> observed{0};
+  ThreadsGuard guard(4);
   ParallelFor(64, [&](size_t) {
     observed.store(WorkerPoolThreadCount(), std::memory_order_relaxed);
-  }, 4);
+  });
   EXPECT_GE(observed.load(), 3u);
 }
 
@@ -213,12 +239,13 @@ TEST(ParallelForTest, NestedParallelForRunsInline) {
   const size_t inner = 16;
   std::vector<std::vector<int>> hits(outer, std::vector<int>(inner, 0));
   std::vector<int> inline_flags(outer, 0);
+  ThreadsGuard guard(4);
   ParallelFor(outer, [&](size_t i) {
     EXPECT_TRUE(InParallelWorker());
     // The nested call must execute on this same worker thread, in order.
-    ParallelFor(inner, [&, i](size_t j) { hits[i][j] += 1; }, 8);
+    ParallelFor(inner, [&, i](size_t j) { hits[i][j] += 1; });
     inline_flags[i] = 1;
-  }, 4);
+  });
   EXPECT_FALSE(InParallelWorker());
   for (size_t i = 0; i < outer; ++i) {
     EXPECT_EQ(inline_flags[i], 1);
