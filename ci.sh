@@ -33,7 +33,12 @@
 #      Hopcroft-Karp, with its scratch reused; substructure_test: the
 #      direct-CSR split against a three-pass split; feature_init_test:
 #      linear-time features against a per-vertex BFS; all on the
-#      per-thread extraction scratch) re-run explicitly under both the
+#      per-thread extraction scratch) and the readers' oracle suite
+#      (loader_oracle_test: the in-memory checkpoint, text-graph and
+#      binary-graph readers against the stream readers they replaced, same
+#      status, message, weights bit for bit and graph, over every
+#      single-token truncation and replacement of valid inputs) re-run
+#      explicitly under both the
 #      Release and TSan builds — the bit-identity contract of
 #      docs/execution.md. Stage 6 runs them again under ASan+UBSan, which
 #      covers the AVX2 kernels' vector bodies and scalar tails.
@@ -45,7 +50,13 @@
 #      cost ratio, and exits non-zero if its fixtures fail to generate or
 #      filter or a ratio is not finite; then the neursc_cli self-demo
 #      (generate -> train -> evaluate, ~0.1 s) prints the per-query extraction/inference times
-#      from EstimateInfo; then bench_ext_active_learning runs the
+#      from EstimateInfo; then the CLI through files (~0.1 s): `generate`
+#      writes the Yeast stand-in, `train` (1 epoch) saves a checkpoint, and
+#      `estimate` runs twice on a matchable and an unmatchable query file
+#      that the script writes; the stage fails unless cmp finds the two
+#      outputs identical once their ms figures are masked (the only
+#      end-to-end run of ReadGraphFromFile, SaveModel and LoadModel through
+#      files); then bench_ext_active_learning runs the
 #      active-learning loop on a tiny dataset (~0.06 s) and exits non-zero
 #      if the workload, the query pool or the learner's run fails; last,
 #      bench_fig11_ablation_se, the only program that runs "NeurSC w/o SE",
@@ -100,14 +111,15 @@ echo "=== [3/7] Bit-identity suites (Release + TSan) ==="
 cmake --build build-tsan -j "$JOBS" --target serialize_test \
   simd_kernels_test golden_output_test optimizer_test tape_test \
   message_passing_test candidate_filter_test substructure_test \
-  feature_init_test bipartite_matching_test filter_property_test
-BIT_IDENTITY='eval_context_test|serialize_test|simd_kernels_test|golden_output_test|optimizer_test|tape_test|message_passing_test|candidate_filter_test|substructure_test|feature_init_test|bipartite_matching_test|filter_property_test'
+  feature_init_test bipartite_matching_test filter_property_test \
+  loader_oracle_test
+BIT_IDENTITY='eval_context_test|serialize_test|simd_kernels_test|golden_output_test|optimizer_test|tape_test|message_passing_test|candidate_filter_test|substructure_test|feature_init_test|bipartite_matching_test|filter_property_test|loader_oracle_test'
 ctest --test-dir build -R "$BIT_IDENTITY" --output-on-failure
 NEURSC_THREADS=8 ctest --test-dir build-tsan -R "$BIT_IDENTITY" \
   --output-on-failure
 
 echo
-echo "=== [4/7] Bench smoke (NEURSC_THREADS sweep + ablations + CLI demo + active learning + Fig. 11) ==="
+echo "=== [4/7] Bench smoke (NEURSC_THREADS sweep + ablations + CLI demo + CLI through files + active learning + Fig. 11) ==="
 cmake --build build -j "$JOBS" --target bench_table4_training_time \
   bench_ablations neursc_cli bench_ext_active_learning \
   bench_fig11_ablation_se
@@ -115,6 +127,23 @@ NEURSC_SCALE=0.25 NEURSC_EPOCHS=4 NEURSC_QUERIES=8 \
   ./build/bench/bench_table4_training_time
 ./build/bench/bench_ablations
 ./build/examples/neursc_cli
+CLI_OUT="$(mktemp -d)"
+CLI=./build/examples/neursc_cli
+"$CLI" generate Yeast "$CLI_OUT/data.graph"
+"$CLI" train "$CLI_OUT/data.graph" "$CLI_OUT/model.ckpt" 1
+printf 't 3 2\nv 0 0 1\nv 1 1 2\nv 2 2 1\ne 0 1\ne 1 2\n' \
+  > "$CLI_OUT/matchable.graph"
+printf 't 3 2\nv 0 0 1\nv 1 1 2\nv 2 200 1\ne 0 1\ne 1 2\n' \
+  > "$CLI_OUT/unmatchable.graph"
+for run in 1 2; do
+  for query in matchable unmatchable; do
+    "$CLI" estimate "$CLI_OUT/data.graph" "$CLI_OUT/model.ckpt" \
+      "$CLI_OUT/$query.graph"
+  done | sed -E 's/[0-9.]+ms/<t>ms/g' > "$CLI_OUT/estimate$run.txt"
+done
+cat "$CLI_OUT/estimate1.txt"
+cmp "$CLI_OUT/estimate1.txt" "$CLI_OUT/estimate2.txt"
+rm -rf "$CLI_OUT"
 NEURSC_SCALE=0.25 NEURSC_EPOCHS=4 NEURSC_QUERIES=8 \
   ./build/bench/bench_ext_active_learning
 FIG11_OUT="$(mktemp -d)"

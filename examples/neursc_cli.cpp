@@ -127,6 +127,10 @@ int CmdEstimate(const std::string& graph_path,
               stats.largest_substructure_vertices,
               1e3 * info->extraction_seconds,
               1e3 * info->inference_seconds, 1e3 * info->total_seconds);
+  if (stats.empty_query_vertex != kInvalidVertex) {
+    std::printf("no candidates for query vertex %u, so the count is 0\n",
+                stats.empty_query_vertex);
+  }
   return 0;
 }
 

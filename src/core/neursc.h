@@ -87,8 +87,9 @@ struct EstimateInfo {
   /// Prepare start to last forward pass end (>= extraction + inference).
   double total_seconds = 0.0;
   /// What the extraction found: candidate counts, components and the
-  /// largest substructure. All zero without extraction, and when the
-  /// filter left some CS(u) empty (extraction stops before the split).
+  /// largest substructure. All zero without extraction. When the filter
+  /// left some CS(u) empty, extraction stops before the split: it keeps
+  /// the candidate counts and names the first empty set's query vertex.
   ExtractionStats extraction;
 };
 

@@ -3,15 +3,22 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <vector>
+
+#include "common/tokenizer.h"
 
 namespace neursc {
 
-Result<Graph> ReadGraphFromStream(std::istream& in) {
-  std::string tag;
-  size_t num_vertices = 0;
-  size_t num_edges = 0;
-  if (!(in >> tag) || tag != "t" || !(in >> num_vertices >> num_edges)) {
+namespace {
+
+/// The one text-format parser: `text` is the whole graph.
+Result<Graph> ParseGraph(std::string_view text) {
+  Tokenizer in(text);
+  uint64_t num_vertices = 0;
+  uint64_t num_edges = 0;
+  if (in.Next() != "t" || !in.NextUnsigned(&num_vertices) ||
+      !in.NextUnsigned(&num_edges)) {
     return Status::IOError("missing or malformed 't' header line");
   }
   // The header counts are unchecked until the lines they announce have
@@ -19,12 +26,13 @@ Result<Graph> ReadGraphFromStream(std::istream& in) {
   GraphBuilder builder;
   std::vector<uint64_t> declared_degree;
   size_t edges_seen = 0;
-  while (in >> tag) {
+  for (std::string_view tag = in.Next(); !tag.empty(); tag = in.Next()) {
     if (tag == "v") {
       uint64_t id = 0;
       uint64_t label = 0;
       uint64_t degree = 0;
-      if (!(in >> id >> label >> degree)) {
+      if (!in.NextUnsigned(&id) || !in.NextUnsigned(&label) ||
+          !in.NextUnsigned(&degree)) {
         return Status::IOError("malformed 'v' line");
       }
       if (id != declared_degree.size()) {
@@ -45,7 +53,7 @@ Result<Graph> ReadGraphFromStream(std::istream& in) {
     } else if (tag == "e") {
       uint64_t u = 0;
       uint64_t v = 0;
-      if (!(in >> u >> v)) {
+      if (!in.NextUnsigned(&u) || !in.NextUnsigned(&v)) {
         return Status::IOError("malformed 'e' line");
       }
       if (u >= builder.NumVertices() || v >= builder.NumVertices()) {
@@ -56,7 +64,8 @@ Result<Graph> ReadGraphFromStream(std::istream& in) {
       if (!st.ok()) return st;
       ++edges_seen;
     } else {
-      return Status::IOError("unexpected line tag '" + tag + "'");
+      return Status::IOError("unexpected line tag '" + std::string(tag) +
+                             "'");
     }
   }
   if (declared_degree.size() != num_vertices) {
@@ -80,15 +89,20 @@ Result<Graph> ReadGraphFromStream(std::istream& in) {
   return g;
 }
 
+}  // namespace
+
+Result<Graph> ReadGraphFromStream(std::istream& in) {
+  return ParseGraph(ReadWholeStream(in));
+}
+
 Result<Graph> ReadGraphFromFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open " + path);
-  return ReadGraphFromStream(in);
+  std::string text;
+  NEURSC_RETURN_IF_ERROR(ReadWholeFile(path, &text));
+  return ParseGraph(text);
 }
 
 Result<Graph> ReadGraphFromString(const std::string& text) {
-  std::istringstream in(text);
-  return ReadGraphFromStream(in);
+  return ParseGraph(text);
 }
 
 Status WriteGraphToStream(const Graph& g, std::ostream& out) {
@@ -128,12 +142,6 @@ void WriteRaw(std::ostream& out, const T& value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof(T));
 }
 
-template <typename T>
-bool ReadRaw(std::istream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return static_cast<bool>(in);
-}
-
 }  // namespace
 
 Status WriteGraphBinary(const Graph& g, const std::string& path) {
@@ -161,26 +169,32 @@ Status WriteGraphBinary(const Graph& g, const std::string& path) {
 Result<Graph> ReadGraphBinary(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open " + path);
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kBinaryMagic, sizeof(magic)) != 0) {
+  // magic(4) version(u32) |V|(u64) |E|(u64), checked in file order.
+  char header[24] = {};
+  in.read(header, sizeof(header));
+  const size_t header_bytes = static_cast<size_t>(in.gcount());
+  if (header_bytes < 4 ||
+      std::memcmp(header, kBinaryMagic, sizeof(kBinaryMagic)) != 0) {
     return Status::IOError("bad magic (not a NSCG binary graph)");
   }
   uint32_t version = 0;
   uint64_t num_vertices = 0;
   uint64_t num_edges = 0;
-  if (!ReadRaw(in, &version) || version != kBinaryVersion) {
+  std::memcpy(&version, header + 4, sizeof(version));
+  if (header_bytes < 8 || version != kBinaryVersion) {
     return Status::IOError("unsupported binary graph version");
   }
-  if (!ReadRaw(in, &num_vertices) || !ReadRaw(in, &num_edges)) {
+  if (header_bytes < sizeof(header)) {
     return Status::IOError("truncated header");
   }
+  std::memcpy(&num_vertices, header + 8, sizeof(num_vertices));
+  std::memcpy(&num_edges, header + 16, sizeof(num_edges));
   // Check the counts against the bytes that follow before reserving for
   // them: 4 per label, 8 per edge.
-  const std::streampos body_start = in.tellg();
   in.seekg(0, std::ios::end);
-  const std::streamoff body_bytes = in.tellg() - body_start;
-  in.seekg(body_start);
+  const std::streamoff body_bytes =
+      in.tellg() - static_cast<std::streamoff>(sizeof(header));
+  in.seekg(sizeof(header));
   if (!in || body_bytes < 0) return Status::IOError("cannot size file body");
   const uint64_t remaining = static_cast<uint64_t>(body_bytes);
   if (num_vertices > kInvalidVertex || num_vertices > remaining / 4 ||
@@ -190,20 +204,19 @@ Result<Graph> ReadGraphBinary(const std::string& path) {
                            " edges, more than the file's " +
                            std::to_string(remaining) + " body bytes hold");
   }
+  // The labels, then the edges' endpoint pairs, in one read.
+  std::vector<uint32_t> body(num_vertices + 2 * num_edges);
+  in.read(reinterpret_cast<char*>(body.data()),
+          static_cast<std::streamsize>(body.size() * sizeof(uint32_t)));
+  const uint64_t words_read = static_cast<uint64_t>(in.gcount()) / 4;
+  if (words_read < num_vertices) return Status::IOError("truncated labels");
+  if (words_read < body.size()) return Status::IOError("truncated edges");
   GraphBuilder builder;
   builder.Reserve(num_vertices, num_edges);
-  for (uint64_t v = 0; v < num_vertices; ++v) {
-    uint32_t label = 0;
-    if (!ReadRaw(in, &label)) return Status::IOError("truncated labels");
-    builder.AddVertex(label);
-  }
+  for (uint64_t v = 0; v < num_vertices; ++v) builder.AddVertex(body[v]);
   for (uint64_t e = 0; e < num_edges; ++e) {
-    uint32_t a = 0;
-    uint32_t b = 0;
-    if (!ReadRaw(in, &a) || !ReadRaw(in, &b)) {
-      return Status::IOError("truncated edges");
-    }
-    NEURSC_RETURN_IF_ERROR(builder.AddEdge(a, b));
+    const uint32_t* ends = body.data() + num_vertices + 2 * e;
+    NEURSC_RETURN_IF_ERROR(builder.AddEdge(ends[0], ends[1]));
   }
   return builder.Build();
 }

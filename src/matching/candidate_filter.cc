@@ -188,11 +188,15 @@ Result<CandidateSets> ComputeCandidateSets(
     }
     return query_nbrs.size() <= 1 || matcher.HasLeftSaturatingMatching();
   };
+  // An empty CS(u) fixes the count at 0, so refinement stops as soon as
+  // one empties (or never starts, when local pruning emptied one).
   int rounds_run = 0;
-  for (int round = 0; round < options.refinement_rounds; ++round) {
+  bool some_empty = result.AnyEmpty();
+  for (int round = 0; round < options.refinement_rounds && !some_empty;
+       ++round) {
     ++rounds_run;
     bool changed = false;
-    for (size_t u = 0; u < nq; ++u) {
+    for (size_t u = 0; u < nq && !some_empty; ++u) {
       std::vector<VertexId>& cs = result.candidates[u];
       std::vector<uint8_t>& cs_dirty = dirty[u];
       size_t kept = 0;
@@ -208,6 +212,7 @@ Result<CandidateSets> ComputeCandidateSets(
       }
       cs.resize(kept);
       cs_dirty.resize(kept);
+      some_empty = kept == 0;
     }
     if (!changed) break;
   }

@@ -64,7 +64,10 @@ struct CandidateFilterOptions {
 ///    (SemiPerfectMatcher, matching/bipartite_matching.h). The tests that
 ///    ran are counted in `filter.pair_tests`; the removals, their order,
 ///    `filter.refine_rounds` and `filter.candidates_refined` are those of
-///    the full re-test.
+///    the full re-test. Refinement stops as soon as some CS(u) is empty,
+///    in the middle of a sweep or before the first when local pruning
+///    emptied one: the query has no embedding, and the other sets stay as
+///    the tests so far left them.
 ///
 /// Memory: the membership bitmap (|V(q)| rows of ceil(|V(G)|/64) words) and
 /// the matcher's rows are per-thread scratch; a call clears the bitmap

@@ -118,10 +118,16 @@ Result<ExtractionResult> ExtractSubstructures(
   NEURSC_SPAN(extract_span, "extract/total");
   auto candidates = ComputeCandidateSets(query, data, filter_options);
   if (!candidates.ok()) return candidates.status();
-  if (candidates->AnyEmpty()) {
+  const auto& sets = candidates->candidates;
+  const auto empty = std::find_if(sets.begin(), sets.end(),
+                                  [](const auto& cs) { return cs.empty(); });
+  if (empty != sets.end()) {
     NEURSC_COUNTER_INC("extract.early_terminated");
     ExtractionResult out;
     out.early_terminate = true;
+    out.stats.candidate_union_size = candidates->UnionSize();
+    out.stats.total_candidates = candidates->TotalSize();
+    out.stats.empty_query_vertex = static_cast<VertexId>(empty - sets.begin());
     return out;
   }
   auto universe = candidates->Union();

@@ -23,7 +23,9 @@ struct Substructure {
 };
 
 /// Observability counters filled during extraction (how hard the filter
-/// worked and how fragmented the candidate region is).
+/// worked and how fragmented the candidate region is). When some CS(u) is
+/// empty, extraction stops before the split: the candidate counts are
+/// those the filter left, and the component counts stay 0.
 struct ExtractionStats {
   /// |union of all CS(u)|.
   size_t candidate_union_size = 0;
@@ -34,6 +36,10 @@ struct ExtractionStats {
   /// Components surviving the size check (== substructures.size()).
   size_t components_kept = 0;
   size_t largest_substructure_vertices = 0;
+  /// The first query vertex whose candidate set emptied, kInvalidVertex if
+  /// none: why an early-terminated query answers 0. Refinement stops at
+  /// the first set it empties, so this is the lowest-numbered empty CS(u).
+  VertexId empty_query_vertex = kInvalidVertex;
 };
 
 /// Result of the extraction module (Sec. 4 / Alg. 1 lines 1-7).

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "common/tokenizer.h"
 
 namespace neursc {
 
@@ -49,13 +51,19 @@ Status SaveParametersToFile(const std::vector<Parameter*>& params,
   return SaveParameters(params, out);
 }
 
-Status LoadParameters(const std::vector<Parameter*>& params,
-                      std::istream& in) {
-  std::string magic;
-  std::string version;
-  size_t count = 0;
-  if (!(in >> magic >> version >> count) || magic != "neursc-params" ||
-      version != "v1") {
+namespace {
+
+/// The one checkpoint parser: `text` is the whole checkpoint. Every value
+/// is parsed into `staged` first and committed only after the whole
+/// checkpoint parsed, so a rejected load leaves `params` untouched.
+Status ParseParameters(const std::vector<Parameter*>& params,
+                       std::string_view text) {
+  Tokenizer in(text);
+  const std::string_view magic = in.Next();
+  const std::string_view version = in.Next();
+  uint64_t count = 0;
+  if (magic != "neursc-params" || version != "v1" ||
+      !in.NextUnsigned(&count)) {
     return Status::IOError("bad header");
   }
   if (count != params.size()) {
@@ -63,54 +71,61 @@ Status LoadParameters(const std::vector<Parameter*>& params,
         "parameter count mismatch: file has " + std::to_string(count) +
         ", model has " + std::to_string(params.size()));
   }
-  // Every value is parsed into `staged` first and committed only after the
-  // whole checkpoint parsed, so a rejected load leaves `params` untouched.
-  std::vector<std::vector<float>> staged(params.size());
-  for (size_t k = 0; k < params.size(); ++k) {
-    const Parameter* p = params[k];
-    std::string tag;
-    size_t rows = 0;
-    size_t cols = 0;
-    if (!(in >> tag >> rows >> cols) || tag != "param") {
+  size_t total = 0;
+  for (const Parameter* p : params) total += p->value.size();
+  std::vector<float> staged(total);
+  float* next = staged.data();
+  for (const Parameter* p : params) {
+    uint64_t rows = 0;
+    uint64_t cols = 0;
+    if (in.Next() != "param" || !in.NextUnsigned(&rows) ||
+        !in.NextUnsigned(&cols)) {
       return Status::IOError("malformed param header");
     }
     if (rows != p->value.rows() || cols != p->value.cols()) {
       return Status::InvalidArgument("parameter shape mismatch");
     }
-    // Token-wise strtof parse: reads both the hexfloat format written by
-    // SaveParameters and legacy decimal checkpoints. strtof accepts
-    // "inf"/"nan" spellings and saturates out-of-range decimals to
-    // infinity, so the finite check below is what actually enforces the
-    // no-NaN/Inf contract on every input.
-    std::string token;
-    staged[k].resize(p->value.size());
+    // Reads both the hexfloat format written by SaveParameters and legacy
+    // decimal checkpoints. strtof accepts "inf"/"nan" spellings and
+    // saturates out-of-range decimals to infinity, so the finite check
+    // below is what actually enforces the no-NaN/Inf contract on every
+    // input.
     for (size_t i = 0; i < p->value.size(); ++i) {
-      if (!(in >> token)) {
-        return Status::IOError("truncated parameter data");
-      }
-      char* end = nullptr;
-      float v = std::strtof(token.c_str(), &end);
-      if (end == token.c_str() || *end != '\0') {
-        return Status::IOError("malformed parameter value '" + token + "'");
+      const std::string_view token = in.Next();
+      if (token.empty()) return Status::IOError("truncated parameter data");
+      float v = 0.0f;
+      if (!ParseFloatToken(token, &v)) {
+        return Status::IOError("malformed parameter value '" +
+                               std::string(token) + "'");
       }
       if (!std::isfinite(v)) {
-        return Status::InvalidArgument(
-            "non-finite parameter value '" + token + "' in checkpoint");
+        return Status::InvalidArgument("non-finite parameter value '" +
+                                       std::string(token) +
+                                       "' in checkpoint");
       }
-      staged[k][i] = v;
+      *next++ = v;
     }
   }
-  for (size_t k = 0; k < params.size(); ++k) {
-    std::copy(staged[k].begin(), staged[k].end(), params[k]->value.data());
+  next = staged.data();
+  for (Parameter* p : params) {
+    std::copy(next, next + p->value.size(), p->value.data());
+    next += p->value.size();
   }
   return Status::OK();
 }
 
+}  // namespace
+
+Status LoadParameters(const std::vector<Parameter*>& params,
+                      std::istream& in) {
+  return ParseParameters(params, ReadWholeStream(in));
+}
+
 Status LoadParametersFromFile(const std::vector<Parameter*>& params,
                               const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open " + path);
-  return LoadParameters(params, in);
+  std::string text;
+  NEURSC_RETURN_IF_ERROR(ReadWholeFile(path, &text));
+  return ParseParameters(params, text);
 }
 
 }  // namespace neursc

@@ -179,9 +179,12 @@ CandidateSets OracleCandidateSets(const Graph& query, const Graph& data,
   for (size_t u = 0; u < nq; ++u) {
     for (VertexId v : result.candidates[u]) is_candidate[u][v] = true;
   }
-  for (int round = 0; round < options.refinement_rounds; ++round) {
+  // Refinement stops as soon as some set is empty.
+  bool some_empty = result.AnyEmpty();
+  for (int round = 0; round < options.refinement_rounds && !some_empty;
+       ++round) {
     bool changed = false;
-    for (VertexId u = 0; u < nq; ++u) {
+    for (VertexId u = 0; u < nq && !some_empty; ++u) {
       auto query_nbrs = query.Neighbors(u);
       std::vector<VertexId> kept;
       for (VertexId v : result.candidates[u]) {
@@ -200,6 +203,7 @@ CandidateSets OracleCandidateSets(const Graph& query, const Graph& data,
         }
       }
       result.candidates[u] = std::move(kept);
+      some_empty = result.candidates[u].empty();
     }
     if (!changed) break;
   }
@@ -218,6 +222,7 @@ TEST(CandidateFilterTest, MatchesOracleOnGeneratedWorkloads) {
 
   size_t compared = 0;
   size_t refined_away = 0;
+  size_t emptied_by_refinement = 0;
   for (const char* name : {"Yeast", "Wordnet"}) {
     auto profile = FindDatasetProfile(name);
     ASSERT_TRUE(profile.ok());
@@ -232,8 +237,15 @@ TEST(CandidateFilterTest, MatchesOracleOnGeneratedWorkloads) {
       QueryGenerator generator(*data, qc);
       auto queries = generator.GenerateMany(4);
       ASSERT_TRUE(queries.ok()) << name << " size " << size;
-      for (size_t q = 0; q < queries->size(); ++q) {
-        const Graph& query = (*queries)[q];
+      for (size_t q = 0; q < 2 * queries->size(); ++q) {
+        // Each generated query, then a copy with its vertex 0 relabelled.
+        const Graph& generated = (*queries)[q / 2];
+        const Graph query =
+            q % 2 == 0 ? generated
+                       : testing_util::WithLabel(
+                             generated, 0,
+                             (generated.GetLabel(0) + 1) %
+                                 static_cast<Label>(data->NumLabels()));
         for (const auto& [label, options] : variants) {
           auto got = ComputeCandidateSets(query, *data, options);
           ASSERT_TRUE(got.ok());
@@ -248,17 +260,20 @@ TEST(CandidateFilterTest, MatchesOracleOnGeneratedWorkloads) {
           if (label == "default") {
             CandidateFilterOptions local = options;
             local.refinement_rounds = 0;
-            refined_away += OracleCandidateSets(query, *data, local)
-                                .TotalSize() -
-                            want.TotalSize();
+            const CandidateSets unrefined =
+                OracleCandidateSets(query, *data, local);
+            refined_away += unrefined.TotalSize() - want.TotalSize();
+            emptied_by_refinement += !unrefined.AnyEmpty() && want.AnyEmpty();
           }
         }
       }
     }
   }
-  EXPECT_EQ(compared, 2u * 3u * 4u * variants.size());
-  // The sweep must exercise refinement, not only local pruning.
+  EXPECT_EQ(compared, 2u * 3u * 8u * variants.size());
+  // The sweep must exercise refinement, not only local pruning, and
+  // refinement that stops at an emptied set.
   EXPECT_GT(refined_away, 0u);
+  EXPECT_GT(emptied_by_refinement, 0u);
 }
 
 // Two hubs whose decisive neighbours sit in the second and third words of

@@ -3,8 +3,9 @@
 // Each seed input is truncated, bit-flipped and spliced with a fixed RNG.
 // Every outcome must be a Status or a valid result: a loaded checkpoint
 // holds only finite weights, a rejected one changes no weight, and a read
-// graph satisfies the CSR invariants. Sized to run in well under two
-// seconds under ASan+UBSan.
+// graph satisfies the CSR invariants. Every outcome must also be the one
+// the stream readers the library replaced return (stream_readers.h).
+// Sized to run in well under two seconds under ASan+UBSan.
 
 #include <algorithm>
 #include <cmath>
@@ -21,6 +22,7 @@
 #include "graph/generators.h"
 #include "graph/graph_io.h"
 #include "nn/serialize.h"
+#include "stream_readers.h"
 #include "test_util.h"
 
 namespace neursc {
@@ -111,14 +113,18 @@ TEST(InputFuzzTest, CheckpointLoaderRejectsOrLoadsFiniteWeights) {
   WEstModel model(6, config);
   Discriminator critic(model.ReprDim(), 4, 0.01f, 5);
   const std::vector<Parameter*> params = params_of(&model, &critic);
+  // The oracle's copy, in the same state after every load.
+  WEstModel twin_model(6, config);
+  Discriminator twin_critic(twin_model.ReprDim(), 4, 0.01f, 5);
+  const std::vector<Parameter*> twin = params_of(&twin_model, &twin_critic);
   Rng rng(2024);
   size_t accepted = 0;
   size_t rejected = 0;
   for (int i = 0; i < kMutationsPerInput; ++i) {
     const std::string input = Mutate(seed, &rng);
     const auto before = SnapshotWeights(params);
-    std::istringstream in(input);
-    Status st = LoadParameters(params, in);
+    Status st = oracle::ExpectLoadMatchesOracle(
+        params, twin, input, "mutation " + std::to_string(i));
     if (st.ok()) {
       ++accepted;
       EXPECT_TRUE(AllFinite(params)) << "mutation " << i;
@@ -141,7 +147,8 @@ TEST(InputFuzzTest, TextGraphReaderRejectsOrReturnsValidGraph) {
   size_t accepted = 0;
   size_t rejected = 0;
   for (int i = 0; i < kMutationsPerInput; ++i) {
-    auto read = ReadGraphFromString(Mutate(seed, &rng));
+    auto read = oracle::ExpectTextReadMatchesOracle(
+        Mutate(seed, &rng), "text mutation " + std::to_string(i));
     if (read.ok()) {
       ++accepted;
       ExpectValidGraph(*read, "text mutation " + std::to_string(i));
@@ -166,7 +173,8 @@ TEST(InputFuzzTest, BinaryGraphReaderRejectsOrReturnsValidGraph) {
   for (int i = 0; i < kMutationsPerInput; ++i) {
     std::ofstream(path, std::ios::binary | std::ios::trunc)
         << Mutate(seed, &rng);
-    auto read = ReadGraphBinary(path);
+    auto read = oracle::ExpectBinaryReadMatchesOracle(
+        path, "binary mutation " + std::to_string(i));
     if (read.ok()) {
       ++accepted;
       ExpectValidGraph(*read, "binary mutation " + std::to_string(i));

@@ -23,6 +23,21 @@ TEST(SubstructureTest, EarlyTerminateOnEmptyCandidates) {
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->early_terminate);
   EXPECT_TRUE(result->substructures.empty());
+  EXPECT_EQ(result->stats.empty_query_vertex, 0u);
+}
+
+TEST(SubstructureTest, EarlyTerminationKeepsTheFilterCounts) {
+  // Label 9 is absent from the data, so CS(u1) and CS(u2) are empty while
+  // CS(u0) keeps the three label-0 vertices with a label-0 neighbour.
+  Graph query = MakeGraph({0, 0, 9}, {{0, 1}, {1, 2}});
+  Graph data = MakeGraph({0, 0, 0}, {{0, 1}, {1, 2}});
+  auto result = ExtractSubstructures(query, data);
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result->early_terminate);
+  EXPECT_EQ(result->stats.total_candidates, 3u);
+  EXPECT_EQ(result->stats.candidate_union_size, 3u);
+  EXPECT_EQ(result->stats.components_total, 0u);
+  EXPECT_EQ(result->stats.empty_query_vertex, 1u);
 }
 
 TEST(SubstructureTest, EarlyTerminateWhenUnionTooSmall) {
@@ -262,6 +277,8 @@ void ExpectSameExtraction(const ExtractionResult& got,
   EXPECT_EQ(got.stats.largest_substructure_vertices,
             want.stats.largest_substructure_vertices)
       << context;
+  EXPECT_EQ(got.stats.empty_query_vertex, want.stats.empty_query_vertex)
+      << context;
   ASSERT_EQ(got.substructures.size(), want.substructures.size()) << context;
   for (size_t i = 0; i < want.substructures.size(); ++i) {
     const Substructure& g = got.substructures[i];
@@ -284,6 +301,7 @@ TEST(SubstructureTest, MatchesThreePassOracleOnGeneratedWorkloads) {
   size_t substructures = 0;
   size_t components_skipped = 0;
   size_t perfect_universes = 0;
+  size_t emptied = 0;
   for (const char* name : {"Yeast", "Wordnet"}) {
     auto profile = FindDatasetProfile(name);
     ASSERT_TRUE(profile.ok());
@@ -303,22 +321,42 @@ TEST(SubstructureTest, MatchesThreePassOracleOnGeneratedWorkloads) {
         const std::string where = std::string(name) + " size " +
                                   std::to_string(size) + " query " +
                                   std::to_string(q);
-        for (const auto& [label, options] : variants) {
-          auto got = ExtractSubstructures(query, *data, options);
-          ASSERT_TRUE(got.ok());
-          auto cs = ComputeCandidateSets(query, *data, options);
-          ASSERT_TRUE(cs.ok());
-          ExtractionResult want;
-          if (cs->AnyEmpty()) {
-            want.early_terminate = true;
-          } else {
-            want = OracleSplit(query, *data, cs->Union(), *cs);
+        // The query, then an unmatchable copy with vertex 0 relabelled.
+        const Graph relabelled = testing_util::WithLabel(
+            query, 0,
+            (query.GetLabel(0) + 1) % static_cast<Label>(data->NumLabels()));
+        for (const Graph* extracted : {&query, &relabelled}) {
+          for (const auto& [label, options] : variants) {
+            const std::string context =
+                where + " " + label +
+                (extracted == &query ? "" : " relabelled");
+            auto got = ExtractSubstructures(*extracted, *data, options);
+            ASSERT_TRUE(got.ok());
+            auto cs = ComputeCandidateSets(*extracted, *data, options);
+            ASSERT_TRUE(cs.ok());
+            ExtractionResult want;
+            const auto& sets = cs->candidates;
+            const auto empty =
+                std::find_if(sets.begin(), sets.end(),
+                             [](const auto& set) { return set.empty(); });
+            if (empty != sets.end()) {
+              // Extraction stops before the split, keeping the filter's
+              // counts and the first empty set's vertex.
+              want.early_terminate = true;
+              want.stats.candidate_union_size = cs->Union().size();
+              want.stats.total_candidates = cs->TotalSize();
+              want.stats.empty_query_vertex =
+                  static_cast<VertexId>(empty - sets.begin());
+              ++emptied;
+            } else {
+              want = OracleSplit(*extracted, *data, cs->Union(), *cs);
+            }
+            ExpectSameExtraction(*got, want, context);
+            ++extractions;
+            substructures += want.substructures.size();
+            components_skipped +=
+                want.stats.components_total - want.stats.components_kept;
           }
-          ExpectSameExtraction(*got, want, where + " " + label);
-          ++extractions;
-          substructures += want.substructures.size();
-          components_skipped +=
-              want.stats.components_total - want.stats.components_kept;
         }
 
         // The "perfect substructure" universe: the data vertices of
@@ -347,10 +385,12 @@ TEST(SubstructureTest, MatchesThreePassOracleOnGeneratedWorkloads) {
       }
     }
   }
-  EXPECT_EQ(extractions, 2u * 3u * 4u * variants.size());
-  // The sweep must exercise kept, skipped and embedding-derived regions.
+  EXPECT_EQ(extractions, 2u * 3u * 4u * 2u * variants.size());
+  // The sweep must exercise kept, skipped, emptied and embedding-derived
+  // regions.
   EXPECT_GT(substructures, 0u);
   EXPECT_GT(components_skipped, 0u);
+  EXPECT_GT(emptied, 0u);
   EXPECT_GT(perfect_universes, 0u);
 }
 

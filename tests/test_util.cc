@@ -44,6 +44,18 @@ Graph MakeGraph(const std::vector<Label>& labels,
   return std::move(built).value();
 }
 
+Graph WithLabel(const Graph& g, VertexId v, Label label) {
+  std::vector<Label> labels;
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId u = 0; u < g.NumVertices(); ++u) {
+    labels.push_back(u == v ? label : g.GetLabel(u));
+    for (VertexId w : g.Neighbors(u)) {
+      if (u < w) edges.emplace_back(u, w);
+    }
+  }
+  return MakeGraph(labels, edges);
+}
+
 void ExpectSameGraph(const Graph& got, const Graph& want,
                      const std::string& context) {
   ASSERT_EQ(got.NumVertices(), want.NumVertices()) << context;

@@ -30,6 +30,10 @@ class ThreadsGuard {
 Graph MakeGraph(const std::vector<Label>& labels,
                 const std::vector<std::pair<VertexId, VertexId>>& edges);
 
+/// `g` with vertex v's label replaced by `label`, e.g. an unmatchable copy
+/// of a generated query.
+Graph WithLabel(const Graph& g, VertexId v, Label label);
+
 /// Expects `got` and `want` to agree on every accessor, derived arrays
 /// included: sizes, labels, neighbours, neighbour labels, label
 /// signatures, label groups, max degree and fingerprint (Graph::operator== compares only the
