@@ -64,7 +64,11 @@
 #      NEURSC_THREADS=1 and =8; it exits non-zero if a NeurSC variant's
 #      estimate fails, and the stage fails unless cmp finds the two
 #      outputs identical (the only end-to-end check of these passes
-#      across thread counts).
+#      across thread counts); then bench_fig7_accuracy, the only program
+#      that estimates with every baseline (CSet, SumRDF, CS, WJ, JSUB,
+#      NSIC-I, NSIC-C and LSS) next to the NeurSC variants, on a tiny
+#      dataset (~1.7 s) at NEURSC_THREADS=1 and =8; the stage fails unless
+#      cmp finds the two outputs identical.
 #   5. Static thread-safety analysis: a Clang build of the full tree with
 #      -DNEURSC_ANALYZE=ON (-Werror=thread-safety), proving every
 #      NEURSC_GUARDED_BY / NEURSC_REQUIRES contract, plus the clang-tidy
@@ -119,10 +123,10 @@ NEURSC_THREADS=8 ctest --test-dir build-tsan -R "$BIT_IDENTITY" \
   --output-on-failure
 
 echo
-echo "=== [4/7] Bench smoke (NEURSC_THREADS sweep + ablations + CLI demo + CLI through files + active learning + Fig. 11) ==="
+echo "=== [4/7] Bench smoke (NEURSC_THREADS sweep + ablations + CLI demo + CLI through files + active learning + Fig. 11 + Fig. 7) ==="
 cmake --build build -j "$JOBS" --target bench_table4_training_time \
   bench_ablations neursc_cli bench_ext_active_learning \
-  bench_fig11_ablation_se
+  bench_fig11_ablation_se bench_fig7_accuracy
 NEURSC_SCALE=0.25 NEURSC_EPOCHS=4 NEURSC_QUERIES=8 \
   ./build/bench/bench_table4_training_time
 ./build/bench/bench_ablations
@@ -155,6 +159,15 @@ done
 cat "$FIG11_OUT/threads1.txt"
 cmp "$FIG11_OUT/threads1.txt" "$FIG11_OUT/threads8.txt"
 rm -rf "$FIG11_OUT"
+FIG7_OUT="$(mktemp -d)"
+for threads in 1 8; do
+  NEURSC_THREADS=$threads NEURSC_SCALE=0.25 NEURSC_EPOCHS=2 \
+    NEURSC_QUERIES=4 ./build/bench/bench_fig7_accuracy \
+    > "$FIG7_OUT/threads$threads.txt"
+done
+cat "$FIG7_OUT/threads1.txt"
+cmp "$FIG7_OUT/threads1.txt" "$FIG7_OUT/threads8.txt"
+rm -rf "$FIG7_OUT"
 
 echo
 echo "=== [5/7] Static analysis: Clang -Werror=thread-safety + clang-tidy ==="

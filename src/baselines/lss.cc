@@ -12,7 +12,9 @@
 
 namespace neursc {
 
+constexpr size_t kHops = 3;  // k of the k-hop ball decomposition
 constexpr size_t kGinLayers = 2;
+constexpr size_t kBatchSize = 8;
 constexpr double kGradClipNorm = 5.0;
 
 LssEstimator::LssEstimator(const Graph& data, Options options)
@@ -30,13 +32,7 @@ LssEstimator::LssEstimator(const Graph& data, Options options)
         denom);
   }
 
-  size_t input_dim = degree_bits_ + label_bits_ + 1;
-  if (options_.feature_mode == FeatureMode::kLabelEmbedding) {
-    label_embedding_ = std::make_unique<LabelEmbedding>(
-        data, options_.label_embedding_dim);
-    input_dim = degree_bits_ + label_embedding_->dim();
-  }
-  size_t in = input_dim;
+  size_t in = degree_bits_ + label_bits_ + 1;
   for (size_t k = 0; k < kGinLayers; ++k) {
     gin_.push_back(std::make_unique<GinLayer>(in, options_.hidden_dim, &rng_));
     in = options_.hidden_dim;
@@ -49,9 +45,7 @@ LssEstimator::LssEstimator(const Graph& data, Options options)
       std::vector<size_t>{options_.hidden_dim, options_.hidden_dim, 1},
       Activation::kRelu, &rng_);
   predictor_->DampLastLayer();  // start the exp() head at c_hat = 1
-  AdamOptimizer::Options aopts;
-  aopts.learning_rate = options_.learning_rate;
-  optimizer_ = std::make_unique<AdamOptimizer>(AllParameters(), aopts);
+  optimizer_ = std::make_unique<AdamOptimizer>(AllParameters());
 }
 
 std::vector<Parameter*> LssEstimator::AllParameters() {
@@ -79,7 +73,7 @@ std::vector<Graph> LssEstimator::Decompose(const Graph& query) const {
     while (!queue.empty()) {
       VertexId x = queue.front();
       queue.pop();
-      if (dist[x] >= options_.hop_k) continue;
+      if (dist[x] >= kHops) continue;
       for (VertexId w : query.Neighbors(x)) {
         if (dist[w] == UINT32_MAX) {
           dist[w] = dist[x] + 1;
@@ -97,12 +91,7 @@ std::vector<Graph> LssEstimator::Decompose(const Graph& query) const {
 }
 
 Matrix LssEstimator::Featurize(const Graph& g) const {
-  const bool use_embedding =
-      options_.feature_mode == FeatureMode::kLabelEmbedding;
-  const size_t dim = use_embedding
-                         ? degree_bits_ + label_embedding_->dim()
-                         : degree_bits_ + label_bits_ + 1;
-  Matrix features(g.NumVertices(), dim);
+  Matrix features(g.NumVertices(), degree_bits_ + label_bits_ + 1);
   for (size_t v = 0; v < g.NumVertices(); ++v) {
     float* row = features.row(v);
     size_t degree = g.Degree(static_cast<VertexId>(v));
@@ -111,12 +100,6 @@ Matrix LssEstimator::Featurize(const Graph& g) const {
         std::min(degree, (static_cast<size_t>(1) << degree_bits_) - 1);
     for (size_t b = 0; b < degree_bits_; ++b) {
       row[b] = static_cast<float>((deg_clamped >> b) & 1u);
-    }
-    if (use_embedding) {
-      const float* embedding = label_embedding_->Vector(label);
-      std::copy(embedding, embedding + label_embedding_->dim(),
-                row + degree_bits_);
-      continue;
     }
     size_t lab_clamped = std::min<size_t>(
         label, (static_cast<size_t>(1) << label_bits_) - 1);
@@ -182,9 +165,8 @@ Status LssEstimator::Train(const std::vector<TrainingExample>& examples) {
   for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {
     Timer epoch_timer;
     rng_.Shuffle(&indices);
-    for (size_t start = 0; start < indices.size();
-         start += options_.batch_size) {
-      size_t end = std::min(start + options_.batch_size, indices.size());
+    for (size_t start = 0; start < indices.size(); start += kBatchSize) {
+      size_t end = std::min(start + kBatchSize, indices.size());
       optimizer_->ZeroGrad();
       for (size_t i = start; i < end; ++i) {
         const Prepared& prep = prepared[indices[i]];

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "baselines/estimator.h"
-#include "baselines/label_embedding.h"
 #include "common/rng.h"
 #include "nn/modules.h"
 #include "nn/optimizer.h"
@@ -17,32 +16,25 @@ namespace neursc {
 /// (Zhao et al., SIGMOD'21), the paper's strongest baseline. Pipeline:
 ///
 /// 1. Decompose the query into |V(q)| substructures — the induced subgraph
-///    of the k-hop ball around each query vertex (k fixed, default 3;
-///    Sec. 1 of the NeurSC paper analyzes how small-diameter queries make
-///    all balls identical).
+///    of the k-hop ball around each query vertex (k fixed at 3; Sec. 1 of
+///    the NeurSC paper analyzes how small-diameter queries make all balls
+///    identical).
 /// 2. Embed every substructure with a GIN stack; sum-pooling readout.
-///    Vertex features use only query-side information plus the data
-///    graph's label frequencies (LSS does not extract from the data graph).
+///    Vertex features are [117]'s plain label-frequency option: degree
+///    bits, label bits and the data graph's log label frequency. They use
+///    only query-side information plus those frequencies (LSS does not
+///    extract from the data graph); [117]'s other option, task-independent
+///    ProNE label embeddings, is not reproduced.
 /// 3. Aggregate substructure embeddings with a self-attention layer, then
 ///    regress the (log-scale) count with an MLP.
 ///
-/// Trained with Adam on the q-error loss, two GIN layers and a gradient-norm
-/// clip of 5.
+/// Trained with Adam (learning rate 1e-3) on the q-error loss in batches of
+/// 8, two GIN layers and a gradient-norm clip of 5.
 class LssEstimator : public CardinalityEstimator {
  public:
-  /// Vertex feature initialization mode, per [117]'s two options: plain
-  /// label-frequency features, or task-independent label embeddings
-  /// (ProNE in the original; a spectral co-occurrence embedding here).
-  enum class FeatureMode { kBinaryFrequency, kLabelEmbedding };
-
   struct Options {
-    size_t hop_k = 3;
-    FeatureMode feature_mode = FeatureMode::kBinaryFrequency;
-    size_t label_embedding_dim = 8;
     size_t hidden_dim = 32;
     size_t attention_dim = 32;
-    double learning_rate = 1e-3;
-    size_t batch_size = 8;
     size_t epochs = 12;
     uint64_t seed = 5150;
   };
@@ -75,8 +67,6 @@ class LssEstimator : public CardinalityEstimator {
   size_t label_bits_;
   /// log-normalized frequency of each data label.
   std::vector<float> label_frequency_;
-  /// Populated only in kLabelEmbedding mode.
-  std::unique_ptr<LabelEmbedding> label_embedding_;
 
   std::vector<std::unique_ptr<GinLayer>> gin_;
   std::unique_ptr<Linear> attn_proj_;      // hidden -> attention_dim

@@ -13,6 +13,7 @@ namespace neursc {
 namespace {
 
 constexpr size_t kLayers = 2;
+constexpr size_t kBatchSize = 8;
 constexpr double kGradClipNorm = 5.0;
 
 std::vector<float> InverseDegreePlusOne(const Graph& g) {
@@ -130,17 +131,14 @@ std::vector<Parameter*> NsicEstimator::AllParameters() {
 
 Status NsicEstimator::Train(const std::vector<TrainingExample>& examples) {
   if (examples.empty()) return Status::InvalidArgument("no examples");
-  AdamOptimizer::Options aopts;
-  aopts.learning_rate = options_.learning_rate;
-  AdamOptimizer optimizer(AllParameters(), aopts);
+  AdamOptimizer optimizer(AllParameters());
 
   std::vector<size_t> indices(examples.size());
   std::iota(indices.begin(), indices.end(), 0);
   for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {
     rng_.Shuffle(&indices);
-    for (size_t start = 0; start < indices.size();
-         start += options_.batch_size) {
-      size_t end = std::min(start + options_.batch_size, indices.size());
+    for (size_t start = 0; start < indices.size(); start += kBatchSize) {
+      size_t end = std::min(start + kBatchSize, indices.size());
       optimizer.ZeroGrad();
       for (size_t i = start; i < end; ++i) {
         const TrainingExample& example = examples[indices[i]];

@@ -9,17 +9,21 @@
 
 namespace neursc {
 
-std::vector<VertexId> ConnectedQueryOrder(const Graph& query) {
+VertexId MaxDegreeVertex(const Graph& query) {
+  VertexId best = 0;
+  for (size_t u = 1; u < query.NumVertices(); ++u) {
+    if (query.Degree(static_cast<VertexId>(u)) > query.Degree(best)) {
+      best = static_cast<VertexId>(u);
+    }
+  }
+  return best;
+}
+
+std::vector<VertexId> ConnectedQueryOrder(const Graph& query,
+                                          VertexId start) {
   const size_t nq = query.NumVertices();
   std::vector<VertexId> order;
   std::vector<bool> placed(nq, false);
-  // Start from the highest-degree vertex (most constrained).
-  VertexId start = 0;
-  for (size_t u = 1; u < nq; ++u) {
-    if (query.Degree(static_cast<VertexId>(u)) > query.Degree(start)) {
-      start = static_cast<VertexId>(u);
-    }
-  }
   order.push_back(start);
   placed[start] = true;
   while (order.size() < nq) {
@@ -98,7 +102,8 @@ Result<double> WanderJoinEstimator::EstimateCount(const Graph& query) {
     return Status::InvalidArgument("query too small");
   }
   Deadline deadline(options_.time_limit_seconds);
-  std::vector<VertexId> order = ConnectedQueryOrder(query);
+  std::vector<VertexId> order =
+      ConnectedQueryOrder(query, MaxDegreeVertex(query));
   const size_t nq = query.NumVertices();
 
   // First query edge: (order[0], order[1]); order[1] is adjacent to
@@ -187,7 +192,8 @@ Result<double> JsubEstimator::EstimateCount(const Graph& query) {
     return Status::InvalidArgument("empty query");
   }
   Deadline deadline(options_.time_limit_seconds);
-  std::vector<VertexId> order = ConnectedQueryOrder(query);
+  std::vector<VertexId> order =
+      ConnectedQueryOrder(query, MaxDegreeVertex(query));
   const size_t nq = query.NumVertices();
 
   VertexId root = order[0];

@@ -89,9 +89,15 @@ class JsubEstimator : public CardinalityEstimator {
   Rng rng_;
 };
 
-/// Shared helper: connectivity-aware vertex order (each vertex after the
-/// first has an already-ordered query neighbor).
-std::vector<VertexId> ConnectedQueryOrder(const Graph& query);
+/// Shared helper: connectivity-aware vertex order starting at `start`
+/// (each vertex after the first has an already-ordered query neighbor; a
+/// disconnected query continues at its lowest unplaced vertex).
+std::vector<VertexId> ConnectedQueryOrder(const Graph& query,
+                                          VertexId start);
+
+/// The lowest-numbered vertex of maximum degree (the most constrained
+/// one), where WJ and JSUB start their orders.
+VertexId MaxDegreeVertex(const Graph& query);
 
 }  // namespace neursc
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "baselines/sampling.h"
 #include "common/timer.h"
 
 namespace neursc {
@@ -61,34 +62,7 @@ Result<double> SumRdfEstimator::EstimateCount(const Graph& query) {
   // Backtracking over bucket assignments; order query vertices so each new
   // vertex (after the first) touches an assigned neighbor, letting us prune
   // by summary-edge weight as we go.
-  std::vector<VertexId> order;
-  std::vector<bool> placed(nq, false);
-  order.push_back(0);
-  placed[0] = true;
-  while (order.size() < nq) {
-    VertexId next = kInvalidVertex;
-    for (size_t u = 0; u < nq; ++u) {
-      if (placed[u]) continue;
-      for (VertexId w : query.Neighbors(static_cast<VertexId>(u))) {
-        if (placed[w]) {
-          next = static_cast<VertexId>(u);
-          break;
-        }
-      }
-      if (next != kInvalidVertex) break;
-    }
-    if (next == kInvalidVertex) {
-      // Disconnected query (shouldn't happen in the workloads).
-      for (size_t u = 0; u < nq; ++u) {
-        if (!placed[u]) {
-          next = static_cast<VertexId>(u);
-          break;
-        }
-      }
-    }
-    placed[next] = true;
-    order.push_back(next);
-  }
+  const std::vector<VertexId> order = ConnectedQueryOrder(query, 0);
 
   std::vector<uint32_t> assignment(nq, 0);
   double total = 0.0;

@@ -46,15 +46,6 @@ class UnionFind {
   std::vector<size_t> parent_;
 };
 
-/// Stacks a on top of b (column counts must match).
-Matrix StackRows(const Matrix& a, const Matrix& b) {
-  NEURSC_CHECK(a.cols() == b.cols());
-  Matrix out(a.rows() + b.rows(), a.cols());
-  std::copy(a.data(), a.data() + a.size(), out.data());
-  std::copy(b.data(), b.data() + b.size(), out.data() + a.size());
-  return out;
-}
-
 }  // namespace
 
 EdgeIndex BuildBipartiteEdges(const Graph& query, const Substructure& sub,
@@ -144,8 +135,10 @@ WEstModel::Forwarded WEstModel::Forward(Tape* tape, const Graph& query,
   // --- Intra-graph branch: shared GNN stack applied to each graph. ---
   EdgeIndex query_edges = UndirectedEdges(query);
   EdgeIndex sub_edges = UndirectedEdges(sub.graph);
-  Var hq = tape->Constant(query_features);
-  Var hs = tape->Constant(sub_features);
+  const Var xq = tape->Constant(query_features);
+  const Var xs = tape->Constant(sub_features);
+  Var hq = xq;
+  Var hs = xs;
   for (size_t k = 0; k < kIntraLayers; ++k) {
     hq = IntraForward(tape, k, hq, query_edges);
     hs = IntraForward(tape, k, hs, sub_edges);
@@ -156,8 +149,11 @@ WEstModel::Forwarded WEstModel::Forward(Tape* tape, const Graph& query,
 
   if (config_.use_inter) {
     // --- Inter-graph branch over the candidate bipartite graph. ---
+    // Self-loops realize the alpha_uu term of Eq. 4; every inter layer
+    // reads the one looped list.
     EdgeIndex bipartite = BuildBipartiteEdges(query, sub, rng);
-    Var hb = tape->Constant(StackRows(query_features, sub_features));
+    for (uint32_t v = 0; v < nq + ns; ++v) bipartite.Add(v, v);
+    Var hb = tape->ConcatRows({xq, xs});
     for (auto& layer : inter_) {
       hb = tape->Relu(layer->Forward(tape, hb, bipartite));
     }

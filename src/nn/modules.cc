@@ -8,16 +8,10 @@ namespace neursc {
 
 Var ApplyActivation(Tape* tape, Var x, Activation activation) {
   switch (activation) {
-    case Activation::kNone:
-      return x;
     case Activation::kRelu:
       return tape->Relu(x);
     case Activation::kLeakyRelu:
       return tape->LeakyRelu(x);
-    case Activation::kSigmoid:
-      return tape->Sigmoid(x);
-    case Activation::kTanh:
-      return tape->Tanh(x);
   }
   return x;
 }
@@ -121,11 +115,6 @@ BipartiteAttentionLayer::BipartiteAttentionLayer(size_t in_features,
 Var BipartiteAttentionLayer::Forward(Tape* tape, Var h,
                                      const EdgeIndex& edges) {
   const size_t n = tape->Value(h).rows();
-
-  // Self-loops realize the alpha_uu term of Eq. 4.
-  EdgeIndex all = edges;
-  for (uint32_t v = 0; v < n; ++v) all.Add(v, v);
-
   Var theta = tape->Leaf(&theta_);
   Var theta_attn = tape->Leaf(&theta_attn_);
   Var attn = tape->Leaf(&attn_);
@@ -136,11 +125,11 @@ Var BipartiteAttentionLayer::Forward(Tape* tape, Var h,
   // Eq. 5 scores: LeakyReLU(a^T [Theta_a h_u || Theta_a h_v]) where u is
   // the destination (the vertex whose neighborhood is normalized over).
   Var logits = tape->LeakyRelu(
-      tape->EdgeScores(attn_feats, attn, all.src, all.dst));  // E x 1
-  Var alpha = tape->SegmentSoftmax(logits, all.dst, n);
+      tape->EdgeScores(attn_feats, attn, edges.src, edges.dst));  // E x 1
+  Var alpha = tape->SegmentSoftmax(logits, edges.dst, n);
 
   // Eq. 4: h_u' = sum_v alpha_uv Theta h_v.
-  return tape->Aggregate(projected, all.src, all.dst, n, alpha);
+  return tape->Aggregate(projected, edges.src, edges.dst, n, alpha);
 }
 
 std::vector<Parameter*> BipartiteAttentionLayer::Parameters() {

@@ -42,8 +42,10 @@ class Module {
   }
 };
 
-/// Supported pointwise activations for MLP hidden layers.
-enum class Activation { kNone, kRelu, kLeakyRelu, kSigmoid, kTanh };
+/// Supported pointwise activations for MLP hidden layers: ReLU (the GIN
+/// MLP, the WEst predictor and the LSS and NSIC heads) and LeakyReLU (the
+/// critic).
+enum class Activation { kRelu, kLeakyRelu };
 
 /// Applies `activation` to `x` on `tape`. Every module Forward below runs
 /// on the one execution engine, the Tape (docs/execution.md), for
@@ -126,16 +128,17 @@ class MeanAggregatorLayer : public Module {
 /// Attentive message passing over an explicitly provided (bipartite) edge
 /// list, Eqs. 4-5. Attention coefficients are computed per destination
 /// vertex with a shared projection Theta_a and attention vector a, using
-/// LeakyReLU scoring and per-destination softmax. The self term alpha_uu of
-/// Eq. 4 is realized by appending a self-loop edge for every vertex.
+/// LeakyReLU scoring and per-destination softmax. The layer reads the edge
+/// list as given: the caller supplies Eq. 4's self term alpha_uu as a
+/// self-loop edge (v, v) for every vertex.
 class BipartiteAttentionLayer : public Module {
  public:
   BipartiteAttentionLayer(size_t in_features, size_t out_features, Rng* rng);
 
   /// h: (num_vertices x in). `edges` are the bipartite candidate edges in
-  /// both directions; self-loops are added internally. Returns
-  /// (num_vertices x out) with sigma = ELU-free plain ReLU activation left
-  /// to the caller (the raw combination of Eq. 4 is returned).
+  /// both directions followed by one self-loop per vertex. Returns
+  /// (num_vertices x out) with the ReLU activation left to the caller (the
+  /// raw combination of Eq. 4 is returned).
   Var Forward(Tape* tape, Var h, const EdgeIndex& edges);
   std::vector<Parameter*> Parameters() override;
 

@@ -6,6 +6,14 @@
 
 namespace neursc {
 
+namespace {
+
+constexpr double kBeta1 = 0.9;
+constexpr double kBeta2 = 0.999;
+constexpr double kEpsilon = 1e-8;
+
+}  // namespace
+
 AdamOptimizer::AdamOptimizer(std::vector<Parameter*> params)
     : AdamOptimizer(std::move(params), Options()) {}
 
@@ -23,12 +31,12 @@ void AdamOptimizer::Step() {
   ++step_count_;
   const double t = static_cast<double>(step_count_);
   const simd::AdamCoefficients coeffs{
-      .beta1 = options_.beta1,
-      .beta2 = options_.beta2,
-      .bias1 = 1.0 - std::pow(options_.beta1, t),
-      .bias2 = 1.0 - std::pow(options_.beta2, t),
+      .beta1 = kBeta1,
+      .beta2 = kBeta2,
+      .bias1 = 1.0 - std::pow(kBeta1, t),
+      .bias2 = 1.0 - std::pow(kBeta2, t),
       .learning_rate = options_.learning_rate,
-      .epsilon = options_.epsilon,
+      .epsilon = kEpsilon,
   };
   for (size_t i = 0; i < params_.size(); ++i) {
     Parameter* p = params_[i];

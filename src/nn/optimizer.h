@@ -8,14 +8,12 @@
 namespace neursc {
 
 /// Adam (Kingma & Ba), the paper's optimizer for both WEst and the
-/// discriminator.
+/// discriminator, with the standard beta1 = 0.9, beta2 = 0.999 and
+/// epsilon = 1e-8.
 class AdamOptimizer {
  public:
   struct Options {
     double learning_rate = 1e-3;
-    double beta1 = 0.9;
-    double beta2 = 0.999;
-    double epsilon = 1e-8;
   };
 
   AdamOptimizer(std::vector<Parameter*> params, Options options);
@@ -32,8 +30,6 @@ class AdamOptimizer {
   /// Clips the global gradient norm to `max_norm` if it exceeds it.
   /// Returns the pre-clip norm.
   double ClipGradNorm(double max_norm);
-
-  const Options& options() const { return options_; }
 
  private:
   std::vector<Parameter*> params_;

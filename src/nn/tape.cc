@@ -209,15 +209,6 @@ Var Tape::LeakyRelu(Var a, float negative_slope) {
   return Emit(out, OpKind::kLeakyRelu, a, Var{}, negative_slope);
 }
 
-Var Tape::Sigmoid(Var a) {
-  const Matrix& av = Value(a);
-  Matrix* out = AllocValue(av.rows(), av.cols());
-  for (size_t i = 0; i < av.size(); ++i) {
-    out->data()[i] = 1.0f / (1.0f + std::exp(-av.data()[i]));
-  }
-  return Emit(out, OpKind::kSigmoid, a);
-}
-
 Var Tape::Tanh(Var a) {
   const Matrix& av = Value(a);
   Matrix* out = AllocValue(av.rows(), av.cols());
@@ -503,12 +494,6 @@ void Tape::BackwardStep(const Record& r, const Matrix& g) {
       simd::AddLeakyReluGrad(V(r.a).data(), gd, static_cast<float>(r.scalar),
                              EnsureGrad(r.a).data(), n);
       break;
-    case OpKind::kSigmoid: {
-      const float* y = V(r.out).data();
-      float* ag = EnsureGrad(r.a).data();
-      for (size_t i = 0; i < n; ++i) ag[i] += gd[i] * (y[i] * (1.0f - y[i]));
-      break;
-    }
     case OpKind::kTanh: {
       const float* y = V(r.out).data();
       float* ag = EnsureGrad(r.a).data();

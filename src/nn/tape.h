@@ -63,10 +63,11 @@ class GradientSink {
 /// `arena_grows()` counts every value or gradient slot append or capacity
 /// increase (also exported as the `eval/arena_grows` counter).
 ///
-/// The op vocabulary is the minimal set needed by GNNs: dense algebra,
-/// pointwise nonlinearities, gather and segment ops, and two fused
-/// message-passing ops (EdgeScores, Aggregate) that read endpoint rows
-/// through the edge list instead of copying them per edge.
+/// The op vocabulary is the set that the models in src/ run, and every op
+/// in it has a caller there: dense algebra, pointwise nonlinearities,
+/// gather and segment ops, and two fused message-passing ops (EdgeScores,
+/// Aggregate) that read endpoint rows through the edge list instead of
+/// copying them per edge.
 ///
 /// Threading contract (docs/threading.md): a Tape is confined to one
 /// thread — it is not internally synchronized, and all its mutable state
@@ -123,7 +124,6 @@ class Tape {
   // --- Pointwise nonlinearities ---
   Var Relu(Var a);
   Var LeakyRelu(Var a, float negative_slope = 0.2f);
-  Var Sigmoid(Var a);
   Var Tanh(Var a);
   /// exp() with input clamped to [-30, 30] for numeric safety; used to map
   /// the predictor's log-scale output to a positive count. The gradient
@@ -208,7 +208,6 @@ class Tape {
     kScale,
     kRelu,
     kLeakyRelu,
-    kSigmoid,
     kTanh,
     kExp,
     kLog,

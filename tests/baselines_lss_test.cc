@@ -44,19 +44,19 @@ TEST(LssTest, SmallDiameterQueryYieldsIdenticalBalls) {
   }
 }
 
-TEST(LssTest, SmallHopKTruncatesBalls) {
+TEST(LssTest, ThreeHopBoundTruncatesBalls) {
   auto data = GenerateErdosRenyiGraph(50, 150, 3, 3);
   ASSERT_TRUE(data.ok());
-  LssEstimator::Options options = TinyOptions();
-  options.hop_k = 1;
-  LssEstimator lss(*data, options);
-  // Path of 5: the 1-hop ball of an endpoint has 2 vertices.
-  Graph query = MakeGraph({0, 0, 0, 0, 0},
-                          {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
+  LssEstimator lss(*data, TinyOptions());
+  // Path of 9: the 3-hop ball of an endpoint has 4 vertices and that of
+  // the middle vertex has 7, so neither reaches the whole path.
+  Graph query = MakeGraph({0, 0, 0, 0, 0, 0, 0, 0, 0},
+                          {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6},
+                           {6, 7}, {7, 8}});
   auto subs = lss.Decompose(query);
-  ASSERT_EQ(subs.size(), 5u);
-  EXPECT_EQ(subs[0].NumVertices(), 2u);
-  EXPECT_EQ(subs[2].NumVertices(), 3u);
+  ASSERT_EQ(subs.size(), 9u);
+  EXPECT_EQ(subs[0].NumVertices(), 4u);
+  EXPECT_EQ(subs[4].NumVertices(), 7u);
 }
 
 TEST(LssTest, UntrainedEstimateIsFinitePositive) {

@@ -13,18 +13,37 @@ namespace {
 using testing_util::MakeGraph;
 
 TEST(ConnectedQueryOrderTest, CoversAllVerticesConnected) {
-  Graph query = MakeGraph({0, 0, 0, 0}, {{0, 1}, {1, 2}, {2, 3}, {0, 3}});
-  auto order = ConnectedQueryOrder(query);
-  ASSERT_EQ(order.size(), 4u);
-  std::vector<bool> seen(4, false);
-  seen[order[0]] = true;
-  for (size_t i = 1; i < order.size(); ++i) {
-    bool attached = false;
-    for (VertexId w : query.Neighbors(order[i])) {
-      if (seen[w]) attached = true;
+  struct Case {
+    Graph query;
+    VertexId start;
+  };
+  Graph cycle = MakeGraph({0, 0, 0, 0}, {{0, 1}, {1, 2}, {2, 3}, {0, 3}});
+  // A star centred on vertex 2 plus a tail off vertex 4: the max-degree
+  // vertex is 2, and SumRDF starts at 0 instead.
+  Graph star = MakeGraph({0, 0, 0, 0, 0, 0},
+                         {{0, 2}, {1, 2}, {2, 3}, {2, 4}, {4, 5}});
+  ASSERT_EQ(MaxDegreeVertex(star), 2u);
+  const std::vector<Case> cases = {
+      {cycle, MaxDegreeVertex(cycle)},
+      {star, 0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << "start " << c.start << " of "
+                                    << c.query.NumVertices());
+    auto order = ConnectedQueryOrder(c.query, c.start);
+    ASSERT_EQ(order.size(), c.query.NumVertices());
+    EXPECT_EQ(order[0], c.start);
+    std::vector<bool> seen(c.query.NumVertices(), false);
+    seen[order[0]] = true;
+    for (size_t i = 1; i < order.size(); ++i) {
+      EXPECT_FALSE(seen[order[i]]) << "vertex " << order[i] << " repeated";
+      bool attached = false;
+      for (VertexId w : c.query.Neighbors(order[i])) {
+        if (seen[w]) attached = true;
+      }
+      EXPECT_TRUE(attached) << "vertex " << order[i] << " at position " << i;
+      seen[order[i]] = true;
     }
-    EXPECT_TRUE(attached) << "vertex " << order[i] << " at position " << i;
-    seen[order[i]] = true;
   }
 }
 

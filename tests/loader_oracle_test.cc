@@ -83,7 +83,7 @@ TEST(LoaderOracleTest, CheckpointLoaderMatchesOracle) {
   // One 3x3 weight and a 1x3 bias; the weight holds the values a short
   // decimal rendering or a loose hexfloat parser would get wrong.
   Rng rng(7);
-  Mlp saved({3, 3}, Activation::kNone, &rng);
+  Mlp saved({3, 3}, Activation::kRelu, &rng);
   const std::vector<Parameter*> saved_params = saved.Parameters();
   const float special[] = {0.0f,
                            -0.0f,
@@ -110,9 +110,9 @@ TEST(LoaderOracleTest, CheckpointLoaderMatchesOracle) {
   size_t loaded = 0;
   for (size_t i = 0; i < corpus.size(); ++i) {
     Rng init(99);
-    Mlp model({3, 3}, Activation::kNone, &init);
+    Mlp model({3, 3}, Activation::kRelu, &init);
     Rng twin_init(99);
-    Mlp twin({3, 3}, Activation::kNone, &twin_init);
+    Mlp twin({3, 3}, Activation::kRelu, &twin_init);
     const Status st =
         ExpectLoadMatchesOracle(model.Parameters(), twin.Parameters(),
                                 corpus[i], "corpus input " + std::to_string(i));
@@ -127,9 +127,9 @@ TEST(LoaderOracleTest, CheckpointLoaderMatchesOracle) {
   for (size_t i = 0; i < valid.size(); ++i) {
     std::ofstream(path, std::ios::binary | std::ios::trunc) << valid[i];
     Rng init(99);
-    Mlp from_file({3, 3}, Activation::kNone, &init);
+    Mlp from_file({3, 3}, Activation::kRelu, &init);
     Rng twin_init(99);
-    Mlp twin({3, 3}, Activation::kNone, &twin_init);
+    Mlp twin({3, 3}, Activation::kRelu, &twin_init);
     const Status st = LoadParametersFromFile(from_file.Parameters(), path);
     ASSERT_TRUE(st.ok()) << "valid input " << i << ": " << st.ToString();
     std::istringstream in(valid[i]);

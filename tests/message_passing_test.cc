@@ -268,7 +268,13 @@ TEST(MessagePassingTest, AttentionLayerMatchesUnfusedChain) {
       const std::vector<Parameter*> weights = layer.Parameters();
       const Matrix h = Values(n, kIn, special, &rng);
       const Matrix upstream = Values(n, kOut, false, &rng);
-      const Edges edges = RandomEdges(n, n, shape.edges, &rng);
+      // The random edges, then the self-loop of every vertex that the
+      // layer's caller appends for Eq. 4's alpha_uu.
+      Edges all = RandomEdges(n, n, shape.edges, &rng);
+      for (uint32_t v = 0; v < n; ++v) {
+        all.src.push_back(v);
+        all.dst.push_back(v);
+      }
 
       // Returns the output, then the gradients of h and of the weights.
       auto run = [&](bool fused) {
@@ -279,19 +285,14 @@ TEST(MessagePassingTest, AttentionLayerMatchesUnfusedChain) {
         Matrix value;
         if (fused) {
           EdgeIndex index;
-          for (size_t e = 0; e < edges.src.size(); ++e) {
-            index.Add(edges.src[e], edges.dst[e]);
+          for (size_t e = 0; e < all.src.size(); ++e) {
+            index.Add(all.src[e], all.dst[e]);
           }
           Var y = layer.Forward(&tape, hv, index);
           value = tape.Value(y);
           tape.Backward(
               tape.ReduceSum(tape.Mul(y, tape.Constant(upstream))));
         } else {
-          Edges all = edges;
-          for (uint32_t v = 0; v < n; ++v) {
-            all.src.push_back(v);
-            all.dst.push_back(v);
-          }
           Var theta = tape.Leaf(weights[0]);
           Var theta_attn = tape.Leaf(weights[1]);
           Var attn = tape.Leaf(weights[2]);

@@ -56,7 +56,7 @@ TEST(MlpTest, ShapeAndParamCount) {
 TEST(MlpTest, CanFitTinyRegression) {
   // y = 2*x0 - x1; train a small MLP to near-zero loss.
   Rng rng(4);
-  Mlp mlp({2, 16, 1}, Activation::kTanh, &rng);
+  Mlp mlp({2, 16, 1}, Activation::kRelu, &rng);
   AdamOptimizer::Options opts;
   opts.learning_rate = 5e-3;
   AdamOptimizer optimizer(mlp.Parameters(), opts);
@@ -157,6 +157,12 @@ TEST(GinLayerTest, DistinguishesNonIsomorphicNeighborhoods) {
   }
 }
 
+// The self-loops (v, v) that realize Eq. 4's alpha_uu; the attention
+// layer's caller appends them.
+void AddSelfLoops(uint32_t num_vertices, EdgeIndex* edges) {
+  for (uint32_t v = 0; v < num_vertices; ++v) edges->Add(v, v);
+}
+
 TEST(BipartiteAttentionTest, ForwardShape) {
   Rng rng(9);
   BipartiteAttentionLayer layer(4, 5, &rng);
@@ -167,6 +173,7 @@ TEST(BipartiteAttentionTest, ForwardShape) {
   edges.Add(3, 0);
   edges.Add(1, 4);
   edges.Add(4, 1);
+  AddSelfLoops(6, &edges);
   Var h = layer.Forward(&tape, tape.Constant(features), edges);
   EXPECT_EQ(tape.Value(h).rows(), 6u);
   EXPECT_EQ(tape.Value(h).cols(), 5u);
@@ -184,6 +191,7 @@ TEST(BipartiteAttentionTest, GradCheck) {
   edges.Add(3, 1);
   edges.Add(1, 2);
   edges.Add(2, 1);
+  AddSelfLoops(4, &edges);
   auto build = [&](Tape* tape) {
     Var h = layer.Forward(tape, tape->Constant(features), edges);
     return tape->ReduceSum(tape->Mul(h, h));
@@ -212,6 +220,7 @@ TEST(BipartiteAttentionTest, AttentionWeightsSumToOnePerVertex) {
   edges.Add(2, 0);
   edges.Add(1, 2);
   edges.Add(2, 1);
+  AddSelfLoops(4, &edges);
   Var h = layer.Forward(&tape, tape.Constant(features), edges);
   const Matrix& out = tape.Value(h);
   // All rows saw only copies of the same message, so rows 0 and 1 (and 3,

@@ -77,7 +77,7 @@ TEST(SerializeTest, RoundTripIsBitExactAndResaveIsByteIdentical) {
 
 TEST(SerializeTest, AcceptsLegacyDecimalCheckpoints) {
   Rng rng(12);
-  Mlp mlp({2, 2}, Activation::kNone, &rng);
+  Mlp mlp({2, 2}, Activation::kRelu, &rng);
   // A pre-hexfloat checkpoint: plain decimal floats.
   std::istringstream in(
       "neursc-params v1 2\n"
@@ -96,7 +96,7 @@ TEST(SerializeTest, SaveRejectsNonFiniteWeights) {
                     std::numeric_limits<float>::infinity(),
                     -std::numeric_limits<float>::infinity()}) {
     Rng rng(13);
-    Mlp mlp({2, 2}, Activation::kNone, &rng);
+    Mlp mlp({2, 2}, Activation::kRelu, &rng);
     mlp.Parameters()[0]->value.at(1, 0) = bad;
     std::ostringstream out;
     auto st = SaveParameters(mlp.Parameters(), out);
@@ -110,7 +110,7 @@ TEST(SerializeTest, LoadRejectsNonFiniteValues) {
   // decimals to infinity; all three must be rejected as InvalidArgument.
   for (const char* bad : {"nan", "inf", "-inf", "1e999"}) {
     Rng rng(14);
-    Mlp mlp({2, 2}, Activation::kNone, &rng);
+    Mlp mlp({2, 2}, Activation::kRelu, &rng);
     const auto before = SnapshotWeights(mlp.Parameters());
     std::istringstream in(std::string("neursc-params v1 2\n"
                                       "param 2 2\n"
@@ -129,7 +129,7 @@ TEST(SerializeTest, LoadRejectsNonFiniteValues) {
 
 TEST(SerializeTest, LoadRejectsMalformedValueTokens) {
   Rng rng(15);
-  Mlp mlp({2, 2}, Activation::kNone, &rng);
+  Mlp mlp({2, 2}, Activation::kRelu, &rng);
   const auto before = SnapshotWeights(mlp.Parameters());
   std::istringstream in(
       "neursc-params v1 2\n"
@@ -162,8 +162,8 @@ TEST(SerializeTest, LoadRejectsTruncatedCheckpoint) {
 
 TEST(SerializeTest, RejectsCountMismatch) {
   Rng rng(2);
-  Mlp small({2, 2}, Activation::kNone, &rng);
-  Mlp big({2, 2, 2}, Activation::kNone, &rng);
+  Mlp small({2, 2}, Activation::kRelu, &rng);
+  Mlp big({2, 2, 2}, Activation::kRelu, &rng);
   std::ostringstream out;
   ASSERT_TRUE(SaveParameters(small.Parameters(), out).ok());
   const auto before = SnapshotWeights(big.Parameters());
@@ -176,8 +176,8 @@ TEST(SerializeTest, RejectsCountMismatch) {
 
 TEST(SerializeTest, RejectsShapeMismatch) {
   Rng rng(3);
-  Mlp a({2, 3}, Activation::kNone, &rng);
-  Mlp b({3, 2}, Activation::kNone, &rng);
+  Mlp a({2, 3}, Activation::kRelu, &rng);
+  Mlp b({3, 2}, Activation::kRelu, &rng);
   std::ostringstream out;
   ASSERT_TRUE(SaveParameters(a.Parameters(), out).ok());
   const auto before = SnapshotWeights(b.Parameters());
@@ -190,8 +190,8 @@ TEST(SerializeTest, RejectsLaterShapeMismatch) {
   // The first layer's shapes agree, the second's do not: the first layer
   // must not be overwritten by the rejected load.
   Rng rng(5);
-  Mlp a({2, 2, 3}, Activation::kNone, &rng);
-  Mlp b({2, 2, 2}, Activation::kNone, &rng);
+  Mlp a({2, 2, 3}, Activation::kRelu, &rng);
+  Mlp b({2, 2, 2}, Activation::kRelu, &rng);
   std::ostringstream out;
   ASSERT_TRUE(SaveParameters(a.Parameters(), out).ok());
   const auto before = SnapshotWeights(b.Parameters());
@@ -203,7 +203,7 @@ TEST(SerializeTest, RejectsLaterShapeMismatch) {
 
 TEST(SerializeTest, RejectsGarbage) {
   Rng rng(4);
-  Mlp mlp({2, 2}, Activation::kNone, &rng);
+  Mlp mlp({2, 2}, Activation::kRelu, &rng);
   const auto before = SnapshotWeights(mlp.Parameters());
   std::istringstream in("not a model file");
   EXPECT_FALSE(LoadParameters(mlp.Parameters(), in).ok());
