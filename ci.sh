@@ -37,7 +37,10 @@
 #      (loader_oracle_test: the in-memory checkpoint, text-graph and
 #      binary-graph readers against the stream readers they replaced, same
 #      status, message, weights bit for bit and graph, over every
-#      single-token truncation and replacement of valid inputs) re-run
+#      single-token truncation and replacement of valid inputs) and the
+#      critic suite (discriminator_test: L_w built through the selected
+#      substructure rows only against the full-row path, loss, every
+#      critic gradient and the substructure-row gradient bit for bit) re-run
 #      explicitly under both the
 #      Release and TSan builds — the bit-identity contract of
 #      docs/execution.md. Stage 6 runs them again under ASan+UBSan, which
@@ -116,8 +119,8 @@ cmake --build build-tsan -j "$JOBS" --target serialize_test \
   simd_kernels_test golden_output_test optimizer_test tape_test \
   message_passing_test candidate_filter_test substructure_test \
   feature_init_test bipartite_matching_test filter_property_test \
-  loader_oracle_test
-BIT_IDENTITY='eval_context_test|serialize_test|simd_kernels_test|golden_output_test|optimizer_test|tape_test|message_passing_test|candidate_filter_test|substructure_test|feature_init_test|bipartite_matching_test|filter_property_test|loader_oracle_test'
+  loader_oracle_test discriminator_test
+BIT_IDENTITY='eval_context_test|serialize_test|simd_kernels_test|golden_output_test|optimizer_test|tape_test|message_passing_test|candidate_filter_test|substructure_test|feature_init_test|bipartite_matching_test|filter_property_test|loader_oracle_test|discriminator_test'
 ctest --test-dir build -R "$BIT_IDENTITY" --output-on-failure
 NEURSC_THREADS=8 ctest --test-dir build-tsan -R "$BIT_IDENTITY" \
   --output-on-failure

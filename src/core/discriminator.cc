@@ -208,6 +208,28 @@ Var WassersteinLoss(Tape* tape, Var query_scores, Var sub_scores,
   return tape->Sub(fq, fs);
 }
 
+Var CriticWassersteinLoss(
+    Tape* tape, Discriminator* critic, Var query_repr, Var sub_repr,
+    const std::vector<std::vector<VertexId>>& candidates) {
+  Var sq = critic->Score(tape, query_repr);
+  Var all_scores = critic->Score(tape, sub_repr);
+  Correspondence pairs = SelectCorrespondenceByScores(
+      tape->Value(sq), tape->Value(all_scores), candidates);
+  if (pairs.size() == 0) return Var{};
+  // The distinct selected rows in ascending order, so the weight gradients
+  // sum the kept rows in the full pass's order; sub_rows become positions
+  // in that list, and a reused row's pairs still meet in one score.
+  std::vector<uint32_t> rows = pairs.sub_rows;
+  std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  for (uint32_t& row : pairs.sub_rows) {
+    row = static_cast<uint32_t>(
+        std::lower_bound(rows.begin(), rows.end(), row) - rows.begin());
+  }
+  Var ss = critic->Score(tape, tape->GatherRows(sub_repr, rows));
+  return WassersteinLoss(tape, sq, ss, pairs);
+}
+
 Var PairDistanceLoss(Tape* tape, Var query_repr, Var sub_repr,
                      const Correspondence& pairs, DistanceMetric metric) {
   NEURSC_CHECK(pairs.size() > 0);

@@ -70,6 +70,26 @@ Correspondence SelectCorrespondenceByDistance(
 Var WassersteinLoss(Tape* tape, Var query_scores, Var sub_scores,
                     const Correspondence& pairs);
 
+/// L_w of one (query, substructure) pair under `critic`, with the
+/// candidate-guided selection, built so that Backward runs through the
+/// selected substructure rows only. Scores every row of both inputs (the
+/// selection needs every candidate's score), selects with
+/// SelectCorrespondenceByScores, then scores the distinct selected
+/// substructure rows again, gathered in ascending order, and builds
+/// WassersteinLoss from those scores. The full-row substructure score
+/// feeds only the selection, so Backward skips its records. Returns an
+/// invalid Var when the correspondence is empty.
+///
+/// The loss, every critic gradient and the gradient into `sub_repr` equal
+/// WassersteinLoss over the full-row scores bit for bit: the critic scores
+/// each row on its own, and an unselected row adds only +-0 to each
+/// gradient sum (docs/execution.md, "Backward work"). One difference: a
+/// NaN or Inf in an unselected row no longer reaches the critic's
+/// gradients, as it would through 0 * Inf in the full-row backward.
+Var CriticWassersteinLoss(Tape* tape, Discriminator* critic, Var query_repr,
+                          Var sub_repr,
+                          const std::vector<std::vector<VertexId>>& candidates);
+
 /// Differentiable mean pairwise distance for the EU/KL/JS variants. KL and
 /// JS interpret each representation as a distribution via row softmax.
 Var PairDistanceLoss(Tape* tape, Var query_repr, Var sub_repr,

@@ -137,12 +137,9 @@ void NeurSCEstimator::UpdateCritic(
   ThreadTape tape;
   Var hq = tape->Constant(query_repr);
   Var hs = tape->Constant(sub_repr);
-  Var sq = critic_->Score(tape.get(), hq);
-  Var ss = critic_->Score(tape.get(), hs);
-  Correspondence pairs = SelectCorrespondenceByScores(
-      tape->Value(sq), tape->Value(ss), candidates);
-  if (pairs.size() == 0) return;
-  Var lw = WassersteinLoss(tape.get(), sq, ss, pairs);
+  Var lw = CriticWassersteinLoss(tape.get(), critic_.get(), hq, hs,
+                                 candidates);
+  if (!lw.valid()) return;
   // The critic maximizes L_w, i.e. minimizes -L_w.
   Var loss = tape->Scale(lw, -1.0f);
   opt_omega_->ZeroGrad();
@@ -177,14 +174,9 @@ Var NeurSCEstimator::BuildQueryLoss(
           critic_inputs->push_back(CriticUpdateInput{
               j, tape->Value(fw.query_repr), tape->Value(fw.sub_repr)});
         }
-        Var sq = critic_->Score(tape, fw.query_repr);
-        Var ss = critic_->Score(tape, fw.sub_repr);
-        Correspondence pairs = SelectCorrespondenceByScores(
-            tape->Value(sq), tape->Value(ss), subs[j].local_candidates);
-        if (pairs.size() > 0) {
-          wasserstein_terms.push_back(
-              WassersteinLoss(tape, sq, ss, pairs));
-        }
+        Var lw = CriticWassersteinLoss(tape, critic_.get(), fw.query_repr,
+                                       fw.sub_repr, subs[j].local_candidates);
+        if (lw.valid()) wasserstein_terms.push_back(lw);
       } else {
         Correspondence pairs = SelectCorrespondenceByDistance(
             tape->Value(fw.query_repr), tape->Value(fw.sub_repr),

@@ -100,7 +100,12 @@ struct TrainStats {
   std::vector<double> epoch_validation_qerror;
   std::vector<double> epoch_seconds;
   double total_seconds = 0.0;
+  /// Examples with at least one substructure, counted before the
+  /// validation split, so the held-out validation examples are included
+  /// (and so are they in perfbench's `train_examples_per_s`).
   size_t examples_used = 0;
+  /// Examples dropped because extraction early-terminated or left no
+  /// substructure.
   size_t examples_skipped = 0;
   /// True iff early stopping ended training before config.epochs.
   bool early_stopped = false;

@@ -39,6 +39,17 @@ void AddRowBroadcast(const float* x, const float* bias, float* out,
   }
 }
 
+void AddRows(const float* x, size_t rows, size_t cols, float* out) {
+  for (size_t r = 0; r < rows; ++r) Add(out, x + r * cols, out, cols);
+}
+
+void AddBlock(const float* x, size_t x_stride, size_t rows, size_t cols,
+              float* out) {
+  for (size_t r = 0; r < rows; ++r) {
+    Add(out + r * cols, x + r * x_stride, out + r * cols, cols);
+  }
+}
+
 void ColBroadcastMul(const float* x, const float* w, float* out, size_t rows,
                      size_t cols) {
   for (size_t r = 0; r < rows; ++r) {
@@ -81,6 +92,33 @@ void AddMul(const float* a, const float* b, float* out, size_t n) {
 
 void AddScaled(const float* x, float s, float* out, size_t n) {
   for (size_t j = 0; j < n; ++j) out[j] += x[j] * s;
+}
+
+void AddColBroadcastMul(const float* x, const float* w, float* out,
+                        size_t rows, size_t cols) {
+  for (size_t r = 0; r < rows; ++r) {
+    AddScaled(x + r * cols, w[r], out + r * cols, cols);
+  }
+}
+
+void EdgeScoresBackward(const float* x, const float* a, const float* g,
+                        const uint32_t* src, const uint32_t* dst,
+                        size_t edges, size_t cols, float* a_grad,
+                        float* x_grad) {
+  if (a_grad != nullptr) {
+    for (size_t e = 0; e < edges; ++e) {
+      AddScaled(x + dst[e] * cols, g[e], a_grad, cols);
+      AddScaled(x + src[e] * cols, g[e], a_grad + cols, cols);
+    }
+  }
+  if (x_grad != nullptr) {
+    for (size_t e = 0; e < edges; ++e) {
+      AddScaled(a + cols, g[e], x_grad + src[e] * cols, cols);
+    }
+    for (size_t e = 0; e < edges; ++e) {
+      AddScaled(a, g[e], x_grad + dst[e] * cols, cols);
+    }
+  }
 }
 
 void Aggregate(const float* x, const uint32_t* src, const uint32_t* dst,
@@ -260,6 +298,56 @@ NEURSC_AVX2_ inline void AddScaledSpan(const float* x, float s, float* out,
   for (; j < n; ++j) out[j] += x[j] * s;
 }
 
+/// Columns [0, 8 kBlocks) of AddRows (x and out point at the block's first
+/// column): the block's sums stay in registers across the row loop.
+template <size_t kBlocks>
+NEURSC_AVX2_ inline void AddRowsBlock(const float* x, size_t rows,
+                                      size_t cols, float* out) {
+  __m256 acc[kBlocks];
+  for (size_t b = 0; b < kBlocks; ++b) acc[b] = _mm256_loadu_ps(out + 8 * b);
+  for (size_t r = 0; r < rows; ++r) {
+    const float* xr = x + r * cols;
+#pragma GCC unroll 4
+    for (size_t b = 0; b < kBlocks; ++b) {
+      acc[b] = _mm256_add_ps(acc[b], _mm256_loadu_ps(xr + 8 * b));
+    }
+  }
+  for (size_t b = 0; b < kBlocks; ++b) _mm256_storeu_ps(out + 8 * b, acc[b]);
+}
+
+/// Columns [0, 8 kBlocks) of both halves of EdgeScoresBackward's a
+/// gradient (x and a_grad point at the block's first column): the dst-side
+/// and src-side sums stay in registers across the edge loop.
+template <size_t kBlocks>
+NEURSC_AVX2_ inline void EdgeScoresGradABlock(const float* x, const float* g,
+                                              const uint32_t* src,
+                                              const uint32_t* dst,
+                                              size_t edges, size_t cols,
+                                              float* a_grad) {
+  __m256 acc_dst[kBlocks];
+  __m256 acc_src[kBlocks];
+  for (size_t b = 0; b < kBlocks; ++b) {
+    acc_dst[b] = _mm256_loadu_ps(a_grad + 8 * b);
+    acc_src[b] = _mm256_loadu_ps(a_grad + cols + 8 * b);
+  }
+  for (size_t e = 0; e < edges; ++e) {
+    const __m256 gv = _mm256_set1_ps(g[e]);
+    const float* xd = x + dst[e] * cols;
+    const float* xs = x + src[e] * cols;
+#pragma GCC unroll 4
+    for (size_t b = 0; b < kBlocks; ++b) {
+      acc_dst[b] = _mm256_add_ps(
+          acc_dst[b], _mm256_mul_ps(_mm256_loadu_ps(xd + 8 * b), gv));
+      acc_src[b] = _mm256_add_ps(
+          acc_src[b], _mm256_mul_ps(_mm256_loadu_ps(xs + 8 * b), gv));
+    }
+  }
+  for (size_t b = 0; b < kBlocks; ++b) {
+    _mm256_storeu_ps(a_grad + 8 * b, acc_dst[b]);
+    _mm256_storeu_ps(a_grad + cols + 8 * b, acc_src[b]);
+  }
+}
+
 }  // namespace
 
 NEURSC_AVX2_ void Gemm(size_t m, size_t k, size_t n, const float* a,
@@ -345,6 +433,29 @@ NEURSC_AVX2_ void AddRowBroadcast(const float* x, const float* bias,
   }
 }
 
+// AddRows and the a gradient of EdgeScoresBackward keep a block of sums in
+// registers across the whole reduction loop: each entry still takes its
+// terms in row (edge) order, one add (one mul, then one add) per term.
+
+NEURSC_AVX2_ void AddRows(const float* x, size_t rows, size_t cols,
+                          float* out) {
+  size_t j = 0;
+  for (; j + 32 <= cols; j += 32) AddRowsBlock<4>(x + j, rows, cols, out + j);
+  for (; j + 8 <= cols; j += 8) AddRowsBlock<1>(x + j, rows, cols, out + j);
+  for (; j < cols; ++j) {
+    float acc = out[j];
+    for (size_t r = 0; r < rows; ++r) acc = acc + x[r * cols + j];
+    out[j] = acc;
+  }
+}
+
+NEURSC_AVX2_ void AddBlock(const float* x, size_t x_stride, size_t rows,
+                           size_t cols, float* out) {
+  for (size_t r = 0; r < rows; ++r) {
+    AddSpan(out + r * cols, x + r * x_stride, out + r * cols, cols);
+  }
+}
+
 NEURSC_AVX2_ void ColBroadcastMul(const float* x, const float* w, float* out,
                                   size_t rows, size_t cols) {
   for (size_t r = 0; r < rows; ++r) {
@@ -357,6 +468,13 @@ NEURSC_AVX2_ void ColBroadcastMul(const float* x, const float* w, float* out,
       _mm256_storeu_ps(orow + c, _mm256_mul_ps(_mm256_loadu_ps(xrow + c), wv));
     }
     for (; c < cols; ++c) orow[c] = xrow[c] * wr;
+  }
+}
+
+NEURSC_AVX2_ void AddColBroadcastMul(const float* x, const float* w,
+                                     float* out, size_t rows, size_t cols) {
+  for (size_t r = 0; r < rows; ++r) {
+    AddScaledSpan(x + r * cols, w[r], out + r * cols, cols);
   }
 }
 
@@ -384,6 +502,40 @@ NEURSC_AVX2_ void EdgeScores(const float* x, const float* a,
     _mm256_storeu_ps(out + e, acc);
   }
   scalar::EdgeScores(x, a, src + e, dst + e, edges - e, cols, out + e);
+}
+
+NEURSC_AVX2_ void EdgeScoresBackward(const float* x, const float* a,
+                                     const float* g, const uint32_t* src,
+                                     const uint32_t* dst, size_t edges,
+                                     size_t cols, float* a_grad,
+                                     float* x_grad) {
+  if (a_grad != nullptr) {
+    size_t j = 0;
+    for (; j + 32 <= cols; j += 32) {
+      EdgeScoresGradABlock<4>(x + j, g, src, dst, edges, cols, a_grad + j);
+    }
+    for (; j + 8 <= cols; j += 8) {
+      EdgeScoresGradABlock<1>(x + j, g, src, dst, edges, cols, a_grad + j);
+    }
+    for (; j < cols; ++j) {
+      float acc_dst = a_grad[j];
+      float acc_src = a_grad[cols + j];
+      for (size_t e = 0; e < edges; ++e) {
+        acc_dst += x[dst[e] * cols + j] * g[e];
+        acc_src += x[src[e] * cols + j] * g[e];
+      }
+      a_grad[j] = acc_dst;
+      a_grad[cols + j] = acc_src;
+    }
+  }
+  if (x_grad != nullptr) {
+    for (size_t e = 0; e < edges; ++e) {
+      AddScaledSpan(a + cols, g[e], x_grad + src[e] * cols, cols);
+    }
+    for (size_t e = 0; e < edges; ++e) {
+      AddScaledSpan(a, g[e], x_grad + dst[e] * cols, cols);
+    }
+  }
 }
 
 NEURSC_AVX2_ void Aggregate(const float* x, const uint32_t* src,
@@ -556,9 +708,23 @@ void AddRowBroadcast(const float* x, const float* bias, float* out,
   NEURSC_DISPATCH_(AddRowBroadcast, x, bias, out, rows, cols);
 }
 
+void AddRows(const float* x, size_t rows, size_t cols, float* out) {
+  NEURSC_DISPATCH_(AddRows, x, rows, cols, out);
+}
+
+void AddBlock(const float* x, size_t x_stride, size_t rows, size_t cols,
+              float* out) {
+  NEURSC_DISPATCH_(AddBlock, x, x_stride, rows, cols, out);
+}
+
 void ColBroadcastMul(const float* x, const float* w, float* out, size_t rows,
                      size_t cols) {
   NEURSC_DISPATCH_(ColBroadcastMul, x, w, out, rows, cols);
+}
+
+void AddColBroadcastMul(const float* x, const float* w, float* out,
+                        size_t rows, size_t cols) {
+  NEURSC_DISPATCH_(AddColBroadcastMul, x, w, out, rows, cols);
 }
 
 void ScatterAddRows(const float* x, const uint32_t* targets, size_t rows,
@@ -569,6 +735,14 @@ void ScatterAddRows(const float* x, const uint32_t* targets, size_t rows,
 void EdgeScores(const float* x, const float* a, const uint32_t* src,
                 const uint32_t* dst, size_t edges, size_t cols, float* out) {
   NEURSC_DISPATCH_(EdgeScores, x, a, src, dst, edges, cols, out);
+}
+
+void EdgeScoresBackward(const float* x, const float* a, const float* g,
+                        const uint32_t* src, const uint32_t* dst,
+                        size_t edges, size_t cols, float* a_grad,
+                        float* x_grad) {
+  NEURSC_DISPATCH_(EdgeScoresBackward, x, a, g, src, dst, edges, cols, a_grad,
+                   x_grad);
 }
 
 void Aggregate(const float* x, const uint32_t* src, const uint32_t* dst,

@@ -48,14 +48,27 @@ struct AdamCoefficients {
 ///   p * a_col_stride], so one core serves A and A^T; B and C are
 ///   row-major with leading dimensions ldb and ldc.
 /// Add: out[j] = a[j] + b[j]; `out` may alias `a` or `b`.
-/// AddRowBroadcast: out[r, :] = x[r, :] + bias[:] over a rows x cols block.
+/// AddRowBroadcast: out[r, :] = x[r, :] + bias[:] over a rows x cols block;
+///   `out` may alias `x`.
+/// AddRows: out[:] = out[:] + x[r, :] for r < rows, in row order: the
+///   column sums of a rows x cols block, accumulated onto out.
+/// AddBlock: out[r, c] = out[r, c] + x[r * x_stride + c] for r < rows and
+///   c < cols; out is row-major with `cols` columns.
 /// ColBroadcastMul: out[r, :] = x[r, :] * w[r].
+/// AddColBroadcastMul: out[r, :] = out[r, :] + x[r, :] * w[r].
 /// ScatterAddRows: out[targets[r], :] = out[targets[r], :] + x[r, :], in
 ///   row order; every target must be in range (the caller checks).
 /// EdgeScores: out[e] = sum_p x[dst[e], p] * a[p] + sum_p x[src[e], p] *
 ///   a[cols + p] for e < edges: one float accumulator per edge, from 0, one
 ///   multiply then one add per term, the dst terms first, each in p order.
 ///   x is row-major with `cols` columns; every index must be in range.
+/// EdgeScoresBackward: EdgeScores' input gradients for the output
+///   gradient g (one entry per edge). When a_grad is not null, for e <
+///   edges in order, a_grad[p] = a_grad[p] + x[dst[e], p] * g[e] and
+///   a_grad[cols + p] = a_grad[cols + p] + x[src[e], p] * g[e]. Then, when
+///   x_grad is not null, x_grad[src[e], :] = x_grad[src[e], :] + a[cols,
+///   2 cols) * g[e] for e in order, and then x_grad[dst[e], :] =
+///   x_grad[dst[e], :] + a[0, cols) * g[e] for e in order.
 /// Aggregate: for e < edges in order, out[dst[e], :] = out[dst[e], :] +
 ///   x[src[e], :] * w[e], or out[dst[e], :] + x[src[e], :] when w is null;
 ///   every index must be in range.
@@ -76,13 +89,22 @@ struct AdamCoefficients {
   void Add(const float* a, const float* b, float* out, size_t n);           \
   void AddRowBroadcast(const float* x, const float* bias, float* out,       \
                        size_t rows, size_t cols);                           \
+  void AddRows(const float* x, size_t rows, size_t cols, float* out);       \
+  void AddBlock(const float* x, size_t x_stride, size_t rows, size_t cols,  \
+                float* out);                                                \
   void ColBroadcastMul(const float* x, const float* w, float* out,          \
                        size_t rows, size_t cols);                           \
+  void AddColBroadcastMul(const float* x, const float* w, float* out,       \
+                          size_t rows, size_t cols);                        \
   void ScatterAddRows(const float* x, const uint32_t* targets, size_t rows, \
                       size_t cols, float* out);                             \
   void EdgeScores(const float* x, const float* a, const uint32_t* src,      \
                   const uint32_t* dst, size_t edges, size_t cols,           \
                   float* out);                                              \
+  void EdgeScoresBackward(const float* x, const float* a, const float* g,   \
+                          const uint32_t* src, const uint32_t* dst,         \
+                          size_t edges, size_t cols, float* a_grad,         \
+                          float* x_grad);                                   \
   void Aggregate(const float* x, const uint32_t* src, const uint32_t* dst,  \
                  const float* w, size_t edges, size_t cols, float* out);    \
   void Relu(const float* x, float* out, size_t n);                          \

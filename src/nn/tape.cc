@@ -20,11 +20,13 @@ namespace neursc {
 // delta is added as grad + (g * y), the same float as adding a delta
 // matrix, and products run into zeroed scratch that is then added, never
 // straight into a gradient that may already hold a contribution. The
-// elementwise and row-structured cases run on the nn/simd.h accumulate
-// kernels (AddMul, AddScaled, the ReLU masks, Add per row or block,
-// ScatterAddRows, Aggregate), whose every variant adds each delta entry
-// onto the gradient in this same order; the reductions keep their scalar
-// loops.
+// elementwise, row-structured and message-passing cases make one call per
+// input gradient to an nn/simd.h accumulate kernel (AddMul, AddScaled, the
+// ReLU masks, AddRows, AddBlock, AddRowBroadcast, AddColBroadcastMul,
+// ScatterAddRows, EdgeScoresBackward, Aggregate), never one per row or
+// edge, and every variant of each adds each delta entry onto the gradient
+// in this same order; the per-row and per-edge dot products, ReduceSum and
+// the softmax cases keep their scalar loops.
 //
 // A gradient slot starts at +0.0 and only ever receives additions, and a
 // float sum is -0.0 only when both addends are, so no gradient slot holds
@@ -390,9 +392,7 @@ Var Tape::SumRows(Var x) {
   const Matrix& xv = Value(x);
   Matrix* out = AllocValue(1, xv.cols());
   // Accumulates onto the zero-filled slot in row order.
-  for (size_t r = 0; r < xv.rows(); ++r) {
-    simd::Add(out->data(), xv.row(r), out->data(), xv.cols());
-  }
+  simd::AddRows(xv.data(), xv.rows(), xv.cols(), out->data());
   return Emit(out, OpKind::kSumRows, x);
 }
 
@@ -465,10 +465,7 @@ void Tape::BackwardStep(const Record& r, const Matrix& g) {
     case OpKind::kAddRowBroadcast:
       if (Requires(r.a)) EnsureGrad(r.a).AddInPlace(g);
       if (Requires(r.b)) {
-        float* bg = EnsureGrad(r.b).data();
-        for (size_t row = 0; row < g.rows(); ++row) {
-          simd::Add(bg, g.row(row), bg, g.cols());
-        }
+        simd::AddRows(gd, g.rows(), g.cols(), EnsureGrad(r.b).data());
       }
       break;
     case OpKind::kSub:
@@ -531,16 +528,11 @@ void Tape::BackwardStep(const Record& r, const Matrix& g) {
     case OpKind::kConcatCols: {
       const size_t acols = V(r.a).cols();
       if (Requires(r.a)) {
-        Matrix& ag = EnsureGrad(r.a);
-        for (size_t row = 0; row < g.rows(); ++row) {
-          simd::Add(ag.row(row), g.row(row), ag.row(row), acols);
-        }
+        simd::AddBlock(gd, g.cols(), g.rows(), acols, EnsureGrad(r.a).data());
       }
       if (Requires(r.b)) {
-        Matrix& bg = EnsureGrad(r.b);
-        for (size_t row = 0; row < g.rows(); ++row) {
-          simd::Add(bg.row(row), g.row(row) + acols, bg.row(row), bg.cols());
-        }
+        simd::AddBlock(gd + acols, g.cols(), g.rows(), g.cols() - acols,
+                       EnsureGrad(r.b).data());
       }
       break;
     }
@@ -573,26 +565,14 @@ void Tape::BackwardStep(const Record& r, const Matrix& g) {
       const uint32_t* src = indices_.data() + r.index_begin;
       const uint32_t* dst = src + edges;
       const Matrix& xv = V(r.a);
-      const size_t d = xv.cols();
-      const float* a = V(r.b).data();
-      if (Requires(r.b)) {
-        scratch_.Reshape(2 * d, 1);
-        float* ag = scratch_.data();
-        for (size_t e = 0; e < edges; ++e) {
-          simd::AddScaled(xv.row(dst[e]), gd[e], ag, d);
-          simd::AddScaled(xv.row(src[e]), gd[e], ag + d, d);
-        }
-        EnsureGrad(r.b).AddInPlace(scratch_);
-      }
-      if (Requires(r.a)) {
-        Matrix& xg = EnsureGrad(r.a);
-        for (size_t e = 0; e < edges; ++e) {
-          simd::AddScaled(a + d, gd[e], xg.row(src[e]), d);
-        }
-        for (size_t e = 0; e < edges; ++e) {
-          simd::AddScaled(a, gd[e], xg.row(dst[e]), d);
-        }
-      }
+      Matrix* ag = Requires(r.b) ? &EnsureGrad(r.b) : nullptr;
+      float* xg = Requires(r.a) ? EnsureGrad(r.a).data() : nullptr;
+      if (ag != nullptr) scratch_.Reshape(2 * xv.cols(), 1);
+      simd::EdgeScoresBackward(xv.data(), V(r.b).data(), gd, src, dst, edges,
+                               xv.cols(), ag != nullptr ? scratch_.data()
+                                                        : nullptr,
+                               xg);
+      if (ag != nullptr) ag->AddInPlace(scratch_);
       break;
     }
     case OpKind::kAggregate: {
@@ -640,10 +620,8 @@ void Tape::BackwardStep(const Record& r, const Matrix& g) {
       const Matrix& xv = V(r.a);
       const Matrix& wv = V(r.b);
       if (Requires(r.a)) {
-        Matrix& xg = EnsureGrad(r.a);
-        for (size_t row = 0; row < g.rows(); ++row) {
-          simd::AddScaled(g.row(row), wv.at(row, 0), xg.row(row), g.cols());
-        }
+        simd::AddColBroadcastMul(gd, wv.data(), EnsureGrad(r.a).data(),
+                                 g.rows(), g.cols());
       }
       if (Requires(r.b)) {
         Matrix& wg = EnsureGrad(r.b);
@@ -658,10 +636,8 @@ void Tape::BackwardStep(const Record& r, const Matrix& g) {
       break;
     }
     case OpKind::kSumRows: {
-      Matrix& xg = EnsureGrad(r.a);
-      for (size_t row = 0; row < xg.rows(); ++row) {
-        simd::Add(xg.row(row), gd, xg.row(row), xg.cols());
-      }
+      float* xg = EnsureGrad(r.a).data();
+      simd::AddRowBroadcast(xg, gd, xg, V(r.a).rows(), g.cols());
       break;
     }
     case OpKind::kReduceSum: {

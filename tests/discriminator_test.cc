@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <string>
+
 #include "nn/optimizer.h"
 
 namespace neursc {
@@ -199,6 +203,101 @@ TEST(LossTest, CriticTrainingIncreasesSeparation) {
     critic.ClampWeights();
   }
   EXPECT_GT(last, first);
+}
+
+/// L_w's value and gradients after one Backward, for the bit comparison
+/// below.
+struct CriticPass {
+  float loss = 0.0f;
+  std::vector<Matrix> critic_grads;
+  Matrix sub_grad;
+};
+
+/// Runs L_w over `hq` and `hs` on a fresh tape, the substructure rows as a
+/// trainable leaf: through CriticWassersteinLoss, or through the full-row
+/// path (every substructure row scored and backpropagated).
+CriticPass RunCriticPass(bool selected_rows, Discriminator* critic,
+                         const Matrix& hq, const Matrix& hs,
+                         const std::vector<std::vector<VertexId>>& candidates,
+                         Correspondence* full_pairs) {
+  for (Parameter* p : critic->Parameters()) p->ZeroGrad();
+  Parameter sub(hs);
+  Tape tape;
+  Var q = tape.Constant(hq);
+  Var s = tape.Leaf(&sub);
+  Var lw;
+  if (selected_rows) {
+    lw = CriticWassersteinLoss(&tape, critic, q, s, candidates);
+  } else {
+    Var sq = critic->Score(&tape, q);
+    Var ss = critic->Score(&tape, s);
+    *full_pairs = SelectCorrespondenceByScores(tape.Value(sq),
+                                               tape.Value(ss), candidates);
+    lw = WassersteinLoss(&tape, sq, ss, *full_pairs);
+  }
+  CriticPass pass;
+  pass.loss = tape.Value(lw).scalar();
+  tape.Backward(tape.Scale(lw, -1.0f));
+  for (Parameter* p : critic->Parameters()) pass.critic_grads.push_back(p->grad);
+  pass.sub_grad = sub.grad;
+  return pass;
+}
+
+::testing::AssertionResult SameBits(const Matrix& got, const Matrix& want,
+                                    const std::string& what) {
+  if (got.rows() != want.rows() || got.cols() != want.cols() ||
+      std::memcmp(got.data(), want.data(), got.size() * sizeof(float)) != 0) {
+    return ::testing::AssertionFailure() << what << " differs";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(LossTest, SelectedRowsPassMatchesFullRowPassBitForBit) {
+  // u0..u2 draw from rows that fall in descending order, so the selected
+  // rows come out of ascending order; u3 and u4 share their only
+  // candidate, so one of them reuses it; u5 competes for rows the others
+  // want, which may take the augmenting search.
+  const std::vector<std::vector<VertexId>> candidates = {
+      {35, 36, 37}, {20, 21, 22}, {3, 4, 5}, {10}, {10}, {4, 21, 36}};
+  struct Shape {
+    size_t repr_dim;
+    size_t hidden;
+  };
+  for (Shape shape : {Shape{12, 16}, Shape{64, 32}}) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      const std::string what = "dim " + std::to_string(shape.repr_dim) +
+                               " seed " + std::to_string(seed);
+      Rng rng(seed);
+      Matrix hq = Matrix::Uniform(candidates.size(), shape.repr_dim, -1.0f,
+                                  1.0f, &rng);
+      Matrix hs = Matrix::Uniform(40, shape.repr_dim, -1.0f, 1.0f, &rng);
+      Discriminator critic(shape.repr_dim, shape.hidden, 0.5f, seed + 100);
+      Correspondence pairs;
+      CriticPass full =
+          RunCriticPass(false, &critic, hq, hs, candidates, &pairs);
+      CriticPass selected =
+          RunCriticPass(true, &critic, hq, hs, candidates, nullptr);
+
+      ASSERT_EQ(pairs.size(), candidates.size()) << what;
+      EXPECT_FALSE(std::is_sorted(pairs.sub_rows.begin(), pairs.sub_rows.end()))
+          << what;
+      std::vector<uint32_t> distinct = pairs.sub_rows;
+      std::sort(distinct.begin(), distinct.end());
+      EXPECT_NE(std::unique(distinct.begin(), distinct.end()), distinct.end())
+          << what << ": no row repeats";
+
+      EXPECT_TRUE(SameBits(Matrix::Scalar(selected.loss),
+                           Matrix::Scalar(full.loss), what + " loss"));
+      ASSERT_EQ(selected.critic_grads.size(), full.critic_grads.size());
+      for (size_t i = 0; i < full.critic_grads.size(); ++i) {
+        EXPECT_TRUE(SameBits(selected.critic_grads[i], full.critic_grads[i],
+                             what + " critic gradient " + std::to_string(i)));
+      }
+      EXPECT_TRUE(
+          SameBits(selected.sub_grad, full.sub_grad, what + " sub gradient"));
+      EXPECT_GT(full.sub_grad.Norm(), 0.0f) << what;
+    }
+  }
 }
 
 }  // namespace

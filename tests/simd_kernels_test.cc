@@ -305,6 +305,39 @@ TEST_F(SimdAvx2Test, RowOpsMatchScalar) {
       ASSERT_TRUE(SameFloats(got.data(), want.data(), size,
                              "ColBroadcastMul " + what));
 
+      // The accumulating row kernels, onto non-zero outputs.
+      want = y;
+      got = y;
+      simd::scalar::AddColBroadcastMul(x.data(), w.data(), want.data(), rows,
+                                       cols);
+      simd::avx2::AddColBroadcastMul(x.data(), w.data(), got.data(), rows,
+                                     cols);
+      ASSERT_TRUE(SameFloats(got.data(), want.data(), size,
+                             "AddColBroadcastMul " + what));
+
+      std::vector<float> sums_want = bias;
+      std::vector<float> sums_got = bias;
+      simd::scalar::AddRows(x.data(), rows, cols, sums_want.data());
+      simd::avx2::AddRows(x.data(), rows, cols, sums_got.data());
+      ASSERT_TRUE(SameFloats(sums_got.data(), sums_want.data(), cols,
+                             "AddRows " + what));
+
+      // The left cols / 3 columns of x, then the rest, as the ConcatCols
+      // backward reads its gradient.
+      for (size_t offset : {size_t{0}, cols / 3}) {
+        const size_t width = offset == 0 ? cols / 3 : cols - offset;
+        std::vector<float> block_want = Values(rows * width, true, &rng);
+        std::vector<float> block_got = block_want;
+        simd::scalar::AddBlock(x.data() + offset, cols, rows, width,
+                               block_want.data());
+        simd::avx2::AddBlock(x.data() + offset, cols, rows, width,
+                             block_got.data());
+        ASSERT_TRUE(SameFloats(block_got.data(), block_want.data(),
+                               block_got.size(),
+                               "AddBlock offset " + std::to_string(offset) +
+                                   " " + what));
+      }
+
       simd::scalar::Relu(x.data(), want.data(), size);
       simd::avx2::Relu(x.data(), got.data(), size);
       ASSERT_TRUE(SameFloats(got.data(), want.data(), size, "Relu " + what));
@@ -359,6 +392,34 @@ TEST_F(SimdAvx2Test, MessagePassingKernelsMatchScalar) {
 
       // Onto non-zero rows, with and without weights.
       const std::vector<float> out0 = Values(kRows * cols, true, &rng);
+
+      // Both gradients, onto non-zero outputs, then each alone.
+      const std::vector<float> g = Values(edges, true, &rng);
+      const std::vector<float> a_grad0 = Values(2 * cols, true, &rng);
+      for (bool with_a : {true, false}) {
+        for (bool with_x : {true, false}) {
+          std::vector<float> ag_want = a_grad0;
+          std::vector<float> ag_got = a_grad0;
+          std::vector<float> xg_want = out0;
+          std::vector<float> xg_got = out0;
+          simd::scalar::EdgeScoresBackward(
+              x.data(), a.data(), g.data(), src.data(), dst.data(), edges,
+              cols, with_a ? ag_want.data() : nullptr,
+              with_x ? xg_want.data() : nullptr);
+          simd::avx2::EdgeScoresBackward(
+              x.data(), a.data(), g.data(), src.data(), dst.data(), edges,
+              cols, with_a ? ag_got.data() : nullptr,
+              with_x ? xg_got.data() : nullptr);
+          const std::string which =
+              std::string(with_a ? " a" : "") + (with_x ? " x" : "");
+          ASSERT_TRUE(SameFloats(ag_got.data(), ag_want.data(), ag_got.size(),
+                                 "EdgeScoresBackward a_grad" + which + " " +
+                                     what));
+          ASSERT_TRUE(SameFloats(xg_got.data(), xg_want.data(), xg_got.size(),
+                                 "EdgeScoresBackward x_grad" + which + " " +
+                                     what));
+        }
+      }
       for (const float* weights : {static_cast<const float*>(nullptr),
                                    static_cast<const float*>(w.data())}) {
         std::vector<float> agg_want = out0;
