@@ -55,11 +55,14 @@
 #      (generate -> train -> evaluate, ~0.1 s) prints the per-query extraction/inference times
 #      from EstimateInfo; then the CLI through files (~0.1 s): `generate`
 #      writes the Yeast stand-in, `train` (1 epoch) saves a checkpoint, and
-#      `estimate` runs twice on a matchable and an unmatchable query file
-#      that the script writes; the stage fails unless cmp finds the two
-#      outputs identical once their ms figures are masked (the only
-#      end-to-end run of ReadGraphFromFile, SaveModel and LoadModel through
-#      files); then bench_ext_active_learning runs the
+#      `estimate` runs on a matchable and an unmatchable query file that
+#      the script writes, twice with the checkpoint and once with a copy
+#      of it re-spaced by sed (tabs between values, CRLF line ends); the
+#      stage fails unless cmp finds the three outputs identical once their
+#      ms figures are masked (the only end-to-end run of ReadGraphFromFile,
+#      SaveModel and LoadModel through files, and the only end-to-end
+#      check that the checkpoint loader splits on every whitespace byte as
+#      a stream would); then bench_ext_active_learning runs the
 #      active-learning loop on a tiny dataset (~0.06 s) and exits non-zero
 #      if the workload, the query pool or the learner's run fails; last,
 #      bench_fig11_ablation_se, the only program that runs "NeurSC w/o SE",
@@ -142,14 +145,19 @@ printf 't 3 2\nv 0 0 1\nv 1 1 2\nv 2 2 1\ne 0 1\ne 1 2\n' \
   > "$CLI_OUT/matchable.graph"
 printf 't 3 2\nv 0 0 1\nv 1 1 2\nv 2 200 1\ne 0 1\ne 1 2\n' \
   > "$CLI_OUT/unmatchable.graph"
-for run in 1 2; do
+sed -e 's/ /\t/g' -e 's/$/\r/' "$CLI_OUT/model.ckpt" \
+  > "$CLI_OUT/respaced.ckpt"
+for run in 1 2 3; do
+  model=model
+  [ "$run" = 3 ] && model=respaced
   for query in matchable unmatchable; do
-    "$CLI" estimate "$CLI_OUT/data.graph" "$CLI_OUT/model.ckpt" \
+    "$CLI" estimate "$CLI_OUT/data.graph" "$CLI_OUT/$model.ckpt" \
       "$CLI_OUT/$query.graph"
   done | sed -E 's/[0-9.]+ms/<t>ms/g' > "$CLI_OUT/estimate$run.txt"
 done
 cat "$CLI_OUT/estimate1.txt"
 cmp "$CLI_OUT/estimate1.txt" "$CLI_OUT/estimate2.txt"
+cmp "$CLI_OUT/estimate1.txt" "$CLI_OUT/estimate3.txt"
 rm -rf "$CLI_OUT"
 NEURSC_SCALE=0.25 NEURSC_EPOCHS=4 NEURSC_QUERIES=8 \
   ./build/bench/bench_ext_active_learning

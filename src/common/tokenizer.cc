@@ -1,5 +1,6 @@
 #include "common/tokenizer.h"
 
+#include <array>
 #include <charconv>
 #include <cstdlib>
 #include <cstring>
@@ -11,55 +12,82 @@ namespace neursc {
 
 namespace {
 
-bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
-
-int LowerHexDigit(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  return -1;
-}
-
-/// The bits of a normal float written as `[-]0x1[.h{1,6}]p±d{1,3}` with no
-/// set bit beyond the float's 23 fraction bits, the shape "%a" gives a
-/// float widened to double. Such a value is exact, so strtof returns these
-/// same bits; false for any other token.
-bool ParseExactHexFloat(std::string_view t, float* value) {
-  size_t i = 0;
-  uint32_t sign = 0;
-  if (!t.empty() && t[0] == '-') {
-    sign = 0x80000000u;
-    i = 1;
+/// A byte's class for the tokenizer's loops, looked up rather than
+/// compared, because the digits of a hexfloat mantissa fall at random on
+/// either side of a range test: the value of a lowercase hex digit (0-15,
+/// so '0'-'9' read as decimal digits too), kSpace for the six whitespace
+/// bytes, kOther for every other byte.
+constexpr int8_t kSpace = -2;
+constexpr int8_t kOther = -1;
+constexpr std::array<int8_t, 256> kByteClass = [] {
+  std::array<int8_t, 256> table{};
+  table.fill(kOther);
+  for (char c : {' ', '\t', '\n', '\v', '\f', '\r'}) {
+    table[static_cast<unsigned char>(c)] = kSpace;
   }
-  if (t.size() - i < 6 || t.compare(i, 3, "0x1") != 0) return false;
-  i += 3;
+  for (int d = 0; d < 10; ++d) table['0' + d] = static_cast<int8_t>(d);
+  for (int d = 0; d < 6; ++d) table['a' + d] = static_cast<int8_t>(10 + d);
+  return table;
+}();
+
+int ByteClass(char c) { return kByteClass[static_cast<unsigned char>(c)]; }
+
+bool IsSpace(char c) { return ByteClass(c) == kSpace; }
+
+/// Scans the bytes from `p` for the shape "%a" writes for a normal float
+/// widened to double, `[-]0x1[.h{1,6}]p±d{1,3}` with lowercase hex digits
+/// and no set bit beyond the float's 23 fraction bits, and converts it in
+/// the same pass. Such a value is exact, so strtof gives these same bits.
+/// Returns the end of the shape, or nullptr if the bytes do not start
+/// with it; whatever follows the shape is the caller's to check.
+const char* ScanExactHexFloat(const char* p, const char* end, float* value) {
+  // The shortest shape is "0x1p+0".
+  if (end - p < 6) return nullptr;
+  const uint32_t negative = *p == '-';
+  p += negative;
+  if (end - p < 6 || p[0] != '0' || p[1] != 'x' || p[2] != '1') {
+    return nullptr;
+  }
+  p += 3;
   uint32_t fraction = 0;
   int digits = 0;
-  if (t[i] == '.') {
-    for (++i; i < t.size() && digits <= 6; ++i, ++digits) {
-      const int d = LowerHexDigit(t[i]);
-      if (d < 0) break;
+  if (*p == '.') {
+    ++p;
+    // A seventh digit stops the scan here and fails the 'p' test below.
+    for (int d; digits < 6 && p != end && (d = ByteClass(*p)) >= 0;
+         ++p, ++digits) {
       fraction = fraction << 4 | static_cast<uint32_t>(d);
     }
-    if (digits == 0 || digits > 6) return false;
+    if (digits == 0) return nullptr;
   }
   // Six hex digits hold 24 bits; a set 24th bit would need rounding.
   fraction <<= 4 * (6 - digits);
-  if ((fraction & 1) != 0) return false;
-  if (t.size() - i < 3 || t[i] != 'p' || (t[i + 1] != '+' && t[i + 1] != '-') ||
-      t.size() - i > 5) {
-    return false;
-  }
+  if ((fraction & 1) != 0) return nullptr;
+  if (end - p < 3 || p[0] != 'p') return nullptr;
+  // '+' and '-' are two apart: their offset from '+' is 0 or 2.
+  const uint32_t sign_offset =
+      static_cast<unsigned char>(p[1]) - uint32_t{'+'};
+  if ((sign_offset & ~2u) != 0) return nullptr;
+  const int exponent_negative = static_cast<int>(sign_offset >> 1);
+  p += 2;
   int exponent = 0;
-  for (size_t k = i + 2; k < t.size(); ++k) {
-    if (t[k] < '0' || t[k] > '9') return false;
-    exponent = exponent * 10 + (t[k] - '0');
+  int exponent_digits = 0;
+  // A fourth digit stops the scan here, where the caller sees a byte that
+  // does not end a token.
+  for (unsigned d; exponent_digits < 3 && p != end &&
+                   (d = static_cast<unsigned>(ByteClass(*p))) < 10;
+       ++p, ++exponent_digits) {
+    exponent = exponent * 10 + static_cast<int>(d);
   }
-  if (t[i + 1] == '-') exponent = -exponent;
-  if (exponent < -126 || exponent > 127) return false;
-  const uint32_t bits =
-      sign | static_cast<uint32_t>(exponent + 127) << 23 | fraction >> 1;
+  if (exponent_digits == 0) return nullptr;
+  exponent = (exponent ^ -exponent_negative) + exponent_negative;
+  // Subnormal and overflowing exponents go to strtof.
+  if (exponent < -126 || exponent > 127) return nullptr;
+  const uint32_t bits = negative << 31 |
+                        static_cast<uint32_t>(exponent + 127) << 23 |
+                        fraction >> 1;
   std::memcpy(value, &bits, sizeof(bits));
-  return true;
+  return p;
 }
 
 }  // namespace
@@ -86,15 +114,21 @@ std::string ReadWholeStream(std::istream& in) {
   return std::move(text).str();
 }
 
+// The loops run on local copies of pos_: a char read may alias the member
+// itself, so stepping the member would store and reload it every byte.
 void Tokenizer::SkipSpace() {
-  while (pos_ != end_ && IsSpace(*pos_)) ++pos_;
+  const char* p = pos_;
+  while (p != end_ && IsSpace(*p)) ++p;
+  pos_ = p;
 }
 
 std::string_view Tokenizer::Next() {
   SkipSpace();
   const char* start = pos_;
-  while (pos_ != end_ && !IsSpace(*pos_)) ++pos_;
-  return std::string_view(start, static_cast<size_t>(pos_ - start));
+  const char* p = start;
+  while (p != end_ && !IsSpace(*p)) ++p;
+  pos_ = p;
+  return std::string_view(start, static_cast<size_t>(p - start));
 }
 
 bool Tokenizer::NextUnsigned(uint64_t* value) {
@@ -113,8 +147,24 @@ bool Tokenizer::NextUnsigned(uint64_t* value) {
   return true;
 }
 
+bool Tokenizer::NextFloat(float* value, std::string_view* token) {
+  SkipSpace();
+  const char* stop = ScanExactHexFloat(pos_, end_, value);
+  if (stop != nullptr && (stop == end_ || IsSpace(*stop))) {
+    *token = std::string_view(pos_, static_cast<size_t>(stop - pos_));
+    pos_ = stop;
+    return true;
+  }
+  *token = Next();
+  return ParseFloatToken(*token, value);
+}
+
 bool ParseFloatToken(std::string_view token, float* value) {
-  if (ParseExactHexFloat(token, value)) return true;
+  const char* token_end = token.data() + token.size();
+  if (!token.empty() &&
+      ScanExactHexFloat(token.data(), token_end, value) == token_end) {
+    return true;
+  }
   const std::string copy(token);
   char* end = nullptr;
   *value = std::strtof(copy.c_str(), &end);

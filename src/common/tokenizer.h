@@ -39,6 +39,14 @@ class Tokenizer {
   /// no digit or the digits overflow 64 bits; '-' negates modulo 2^64.
   bool NextUnsigned(uint64_t* value);
 
+  /// `ParseFloatToken(Next())` in one pass for the common token: a token
+  /// in the exact "%a" shape that ParseFloatToken converts directly, and
+  /// that whitespace or the end of the text follows, is converted while
+  /// it is scanned. Every other token is split off with Next() and given
+  /// to ParseFloatToken. Sets `*token` to the token (empty at the end of
+  /// the text) and returns what ParseFloatToken would.
+  bool NextFloat(float* value, std::string_view* token);
+
  private:
   void SkipSpace();
 
@@ -51,8 +59,8 @@ class Tokenizer {
 /// first NUL; overflow gives ±inf and underflow 0 or a subnormal, as
 /// strtof does. A token in the shape "%a" writes for a normal float
 /// (`[-]0x1[.h{1,6}]p±d{1,3}`, lowercase, exactly representable) is
-/// converted directly into the float's bits; every other token goes to
-/// strtof itself.
+/// converted directly into the float's bits, by the same scanner that
+/// Tokenizer::NextFloat runs; every other token goes to strtof itself.
 bool ParseFloatToken(std::string_view token, float* value);
 
 }  // namespace neursc

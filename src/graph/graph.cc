@@ -127,7 +127,9 @@ Result<Graph> GraphBuilder::Build() {
   for (size_t v = 0; v < n; ++v) {
     auto begin = adjacency.begin() + static_cast<ptrdiff_t>(offsets[v]);
     auto end = adjacency.begin() + static_cast<ptrdiff_t>(offsets[v + 1]);
-    std::sort(begin, end);
+    // Edge-ordered input (the files WriteGraphBinary and
+    // WriteGraphToStream write) scatters into sorted lists already.
+    if (!std::is_sorted(begin, end)) std::sort(begin, end);
     if (std::adjacent_find(begin, end) != end) {
       return Status::InvalidArgument("duplicate edge at vertex " +
                                      std::to_string(v));
@@ -150,21 +152,11 @@ Graph Graph::FromValidatedCsr(std::vector<Label> labels,
   g.adjacency_ = std::move(adjacency);
 
   Label max_label = 0;
-  g.neighbor_labels_.resize(g.adjacency_.size());
-  g.label_signatures_.assign(n, 0);
   for (size_t v = 0; v < n; ++v) {
     max_label = std::max(max_label, g.labels_[v]);
-    const size_t begin = g.offsets_[v];
-    const size_t end = g.offsets_[v + 1];
     g.max_degree_ =
-        std::max(g.max_degree_, static_cast<uint32_t>(end - begin));
-    for (size_t i = begin; i < end; ++i) {
-      const Label l = g.labels_[g.adjacency_[i]];
-      g.neighbor_labels_[i] = l;
-      g.label_signatures_[v] |= uint64_t{1} << (l % 64);
-    }
-    std::sort(g.neighbor_labels_.begin() + static_cast<ptrdiff_t>(begin),
-              g.neighbor_labels_.begin() + static_cast<ptrdiff_t>(end));
+        std::max(g.max_degree_,
+                 static_cast<uint32_t>(g.offsets_[v + 1] - g.offsets_[v]));
   }
 
   // Label grouping.
@@ -174,11 +166,25 @@ Graph Graph::FromValidatedCsr(std::vector<Label> labels,
   std::partial_sum(g.label_offsets_.begin(), g.label_offsets_.end(),
                    g.label_offsets_.begin());
   g.vertices_by_label_.resize(n);
-  std::vector<size_t> lcursor(g.label_offsets_.begin(),
-                              g.label_offsets_.end() - 1);
+  std::vector<size_t> cursor(g.label_offsets_.begin(),
+                             g.label_offsets_.end() - 1);
   for (size_t v = 0; v < n; ++v) {
-    g.vertices_by_label_[lcursor[g.labels_[v]]++] =
-        static_cast<VertexId>(v);
+    g.vertices_by_label_[cursor[g.labels_[v]]++] = static_cast<VertexId>(v);
+  }
+
+  // Neighbour labels and signatures in one pass over the vertices in
+  // label order: each appends its label to its neighbours' lists, so every
+  // list fills in ascending order without a sort.
+  g.neighbor_labels_.resize(g.adjacency_.size());
+  g.label_signatures_.assign(n, 0);
+  cursor.assign(g.offsets_.begin(), g.offsets_.end() - 1);
+  for (VertexId v : g.vertices_by_label_) {
+    const Label l = g.labels_[v];
+    const uint64_t bit = uint64_t{1} << (l % 64);
+    for (VertexId w : g.Neighbors(v)) {
+      g.neighbor_labels_[cursor[w]++] = l;
+      g.label_signatures_[w] |= bit;
+    }
   }
   return g;
 }

@@ -91,10 +91,11 @@ Status ParseParameters(const std::vector<Parameter*>& params,
     // below is what actually enforces the no-NaN/Inf contract on every
     // input.
     for (size_t i = 0; i < p->value.size(); ++i) {
-      const std::string_view token = in.Next();
-      if (token.empty()) return Status::IOError("truncated parameter data");
+      std::string_view token;
       float v = 0.0f;
-      if (!ParseFloatToken(token, &v)) {
+      const bool converted = in.NextFloat(&v, &token);
+      if (token.empty()) return Status::IOError("truncated parameter data");
+      if (!converted) {
         return Status::IOError("malformed parameter value '" +
                                std::string(token) + "'");
       }

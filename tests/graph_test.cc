@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -55,6 +57,61 @@ TEST(GraphBuilderTest, RejectsDuplicateEdge) {
   auto built = builder.Build();
   EXPECT_FALSE(built.ok());
   EXPECT_TRUE(built.status().IsInvalidArgument());
+}
+
+Result<Graph> BuildFromEdges(
+    const std::vector<Label>& labels,
+    const std::vector<std::pair<VertexId, VertexId>>& edges) {
+  GraphBuilder builder;
+  for (Label l : labels) builder.AddVertex(l);
+  for (const auto& [u, v] : edges) {
+    NEURSC_RETURN_IF_ERROR(builder.AddEdge(u, v));
+  }
+  return builder.Build();
+}
+
+TEST(GraphBuilderTest, EdgeOrderDoesNotMatter) {
+  // The canonical order (the one WriteGraphBinary and WriteGraphToStream
+  // write) scatters into sorted lists that Build leaves as they are; a
+  // shuffled order and swapped endpoints leave lists Build must sort.
+  auto profile = FindDatasetProfile("Yeast");
+  ASSERT_TRUE(profile.ok());
+  auto data = GenerateDataset(*profile, 0.2, 5);
+  ASSERT_TRUE(data.ok());
+  std::vector<Label> labels;
+  std::vector<std::pair<VertexId, VertexId>> canonical;
+  for (VertexId v = 0; v < data->NumVertices(); ++v) {
+    labels.push_back(data->GetLabel(v));
+    for (VertexId w : data->Neighbors(v)) {
+      if (v < w) canonical.emplace_back(v, w);
+    }
+  }
+  auto shuffled = canonical;
+  Rng rng(31);
+  rng.Shuffle(&shuffled);
+  auto swapped = canonical;
+  for (auto& [u, v] : swapped) std::swap(u, v);
+  for (const auto& [name, edges] :
+       {std::pair{"canonical", canonical}, std::pair{"shuffled", shuffled},
+        std::pair{"swapped", swapped}}) {
+    auto built = BuildFromEdges(labels, edges);
+    ASSERT_TRUE(built.ok()) << name << ": " << built.status().ToString();
+    // Compares operator==, Fingerprint() and every derived array.
+    testing_util::ExpectSameGraph(*built, *data, name);
+  }
+}
+
+TEST(GraphBuilderTest, DuplicateEdgeRejectedInSortedAndUnsortedLists) {
+  // Vertex 0's list comes out sorted from the first order and unsorted
+  // from the second; both hold the duplicate edge 0-2.
+  for (const std::vector<std::pair<VertexId, VertexId>>& edges :
+       {std::vector<std::pair<VertexId, VertexId>>{{0, 1}, {0, 2}, {0, 2}},
+        {{0, 2}, {1, 0}, {2, 0}}}) {
+    auto built = BuildFromEdges({0, 1, 2}, edges);
+    ASSERT_FALSE(built.ok());
+    EXPECT_TRUE(built.status().IsInvalidArgument());
+    EXPECT_EQ(built.status().message(), "duplicate edge at vertex 0");
+  }
 }
 
 TEST(GraphTest, NeighborsAreSorted) {

@@ -32,12 +32,18 @@ using oracle::ExpectTextReadMatchesOracle;
 
 /// What replaces one token: the checkpoint reader's non-finite, range and
 /// malformed spellings, the integer reader's signs and overflows, and ""
-/// (the token deleted: a missing field).
+/// (the token deleted: a missing field). The hexfloats after "param" sit
+/// on the edges of the checkpoint scanner's exact shape: an empty
+/// fraction, a fourth exponent digit, a byte that does not end the token
+/// (a letter, a NUL), the smallest normal exponent and one below it, the
+/// largest exponent and one above it, and the largest float.
 const std::vector<std::string> kReplacements = {
     "inf", "nan", "1e999", "1e-50", "0x", "1.5x", "",
     "-1", "+2", "18446744073709551616", "4294967296", "0X1P3",
     "-0x1p+0", "0x1.fffffffp+0", "0x1.000003p+0", "0x1p-149", "v", "e",
-    "param"};
+    "param", "0x1.p+1", "0x1p+0127", "0x1.8p+1x",
+    std::string("0x1.8p+1\0", 9), "0x1p-126", "0x1p-127", "0x1p+127",
+    "0x1p+128", "-0x1.fffffep+127"};
 
 /// The inputs themselves, the empty input, and for each whitespace-
 /// separated token of each input: the input cut before the token and in
@@ -105,6 +111,8 @@ TEST(LoaderOracleTest, CheckpointLoaderMatchesOracle) {
       Replace(Replace(hex, "\n", "\r\n"), " ", "\t"),
       Replace(Replace(hex, "\n", "\f"), " ", "\v"),
       hex + "trailing text after the last parameter\n",
+      // No final newline: the last value ends at the end of the text.
+      hex.substr(0, hex.size() - 1),
   };
   const std::vector<std::string> corpus = TokenCorpus(valid);
   size_t loaded = 0;
@@ -203,7 +211,22 @@ TEST(LoaderOracleTest, BinaryGraphReaderMatchesOracle) {
   // and inside each word, delete it, or overwrite it.
   const uint32_t words[] = {0, 1, 2, 9, 0xFFFFFFFFu, 0x7FFFFFFFu,
                             static_cast<uint32_t>(kMaxLabels)};
-  std::vector<std::string> corpus = {valid, "", valid + "xyz"};
+  // The same graph with its edges in reverse order and each edge's
+  // endpoints swapped: every adjacency list of two or more entries
+  // comes out of the scatter descending, so Build has to sort it.
+  const size_t edges_at = 24 + sizeof(uint32_t) * graph->NumVertices();
+  std::string unsorted = valid.substr(0, edges_at);
+  for (size_t at = valid.size(); at > edges_at; at -= 8) {
+    unsorted += valid.substr(at - 4, 4) + valid.substr(at - 8, 4);
+  }
+  ASSERT_EQ(unsorted.size(), valid.size());
+  ASSERT_NE(unsorted, valid);
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << unsorted;
+  auto reordered = ExpectBinaryReadMatchesOracle(path, "unsorted edges");
+  ASSERT_TRUE(reordered.ok()) << reordered.status().ToString();
+  EXPECT_TRUE(*reordered == *graph);
+
+  std::vector<std::string> corpus = {valid, "", valid + "xyz", unsorted};
   for (size_t at = 0; at < valid.size(); at += 4) {
     corpus.push_back(valid.substr(0, at));
     corpus.push_back(valid.substr(0, at + 2));

@@ -243,6 +243,53 @@ TEST(SerializeTest, NeurSCModelRoundTripPreservesEstimates) {
   }
 }
 
+std::vector<Parameter*> AllParameters(NeurSCEstimator& estimator) {
+  std::vector<Parameter*> params = estimator.model().Parameters();
+  for (Parameter* p : estimator.critic()->Parameters()) params.push_back(p);
+  return params;
+}
+
+TEST(SerializeTest, FullSizeModelRoundTripIsBitExactAndByteIdentical) {
+  // The benchmark's architecture: the default configuration, critic
+  // included, on the Yeast stand-in.
+  auto profile = FindDatasetProfile("Yeast");
+  ASSERT_TRUE(profile.ok());
+  auto data = GenerateDataset(*profile, 0.0, 5);
+  ASSERT_TRUE(data.ok());
+  NeurSCConfig config;
+  NeurSCEstimator saved(*data, config);
+  ASSERT_NE(saved.critic(), nullptr);
+  const std::string first = ::testing::TempDir() + "/neursc_full_1.ckpt";
+  ASSERT_TRUE(saved.SaveModel(first).ok());
+
+  // A different seed draws different weights for the load to replace.
+  NeurSCConfig other = config;
+  other.seed = config.seed + 1;
+  NeurSCEstimator loaded(*data, other);
+  const std::vector<Parameter*> want = AllParameters(saved);
+  const std::vector<Parameter*> got = AllParameters(loaded);
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_NE(std::memcmp(got[0]->value.data(), want[0]->value.data(),
+                        want[0]->value.size() * sizeof(float)),
+            0);
+  ASSERT_TRUE(loaded.LoadModel(first).ok());
+  size_t values = 0;
+  for (size_t i = 0; i < want.size(); ++i) {
+    const Matrix& a = want[i]->value;
+    const Matrix& b = got[i]->value;
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)
+        << "param " << i << " not bit-identical";
+    values += a.size();
+  }
+  EXPECT_GT(values, 20000u);
+
+  const std::string second = ::testing::TempDir() + "/neursc_full_2.ckpt";
+  ASSERT_TRUE(loaded.SaveModel(second).ok());
+  EXPECT_TRUE(testing_util::ReadFileToString(first) ==
+              testing_util::ReadFileToString(second));
+}
+
 TEST(SerializeTest, FailedLoadModelKeepsServingTheOldWeights) {
   auto data = GenerateErdosRenyiGraph(100, 300, 4, 17);
   ASSERT_TRUE(data.ok());
