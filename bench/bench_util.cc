@@ -59,10 +59,6 @@ Result<BenchDataset> BuildBenchDataset(
 
 NeurSCConfig DefaultNeurSCConfig(const BenchEnv& env) {
   NeurSCConfig config;
-  config.west.intra_dim = 32;
-  config.west.inter_dim = 32;
-  config.west.predictor_hidden = 64;
-  config.disc_hidden = 32;
   config.epochs = env.epochs;
   config.pretrain_epochs = env.pretrain_epochs;
   return config;
@@ -70,8 +66,6 @@ NeurSCConfig DefaultNeurSCConfig(const BenchEnv& env) {
 
 LssEstimator::Options DefaultLssOptions(const BenchEnv& env) {
   LssEstimator::Options options;
-  options.hidden_dim = 32;
-  options.attention_dim = 32;
   options.epochs = env.epochs;
   return options;
 }
@@ -80,7 +74,6 @@ NsicEstimator::Options DefaultNsicOptions(const BenchEnv& env,
                                           NsicEstimator::GnnKind kind) {
   NsicEstimator::Options options;
   options.kind = kind;
-  options.hidden_dim = 32;
   options.epochs = env.epochs;
   return options;
 }

@@ -41,10 +41,10 @@
 #      critic suite (discriminator_test: L_w built through the selected
 #      substructure rows only against the full-row path, loss, every
 #      critic gradient and the substructure-row gradient bit for bit) re-run
-#      explicitly under both the
-#      Release and TSan builds — the bit-identity contract of
-#      docs/execution.md. Stage 6 runs them again under ASan+UBSan, which
-#      covers the AVX2 kernels' vector bodies and scalar tails.
+#      explicitly under the TSan build — the bit-identity contract of
+#      docs/execution.md. Stage 1 already runs them in the Release build,
+#      and stage 6 runs them again under ASan+UBSan, which covers the AVX2
+#      kernels' vector bodies and scalar tails.
 #   4. Bench smoke: bench_table4_training_time on a tiny dataset sweeps
 #      NEURSC_THREADS {1,2,8} over full training runs and exits non-zero
 #      unless every parallel run reproduces the serial final weights and
@@ -74,7 +74,14 @@
 #      that estimates with every baseline (CSet, SumRDF, CS, WJ, JSUB,
 #      NSIC-I, NSIC-C and LSS) next to the NeurSC variants, on a tiny
 #      dataset (~1.7 s) at NEURSC_THREADS=1 and =8; the stage fails unless
-#      cmp finds the two outputs identical.
+#      cmp finds the two outputs identical. Last, every other paper bench
+#      (bench_datasets, bench_fig8_count_ranges, bench_fig9_query_chars,
+#      bench_fig10_robustness, bench_fig12_distance,
+#      bench_fig13_query_time, bench_fig14_tradeoff and
+#      bench_ext_intra_gnn) runs once on a tiny dataset (~2.6 s in all), and
+#      the stage fails on a non-zero exit; fig12, fig14 and ext_intra_gnn
+#      are the only end-to-end runs of the EU/KL/JS critic, the sample
+#      rate r_s and the mean aggregator.
 #   5. Static thread-safety analysis: a Clang build of the full tree with
 #      -DNEURSC_ANALYZE=ON (-Werror=thread-safety), proving every
 #      NEURSC_GUARDED_BY / NEURSC_REQUIRES contract, plus the clang-tidy
@@ -117,22 +124,24 @@ NEURSC_THREADS=8 ctest --test-dir build-tsan -L concurrency \
   --output-on-failure
 
 echo
-echo "=== [3/7] Bit-identity suites (Release + TSan) ==="
+echo "=== [3/7] Bit-identity suites (TSan) ==="
 cmake --build build-tsan -j "$JOBS" --target serialize_test \
   simd_kernels_test golden_output_test optimizer_test tape_test \
   message_passing_test candidate_filter_test substructure_test \
   feature_init_test bipartite_matching_test filter_property_test \
   loader_oracle_test discriminator_test
 BIT_IDENTITY='eval_context_test|serialize_test|simd_kernels_test|golden_output_test|optimizer_test|tape_test|message_passing_test|candidate_filter_test|substructure_test|feature_init_test|bipartite_matching_test|filter_property_test|loader_oracle_test|discriminator_test'
-ctest --test-dir build -R "$BIT_IDENTITY" --output-on-failure
 NEURSC_THREADS=8 ctest --test-dir build-tsan -R "$BIT_IDENTITY" \
   --output-on-failure
 
 echo
-echo "=== [4/7] Bench smoke (NEURSC_THREADS sweep + ablations + CLI demo + CLI through files + active learning + Fig. 11 + Fig. 7) ==="
+echo "=== [4/7] Bench smoke (NEURSC_THREADS sweep + ablations + CLI demo + CLI through files + active learning + Fig. 11 + Fig. 7 + other benches) ==="
+TINY_BENCHES="bench_datasets bench_fig8_count_ranges bench_fig9_query_chars
+  bench_fig10_robustness bench_fig12_distance bench_fig13_query_time
+  bench_fig14_tradeoff bench_ext_intra_gnn"
 cmake --build build -j "$JOBS" --target bench_table4_training_time \
   bench_ablations neursc_cli bench_ext_active_learning \
-  bench_fig11_ablation_se bench_fig7_accuracy
+  bench_fig11_ablation_se bench_fig7_accuracy $TINY_BENCHES
 NEURSC_SCALE=0.25 NEURSC_EPOCHS=4 NEURSC_QUERIES=8 \
   ./build/bench/bench_table4_training_time
 ./build/bench/bench_ablations
@@ -179,6 +188,10 @@ done
 cat "$FIG7_OUT/threads1.txt"
 cmp "$FIG7_OUT/threads1.txt" "$FIG7_OUT/threads8.txt"
 rm -rf "$FIG7_OUT"
+for bench in $TINY_BENCHES; do
+  echo "--- $bench"
+  NEURSC_SCALE=0.25 NEURSC_EPOCHS=2 NEURSC_QUERIES=4 "./build/bench/$bench"
+done
 
 echo
 echo "=== [5/7] Static analysis: Clang -Werror=thread-safety + clang-tidy ==="

@@ -14,6 +14,8 @@ namespace neursc {
 
 constexpr size_t kHops = 3;  // k of the k-hop ball decomposition
 constexpr size_t kGinLayers = 2;
+constexpr size_t kHiddenDim = 32;
+constexpr size_t kAttentionDim = 32;
 constexpr size_t kBatchSize = 8;
 constexpr double kGradClipNorm = 5.0;
 
@@ -34,16 +36,14 @@ LssEstimator::LssEstimator(const Graph& data, Options options)
 
   size_t in = degree_bits_ + label_bits_ + 1;
   for (size_t k = 0; k < kGinLayers; ++k) {
-    gin_.push_back(std::make_unique<GinLayer>(in, options_.hidden_dim, &rng_));
-    in = options_.hidden_dim;
+    gin_.push_back(std::make_unique<GinLayer>(in, kHiddenDim, &rng_));
+    in = kHiddenDim;
   }
-  attn_proj_ = std::make_unique<Linear>(options_.hidden_dim,
-                                        options_.attention_dim, &rng_);
-  attn_vector_ =
-      Parameter(Matrix::GlorotUniform(options_.attention_dim, 1, &rng_));
+  attn_proj_ = std::make_unique<Linear>(kHiddenDim, kAttentionDim, &rng_);
+  attn_vector_ = Parameter(Matrix::GlorotUniform(kAttentionDim, 1, &rng_));
   predictor_ = std::make_unique<Mlp>(
-      std::vector<size_t>{options_.hidden_dim, options_.hidden_dim, 1},
-      Activation::kRelu, &rng_);
+      std::vector<size_t>{kHiddenDim, kHiddenDim, 1}, Activation::kRelu,
+      &rng_);
   predictor_->DampLastLayer();  // start the exp() head at c_hat = 1
   optimizer_ = std::make_unique<AdamOptimizer>(AllParameters());
 }

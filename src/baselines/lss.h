@@ -29,12 +29,11 @@ namespace neursc {
 ///    regress the (log-scale) count with an MLP.
 ///
 /// Trained with Adam (learning rate 1e-3) on the q-error loss in batches of
-/// 8, two GIN layers and a gradient-norm clip of 5.
+/// 8, two GIN layers of width 32, an attention width of 32 and a
+/// gradient-norm clip of 5.
 class LssEstimator : public CardinalityEstimator {
  public:
   struct Options {
-    size_t hidden_dim = 32;
-    size_t attention_dim = 32;
     size_t epochs = 12;
     uint64_t seed = 5150;
   };
@@ -69,8 +68,8 @@ class LssEstimator : public CardinalityEstimator {
   std::vector<float> label_frequency_;
 
   std::vector<std::unique_ptr<GinLayer>> gin_;
-  std::unique_ptr<Linear> attn_proj_;      // hidden -> attention_dim
-  Parameter attn_vector_;                  // attention_dim x 1
+  std::unique_ptr<Linear> attn_proj_;      // hidden -> attention width
+  Parameter attn_vector_;                  // attention width x 1
   std::unique_ptr<Mlp> predictor_;
   std::unique_ptr<AdamOptimizer> optimizer_;
   std::vector<double> epoch_seconds_;

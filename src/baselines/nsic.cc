@@ -13,6 +13,7 @@ namespace neursc {
 namespace {
 
 constexpr size_t kLayers = 2;
+constexpr size_t kHiddenDim = 32;
 constexpr size_t kBatchSize = 8;
 constexpr double kGradClipNorm = 5.0;
 
@@ -35,18 +36,16 @@ NsicEstimator::NsicEstimator(const Graph& data, Options options)
   size_t in = features_.FeatureDim();
   for (size_t k = 0; k < kLayers; ++k) {
     if (options_.kind == GnnKind::kGin) {
-      gin_.push_back(
-          std::make_unique<GinLayer>(in, options_.hidden_dim, &rng_));
+      gin_.push_back(std::make_unique<GinLayer>(in, kHiddenDim, &rng_));
     } else {
-      gcn_linear_.push_back(
-          std::make_unique<Linear>(in, options_.hidden_dim, &rng_));
+      gcn_linear_.push_back(std::make_unique<Linear>(in, kHiddenDim, &rng_));
     }
-    in = options_.hidden_dim;
+    in = kHiddenDim;
   }
   // Interaction over [h_q || h_G || h_q*h_G].
   interaction_ = std::make_unique<Mlp>(
-      std::vector<size_t>{3 * options_.hidden_dim, options_.hidden_dim, 1},
-      Activation::kRelu, &rng_);
+      std::vector<size_t>{3 * kHiddenDim, kHiddenDim, 1}, Activation::kRelu,
+      &rng_);
   interaction_->DampLastLayer();  // start the exp() head at c_hat = 1
 }
 

@@ -27,8 +27,8 @@ namespace neursc {
 /// "NSIC w/ SE" ablation, which encodes the extracted candidate
 /// substructures instead of the whole data graph.
 ///
-/// Trained with Adam (learning rate 1e-3) on the q-error loss in batches of
-/// 8, with a gradient-norm clip of 5.
+/// Two GNN layers of width 32. Trained with Adam (learning rate 1e-3) on
+/// the q-error loss in batches of 8, with a gradient-norm clip of 5.
 class NsicEstimator : public CardinalityEstimator {
  public:
   enum class GnnKind { kGin, kGcn };
@@ -36,7 +36,6 @@ class NsicEstimator : public CardinalityEstimator {
   struct Options {
     GnnKind kind = GnnKind::kGin;
     bool use_substructure_extraction = false;
-    size_t hidden_dim = 32;
     size_t epochs = 8;
     /// Per-query wall budget; exceeded => Timeout (models the paper's
     /// 5-minute cutoff under which NSIC only completes on Yeast).

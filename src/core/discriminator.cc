@@ -9,20 +9,6 @@
 
 namespace neursc {
 
-const char* DistanceMetricName(DistanceMetric metric) {
-  switch (metric) {
-    case DistanceMetric::kWasserstein:
-      return "Wasserstein";
-    case DistanceMetric::kEuclidean:
-      return "Euclidean";
-    case DistanceMetric::kKL:
-      return "KL";
-    case DistanceMetric::kJS:
-      return "JS";
-  }
-  return "?";
-}
-
 Discriminator::Discriminator(size_t repr_dim, size_t hidden_dim, float clip,
                              uint64_t seed)
     : clip_(clip) {

@@ -13,8 +13,6 @@ namespace neursc {
 /// Distance metrics for the discriminator ablation (Fig. 12).
 enum class DistanceMetric { kWasserstein, kEuclidean, kKL, kJS };
 
-const char* DistanceMetricName(DistanceMetric metric);
-
 /// The critic f_omega of Sec. 5.5: a small MLP scoring each vertex
 /// representation with a single real value, kept (approximately)
 /// 1-Lipschitz by clamping its weights into [-clip, clip] after every

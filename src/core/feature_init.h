@@ -8,18 +8,20 @@
 
 namespace neursc {
 
-/// Produces the initial vertex feature vectors of Eq. 1:
+/// Produces the initial vertex feature vectors of Eq. 1 for k in {0, 1}:
 ///
 ///   x_v = f_b(deg_v) || f_b(label_v)
-///         ||_{i=1..k} MeanPool_{v' in N^(i)(v)} (f_b(deg_v') || f_b(label_v'))
+///         [|| MeanPool_{v' in N(v)} (f_b(deg_v') || f_b(label_v'))]
 ///
-/// where f_b is fixed-width binary encoding of the integer (multi-hot).
+/// where f_b is fixed-width binary encoding of the integer (multi-hot) and
+/// the pooled block is present at k = 1 (WEst) and absent at k = 0 (NSIC).
 /// The widths are sized once from the data graph (max degree, label count)
 /// so query graphs and candidate substructures share one encoding space;
 /// out-of-range values saturate.
 class FeatureInitializer {
  public:
-  /// Sizes the encoder for `data` with `num_hops` = k of Eq. 1.
+  /// Sizes the encoder for `data` with `num_hops` = k of Eq. 1, which must
+  /// be 0 or 1.
   FeatureInitializer(const Graph& data, size_t num_hops = 1);
 
   /// Explicit widths (tests).
@@ -39,11 +41,8 @@ class FeatureInitializer {
   /// g's own degrees (query features use query degrees, substructure
   /// features substructure degrees).
   ///
-  /// Ring i of v is the set of vertices at distance exactly i, pooled in a
-  /// BFS's pop order. Ring 1 is v's adjacency list, so at k = 1 the cost
-  /// is O(|V| + |E|) row additions; deeper rings extend one BFS queue level
-  /// by level, with stamps that are never refilled, so each vertex costs
-  /// the size of its k-hop ball. The result is bit-identical to a fresh BFS
+  /// v's neighbours are pooled in adjacency-list order, so the cost is
+  /// O(|V| + |E|) row additions. The result is bit-identical to a fresh BFS
   /// per vertex (feature_init_test keeps that version as its oracle).
   Matrix Compute(const Graph& g) const;
 

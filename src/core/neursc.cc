@@ -21,12 +21,19 @@ constexpr double kLearningRate = 1e-3;      // alpha_theta
 constexpr double kDiscLearningRate = 1e-3;  // alpha_omega
 constexpr double kBeta = 0.8;               // beta of Eq. 11: L_c vs L_w
 constexpr float kDiscClip = 0.01f;          // WGAN critic weight clip
+constexpr size_t kDiscHidden = 32;          // hidden width of f_omega
 constexpr double kGradClipNorm = 5.0;       // theta gradient-norm clip
 
-/// OK iff `ext` fits `query`: each substructure has one local candidate
-/// set per query vertex, and every candidate is one of its vertices.
+/// OK iff `ext` fits `query`: each substructure has a vertex (Sec. 5.3's
+/// linking edges need one) and one local candidate set per query vertex,
+/// and every candidate is one of its vertices.
 Status CheckExtractionFits(const Graph& query, const ExtractionResult& ext) {
   for (const Substructure& sub : ext.substructures) {
+    if (sub.graph.NumVertices() == 0) {
+      return Status::InvalidArgument(
+          "extraction does not fit the query: substructure with no "
+          "vertices");
+    }
     if (sub.local_candidates.size() != query.NumVertices()) {
       return Status::InvalidArgument(
           "extraction does not fit the query: not one candidate set per "
@@ -72,8 +79,7 @@ NeurSCEstimator::NeurSCEstimator(const Graph& data, NeurSCConfig config)
   model_ = std::make_unique<WEstModel>(features_.FeatureDim(), config_.west);
   if (config_.use_discriminator) {
     critic_ = std::make_unique<Discriminator>(
-        model_->ReprDim(), config_.disc_hidden, kDiscClip,
-        config_.seed + 1);
+        model_->ReprDim(), kDiscHidden, kDiscClip, config_.seed + 1);
     AdamOptimizer::Options omega_options;
     omega_options.learning_rate = kDiscLearningRate;
     opt_omega_ = std::make_unique<AdamOptimizer>(critic_->Parameters(),

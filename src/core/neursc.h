@@ -29,9 +29,9 @@ struct NeurSCConfig {
   CandidateFilterOptions filter;
 
   // --- Training (Alg. 3) ---
-  // Learning rates, beta, iter_omega and the clips are neursc.cc constants.
+  // Learning rates, beta, iter_omega, the clips and the critic's hidden
+  // width (32) are neursc.cc constants.
   size_t batch_size = 20;  // n_batch
-  size_t disc_hidden = 32;
   /// Epochs trained with L_c only before the adversarial phase starts
   /// (Sec. 5.6's two-stage schedule avoiding representation collapse).
   size_t pretrain_epochs = 4;
@@ -169,8 +169,9 @@ class NeurSCEstimator {
   /// sum in the last bit). EstimateOnSubstructures(q,
   /// ExtractSubstructures(q, data, filter)) therefore equals Estimate(q)
   /// exactly. Returns InvalidArgument for an empty query, and for an `ext`
-  /// that does not fit it: a substructure without exactly |V(q)| local
-  /// candidate sets, or a candidate id outside its substructure.
+  /// that does not fit it: a substructure with no vertices or without
+  /// exactly |V(q)| local candidate sets, or a candidate id outside its
+  /// substructure.
   Result<EstimateInfo> EstimateOnSubstructures(const Graph& query,
                                                const ExtractionResult& ext);
 

@@ -23,9 +23,12 @@ EdgeIndex UndirectedEdges(const Graph& g) {
 
 namespace {
 
-constexpr size_t kIntraLayers = 2;      // K
-constexpr size_t kInterLayers = 2;      // K'
-constexpr size_t kPredictorLayers = 4;  // layers of the regressor MLP
+constexpr size_t kIntraLayers = 2;       // K
+constexpr size_t kInterLayers = 2;       // K'
+constexpr size_t kPredictorLayers = 4;   // layers of the regressor MLP
+constexpr size_t kIntraDim = 32;         // dim_K
+constexpr size_t kInterDim = 32;         // dim_K'
+constexpr size_t kPredictorHidden = 64;  // hidden width of the regressor
 
 /// Disjoint-set union used to connect the bipartite graph.
 class UnionFind {
@@ -90,26 +93,25 @@ WEstModel::WEstModel(size_t input_dim, const WEstConfig& config)
   size_t in = input_dim;
   for (size_t k = 0; k < kIntraLayers; ++k) {
     if (config.intra_kind == IntraGnnKind::kGin) {
-      intra_gin_.push_back(
-          std::make_unique<GinLayer>(in, config.intra_dim, &rng));
+      intra_gin_.push_back(std::make_unique<GinLayer>(in, kIntraDim, &rng));
     } else {
       intra_mean_.push_back(
-          std::make_unique<MeanAggregatorLayer>(in, config.intra_dim, &rng));
+          std::make_unique<MeanAggregatorLayer>(in, kIntraDim, &rng));
     }
-    in = config.intra_dim;
+    in = kIntraDim;
   }
   if (config.use_inter) {
     in = input_dim;
     for (size_t k = 0; k < kInterLayers; ++k) {
-      inter_.push_back(std::make_unique<BipartiteAttentionLayer>(
-          in, config.inter_dim, &rng));
-      in = config.inter_dim;
+      inter_.push_back(
+          std::make_unique<BipartiteAttentionLayer>(in, kInterDim, &rng));
+      in = kInterDim;
     }
   }
   std::vector<size_t> dims;
   dims.push_back(2 * ReprDim());
   for (size_t i = 0; i + 1 < kPredictorLayers; ++i) {
-    dims.push_back(config.predictor_hidden);
+    dims.push_back(kPredictorHidden);
   }
   dims.push_back(1);
   predictor_ = std::make_unique<Mlp>(dims, Activation::kRelu, &rng);
@@ -119,7 +121,7 @@ WEstModel::WEstModel(size_t input_dim, const WEstConfig& config)
 }
 
 size_t WEstModel::ReprDim() const {
-  return config_.intra_dim + (config_.use_inter ? config_.inter_dim : 0);
+  return kIntraDim + (config_.use_inter ? kInterDim : 0);
 }
 
 WEstModel::Forwarded WEstModel::Forward(Tape* tape, const Graph& query,

@@ -17,21 +17,16 @@ namespace neursc {
 /// arm of that ablation.
 enum class IntraGnnKind { kGin, kMeanAggregator };
 
-/// Hyperparameters of the WEst estimation network (Sec. 6.1 defaults,
-/// scaled down for in-harness runs; the paper's values are 128-dim hidden
-/// layers). The depths are west.cc constants: K = 2 intra-graph layers,
-/// K' = 2 inter-graph layers and a 4-layer regressor.
+/// Variants of the WEst estimation network. The shape is fixed as west.cc
+/// constants: K = 2 intra-graph layers of width dim_K = 32, K' = 2
+/// inter-graph layers of width dim_K' = 32 and a 4-layer regressor with
+/// hidden width 64. These are Sec. 6.1's settings scaled down for
+/// in-harness runs; the paper's 128-dim hidden layers are not run.
 struct WEstConfig {
-  /// k of Eq. 1 (neighborhood hops pooled into initial features).
-  size_t feature_hops = 1;
+  /// k of Eq. 1: one hop of neighbourhood pooled into initial features.
+  static constexpr size_t feature_hops = 1;
   /// Intra-graph layer type.
   IntraGnnKind intra_kind = IntraGnnKind::kGin;
-  /// dim_K: intra-graph output dimension.
-  size_t intra_dim = 32;
-  /// dim_K': inter-graph output dimension.
-  size_t inter_dim = 32;
-  /// Hidden width of the 4-layer prediction MLP.
-  size_t predictor_hidden = 64;
   /// Disables the inter-graph branch (the NeurSC-I ablation).
   bool use_inter = true;
   uint64_t seed = 1234;

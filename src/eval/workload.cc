@@ -1,7 +1,6 @@
 #include "eval/workload.h"
 
 #include <algorithm>
-#include <numeric>
 #include <set>
 
 #include "common/logging.h"
@@ -74,65 +73,11 @@ Result<Workload> BuildWorkload(const Graph& data,
       NEURSC_LOG(Warning) << "workload size " << size << ": only " << accepted
                           << "/" << per_size << " queries within budget";
     }
-
-    // Optional zero-count queries: relabel vertices of fresh extractions
-    // with random labels until the exact count drops to 0.
-    if (options.unmatchable_fraction > 0.0) {
-      size_t want = static_cast<size_t>(options.unmatchable_fraction *
-                                        static_cast<double>(per_size));
-      Rng relabel_rng(options.seed + 7777 + size);
-      size_t made = 0;
-      size_t tries = 0;
-      while (made < want && tries < 30 * want + 30) {
-        ++tries;
-        auto query = generator.Generate();
-        if (!query.ok()) continue;
-        GraphBuilder builder;
-        for (size_t v = 0; v < query->NumVertices(); ++v) {
-          builder.AddVertex(static_cast<Label>(
-              relabel_rng.UniformIndex(std::max<size_t>(
-                  data.NumLabels(), 1))));
-        }
-        for (size_t v = 0; v < query->NumVertices(); ++v) {
-          for (VertexId w : query->Neighbors(static_cast<VertexId>(v))) {
-            if (v < w) {
-              (void)builder.AddEdge(static_cast<VertexId>(v), w);
-            }
-          }
-        }
-        auto relabeled = builder.Build();
-        if (!relabeled.ok()) continue;
-        EnumerationOptions eopts;
-        eopts.time_limit_seconds = options.ground_truth_time_limit;
-        eopts.max_matches = 1;
-        auto count = CountSubgraphIsomorphisms(*relabeled, data, eopts);
-        if (!count.ok() || count->count != 0) continue;
-        workload.sizes.push_back(size);
-        workload.examples.push_back(
-            TrainingExample{std::move(relabeled).value(), 0.0});
-        ++made;
-      }
-    }
   }
   if (workload.examples.empty()) {
     return Status::ResourceExhausted("no queries fit the ground-truth budget");
   }
   return workload;
-}
-
-WorkloadSplit SplitWorkload(const Workload& workload, double train_fraction,
-                            uint64_t seed) {
-  std::vector<size_t> indices(workload.examples.size());
-  std::iota(indices.begin(), indices.end(), 0);
-  Rng rng(seed);
-  rng.Shuffle(&indices);
-  size_t train_count = static_cast<size_t>(
-      train_fraction * static_cast<double>(indices.size()));
-  train_count = std::min(train_count, indices.size());
-  WorkloadSplit split;
-  split.train.assign(indices.begin(), indices.begin() + train_count);
-  split.test.assign(indices.begin() + train_count, indices.end());
-  return split;
 }
 
 WorkloadSplit StratifiedSplit(const Workload& workload,

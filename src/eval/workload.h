@@ -18,11 +18,6 @@ struct WorkloadOptions {
   /// Probability of keeping non-spanning-tree edges in extracted queries
   /// (1.0 = induced, dense queries).
   double edge_keep_probability = 0.8;
-  /// Fraction of each size's quota filled with *unmatchable* queries
-  /// (count 0), produced by perturbing labels of extracted queries until
-  /// the exact count is 0. Real workloads contain such queries; they
-  /// exercise estimators' early-termination paths. 0 disables.
-  double unmatchable_fraction = 0.0;
   uint64_t seed = 7;
 };
 
@@ -52,12 +47,9 @@ struct WorkloadSplit {
   std::vector<size_t> test;
 };
 
-/// Random `train_fraction` split (the paper uses 80/20).
-WorkloadSplit SplitWorkload(const Workload& workload, double train_fraction,
-                            uint64_t seed);
-
-/// Like SplitWorkload but stratified per query size, so every size
-/// contributes proportionally to both halves.
+/// Random `train_fraction` split (the paper uses 80/20), stratified per
+/// query size: floor(train_fraction * n) of a size's n examples go to
+/// train, so every size contributes proportionally to both halves.
 WorkloadSplit StratifiedSplit(const Workload& workload,
                               double train_fraction, uint64_t seed);
 

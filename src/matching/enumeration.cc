@@ -162,7 +162,7 @@ class Enumerator {
 Result<CountResult> CountSubgraphIsomorphisms(
     const Graph& query, const Graph& data,
     const EnumerationOptions& options) {
-  auto candidates = ComputeCandidateSets(query, data, options.filter);
+  auto candidates = ComputeCandidateSets(query, data);
   if (!candidates.ok()) return candidates.status();
   return CountSubgraphIsomorphismsWithCandidates(query, data, *candidates,
                                                  options);

@@ -11,7 +11,7 @@
 
 namespace neursc {
 
-/// Limits and knobs for exact enumeration.
+/// Limits for exact enumeration.
 struct EnumerationOptions {
   /// Wall-clock budget per query; <= 0 means unlimited. Mirrors the paper's
   /// 30-minute ground-truth cutoff (scaled down for in-harness use).
@@ -21,7 +21,6 @@ struct EnumerationOptions {
   /// Collect up to this many full embeddings (query-vertex -> data-vertex
   /// maps); 0 collects none. Used by the "perfect substructure" ablation.
   size_t collect_embeddings = 0;
-  CandidateFilterOptions filter;
 };
 
 /// Output of exact enumeration.
@@ -39,9 +38,10 @@ struct CountResult {
 };
 
 /// Counts subgraph isomorphisms from `query` into `data` by backtracking
-/// over GraphQL-filtered candidate sets with a connectivity-aware matching
-/// order. Definition 1 semantics: injective, label-preserving,
-/// edge-preserving mappings; automorphic images are counted separately.
+/// over GraphQL-filtered candidate sets (default CandidateFilterOptions)
+/// with a connectivity-aware matching order. Definition 1 semantics:
+/// injective, label-preserving, edge-preserving mappings; automorphic
+/// images are counted separately.
 Result<CountResult> CountSubgraphIsomorphisms(
     const Graph& query, const Graph& data,
     const EnumerationOptions& options = {});

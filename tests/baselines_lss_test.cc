@@ -14,8 +14,6 @@ using testing_util::MakeGraph;
 
 LssEstimator::Options TinyOptions() {
   LssEstimator::Options options;
-  options.hidden_dim = 16;
-  options.attention_dim = 16;
   options.epochs = 6;
   return options;
 }

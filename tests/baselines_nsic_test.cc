@@ -15,7 +15,6 @@ using testing_util::MakeGraph;
 NsicEstimator::Options TinyOptions(NsicEstimator::GnnKind kind) {
   NsicEstimator::Options options;
   options.kind = kind;
-  options.hidden_dim = 16;
   options.epochs = 4;
   return options;
 }

@@ -41,10 +41,6 @@ constexpr size_t kThreadCounts[] = {1, 2, 8};
 
 NeurSCConfig TinyConfig(uint64_t seed) {
   NeurSCConfig config;
-  config.west.intra_dim = 8;
-  config.west.inter_dim = 8;
-  config.west.predictor_hidden = 16;
-  config.disc_hidden = 8;
   config.seed = seed;
   return config;
 }

@@ -62,10 +62,6 @@ Matrix RandomMatrix(size_t rows, size_t cols, Rng* rng) {
 
 NeurSCConfig TinyConfig(uint64_t seed) {
   NeurSCConfig config;
-  config.west.intra_dim = 8;
-  config.west.inter_dim = 8;
-  config.west.predictor_hidden = 16;
-  config.disc_hidden = 8;
   config.epochs = 3;
   config.pretrain_epochs = 1;
   config.seed = seed;
@@ -243,8 +239,6 @@ TEST(ThreadTapeTest, LibraryPassesLeaveTheThreadTapeWarm) {
   EXPECT_EQ(ArenaGrowsDuring(train_neursc), 0) << "NeurSC Train";
 
   LssEstimator::Options lss_options;
-  lss_options.hidden_dim = 8;
-  lss_options.attention_dim = 8;
   lss_options.epochs = 2;
   auto train_lss = [&] {
     LssEstimator lss(data, lss_options);
@@ -255,7 +249,6 @@ TEST(ThreadTapeTest, LibraryPassesLeaveTheThreadTapeWarm) {
   EXPECT_EQ(ArenaGrowsDuring(train_lss), 0) << "LSS Train";
 
   NsicEstimator::Options nsic_options;
-  nsic_options.hidden_dim = 8;
   nsic_options.epochs = 2;
   auto train_nsic = [&] {
     NsicEstimator nsic(data, nsic_options);
@@ -282,9 +275,6 @@ TEST(EvalContextArenaTest, NoGrowthAfterWarmupOnWEstForward) {
   Matrix qf = fx.features.Compute(fx.query);
   Matrix sf = fx.features.Compute(sub.graph);
   WEstConfig config;
-  config.intra_dim = 8;
-  config.inter_dim = 8;
-  config.predictor_hidden = 16;
   WEstModel model(fx.features.FeatureDim(), config);
 
   Tape tape;
@@ -361,9 +351,6 @@ TEST(EvalContextArenaTest, ReusedTapeTrainsBitIdenticalToFreshTape) {
                           {2, 3}});
   FeatureInitializer features(data, 1);
   WEstConfig config;
-  config.intra_dim = 8;
-  config.inter_dim = 8;
-  config.predictor_hidden = 16;
   WEstModel model(features.FeatureDim(), config);
 
   struct Example {

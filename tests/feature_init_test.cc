@@ -28,8 +28,14 @@ TEST(BitsForTest, KnownValues) {
 }
 
 TEST(FeatureInitTest, DimensionFormula) {
-  FeatureInitializer f(/*degree_bits=*/4, /*label_bits=*/3, /*num_hops=*/2);
-  EXPECT_EQ(f.FeatureDim(), 3u * 7u);
+  FeatureInitializer f(/*degree_bits=*/4, /*label_bits=*/3, /*num_hops=*/1);
+  EXPECT_EQ(f.FeatureDim(), 2u * 7u);
+  FeatureInitializer own(/*degree_bits=*/4, /*label_bits=*/3, /*num_hops=*/0);
+  EXPECT_EQ(own.FeatureDim(), 7u);
+}
+
+TEST(FeatureInitTest, RejectsMoreThanOneHop) {
+  EXPECT_DEATH(FeatureInitializer(2, 2, 2), "k = 0 or 1, got 2");
 }
 
 TEST(FeatureInitTest, SizedFromDataGraph) {
@@ -78,29 +84,6 @@ TEST(FeatureInitTest, OneHopMeanPooling) {
   EXPECT_FLOAT_EQ(x.at(0, 5), 0.0f);   // mean degree bit1 = 0
   EXPECT_FLOAT_EQ(x.at(0, 6), 1.0f);   // label bit0: both 1
   EXPECT_FLOAT_EQ(x.at(0, 7), 0.5f);   // label bit1: one of two
-}
-
-TEST(FeatureInitTest, TwoHopRings) {
-  // Path v0-v1-v2: v0's 2-hop ring is {v2}.
-  Graph g = MakeGraph({0, 0, 3}, {{0, 1}, {1, 2}});
-  FeatureInitializer f(2, 2, 2);
-  Matrix x = f.Compute(g);
-  ASSERT_EQ(x.cols(), 12u);
-  // v0 hop2 block: v2 has degree 1 (1,0) and label 3 (1,1).
-  EXPECT_FLOAT_EQ(x.at(0, 8), 1.0f);
-  EXPECT_FLOAT_EQ(x.at(0, 9), 0.0f);
-  EXPECT_FLOAT_EQ(x.at(0, 10), 1.0f);
-  EXPECT_FLOAT_EQ(x.at(0, 11), 1.0f);
-}
-
-TEST(FeatureInitTest, EmptyRingStaysZero) {
-  Graph g = MakeGraph({0, 0}, {{0, 1}});
-  FeatureInitializer f(2, 2, 2);  // 2-hop ring of both vertices is empty
-  Matrix x = f.Compute(g);
-  for (size_t c = 8; c < 12; ++c) {
-    EXPECT_FLOAT_EQ(x.at(0, c), 0.0f);
-    EXPECT_FLOAT_EQ(x.at(1, c), 0.0f);
-  }
 }
 
 TEST(FeatureInitTest, FeaturesAreBinaryOrAverages) {
@@ -177,13 +160,13 @@ Matrix OracleCompute(const FeatureInitializer& f, const Graph& g) {
   return features;
 }
 
-/// Compute(g) at hops 0-3, each compared byte for byte with the oracle.
+/// Compute(g) at hops 0 and 1, each compared byte for byte with the oracle.
 /// Encoders are sized from `sizing` or, without it, given narrow widths
 /// that saturate. Returns the number of rows compared.
 size_t ExpectMatchesOracle(const Graph& g, const Graph* sizing,
                            const std::string& context) {
   size_t rows = 0;
-  for (size_t hops = 0; hops <= 3; ++hops) {
+  for (size_t hops = 0; hops <= 1; ++hops) {
     FeatureInitializer f = sizing != nullptr ? FeatureInitializer(*sizing, hops)
                                              : FeatureInitializer(2, 2, hops);
     Matrix got = f.Compute(g);
@@ -206,13 +189,11 @@ TEST(FeatureInitTest, BitIdenticalToPerVertexBfsOnSmallGraphs) {
                       "isolated");
   ExpectMatchesOracle(MakeGraph({1, 2, 3}, {}), nullptr, "edgeless");
   ExpectMatchesOracle(MakeGraph({}, {}), nullptr, "empty");
-  // Degree 6 and label 7 saturate 2-bit encodings; a tail off the star
-  // gives every hop a non-empty ring somewhere.
+  // Degree 6 and label 7 saturate 2-bit encodings.
   ExpectMatchesOracle(MakeGraph({7, 1, 2, 3, 0, 1, 2, 3, 5},
                                 {{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5},
                                  {0, 6}, {6, 7}, {7, 8}}),
                       nullptr, "saturating star");
-  // A cycle reaches some vertices on two paths of one length.
   ExpectMatchesOracle(MakeGraph({0, 1, 2, 1, 0, 1},
                                 {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5},
                                  {5, 0}, {0, 3}}),

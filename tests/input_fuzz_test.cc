@@ -94,9 +94,6 @@ void ExpectValidGraph(const Graph& g, const std::string& context) {
 
 TEST(InputFuzzTest, CheckpointLoaderRejectsOrLoadsFiniteWeights) {
   WEstConfig config;
-  config.intra_dim = 4;
-  config.inter_dim = 4;
-  config.predictor_hidden = 8;
   auto params_of = [](WEstModel* model, Discriminator* critic) {
     std::vector<Parameter*> params = model->Parameters();
     for (Parameter* p : critic->Parameters()) params.push_back(p);

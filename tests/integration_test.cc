@@ -35,7 +35,7 @@ struct Pipeline {
     EXPECT_TRUE(data.ok());
     auto workload = BuildWorkload(*data, {4}, 24);
     EXPECT_TRUE(workload.ok());
-    auto split = SplitWorkload(*workload, 0.8, 5);
+    auto split = StratifiedSplit(*workload, 0.8, 5);
     return Pipeline{std::move(data).value(), std::move(workload).value(),
                     std::move(split)};
   }
@@ -43,10 +43,6 @@ struct Pipeline {
 
 NeurSCConfig SmallConfig() {
   NeurSCConfig config;
-  config.west.intra_dim = 16;
-  config.west.inter_dim = 16;
-  config.west.predictor_hidden = 32;
-  config.disc_hidden = 16;
   config.epochs = 10;
   config.pretrain_epochs = 6;
   config.batch_size = 8;
@@ -130,8 +126,6 @@ TEST(IntegrationTest, LssTrainsOnSameWorkload) {
   Pipeline p = Pipeline::Build();
   auto train = Gather(p.workload, p.split.train);
   LssEstimator::Options options;
-  options.hidden_dim = 16;
-  options.attention_dim = 16;
   options.epochs = 6;
   LssEstimator lss(p.data, options);
   ASSERT_TRUE(lss.Train(train).ok());

@@ -10,10 +10,6 @@ namespace {
 
 NeurSCConfig TinyConfig() {
   NeurSCConfig config;
-  config.west.intra_dim = 8;
-  config.west.inter_dim = 8;
-  config.west.predictor_hidden = 16;
-  config.disc_hidden = 8;
   config.epochs = 2;
   config.pretrain_epochs = 1;
   return config;

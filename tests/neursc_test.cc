@@ -19,10 +19,6 @@ using testing_util::MakeGraph;
 
 NeurSCConfig TinyConfig() {
   NeurSCConfig config;
-  config.west.intra_dim = 8;
-  config.west.inter_dim = 8;
-  config.west.predictor_hidden = 16;
-  config.disc_hidden = 8;
   config.epochs = 3;
   config.pretrain_epochs = 1;
   config.batch_size = 8;
@@ -146,7 +142,7 @@ TEST(NeurSCTest, VariantsDisableComponents) {
   intra_only.use_discriminator = false;
   NeurSCEstimator i_estimator(*data, intra_only);
   EXPECT_EQ(i_estimator.critic(), nullptr);
-  EXPECT_EQ(i_estimator.model().ReprDim(), 8u);
+  EXPECT_EQ(i_estimator.model().ReprDim(), 32u);  // dim_K alone
 
   NeurSCConfig no_se = TinyConfig();
   no_se.use_substructure_extraction = false;
@@ -175,8 +171,8 @@ TEST(NeurSCTest, MetricVariantsTrain) {
     config.pretrain_epochs = 1;
     NeurSCEstimator estimator(*data, config);
     auto stats = estimator.Train(workload->examples);
-    ASSERT_TRUE(stats.ok()) << DistanceMetricName(metric) << ": "
-                            << stats.status().ToString();
+    ASSERT_TRUE(stats.ok()) << "metric " << static_cast<int>(metric)
+                            << ": " << stats.status().ToString();
   }
 }
 
@@ -300,8 +296,6 @@ TEST(NeurSCTest, CanMemorizeSmallWorkload) {
   auto workload = BuildWorkload(*data, {3}, 6);
   ASSERT_TRUE(workload.ok());
   NeurSCConfig config = TinyConfig();
-  config.west.intra_dim = 16;
-  config.west.inter_dim = 16;
   config.epochs = 60;
   config.pretrain_epochs = 60;  // plain L_c fitting
   NeurSCEstimator estimator(*data, config);
@@ -421,6 +415,17 @@ TEST(NeurSCTest, EstimateOnSubstructuresRejectsAnExtractionThatDoesNotFit) {
   info = estimator.EstimateOnSubstructures(path, outside);
   ASSERT_FALSE(info.ok());
   EXPECT_EQ(info.status().code(), StatusCode::kInvalidArgument);
+
+  // A substructure with no vertices, one empty candidate set per query
+  // vertex: no vertex for Sec. 5.3's linking edges to reach.
+  ExtractionResult empty_sub;
+  empty_sub.substructures.emplace_back().local_candidates.resize(
+      path.NumVertices());
+  info = estimator.EstimateOnSubstructures(path, empty_sub);
+  ASSERT_FALSE(info.ok());
+  EXPECT_EQ(info.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(info.status().message().find("no vertices"), std::string::npos)
+      << info.status().ToString();
 }
 
 TEST(NeurSCTest, WithoutExtractionEstimatesOnTheWholeGraph) {

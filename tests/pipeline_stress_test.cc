@@ -1,7 +1,8 @@
 // Randomized end-to-end stress: community-structured data graphs, mixed
-// workloads (including zero-count queries), dedup on, full adversarial
-// training, then invariant checks over every estimate. Catches crashes,
-// non-finite numerics and Status misuse across the whole pipeline.
+// workloads (including zero-count queries built by relabeling), dedup on,
+// full adversarial training, then invariant checks over every estimate.
+// Catches crashes, non-finite numerics and Status misuse across the whole
+// pipeline.
 
 #include <cmath>
 
@@ -12,6 +13,7 @@
 #include "eval/workload.h"
 #include "graph/generators.h"
 #include "matching/enumeration.h"
+#include "test_util.h"
 
 namespace neursc {
 namespace {
@@ -32,16 +34,22 @@ TEST_P(PipelineStressTest, FullPipelineInvariants) {
 
   WorkloadOptions wopts;
   wopts.seed = seed;
-  wopts.unmatchable_fraction = 0.3;
   auto workload = BuildWorkload(*data, {3, 4}, 8, wopts);
   ASSERT_TRUE(workload.ok());
   ASSERT_GE(workload->examples.size(), 8u);
+  // Zero-count queries: copies of every fourth example with one vertex
+  // relabeled to a label the data graph does not have.
+  const Label absent = static_cast<Label>(data->NumLabels());
+  const size_t matchable = workload->examples.size();
+  for (size_t i = 0; i < matchable; i += 4) {
+    const Graph& query = workload->examples[i].query;
+    const VertexId v = static_cast<VertexId>(i % query.NumVertices());
+    Graph relabeled = testing_util::WithLabel(query, v, absent);
+    workload->sizes.push_back(query.NumVertices());
+    workload->examples.push_back(TrainingExample{std::move(relabeled), 0.0});
+  }
 
   NeurSCConfig config;
-  config.west.intra_dim = 8;
-  config.west.inter_dim = 8;
-  config.west.predictor_hidden = 16;
-  config.disc_hidden = 8;
   config.epochs = 4;
   config.pretrain_epochs = 2;
   config.seed = seed;
@@ -61,6 +69,9 @@ TEST_P(PipelineStressTest, FullPipelineInvariants) {
     ASSERT_TRUE(info.ok());
     EXPECT_TRUE(std::isfinite(info->count));
     EXPECT_GE(info->count, 0.0);
+    if (example.count == 0.0) {
+      EXPECT_TRUE(info->early_terminated);
+    }
     if (info->early_terminated) {
       // Early termination must be sound: the exact count is 0.
       EnumerationOptions eopts;

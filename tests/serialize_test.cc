@@ -217,8 +217,6 @@ TEST(SerializeTest, NeurSCModelRoundTripPreservesEstimates) {
   ASSERT_TRUE(workload.ok());
 
   NeurSCConfig config;
-  config.west.intra_dim = 8;
-  config.west.inter_dim = 8;
   config.epochs = 3;
   config.pretrain_epochs = 2;
   NeurSCEstimator trained(*data, config);
@@ -297,8 +295,6 @@ TEST(SerializeTest, FailedLoadModelKeepsServingTheOldWeights) {
   ASSERT_TRUE(workload.ok());
 
   NeurSCConfig config;
-  config.west.intra_dim = 8;
-  config.west.inter_dim = 8;
   config.epochs = 2;
   config.pretrain_epochs = 1;
   NeurSCEstimator trained(*data, config);

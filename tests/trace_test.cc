@@ -180,10 +180,6 @@ TEST_F(TraceTest, EveryCounterAndSpanNameIsDocumented) {
   std::vector<TrainingExample> examples;
   for (const Graph& q : queries) examples.push_back({q, 4.0});
   NeurSCConfig config;
-  config.west.intra_dim = 8;
-  config.west.inter_dim = 8;
-  config.west.predictor_hidden = 16;
-  config.disc_hidden = 8;
   config.epochs = 2;
   config.pretrain_epochs = 1;
   config.validation_fraction = 0.34;

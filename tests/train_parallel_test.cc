@@ -31,10 +31,6 @@ constexpr size_t kThreadCounts[] = {1, 2, 8};
 
 NeurSCConfig TrainConfig(uint64_t seed) {
   NeurSCConfig config;
-  config.west.intra_dim = 8;
-  config.west.inter_dim = 8;
-  config.west.predictor_hidden = 16;
-  config.disc_hidden = 8;
   config.batch_size = 4;
   config.pretrain_epochs = 2;
   config.epochs = 5;  // epochs 2..4 run the adversarial phase

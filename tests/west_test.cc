@@ -71,9 +71,6 @@ TEST(BipartiteEdgesTest, ConnectsIsolatedVertices) {
 TEST(WEstModelTest, ForwardShapesAndPositivity) {
   TestFixture fx;
   WEstConfig config;
-  config.intra_dim = 8;
-  config.inter_dim = 8;
-  config.predictor_hidden = 16;
   WEstModel model(fx.features.FeatureDim(), config);
   Rng rng(3);
   Tape tape;
@@ -90,18 +87,16 @@ TEST(WEstModelTest, ForwardShapesAndPositivity) {
 TEST(WEstModelTest, IntraOnlyVariantShrinksRepr) {
   TestFixture fx;
   WEstConfig config;
-  config.intra_dim = 8;
-  config.inter_dim = 8;
   config.use_inter = false;
   WEstModel model(fx.features.FeatureDim(), config);
-  EXPECT_EQ(model.ReprDim(), 8u);
+  EXPECT_EQ(model.ReprDim(), 32u);  // dim_K alone
   Rng rng(4);
   Tape tape;
   const Substructure& sub = fx.extraction.substructures[0];
   auto fw = model.Forward(&tape, fx.query, sub,
                           fx.features.Compute(fx.query),
                           fx.features.Compute(sub.graph), &rng);
-  EXPECT_EQ(tape.Value(fw.query_repr).cols(), 8u);
+  EXPECT_EQ(tape.Value(fw.query_repr).cols(), 32u);
 }
 
 TEST(WEstModelTest, ParameterCountMatchesConfig) {
@@ -116,8 +111,6 @@ TEST(WEstModelTest, ParameterCountMatchesConfig) {
 TEST(WEstModelTest, DeterministicForwardGivenSeeds) {
   TestFixture fx;
   WEstConfig config;
-  config.intra_dim = 8;
-  config.inter_dim = 8;
   config.seed = 99;
   WEstModel m1(fx.features.FeatureDim(), config);
   WEstModel m2(fx.features.FeatureDim(), config);
@@ -137,9 +130,6 @@ TEST(WEstModelTest, DeterministicForwardGivenSeeds) {
 TEST(WEstModelTest, GradientsFlowToAllParameters) {
   TestFixture fx;
   WEstConfig config;
-  config.intra_dim = 6;
-  config.inter_dim = 6;
-  config.predictor_hidden = 8;
   WEstModel model(fx.features.FeatureDim(), config);
   Rng rng(6);
   Tape tape;
@@ -163,8 +153,6 @@ TEST(WEstModelTest, MeanAggregatorVariantRuns) {
   TestFixture fx;
   WEstConfig config;
   config.intra_kind = IntraGnnKind::kMeanAggregator;
-  config.intra_dim = 8;
-  config.inter_dim = 8;
   WEstModel model(fx.features.FeatureDim(), config);
   Rng rng(7);
   Tape tape;

@@ -44,17 +44,28 @@ TEST(WorkloadTest, GroundTruthMatchesEnumeration) {
 
 TEST(WorkloadTest, SplitPartitionsIndices) {
   Graph data = SmallData();
-  auto workload = BuildWorkload(data, {3}, 20);
+  auto workload = BuildWorkload(data, {3, 4}, 13);
   ASSERT_TRUE(workload.ok());
-  auto split = SplitWorkload(*workload, 0.8, 3);
+  auto split = StratifiedSplit(*workload, 0.8, 3);
   EXPECT_EQ(split.train.size() + split.test.size(),
             workload->examples.size());
   std::set<size_t> seen(split.train.begin(), split.train.end());
+  EXPECT_EQ(seen.size(), split.train.size());
   for (size_t i : split.test) {
     EXPECT_EQ(seen.count(i), 0u);
     seen.insert(i);
   }
   EXPECT_EQ(seen.size(), workload->examples.size());
+  // Each size puts floor(0.8 * n) of its n examples into train.
+  for (size_t size : {3u, 4u}) {
+    const size_t n = workload->IndicesOfSize(size).size();
+    ASSERT_GT(n, 0u);
+    size_t in_train = 0;
+    for (size_t i : split.train) {
+      if (workload->sizes[i] == size) ++in_train;
+    }
+    EXPECT_EQ(in_train, n * 8 / 10) << "size " << size;
+  }
 }
 
 TEST(WorkloadTest, GatherPullsExamples) {
@@ -83,36 +94,6 @@ TEST(WorkloadTest, DeterministicAcrossThreadCounts) {
                      parallel->examples[i].count);
     EXPECT_EQ(serial->examples[i].query.NumEdges(),
               parallel->examples[i].query.NumEdges());
-  }
-}
-
-
-TEST(WorkloadTest, UnmatchableQueriesHaveZeroCount) {
-  Graph data = SmallData();
-  WorkloadOptions options;
-  options.unmatchable_fraction = 0.5;
-  options.seed = 13;
-  auto workload = BuildWorkload(data, {4}, 8, options);
-  ASSERT_TRUE(workload.ok());
-  size_t zeros = 0;
-  for (const auto& example : workload->examples) {
-    if (example.count == 0.0) {
-      ++zeros;
-      // Verify against exact counting.
-      auto counted = CountSubgraphIsomorphisms(example.query, data);
-      ASSERT_TRUE(counted.ok());
-      EXPECT_EQ(counted->count, 0u);
-    }
-  }
-  EXPECT_GT(zeros, 0u);
-}
-
-TEST(WorkloadTest, UnmatchableOffByDefault) {
-  Graph data = SmallData();
-  auto workload = BuildWorkload(data, {3}, 6);
-  ASSERT_TRUE(workload.ok());
-  for (const auto& example : workload->examples) {
-    EXPECT_GE(example.count, 1.0);  // extracted from the graph itself
   }
 }
 
