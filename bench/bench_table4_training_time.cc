@@ -5,9 +5,11 @@
 // and reports the serial-vs-parallel speedup together with a bit-level
 // agreement check of the final weights and loss curves (the training
 // determinism contract of docs/threading.md). The process exits non-zero
-// if any swept thread count disagrees with the serial run, which lets
-// ci.sh use this binary as the training-throughput smoke.
+// if a Table 4 row's training fails (its cell prints -1.000) or any swept
+// thread count disagrees with the serial run, which lets ci.sh use this
+// binary as the training-throughput smoke.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -143,22 +145,21 @@ bool RunThreadSweep(const BenchEnv& env) {
   return all_agree;
 }
 
+/// Trains `model` (configured for one epoch) and returns that epoch's wall
+/// time, or -1 when training fails.
 double OneEpochSeconds(NeurSCAdapter* model,
-                       const std::vector<TrainingExample>& train,
-                       bool adversarial) {
-  // Configure exactly one epoch of the requested phase by re-training; the
-  // adapter's stats expose the per-epoch wall time.
+                       const std::vector<TrainingExample>& train) {
   Status st = model->Train(train);
   if (!st.ok()) return -1.0;
   const auto& seconds = model->train_stats().epoch_seconds;
   if (seconds.empty()) return -1.0;
-  (void)adversarial;
   return seconds.back();
 }
 
 int Run() {
   BenchEnv env = BenchEnv::FromEnvironment();
   std::vector<std::vector<std::string>> rows;
+  bool training_failed = false;
   for (const auto& profile : AllDatasetProfiles()) {
     auto ds = BuildBenchDataset(profile.name, env, {4});
     if (!ds.ok()) {
@@ -191,9 +192,14 @@ int Run() {
     auto neursc_d = NeurSCAdapter::Dual(ds->graph, one_epoch_config(false));
     auto neursc = NeurSCAdapter::Full(ds->graph, one_epoch_config(true));
 
-    double i_seconds = OneEpochSeconds(neursc_i.get(), train, false);
-    double d_seconds = OneEpochSeconds(neursc_d.get(), train, false);
-    double full_seconds = OneEpochSeconds(neursc.get(), train, true);
+    double i_seconds = OneEpochSeconds(neursc_i.get(), train);
+    double d_seconds = OneEpochSeconds(neursc_d.get(), train);
+    double full_seconds = OneEpochSeconds(neursc.get(), train);
+    if (std::min({lss_seconds, i_seconds, d_seconds, full_seconds}) < 0.0) {
+      std::fprintf(stderr, "%s: a one-epoch training run failed\n",
+                   profile.name.c_str());
+      training_failed = true;
+    }
 
     char buf[48];
     std::vector<std::string> row;
@@ -211,7 +217,8 @@ int Run() {
   PrintSection("Table 4: Training time (seconds) for one epoch (Q4)");
   PrintTable({"Data Graph", "LSS", "NeurSC-I", "NeurSC-D", "NeurSC"}, rows);
 
-  return RunThreadSweep(env) ? 0 : 1;
+  const bool sweep_agrees = RunThreadSweep(env);
+  return sweep_agrees && !training_failed ? 0 : 1;
 }
 
 }  // namespace

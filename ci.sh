@@ -45,13 +45,15 @@
 #      docs/execution.md. Stage 1 already runs them in the Release build,
 #      and stage 6 runs them again under ASan+UBSan, which covers the AVX2
 #      kernels' vector bodies and scalar tails.
-#   4. Bench smoke: bench_table4_training_time on a tiny dataset sweeps
-#      NEURSC_THREADS {1,2,8} over full training runs and exits non-zero
-#      unless every parallel run reproduces the serial final weights and
-#      loss curves bit for bit; then bench_ablations (~0.4 s) prints the
-#      refinement-round sweep and Sec. 5.5's greedy-vs-exact transport
-#      cost ratio, and exits non-zero if its fixtures fail to generate or
-#      filter or a ratio is not finite; then the neursc_cli self-demo
+#   4. Bench smoke: bench_table4_training_time on a tiny dataset times one
+#      training epoch of LSS and the NeurSC variants (Table 4), then sweeps
+#      NEURSC_THREADS {1,2,8} over full training runs; it exits non-zero
+#      if a Table 4 row's training fails or unless every parallel run
+#      reproduces the serial final weights and loss curves bit for bit;
+#      then bench_ablations (~0.4 s) prints the refinement-round sweep
+#      and Sec. 5.5's greedy-vs-exact transport cost ratio, and exits
+#      non-zero if its fixtures fail to generate or filter or a ratio is
+#      not finite; then the neursc_cli self-demo
 #      (generate -> train -> evaluate, ~0.1 s) prints the per-query extraction/inference times
 #      from EstimateInfo; then the CLI through files (~0.1 s): `generate`
 #      writes the Yeast stand-in, `train` (1 epoch) saves a checkpoint, and

@@ -7,7 +7,6 @@
 
 #include "common/logging.h"
 #include "common/timer.h"
-#include "core/feature_init.h"
 #include "core/west.h"
 
 namespace neursc {
@@ -23,8 +22,7 @@ LssEstimator::LssEstimator(const Graph& data, Options options)
     : data_(data),
       options_(options),
       rng_(options.seed),
-      degree_bits_(BitsFor(data.MaxDegree())),
-      label_bits_(BitsFor(data.NumLabels() == 0 ? 1 : data.NumLabels() - 1)) {
+      encoder_(data, /*num_hops=*/0) {
   label_frequency_.resize(std::max<size_t>(data.NumLabels(), 1), 0.0f);
   double denom = std::log(1.0 + static_cast<double>(data.NumVertices()));
   for (size_t l = 0; l < data.NumLabels(); ++l) {
@@ -34,7 +32,7 @@ LssEstimator::LssEstimator(const Graph& data, Options options)
         denom);
   }
 
-  size_t in = degree_bits_ + label_bits_ + 1;
+  size_t in = encoder_.FeatureDim() + 1;
   for (size_t k = 0; k < kGinLayers; ++k) {
     gin_.push_back(std::make_unique<GinLayer>(in, kHiddenDim, &rng_));
     in = kHiddenDim;
@@ -91,22 +89,13 @@ std::vector<Graph> LssEstimator::Decompose(const Graph& query) const {
 }
 
 Matrix LssEstimator::Featurize(const Graph& g) const {
-  Matrix features(g.NumVertices(), degree_bits_ + label_bits_ + 1);
+  const Matrix bits = encoder_.Compute(g);
+  const size_t dim = encoder_.FeatureDim();
+  Matrix features(g.NumVertices(), dim + 1);
   for (size_t v = 0; v < g.NumVertices(); ++v) {
-    float* row = features.row(v);
-    size_t degree = g.Degree(static_cast<VertexId>(v));
+    std::copy_n(bits.row(v), dim, features.row(v));
     Label label = g.GetLabel(static_cast<VertexId>(v));
-    size_t deg_clamped =
-        std::min(degree, (static_cast<size_t>(1) << degree_bits_) - 1);
-    for (size_t b = 0; b < degree_bits_; ++b) {
-      row[b] = static_cast<float>((deg_clamped >> b) & 1u);
-    }
-    size_t lab_clamped = std::min<size_t>(
-        label, (static_cast<size_t>(1) << label_bits_) - 1);
-    for (size_t b = 0; b < label_bits_; ++b) {
-      row[degree_bits_ + b] = static_cast<float>((lab_clamped >> b) & 1u);
-    }
-    row[degree_bits_ + label_bits_] =
+    features.at(v, dim) =
         label < label_frequency_.size() ? label_frequency_[label] : 0.0f;
   }
   return features;
@@ -151,6 +140,9 @@ Status LssEstimator::Train(const std::vector<TrainingExample>& examples) {
   std::vector<Prepared> prepared;
   prepared.reserve(examples.size());
   for (const auto& example : examples) {
+    if (example.query.NumVertices() == 0) {
+      return Status::InvalidArgument("empty query");
+    }
     Prepared prep;
     prep.substructures = Decompose(example.query);
     for (const Graph& s : prep.substructures) {
@@ -184,6 +176,9 @@ Status LssEstimator::Train(const std::vector<TrainingExample>& examples) {
 }
 
 Result<double> LssEstimator::EstimateCount(const Graph& query) {
+  if (query.NumVertices() == 0) {
+    return Status::InvalidArgument("empty query");
+  }
   std::vector<Graph> substructures = Decompose(query);
   std::vector<Matrix> features;
   features.reserve(substructures.size());

@@ -6,6 +6,7 @@
 
 #include "baselines/estimator.h"
 #include "common/rng.h"
+#include "core/feature_init.h"
 #include "nn/modules.h"
 #include "nn/optimizer.h"
 #include "nn/tape.h"
@@ -21,16 +22,18 @@ namespace neursc {
 ///    identical).
 /// 2. Embed every substructure with a GIN stack; sum-pooling readout.
 ///    Vertex features are [117]'s plain label-frequency option: degree
-///    bits, label bits and the data graph's log label frequency. They use
-///    only query-side information plus those frequencies (LSS does not
-///    extract from the data graph); [117]'s other option, task-independent
-///    ProNE label embeddings, is not reproduced.
+///    bits and label bits (Eq. 1's encoder at k = 0, as NSIC uses) and the
+///    data graph's log label frequency. They use only query-side
+///    information plus those frequencies (LSS does not extract from the
+///    data graph); [117]'s other option, task-independent ProNE label
+///    embeddings, is not reproduced.
 /// 3. Aggregate substructure embeddings with a self-attention layer, then
 ///    regress the (log-scale) count with an MLP.
 ///
 /// Trained with Adam (learning rate 1e-3) on the q-error loss in batches of
 /// 8, two GIN layers of width 32, an attention width of 32 and a
 /// gradient-norm clip of 5.
+/// Train and EstimateCount return InvalidArgument for an empty query.
 class LssEstimator : public CardinalityEstimator {
  public:
   struct Options {
@@ -62,8 +65,8 @@ class LssEstimator : public CardinalityEstimator {
   const Graph& data_;
   Options options_;
   Rng rng_;
-  size_t degree_bits_;
-  size_t label_bits_;
+  /// Eq. 1's own-vertex encoding (degree bits || label bits), no hops.
+  FeatureInitializer encoder_;
   /// log-normalized frequency of each data label.
   std::vector<float> label_frequency_;
 

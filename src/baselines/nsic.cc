@@ -17,11 +17,12 @@ constexpr size_t kHiddenDim = 32;
 constexpr size_t kBatchSize = 8;
 constexpr double kGradClipNorm = 5.0;
 
-std::vector<float> InverseDegreePlusOne(const Graph& g) {
-  std::vector<float> inv(g.NumVertices());
+/// The n x 1 column 1 / (1 + deg(v)) that GCN-style layers scale by.
+Matrix InverseDegreePlusOne(const Graph& g) {
+  Matrix inv(g.NumVertices(), 1);
   for (size_t v = 0; v < g.NumVertices(); ++v) {
-    inv[v] = 1.0f / (1.0f + static_cast<float>(
-                                g.Degree(static_cast<VertexId>(v))));
+    inv.at(v, 0) = 1.0f / (1.0f + static_cast<float>(
+                                      g.Degree(static_cast<VertexId>(v))));
   }
   return inv;
 }
@@ -58,7 +59,7 @@ std::string NsicEstimator::Name() const {
 
 Var NsicEstimator::GnnLayer(Tape* tape, size_t layer, Var h,
                             const EdgeIndex& edges,
-                            const std::vector<float>& inv_degree) {
+                            const Matrix& inv_degree) {
   if (options_.kind == GnnKind::kGin) {
     return gin_[layer]->Forward(tape, h, edges);
   }
@@ -68,16 +69,14 @@ Var NsicEstimator::GnnLayer(Tape* tape, size_t layer, Var h,
   if (edges.size() > 0) {
     agg = tape->Add(tape->Aggregate(h, edges.src, edges.dst, n), h);
   }
-  Matrix inv(n, 1);
-  for (size_t v = 0; v < n; ++v) inv.at(v, 0) = inv_degree[v];
-  Var normalized = tape->ColBroadcastMul(agg, tape->Constant(inv));
+  Var normalized = tape->ColBroadcastMul(agg, tape->Constant(inv_degree));
   return tape->Relu(gcn_linear_[layer]->Forward(tape, normalized));
 }
 
 Var NsicEstimator::Encode(Tape* tape, const Graph& g,
                           const Matrix& features) {
   EdgeIndex edges = UndirectedEdges(g);
-  std::vector<float> inv_degree = InverseDegreePlusOne(g);
+  const Matrix inv_degree = InverseDegreePlusOne(g);
   Var h = tape->Constant(features);
   for (size_t k = 0; k < kLayers; ++k) {
     h = GnnLayer(tape, k, h, edges, inv_degree);
@@ -130,6 +129,11 @@ std::vector<Parameter*> NsicEstimator::AllParameters() {
 
 Status NsicEstimator::Train(const std::vector<TrainingExample>& examples) {
   if (examples.empty()) return Status::InvalidArgument("no examples");
+  for (const auto& example : examples) {
+    if (example.query.NumVertices() == 0) {
+      return Status::InvalidArgument("empty query");
+    }
+  }
   AdamOptimizer optimizer(AllParameters());
 
   std::vector<size_t> indices(examples.size());
@@ -158,6 +162,9 @@ Status NsicEstimator::Train(const std::vector<TrainingExample>& examples) {
 }
 
 Result<double> NsicEstimator::EstimateCount(const Graph& query) {
+  if (query.NumVertices() == 0) {
+    return Status::InvalidArgument("empty query");
+  }
   Timer timer;
   ThreadTape tape;
   Var hq = Encode(tape.get(), query, features_.Compute(query));

@@ -29,6 +29,7 @@ namespace neursc {
 ///
 /// Two GNN layers of width 32. Trained with Adam (learning rate 1e-3) on
 /// the q-error loss in batches of 8, with a gradient-norm clip of 5.
+/// Train and EstimateCount return InvalidArgument for an empty query.
 class NsicEstimator : public CardinalityEstimator {
  public:
   enum class GnnKind { kGin, kGcn };
@@ -53,7 +54,7 @@ class NsicEstimator : public CardinalityEstimator {
  private:
   /// One message-passing layer of the configured kind.
   Var GnnLayer(Tape* tape, size_t layer, Var h, const EdgeIndex& edges,
-               const std::vector<float>& inv_degree);
+               const Matrix& inv_degree);
   /// Encodes a graph to a 1 x hidden embedding.
   Var Encode(Tape* tape, const Graph& g, const Matrix& features);
   /// Interaction + regression from the two embeddings.

@@ -94,6 +94,60 @@ Result<double> CorrelatedSamplingEstimator::EstimateCount(const Graph& query) {
   return static_cast<double>(counted->count) * scale;
 }
 
+namespace {
+
+/// True iff mapping query vertex u to `v`, a data neighbour of
+/// mapping[anchor], keeps the walk an embedding: v is no image yet
+/// (unmapped entries hold kInvalidVertex, which v is not), and every other
+/// query edge from u to a mapped vertex exists in the data graph.
+bool Extends(const Graph& query, const Graph& data,
+             const std::vector<VertexId>& mapping, VertexId u,
+             VertexId anchor, VertexId v) {
+  if (std::find(mapping.begin(), mapping.end(), v) != mapping.end()) {
+    return false;
+  }
+  for (VertexId w : query.Neighbors(u)) {
+    if (w == anchor || mapping[w] == kInvalidVertex) continue;
+    if (!data.HasEdge(v, mapping[w])) return false;
+  }
+  return true;
+}
+
+/// One walk step: maps u to a label-matching data neighbour of the image of
+/// u's first mapped query neighbour (the anchor; a connected query's order
+/// maps one before u), drawn uniformly, and multiplies `weight` by the
+/// number of choices. WanderJoin draws among all of them and checks the
+/// draw with Extends() afterwards; JSUB (`validate_first`) draws only among
+/// those Extends() accepts. Returns false when the walk fails.
+bool WalkStep(const Graph& query, const Graph& data, VertexId u,
+              bool validate_first, Rng* rng, std::vector<VertexId>* mapping,
+              std::vector<VertexId>* extensions, double* weight) {
+  auto neighbors = query.Neighbors(u);
+  auto mapped = std::find_if(neighbors.begin(), neighbors.end(),
+                             [&](VertexId w) {
+                               return (*mapping)[w] != kInvalidVertex;
+                             });
+  NEURSC_CHECK(mapped != neighbors.end());
+  const VertexId anchor = *mapped;
+  extensions->clear();
+  for (VertexId v : data.Neighbors((*mapping)[anchor])) {
+    if (data.GetLabel(v) == query.GetLabel(u) &&
+        (!validate_first || Extends(query, data, *mapping, u, anchor, v))) {
+      extensions->push_back(v);
+    }
+  }
+  if (extensions->empty()) return false;
+  const VertexId chosen = (*extensions)[rng->UniformIndex(extensions->size())];
+  *weight *= static_cast<double>(extensions->size());
+  if (!validate_first && !Extends(query, data, *mapping, u, anchor, chosen)) {
+    return false;
+  }
+  (*mapping)[u] = chosen;
+  return true;
+}
+
+}  // namespace
+
 WanderJoinEstimator::WanderJoinEstimator(const Graph& data, Options options)
     : data_(data), options_(options), rng_(options.seed) {}
 
@@ -101,16 +155,18 @@ Result<double> WanderJoinEstimator::EstimateCount(const Graph& query) {
   if (query.NumVertices() < 2) {
     return Status::InvalidArgument("query too small");
   }
+  if (!query.IsConnected()) {
+    return Status::InvalidArgument("query graph is not connected");
+  }
   Deadline deadline(options_.time_limit_seconds);
   std::vector<VertexId> order =
       ConnectedQueryOrder(query, MaxDegreeVertex(query));
   const size_t nq = query.NumVertices();
 
   // First query edge: (order[0], order[1]); order[1] is adjacent to
-  // order[0] by construction.
+  // order[0] because the query is connected.
   VertexId q0 = order[0];
   VertexId q1 = order[1];
-  NEURSC_CHECK(query.HasEdge(q0, q1));
   Label l0 = query.GetLabel(q0);
   Label l1 = query.GetLabel(q1);
 
@@ -126,59 +182,22 @@ Result<double> WanderJoinEstimator::EstimateCount(const Graph& query) {
   double sum = 0.0;
   size_t walks_done = 0;
   std::vector<VertexId> mapping(nq, kInvalidVertex);
+  std::vector<VertexId> extensions;
   for (size_t walk = 0; walk < options_.num_walks; ++walk) {
     if (deadline.Expired()) break;
     ++walks_done;
     std::fill(mapping.begin(), mapping.end(), kInvalidVertex);
     auto [a, b] = first_edges[rng_.UniformIndex(first_edges.size())];
-    if (a == b) continue;
     mapping[q0] = a;
     mapping[q1] = b;
     double weight = static_cast<double>(first_edges.size());
-    bool alive = true;
-    for (size_t depth = 2; depth < nq && alive; ++depth) {
-      VertexId u = order[depth];
-      Label lu = query.GetLabel(u);
-      // Anchor: an already-mapped query neighbor of u.
-      VertexId anchor = kInvalidVertex;
-      for (VertexId w : query.Neighbors(u)) {
-        if (mapping[w] != kInvalidVertex) {
-          anchor = w;
-          break;
-        }
-      }
-      NEURSC_CHECK(anchor != kInvalidVertex);
-      // Sample among label-matching neighbors of the anchor's image; other
-      // constraints are verified after the draw (pure WanderJoin).
-      std::vector<VertexId> extensions;
-      for (VertexId v : data_.Neighbors(mapping[anchor])) {
-        if (data_.GetLabel(v) == lu) extensions.push_back(v);
-      }
-      if (extensions.empty()) {
-        alive = false;
-        break;
-      }
-      VertexId chosen = extensions[rng_.UniformIndex(extensions.size())];
-      weight *= static_cast<double>(extensions.size());
-      // Injectivity.
-      for (size_t d = 0; d < depth; ++d) {
-        if (mapping[order[d]] == chosen) {
-          alive = false;
-          break;
-        }
-      }
-      if (!alive) break;
-      // All other query edges from u to mapped vertices must exist.
-      for (VertexId w : query.Neighbors(u)) {
-        if (w == anchor || mapping[w] == kInvalidVertex) continue;
-        if (!data_.HasEdge(chosen, mapping[w])) {
-          alive = false;
-          break;
-        }
-      }
-      if (alive) mapping[u] = chosen;
+    size_t depth = 2;
+    while (depth < nq &&
+           WalkStep(query, data_, order[depth], /*validate_first=*/false,
+                    &rng_, &mapping, &extensions, &weight)) {
+      ++depth;
     }
-    if (alive) sum += weight;
+    if (depth == nq) sum += weight;
   }
   if (walks_done == 0) return Status::Timeout("no walks within budget");
   return sum / static_cast<double>(walks_done);
@@ -191,15 +210,17 @@ Result<double> JsubEstimator::EstimateCount(const Graph& query) {
   if (query.NumVertices() < 1) {
     return Status::InvalidArgument("empty query");
   }
+  if (!query.IsConnected()) {
+    return Status::InvalidArgument("query graph is not connected");
+  }
   Deadline deadline(options_.time_limit_seconds);
   std::vector<VertexId> order =
       ConnectedQueryOrder(query, MaxDegreeVertex(query));
   const size_t nq = query.NumVertices();
 
   VertexId root = order[0];
-  auto root_candidates = data_.VerticesWithLabel(query.GetLabel(root));
   std::vector<VertexId> roots;
-  for (VertexId v : root_candidates) {
+  for (VertexId v : data_.VerticesWithLabel(query.GetLabel(root))) {
     if (data_.Degree(v) >= query.Degree(root)) roots.push_back(v);
   }
   if (roots.empty()) return 0.0;
@@ -214,48 +235,13 @@ Result<double> JsubEstimator::EstimateCount(const Graph& query) {
     std::fill(mapping.begin(), mapping.end(), kInvalidVertex);
     mapping[root] = roots[rng_.UniformIndex(roots.size())];
     double weight = static_cast<double>(roots.size());
-    bool alive = true;
-    for (size_t depth = 1; depth < nq && alive; ++depth) {
-      VertexId u = order[depth];
-      Label lu = query.GetLabel(u);
-      VertexId anchor = kInvalidVertex;
-      for (VertexId w : query.Neighbors(u)) {
-        if (mapping[w] != kInvalidVertex) {
-          anchor = w;
-          break;
-        }
-      }
-      NEURSC_CHECK(anchor != kInvalidVertex);
-      // Fully validated extension set: label, adjacency to *all* mapped
-      // neighbors, injectivity.
-      extensions.clear();
-      for (VertexId v : data_.Neighbors(mapping[anchor])) {
-        if (data_.GetLabel(v) != lu) continue;
-        bool ok = true;
-        for (size_t d = 0; d < depth; ++d) {
-          if (mapping[order[d]] == v) {
-            ok = false;
-            break;
-          }
-        }
-        if (!ok) continue;
-        for (VertexId w : query.Neighbors(u)) {
-          if (w == anchor || mapping[w] == kInvalidVertex) continue;
-          if (!data_.HasEdge(v, mapping[w])) {
-            ok = false;
-            break;
-          }
-        }
-        if (ok) extensions.push_back(v);
-      }
-      if (extensions.empty()) {
-        alive = false;
-        break;
-      }
-      mapping[u] = extensions[rng_.UniformIndex(extensions.size())];
-      weight *= static_cast<double>(extensions.size());
+    size_t depth = 1;
+    while (depth < nq &&
+           WalkStep(query, data_, order[depth], /*validate_first=*/true,
+                    &rng_, &mapping, &extensions, &weight)) {
+      ++depth;
     }
-    if (alive) sum += weight;
+    if (depth == nq) sum += weight;
   }
   if (walks_done == 0) return Status::Timeout("no walks within budget");
   return sum / static_cast<double>(walks_done);

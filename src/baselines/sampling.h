@@ -41,6 +41,8 @@ class CorrelatedSamplingEstimator : public CardinalityEstimator {
 /// label-matching neighbor uniformly; non-walk constraints (injectivity,
 /// closing edges) are verified afterwards. The estimate is the average of
 /// the walks' inverse sampling probabilities.
+/// A query with fewer than two vertices or that is not connected is
+/// InvalidArgument.
 class WanderJoinEstimator : public CardinalityEstimator {
  public:
   struct Options {
@@ -68,6 +70,7 @@ class WanderJoinEstimator : public CardinalityEstimator {
 /// mapped neighbors + injectivity), i.e. the sampling distribution is
 /// guided by the tighter bound. Lower failure rate and variance than WJ at
 /// higher per-walk cost.
+/// An empty or disconnected query is InvalidArgument.
 class JsubEstimator : public CardinalityEstimator {
  public:
   struct Options {

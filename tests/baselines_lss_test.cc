@@ -99,5 +99,17 @@ TEST(LssTest, TrainRejectsEmpty) {
   EXPECT_FALSE(lss.Train({}).ok());
 }
 
+TEST(LssTest, EmptyQueryIsInvalidArgument) {
+  auto data = GenerateErdosRenyiGraph(40, 120, 3, 7);
+  ASSERT_TRUE(data.ok());
+  LssEstimator lss(*data, TinyOptions());
+  auto est = lss.EstimateCount(Graph{});
+  ASSERT_FALSE(est.ok());
+  EXPECT_TRUE(est.status().IsInvalidArgument()) << est.status().ToString();
+  Status trained =
+      lss.Train({{MakeGraph({0, 1}, {{0, 1}}), 3.0}, {Graph{}, 1.0}});
+  EXPECT_TRUE(trained.IsInvalidArgument()) << trained.ToString();
+}
+
 }  // namespace
 }  // namespace neursc

@@ -110,5 +110,22 @@ TEST(NsicTest, TimeoutSurfacesAsStatus) {
   EXPECT_TRUE(est.status().IsTimeout());
 }
 
+TEST(NsicTest, EmptyQueryIsInvalidArgument) {
+  auto data = GenerateErdosRenyiGraph(40, 120, 3, 7);
+  ASSERT_TRUE(data.ok());
+  for (bool extraction : {false, true}) {
+    SCOPED_TRACE(extraction ? "w/ SE" : "whole data graph");
+    auto options = TinyOptions(NsicEstimator::GnnKind::kGin);
+    options.use_substructure_extraction = extraction;
+    NsicEstimator nsic(*data, options);
+    auto est = nsic.EstimateCount(Graph{});
+    ASSERT_FALSE(est.ok());
+    EXPECT_TRUE(est.status().IsInvalidArgument()) << est.status().ToString();
+    Status trained =
+        nsic.Train({{MakeGraph({0, 1}, {{0, 1}}), 3.0}, {Graph{}, 1.0}});
+    EXPECT_TRUE(trained.IsInvalidArgument()) << trained.ToString();
+  }
+}
+
 }  // namespace
 }  // namespace neursc

@@ -221,5 +221,45 @@ TEST(JsubTest, DegreeFilteredRootsExcludeSmallVertices) {
   EXPECT_NEAR(*est, 6.0, 1e-6);
 }
 
+// A query with an isolated vertex, and two vertices with no edge: the walks
+// cannot reach every query vertex, so WJ and JSUB reject them, while CS
+// still counts them on its sample.
+std::vector<Graph> DisconnectedQueries() {
+  return {MakeGraph({0, 1, 0}, {{0, 1}}), MakeGraph({0, 1}, {})};
+}
+
+TEST(WanderJoinTest, DisconnectedQueryIsInvalidArgument) {
+  auto data = GenerateErdosRenyiGraph(80, 240, 2, 19);
+  ASSERT_TRUE(data.ok());
+  WanderJoinEstimator wj(*data);
+  for (const Graph& query : DisconnectedQueries()) {
+    auto est = wj.EstimateCount(query);
+    ASSERT_FALSE(est.ok()) << query.NumVertices() << " vertices";
+    EXPECT_TRUE(est.status().IsInvalidArgument()) << est.status().ToString();
+  }
+}
+
+TEST(JsubTest, DisconnectedQueryIsInvalidArgument) {
+  auto data = GenerateErdosRenyiGraph(80, 240, 2, 19);
+  ASSERT_TRUE(data.ok());
+  JsubEstimator jsub(*data);
+  for (const Graph& query : DisconnectedQueries()) {
+    auto est = jsub.EstimateCount(query);
+    ASSERT_FALSE(est.ok()) << query.NumVertices() << " vertices";
+    EXPECT_TRUE(est.status().IsInvalidArgument()) << est.status().ToString();
+  }
+}
+
+TEST(CorrelatedSamplingTest, DisconnectedQueryIsCounted) {
+  auto data = GenerateErdosRenyiGraph(80, 240, 2, 19);
+  ASSERT_TRUE(data.ok());
+  CorrelatedSamplingEstimator cs(*data);
+  for (const Graph& query : DisconnectedQueries()) {
+    auto est = cs.EstimateCount(query);
+    ASSERT_TRUE(est.ok()) << est.status().ToString();
+    EXPECT_GE(*est, 0.0);
+  }
+}
+
 }  // namespace
 }  // namespace neursc

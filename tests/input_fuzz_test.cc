@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -31,6 +30,7 @@ namespace {
 using testing_util::ReadFileToString;
 using testing_util::SnapshotWeights;
 using testing_util::WeightsUnchanged;
+using testing_util::WriteFreshFile;
 
 constexpr int kMutationsPerInput = 1000;
 
@@ -168,8 +168,7 @@ TEST(InputFuzzTest, BinaryGraphReaderRejectsOrReturnsValidGraph) {
   size_t accepted = 0;
   size_t rejected = 0;
   for (int i = 0; i < kMutationsPerInput; ++i) {
-    std::ofstream(path, std::ios::binary | std::ios::trunc)
-        << Mutate(seed, &rng);
+    WriteFreshFile(path, Mutate(seed, &rng));
     auto read = oracle::ExpectBinaryReadMatchesOracle(
         path, "binary mutation " + std::to_string(i));
     if (read.ok()) {

@@ -22,6 +22,7 @@
 #include "nn/modules.h"
 #include "nn/serialize.h"
 #include "stream_readers.h"
+#include "test_util.h"
 
 namespace neursc {
 namespace {
@@ -29,6 +30,7 @@ namespace {
 using oracle::ExpectBinaryReadMatchesOracle;
 using oracle::ExpectLoadMatchesOracle;
 using oracle::ExpectTextReadMatchesOracle;
+using testing_util::WriteFreshFile;
 
 /// What replaces one token: the checkpoint reader's non-finite, range and
 /// malformed spellings, the integer reader's signs and overflows, and ""
@@ -133,7 +135,7 @@ TEST(LoaderOracleTest, CheckpointLoaderMatchesOracle) {
   // The file path reads the same bytes.
   const std::string path = ::testing::TempDir() + "/neursc_oracle.ckpt";
   for (size_t i = 0; i < valid.size(); ++i) {
-    std::ofstream(path, std::ios::binary | std::ios::trunc) << valid[i];
+    WriteFreshFile(path, valid[i]);
     Rng init(99);
     Mlp from_file({3, 3}, Activation::kRelu, &init);
     Rng twin_init(99);
@@ -177,7 +179,7 @@ TEST(LoaderOracleTest, TextGraphReaderMatchesOracle) {
   // The stream and file entry points read the same bytes.
   const std::string path = ::testing::TempDir() + "/neursc_oracle.graph";
   for (const std::string& input : valid) {
-    std::ofstream(path, std::ios::binary | std::ios::trunc) << input;
+    WriteFreshFile(path, input);
     auto want = ExpectTextReadMatchesOracle(input, "valid input");
     ASSERT_TRUE(want.ok());
     auto from_file = ReadGraphFromFile(path);
@@ -221,7 +223,7 @@ TEST(LoaderOracleTest, BinaryGraphReaderMatchesOracle) {
   }
   ASSERT_EQ(unsorted.size(), valid.size());
   ASSERT_NE(unsorted, valid);
-  std::ofstream(path, std::ios::binary | std::ios::trunc) << unsorted;
+  WriteFreshFile(path, unsorted);
   auto reordered = ExpectBinaryReadMatchesOracle(path, "unsorted edges");
   ASSERT_TRUE(reordered.ok()) << reordered.status().ToString();
   EXPECT_TRUE(*reordered == *graph);
@@ -239,7 +241,7 @@ TEST(LoaderOracleTest, BinaryGraphReaderMatchesOracle) {
   }
   size_t read = 0;
   for (size_t i = 0; i < corpus.size(); ++i) {
-    std::ofstream(path, std::ios::binary | std::ios::trunc) << corpus[i];
+    WriteFreshFile(path, corpus[i]);
     read += ExpectBinaryReadMatchesOracle(path,
                                           "corpus input " + std::to_string(i))
                     .ok()

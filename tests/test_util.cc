@@ -210,6 +210,15 @@ std::string ReadFileToString(const std::string& path) {
   return out;
 }
 
+void WriteFreshFile(const std::string& path, const std::string& contents) {
+  std::remove(path.c_str());
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  NEURSC_CHECK(f != nullptr) << "cannot create " << path;
+  const size_t wrote = std::fwrite(contents.data(), 1, contents.size(), f);
+  NEURSC_CHECK(std::fclose(f) == 0 && wrote == contents.size())
+      << "cannot write " << path;
+}
+
 bool IsBalancedJson(const std::string& text) {
   std::vector<char> stack;
   bool in_string = false;

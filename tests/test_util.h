@@ -65,6 +65,12 @@ bool WeightsUnchanged(const std::vector<Parameter*>& params,
 /// Whole file as a string; dies if the file cannot be read.
 std::string ReadFileToString(const std::string& path);
 
+/// Writes `contents` to `path` as a new file, removing any file already
+/// there; dies if the file cannot be written. Truncating and rewriting one
+/// path for each input blocks for tens of ms per write on some
+/// filesystems, where a fresh file does not.
+void WriteFreshFile(const std::string& path, const std::string& contents);
+
 /// Structural JSON well-formedness: non-empty, braces/brackets balance
 /// (string- and escape-aware), and the text is a single object or array.
 /// Not a full parser, but catches truncation and quoting bugs.
