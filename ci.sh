@@ -22,10 +22,13 @@
 #      suite (tape_test, whose per-op forward pin checks every op's output
 #      and whose per-op backward pin checks each op's input gradients
 #      against scalar reference loops, bit for bit), the message-passing
-#      suite (message_passing_test: the fused EdgeScores and Aggregate ops
-#      and the bipartite attention layer against the gather/concat/matmul
-#      and gather/scale/scatter chains they replaced, values and every
-#      input gradient, bit for bit) and the prepare
+#      suite (message_passing_test: the Aggregate op against the
+#      gather/scale/scatter chain it replaced, values and every input
+#      gradient bit for bit; the bipartite attention layer, which scores
+#      edges from per-vertex projections, against the chain that projected
+#      every vertex by Theta_a first, output and the gradients of h, Theta,
+#      Theta_a and a within a relative 1e-5, plus a finite-difference check
+#      of the Theta_a and a gradients) and the prepare
 #      path's oracle suites (candidate_filter_test: incremental refinement
 #      against a full re-test; filter_property_test: more
 #      refinement never adds a candidate; bipartite_matching_test: the
@@ -127,13 +130,15 @@ NEURSC_THREADS=8 ctest --test-dir build-tsan -L concurrency \
 
 echo
 echo "=== [3/7] Bit-identity suites (TSan) ==="
-cmake --build build-tsan -j "$JOBS" --target serialize_test \
-  simd_kernels_test golden_output_test optimizer_test tape_test \
-  message_passing_test candidate_filter_test substructure_test \
-  feature_init_test bipartite_matching_test filter_property_test \
-  loader_oracle_test discriminator_test
-BIT_IDENTITY='eval_context_test|serialize_test|simd_kernels_test|golden_output_test|optimizer_test|tape_test|message_passing_test|candidate_filter_test|substructure_test|feature_init_test|bipartite_matching_test|filter_property_test|loader_oracle_test|discriminator_test'
-NEURSC_THREADS=8 ctest --test-dir build-tsan -R "$BIT_IDENTITY" \
+# One list feeds both the build and the ctest filter.
+BIT_IDENTITY_SUITES="eval_context_test serialize_test simd_kernels_test
+  golden_output_test optimizer_test tape_test message_passing_test
+  candidate_filter_test substructure_test feature_init_test
+  bipartite_matching_test filter_property_test loader_oracle_test
+  discriminator_test"
+BIT_IDENTITY=$(printf '%s|' $BIT_IDENTITY_SUITES)
+cmake --build build-tsan -j "$JOBS" --target $BIT_IDENTITY_SUITES
+NEURSC_THREADS=8 ctest --test-dir build-tsan -R "^(${BIT_IDENTITY%|})\$" \
   --output-on-failure
 
 echo

@@ -75,6 +75,7 @@ NeurSCEstimator::NeurSCEstimator(const Graph& data, NeurSCConfig config)
     whole_graph_ = std::make_shared<const SubstructureSet>(std::move(whole),
                                                            features_);
   }
+  set_sample_rate(config_.sample_rate);
   config_.west.seed = config_.seed;
   model_ = std::make_unique<WEstModel>(features_.FeatureDim(), config_.west);
   if (config_.use_discriminator) {
@@ -217,6 +218,9 @@ Result<TrainStats> NeurSCEstimator::Train(
     const std::vector<TrainingExample>& examples) {
   if (examples.empty()) {
     return Status::InvalidArgument("no training examples");
+  }
+  if (config_.batch_size == 0) {
+    return Status::InvalidArgument("batch_size must be positive");
   }
   NEURSC_SPAN(train_span, "train/total");
   TrainStats stats;

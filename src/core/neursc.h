@@ -53,7 +53,8 @@ struct NeurSCConfig {
   bool use_substructure_extraction = true;
   /// Discriminator distance metric (Fig. 12 variants).
   DistanceMetric metric = DistanceMetric::kWasserstein;
-  /// Substructure sample rate r_s at inference time (Sec. 5.8).
+  /// Substructure sample rate r_s at inference time (Sec. 5.8); the
+  /// estimator clamps it to (0, 1], as set_sample_rate does.
   double sample_rate = 1.0;
 
   uint64_t seed = 99;

@@ -1,6 +1,7 @@
 #include "nn/modules.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/logging.h"
 
@@ -110,7 +111,13 @@ BipartiteAttentionLayer::BipartiteAttentionLayer(size_t in_features,
                                                  Rng* rng)
     : theta_(Matrix::GlorotUniform(in_features, out_features, rng)),
       theta_attn_(Matrix::GlorotUniform(in_features, out_features, rng)),
-      attn_(Matrix::GlorotUniform(2 * out_features, 1, rng)) {}
+      attn_(Matrix::GlorotUniform(2 * out_features, 1, rng)),
+      attn_dst_rows_(out_features),
+      attn_src_rows_(out_features) {
+  std::iota(attn_dst_rows_.begin(), attn_dst_rows_.end(), 0u);
+  std::iota(attn_src_rows_.begin(), attn_src_rows_.end(),
+            static_cast<uint32_t>(out_features));
+}
 
 Var BipartiteAttentionLayer::Forward(Tape* tape, Var h,
                                      const EdgeIndex& edges) {
@@ -119,13 +126,19 @@ Var BipartiteAttentionLayer::Forward(Tape* tape, Var h,
   Var theta_attn = tape->Leaf(&theta_attn_);
   Var attn = tape->Leaf(&attn_);
 
-  Var projected = tape->MatMul(h, theta);            // n x out
-  Var attn_feats = tape->MatMul(h, theta_attn);      // n x out
+  Var projected = tape->MatMul(h, theta);  // n x out
 
-  // Eq. 5 scores: LeakyReLU(a^T [Theta_a h_u || Theta_a h_v]) where u is
+  // Eq. 5 scores LeakyReLU(a^T [Theta_a h_u || Theta_a h_v]), where u is
   // the destination (the vertex whose neighborhood is normalized over).
+  // The bracket is linear in each endpoint, so it equals h_u . w_dst +
+  // h_v . w_src with w_dst = Theta_a a[0, out) and w_src = Theta_a
+  // a[out, 2 out): two numbers per vertex, summed per edge.
+  Var attn_dst = tape->GatherRows(attn, attn_dst_rows_);
+  Var attn_src = tape->GatherRows(attn, attn_src_rows_);
+  Var w = tape->MatMul(theta_attn, tape->ConcatCols(attn_dst, attn_src));
+  Var per_vertex = tape->MatMul(h, w);  // n x 2
   Var logits = tape->LeakyRelu(
-      tape->EdgeScores(attn_feats, attn, edges.src, edges.dst));  // E x 1
+      tape->EdgeScores(per_vertex, edges.src, edges.dst));  // E x 1
   Var alpha = tape->SegmentSoftmax(logits, edges.dst, n);
 
   // Eq. 4: h_u' = sum_v alpha_uv Theta h_v.

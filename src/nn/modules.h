@@ -128,9 +128,12 @@ class MeanAggregatorLayer : public Module {
 /// Attentive message passing over an explicitly provided (bipartite) edge
 /// list, Eqs. 4-5. Attention coefficients are computed per destination
 /// vertex with a shared projection Theta_a and attention vector a, using
-/// LeakyReLU scoring and per-destination softmax. The layer reads the edge
-/// list as given: the caller supplies Eq. 4's self term alpha_uu as a
-/// self-loop edge (v, v) for every vertex.
+/// LeakyReLU scoring and per-destination softmax. The scores come from two
+/// numbers per vertex, h (Theta_a a[0, out)) and h (Theta_a a[out, 2 out)),
+/// summed per edge: the same function as projecting every vertex by
+/// Theta_a first, up to float rounding. The layer reads the edge list as
+/// given: the caller supplies Eq. 4's self term alpha_uu as a self-loop
+/// edge (v, v) for every vertex.
 class BipartiteAttentionLayer : public Module {
  public:
   BipartiteAttentionLayer(size_t in_features, size_t out_features, Rng* rng);
@@ -146,6 +149,10 @@ class BipartiteAttentionLayer : public Module {
   Parameter theta_;       // in x out   (Theta of Eq. 4)
   Parameter theta_attn_;  // in x out   (Theta_a of Eq. 5)
   Parameter attn_;        // 2*out x 1  (a of Eq. 5)
+  /// attn_'s rows [0, out) and [out, 2 out): its destination and source
+  /// halves.
+  std::vector<uint32_t> attn_dst_rows_;
+  std::vector<uint32_t> attn_src_rows_;
 };
 
 }  // namespace neursc

@@ -66,18 +66,6 @@ void ScatterAddRows(const float* x, const uint32_t* targets, size_t rows,
   }
 }
 
-void EdgeScores(const float* x, const float* a, const uint32_t* src,
-                const uint32_t* dst, size_t edges, size_t cols, float* out) {
-  for (size_t e = 0; e < edges; ++e) {
-    const float* xd = x + dst[e] * cols;
-    const float* xs = x + src[e] * cols;
-    float acc = 0.0f;
-    for (size_t p = 0; p < cols; ++p) acc += xd[p] * a[p];
-    for (size_t p = 0; p < cols; ++p) acc += xs[p] * a[cols + p];
-    out[e] = acc;
-  }
-}
-
 void Relu(const float* x, float* out, size_t n) {
   for (size_t j = 0; j < n; ++j) out[j] = x[j] < 0.0f ? 0.0f : x[j];
 }
@@ -98,26 +86,6 @@ void AddColBroadcastMul(const float* x, const float* w, float* out,
                         size_t rows, size_t cols) {
   for (size_t r = 0; r < rows; ++r) {
     AddScaled(x + r * cols, w[r], out + r * cols, cols);
-  }
-}
-
-void EdgeScoresBackward(const float* x, const float* a, const float* g,
-                        const uint32_t* src, const uint32_t* dst,
-                        size_t edges, size_t cols, float* a_grad,
-                        float* x_grad) {
-  if (a_grad != nullptr) {
-    for (size_t e = 0; e < edges; ++e) {
-      AddScaled(x + dst[e] * cols, g[e], a_grad, cols);
-      AddScaled(x + src[e] * cols, g[e], a_grad + cols, cols);
-    }
-  }
-  if (x_grad != nullptr) {
-    for (size_t e = 0; e < edges; ++e) {
-      AddScaled(a + cols, g[e], x_grad + src[e] * cols, cols);
-    }
-    for (size_t e = 0; e < edges; ++e) {
-      AddScaled(a, g[e], x_grad + dst[e] * cols, cols);
-    }
   }
 }
 
@@ -315,39 +283,6 @@ NEURSC_AVX2_ inline void AddRowsBlock(const float* x, size_t rows,
   for (size_t b = 0; b < kBlocks; ++b) _mm256_storeu_ps(out + 8 * b, acc[b]);
 }
 
-/// Columns [0, 8 kBlocks) of both halves of EdgeScoresBackward's a
-/// gradient (x and a_grad point at the block's first column): the dst-side
-/// and src-side sums stay in registers across the edge loop.
-template <size_t kBlocks>
-NEURSC_AVX2_ inline void EdgeScoresGradABlock(const float* x, const float* g,
-                                              const uint32_t* src,
-                                              const uint32_t* dst,
-                                              size_t edges, size_t cols,
-                                              float* a_grad) {
-  __m256 acc_dst[kBlocks];
-  __m256 acc_src[kBlocks];
-  for (size_t b = 0; b < kBlocks; ++b) {
-    acc_dst[b] = _mm256_loadu_ps(a_grad + 8 * b);
-    acc_src[b] = _mm256_loadu_ps(a_grad + cols + 8 * b);
-  }
-  for (size_t e = 0; e < edges; ++e) {
-    const __m256 gv = _mm256_set1_ps(g[e]);
-    const float* xd = x + dst[e] * cols;
-    const float* xs = x + src[e] * cols;
-#pragma GCC unroll 4
-    for (size_t b = 0; b < kBlocks; ++b) {
-      acc_dst[b] = _mm256_add_ps(
-          acc_dst[b], _mm256_mul_ps(_mm256_loadu_ps(xd + 8 * b), gv));
-      acc_src[b] = _mm256_add_ps(
-          acc_src[b], _mm256_mul_ps(_mm256_loadu_ps(xs + 8 * b), gv));
-    }
-  }
-  for (size_t b = 0; b < kBlocks; ++b) {
-    _mm256_storeu_ps(a_grad + 8 * b, acc_dst[b]);
-    _mm256_storeu_ps(a_grad + cols + 8 * b, acc_src[b]);
-  }
-}
-
 }  // namespace
 
 NEURSC_AVX2_ void Gemm(size_t m, size_t k, size_t n, const float* a,
@@ -433,9 +368,8 @@ NEURSC_AVX2_ void AddRowBroadcast(const float* x, const float* bias,
   }
 }
 
-// AddRows and the a gradient of EdgeScoresBackward keep a block of sums in
-// registers across the whole reduction loop: each entry still takes its
-// terms in row (edge) order, one add (one mul, then one add) per term.
+// AddRows keeps a block of sums in registers across the whole row loop:
+// each entry still takes its terms in row order, one add per term.
 
 NEURSC_AVX2_ void AddRows(const float* x, size_t rows, size_t cols,
                           float* out) {
@@ -483,58 +417,6 @@ NEURSC_AVX2_ void ScatterAddRows(const float* x, const uint32_t* targets,
   for (size_t r = 0; r < rows; ++r) {
     float* orow = out + targets[r] * cols;
     AddSpan(orow, x + r * cols, orow, cols);
-  }
-}
-
-NEURSC_AVX2_ void EdgeScores(const float* x, const float* a,
-                             const uint32_t* src, const uint32_t* dst,
-                             size_t edges, size_t cols, float* out) {
-  // Eight edges per register, lane r for edge e + r: the dst rows' dot
-  // products with a[0, cols), then the src rows' with a[cols, 2 cols) in
-  // the same accumulator. The edges left over run the scalar loop.
-  size_t e = 0;
-  for (; e + 8 <= edges; e += 8) {
-    const float* rows[8];
-    for (size_t r = 0; r < 8; ++r) rows[r] = x + dst[e + r] * cols;
-    __m256 acc = AccumulateDots8(rows, cols, a, 1, _mm256_setzero_ps());
-    for (size_t r = 0; r < 8; ++r) rows[r] = x + src[e + r] * cols;
-    acc = AccumulateDots8(rows, cols, a + cols, 1, acc);
-    _mm256_storeu_ps(out + e, acc);
-  }
-  scalar::EdgeScores(x, a, src + e, dst + e, edges - e, cols, out + e);
-}
-
-NEURSC_AVX2_ void EdgeScoresBackward(const float* x, const float* a,
-                                     const float* g, const uint32_t* src,
-                                     const uint32_t* dst, size_t edges,
-                                     size_t cols, float* a_grad,
-                                     float* x_grad) {
-  if (a_grad != nullptr) {
-    size_t j = 0;
-    for (; j + 32 <= cols; j += 32) {
-      EdgeScoresGradABlock<4>(x + j, g, src, dst, edges, cols, a_grad + j);
-    }
-    for (; j + 8 <= cols; j += 8) {
-      EdgeScoresGradABlock<1>(x + j, g, src, dst, edges, cols, a_grad + j);
-    }
-    for (; j < cols; ++j) {
-      float acc_dst = a_grad[j];
-      float acc_src = a_grad[cols + j];
-      for (size_t e = 0; e < edges; ++e) {
-        acc_dst += x[dst[e] * cols + j] * g[e];
-        acc_src += x[src[e] * cols + j] * g[e];
-      }
-      a_grad[j] = acc_dst;
-      a_grad[cols + j] = acc_src;
-    }
-  }
-  if (x_grad != nullptr) {
-    for (size_t e = 0; e < edges; ++e) {
-      AddScaledSpan(a + cols, g[e], x_grad + src[e] * cols, cols);
-    }
-    for (size_t e = 0; e < edges; ++e) {
-      AddScaledSpan(a, g[e], x_grad + dst[e] * cols, cols);
-    }
   }
 }
 
@@ -730,19 +612,6 @@ void AddColBroadcastMul(const float* x, const float* w, float* out,
 void ScatterAddRows(const float* x, const uint32_t* targets, size_t rows,
                     size_t cols, float* out) {
   NEURSC_DISPATCH_(ScatterAddRows, x, targets, rows, cols, out);
-}
-
-void EdgeScores(const float* x, const float* a, const uint32_t* src,
-                const uint32_t* dst, size_t edges, size_t cols, float* out) {
-  NEURSC_DISPATCH_(EdgeScores, x, a, src, dst, edges, cols, out);
-}
-
-void EdgeScoresBackward(const float* x, const float* a, const float* g,
-                        const uint32_t* src, const uint32_t* dst,
-                        size_t edges, size_t cols, float* a_grad,
-                        float* x_grad) {
-  NEURSC_DISPATCH_(EdgeScoresBackward, x, a, g, src, dst, edges, cols, a_grad,
-                   x_grad);
 }
 
 void Aggregate(const float* x, const uint32_t* src, const uint32_t* dst,

@@ -23,17 +23,17 @@ namespace neursc {
 // elementwise, row-structured and message-passing cases make one call per
 // input gradient to an nn/simd.h accumulate kernel (AddMul, AddScaled, the
 // ReLU masks, AddRows, AddBlock, AddRowBroadcast, AddColBroadcastMul,
-// ScatterAddRows, EdgeScoresBackward, Aggregate), never one per row or
-// edge, and every variant of each adds each delta entry onto the gradient
-// in this same order; the per-row and per-edge dot products, ReduceSum and
-// the softmax cases keep their scalar loops.
+// ScatterAddRows, Aggregate), never one per row or edge, and every variant
+// of each adds each delta entry onto the gradient in this same order; the
+// per-row and per-edge dot products, the EdgeScores sums, ReduceSum and the
+// softmax cases keep their scalar loops.
 //
 // A gradient slot starts at +0.0 and only ever receives additions, and a
 // float sum is -0.0 only when both addends are, so no gradient slot holds
 // -0.0. Adding g and adding 0.0f + g therefore give the same bits, which
-// is why the message-passing backward cases may add each per-edge delta
-// straight onto the input's gradient and still equal the gather/scatter
-// compositions the header names (docs/execution.md).
+// is why the Aggregate backward may add each per-edge delta straight onto
+// the input's gradient and still equal the gather/scatter composition the
+// header names (docs/execution.md).
 
 void GradientSink::Accumulate(Parameter* param, const Matrix& delta) {
   auto it = buffers_.find(param);
@@ -323,16 +323,16 @@ void CheckEdges(const std::vector<uint32_t>& src,
 
 }  // namespace
 
-Var Tape::EdgeScores(Var x, Var a, const std::vector<uint32_t>& src,
+Var Tape::EdgeScores(Var p, const std::vector<uint32_t>& src,
                      const std::vector<uint32_t>& dst) {
-  const Matrix& xv = Value(x);
-  const Matrix& av = Value(a);
-  NEURSC_CHECK(av.rows() == 2 * xv.cols() && av.cols() == 1);
-  CheckEdges(src, dst, xv.rows(), xv.rows());
+  const Matrix& pv = Value(p);
+  NEURSC_CHECK(pv.cols() == 2) << "EdgeScores needs two columns";
+  CheckEdges(src, dst, pv.rows(), pv.rows());
   Matrix* out = AllocValue(src.size(), 1);
-  simd::EdgeScores(xv.data(), av.data(), src.data(), dst.data(), src.size(),
-                   xv.cols(), out->data());
-  return Emit(out, OpKind::kEdgeScores, x, a, 0.0, src, dst);
+  for (size_t e = 0; e < src.size(); ++e) {
+    out->data()[e] = pv.at(dst[e], 0) + pv.at(src[e], 1);
+  }
+  return Emit(out, OpKind::kEdgeScores, p, Var{}, 0.0, src, dst);
 }
 
 Var Tape::Aggregate(Var x, const std::vector<uint32_t>& src,
@@ -557,22 +557,14 @@ void Tape::BackwardStep(const Record& r, const Matrix& g) {
       break;
     }
     case OpKind::kEdgeScores: {
-      // The order MatMul(ConcatCols(GatherRows(x, dst), GatherRows(x,
-      // src)), a) backpropagates in: a's gradient summed over edges from
-      // zero and then added, then x's src-side rows, then its dst side,
-      // each in edge order.
       const size_t edges = r.index_count / 2;
       const uint32_t* src = indices_.data() + r.index_begin;
       const uint32_t* dst = src + edges;
-      const Matrix& xv = V(r.a);
-      Matrix* ag = Requires(r.b) ? &EnsureGrad(r.b) : nullptr;
-      float* xg = Requires(r.a) ? EnsureGrad(r.a).data() : nullptr;
-      if (ag != nullptr) scratch_.Reshape(2 * xv.cols(), 1);
-      simd::EdgeScoresBackward(xv.data(), V(r.b).data(), gd, src, dst, edges,
-                               xv.cols(), ag != nullptr ? scratch_.data()
-                                                        : nullptr,
-                               xg);
-      if (ag != nullptr) ag->AddInPlace(scratch_);
+      Matrix& pg = EnsureGrad(r.a);
+      for (size_t e = 0; e < edges; ++e) {
+        pg.at(dst[e], 0) += gd[e];
+        pg.at(src[e], 1) += gd[e];
+      }
       break;
     }
     case OpKind::kAggregate: {

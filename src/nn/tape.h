@@ -65,9 +65,10 @@ class GradientSink {
 ///
 /// The op vocabulary is the set that the models in src/ run, and every op
 /// in it has a caller there: dense algebra, pointwise nonlinearities,
-/// gather and segment ops, and two fused message-passing ops (EdgeScores,
-/// Aggregate) that read endpoint rows through the edge list instead of
-/// copying them per edge.
+/// gather and segment ops, and two message-passing ops that read endpoints
+/// through the edge list instead of copying them per edge: EdgeScores, a
+/// per-edge sum of two per-vertex numbers, and Aggregate, a weighted
+/// neighbour sum.
 ///
 /// Threading contract (docs/threading.md): a Tape is confined to one
 /// thread — it is not internally synchronized, and all its mutable state
@@ -144,12 +145,12 @@ class Tape {
   Var GatherRows(Var x, const std::vector<uint32_t>& rows);
 
   // --- Message passing over an edge list (src[e] -> dst[e]) ---
-  /// One score per edge from its endpoints' rows of x (n x d) and a
-  /// (2d x 1): out[e] = x[dst[e]] . a[0, d) + x[src[e]] . a[d, 2d), an
-  /// E x 1 column. Equals MatMul(ConcatCols(GatherRows(x, dst),
-  /// GatherRows(x, src)), a) bit for bit, values and gradients, without
-  /// the E x 2d copy.
-  Var EdgeScores(Var x, Var a, const std::vector<uint32_t>& src,
+  /// One score per edge from two numbers per vertex, p (n x 2): out[e] =
+  /// p[dst[e], 0] + p[src[e], 1], an E x 1 column. The backward adds g[e]
+  /// onto p[dst[e], 0] and onto p[src[e], 1], in edge order. Eq. 5's
+  /// attention scores take this form once the attention vector is folded
+  /// into Theta_a (BipartiteAttentionLayer, docs/execution.md).
+  Var EdgeScores(Var p, const std::vector<uint32_t>& src,
                  const std::vector<uint32_t>& dst);
   /// Neighbour sum (num_rows x d): out[dst[e]] += w[e] * x[src[e]] in
   /// edge order, or out[dst[e]] += x[src[e]] when `w` (E x 1) is not

@@ -1,16 +1,21 @@
-// Differential suite for the fused message-passing ops, Tape::EdgeScores
-// and Tape::Aggregate, and for BipartiteAttentionLayer, which runs both.
+// Differential suite for the message-passing op Tape::Aggregate and for
+// BipartiteAttentionLayer, which runs it and Tape::EdgeScores.
 //
-// The oracle is the composition each op replaced: GatherRows ->
-// ConcatCols -> MatMul for the edge scores, and GatherRows ->
-// [ColBroadcastMul] -> a scalar scatter loop for the aggregate. The
-// scatter's backward, which copied the output gradient of row dst[e] into
-// edge e, is the upstream gradient the oracle hands its gathered rows.
-// Forward values and every input gradient must match bit for bit, -0.0
-// included; in the op-level cases each input gradient is first pre-filled
-// by a later term of the loss. Two NaNs match each other: when two NaNs meet in one addition
-// IEEE 754 leaves open which payload the sum carries (simd_kernels_test).
+// Aggregate's oracle is the composition it replaced: GatherRows ->
+// [ColBroadcastMul] -> a scalar scatter loop. The scatter's backward,
+// which copied the output gradient of row dst[e] into edge e, is the
+// upstream gradient the oracle hands its gathered rows. Forward values and
+// every input gradient must match bit for bit, -0.0 included, and each
+// input gradient is first pre-filled by a later term of the loss. Two NaNs
+// match each other: when two NaNs meet in one addition IEEE 754 leaves
+// open which payload the sum carries (simd_kernels_test).
+//
+// The attention layer computes Eq. 5's scores from per-vertex numbers, a
+// different association of the same function as the chain it replaced, so
+// its oracle agrees to a relative 1e-5, and a finite-difference check
+// covers the gradients of Theta_a and a.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdint>
@@ -206,123 +211,157 @@ TEST(MessagePassingTest, AggregateMatchesGatherScaleScatter) {
   }
 }
 
-TEST(MessagePassingTest, EdgeScoresMatchGatherConcatMatMul) {
-  Rng rng(11);
-  for (const Shape& shape : kShapes) {
-    for (bool special : {false, true}) {
-      SCOPED_TRACE(Name(shape, special));
-      const Edges edges = RandomEdges(shape.n, shape.n, shape.edges, &rng);
-      const std::vector<Matrix> inputs = {
-          Values(shape.n, shape.d, special, &rng),
-          Values(2 * shape.d, 1, special, &rng)};
-      std::vector<Matrix> pre_fill;
-      for (const Matrix& in : inputs) {
-        pre_fill.push_back(Values(in.rows(), in.cols(), false, &rng));
-      }
-      const Matrix upstream = Values(shape.edges, 1, false, &rng);
-
-      std::vector<Parameter> fused(inputs.begin(), inputs.end());
-      Matrix fused_value;
-      {
-        Tape tape;
-        std::vector<Var> leaves = {tape.Leaf(&fused[0]), tape.Leaf(&fused[1])};
-        Var y = tape.EdgeScores(leaves[0], leaves[1], edges.src, edges.dst);
-        fused_value = tape.Value(y);
-        tape.Backward(Loss(&tape, y, upstream, leaves, pre_fill));
-      }
-
-      std::vector<Parameter> oracle(inputs.begin(), inputs.end());
-      Matrix oracle_value;
-      {
-        Tape tape;
-        std::vector<Var> leaves = {tape.Leaf(&oracle[0]),
-                                   tape.Leaf(&oracle[1])};
-        // Named, so the dst gather is recorded first; within one
-        // expression the compiler would pick the order.
-        Var feats_dst = tape.GatherRows(leaves[0], edges.dst);
-        Var feats_src = tape.GatherRows(leaves[0], edges.src);
-        Var pair = tape.ConcatCols(feats_dst, feats_src);
-        Var y = tape.MatMul(pair, leaves[1]);
-        oracle_value = tape.Value(y);
-        tape.Backward(Loss(&tape, y, upstream, leaves, pre_fill));
-      }
-
-      EXPECT_TRUE(SameMatrix(fused_value, oracle_value, "value"));
-      EXPECT_TRUE(SameMatrix(fused[0].grad, oracle[0].grad, "x gradient"));
-      EXPECT_TRUE(SameMatrix(fused[1].grad, oracle[1].grad, "a gradient"));
+/// The output and the gradients of h, Theta, Theta_a and a of one pass of
+/// `layer` (h is a leaf), for the loss sum(y * upstream). With
+/// `project_first`, the scores run the chain the layer replaced: every
+/// vertex projected by Theta_a, then MatMul(ConcatCols(GatherRows(., dst),
+/// GatherRows(., src)), a); the rest of the layer is unchanged.
+std::vector<Matrix> RunAttentionLayer(BipartiteAttentionLayer* layer,
+                                      const Matrix& h, const Edges& edges,
+                                      const Matrix& upstream,
+                                      bool project_first) {
+  const std::vector<Parameter*> weights = layer->Parameters();
+  for (Parameter* p : weights) p->ZeroGrad();
+  Parameter hp(h);
+  Tape tape;
+  Var hv = tape.Leaf(&hp);
+  Var y;
+  if (project_first) {
+    const size_t n = h.rows();
+    Var theta = tape.Leaf(weights[0]);
+    Var theta_attn = tape.Leaf(weights[1]);
+    Var attn = tape.Leaf(weights[2]);
+    Var projected = tape.MatMul(hv, theta);
+    Var attn_feats = tape.MatMul(hv, theta_attn);
+    Var feats_dst = tape.GatherRows(attn_feats, edges.dst);
+    Var feats_src = tape.GatherRows(attn_feats, edges.src);
+    Var pair = tape.ConcatCols(feats_dst, feats_src);
+    Var logits = tape.LeakyRelu(tape.MatMul(pair, attn));
+    Var alpha = tape.SegmentSoftmax(logits, edges.dst, n);
+    y = tape.Aggregate(projected, edges.src, edges.dst, n, alpha);
+  } else {
+    EdgeIndex index;
+    for (size_t e = 0; e < edges.src.size(); ++e) {
+      index.Add(edges.src[e], edges.dst[e]);
     }
+    y = layer->Forward(&tape, hv, index);
   }
+  std::vector<Matrix> out = {tape.Value(y)};
+  tape.Backward(tape.ReduceSum(tape.Mul(y, tape.Constant(upstream))));
+  out.push_back(hp.grad);
+  for (Parameter* p : weights) out.push_back(p->grad);
+  return out;
 }
 
-TEST(MessagePassingTest, AttentionLayerMatchesUnfusedChain) {
-  // BipartiteAttentionLayer against the chain it ran before the fused
-  // ops: the output and the gradients of h, Theta, Theta_a and a.
-  constexpr size_t kIn = 5;
-  constexpr size_t kOut = 9;
+/// Every entry of `got` within 1e-5 of `want`, relative to the largest
+/// magnitude in `want` (an entry that is a sum of cancelling terms has no
+/// relative accuracy of its own). NaN must meet NaN.
+::testing::AssertionResult CloseMatrix(const Matrix& got, const Matrix& want,
+                                       const std::string& what) {
+  if (got.rows() != want.rows() || got.cols() != want.cols()) {
+    return ::testing::AssertionFailure() << what << ": shape differs";
+  }
+  float scale = 0.0f;
+  for (size_t i = 0; i < want.size(); ++i) {
+    if (!std::isnan(want.data()[i])) {
+      scale = std::max(scale, std::abs(want.data()[i]));
+    }
+  }
+  for (size_t i = 0; i < got.size(); ++i) {
+    const float g = got.data()[i];
+    const float w = want.data()[i];
+    if (std::isnan(g) != std::isnan(w) ||
+        std::abs(g - w) > 1e-5f * scale) {
+      return ::testing::AssertionFailure()
+             << what << " entry " << i << ": got " << g << ", want " << w
+             << " (largest entry " << scale << ")";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(MessagePassingTest, AttentionLayerMatchesProjectThenScoreChain) {
+  // The layer folds a into Theta_a and scores each edge from two numbers
+  // per vertex. That is the same function as projecting every vertex by
+  // Theta_a first, but not the same floats, so the two agree to a relative
+  // 1e-5: the output and the gradients of h, Theta, Theta_a and a.
   Rng rng(13);
   for (const Shape& shape : kShapes) {
     for (bool special : {false, true}) {
       SCOPED_TRACE(Name(shape, special));
       const size_t n = shape.n;
-      BipartiteAttentionLayer layer(kIn, kOut, &rng);
-      const std::vector<Parameter*> weights = layer.Parameters();
-      const Matrix h = Values(n, kIn, special, &rng);
-      const Matrix upstream = Values(n, kOut, false, &rng);
+      const size_t in = shape.d;
+      const size_t out = shape.d + 2;
+      BipartiteAttentionLayer layer(in, out, &rng);
+      const Matrix h = Values(n, in, special, &rng);
+      const Matrix upstream = Values(n, out, false, &rng);
       // The random edges, then the self-loop of every vertex that the
       // layer's caller appends for Eq. 4's alpha_uu.
-      Edges all = RandomEdges(n, n, shape.edges, &rng);
+      Edges edges = RandomEdges(n, n, shape.edges, &rng);
       for (uint32_t v = 0; v < n; ++v) {
-        all.src.push_back(v);
-        all.dst.push_back(v);
+        edges.src.push_back(v);
+        edges.dst.push_back(v);
       }
 
-      // Returns the output, then the gradients of h and of the weights.
-      auto run = [&](bool fused) {
-        for (Parameter* p : weights) p->ZeroGrad();
-        Parameter hp(h);
-        Tape tape;
-        Var hv = tape.Leaf(&hp);
-        Matrix value;
-        if (fused) {
-          EdgeIndex index;
-          for (size_t e = 0; e < all.src.size(); ++e) {
-            index.Add(all.src[e], all.dst[e]);
-          }
-          Var y = layer.Forward(&tape, hv, index);
-          value = tape.Value(y);
-          tape.Backward(
-              tape.ReduceSum(tape.Mul(y, tape.Constant(upstream))));
-        } else {
-          Var theta = tape.Leaf(weights[0]);
-          Var theta_attn = tape.Leaf(weights[1]);
-          Var attn = tape.Leaf(weights[2]);
-          Var projected = tape.MatMul(hv, theta);
-          Var attn_feats = tape.MatMul(hv, theta_attn);
-          Var feats_dst = tape.GatherRows(attn_feats, all.dst);
-          Var feats_src = tape.GatherRows(attn_feats, all.src);
-          Var pair = tape.ConcatCols(feats_dst, feats_src);
-          Var logits = tape.LeakyRelu(tape.MatMul(pair, attn));
-          Var alpha = tape.SegmentSoftmax(logits, all.dst, n);
-          Var weighted =
-              tape.ColBroadcastMul(tape.GatherRows(projected, all.src), alpha);
-          value = ScatterLoop(tape.Value(weighted), all.dst, n);
-          tape.Backward(tape.ReduceSum(tape.Mul(
-              weighted, tape.Constant(GatherLoop(upstream, all.dst)))));
-        }
-        std::vector<Matrix> out = {value, hp.grad};
-        for (Parameter* p : weights) out.push_back(p->grad);
-        return out;
-      };
-
-      const std::vector<Matrix> got = run(true);
-      const std::vector<Matrix> want = run(false);
+      const std::vector<Matrix> got =
+          RunAttentionLayer(&layer, h, edges, upstream, false);
+      const std::vector<Matrix> want =
+          RunAttentionLayer(&layer, h, edges, upstream, true);
       const char* kWhat[] = {"output", "h gradient", "Theta gradient",
                              "Theta_a gradient", "a gradient"};
       for (size_t k = 0; k < got.size(); ++k) {
-        EXPECT_TRUE(SameMatrix(got[k], want[k], kWhat[k]));
+        EXPECT_TRUE(CloseMatrix(got[k], want[k], kWhat[k]));
       }
     }
   }
+}
+
+TEST(MessagePassingTest, AttentionLayerGradientsMatchFiniteDifferences) {
+  // Central differences of the loss in every entry of Theta_a and a
+  // against the layer's analytic gradients. Inputs of magnitude up to 2
+  // and several edges per destination keep the softmax away from one-hot
+  // and uniform, so both gradients are far from 0.
+  Rng rng(17);
+  constexpr size_t kN = 7;
+  BipartiteAttentionLayer layer(6, 5, &rng);
+  const Matrix h = Values(kN, 6, false, &rng);
+  const Matrix upstream = Values(kN, 5, false, &rng);
+  Edges edges = RandomEdges(kN, kN, 24, &rng);
+  for (uint32_t v = 0; v < kN; ++v) {
+    edges.src.push_back(v);
+    edges.dst.push_back(v);
+  }
+  const std::vector<Parameter*> weights = layer.Parameters();
+  auto loss = [&]() {
+    const Matrix y = RunAttentionLayer(&layer, h, edges, upstream, false)[0];
+    double sum = 0.0;
+    for (size_t i = 0; i < y.size(); ++i) {
+      sum += static_cast<double>(y.data()[i]) * upstream.data()[i];
+    }
+    return sum;
+  };
+  const std::vector<Matrix> analytic =
+      RunAttentionLayer(&layer, h, edges, upstream, false);
+  constexpr float kStep = 1e-2f;
+  double largest = 0.0;
+  for (size_t k : {size_t{1}, size_t{2}}) {  // Theta_a, then a
+    Parameter* p = weights[k];
+    const Matrix& grad = analytic[2 + k];
+    for (size_t i = 0; i < p->value.size(); ++i) {
+      const float original = p->value.data()[i];
+      p->value.data()[i] = original + kStep;
+      const double plus = loss();
+      p->value.data()[i] = original - kStep;
+      const double minus = loss();
+      p->value.data()[i] = original;
+      const double numeric = (plus - minus) / (2.0 * kStep);
+      largest = std::max(largest, std::abs(numeric));
+      EXPECT_NEAR(grad.data()[i], numeric,
+                  2e-3 * std::max(1.0, std::abs(numeric)))
+          << (k == 1 ? "Theta_a" : "a") << " entry " << i;
+    }
+  }
+  EXPECT_GT(largest, 0.1);
 }
 
 }  // namespace

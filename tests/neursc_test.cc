@@ -176,20 +176,21 @@ TEST(NeurSCTest, MetricVariantsTrain) {
   }
 }
 
-TEST(NeurSCTest, SampleRateUsesFewerSubstructures) {
-  // A data graph with several disjoint candidate regions -> multiple
-  // substructures.
-  GraphBuilder b;
-  // 4 disjoint labeled triangles (0-1-2).
-  for (int t = 0; t < 4; ++t) {
-    VertexId v0 = b.AddVertex(0);
-    VertexId v1 = b.AddVertex(1);
-    VertexId v2 = b.AddVertex(2);
-    ASSERT_TRUE(b.AddEdge(v0, v1).ok());
-    ASSERT_TRUE(b.AddEdge(v1, v2).ok());
-    ASSERT_TRUE(b.AddEdge(v0, v2).ok());
+/// 4 disjoint labelled triangles (0-1-2): a data graph with several
+/// disjoint candidate regions, so a triangle query has 4 substructures.
+Graph FourTriangles() {
+  std::vector<Label> labels;
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId t = 0; t < 4; ++t) {
+    labels.insert(labels.end(), {0, 1, 2});
+    edges.insert(edges.end(),
+                 {{3 * t, 3 * t + 1}, {3 * t + 1, 3 * t + 2}, {3 * t, 3 * t + 2}});
   }
-  Graph data = std::move(b.Build()).value();
+  return MakeGraph(labels, edges);
+}
+
+TEST(NeurSCTest, SampleRateUsesFewerSubstructures) {
+  Graph data = FourTriangles();
   Graph query = MakeGraph({0, 1, 2}, {{0, 1}, {1, 2}, {0, 2}});
 
   NeurSCConfig config = TinyConfig();
@@ -206,6 +207,31 @@ TEST(NeurSCTest, SampleRateUsesFewerSubstructures) {
   auto full_info = full_estimator.Estimate(query);
   ASSERT_TRUE(full_info.ok());
   EXPECT_EQ(full_info->num_used, 4u);
+}
+
+TEST(NeurSCTest, ConfiguredSampleRateIsClampedAsTheSetterClamps) {
+  // A rate set in the config, not through set_sample_rate, is clamped to
+  // (0, 1] too: a negative rate samples one substructure, and a rate above
+  // 1 uses all of them.
+  Graph data = FourTriangles();
+  Graph query = MakeGraph({0, 1, 2}, {{0, 1}, {1, 2}, {0, 2}});
+  for (double rate : {-0.5, -std::numeric_limits<double>::infinity(), 0.0}) {
+    NeurSCConfig config = TinyConfig();
+    config.sample_rate = rate;
+    NeurSCEstimator estimator(data, config);
+    EXPECT_EQ(estimator.config().sample_rate, 1e-6) << rate;
+    auto info = estimator.Estimate(query);
+    ASSERT_TRUE(info.ok()) << rate;
+    EXPECT_EQ(info->num_used, 1u) << rate;
+    EXPECT_TRUE(std::isfinite(info->count)) << rate;
+  }
+  NeurSCConfig config = TinyConfig();
+  config.sample_rate = 7.0;
+  NeurSCEstimator estimator(data, config);
+  EXPECT_EQ(estimator.config().sample_rate, 1.0);
+  auto info = estimator.Estimate(query);
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ(info->num_used, 4u);
 }
 
 TEST(NeurSCTest, SampledEstimatorIsUnbiasedAcrossSeeds) {
@@ -352,6 +378,25 @@ TEST(NeurSCTest, TrainRejectsEmptyExampleList) {
   ASSERT_TRUE(data.ok());
   NeurSCEstimator estimator(*data, TinyConfig());
   EXPECT_FALSE(estimator.Train({}).ok());
+}
+
+TEST(NeurSCTest, TrainRejectsZeroBatchSize) {
+  // A zero batch size would step the batch loop by 0; Train refuses it
+  // before any work and leaves the weights as they were.
+  auto data = GenerateErdosRenyiGraph(40, 120, 3, 43);
+  ASSERT_TRUE(data.ok());
+  NeurSCConfig config = TinyConfig();
+  config.batch_size = 0;
+  NeurSCEstimator estimator(*data, config);
+  const auto before =
+      testing_util::SnapshotWeights(estimator.model().Parameters());
+  auto stats = estimator.Train(
+      {{MakeGraph({0, 1}, {{0, 1}}), 3.0}, {MakeGraph({1, 2}, {{0, 1}}), 2.0}});
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(stats.status().message().find("batch_size"), std::string::npos);
+  EXPECT_TRUE(testing_util::WeightsUnchanged(estimator.model().Parameters(),
+                                             before));
 }
 
 TEST(NeurSCTest, EmptyQueryIsRejectedWithAndWithoutExtraction) {

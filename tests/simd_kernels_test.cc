@@ -361,10 +361,10 @@ TEST_F(SimdAvx2Test, RowOpsMatchScalar) {
   }
 }
 
-TEST_F(SimdAvx2Test, MessagePassingKernelsMatchScalar) {
-  // Edge counts around the 8-edge blocks of EdgeScores and row widths
-  // around the 4-column transposes and 8-wide spans, so every vector body
-  // and scalar tail runs; repeated targets and self-loops included.
+TEST_F(SimdAvx2Test, AggregateMatchesScalar) {
+  // Aggregate over edge counts and row widths around the 8-wide spans, so
+  // every vector body and scalar tail runs; repeated targets and
+  // self-loops included.
   Rng rng(14);
   constexpr size_t kRows = 11;
   for (size_t edges : kSizes) {
@@ -378,48 +378,10 @@ TEST_F(SimdAvx2Test, MessagePassingKernelsMatchScalar) {
         dst[e] = e % 3 == 2 ? src[e] : static_cast<uint32_t>(e % 4);
       }
       std::vector<float> x = Values(kRows * cols, true, &rng);
-      std::vector<float> a = Values(2 * cols, true, &rng);
       std::vector<float> w = Values(edges, true, &rng);
-
-      std::vector<float> want(edges);
-      std::vector<float> got(edges);
-      simd::scalar::EdgeScores(x.data(), a.data(), src.data(), dst.data(),
-                               edges, cols, want.data());
-      simd::avx2::EdgeScores(x.data(), a.data(), src.data(), dst.data(),
-                             edges, cols, got.data());
-      ASSERT_TRUE(SameFloats(got.data(), want.data(), edges,
-                             "EdgeScores " + what));
 
       // Onto non-zero rows, with and without weights.
       const std::vector<float> out0 = Values(kRows * cols, true, &rng);
-
-      // Both gradients, onto non-zero outputs, then each alone.
-      const std::vector<float> g = Values(edges, true, &rng);
-      const std::vector<float> a_grad0 = Values(2 * cols, true, &rng);
-      for (bool with_a : {true, false}) {
-        for (bool with_x : {true, false}) {
-          std::vector<float> ag_want = a_grad0;
-          std::vector<float> ag_got = a_grad0;
-          std::vector<float> xg_want = out0;
-          std::vector<float> xg_got = out0;
-          simd::scalar::EdgeScoresBackward(
-              x.data(), a.data(), g.data(), src.data(), dst.data(), edges,
-              cols, with_a ? ag_want.data() : nullptr,
-              with_x ? xg_want.data() : nullptr);
-          simd::avx2::EdgeScoresBackward(
-              x.data(), a.data(), g.data(), src.data(), dst.data(), edges,
-              cols, with_a ? ag_got.data() : nullptr,
-              with_x ? xg_got.data() : nullptr);
-          const std::string which =
-              std::string(with_a ? " a" : "") + (with_x ? " x" : "");
-          ASSERT_TRUE(SameFloats(ag_got.data(), ag_want.data(), ag_got.size(),
-                                 "EdgeScoresBackward a_grad" + which + " " +
-                                     what));
-          ASSERT_TRUE(SameFloats(xg_got.data(), xg_want.data(), xg_got.size(),
-                                 "EdgeScoresBackward x_grad" + which + " " +
-                                     what));
-        }
-      }
       for (const float* weights : {static_cast<const float*>(nullptr),
                                    static_cast<const float*>(w.data())}) {
         std::vector<float> agg_want = out0;

@@ -155,18 +155,18 @@ TEST(TapeDeathTest, AggregateBadEdgeListAborts) {
 TEST(TapeDeathTest, EdgeScoresBadEdgeListAborts) {
   testing::FLAGS_gtest_death_test_style = "threadsafe";
   auto scores = [](std::vector<uint32_t> src, std::vector<uint32_t> dst,
-                   size_t a_rows) {
+                   size_t p_cols) {
     Tape tape;
-    Var x = tape.Constant(Matrix(3, 2));
-    Var a = tape.Constant(Matrix(a_rows, 1));
-    tape.EdgeScores(x, a, src, dst);
+    Var p = tape.Constant(Matrix(3, p_cols));
+    tape.EdgeScores(p, src, dst);
   };
-  EXPECT_DEATH(scores({0, 3}, {1, 1}, 4), "edge index out of range");
-  EXPECT_DEATH(scores({0, 1}, {1, 0xffffffffu}, 4),
+  EXPECT_DEATH(scores({0, 3}, {1, 1}, 2), "edge index out of range");
+  EXPECT_DEATH(scores({0, 1}, {1, 0xffffffffu}, 2),
                "edge index out of range");
-  EXPECT_DEATH(scores({0, 1}, {2}, 4), "edge list length mismatch");
-  EXPECT_DEATH(scores({0}, {1, 2}, 4), "edge list length mismatch");
-  EXPECT_DEATH(scores({0, 1}, {1, 1}, 3), "av.rows");
+  EXPECT_DEATH(scores({0, 1}, {2}, 2), "edge list length mismatch");
+  EXPECT_DEATH(scores({0}, {1, 2}, 2), "edge list length mismatch");
+  EXPECT_DEATH(scores({0, 1}, {1, 1}, 1), "two columns");
+  EXPECT_DEATH(scores({0, 1}, {1, 1}, 3), "two columns");
 }
 
 }  // namespace

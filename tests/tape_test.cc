@@ -252,12 +252,11 @@ TEST(TapeTest, GradCheckAggregateAndColBroadcast) {
 }
 
 TEST(TapeTest, GradCheckEdgeScores) {
-  Parameter x = RandomParam(4, 3, 33);
-  Parameter a = RandomParam(6, 1, 34);
+  Parameter p = RandomParam(4, 2, 33);
   const std::vector<uint32_t> src = {3, 1, 1, 2, 0};
   const std::vector<uint32_t> dst = {0, 1, 1, 2, 0};
   auto build = [&](Tape* tape) {
-    Var scores = tape->EdgeScores(tape->Leaf(&x), tape->Leaf(&a), src, dst);
+    Var scores = tape->EdgeScores(tape->Leaf(&p), src, dst);
     return tape->ReduceSum(tape->Mul(scores, scores));
   };
   auto loss = [&]() {
@@ -268,7 +267,7 @@ TEST(TapeTest, GradCheckEdgeScores) {
     Tape tape;
     tape.Backward(build(&tape));
   }
-  EXPECT_LT(MaxGradCheckError({&x, &a}, loss), 2e-2);
+  EXPECT_LT(MaxGradCheckError({&p}, loss), 2e-2);
 }
 
 TEST(TapeTest, SegmentSoftmaxForward) {
@@ -406,9 +405,8 @@ TEST(TapeTest, DeepCompositeGradCheck) {
 
 using Grads = std::vector<Matrix>;
 
-/// The edge list of the message-passing cases, over six rows: nine edges
-/// (one 8-edge vector block and a tail), a repeated edge (2 -> 1), two
-/// self-loops and a row with no in-edge (2).
+/// The edge list of the message-passing cases, over six rows: nine edges,
+/// a repeated edge (2 -> 1), two self-loops and a row with no in-edge (2).
 const std::vector<uint32_t> kSrc = {2, 0, 2, 5, 1, 2, 0, 4, 3};
 const std::vector<uint32_t> kDst = {1, 3, 1, 0, 3, 3, 5, 4, 3};
 
@@ -564,9 +562,10 @@ std::vector<BackwardCase> BackwardCases(size_t cols, Rng* rng) {
            }
          }
        }});
-  // Aggregate and EdgeScores: the x gradient sums g along the reversed
-  // edges, in edge order; weight and attention-vector gradients are float
-  // dot products from zero, in column or edge order.
+  // Aggregate: the x gradient sums g along the reversed edges, in edge
+  // order; the weight gradient is a float dot product from zero, in column
+  // order. EdgeScores adds g[e] onto its two per-vertex entries, in edge
+  // order.
   cases.push_back(
       {"Aggregate",
        {RandomMatrix(kRows, cols, rng)},
@@ -607,33 +606,16 @@ std::vector<BackwardCase> BackwardCases(size_t cols, Rng* rng) {
        }});
   cases.push_back(
       {"EdgeScores",
-       {RandomMatrix(kRows, cols, rng), RandomMatrix(2 * cols, 1, rng)},
+       {RandomMatrix(kRows, 2, rng)},
        [](Tape* t, const std::vector<Var>& x) {
-         return t->EdgeScores(x[0], x[1], kSrc, kDst);
+         return t->EdgeScores(x[0], kSrc, kDst);
        },
-       [](const std::vector<Matrix>& in, const Matrix&, const Matrix& g,
+       [](const std::vector<Matrix>&, const Matrix&, const Matrix& g,
           Grads* grads) {
-         const Matrix& x = in[0];
-         const Matrix& a = in[1];
-         const size_t d = x.cols();
-         Matrix sum(2 * d, 1);
+         Matrix& pg = (*grads)[0];
          for (size_t e = 0; e < kSrc.size(); ++e) {
-           for (size_t c = 0; c < d; ++c) {
-             sum.at(c, 0) += x.at(kDst[e], c) * g.at(e, 0);
-             sum.at(d + c, 0) += x.at(kSrc[e], c) * g.at(e, 0);
-           }
-         }
-         (*grads)[1].AddInPlace(sum);
-         Matrix& xg = (*grads)[0];
-         for (size_t e = 0; e < kSrc.size(); ++e) {
-           for (size_t c = 0; c < d; ++c) {
-             xg.at(kSrc[e], c) += a.at(d + c, 0) * g.at(e, 0);
-           }
-         }
-         for (size_t e = 0; e < kSrc.size(); ++e) {
-           for (size_t c = 0; c < d; ++c) {
-             xg.at(kDst[e], c) += a.at(c, 0) * g.at(e, 0);
-           }
+           pg.at(kDst[e], 0) += g.at(e, 0);
+           pg.at(kSrc[e], 1) += g.at(e, 0);
          }
        }});
   cases.push_back(
@@ -1019,22 +1001,14 @@ std::vector<ForwardCase> ForwardCases(size_t cols, Rng* rng) {
        }});
   cases.push_back(
       {"EdgeScores",
-       {RandomMatrix(kRows, cols, rng), RandomMatrix(2 * cols, 1, rng)},
+       {RandomMatrix(kRows, 2, rng)},
        [](Tape* t, const std::vector<Var>& x) {
-         return t->EdgeScores(x[0], x[1], kSrc, kDst);
+         return t->EdgeScores(x[0], kSrc, kDst);
        },
        [](const std::vector<Matrix>& in) {
-         const Matrix& x = in[0];
-         const Matrix& a = in[1];
-         const size_t d = x.cols();
          Matrix out(kSrc.size(), 1);
          for (size_t e = 0; e < kSrc.size(); ++e) {
-           float acc = 0.0f;
-           for (size_t c = 0; c < d; ++c) acc += x.at(kDst[e], c) * a.at(c, 0);
-           for (size_t c = 0; c < d; ++c) {
-             acc += x.at(kSrc[e], c) * a.at(d + c, 0);
-           }
-           out.at(e, 0) = acc;
+           out.at(e, 0) = in[0].at(kDst[e], 0) + in[0].at(kSrc[e], 1);
          }
          return out;
        }});
